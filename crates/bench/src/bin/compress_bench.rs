@@ -1,20 +1,23 @@
-//! Size and speed of the compressed posting representation against the raw
-//! CSR arrays it replaces, on the default XMark-like dataset.
+//! Size and speed of the compressed posting representation against raw
+//! extent slices, on the default XMark-like dataset. The raw baseline is
+//! the live [`MStarIndex`], whose extents are plain sorted `Vec`s served
+//! through the same [`IndexView`](mrx_index::IndexView) evaluators.
 //!
 //! Three measurements over the workload-refined M*(k) hierarchy:
 //!
-//! * **size** — bytes/node of the raw extent arrays (one `u32` per member
-//!   plus the offset table) vs. the delta-varint posting arenas; the packed
-//!   form must be at least 3x smaller;
+//! * **size** — bytes/node of raw extent arrays (one `u32` per member
+//!   plus an offset table) vs. the tagged posting arenas; the packed form
+//!   must be at least 3.4x smaller;
 //! * **decode sweep** — every extent of every component materialized once,
 //!   raw slice-copy vs. tagged-block bulk decode: the distilled decode tax,
 //!   reported as Melem/s and as a packed/raw ratio;
 //! * **replay** — the frequent-query workload replayed through cold
-//!   [`QuerySession`]s over the raw [`FrozenMStar`] slices vs. the
-//!   [`CompressedMStar`] cursors — same galloping set algebra, same answer
+//!   [`QuerySession`](mrx_index::QuerySession)s over the live index's raw
+//!   slices vs. the [`CompressedMStar`] cursors — same top-down code, same
+//!   galloping set algebra, same answer
 //!   cache, different posting representation — answers cross-checked bit
 //!   for bit before timing. Answer materialization from a raw extent is a
-//!   `memcpy`; from a packed extent it is a varint-decode pass, which no
+//!   `memcpy`; from a packed extent it is a block-decode pass, which no
 //!   decoder can drive to parity, so the packed replay carries an inherent
 //!   decode tax on cache misses. Both the cached and cache-less ratios are
 //!   reported to the JSON history and held under fixed regression backstops
@@ -43,10 +46,10 @@ use mrx_bench::{json, Dataset, Scale};
 use mrx_datagen::Prng;
 use mrx_graph::FrozenGraph;
 use mrx_index::{
-    replay_compressed_mstar, replay_frozen_mstar, CompressedMStar, IdxId, MStarIndex, QueryScratch,
+    replay, replay_mstar, CompressedMStar, EvalStrategy, MStarIndex, QueryScratch, Servable,
     TrustPolicy,
 };
-use mrx_path::{CompiledPath, Cost};
+use mrx_path::{never_fails, CompiledPath, Cost, Ungoverned};
 use mrx_postings::{intersect_seeking, PostingArena, SliceSeeker};
 use mrx_workload::{Workload, WorkloadConfig};
 
@@ -161,6 +164,21 @@ fn intersect_micro(name: &'static str, a: &[u32], b: &[u32], reps: usize) -> Mic
     }
 }
 
+/// One top-down evaluation, ungoverned, over caller-owned scratch — the
+/// cache-less serving path either representation runs.
+fn eval_cost<T: Servable, G: mrx_graph::GraphView>(
+    target: &T,
+    g: &G,
+    cp: &CompiledPath,
+    scratch: &mut QueryScratch,
+) -> mrx_index::Answer {
+    never_fails(
+        target
+            .eval(g, cp, POLICY, scratch, &mut Ungoverned)
+            .map_err(|(never, _)| never),
+    )
+}
+
 fn main() {
     let opts = parse_args();
     let scale = if opts.smoke { Scale::Tiny } else { Scale::Full };
@@ -179,8 +197,7 @@ fn main() {
         idx.refine_for(&g, q);
     }
     let fg = FrozenGraph::freeze(&g);
-    let fz = idx.freeze();
-    let cz = CompressedMStar::from_frozen(&fz);
+    let cz: CompressedMStar = idx.freeze_compressed();
     cz.validate().expect("compressed hierarchy invalid");
     println!(
         "compress_bench: XMark-like, {} nodes, {} edges, {} queries, {} components, reps={}",
@@ -191,16 +208,15 @@ fn main() {
         opts.reps,
     );
 
-    // --- Size: raw CSR extent arrays vs. delta-varint arenas -------------
+    // --- Size: raw CSR extent arrays vs. tagged posting arenas ----------
+    // Raw: one u32 per extent member (every component partitions the data
+    // nodes) plus an `n + 1` offset table.
     let mut raw_bytes = 0usize;
     let mut packed_bytes = 0usize;
     for i in 0..=cz.max_k() {
-        let f = fz.component(i);
-        let members: usize = (0..f.node_count())
-            .map(|v| f.extent(mrx_index::IdxId(v as u32)).len())
-            .sum();
-        raw_bytes += 4 * (members + f.node_count() + 1);
-        packed_bytes += cz.component(i).extent_bytes();
+        let c = cz.component(i);
+        raw_bytes += 4 * (g.node_count() + c.node_count() + 1);
+        packed_bytes += c.extent_bytes();
     }
     let nodes = g.node_count().max(1);
     let ratio = raw_bytes as f64 / packed_bytes.max(1) as f64;
@@ -230,21 +246,14 @@ fn main() {
 
     // --- Decode sweep: materialize every extent once, both forms ---------
     let mut sink: Vec<mrx_graph::NodeId> = Vec::new();
-    let total_ids: usize = (0..=cz.max_k())
-        .map(|i| {
-            let f = fz.component(i);
-            (0..f.node_count())
-                .map(|v| f.extent(IdxId(v as u32)).len())
-                .sum::<usize>()
-        })
-        .sum();
+    let total_ids = g.node_count() * (cz.max_k() + 1);
     let decode_raw = time("decode/raw sweep", opts.reps.max(3), || {
         let mut n = 0usize;
-        for i in 0..=cz.max_k() {
-            let f = fz.component(i);
-            for v in 0..f.node_count() {
+        for i in 0..=idx.max_k() {
+            let c = idx.component(i);
+            for v in c.iter() {
                 sink.clear();
-                sink.extend_from_slice(f.extent(IdxId(v as u32)));
+                sink.extend_from_slice(c.extent(v));
                 n += sink.len();
             }
         }
@@ -274,10 +283,11 @@ fn main() {
     // --- Replay: top-down over raw slices vs. posting cursors ------------
     // Parity first: the representations must agree bit for bit.
     let cps: Vec<CompiledPath> = w.queries.iter().map(|q| q.compile(&fg)).collect();
+    let live_cps: Vec<CompiledPath> = w.queries.iter().map(|q| q.compile(&g)).collect();
     let mut scratch = QueryScratch::new();
-    for (q, cp) in w.queries.iter().zip(&cps) {
-        let raw = fz.query_top_down_with_scratch(&fg, cp, POLICY, &mut scratch);
-        let packed = cz.query_top_down_with_scratch(&fg, cp, POLICY, &mut scratch);
+    for ((q, cp), lcp) in w.queries.iter().zip(&cps).zip(&live_cps) {
+        let raw = eval_cost(&idx, &g, lcp, &mut scratch);
+        let packed = eval_cost(&cz, &fg, cp, &mut scratch);
         assert_eq!(packed.nodes, raw.nodes, "answer mismatch on {q}");
         assert_eq!(packed.cost, raw.cost, "cost mismatch on {q}");
     }
@@ -285,32 +295,28 @@ fn main() {
     // query misses once and its repeats hit the cache — the steady state
     // the compressed representation is built for.
     let replay_raw = time("replay/raw", opts.reps, || {
-        replay_frozen_mstar(&fz, &fg, &w.queries, POLICY, 1).total
+        replay_mstar(&idx, &g, &w.queries, EvalStrategy::TopDown, POLICY, 1).total
     });
     let replay_packed = time("replay/packed", opts.reps, || {
-        replay_compressed_mstar(&cz, &fg, &w.queries, POLICY, 1).total
+        replay(&cz, &fg, &w.queries, POLICY, 1).total
     });
     println!("{}", replay_raw.render());
     println!("{}", replay_packed.render());
     let replay_ratio = replay_packed.min_ms / replay_raw.min_ms;
     println!("packed replay vs raw: {replay_ratio:.2}x");
     // The cache-less miss path, every query re-evaluated: this is where the
-    // varint-decode tax lives, reported so the history tracks it.
+    // block-decode tax lives, reported so the history tracks it.
     let cold_raw = time("replay/raw cacheless", opts.reps, || {
         let mut total = Cost::ZERO;
-        for cp in &cps {
-            total += fz
-                .query_top_down_with_scratch(&fg, cp, POLICY, &mut scratch)
-                .cost;
+        for cp in &live_cps {
+            total += eval_cost(&idx, &g, cp, &mut scratch).cost;
         }
         total
     });
     let cold_packed = time("replay/packed cacheless", opts.reps, || {
         let mut total = Cost::ZERO;
         for cp in &cps {
-            total += cz
-                .query_top_down_with_scratch(&fg, cp, POLICY, &mut scratch)
-                .cost;
+            total += eval_cost(&cz, &fg, cp, &mut scratch).cost;
         }
         total
     });
@@ -320,8 +326,7 @@ fn main() {
     println!("packed cache-less replay vs raw: {cold_ratio:.2}x");
     // Regression backstops, not parity gates: raw answers materialize by
     // memcpy while packed answers block-decode, so the packed replay
-    // legitimately trails (measured ~1.3x cached / ~1.5x cache-less with
-    // the tagged block encodings and the monomorphized bit-unpack). The
+    // legitimately trails (measured ~1.3x cached / ~1.5x cache-less). The
     // backstops trip on a decode-path blowup — the per-element cursor
     // dispatch this bench was written against measured ~1.8x cache-less,
     // and the pre-tagged delta-varint decoder ~1.4x/~1.6x. The cache-less

@@ -1,11 +1,10 @@
 //! Fault-injection harness for the `.mrx` serving read path.
 //!
-//! Four experiments over a real frozen XMark-like snapshot (the v1 extent
-//! layout, the v2 flat CSR layout, the compressed posting layout, and the
-//! demand-paged layout). The `v3`/`v4` labels are kept for history
-//! continuity; the writers behind them now emit the tagged-block v5/v6
-//! forms, so every posting-section fault below lands inside or around a
-//! tagged block (delta-varint, bit-packed, or run):
+//! Experiments over a real XMark-like snapshot in both layouts: compressed
+//! (v5) and demand-paged (v6). The `v3`/`v4` labels in prints and JSON
+//! keys are kept for history continuity and mean v5 and v6; every
+//! posting-section fault below lands inside or around a tagged block
+//! (delta-varint, bit-packed, or run):
 //!
 //! * **seeded corruption sweep** — ≥10k deterministic [`FaultPlan`]s (bit
 //!   flips, truncations, overwrites, section-length lies, mid-stream I/O
@@ -35,10 +34,11 @@
 //!   and the whole sweep must allocate a bounded amount even though the
 //!   frames *declare* gigabytes — the length cap runs before any buffer
 //!   is sized;
-//! * **budget overhead** — the same workload replayed through governed
-//!   ([`replay_frozen_mstar_budgeted`] with a generous budget, so the meter
-//!   runs but never trips) vs. ungoverned sessions; the warm-path tax of
-//!   carrying a [`QueryBudget`] must stay under 2%.
+//! * **budget overhead** — the same workload replayed over the compressed
+//!   hierarchy through governed ([`replay_budgeted`] with a generous
+//!   budget, so the meter runs but never trips) vs. ungoverned sessions;
+//!   the warm-path tax of carrying a [`QueryBudget`] is gated as a
+//!   regression backstop.
 //!
 //! Results print as a table and append one JSON line to `BENCH_fault.json`.
 //!
@@ -56,15 +56,12 @@ use mrx_bench::timing::time;
 use mrx_bench::{json, Dataset, Scale};
 use mrx_datagen::prng::Prng;
 use mrx_graph::FrozenGraph;
-use mrx_index::{replay_frozen_mstar, replay_frozen_mstar_budgeted, MStarIndex, TrustPolicy};
+use mrx_index::{replay, replay_budgeted, MStarIndex, TrustPolicy};
 use mrx_path::PathExpr;
 use mrx_path::QueryBudget;
 use mrx_serve::{Client, Response, ServeConfig, ServeError, Server, MAX_REQUEST_FRAME};
 use mrx_store::fault::{FaultKind, FaultPlan};
-use mrx_store::{
-    load_compressed_from, load_frozen_from, load_mstar_from, paged_image, save_compressed_to,
-    save_frozen_to, save_mstar_to, PagedFile, StoreError,
-};
+use mrx_store::{load_compressed_from, paged_image, save_compressed_to, PagedFile, StoreError};
 use mrx_workload::{Workload, WorkloadConfig};
 
 const POLICY: TrustPolicy = TrustPolicy::Proven;
@@ -154,7 +151,7 @@ impl Outcome {
         match r {
             Ok(_) => Outcome::Ok,
             Err(StoreError::Io(_)) => Outcome::Io,
-            Err(StoreError::Format(_)) => Outcome::Format,
+            Err(StoreError::Format(_) | StoreError::Retired { .. }) => Outcome::Format,
             Err(StoreError::Checksum { .. }) => Outcome::Checksum,
         }
     }
@@ -249,8 +246,8 @@ fn corruption_sweep(
     (per_kind, panics)
 }
 
-/// Byte ranges of every checksummed section payload in a `.mrx` image.
-/// Layout (v1 and v2 both): 16-byte header (`magic | u32 version |
+/// Byte ranges of every checksummed section payload in a v5 `.mrx` image.
+/// Layout: 16-byte header (`magic | u32 version |
 /// u32 ncomp`), a graph section, a raw (unchecksummed) `8 * ncomp`-byte
 /// offset directory, then `ncomp` component sections; every section is
 /// `[u64 len][payload][u64 fnv64]`.
@@ -321,11 +318,6 @@ fn main() {
         idx.refine_for(&g, q);
     }
     let fg = FrozenGraph::freeze(&g);
-    let fz = idx.freeze();
-    let mut v1 = Vec::new();
-    save_mstar_to(&mut v1, &g, &idx).expect("save v1");
-    let mut v2 = Vec::new();
-    save_frozen_to(&mut v2, &fg, &fz).expect("save v2");
     let cz = idx.freeze_compressed();
     let mut v3 = Vec::new();
     save_compressed_to(&mut v3, &fg, &cz).expect("save v3");
@@ -336,23 +328,14 @@ fn main() {
         .map(|i| cz.component(i).extent_bytes())
         .sum();
     println!(
-        "fault_bench: XMark-like, {} nodes, v1 {} bytes, v2 {} bytes, v3 {} bytes, \
-         v4 {} bytes, {} seeds per format",
+        "fault_bench: XMark-like, {} nodes, v5 {} bytes, v6 {} bytes, {} seeds per format",
         g.node_count(),
-        v1.len(),
-        v2.len(),
         v3.len(),
         v4.len(),
         opts.seeds,
     );
 
     // --- Seeded corruption sweep over both layouts ----------------------
-    let (v1_tally, v1_panics) = corruption_sweep("v1", &v1, opts.seeds, |plan, img| {
-        load_mstar_from(plan.reader(img, img.len() as u64)).map(|_| ())
-    });
-    let (v2_tally, v2_panics) = corruption_sweep("v2", &v2, opts.seeds, |plan, img| {
-        load_frozen_from(plan.reader(img, img.len() as u64)).map(|_| ())
-    });
     let (v3_tally, v3_panics) = corruption_sweep("v3", &v3, opts.seeds, |plan, img| {
         load_compressed_from(plan.reader(img, img.len() as u64)).map(|_| ())
     });
@@ -371,17 +354,12 @@ fn main() {
         }
         f.verify()
     });
-    let panics = v1_panics + v2_panics + v3_panics + v4_panics;
+    let panics = v3_panics + v4_panics;
     println!(
         "\n{:<12} {:>8} {:>8} {:>8} {:>10} {:>8}",
         "fault", "ok", "io", "format", "checksum", "total"
     );
-    for (label, tally) in [
-        ("v1", &v1_tally),
-        ("v2", &v2_tally),
-        ("v3", &v3_tally),
-        ("v4", &v4_tally),
-    ] {
+    for (label, tally) in [("v3", &v3_tally), ("v4", &v4_tally)] {
         for (kind, t) in tally {
             println!(
                 "{label}/{kind:<10} {:>8} {:>8} {:>8} {:>10} {:>8}",
@@ -394,21 +372,19 @@ fn main() {
         }
     }
     assert_eq!(panics, 0, "corrupted snapshots must never panic the loader");
-    // Reader-level short reads are *legal* `Read` behaviour — both loaders
-    // must shrug them off; everything they reject must be typed.
-    for (label, tally) in [("v1", &v1_tally), ("v2", &v2_tally), ("v3", &v3_tally)] {
-        if let Some(t) = tally.get("short-read") {
-            assert_eq!(
-                t.rejected(),
-                0,
-                "{label}: short reads are legal Read outcomes and must load cleanly"
-            );
-        }
-        if let Some(t) = tally.get("io-error") {
-            assert_eq!(t.ok, 0, "{label}: injected I/O errors must surface");
-        }
+    // Reader-level short reads are *legal* `Read` behaviour — the eager
+    // loader must shrug them off; everything it rejects must be typed.
+    if let Some(t) = v3_tally.get("short-read") {
+        assert_eq!(
+            t.rejected(),
+            0,
+            "v3: short reads are legal Read outcomes and must load cleanly"
+        );
     }
-    let rejected: u64 = [&v1_tally, &v2_tally, &v3_tally, &v4_tally]
+    if let Some(t) = v3_tally.get("io-error") {
+        assert_eq!(t.ok, 0, "v3: injected I/O errors must surface");
+    }
+    let rejected: u64 = [&v3_tally, &v4_tally]
         .iter()
         .flat_map(|t| t.values())
         .map(Tally::rejected)
@@ -425,11 +401,6 @@ fn main() {
         sidx.refine_for(&sg, q);
     }
     let sfg = FrozenGraph::freeze(&sg);
-    let sfz = sidx.freeze();
-    let mut s1 = Vec::new();
-    save_mstar_to(&mut s1, &sg, &sidx).expect("save small v1");
-    let mut s2 = Vec::new();
-    save_frozen_to(&mut s2, &sfg, &sfz).expect("save small v2");
     let scz = sidx.freeze_compressed();
     let mut s3 = Vec::new();
     save_compressed_to(&mut s3, &sfg, &scz).expect("save small v3");
@@ -437,8 +408,6 @@ fn main() {
     // bit (coprime to 8, so every bit position within a byte is hit) to
     // stay inside the CI time box while still proving the property.
     let stride = if opts.smoke { 97 } else { 1 };
-    let b1 = bit_flips("v1", &s1, stride, |img| load_mstar_from(img).map(|_| ()));
-    let b2 = bit_flips("v2", &s2, stride, |img| load_frozen_from(img).map(|_| ()));
     // Every flipped bit here lands in or around a tagged posting block —
     // including flips of the tag byte itself, which could otherwise turn a
     // run block into a bit-packed one; the section checksum must reject
@@ -447,7 +416,7 @@ fn main() {
         load_compressed_from(img).map(|_| ())
     });
     println!(
-        "payload bit flips all caught by checksum: v1 {b1}, v2 {b2}, v3 {b3}{}",
+        "payload bit flips all caught by checksum: v3 {b3}{}",
         if opts.smoke { " (sampled 1/97)" } else { "" }
     );
 
@@ -476,25 +445,25 @@ fn main() {
     // --- Wire-protocol fuzzing against a live daemon ----------------------
     let wire_seeds = opts.seeds.min(if opts.smoke { 150 } else { 1_000 });
     let wire_q = w.queries[0].to_string();
-    let wire_clean: Vec<u32> = sfz
+    let wire_clean: Vec<u32> = scz
         .query_top_down(&sfg, &w.queries[0], POLICY)
         .nodes
         .iter()
         .map(|n| n.0)
         .collect();
-    let wire = wire_fuzz(&s2, wire_seeds, &wire_q, &wire_clean);
+    let wire = wire_fuzz(&s3, wire_seeds, &wire_q, &wire_clean);
     println!(
         "wire fuzzing: {} frames ({} typed protocol errors, {} hangups), \
          {} declared bytes rejected with {} bytes allocated, daemon healthy",
         wire.frames, wire.typed, wire.hangups, wire.declared_bytes, wire.alloc_bytes
     );
 
-    // --- Budget overhead on the warm frozen replay path ------------------
+    // --- Budget overhead on the warm compressed replay path --------------
     // The whole replay is ~0.2 ms, so the min wanders a few percent run to
     // run; floor the rep count high enough that the minimums converge.
     let budget_reps = opts.reps.max(25);
     let ungoverned = time("replay/ungoverned", budget_reps, || {
-        replay_frozen_mstar(&fz, &fg, &w.queries, POLICY, 1).total
+        replay(&cz, &fg, &w.queries, POLICY, 1).total
     });
     let generous = QueryBudget {
         max_steps: Some(u64::MAX / 2),
@@ -502,19 +471,16 @@ fn main() {
         ..QueryBudget::unlimited()
     };
     let governed = time("replay/governed", budget_reps, || {
-        replay_frozen_mstar_budgeted(&fz, &fg, &w.queries, POLICY, 1, &generous).total
+        replay_budgeted(&cz, &fg, &w.queries, POLICY, 1, &generous).total
     });
     println!("{}", ungoverned.render());
     println!("{}", governed.render());
     let overhead_pct = (governed.min_ms / ungoverned.min_ms - 1.0) * 100.0;
     println!("budget metering overhead: {overhead_pct:.2}%");
     if !opts.smoke {
-        // The governed descent keeps the per-visit cursor loop so a limit
-        // trips at the exact visit, while the ungoverned descent takes the
-        // bulk extent walk (Governor::GOVERNED); the gap is that foregone
-        // bulk decode plus the meter arithmetic, measured 2-4% warm with
-        // ~±2% run-to-run noise. Gate as a regression backstop above that
-        // envelope.
+        // Both descents take the same bulk extent walk; the governed one
+        // adds the meter arithmetic per visit and per validated target.
+        // Gate as a regression backstop above the measured envelope.
         assert!(
             overhead_pct < 6.0,
             "budget metering must stay within the measured 2-4% envelope \
@@ -524,14 +490,12 @@ fn main() {
 
     let line = format!(
         concat!(
-            "{{\"dataset\":\"xmark\",\"nodes\":{},\"v1_bytes\":{},\"v2_bytes\":{},",
+            "{{\"dataset\":\"xmark\",\"nodes\":{},",
             "\"v3_bytes\":{},\"v4_bytes\":{},\"extent_bytes\":{},\"bytes_per_node\":{:.3},",
             "\"seeds_per_format\":{},\"rejected\":{},\"panics\":{},",
-            "\"v1_ok\":{},\"v1_io\":{},\"v1_format\":{},\"v1_checksum\":{},",
-            "\"v2_ok\":{},\"v2_io\":{},\"v2_format\":{},\"v2_checksum\":{},",
             "\"v3_ok\":{},\"v3_io\":{},\"v3_format\":{},\"v3_checksum\":{},",
             "\"v4_ok\":{},\"v4_io\":{},\"v4_format\":{},\"v4_checksum\":{},",
-            "\"bitflips_v1\":{},\"bitflips_v2\":{},\"bitflips_v3\":{},",
+            "\"bitflips_v3\":{},",
             "\"region_flips_v4\":{},\"region_flips_v4_mid_query\":{},",
             "\"bitflip_escapes\":0,",
             "\"wire_frames\":{},\"wire_typed\":{},\"wire_hangups\":{},",
@@ -540,8 +504,6 @@ fn main() {
             "\"budget_overhead_pct\":{:.2}}}"
         ),
         g.node_count(),
-        v1.len(),
-        v2.len(),
         v3.len(),
         v4.len(),
         extent_bytes,
@@ -549,14 +511,6 @@ fn main() {
         opts.seeds,
         rejected,
         panics,
-        sum(&v1_tally, |t| t.ok),
-        sum(&v1_tally, |t| t.io),
-        sum(&v1_tally, |t| t.format),
-        sum(&v1_tally, |t| t.checksum),
-        sum(&v2_tally, |t| t.ok),
-        sum(&v2_tally, |t| t.io),
-        sum(&v2_tally, |t| t.format),
-        sum(&v2_tally, |t| t.checksum),
         sum(&v3_tally, |t| t.ok),
         sum(&v3_tally, |t| t.io),
         sum(&v3_tally, |t| t.format),
@@ -565,8 +519,6 @@ fn main() {
         sum(&v4_tally, |t| t.io),
         sum(&v4_tally, |t| t.format),
         sum(&v4_tally, |t| t.checksum),
-        b1,
-        b2,
         b3,
         b4,
         b4_query_catches,

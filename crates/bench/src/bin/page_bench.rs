@@ -1,10 +1,10 @@
-//! Demand-paged serving (v6, tagged blocks) vs. the eager flat (v2) and
-//! compressed (v5) snapshots, on the default XMark-like dataset. The
-//! `v2`/`v3`/`v4` names in prints and JSON keys are kept for history
-//! continuity — they mean "eager raw", "eager compressed", "paged":
+//! Demand-paged serving (v6) vs. the eager compressed (v5) snapshot, on
+//! the default XMark-like dataset. The `v3`/`v4` names in prints and JSON
+//! keys are kept for history continuity — they mean "eager compressed"
+//! and "paged":
 //!
 //! * **time-to-first-answer** — open a real on-disk snapshot and serve the
-//!   first workload query, timed as one span. The eager layouts must
+//!   first workload query, timed as one span. The eager layout must
 //!   deserialize the whole file first; the paged layout reads the 64-byte
 //!   header, the graph section, a prefix of the small per-component meta
 //!   sections, and then faults in only the pages the query touches.
@@ -18,7 +18,7 @@
 //! Answers and costs are cross-checked paged-vs-eager under both trust
 //! policies before any timing is trusted; outside `--smoke` the run asserts
 //! the paged time-to-first-answer is at least `TTFA_GATE`x better than
-//! both eager layouts and the capped replay stays within the bounded
+//! the eager layout and the capped replay stays within the bounded
 //! factor below.
 //! Results print as a table and append one JSON line to `BENCH_page.json`.
 //!
@@ -30,16 +30,15 @@ use std::io::Write as _;
 
 use mrx_bench::timing::time;
 use mrx_bench::{json, Dataset, Scale};
-use mrx_graph::FrozenGraph;
-use mrx_index::{replay_compressed_mstar, replay_paged_mstar, MStarIndex, TrustPolicy};
-use mrx_store::{
-    load_compressed, load_frozen, save_compressed, save_frozen, save_paged_with, PagedFile,
-};
+use mrx_graph::{FrozenGraph, GraphView};
+use mrx_index::{replay, MStarIndex, PagedMStar, QuerySession, TrustPolicy};
+use mrx_path::{Cost, PathExpr};
+use mrx_store::{load_compressed, save_compressed, save_paged_with, PagedFile};
 use mrx_workload::{Workload, WorkloadConfig};
 
 const POLICY: TrustPolicy = TrustPolicy::Proven;
 
-/// Outside smoke, paged TTFA must beat both eager layouts by this much.
+/// Outside smoke, paged TTFA must beat the eager layout by this much.
 /// Measured 10-19x at full scale; the shared 1-core box wanders the
 /// minimums enough that one run in a handful lands just under 10x, so
 /// the gate keeps spike headroom below the measured floor.
@@ -85,6 +84,17 @@ fn parse_args() -> Opts {
     opts
 }
 
+/// Replays `queries` through one session over a paged hierarchy (its page
+/// cache is single-threaded, so paged replay is sequential).
+fn replay_paged<G: GraphView>(star: &PagedMStar, g: &G, queries: &[PathExpr]) -> Cost {
+    let mut session = QuerySession::new(POLICY);
+    let mut total = Cost::ZERO;
+    for q in queries {
+        total += session.serve(star, g, q).cost;
+    }
+    total
+}
+
 fn main() {
     let opts = parse_args();
     let scale = if opts.smoke { Scale::Tiny } else { Scale::Full };
@@ -106,42 +116,37 @@ fn main() {
         idx.refine_for(&g, q);
     }
     let fg = FrozenGraph::freeze(&g);
-    let fz = idx.freeze();
     let cz = idx.freeze_compressed();
     fg.validate().expect("frozen graph invalid");
-    fz.validate().expect("frozen index invalid");
+    cz.validate().expect("compressed index invalid");
 
     let dir = std::env::temp_dir().join(format!("mrx-page-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let p2 = dir.join("bench-v2.mrx");
-    let p3 = dir.join("bench-v3.mrx");
-    let p4 = dir.join("bench-v4.mrx");
-    save_frozen(&p2, &fg, &fz).expect("save v2");
-    save_compressed(&p3, &fg, &cz).expect("save v3");
-    save_paged_with(&p4, &fg, &cz, page_size).expect("save v4");
-    let v2_bytes = std::fs::metadata(&p2).expect("stat v2").len();
+    let p3 = dir.join("bench-v5.mrx");
+    let p4 = dir.join("bench-v6.mrx");
+    save_compressed(&p3, &fg, &cz).expect("save v5");
+    save_paged_with(&p4, &fg, &cz, page_size).expect("save v6");
     let v3_bytes = std::fs::metadata(&p3).expect("stat v3").len();
     let v4_bytes = std::fs::metadata(&p4).expect("stat v4").len();
     println!(
         "page_bench: XMark-like, {} nodes, {} queries, page {} B, \
-         v2 {} / v3 {} / v4 {} bytes, reps={}",
+         v5 {} / v6 {} bytes, reps={}",
         g.node_count(),
         w.queries.len(),
         page_size,
-        v2_bytes,
         v3_bytes,
         v4_bytes,
         opts.reps,
     );
 
     // Parity gate under both policies: the paged reader must reproduce the
-    // eager frozen answers and cost counts bit for bit — page seams,
+    // eager compressed answers and cost counts bit for bit — page seams,
     // evictions and all — before any timing is trusted.
     {
         let mut file = PagedFile::open_with(&p4, v4_bytes / 4).expect("open v4 for parity");
         for policy in [TrustPolicy::Proven, TrustPolicy::Claimed] {
             for q in &w.queries {
-                let eager = fz.query_top_down(&fg, q, policy);
+                let eager = cz.query_top_down(&fg, q, policy);
                 let paged = file.query(q, policy).expect("paged parity query");
                 assert_eq!(
                     paged.nodes, eager.nodes,
@@ -164,10 +169,6 @@ fn main() {
 
     // --- Time-to-first-answer: eager full load vs. paged open ----------
     let q0 = &w.queries[0];
-    let ttfa_v2 = time("ttfa/v2-eager", opts.reps, || {
-        let (fg2, fz2) = load_frozen(&p2).expect("load v2");
-        fz2.query_top_down(&fg2, q0, POLICY).nodes.len()
-    });
     let ttfa_v3 = time("ttfa/v3-eager", opts.reps, || {
         let (fg3, cz3) = load_compressed(&p3).expect("load v3");
         cz3.query_top_down(&fg3, q0, POLICY).nodes.len()
@@ -176,31 +177,26 @@ fn main() {
         let mut f = PagedFile::open(&p4).expect("open v4");
         f.query_top_down(q0).expect("paged first query").nodes.len()
     });
-    println!("{}", ttfa_v2.render());
     println!("{}", ttfa_v3.render());
     println!("{}", ttfa_v4.render());
-    let ttfa_speedup_v2 = ttfa_v2.min_ms / ttfa_v4.min_ms;
     let ttfa_speedup_v3 = ttfa_v3.min_ms / ttfa_v4.min_ms;
-    println!(
-        "paged time-to-first-answer speedup: {ttfa_speedup_v2:.2}x vs v2, \
-         {ttfa_speedup_v3:.2}x vs v3"
-    );
+    println!("paged time-to-first-answer speedup: {ttfa_speedup_v3:.2}x vs v5");
 
     // --- Replay: capped cache vs. fully-resident compressed serving ----
     let cache_cap = v4_bytes / 4;
     let resident = time("replay/resident-v3", opts.reps, || {
-        replay_compressed_mstar(&cz, &fg, &w.queries, POLICY, 1).total
+        replay(&cz, &fg, &w.queries, POLICY, 1).total
     });
-    let file = PagedFile::open_with(&p4, cache_cap).expect("open v4 for replay");
-    let resident_total = replay_compressed_mstar(&cz, &fg, &w.queries, POLICY, 1).total;
-    let (pg, star, cache) = file.into_parts().expect("activate v4");
-    let paged_total = replay_paged_mstar(&star, &pg, &w.queries, POLICY).total;
+    let file = PagedFile::open_with(&p4, cache_cap).expect("open v6 for replay");
+    let resident_total = replay(&cz, &fg, &w.queries, POLICY, 1).total;
+    let (pg, star, cache) = file.into_parts().expect("activate v6");
+    let paged_total = replay_paged(&star, &pg, &w.queries);
     assert_eq!(
         paged_total, resident_total,
         "capped-cache replay must cost exactly what resident serving costs"
     );
     let capped = time("replay/paged-25pct", opts.reps, || {
-        replay_paged_mstar(&star, &pg, &w.queries, POLICY).total
+        replay_paged(&star, &pg, &w.queries)
     });
     assert!(
         cache.take_poison().is_none(),
@@ -222,9 +218,9 @@ fn main() {
 
     if !opts.smoke {
         assert!(
-            ttfa_speedup_v2 >= TTFA_GATE && ttfa_speedup_v3 >= TTFA_GATE,
+            ttfa_speedup_v3 >= TTFA_GATE,
             "paged time-to-first-answer must beat eager serving {TTFA_GATE}x \
-             (got {ttfa_speedup_v2:.2}x vs v2, {ttfa_speedup_v3:.2}x vs v3)"
+             (got {ttfa_speedup_v3:.2}x vs v5)"
         );
         assert!(
             replay_factor <= REPLAY_FACTOR_BOUND,
@@ -237,9 +233,9 @@ fn main() {
         concat!(
             "{{\"dataset\":\"xmark\",\"nodes\":{},\"queries\":{},\"reps\":{},",
             "\"policy\":\"proven\",\"page_size\":{},",
-            "\"v2_bytes\":{},\"v3_bytes\":{},\"v4_bytes\":{},",
-            "\"ttfa_v2_ms\":{:.3},\"ttfa_v3_ms\":{:.3},\"ttfa_v4_ms\":{:.3},",
-            "\"ttfa_speedup_v2\":{:.2},\"ttfa_speedup_v3\":{:.2},",
+            "\"v3_bytes\":{},\"v4_bytes\":{},",
+            "\"ttfa_v3_ms\":{:.3},\"ttfa_v4_ms\":{:.3},",
+            "\"ttfa_speedup_v3\":{:.2},",
             "\"cache_cap_bytes\":{},\"replay_resident_ms\":{:.3},",
             "\"replay_paged_ms\":{:.3},\"replay_factor\":{:.2},",
             "\"faults\":{},\"hits\":{},\"evictions\":{},\"resident_bytes\":{},",
@@ -249,13 +245,10 @@ fn main() {
         w.queries.len(),
         opts.reps,
         page_size,
-        v2_bytes,
         v3_bytes,
         v4_bytes,
-        ttfa_v2.min_ms,
         ttfa_v3.min_ms,
         ttfa_v4.min_ms,
-        ttfa_speedup_v2,
         ttfa_speedup_v3,
         cache_cap,
         resident.min_ms,

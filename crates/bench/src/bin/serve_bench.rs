@@ -139,7 +139,7 @@ fn pctl(sorted_us: &[u64], p: f64) -> u64 {
 /// Single-threaded oracle: exact (Proven) answers for `exprs` on `g`.
 fn oracle(g: &DataGraph, exprs: &[String]) -> HashMap<String, Vec<u32>> {
     let fg = FrozenGraph::freeze(g);
-    let star = MStarIndex::new(g).freeze();
+    let star = MStarIndex::new(g).freeze_compressed();
     let mut scratch = QueryScratch::new();
     exprs
         .iter()

@@ -1,6 +1,11 @@
 //! The `mrx` subcommands, factored for testability: every command takes
 //! parsed [`Args`] and a writer, and returns a `Result`.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::error::Error;
 use std::fmt::Write as _;
 use std::fs;
@@ -11,8 +16,8 @@ use mrx_graph::stats::{graph_stats, label_histogram};
 use mrx_graph::xml;
 use mrx_graph::{DataGraph, FrozenGraph, GraphView};
 use mrx_index::{
-    AdaptEngine, AkIndex, DkIndex, EvalStrategy, MStarIndex, MkIndex, OneIndex, QuerySession,
-    TrustPolicy, UdIndex,
+    AdaptEngine, AkIndex, DkIndex, MStarIndex, MkIndex, OneIndex, QuerySession, TrustPolicy,
+    UdIndex,
 };
 use mrx_path::{PathExpr, QueryBudget};
 use mrx_workload::{Workload, WorkloadConfig};
@@ -27,10 +32,10 @@ USAGE:
   mrx gen <xmark|nasa> [--nodes N] [--seed S] [--out FILE]
   mrx stats <file.xml> [--labels N]
   mrx index <file.xml> --kind <a0|ak|one|ud|dk-construct|dk-promote|mk|mstar>
-            [--k N] [--l N] [--fups FILE] [--save FILE.mrx] [--stats] [--batch]
+            [--k N] [--l N] [--fups FILE] [--stats] [--batch]
   mrx query <file.xml|file.mrx> <expr> [--kind KIND] [--k N] [--fups FILE] [--paper] [--stats]
-            [--frozen] [--paged] [--cache-bytes N] [--max-steps N] [--max-nodes N] [--timeout-ms N]
-  mrx freeze <file.xml|file.mrx> --out FILE.mrx [--fups FILE] [--compress | --paged [--page-size N]]
+            [--cache-bytes N] [--max-steps N] [--max-nodes N] [--timeout-ms N]
+  mrx freeze <file.xml> --out FILE.mrx [--fups FILE] [--paged [--page-size N]]
   mrx workload <file.xml> [--max-len N] [--count N] [--seed S]
   mrx serve <file.mrx> [--addr HOST:PORT] [--workers N] [--max-conns N]
             [--queue N] [--tenant-backlog N] [--quantum N] [--rate QPS] [--burst N]
@@ -41,24 +46,23 @@ Path expressions: //a/b/c (descendant), /a/b (root-anchored), * wildcards.
 FUP files: one path expression per line; lines starting with # are skipped.
 --batch adapts dk-promote/mk/mstar to the whole FUP file in one batched
 pass (deduplicated worklist, shared scratch) instead of one FUP at a time.
-`freeze` compiles a v1 index file (or a fresh M*(k) build of an XML file)
-into a flat v2 snapshot — or, with --compress, a v5 snapshot whose extents
-and adjacency are delta-compressed posting lists served without
-decompression. `query --frozen` auto-detects the snapshot version.
-`freeze --paged` writes a demand-paged v6 snapshot instead: extents and
-the node map stay on disk and are served through a budgeted page cache
-with per-page checksums, so opening is near-instant and the resident set
-is capped. `query` auto-detects paged (v4/v6) files; --paged asserts the layout,
---cache-bytes caps the cache, and --stats adds page fault/hit/eviction
-counters.
+`freeze` builds an M*(k)-index of an XML file (adapted to --fups) and
+writes a compressed v5 snapshot whose extents and adjacency are posting
+lists served without decompression. `freeze --paged` writes a
+demand-paged v6 snapshot instead: extents and the node map stay on disk
+and are served through a budgeted page cache with per-page checksums, so
+opening is near-instant and the resident set is capped. `query` on a
+.mrx file detects the layout from its header; for v6, --cache-bytes caps
+the cache and --stats adds page fault/hit/eviction counters. Snapshots in
+the retired v1–v4 layouts are refused: re-freeze them with `freeze`.
 Every command that reads XML accepts --strict-refs, which rejects
 documents with duplicate ID declarations or dangling IDREF tokens
 (otherwise those are counted and reported as a warning).
 --max-steps / --max-nodes / --timeout-ms bound a query's node visits,
 answer size, and wall-clock time; an exhausted budget reports the partial
 cost instead of an answer (`--stats` counts such trips as budget_trips).
-`serve` runs the fault-tolerant multi-tenant daemon over a snapshot of any
-version: bounded queues with typed Overloaded/RateLimited shedding
+`serve` runs the fault-tolerant multi-tenant daemon over a v5 or v6
+snapshot: bounded queues with typed Overloaded/RateLimited shedding
 (--rate/--burst arm a default per-tenant token bucket), per-tenant budgets
 (--max-steps/--max-nodes/--timeout-ms apply per query), graceful
 degradation reported through `client stats`, and zero-downtime hot swap
@@ -214,7 +218,7 @@ fn build_summary(name: &str, nodes: usize, edges: usize) -> String {
 }
 
 fn cmd_index(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
-    let args = Args::scan(raw, &["kind", "k", "l", "fups", "save"])?;
+    let args = Args::scan(raw, &["kind", "k", "l", "fups"])?;
     args.reject_unknown_flags(&["stats", "batch", "strict-refs"])?;
     let path = args.require_positional(0, "file.xml")?;
     let g = load_xml(path, args.flag("strict-refs"), out)?;
@@ -330,18 +334,8 @@ fn cmd_index(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
                     out.write_all(mrx_index::stats::render_stats(s).as_bytes())?;
                 }
             }
-            if let Some(save) = args.option("save") {
-                mrx_store::save_mstar(save, &g, &idx)?;
-                writeln!(out, "saved index to {save}")?;
-            }
-            return Ok(());
         }
         other => return Err(Box::new(ArgError(format!("unknown index kind `{other}`")))),
-    }
-    if args.option("save").is_some() {
-        return Err(Box::new(ArgError(
-            "--save currently persists only --kind mstar indexes".into(),
-        )));
     }
     Ok(())
 }
@@ -359,14 +353,7 @@ fn cmd_query(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
             "timeout-ms",
         ],
     )?;
-    args.reject_unknown_flags(&[
-        "paper",
-        "show-nodes",
-        "stats",
-        "frozen",
-        "paged",
-        "strict-refs",
-    ])?;
+    args.reject_unknown_flags(&["paper", "show-nodes", "stats", "strict-refs"])?;
     let path = args.require_positional(0, "file")?;
     let expr = args.require_positional(1, "expr")?;
     let q = PathExpr::parse(expr)?;
@@ -377,138 +364,23 @@ fn cmd_query(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
     };
     let budget = budget_from_args(&args)?;
 
-    // Demand-paged (v4/v6) snapshot: page-cache serving, auto-detected
-    // from the header. --paged asserts the layout; --cache-bytes caps the
-    // resident set.
-    if path.ends_with(".mrx") && matches!(mrx_store::snapshot_version(path)?, 4 | 6) {
-        return query_paged(out, &args, path, &q, policy, &budget);
-    }
-    if args.flag("paged") {
-        return Err(Box::new(ArgError(
-            "--paged requires a demand-paged v4/v6 snapshot (see `mrx freeze --paged`)".into(),
-        )));
+    // A snapshot: the layout comes from its header (a retired v1–v4
+    // header is refused with a typed error naming `mrx freeze`).
+    if path.ends_with(".mrx") {
+        if mrx_store::snapshot_version(path)? == 6 {
+            return query_paged(out, &args, path, &q, policy, &budget);
+        }
+        if args.option("cache-bytes").is_some() {
+            return Err(Box::new(ArgError(
+                "--cache-bytes applies only to demand-paged v6 snapshots".into(),
+            )));
+        }
+        return query_compressed(out, &args, path, &q, policy, &budget);
     }
     if args.option("cache-bytes").is_some() {
         return Err(Box::new(ArgError(
-            "--cache-bytes applies only to demand-paged snapshots".into(),
+            "--cache-bytes applies only to demand-paged v6 snapshots".into(),
         )));
-    }
-
-    // Flat (v2) or compressed (v3) snapshot: lazy frozen query, layout
-    // auto-detected from the header.
-    if args.flag("frozen") {
-        if !path.ends_with(".mrx") {
-            return Err(Box::new(ArgError(
-                "--frozen requires a .mrx snapshot (see `mrx freeze`)".into(),
-            )));
-        }
-        if matches!(mrx_store::snapshot_version(path)?, 3 | 5) {
-            let mut file = mrx_store::CompressedFile::open(path)?;
-            let ans = match file.query_budgeted(&q, policy, &budget) {
-                Ok(ans) => ans,
-                Err(e @ MrxError::Budget(_)) => {
-                    writeln!(out, "{}", render_budget_trip(&e))?;
-                    return Ok(());
-                }
-                Err(e) => return Err(Box::new(e)),
-            };
-            writeln!(
-                out,
-                "{} answers, cost {} index + {} data node visits",
-                ans.nodes.len(),
-                ans.cost.index_nodes,
-                ans.cost.data_nodes
-            )?;
-            writeln!(
-                out,
-                "loaded {} of {} components ({} bytes; {} extent bytes resident)",
-                file.loaded_components().len(),
-                file.component_count(),
-                file.bytes_read(),
-                file.extent_bytes()
-            )?;
-            if !file.degraded_components().is_empty() {
-                writeln!(
-                    out,
-                    "rebuilt {} unreadable component(s): {:?}",
-                    file.degraded_components().len(),
-                    file.degraded_components()
-                )?;
-            }
-            if args.flag("show-nodes") {
-                print_nodes(out, file.graph(), &ans.nodes)?;
-            }
-            return Ok(());
-        }
-        let mut file = mrx_store::FrozenFile::open(path)?;
-        let ans = match file.query_budgeted(&q, policy, &budget) {
-            Ok(ans) => ans,
-            Err(e @ MrxError::Budget(_)) => {
-                writeln!(out, "{}", render_budget_trip(&e))?;
-                return Ok(());
-            }
-            Err(e) => return Err(Box::new(e)),
-        };
-        writeln!(
-            out,
-            "{} answers, cost {} index + {} data node visits",
-            ans.nodes.len(),
-            ans.cost.index_nodes,
-            ans.cost.data_nodes
-        )?;
-        writeln!(
-            out,
-            "loaded {} of {} components ({} bytes)",
-            file.loaded_components().len(),
-            file.component_count(),
-            file.bytes_read()
-        )?;
-        if !file.degraded_components().is_empty() {
-            writeln!(
-                out,
-                "rebuilt {} unreadable component(s): {:?}",
-                file.degraded_components().len(),
-                file.degraded_components()
-            )?;
-        }
-        if args.flag("show-nodes") {
-            print_nodes(out, file.graph(), &ans.nodes)?;
-        }
-        return Ok(());
-    }
-
-    // Persisted index: lazy query (eager when a budget needs governing).
-    if path.ends_with(".mrx") {
-        let mut file = mrx_store::MStarFile::open(path)?;
-        if !budget.is_unlimited() {
-            // Budgeted serving goes through the governed session path,
-            // which needs the in-memory index.
-            let (g, idx) = file.into_index()?;
-            let mut session = QuerySession::new(policy);
-            session.set_budget(budget);
-            return finish_session_query(out, &args, &g, &mut session, |s| {
-                s.try_serve_mstar(&idx, &g, &q).cloned()
-            });
-        }
-        let ans = file.query(&q, EvalStrategy::TopDown, policy)?;
-        writeln!(
-            out,
-            "{} answers, cost {} index + {} data node visits",
-            ans.nodes.len(),
-            ans.cost.index_nodes,
-            ans.cost.data_nodes
-        )?;
-        writeln!(
-            out,
-            "loaded {} of {} components ({} bytes)",
-            file.loaded_components().len(),
-            file.component_count(),
-            file.bytes_read()
-        )?;
-        if args.flag("show-nodes") {
-            print_nodes(out, file.graph(), &ans.nodes)?;
-        }
-        return Ok(());
     }
 
     let g = load_xml(path, args.flag("strict-refs"), out)?;
@@ -549,14 +421,62 @@ fn cmd_query(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
                 idx.refine_for(&g, f);
             }
             finish_session_query(out, &args, &g, &mut session, |s| {
-                s.try_serve_mstar(&idx, &g, &q).cloned()
+                s.try_serve(&idx, &g, &q).cloned()
             })
         }
         other => Err(Box::new(ArgError(format!("unknown index kind `{other}`"))) as Box<dyn Error>),
     }
 }
 
-/// Serves one query from a demand-paged (v4) snapshot: near-zero open,
+/// Serves one query from a compressed (v5) snapshot, loading only the
+/// components the query's length needs.
+fn query_compressed(
+    out: &mut impl std::io::Write,
+    args: &Args,
+    path: &str,
+    q: &PathExpr,
+    policy: TrustPolicy,
+    budget: &QueryBudget,
+) -> CmdResult {
+    let mut file = mrx_store::CompressedFile::open(path)?;
+    let ans = match file.query_budgeted(q, policy, budget) {
+        Ok(ans) => ans,
+        Err(e @ MrxError::Budget(_)) => {
+            writeln!(out, "{}", render_budget_trip(&e))?;
+            return Ok(());
+        }
+        Err(e) => return Err(Box::new(e)),
+    };
+    writeln!(
+        out,
+        "{} answers, cost {} index + {} data node visits",
+        ans.nodes.len(),
+        ans.cost.index_nodes,
+        ans.cost.data_nodes
+    )?;
+    writeln!(
+        out,
+        "loaded {} of {} components ({} bytes; {} extent bytes resident)",
+        file.loaded_components().len(),
+        file.component_count(),
+        file.bytes_read(),
+        file.extent_bytes()
+    )?;
+    if !file.degraded_components().is_empty() {
+        writeln!(
+            out,
+            "rebuilt {} unreadable component(s): {:?}",
+            file.degraded_components().len(),
+            file.degraded_components()
+        )?;
+    }
+    if args.flag("show-nodes") {
+        print_nodes(out, file.graph(), &ans.nodes)?;
+    }
+    Ok(())
+}
+
+/// Serves one query from a demand-paged (v6) snapshot: near-zero open,
 /// component metadata loaded as a prefix, extents and the node map paged
 /// in on demand under the cache budget.
 fn query_paged(
@@ -681,79 +601,51 @@ fn print_nodes<G: GraphView>(
     Ok(())
 }
 
-/// Compiles a v1 index file (or a fresh M*(k) build of an XML document)
-/// into an immutable flat v2 snapshot.
+/// Builds an M*(k)-index of an XML document, adapted to `--fups`, and
+/// writes it as a compressed v5 snapshot (or demand-paged v6 with
+/// `--paged`).
 fn cmd_freeze(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
     let args = Args::scan(raw, &["out", "fups", "page-size"])?;
-    args.reject_unknown_flags(&["strict-refs", "compress", "paged"])?;
-    let path = args.require_positional(0, "file")?;
+    args.reject_unknown_flags(&["strict-refs", "paged"])?;
+    let path = args.require_positional(0, "file.xml")?;
     let dest = args
         .option("out")
         .ok_or_else(|| ArgError("freeze requires --out FILE.mrx".into()))?;
-    if args.flag("paged") && args.flag("compress") {
-        return Err(Box::new(ArgError(
-            "--paged and --compress are mutually exclusive (a paged snapshot already \
-             stores compressed extents)"
-                .into(),
-        )));
-    }
     if args.option("page-size").is_some() && !args.flag("paged") {
         return Err(Box::new(ArgError(
             "--page-size applies only with --paged".into(),
         )));
     }
-    let (g, idx) = if path.ends_with(".mrx") {
-        if args.option("fups").is_some() {
-            return Err(Box::new(ArgError(
-                "--fups applies only when freezing from XML (a .mrx index is already adapted)"
-                    .into(),
-            )));
+    if path.ends_with(".mrx") {
+        return Err(Box::new(ArgError(
+            "freeze reads an XML document; re-freeze a snapshot from its source document".into(),
+        )));
+    }
+    let g = load_xml(path, args.flag("strict-refs"), out)?;
+    let mut idx = MStarIndex::new(&g);
+    if let Some(f) = args.option("fups") {
+        for fup in &load_fups(f)? {
+            idx.refine_for(&g, fup);
         }
-        mrx_store::load_mstar(path)?
-    } else {
-        let g = load_xml(path, args.flag("strict-refs"), out)?;
-        let mut idx = MStarIndex::new(&g);
-        if let Some(f) = args.option("fups") {
-            for fup in &load_fups(f)? {
-                idx.refine_for(&g, fup);
-            }
-        }
-        (g, idx)
-    };
+    }
     let fg = FrozenGraph::freeze(&g);
-    if args.flag("paged") {
-        let cz = idx.freeze_compressed();
+    let cz = idx.freeze_compressed();
+    let layout = if args.flag("paged") {
         match args.option("page-size") {
             Some(_) => {
                 mrx_store::save_paged_with(dest, &fg, &cz, args.option_parse("page-size", 0u32)?)?
             }
             None => mrx_store::save_paged(dest, &fg, &cz)?,
         }
-        writeln!(
-            out,
-            "froze {} components ({} data nodes, demand-paged v6) to {dest}",
-            cz.components.len(),
-            fg.node_count()
-        )?;
-        return Ok(());
-    }
-    if args.flag("compress") {
-        let cz = idx.freeze_compressed();
+        "demand-paged v6"
+    } else {
         mrx_store::save_compressed(dest, &fg, &cz)?;
-        writeln!(
-            out,
-            "froze {} components ({} data nodes, compressed v5) to {dest}",
-            cz.components.len(),
-            fg.node_count()
-        )?;
-        return Ok(());
-    }
-    let fz = idx.freeze();
-    mrx_store::save_frozen(dest, &fg, &fz)?;
+        "compressed v5"
+    };
     writeln!(
         out,
-        "froze {} components ({} data nodes) to {dest}",
-        fz.components.len(),
+        "froze {} components ({} data nodes, {layout}) to {dest}",
+        cz.components.len(),
         fg.node_count()
     )?;
     Ok(())
@@ -1012,255 +904,101 @@ mod tests {
         assert!(s.contains("down (≈2-down):"), "{s}");
     }
 
-    #[test]
-    fn index_with_fups_and_save_then_lazy_query() {
-        let doc = tempfile("save.xml", DOC);
+    /// Freezes `DOC` adapted to one FUP into a v5 and a v6 snapshot.
+    fn freeze_pair(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let doc = tempfile(&format!("{tag}.xml"), DOC);
         let fups = tempfile(
-            "fups.txt",
-            "# comment\n//auction/seller/person\n\n//person/name\n",
+            &format!("{tag}-fups.txt"),
+            "# c\n//auction/seller/person\n\n",
         );
-        let saved = tempfile("saved.mrx", "");
-        let s = run_cmd(
-            "index",
-            &[
-                doc.to_str().unwrap(),
-                "--kind",
-                "mstar",
-                "--fups",
-                fups.to_str().unwrap(),
-                "--save",
-                saved.to_str().unwrap(),
-            ],
-        )
-        .unwrap();
-        assert!(s.contains("saved index"), "{s}");
-        let q = run_cmd(
-            "query",
-            &[saved.to_str().unwrap(), "//seller/person", "--show-nodes"],
-        )
-        .unwrap();
-        assert!(q.contains("1 answers"), "{q}");
-        assert!(q.contains("loaded 2 of 3 components"), "{q}");
-        assert!(q.contains("<person>"), "{q}");
-    }
-
-    #[test]
-    fn freeze_and_frozen_query_roundtrip() {
-        let doc = tempfile("freeze.xml", DOC);
-        let fups = tempfile(
-            "freeze-fups.txt",
-            "//auction/seller/person\n//person/name\n",
-        );
-        let v1 = tempfile("freeze-v1.mrx", "");
-        let v2 = tempfile("freeze-v2.mrx", "");
-        run_cmd(
-            "index",
-            &[
-                doc.to_str().unwrap(),
-                "--kind",
-                "mstar",
-                "--fups",
-                fups.to_str().unwrap(),
-                "--save",
-                v1.to_str().unwrap(),
-            ],
-        )
-        .unwrap();
-        // Freeze the persisted v1 index into a flat v2 snapshot.
+        let v5 = tempfile(&format!("{tag}-v5.mrx"), "");
+        let v6 = tempfile(&format!("{tag}-v6.mrx"), "");
+        let common = [doc.to_str().unwrap(), "--fups", fups.to_str().unwrap()];
         let s = run_cmd(
             "freeze",
-            &[v1.to_str().unwrap(), "--out", v2.to_str().unwrap()],
+            &[&common[..], &["--out", v5.to_str().unwrap()]].concat(),
         )
         .unwrap();
         assert!(s.contains("froze 3 components"), "{s}");
-
-        let live = run_cmd("query", &[v1.to_str().unwrap(), "//seller/person"]).unwrap();
-        let froz = run_cmd(
-            "query",
-            &[v2.to_str().unwrap(), "//seller/person", "--frozen"],
-        )
-        .unwrap();
-        assert!(froz.contains("1 answers"), "{froz}");
-        assert!(froz.contains("loaded 2 of 3 components"), "{froz}");
-        // Same answer count and cost line as the live lazy path.
-        assert_eq!(live.lines().next(), froz.lines().next());
-
-        // show-nodes works against the frozen graph too.
-        let shown = run_cmd(
-            "query",
-            &[
-                v2.to_str().unwrap(),
-                "//seller/person",
-                "--frozen",
-                "--show-nodes",
-            ],
-        )
-        .unwrap();
-        assert!(shown.contains("<person>"), "{shown}");
-
-        // The v1 reader refuses the v2 file with a pointer to the frozen path.
-        let e = run_cmd("query", &[v2.to_str().unwrap(), "//person"]).unwrap_err();
-        assert!(e.contains("FrozenFile"), "{e}");
-    }
-
-    #[test]
-    fn freeze_compress_and_autodetected_query() {
-        let doc = tempfile("freezec.xml", DOC);
-        let fups = tempfile("freezec-fups.txt", "//auction/seller/person\n");
-        let v2 = tempfile("freezec-v2.mrx", "");
-        let v3 = tempfile("freezec-v3.mrx", "");
-        let common = [doc.to_str().unwrap(), "--fups", fups.to_str().unwrap()];
-        run_cmd(
-            "freeze",
-            &[
-                common[0],
-                common[1],
-                common[2],
-                "--out",
-                v2.to_str().unwrap(),
-            ],
-        )
-        .unwrap();
-        let s = run_cmd(
-            "freeze",
-            &[
-                common[0],
-                common[1],
-                common[2],
-                "--out",
-                v3.to_str().unwrap(),
-                "--compress",
-            ],
-        )
-        .unwrap();
         assert!(s.contains("compressed v5"), "{s}");
-
-        // `query --frozen` auto-detects the layout; answer and cost lines
-        // match the flat snapshot exactly.
-        let flat = run_cmd(
-            "query",
-            &[v2.to_str().unwrap(), "//auction/seller/person", "--frozen"],
-        )
-        .unwrap();
-        let packed = run_cmd(
-            "query",
-            &[v3.to_str().unwrap(), "//auction/seller/person", "--frozen"],
-        )
-        .unwrap();
-        assert_eq!(flat.lines().next(), packed.lines().next());
-        assert!(packed.contains("extent bytes resident"), "{packed}");
-
-        let shown = run_cmd(
-            "query",
-            &[
-                v3.to_str().unwrap(),
-                "//auction/seller/person",
-                "--frozen",
-                "--show-nodes",
-            ],
-        )
-        .unwrap();
-        assert!(shown.contains("<person>"), "{shown}");
+        let paged = [
+            "--out",
+            v6.to_str().unwrap(),
+            "--paged",
+            "--page-size",
+            "64",
+        ];
+        let s = run_cmd("freeze", &[&common[..], &paged[..]].concat()).unwrap();
+        assert!(s.contains("demand-paged v6"), "{s}");
+        (v5, v6)
     }
 
     #[test]
-    fn freeze_paged_and_autodetected_query() {
-        let doc = tempfile("freezep.xml", DOC);
-        let fups = tempfile("freezep-fups.txt", "//auction/seller/person\n");
-        let v2 = tempfile("freezep-v2.mrx", "");
-        let v4 = tempfile("freezep-v4.mrx", "");
-        let common = [doc.to_str().unwrap(), "--fups", fups.to_str().unwrap()];
-        run_cmd(
-            "freeze",
-            &[
-                common[0],
-                common[1],
-                common[2],
-                "--out",
-                v2.to_str().unwrap(),
-            ],
-        )
-        .unwrap();
-        let s = run_cmd(
-            "freeze",
-            &[
-                common[0],
-                common[1],
-                common[2],
-                "--out",
-                v4.to_str().unwrap(),
-                "--paged",
-                "--page-size",
-                "64",
-            ],
-        )
-        .unwrap();
-        assert!(s.contains("demand-paged v6"), "{s}");
-
-        // A v4 file is auto-detected — no flag needed — and serves the
-        // same answer and cost line as the flat snapshot.
-        let flat = run_cmd(
-            "query",
-            &[v2.to_str().unwrap(), "//auction/seller/person", "--frozen"],
-        )
-        .unwrap();
-        let paged = run_cmd("query", &[v4.to_str().unwrap(), "//auction/seller/person"]).unwrap();
-        assert_eq!(flat.lines().next(), paged.lines().next());
+    fn freeze_and_autodetected_query() {
+        let (v5, v6) = freeze_pair("freeze");
+        let q = "//auction/seller/person";
+        // The layout comes from the header: no flag needed for either.
+        let packed = run_cmd("query", &[v5.to_str().unwrap(), q]).unwrap();
+        assert!(packed.contains("1 answers"), "{packed}");
+        assert!(packed.contains("loaded 3 of 3 components"), "{packed}");
+        assert!(packed.contains("extent bytes resident"), "{packed}");
+        let paged = run_cmd("query", &[v6.to_str().unwrap(), q]).unwrap();
         assert!(paged.contains("bytes demand-paged"), "{paged}");
+        // Same answer count and cost line from both layouts.
+        assert_eq!(packed.lines().next(), paged.lines().next());
+        // A short query loads only the prefix it needs.
+        let short = run_cmd("query", &[v5.to_str().unwrap(), "//seller/person"]).unwrap();
+        assert!(short.contains("loaded 2 of 3 components"), "{short}");
 
-        // --paged asserts the layout, --cache-bytes caps the cache, and
-        // --stats adds the page-cache counters.
+        for f in [&v5, &v6] {
+            let shown = run_cmd("query", &[f.to_str().unwrap(), q, "--show-nodes"]).unwrap();
+            assert!(shown.contains("<person>"), "{shown}");
+        }
+        // --cache-bytes caps the v6 cache and --stats adds its counters;
+        // on a v5 snapshot --cache-bytes is a clear error.
         let s = run_cmd(
             "query",
-            &[
-                v4.to_str().unwrap(),
-                "//auction/seller/person",
-                "--paged",
-                "--cache-bytes",
-                "4096",
-                "--stats",
-            ],
+            &[v6.to_str().unwrap(), q, "--cache-bytes", "4096", "--stats"],
         )
         .unwrap();
         assert!(s.contains("pages: size=64"), "{s}");
         assert!(s.contains("faults="), "{s}");
+        let e = run_cmd("query", &[v5.to_str().unwrap(), q, "--cache-bytes", "64"]).unwrap_err();
+        assert!(e.contains("v6"), "{e}");
+    }
 
-        let shown = run_cmd(
-            "query",
-            &[
-                v4.to_str().unwrap(),
-                "//auction/seller/person",
-                "--show-nodes",
-            ],
-        )
-        .unwrap();
-        assert!(shown.contains("<person>"), "{shown}");
-
-        // Budgets govern the paged path too.
-        let s = run_cmd(
-            "query",
-            &[
-                v4.to_str().unwrap(),
-                "//auction/seller/person",
-                "--max-steps",
-                "1",
-            ],
-        )
-        .unwrap();
-        assert!(s.contains("budget exhausted"), "{s}");
-
-        // --paged on a non-v4 snapshot (or XML) is a clear error, as is
-        // --page-size without --paged or --paged with --compress.
-        let e = run_cmd("query", &[v2.to_str().unwrap(), "//person", "--paged"]).unwrap_err();
-        assert!(e.contains("v4"), "{e}");
-        let e = run_cmd("query", &[doc.to_str().unwrap(), "//person", "--paged"]).unwrap_err();
-        assert!(e.contains("v4"), "{e}");
+    #[test]
+    fn removed_options_are_unknown() {
+        let (v5, _) = freeze_pair("removed");
+        let doc = tempfile("removed-doc.xml", DOC);
+        let out = tempfile("removed-out.mrx", "");
+        for (cmd, args) in [
+            ("query", vec![v5.to_str().unwrap(), "//person", "--frozen"]),
+            ("query", vec![v5.to_str().unwrap(), "//person", "--paged"]),
+            (
+                "freeze",
+                vec![
+                    doc.to_str().unwrap(),
+                    "--out",
+                    out.to_str().unwrap(),
+                    "--compress",
+                ],
+            ),
+            (
+                "index",
+                vec![doc.to_str().unwrap(), "--kind", "mstar", "--save", "x.mrx"],
+            ),
+        ] {
+            let e = run_cmd(cmd, &args).unwrap_err();
+            assert!(e.contains("unknown flag"), "{cmd} {args:?}: {e}");
+        }
+        // --page-size needs --paged, and freeze reads XML only.
         let e = run_cmd(
             "freeze",
             &[
-                common[0],
+                doc.to_str().unwrap(),
                 "--out",
-                v4.to_str().unwrap(),
+                out.to_str().unwrap(),
                 "--page-size",
                 "64",
             ],
@@ -1269,44 +1007,28 @@ mod tests {
         assert!(e.contains("--paged"), "{e}");
         let e = run_cmd(
             "freeze",
-            &[
-                common[0],
-                "--out",
-                v4.to_str().unwrap(),
-                "--paged",
-                "--compress",
-            ],
+            &[v5.to_str().unwrap(), "--out", out.to_str().unwrap()],
         )
         .unwrap_err();
-        assert!(e.contains("mutually exclusive"), "{e}");
-    }
-
-    #[test]
-    fn freeze_from_xml_with_fups() {
-        let doc = tempfile("freeze2.xml", DOC);
-        let fups = tempfile("freeze2-fups.txt", "//auction/seller/person\n");
-        let v2 = tempfile("freeze2.mrx", "");
-        let s = run_cmd(
-            "freeze",
-            &[
-                doc.to_str().unwrap(),
-                "--fups",
-                fups.to_str().unwrap(),
-                "--out",
-                v2.to_str().unwrap(),
-            ],
-        )
-        .unwrap();
-        assert!(s.contains("froze 3 components"), "{s}");
-        let q = run_cmd(
-            "query",
-            &[v2.to_str().unwrap(), "//auction/seller/person", "--frozen"],
-        )
-        .unwrap();
-        assert!(q.contains("1 answers"), "{q}");
+        assert!(e.contains("XML"), "{e}");
         // Missing --out is a clear error.
         let e = run_cmd("freeze", &[doc.to_str().unwrap()]).unwrap_err();
         assert!(e.contains("--out"), "{e}");
+    }
+
+    #[test]
+    fn retired_snapshots_are_refused_with_a_pointer_to_freeze() {
+        let (v5, _) = freeze_pair("retired");
+        let bytes = std::fs::read(&v5).unwrap();
+        for version in 1..=4u32 {
+            let mut old = bytes.clone();
+            old[8..12].copy_from_slice(&version.to_le_bytes());
+            let p = tempfile(&format!("retired-v{version}.mrx"), "");
+            std::fs::write(&p, &old).unwrap();
+            let e = run_cmd("query", &[p.to_str().unwrap(), "//person"]).unwrap_err();
+            assert!(e.contains(&format!("v{version}")), "{e}");
+            assert!(e.contains("mrx freeze"), "{e}");
+        }
     }
 
     #[test]
@@ -1371,48 +1093,14 @@ mod tests {
     }
 
     #[test]
-    fn query_budget_applies_to_persisted_and_frozen_paths() {
-        let doc = tempfile("budget-save.xml", DOC);
-        let fups = tempfile("budget-fups.txt", "//auction/seller/person\n");
-        let v1 = tempfile("budget-v1.mrx", "");
-        let v2 = tempfile("budget-v2.mrx", "");
-        run_cmd(
-            "index",
-            &[
-                doc.to_str().unwrap(),
-                "--kind",
-                "mstar",
-                "--fups",
-                fups.to_str().unwrap(),
-                "--save",
-                v1.to_str().unwrap(),
-            ],
-        )
-        .unwrap();
-        run_cmd(
-            "freeze",
-            &[v1.to_str().unwrap(), "--out", v2.to_str().unwrap()],
-        )
-        .unwrap();
-        for (file, extra) in [(&v1, &[][..]), (&v2, &["--frozen"][..])] {
-            let mut a = vec![
-                file.to_str().unwrap(),
-                "//seller/person",
-                "--max-steps",
-                "1",
-            ];
-            a.extend_from_slice(extra);
-            let s = run_cmd("query", &a).unwrap();
-            assert!(s.contains("budget exhausted"), "{extra:?}: {s}");
-            let mut a = vec![
-                file.to_str().unwrap(),
-                "//seller/person",
-                "--max-steps",
-                "100000",
-            ];
-            a.extend_from_slice(extra);
-            let s = run_cmd("query", &a).unwrap();
-            assert!(s.contains("1 answers"), "{extra:?}: {s}");
+    fn query_budget_applies_to_both_snapshot_layouts() {
+        let (v5, v6) = freeze_pair("budget");
+        for file in [&v5, &v6] {
+            let f = file.to_str().unwrap();
+            let s = run_cmd("query", &[f, "//seller/person", "--max-steps", "1"]).unwrap();
+            assert!(s.contains("budget exhausted"), "{f}: {s}");
+            let s = run_cmd("query", &[f, "//seller/person", "--max-steps", "100000"]).unwrap();
+            assert!(s.contains("1 answers"), "{f}: {s}");
         }
     }
 

@@ -23,13 +23,19 @@ use std::io;
 // Store layer
 // ---------------------------------------------------------------------
 
-/// Errors raised by the store (`.mrx` v1/v2 loading and saving).
+/// Errors raised by the store (`.mrx` loading and saving).
 #[derive(Debug)]
 pub enum StoreError {
     /// Underlying I/O failure.
     Io(io::Error),
     /// Structurally invalid file (bad magic, version, counts, ids).
     Format(String),
+    /// A snapshot in a retired layout (versions 1–4): readable only by
+    /// re-freezing it from its source document.
+    Retired {
+        /// The layout version the file's header names.
+        version: u32,
+    },
     /// A section's checksum did not match its content.
     Checksum {
         /// Which section failed.
@@ -42,6 +48,11 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "I/O error: {e}"),
             StoreError::Format(m) => write!(f, "malformed store file: {m}"),
+            StoreError::Retired { version } => write!(
+                f,
+                "snapshot layout v{version} is no longer supported (this build reads v5 and v6); \
+                 re-freeze it with `mrx freeze`"
+            ),
             StoreError::Checksum { section } => {
                 write!(f, "checksum mismatch in section `{section}` (corrupt file)")
             }

@@ -3,8 +3,8 @@
 //! [`FrozenGraph`] stores exactly the arrays the query path touches — CSR
 //! adjacency in both directions, per-node labels, the label→nodes CSR, and
 //! a flat label-name arena — and nothing else. There are no per-node
-//! heap objects: every field is one contiguous allocation, which is also
-//! what the `.mrx` v2 on-disk layout serializes byte-for-byte.
+//! heap objects: every field is one contiguous allocation. The `.mrx` v5
+//! snapshot stores it with its CSRs packed ([`FrozenGraph::pack_csr`]).
 //!
 //! Reference-edge bookkeeping (`ref_edges`, `tree_parent`, `EdgeKind`) is
 //! deliberately dropped: serving traverses the *merged* adjacency only, so
@@ -21,8 +21,8 @@ use crate::{DataGraph, LabelId, NodeId};
 use mrx_postings::PostingArena;
 
 /// The adjacency and label CSRs of a [`FrozenGraph`] packed into
-/// delta-compressed posting arenas — the graph half of the `.mrx` v3
-/// on-disk layout. Every CSR row is strictly ascending (sorted and
+/// compressed posting arenas — the graph half of the `.mrx` v5 on-disk
+/// layout. Every CSR row is strictly ascending (sorted and
 /// deduplicated), so packing is lossless; [`FrozenGraph::from_packed_csr`]
 /// inverts it exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,7 +171,7 @@ impl FrozenGraph {
     }
 
     /// Packs the adjacency and label CSRs into posting arenas — the
-    /// compressed compile mode behind the v3 snapshot layout. Tree-shaped
+    /// compressed compile mode behind the v5 snapshot layout. Tree-shaped
     /// rows delta-encode to about one byte per edge versus four raw.
     pub fn pack_csr(&self) -> PackedGraphCsr {
         let mut children = PostingArena::new();

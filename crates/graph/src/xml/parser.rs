@@ -1,5 +1,10 @@
 //! Event-less recursive XML reader producing a [`DataGraph`].
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::HashMap;
 
 use crate::{DataGraph, GraphBuilder, NodeId};

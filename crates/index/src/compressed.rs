@@ -3,25 +3,22 @@
 //! [`CompressedIndex`] is to [`FrozenIndex`] what a compressed posting index
 //! is to an uncompressed one: same dense ids, same adjacency CSR and label
 //! CSR, but the extents — the dominant arrays at scale, one `u32` per data
-//! node per component — live in a delta-encoded
+//! node per component — live in an encoding-adaptive
 //! [`mrx_postings::PostingArena`] and are served *without decompression*
 //! through [`ExtentCursor::Packed`] seeking cursors.
 //!
 //! Because the shared evaluators ([`crate::view`], [`crate::query`]) touch
 //! extents only through the cursor surface of [`IndexView`], a compressed
 //! component answers every query with the identical traversal, identical
-//! answers, and identical [`mrx_path::Cost`] as its frozen source — the
-//! parity suite (`tests/compress_parity.rs`) pins this across all index
-//! families. [`CompressedMStar`] is the hierarchy form and maps directly
-//! onto the `.mrx` v3 on-disk layout.
+//! answers, and identical [`mrx_path::Cost`] as the live index it was frozen
+//! from. [`crate::CompressedMStar`] is the hierarchy form and maps directly
+//! onto the `.mrx` v5 on-disk layout.
 
-use mrx_graph::{GraphView, LabelId, NodeId};
-use mrx_path::{BudgetError, BudgetMeter, CompiledPath, PathExpr};
+use mrx_graph::{LabelId, NodeId};
 use mrx_postings::PostingArena;
 
-use crate::query::QueryScratch;
-use crate::view::{self, ExtentCursor, IndexView};
-use crate::{query, Answer, FrozenIndex, FrozenMStar, IdxId, MStarIndex, TrustPolicy};
+use crate::view::{ExtentCursor, IndexView};
+use crate::{FrozenIndex, IdxId};
 
 /// An immutable snapshot of one index graph with delta-compressed extents.
 ///
@@ -88,8 +85,8 @@ impl CompressedIndex {
         }
     }
 
-    /// Decompresses back into the raw-slice frozen form (used by the store's
-    /// degraded-load path and by tests).
+    /// Decompresses back into the raw-slice frozen form, the shape
+    /// [`validate`](Self::validate) checks.
     pub fn to_frozen(&self) -> FrozenIndex {
         let mut extent_off = Vec::with_capacity(self.node_count() + 1);
         let mut extent_arena: Vec<NodeId> = Vec::with_capacity(self.node_of_data.len());
@@ -243,145 +240,13 @@ impl IndexView for CompressedIndex {
     }
 }
 
-/// A compressed [`MStarIndex`] hierarchy: every component with
-/// delta-compressed extents, plus the combined mutation epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompressedMStar {
-    /// `components[i]` is the compressed `Ii`.
-    pub components: Vec<CompressedIndex>,
-    /// [`MStarIndex::mutation_epoch`] at freeze time.
-    pub epoch: u64,
-}
-
-impl MStarIndex {
-    /// Freezes every component straight into the compressed serving form.
-    pub fn freeze_compressed(&self) -> CompressedMStar {
-        CompressedMStar::from_frozen(&self.freeze())
-    }
-}
-
-impl CompressedMStar {
-    /// Compresses a frozen hierarchy component by component.
-    pub fn from_frozen(fz: &FrozenMStar) -> CompressedMStar {
-        CompressedMStar {
-            components: fz
-                .components
-                .iter()
-                .map(CompressedIndex::from_frozen)
-                .collect(),
-            epoch: fz.epoch,
-        }
-    }
-
-    /// The finest component's resolution.
-    pub fn max_k(&self) -> usize {
-        self.components.len() - 1
-    }
-
-    /// Read access to compressed component `Ii`.
-    pub fn component(&self, i: usize) -> &CompressedIndex {
-        &self.components[i]
-    }
-
-    /// The source index's combined mutation epoch at freeze time.
-    pub fn mutation_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Validates every component snapshot.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.components.is_empty() {
-            return Err("compressed M* has no components".into());
-        }
-        for (i, c) in self.components.iter().enumerate() {
-            c.validate().map_err(|e| format!("component {i}: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// Answers `path` top-down over the compressed hierarchy — the same
-    /// shared evaluators as [`FrozenMStar::query_top_down`], so answers and
-    /// costs match the frozen and live forms bit for bit.
-    pub fn query_top_down<G: GraphView>(
-        &self,
-        g: &G,
-        path: &PathExpr,
-        policy: TrustPolicy,
-    ) -> Answer {
-        self.query_top_down_compiled(g, &path.compile(g), policy)
-    }
-
-    /// [`query_top_down`](Self::query_top_down) for a pre-compiled path.
-    pub fn query_top_down_compiled<G: GraphView>(
-        &self,
-        g: &G,
-        cp: &CompiledPath,
-        policy: TrustPolicy,
-    ) -> Answer {
-        self.query_top_down_with_scratch(g, cp, policy, &mut QueryScratch::new())
-    }
-
-    /// [`query_top_down_compiled`](Self::query_top_down_compiled) over
-    /// caller-owned scratch — the steady-state serving path.
-    pub fn query_top_down_with_scratch<G: GraphView>(
-        &self,
-        g: &G,
-        cp: &CompiledPath,
-        policy: TrustPolicy,
-        scratch: &mut QueryScratch,
-    ) -> Answer {
-        if cp.anchored {
-            let level = cp.length().min(self.max_k());
-            return query::answer_with_scratch(&self.components[level], g, cp, policy, scratch);
-        }
-        let (targets, level, cost) =
-            view::top_down_targets_in(&self.components, cp, &mut scratch.eval);
-        view::finish_answer_view_in(
-            &self.components[level],
-            g,
-            cp,
-            targets,
-            cost,
-            policy,
-            &mut scratch.memo,
-        )
-    }
-
-    /// [`query_top_down_with_scratch`](Self::query_top_down_with_scratch)
-    /// under a [`BudgetMeter`].
-    pub fn query_top_down_budgeted<G: GraphView>(
-        &self,
-        g: &G,
-        cp: &CompiledPath,
-        policy: TrustPolicy,
-        scratch: &mut QueryScratch,
-        meter: &mut BudgetMeter,
-    ) -> Result<Answer, BudgetError> {
-        if cp.anchored {
-            let level = cp.length().min(self.max_k());
-            return query::answer_budgeted(&self.components[level], g, cp, policy, scratch, meter);
-        }
-        let (targets, level, cost) =
-            view::top_down_targets_budgeted(&self.components, cp, &mut scratch.eval, meter)?;
-        view::finish_answer_view_budgeted(
-            &self.components[level],
-            g,
-            cp,
-            targets,
-            cost,
-            policy,
-            &mut scratch.memo,
-            meter,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EvalStrategy, IndexGraph};
+    use crate::{query, IndexGraph, TrustPolicy};
     use mrx_graph::xml::parse;
     use mrx_graph::DataGraph;
+    use mrx_path::PathExpr;
 
     fn doc() -> DataGraph {
         parse(
@@ -413,42 +278,19 @@ mod tests {
     }
 
     #[test]
-    fn compressed_answers_match_frozen_answers_and_costs() {
+    fn compressed_answers_match_live_answers_and_costs() {
         let g = doc();
         let ig = IndexGraph::a0(&g);
-        let fz = FrozenIndex::freeze(&ig);
-        let cz = CompressedIndex::from_frozen(&fz);
+        let cz = CompressedIndex::from_frozen(&FrozenIndex::freeze(&ig));
         for expr in ["//person/name/last", "//name", "//name/last", "/people"] {
             let p = PathExpr::parse(expr).unwrap();
             for policy in [TrustPolicy::Proven, TrustPolicy::Claimed] {
-                let a = query::answer_compiled(&fz, &g, &p.compile(&g), policy);
+                let a = query::answer_compiled(&ig, &g, &p.compile(&g), policy);
                 let b = query::answer_compiled(&cz, &g, &p.compile(&g), policy);
                 assert_eq!(a.nodes, b.nodes, "{expr}");
                 assert_eq!(a.cost, b.cost, "{expr}");
                 assert_eq!(a.validated, b.validated, "{expr}");
             }
-        }
-    }
-
-    #[test]
-    fn compressed_mstar_matches_live_top_down() {
-        let g = doc();
-        let mut idx = MStarIndex::new(&g);
-        idx.refine_for(&g, &PathExpr::parse("//person/name/last").unwrap());
-        let cz = idx.freeze_compressed();
-        cz.validate().expect("valid snapshot");
-        assert_eq!(cz.mutation_epoch(), idx.mutation_epoch());
-        for expr in [
-            "//person/name/last",
-            "//name/last",
-            "//poster/name",
-            "//name",
-        ] {
-            let p = PathExpr::parse(expr).unwrap();
-            let live = idx.query_with_policy(&g, &p, EvalStrategy::TopDown, TrustPolicy::Proven);
-            let comp = cz.query_top_down(&g, &p, TrustPolicy::Proven);
-            assert_eq!(live.nodes, comp.nodes, "{expr}");
-            assert_eq!(live.cost, comp.cost, "{expr}");
         }
     }
 

@@ -1,27 +1,26 @@
-//! Frozen CSR snapshots of index graphs: the immutable serving form.
+//! Frozen CSR snapshots of index graphs: the build and validation form of
+//! the compressed serving snapshot.
 //!
 //! [`FrozenIndex`] compiles a live [`IndexGraph`] — slot arena with dead
 //! entries, per-node `Vec`s, label lists polluted by refinement churn —
 //! into flat arenas: dense ids `0..n`, one contiguous extent arena, CSR
-//! parent/child adjacency, and a label→nodes CSR. [`FrozenMStar`] freezes a
-//! whole [`MStarIndex`] hierarchy. Both serve queries through the same
-//! generic evaluators as the live structures (see [`crate::view`]), so
-//! answers and [`mrx_path::Cost`] accounting are bit-identical; the frozen
-//! form is just faster to walk (no alive-filtering, no pointer chasing
-//! across per-slot allocations) and maps directly onto the `.mrx` v2
-//! on-disk layout.
+//! parent/child adjacency, and a label→nodes CSR.
+//! [`crate::CompressedIndex::from_frozen`] packs its extents for serving,
+//! and [`FrozenIndex::validate`] is the invariant sweep a compressed
+//! component loaded from untrusted bytes must pass.
 //!
 //! Freezing renumbers live slots in ascending order. This monotone map is
-//! what makes live/frozen correspondence exact — see the module docs of
+//! what makes live/snapshot correspondence exact — see the module docs of
 //! [`crate::view`].
 
-use mrx_graph::{GraphView, LabelId, NodeId};
-use mrx_path::{BudgetError, BudgetMeter, CompiledPath, PathExpr};
-use mrx_postings::SliceSeeker;
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
-use crate::query::QueryScratch;
-use crate::view::{self, ExtentCursor, IndexView};
-use crate::{query, Answer, IdxId, IndexGraph, MStarIndex, TrustPolicy};
+use mrx_graph::{LabelId, NodeId};
+
+use crate::{IdxId, IndexGraph};
 
 /// An immutable, flat-arena snapshot of one [`IndexGraph`].
 ///
@@ -138,32 +137,10 @@ impl FrozenIndex {
         self.labels.len()
     }
 
-    /// The size of the label alphabet this snapshot was frozen over.
-    pub fn num_labels(&self) -> usize {
-        self.by_label_off.len() - 1
-    }
-
     /// The sorted extent of `v`.
     pub fn extent(&self, v: IdxId) -> &[NodeId] {
         &self.extent_arena
             [self.extent_off[v.index()] as usize..self.extent_off[v.index() + 1] as usize]
-    }
-
-    /// Sorted child nodes of `v`.
-    pub fn children(&self, v: IdxId) -> &[IdxId] {
-        &self.child_tgt[self.child_off[v.index()] as usize..self.child_off[v.index() + 1] as usize]
-    }
-
-    /// Sorted parent nodes of `v`.
-    pub fn parents(&self, v: IdxId) -> &[IdxId] {
-        &self.parent_tgt
-            [self.parent_off[v.index()] as usize..self.parent_off[v.index() + 1] as usize]
-    }
-
-    /// Nodes labeled `l`, ascending.
-    pub fn label_nodes(&self, l: LabelId) -> &[IdxId] {
-        &self.by_label_ids
-            [self.by_label_off[l.index()] as usize..self.by_label_off[l.index() + 1] as usize]
     }
 
     /// Checks every structural invariant of the snapshot, returning a
@@ -263,215 +240,13 @@ fn check_csr(what: &str, off: &[u32], arena_len: usize, rows: usize) -> Result<(
     Ok(())
 }
 
-impl IndexView for FrozenIndex {
-    fn slot_bound(&self) -> usize {
-        self.labels.len()
-    }
-
-    fn label(&self, v: IdxId) -> LabelId {
-        self.labels[v.index()]
-    }
-
-    fn k(&self, v: IdxId) -> u32 {
-        self.k[v.index()]
-    }
-
-    fn genuine(&self, v: IdxId) -> u32 {
-        self.genuine[v.index()]
-    }
-
-    fn extent_len(&self, v: IdxId) -> usize {
-        FrozenIndex::extent(self, v).len()
-    }
-
-    fn extent_first(&self, v: IdxId) -> NodeId {
-        FrozenIndex::extent(self, v)[0]
-    }
-
-    fn extent_cursor(&self, v: IdxId) -> ExtentCursor<'_> {
-        ExtentCursor::Slice(SliceSeeker::new(FrozenIndex::extent(self, v)))
-    }
-
-    fn for_each_extent(&self, v: IdxId, mut f: impl FnMut(NodeId)) {
-        for &o in FrozenIndex::extent(self, v) {
-            f(o);
-        }
-    }
-
-    fn push_extent(&self, v: IdxId, out: &mut Vec<NodeId>) {
-        out.extend_from_slice(FrozenIndex::extent(self, v));
-    }
-
-    fn parents(&self, v: IdxId) -> &[IdxId] {
-        FrozenIndex::parents(self, v)
-    }
-
-    fn children(&self, v: IdxId) -> &[IdxId] {
-        FrozenIndex::children(self, v)
-    }
-
-    fn node_of(&self, o: NodeId) -> IdxId {
-        self.node_of_data[o.index()]
-    }
-
-    fn lemma2_safe(&self) -> bool {
-        self.lemma2
-    }
-
-    fn mutation_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn push_label_nodes(&self, l: LabelId, out: &mut Vec<IdxId>) {
-        if l.index() < self.num_labels() {
-            out.extend_from_slice(self.label_nodes(l));
-        }
-    }
-
-    fn push_all_nodes(&self, out: &mut Vec<IdxId>) {
-        out.extend((0..self.labels.len()).map(|i| IdxId(i as u32)));
-    }
-}
-
-/// A frozen [`MStarIndex`]: every component snapshot plus the combined
-/// mutation epoch captured at freeze time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrozenMStar {
-    /// `components[i]` is the frozen `Ii`.
-    pub components: Vec<FrozenIndex>,
-    /// [`MStarIndex::mutation_epoch`] at freeze time.
-    pub epoch: u64,
-}
-
-impl MStarIndex {
-    /// Freezes every component into the immutable serving form.
-    pub fn freeze(&self) -> FrozenMStar {
-        FrozenMStar {
-            components: self.components.iter().map(FrozenIndex::freeze).collect(),
-            epoch: self.mutation_epoch(),
-        }
-    }
-}
-
-impl FrozenMStar {
-    /// The finest component's resolution.
-    pub fn max_k(&self) -> usize {
-        self.components.len() - 1
-    }
-
-    /// Read access to frozen component `Ii`.
-    pub fn component(&self, i: usize) -> &FrozenIndex {
-        &self.components[i]
-    }
-
-    /// The source index's combined mutation epoch at freeze time (answer
-    /// caches keyed on the live epoch stay valid against the snapshot).
-    pub fn mutation_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Validates every component snapshot.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.components.is_empty() {
-            return Err("frozen M* has no components".into());
-        }
-        for (i, c) in self.components.iter().enumerate() {
-            c.validate().map_err(|e| format!("component {i}: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// Answers `path` top-down over the frozen hierarchy — the same §4.1
-    /// algorithm as [`MStarIndex::query_with_policy`] with
-    /// [`crate::EvalStrategy::TopDown`], through the shared generic
-    /// evaluators, so answers and costs match the live index bit for bit.
-    pub fn query_top_down<G: GraphView>(
-        &self,
-        g: &G,
-        path: &PathExpr,
-        policy: TrustPolicy,
-    ) -> Answer {
-        self.query_top_down_compiled(g, &path.compile(g), policy)
-    }
-
-    /// [`query_top_down`](Self::query_top_down) for a pre-compiled path.
-    pub fn query_top_down_compiled<G: GraphView>(
-        &self,
-        g: &G,
-        cp: &CompiledPath,
-        policy: TrustPolicy,
-    ) -> Answer {
-        self.query_top_down_with_scratch(g, cp, policy, &mut QueryScratch::new())
-    }
-
-    /// [`query_top_down_compiled`](Self::query_top_down_compiled) over
-    /// caller-owned scratch — the steady-state serving path. The snapshot is
-    /// immutable, so a session can size its seen-sets, frontiers, and
-    /// validator memo once and reuse them for every query it serves; answers
-    /// and costs stay bit-identical to the allocating entry points.
-    pub fn query_top_down_with_scratch<G: GraphView>(
-        &self,
-        g: &G,
-        cp: &CompiledPath,
-        policy: TrustPolicy,
-        scratch: &mut QueryScratch,
-    ) -> Answer {
-        if cp.anchored {
-            // Root-anchored expressions always validate; the naive strategy
-            // handles them via the shared query algorithm.
-            let level = cp.length().min(self.max_k());
-            return query::answer_with_scratch(&self.components[level], g, cp, policy, scratch);
-        }
-        let (targets, level, cost) =
-            view::top_down_targets_in(&self.components, cp, &mut scratch.eval);
-        view::finish_answer_view_in(
-            &self.components[level],
-            g,
-            cp,
-            targets,
-            cost,
-            policy,
-            &mut scratch.memo,
-        )
-    }
-
-    /// [`query_top_down_with_scratch`](Self::query_top_down_with_scratch)
-    /// under a [`BudgetMeter`]: descent, traversal, and validation all
-    /// charge the budget; trips return a typed [`BudgetError`] with the
-    /// partial cost attached.
-    pub fn query_top_down_budgeted<G: GraphView>(
-        &self,
-        g: &G,
-        cp: &CompiledPath,
-        policy: TrustPolicy,
-        scratch: &mut QueryScratch,
-        meter: &mut BudgetMeter,
-    ) -> Result<Answer, BudgetError> {
-        if cp.anchored {
-            let level = cp.length().min(self.max_k());
-            return query::answer_budgeted(&self.components[level], g, cp, policy, scratch, meter);
-        }
-        let (targets, level, cost) =
-            view::top_down_targets_budgeted(&self.components, cp, &mut scratch.eval, meter)?;
-        view::finish_answer_view_budgeted(
-            &self.components[level],
-            g,
-            cp,
-            targets,
-            cost,
-            policy,
-            &mut scratch.memo,
-            meter,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{view, CompressedIndex};
     use mrx_graph::xml::parse;
     use mrx_graph::DataGraph;
-    use mrx_path::Cost;
+    use mrx_path::{Cost, PathExpr};
 
     fn doc() -> DataGraph {
         parse(
@@ -494,57 +269,17 @@ mod tests {
         // Elementwise correspondence under the monotone renumbering.
         for (fid, live) in ig.iter().enumerate() {
             let fid = IdxId(fid as u32);
-            assert_eq!(fz.label(fid), ig.label(live));
-            assert_eq!(IndexView::k(&fz, fid), ig.k(live));
-            assert_eq!(IndexView::genuine(&fz, fid), ig.genuine(live));
+            assert_eq!(fz.labels[fid.index()], ig.label(live));
+            assert_eq!(fz.k[fid.index()], ig.k(live));
+            assert_eq!(fz.genuine[fid.index()], ig.genuine(live));
             assert_eq!(fz.extent(fid), ig.extent(live));
         }
         for o in 0..g.node_count() {
             let o = NodeId(o as u32);
-            assert!(fz.extent(IndexView::node_of(&fz, o)).contains(&o));
+            assert!(fz.extent(fz.node_of_data[o.index()]).contains(&o));
         }
         assert_eq!(fz.lemma2, ig.lemma2_safe());
         assert_eq!(fz.epoch, ig.mutation_epoch());
-    }
-
-    #[test]
-    fn frozen_answers_match_live_answers_and_costs() {
-        let g = doc();
-        let ig = IndexGraph::a0(&g);
-        let fz = FrozenIndex::freeze(&ig);
-        for expr in ["//person/name/last", "//name", "//name/last", "/people"] {
-            let p = PathExpr::parse(expr).unwrap();
-            for policy in [TrustPolicy::Proven, TrustPolicy::Claimed] {
-                let live = query::answer_compiled(&ig, &g, &p.compile(&g), policy);
-                let froz = query::answer_compiled(&fz, &g, &p.compile(&g), policy);
-                assert_eq!(live.nodes, froz.nodes, "{expr}");
-                assert_eq!(live.cost, froz.cost, "{expr}");
-                assert_eq!(live.validated, froz.validated, "{expr}");
-            }
-        }
-    }
-
-    #[test]
-    fn frozen_mstar_top_down_matches_live() {
-        let g = doc();
-        let mut idx = MStarIndex::new(&g);
-        idx.refine_for(&g, &PathExpr::parse("//person/name/last").unwrap());
-        let fz = idx.freeze();
-        fz.validate().expect("valid snapshot");
-        assert_eq!(fz.mutation_epoch(), idx.mutation_epoch());
-        for expr in [
-            "//person/name/last",
-            "//name/last",
-            "//poster/name",
-            "//name",
-        ] {
-            let p = PathExpr::parse(expr).unwrap();
-            let live =
-                idx.query_with_policy(&g, &p, crate::EvalStrategy::TopDown, TrustPolicy::Proven);
-            let froz = fz.query_top_down(&g, &p, TrustPolicy::Proven);
-            assert_eq!(live.nodes, froz.nodes, "{expr}");
-            assert_eq!(live.cost, froz.cost, "{expr}");
-        }
     }
 
     #[test]
@@ -586,7 +321,7 @@ mod tests {
     fn eval_parity_against_eval_in_place() {
         let g = doc();
         let ig = IndexGraph::from_partition(&g, &crate::k_bisim(&g, 1), |_| 1);
-        let fz = FrozenIndex::freeze(&ig);
+        let fz = CompressedIndex::from_frozen(&FrozenIndex::freeze(&ig));
         let mut s1 = crate::IndexEvalScratch::new();
         let mut s2 = crate::IndexEvalScratch::new();
         for expr in ["//name/last", "//person/*", "//site/*/person", "/people"] {

@@ -189,45 +189,8 @@ impl IndexGraph {
         Self::from_partition(g, &crate::label_partition(g), |_| 0)
     }
 
-    /// Rebuilds an index graph from stored extents (deserialization).
-    /// Induced edges are recomputed; claimed and proven similarities are
-    /// restored verbatim.
-    ///
-    /// # Panics
-    /// Panics if the extents do not partition `g`'s nodes or mix labels.
-    pub fn from_extents(g: &DataGraph, parts: Vec<(Vec<NodeId>, u32, u32)>) -> Self {
-        let n = g.node_count();
-        let mut block_of = vec![u32::MAX; n];
-        for (b, (extent, _, _)) in parts.iter().enumerate() {
-            for &o in extent {
-                assert!(
-                    block_of[o.index()] == u32::MAX,
-                    "node {o:?} appears in two extents"
-                );
-                block_of[o.index()] = b as u32;
-            }
-        }
-        assert!(
-            block_of.iter().all(|&b| b != u32::MAX),
-            "extents do not cover all data nodes"
-        );
-        let partition = crate::Partition {
-            block_of,
-            num_blocks: parts.len(),
-        };
-        let ks: Vec<u32> = parts.iter().map(|&(_, k, _)| k).collect();
-        let mut ig = Self::from_partition(g, &partition, |b| ks[b]);
-        // from_partition assigned genuine = claimed; restore the stored
-        // proven values (which may be lower for mixed pieces). The ids of
-        // from_partition are block ids, i.e. `parts` order.
-        for (b, &(_, _, genuine)) in parts.iter().enumerate() {
-            ig.slots[b].genuine = genuine;
-        }
-        ig
-    }
-
     /// Exports the live nodes as `(extent, claimed k, proven k)` triples,
-    /// sorted by first extent member (serialization).
+    /// sorted by first extent member (for structural comparisons).
     pub fn export_extents(&self) -> Vec<(Vec<NodeId>, u32, u32)> {
         let mut out: Vec<(Vec<NodeId>, u32, u32)> = self
             .iter()

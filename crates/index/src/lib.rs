@@ -47,6 +47,7 @@ mod partition_worklist;
 pub mod query;
 pub mod refine;
 pub mod session;
+pub mod snapshot;
 pub mod stats;
 mod ud_k_l;
 pub mod view;
@@ -54,14 +55,14 @@ pub mod view;
 pub use a_k::{ground_truth, AkIndex};
 pub use adapt::AdaptEngine;
 pub use apex::ApexIndex;
-pub use compressed::{CompressedIndex, CompressedMStar};
+pub use compressed::CompressedIndex;
 pub use d_k::{label_requirements, DkIndex};
-pub use frozen::{FrozenIndex, FrozenMStar};
+pub use frozen::FrozenIndex;
 pub use graph::{IdxId, IndexEvalScratch, IndexGraph};
 pub use m_k::MkIndex;
 pub use m_star::{EvalStrategy, MStarIndex};
 pub use one_index::OneIndex;
-pub use paged::{PagedIndex, PagedIndexParts, PagedMStar};
+pub use paged::{PagedIndex, PagedIndexParts};
 pub use partition::{
     bisim, bisim_stats, intersect_partitions, k_bisim, k_bisim_all, k_bisim_stats, l_bisim_down,
     l_bisim_down_stats, label_partition, naive, refine_once, refine_once_down, Partition,
@@ -73,14 +74,12 @@ pub use refine::{
     SEQ_THRESHOLD,
 };
 pub use session::{
-    replay, replay_budgeted, replay_compressed_mstar, replay_frozen_mstar,
-    replay_frozen_mstar_budgeted, replay_mstar, replay_paged_mstar, replay_paged_mstar_budgeted,
-    QuerySession, ReplayReport, SessionStats, SharedAnswerCache, SharedCacheConfig,
-    SharedCacheStats,
+    replay, replay_budgeted, replay_mstar, QuerySession, ReplayReport, Servable, SessionStats,
+    SharedAnswerCache, SharedCacheConfig, SharedCacheStats,
 };
+pub use snapshot::{CompressedMStar, MStarSnapshot, PagedMStar};
 pub use ud_k_l::UdIndex;
 pub use view::{
-    eval_view, eval_view_budgeted, finish_answer_view, finish_answer_view_budgeted,
-    finish_answer_view_in, top_down_targets, top_down_targets_budgeted, top_down_targets_in,
-    ExtentCursor, IndexView,
+    eval_view, finish_answer_view, finish_answer_view_budgeted, top_down_targets,
+    top_down_targets_budgeted, ExtentCursor, IndexView,
 };

@@ -19,10 +19,11 @@
 //! [`MStarIndex::node_count`] / [`MStarIndex::edge_count`].
 
 use mrx_graph::{DataGraph, NodeId};
-use mrx_path::{CompiledPath, Cost, PathExpr};
+use mrx_path::{never_fails, CompiledPath, Cost, PathExpr, Ungoverned};
 
 use crate::graph::{difference_sorted, intersect_sorted, pred_extent, succ_extent};
-use crate::{query, Answer, IdxId, IndexGraph, TrustPolicy};
+use crate::snapshot::top_down_governed;
+use crate::{query, Answer, IdxId, IndexGraph, QueryScratch, TrustPolicy};
 
 /// Evaluation strategy for path expressions on an M*(k)-index (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,27 +75,6 @@ impl MStarIndex {
             components: vec![IndexGraph::a0(g)],
             false_instance_breaks: 0,
         }
-    }
-
-    /// Reassembles an M*(k)-index from stored components (deserialization).
-    /// `components[0]` must be the A(0)-partition; each later component must
-    /// refine the previous one.
-    ///
-    /// # Panics
-    /// Panics if `components` is empty. Hierarchy properties are verified
-    /// in debug builds via [`MStarIndex::check_invariants`] by callers.
-    pub fn from_components(components: Vec<IndexGraph>) -> Self {
-        assert!(!components.is_empty(), "an M*(k)-index needs at least I0");
-        MStarIndex {
-            components,
-            false_instance_breaks: 0,
-        }
-    }
-
-    /// Disassembles the index into its components (serialization; the
-    /// inverse of [`MStarIndex::from_components`]).
-    pub fn into_components(self) -> Vec<IndexGraph> {
-        self.components
     }
 
     /// The finest component's resolution (`k` of the M*(k)).
@@ -307,10 +287,21 @@ impl MStarIndex {
         }
     }
 
-    /// QUERYTOPDOWN (§4.1): evaluate the length-`i` prefix in `Ii`.
+    /// QUERYTOPDOWN (§4.1): evaluate the length-`i` prefix in `Ii` — the
+    /// implementation every snapshot form shares.
     fn query_top_down(&self, g: &DataGraph, cp: &CompiledPath, policy: TrustPolicy) -> Answer {
-        let (targets, level, cost) = self.query_top_down_targets(cp);
-        self.finish_answer(g, cp, level, targets, cost, policy)
+        let mut scratch = QueryScratch::new();
+        never_fails(
+            top_down_governed(
+                &self.components,
+                g,
+                cp,
+                policy,
+                &mut scratch,
+                &mut Ungoverned,
+            )
+            .map_err(|(never, _)| never),
+        )
     }
 
     /// Subpath pre-filtering (§4.1): evaluate `steps[start..end]` top-down

@@ -10,7 +10,7 @@
 //! directories (pinned) — is resident, so the paged hierarchy answers
 //! through the shared evaluators ([`crate::view`], [`crate::query`]) with
 //! the identical traversal, identical answers, and identical
-//! [`mrx_path::Cost`] as the frozen and compressed forms; only wall-clock
+//! [`mrx_path::Cost`] as the live and compressed forms; only wall-clock
 //! changes with cache temperature.
 //!
 //! # Trust and failure model
@@ -30,17 +30,20 @@
 //! decode still enforces the local invariants (ascent, bounds, exact
 //! payload consumption).
 
-use mrx_graph::{GraphView, LabelId, NodeId};
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use mrx_graph::{LabelId, NodeId};
 use mrx_pagecache::{PagedArena, PagedU32, StoreError};
-use mrx_path::{BudgetError, BudgetMeter, CompiledPath};
 use mrx_postings::{group_by_key, PostingId};
 
-use crate::query::QueryScratch;
-use crate::view::{self, ExtentCursor, IndexView};
-use crate::{query, Answer, IdxId, TrustPolicy};
+use crate::view::{ExtentCursor, IndexView};
+use crate::IdxId;
 
 /// The resident arrays of one paged component — everything except the
-/// extent payload and `node_of`, which stay on disk. The store's v4 reader
+/// extent payload and `node_of`, which stay on disk. The store's v6 reader
 /// decodes these from the checksummed meta section and hands them to
 /// [`PagedIndex::assemble`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -299,96 +302,11 @@ impl IndexView for PagedIndex {
     }
 }
 
-/// A demand-paged M*(k) hierarchy: every component a [`PagedIndex`], all
-/// sharing one page cache. Query entry points mirror
-/// [`crate::CompressedMStar`] exactly — same shared evaluators, so answers
-/// and costs match the other representations bit for bit.
-pub struct PagedMStar {
-    /// `components[i]` is the paged `Ii`.
-    pub components: Vec<PagedIndex>,
-    /// The source hierarchy's combined mutation epoch at freeze time. For
-    /// prefix-activated hierarchies this is still the *full* star's epoch
-    /// (stored in the v4 header), so session-cache warmth carries across
-    /// representations.
-    pub epoch: u64,
-}
-
-impl PagedMStar {
-    /// The finest activated component's resolution.
-    pub fn max_k(&self) -> usize {
-        self.components.len() - 1
-    }
-
-    /// Read access to paged component `Ii`.
-    pub fn component(&self, i: usize) -> &PagedIndex {
-        &self.components[i]
-    }
-
-    /// The source index's combined mutation epoch at freeze time.
-    pub fn mutation_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Answers a pre-compiled path top-down over the paged hierarchy with
-    /// caller-owned scratch — the steady-state serving path, shared
-    /// evaluator for shared evaluator with the compressed form.
-    pub fn query_top_down_with_scratch<G: GraphView>(
-        &self,
-        g: &G,
-        cp: &CompiledPath,
-        policy: TrustPolicy,
-        scratch: &mut QueryScratch,
-    ) -> Answer {
-        if cp.anchored {
-            let level = cp.length().min(self.max_k());
-            return query::answer_with_scratch(&self.components[level], g, cp, policy, scratch);
-        }
-        let (targets, level, cost) =
-            view::top_down_targets_in(&self.components, cp, &mut scratch.eval);
-        view::finish_answer_view_in(
-            &self.components[level],
-            g,
-            cp,
-            targets,
-            cost,
-            policy,
-            &mut scratch.memo,
-        )
-    }
-
-    /// [`query_top_down_with_scratch`](Self::query_top_down_with_scratch)
-    /// under a [`BudgetMeter`].
-    pub fn query_top_down_budgeted<G: GraphView>(
-        &self,
-        g: &G,
-        cp: &CompiledPath,
-        policy: TrustPolicy,
-        scratch: &mut QueryScratch,
-        meter: &mut BudgetMeter,
-    ) -> Result<Answer, BudgetError> {
-        if cp.anchored {
-            let level = cp.length().min(self.max_k());
-            return query::answer_budgeted(&self.components[level], g, cp, policy, scratch, meter);
-        }
-        let (targets, level, cost) =
-            view::top_down_targets_budgeted(&self.components, cp, &mut scratch.eval, meter)?;
-        view::finish_answer_view_budgeted(
-            &self.components[level],
-            g,
-            cp,
-            targets,
-            cost,
-            policy,
-            &mut scratch.memo,
-            meter,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompressedIndex, CompressedMStar, FrozenIndex, IndexGraph, MStarIndex};
+    use crate::{query, CompressedIndex, FrozenIndex, IndexGraph, MStarIndex, PagedMStar};
+    use crate::{QueryScratch, TrustPolicy};
     use mrx_graph::xml::parse;
     use mrx_graph::DataGraph;
     use mrx_pagecache::{ArenaLayout, PageCache};
@@ -408,7 +326,7 @@ mod tests {
 
     /// Serializes a compressed component into an in-memory paged region
     /// (extent payload + directories + node_of) and activates a
-    /// [`PagedIndex`] over it — the same shape the store's v4 reader
+    /// [`PagedIndex`] over it — the same shape the store's v6 reader
     /// builds, minus the file.
     fn paged_of(cz: &CompressedIndex, page_size: u32, budget: u64) -> (Rc<PageCache>, PagedIndex) {
         let (data, bf, bo, ll) = cz.extents.parts();
@@ -434,7 +352,7 @@ mod tests {
         };
         let cache = PageCache::over_bytes(region, page_size, budget).unwrap();
         let universe = cz.node_of_data.len() as u32;
-        let extents = PagedArena::new(cache.clone(), layout, ll.to_vec(), universe, true).unwrap();
+        let extents = PagedArena::new(cache.clone(), layout, ll.to_vec(), universe).unwrap();
         let node_of = PagedU32::new(cache.clone(), node_of_off, universe).unwrap();
         let parts = PagedIndexParts {
             labels: cz.labels.clone(),
@@ -506,7 +424,7 @@ mod tests {
         ] {
             let cp = PathExpr::parse(expr).unwrap().compile(&g);
             for policy in [TrustPolicy::Proven, TrustPolicy::Claimed] {
-                let a = CompressedMStar::query_top_down_with_scratch(&cz, &g, &cp, policy, &mut s1);
+                let a = cz.query_top_down_with_scratch(&g, &cp, policy, &mut s1);
                 let b = paged.query_top_down_with_scratch(&g, &cp, policy, &mut s2);
                 assert_eq!(a.nodes, b.nodes, "{expr}");
                 assert_eq!(a.cost, b.cost, "{expr}");
@@ -544,7 +462,7 @@ mod tests {
         };
         let cache = PageCache::over_bytes(region, 64, u64::MAX).unwrap();
         let universe = cz.node_of_data.len() as u32;
-        let extents = PagedArena::new(cache.clone(), layout, ll.to_vec(), universe, true).unwrap();
+        let extents = PagedArena::new(cache.clone(), layout, ll.to_vec(), universe).unwrap();
         // Claim one fewer data node than the extents cover.
         let node_of = PagedU32::new(cache, node_of_off, universe - 1).unwrap();
         let parts = PagedIndexParts {

@@ -90,7 +90,7 @@ pub struct Answer {
 ///
 /// All entry points here are generic over [`IndexView`] × [`GraphView`]:
 /// the same code serves the live `IndexGraph`/`DataGraph` pair and their
-/// frozen snapshots, with bit-identical answers and costs (see
+/// compressed and paged snapshots, with bit-identical answers and costs (see
 /// [`crate::view`] for the correspondence argument).
 pub fn answer<I: IndexView, G: GraphView>(ig: &I, g: &G, path: &PathExpr) -> Answer {
     answer_compiled(ig, g, &path.compile(g), TrustPolicy::Proven)
@@ -146,7 +146,7 @@ pub fn answer_budgeted<I: IndexView, G: GraphView>(
 
 /// The one §3.1 implementation both wrappers monomorphize ([`Ungoverned`]
 /// erases every budget check).
-fn answer_governed<I: IndexView, G: GraphView, B: Governor>(
+pub(crate) fn answer_governed<I: IndexView, G: GraphView, B: Governor>(
     ig: &I,
     g: &G,
     cp: &CompiledPath,

@@ -30,19 +30,25 @@
 //! generations, so a server that hot-swaps snapshots invalidates it for
 //! free by bumping the generation.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use mrx_error::MrxError;
 use mrx_graph::{DataGraph, GraphView};
-use mrx_path::{BudgetError, CompiledPath, Cost, PathExpr, QueryBudget};
+use mrx_path::{
+    never_fails, BudgetError, BudgetMeter, CompiledPath, Cost, Governor, PathExpr, QueryBudget,
+    Ungoverned,
+};
 
-use crate::compressed::CompressedMStar;
-use crate::frozen::FrozenMStar;
-use crate::paged::PagedMStar;
 use crate::query::{self, Answer, QueryScratch, TrustPolicy};
-use crate::view::{self, IndexView};
+use crate::snapshot::{top_down_governed, MStarSnapshot};
+use crate::view::IndexView;
 use crate::{EvalStrategy, MStarIndex};
 
 /// Default cache capacity: larger than any paper workload (500 queries), so
@@ -379,6 +385,79 @@ impl SharedAnswerCache {
     }
 }
 
+/// Anything a [`QuerySession`] can serve: one index graph, answered by the
+/// §3.1 algorithm, or an M*(k) hierarchy, answered top-down by §4.1. Both
+/// are written once over [`IndexView`] and monomorphized over the
+/// [`Governor`], so budgeted and unbudgeted serving share one code path.
+pub trait Servable {
+    /// The mutation generation cached answers are stamped with.
+    fn cache_epoch(&self) -> u64;
+
+    /// Evaluates a compiled path, charging `budget`; a trip returns the
+    /// governor's error with the partial cost.
+    fn eval<G: GraphView, B: Governor>(
+        &self,
+        g: &G,
+        cp: &CompiledPath,
+        policy: TrustPolicy,
+        scratch: &mut QueryScratch,
+        budget: &mut B,
+    ) -> Result<Answer, (B::Err, Cost)>;
+}
+
+impl<I: IndexView> Servable for I {
+    fn cache_epoch(&self) -> u64 {
+        self.mutation_epoch()
+    }
+
+    fn eval<G: GraphView, B: Governor>(
+        &self,
+        g: &G,
+        cp: &CompiledPath,
+        policy: TrustPolicy,
+        scratch: &mut QueryScratch,
+        budget: &mut B,
+    ) -> Result<Answer, (B::Err, Cost)> {
+        query::answer_governed(self, g, cp, policy, scratch, budget)
+    }
+}
+
+impl<I: IndexView> Servable for MStarSnapshot<I> {
+    fn cache_epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    fn eval<G: GraphView, B: Governor>(
+        &self,
+        g: &G,
+        cp: &CompiledPath,
+        policy: TrustPolicy,
+        scratch: &mut QueryScratch,
+        budget: &mut B,
+    ) -> Result<Answer, (B::Err, Cost)> {
+        top_down_governed(&self.components, g, cp, policy, scratch, budget)
+    }
+}
+
+/// A live M*(k)-index serves top-down, the paper's serving strategy; use
+/// [`QuerySession::serve_mstar`] for the other §4.1 strategies.
+impl Servable for MStarIndex {
+    fn cache_epoch(&self) -> u64 {
+        self.mutation_epoch()
+    }
+
+    fn eval<G: GraphView, B: Governor>(
+        &self,
+        g: &G,
+        cp: &CompiledPath,
+        policy: TrustPolicy,
+        scratch: &mut QueryScratch,
+        budget: &mut B,
+    ) -> Result<Answer, (B::Err, Cost)> {
+        top_down_governed(&self.components, g, cp, policy, scratch, budget)
+    }
+}
+
 /// A query-serving session over one index and data graph. See the module
 /// docs for the caching and invalidation contract.
 pub struct QuerySession {
@@ -472,35 +551,52 @@ impl QuerySession {
         self.cached_bytes
     }
 
-    /// Serves `path` through `ig`, returning a reference into the cache —
-    /// a warm hit is a hash lookup with no evaluation, no validation, and
-    /// no allocation.
+    /// Serves `path` through `target`, returning a reference into the
+    /// cache — a warm hit is a hash lookup with no evaluation, no
+    /// validation, and no allocation.
     ///
-    /// Generic over [`IndexView`] × [`GraphView`]: a session can serve a
-    /// live `IndexGraph`/`DataGraph` pair or their frozen snapshots with
-    /// the same cache semantics. Frozen views report the epoch captured at
-    /// freeze time, so a session warmed against the live index stays warm
-    /// against a snapshot frozen from the same generation (and vice versa).
-    pub fn serve<'s, I: IndexView, G: GraphView>(
+    /// Generic over [`Servable`] × [`GraphView`]: one index graph (live or
+    /// snapshot) answers by the §3.1 algorithm, an M*(k) hierarchy (live
+    /// [`MStarIndex`], [`crate::CompressedMStar`], [`crate::PagedMStar`])
+    /// top-down by §4.1, all with the same cache semantics. Snapshots report
+    /// the epoch captured at freeze time, so a session warmed against the
+    /// live index stays warm against a snapshot frozen from the same
+    /// generation (and vice versa).
+    ///
+    /// Paged hierarchies leave corruption handling to the owner of their
+    /// page cache: poison raised during a miss must be checked there (as
+    /// `PagedFile::query` in the store does) — the session only caches what
+    /// it is handed back.
+    pub fn serve<'s, T: Servable, G: GraphView>(
         &'s mut self,
-        ig: &I,
+        target: &T,
         g: &G,
         path: &PathExpr,
     ) -> &'s Answer {
         self.stats.queries += 1;
-        let epoch = ig.mutation_epoch();
+        let epoch = target.cache_epoch();
         let compiled = match self.lookup_full(path, epoch) {
             Prepared::Ready => return &self.cache[path].answer,
             Prepared::Eval(cp) => cp.unwrap_or_else(|| path.compile(g)),
         };
         self.stats.misses += 1;
-        let answer = query::answer_with_scratch(ig, g, &compiled, self.policy, &mut self.scratch);
+        let answer = never_fails(
+            target
+                .eval(
+                    g,
+                    &compiled,
+                    self.policy,
+                    &mut self.scratch,
+                    &mut Ungoverned,
+                )
+                .map_err(|(never, _)| never),
+        );
         self.insert(path.clone(), epoch, compiled, answer)
     }
 
-    /// [`QuerySession::serve`] against an M*(k)-index with an explicit §4.1
-    /// evaluation strategy. Invalidation keys on the hierarchy's combined
-    /// [`MStarIndex::mutation_epoch`].
+    /// [`QuerySession::serve`] against a live M*(k)-index with an explicit
+    /// §4.1 evaluation strategy. Invalidation keys on the hierarchy's
+    /// combined [`MStarIndex::mutation_epoch`].
     pub fn serve_mstar<'s>(
         &'s mut self,
         idx: &MStarIndex,
@@ -508,6 +604,9 @@ impl QuerySession {
         path: &PathExpr,
         strategy: EvalStrategy,
     ) -> &'s Answer {
+        if strategy == EvalStrategy::TopDown {
+            return self.serve(idx, g, path);
+        }
         self.stats.queries += 1;
         let epoch = idx.mutation_epoch();
         let compiled = match self.lookup_full(path, epoch) {
@@ -519,79 +618,6 @@ impl QuerySession {
         self.insert(path.clone(), epoch, compiled, answer)
     }
 
-    /// [`QuerySession::serve_mstar`] against a frozen M*(k) snapshot,
-    /// always top-down (the paper's serving strategy). Invalidation keys on
-    /// the epoch captured at freeze time.
-    pub fn serve_frozen_mstar<'s, G: GraphView>(
-        &'s mut self,
-        idx: &FrozenMStar,
-        g: &G,
-        path: &PathExpr,
-    ) -> &'s Answer {
-        self.stats.queries += 1;
-        let epoch = idx.mutation_epoch();
-        let compiled = match self.lookup_full(path, epoch) {
-            Prepared::Ready => return &self.cache[path].answer,
-            Prepared::Eval(cp) => cp.unwrap_or_else(|| path.compile(g)),
-        };
-        self.stats.misses += 1;
-        let answer = idx.query_top_down_with_scratch(g, &compiled, self.policy, &mut self.scratch);
-        self.insert(path.clone(), epoch, compiled, answer)
-    }
-
-    /// [`QuerySession::serve_frozen_mstar`] against a compressed M*(k)
-    /// snapshot — the same top-down algorithm, served straight from the
-    /// delta-varint posting extents with no decompression step. Invalidation
-    /// keys on the epoch captured at freeze time, so a session warmed
-    /// against the raw snapshot stays warm against its packed form (and
-    /// vice versa).
-    pub fn serve_compressed_mstar<'s, G: GraphView>(
-        &'s mut self,
-        idx: &CompressedMStar,
-        g: &G,
-        path: &PathExpr,
-    ) -> &'s Answer {
-        self.stats.queries += 1;
-        let epoch = idx.mutation_epoch();
-        let compiled = match self.lookup_full(path, epoch) {
-            Prepared::Ready => return &self.cache[path].answer,
-            Prepared::Eval(cp) => cp.unwrap_or_else(|| path.compile(g)),
-        };
-        self.stats.misses += 1;
-        let answer = idx.query_top_down_with_scratch(g, &compiled, self.policy, &mut self.scratch);
-        self.insert(path.clone(), epoch, compiled, answer)
-    }
-
-    /// [`QuerySession::serve_compressed_mstar`] against a demand-paged
-    /// M*(k) snapshot — same top-down algorithm, extents served through the
-    /// page cache. A cache hit here is doubly valuable: it skips not just
-    /// evaluation but every page fault the evaluation would have taken.
-    /// Note the caller owns corruption handling: poison raised in the page
-    /// cache during a miss must be checked *by the owner of the cache*
-    /// (e.g. `PagedFile::query` in the store) — the session only caches
-    /// what it is handed back.
-    pub fn serve_paged_mstar<'s, G: GraphView>(
-        &'s mut self,
-        idx: &PagedMStar,
-        g: &G,
-        path: &PathExpr,
-    ) -> &'s Answer {
-        self.stats.queries += 1;
-        let epoch = idx.mutation_epoch();
-        let compiled = match self.lookup_full(path, epoch) {
-            Prepared::Ready => return &self.cache[path].answer,
-            Prepared::Eval(cp) => cp.unwrap_or_else(|| path.compile(g)),
-        };
-        self.stats.misses += 1;
-        let answer = idx.query_top_down_with_scratch(g, &compiled, self.policy, &mut self.scratch);
-        self.insert(path.clone(), epoch, compiled, answer)
-    }
-
-    /// Owned-copy convenience over [`QuerySession::serve`].
-    pub fn answer<I: IndexView, G: GraphView>(&mut self, ig: &I, g: &G, path: &PathExpr) -> Answer {
-        self.serve(ig, g, path).clone()
-    }
-
     /// [`QuerySession::serve`] under the session's [`QueryBudget`]: a query
     /// that exhausts its step budget, result cap, or deadline (or is
     /// cooperatively cancelled) returns [`MrxError::Budget`] with the
@@ -601,146 +627,26 @@ impl QuerySession {
     /// (same code path, no metering).
     ///
     /// [`serve`]: QuerySession::serve
-    pub fn try_serve<'s, I: IndexView, G: GraphView>(
+    pub fn try_serve<'s, T: Servable, G: GraphView>(
         &'s mut self,
-        ig: &I,
+        target: &T,
         g: &G,
         path: &PathExpr,
     ) -> Result<&'s Answer, MrxError> {
         if self.budget.is_unlimited() {
-            return Ok(self.serve(ig, g, path));
+            return Ok(self.serve(target, g, path));
         }
         self.stats.queries += 1;
-        let epoch = ig.mutation_epoch();
+        let epoch = target.cache_epoch();
         let compiled = match self.lookup_full(path, epoch) {
             Prepared::Ready => return Ok(&self.cache[path].answer),
             Prepared::Eval(cp) => cp.unwrap_or_else(|| path.compile(g)),
         };
         self.stats.misses += 1;
         let mut meter = self.budget.meter();
-        let answer =
-            query::answer_budgeted(ig, g, &compiled, self.policy, &mut self.scratch, &mut meter)
-                .map_err(|e| self.trip(e))?;
-        Ok(self.insert(path.clone(), epoch, compiled, answer))
-    }
-
-    /// [`QuerySession::serve_frozen_mstar`] under the session's budget —
-    /// the governed frozen serving path. See [`try_serve`] for the
-    /// trip/caching contract.
-    ///
-    /// [`try_serve`]: QuerySession::try_serve
-    pub fn try_serve_frozen_mstar<'s, G: GraphView>(
-        &'s mut self,
-        idx: &FrozenMStar,
-        g: &G,
-        path: &PathExpr,
-    ) -> Result<&'s Answer, MrxError> {
-        if self.budget.is_unlimited() {
-            return Ok(self.serve_frozen_mstar(idx, g, path));
-        }
-        self.stats.queries += 1;
-        let epoch = idx.mutation_epoch();
-        let compiled = match self.lookup_full(path, epoch) {
-            Prepared::Ready => return Ok(&self.cache[path].answer),
-            Prepared::Eval(cp) => cp.unwrap_or_else(|| path.compile(g)),
-        };
-        self.stats.misses += 1;
-        let mut meter = self.budget.meter();
-        let answer = idx
-            .query_top_down_budgeted(g, &compiled, self.policy, &mut self.scratch, &mut meter)
-            .map_err(|e| self.trip(e))?;
-        Ok(self.insert(path.clone(), epoch, compiled, answer))
-    }
-
-    /// [`QuerySession::serve_compressed_mstar`] under the session's budget
-    /// — the governed compressed serving path. See [`try_serve`] for the
-    /// trip/caching contract.
-    ///
-    /// [`try_serve`]: QuerySession::try_serve
-    pub fn try_serve_compressed_mstar<'s, G: GraphView>(
-        &'s mut self,
-        idx: &CompressedMStar,
-        g: &G,
-        path: &PathExpr,
-    ) -> Result<&'s Answer, MrxError> {
-        if self.budget.is_unlimited() {
-            return Ok(self.serve_compressed_mstar(idx, g, path));
-        }
-        self.stats.queries += 1;
-        let epoch = idx.mutation_epoch();
-        let compiled = match self.lookup_full(path, epoch) {
-            Prepared::Ready => return Ok(&self.cache[path].answer),
-            Prepared::Eval(cp) => cp.unwrap_or_else(|| path.compile(g)),
-        };
-        self.stats.misses += 1;
-        let mut meter = self.budget.meter();
-        let answer = idx
-            .query_top_down_budgeted(g, &compiled, self.policy, &mut self.scratch, &mut meter)
-            .map_err(|e| self.trip(e))?;
-        Ok(self.insert(path.clone(), epoch, compiled, answer))
-    }
-
-    /// [`QuerySession::serve_paged_mstar`] under the session's budget — the
-    /// governed demand-paged serving path. See [`try_serve`] for the
-    /// trip/caching contract.
-    ///
-    /// [`try_serve`]: QuerySession::try_serve
-    pub fn try_serve_paged_mstar<'s, G: GraphView>(
-        &'s mut self,
-        idx: &PagedMStar,
-        g: &G,
-        path: &PathExpr,
-    ) -> Result<&'s Answer, MrxError> {
-        if self.budget.is_unlimited() {
-            return Ok(self.serve_paged_mstar(idx, g, path));
-        }
-        self.stats.queries += 1;
-        let epoch = idx.mutation_epoch();
-        let compiled = match self.lookup_full(path, epoch) {
-            Prepared::Ready => return Ok(&self.cache[path].answer),
-            Prepared::Eval(cp) => cp.unwrap_or_else(|| path.compile(g)),
-        };
-        self.stats.misses += 1;
-        let mut meter = self.budget.meter();
-        let answer = idx
-            .query_top_down_budgeted(g, &compiled, self.policy, &mut self.scratch, &mut meter)
-            .map_err(|e| self.trip(e))?;
-        Ok(self.insert(path.clone(), epoch, compiled, answer))
-    }
-
-    /// [`QuerySession::serve_mstar`] under the session's budget. Budgeted
-    /// M*(k) serving is always top-down (the paper's serving strategy, and
-    /// the one the frozen path uses); answers match
-    /// [`EvalStrategy::TopDown`] bit for bit. See [`try_serve`] for the
-    /// trip/caching contract.
-    ///
-    /// [`try_serve`]: QuerySession::try_serve
-    pub fn try_serve_mstar<'s>(
-        &'s mut self,
-        idx: &MStarIndex,
-        g: &DataGraph,
-        path: &PathExpr,
-    ) -> Result<&'s Answer, MrxError> {
-        if self.budget.is_unlimited() {
-            return Ok(self.serve_mstar(idx, g, path, EvalStrategy::TopDown));
-        }
-        self.stats.queries += 1;
-        let epoch = idx.mutation_epoch();
-        let compiled = match self.lookup_full(path, epoch) {
-            Prepared::Ready => return Ok(&self.cache[path].answer),
-            Prepared::Eval(cp) => cp.unwrap_or_else(|| path.compile(g)),
-        };
-        self.stats.misses += 1;
-        let mut meter = self.budget.meter();
-        let answer = mstar_top_down_budgeted(
-            idx,
-            g,
-            &compiled,
-            self.policy,
-            &mut self.scratch,
-            &mut meter,
-        )
-        .map_err(|e| self.trip(e))?;
+        let answer = target
+            .eval(g, &compiled, self.policy, &mut self.scratch, &mut meter)
+            .map_err(|(kind, cost)| self.trip(BudgetMeter::exhausted(kind, &cost)))?;
         Ok(self.insert(path.clone(), epoch, compiled, answer))
     }
 
@@ -885,35 +791,6 @@ impl QuerySession {
     }
 }
 
-/// The §4.1 top-down descent over a live M*(k) hierarchy under a budget —
-/// the live-index twin of [`FrozenMStar::query_top_down_budgeted`], through
-/// the same shared generic evaluators.
-fn mstar_top_down_budgeted(
-    idx: &MStarIndex,
-    g: &DataGraph,
-    cp: &CompiledPath,
-    policy: TrustPolicy,
-    scratch: &mut QueryScratch,
-    meter: &mut mrx_path::BudgetMeter,
-) -> Result<Answer, BudgetError> {
-    if cp.anchored {
-        let level = cp.length().min(idx.max_k());
-        return query::answer_budgeted(&idx.components[level], g, cp, policy, scratch, meter);
-    }
-    let (targets, level, cost) =
-        view::top_down_targets_budgeted(&idx.components, cp, &mut scratch.eval, meter)?;
-    view::finish_answer_view_budgeted(
-        &idx.components[level],
-        g,
-        cp,
-        targets,
-        cost,
-        policy,
-        &mut scratch.memo,
-        meter,
-    )
-}
-
 /// Outcome of a workload replay: summed cost plus merged session counters.
 #[derive(Debug, Clone)]
 pub struct ReplayReport {
@@ -935,26 +812,27 @@ impl ReplayReport {
     }
 }
 
-/// Replays `queries` against `ig` over per-thread [`QuerySession`]s. The
-/// index and graph are shared read-only; each thread owns its session
-/// (scratch + cache), so no synchronization is needed. `threads == 1` (or a
-/// single-query workload) degrades to a plain sequential loop.
+/// Replays `queries` against `target` over per-thread [`QuerySession`]s.
+/// The index and graph are shared read-only; each thread owns its session
+/// (scratch + cache), so no synchronization is needed. `threads == 1` (or
+/// a single-query workload) degrades to a plain sequential loop.
 ///
-/// Generic over [`IndexView`] × [`GraphView`] like [`QuerySession::serve`];
-/// frozen snapshots replay through exactly this code path.
-pub fn replay<I: IndexView + Sync, G: GraphView + Sync>(
-    ig: &I,
+/// Generic over [`Servable`] × [`GraphView`] like [`QuerySession::serve`].
+/// A demand-paged hierarchy is not `Sync` (its page cache is
+/// single-threaded by design), so it replays through one session directly.
+pub fn replay<T: Servable + Sync, G: GraphView + Sync>(
+    target: &T,
     g: &G,
     queries: &[PathExpr],
     policy: TrustPolicy,
     threads: usize,
 ) -> ReplayReport {
     replay_impl(queries, threads, policy, None, |session, q| {
-        session.serve(ig, g, q).cost
+        session.serve(target, g, q).cost
     })
 }
 
-/// [`replay`] against an M*(k)-index with a fixed evaluation strategy.
+/// [`replay`] against a live M*(k)-index with a fixed evaluation strategy.
 pub fn replay_mstar(
     idx: &MStarIndex,
     g: &DataGraph,
@@ -968,95 +846,14 @@ pub fn replay_mstar(
     })
 }
 
-/// [`replay`] against a frozen M*(k) snapshot (top-down serving).
-pub fn replay_frozen_mstar<G: GraphView + Sync>(
-    idx: &FrozenMStar,
-    g: &G,
-    queries: &[PathExpr],
-    policy: TrustPolicy,
-    threads: usize,
-) -> ReplayReport {
-    replay_impl(queries, threads, policy, None, |session, q| {
-        session.serve_frozen_mstar(idx, g, q).cost
-    })
-}
-
-/// [`replay`] against a compressed M*(k) snapshot (top-down serving from
-/// the posting extents).
-pub fn replay_compressed_mstar<G: GraphView + Sync>(
-    idx: &CompressedMStar,
-    g: &G,
-    queries: &[PathExpr],
-    policy: TrustPolicy,
-    threads: usize,
-) -> ReplayReport {
-    replay_impl(queries, threads, policy, None, |session, q| {
-        session.serve_compressed_mstar(idx, g, q).cost
-    })
-}
-
-/// [`replay`] against a demand-paged M*(k) snapshot. **Single-threaded by
-/// construction**: the page cache is deliberately `!Sync` (interior
-/// mutability without locks), so paged serving runs one session on one
-/// thread — the design trades replay parallelism for a bounded resident
-/// set. The report's `threads` is always 1.
-pub fn replay_paged_mstar<G: GraphView>(
-    idx: &PagedMStar,
-    g: &G,
-    queries: &[PathExpr],
-    policy: TrustPolicy,
-) -> ReplayReport {
-    let mut session = QuerySession::new(policy);
-    let mut total = Cost::ZERO;
-    for q in queries {
-        total += session.serve_paged_mstar(idx, g, q).cost;
-    }
-    ReplayReport {
-        total,
-        queries: queries.len(),
-        threads: 1,
-        stats: session.stats,
-    }
-}
-
-/// [`replay_paged_mstar`] under a [`QueryBudget`] — single-threaded like
-/// its ungoverned twin; a tripped query contributes its partial cost.
-pub fn replay_paged_mstar_budgeted<G: GraphView>(
-    idx: &PagedMStar,
-    g: &G,
-    queries: &[PathExpr],
-    policy: TrustPolicy,
-    budget: &QueryBudget,
-) -> ReplayReport {
-    let (budget, flag) = with_shared_cancel(budget);
-    let mut session = QuerySession::new(policy);
-    session.set_budget(budget);
-    let mut total = Cost::ZERO;
-    for q in queries {
-        if flag.load(Ordering::Relaxed) {
-            break;
-        }
-        total += cost_or_partial(
-            session.try_serve_paged_mstar(idx, g, q).map(|a| a.cost),
-            &flag,
-        );
-    }
-    ReplayReport {
-        total,
-        queries: queries.len(),
-        threads: 1,
-        stats: session.stats,
-    }
-}
-
 /// [`replay`] with every query governed by `budget`. A tripped query
 /// contributes its partial cost and is counted in
 /// [`SessionStats::budget_trips`]; the replay moves on to the next query. A
 /// worker that trips the *deadline* raises the shared cancellation flag so
 /// sibling workers stop cooperatively at their next poll instead of burning
 /// past a deadline that has already passed for everyone.
-pub fn replay_budgeted<I: IndexView + Sync, G: GraphView + Sync>(
-    ig: &I,
+pub fn replay_budgeted<T: Servable + Sync, G: GraphView + Sync>(
+    target: &T,
     g: &G,
     queries: &[PathExpr],
     policy: TrustPolicy,
@@ -1066,27 +863,7 @@ pub fn replay_budgeted<I: IndexView + Sync, G: GraphView + Sync>(
     let (budget, flag) = with_shared_cancel(budget);
     let flag = &flag;
     replay_impl(queries, threads, policy, Some(budget), move |session, q| {
-        cost_or_partial(session.try_serve(ig, g, q).map(|a| a.cost), flag)
-    })
-}
-
-/// [`replay_frozen_mstar`] under a [`QueryBudget`] — see [`replay_budgeted`]
-/// for the trip and cancellation contract.
-pub fn replay_frozen_mstar_budgeted<G: GraphView + Sync>(
-    idx: &FrozenMStar,
-    g: &G,
-    queries: &[PathExpr],
-    policy: TrustPolicy,
-    threads: usize,
-    budget: &QueryBudget,
-) -> ReplayReport {
-    let (budget, flag) = with_shared_cancel(budget);
-    let flag = &flag;
-    replay_impl(queries, threads, policy, Some(budget), move |session, q| {
-        cost_or_partial(
-            session.try_serve_frozen_mstar(idx, g, q).map(|a| a.cost),
-            flag,
-        )
+        cost_or_partial(session.try_serve(target, g, q).map(|a| a.cost), flag)
     })
 }
 
@@ -1232,25 +1009,24 @@ mod tests {
     }
 
     #[test]
-    fn session_warmed_on_frozen_stays_warm_on_compressed() {
+    fn session_warmed_on_live_stays_warm_on_compressed() {
         let g = doc();
         let mut idx = MStarIndex::new(&g);
         let p = PathExpr::parse("//person/name/last").unwrap();
         idx.refine_for(&g, &p);
         let fg = mrx_graph::FrozenGraph::freeze(&g);
-        let fz = idx.freeze();
-        let cz = CompressedMStar::from_frozen(&fz);
+        let cz = idx.freeze_compressed();
         let mut s = QuerySession::new(TrustPolicy::Proven);
-        let cold = s.serve_frozen_mstar(&fz, &fg, &p).clone();
+        let cold = s.serve_mstar(&idx, &g, &p, EvalStrategy::TopDown).clone();
         // Same epoch, same answers: the packed snapshot is a cache hit.
-        let warm = s.serve_compressed_mstar(&cz, &fg, &p).clone();
+        let warm = s.serve(&cz, &fg, &p).clone();
         assert_eq!(warm.nodes, cold.nodes);
         assert_eq!(warm.cost, cold.cost);
         assert_eq!(s.stats().hits, 1);
         assert_eq!(s.stats().misses, 1);
         // A cold compressed session agrees bit for bit.
         let mut s2 = QuerySession::new(TrustPolicy::Proven);
-        let packed = s2.serve_compressed_mstar(&cz, &fg, &p).clone();
+        let packed = s2.serve(&cz, &fg, &p).clone();
         assert_eq!(packed.nodes, cold.nodes);
         assert_eq!(packed.cost, cold.cost);
     }

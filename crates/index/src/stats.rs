@@ -34,10 +34,10 @@ pub struct IndexStats {
     /// Compression ratio: data nodes per index node (higher = smaller index).
     pub compression: f64,
     /// Bytes the raw extent representation costs (one `u32` per member plus
-    /// the offset table) — the v2/live form.
+    /// the offset table) — the live form.
     pub extent_raw_bytes: usize,
-    /// Bytes the delta-varint posting form of the same extents costs
-    /// (payload, skip directory, per-list tables) — the v3 serving form.
+    /// Bytes the compressed posting form of the same extents costs
+    /// (payload, skip directory, per-list tables) — the v5 serving form.
     pub extent_bytes: usize,
     /// [`extent_bytes`](Self::extent_bytes) per data node — the figure the
     /// compression benchmark tracks (raw is 4 B/node plus offsets).

@@ -1,14 +1,15 @@
 //! Read-only serving views over index graphs, and the evaluators shared by
-//! the live and frozen representations.
+//! the live and snapshot representations.
 //!
 //! [`IndexView`] is the narrow surface the §3.1/§4.1 query algorithms
 //! need from an index: per-node attributes, induced adjacency, the
 //! extent map, and label-grouped node enumeration. [`crate::IndexGraph`]
-//! implements it by filtering its slot arena; the frozen snapshot
-//! implements it by slicing flat arenas. The free functions here —
-//! [`eval_view`], [`top_down_targets`], [`finish_answer_view`] — are the
-//! *single* implementation of index evaluation, target descent, and answer
-//! validation, so live and frozen serving cannot drift apart.
+//! implements it by filtering its slot arena; the compressed and paged
+//! snapshot components implement it over flat arenas and posting blocks.
+//! The free functions here — [`eval_view`], [`top_down_targets`],
+//! [`finish_answer_view`] — are the *single* implementation of index
+//! evaluation, target descent, and answer validation, so live and snapshot
+//! serving cannot drift apart.
 //!
 //! ## Why answers and costs are bit-identical across views
 //!
@@ -35,7 +36,7 @@ use crate::{IdxId, IndexGraph};
 /// A seeking cursor over one extent, whatever its physical representation.
 ///
 /// The evaluators below never touch extent storage directly — they iterate
-/// and seek through this enum, which is what lets raw-slice (live, frozen)
+/// and seek through this enum, which is what lets raw-slice (live)
 /// and delta-compressed extents serve through one algorithm with identical
 /// visit order and cost. A closed enum instead of an associated type keeps
 /// [`IndexView`] simple, and both arms monomorphize away wherever the
@@ -47,7 +48,7 @@ use crate::{IdxId, IndexGraph};
 /// would trade a stack copy for a heap allocation per extent touched.
 #[allow(clippy::large_enum_variant)]
 pub enum ExtentCursor<'a> {
-    /// A raw sorted slice (live and frozen indexes); seeks by galloping.
+    /// A raw sorted slice (live indexes); seeks by galloping.
     Slice(SliceSeeker<'a, NodeId>),
     /// Delta-compressed posting blocks (compressed indexes); seeks through
     /// the block skip directory.
@@ -89,7 +90,7 @@ impl SeekingIterator for ExtentCursor<'_> {
 
 /// Read-only access to one structural index graph for query serving.
 ///
-/// Node ids are dense in `0..slot_bound()` for frozen implementations; the
+/// Node ids are dense in `0..slot_bound()` for snapshot implementations; the
 /// live [`IndexGraph`] has dead slots below `slot_bound()`, which is why
 /// enumeration goes through the `push_*` methods instead of ranges.
 ///
@@ -138,7 +139,7 @@ pub trait IndexView {
     /// Whether Lemma 2 applies with proven similarities (see
     /// [`IndexGraph::lemma2_safe`]).
     fn lemma2_safe(&self) -> bool;
-    /// Mutation generation for answer-cache invalidation. Frozen views are
+    /// Mutation generation for answer-cache invalidation. Snapshot views are
     /// immutable and report the epoch captured at freeze time.
     fn mutation_epoch(&self) -> u64;
     /// Appends the nodes labeled `l` to `out`, in ascending id order.
@@ -219,7 +220,7 @@ impl IndexView for IndexGraph {
 /// (sorted) in the scratch-owned frontier and counting visited index nodes
 /// into `cost`.
 ///
-/// This is the engine behind [`IndexGraph::eval_in_place`] and the frozen
+/// This is the engine behind [`IndexGraph::eval_in_place`] and the snapshot
 /// serving path; cost accounting follows §5 — one visit per initial
 /// frontier node, then one per *distinct* child examined per step.
 pub fn eval_view<'s, I: IndexView, G: GraphView>(
@@ -239,26 +240,9 @@ pub fn eval_view<'s, I: IndexView, G: GraphView>(
     ))
 }
 
-/// [`eval_view`] under a [`BudgetMeter`]: stops with a typed [`BudgetError`]
-/// (partial cost left in `cost`) on budget exhaustion, deadline, or
-/// cooperative cancellation.
-pub fn eval_view_budgeted<'s, I: IndexView, G: GraphView>(
-    ig: &I,
-    g: &G,
-    path: &CompiledPath,
-    cost: &mut Cost,
-    scratch: &'s mut IndexEvalScratch,
-    meter: &mut BudgetMeter,
-) -> Result<&'s [IdxId], BudgetError> {
-    match eval_view_governed(ig, g, path, cost, scratch, meter) {
-        Ok(f) => Ok(f),
-        Err(kind) => Err(BudgetMeter::exhausted(kind, cost)),
-    }
-}
-
-/// The one traversal the two wrappers above monomorphize ([`Ungoverned`]
-/// erases every budget check, so the ungoverned build is identical to the
-/// pre-budget evaluator).
+/// The one traversal [`eval_view`] and the budgeted §3.1 query monomorphize
+/// ([`Ungoverned`] erases every budget check, so the ungoverned build is
+/// identical to the pre-budget evaluator).
 pub(crate) fn eval_view_governed<'s, I: IndexView, G: GraphView, B: Governor>(
     ig: &I,
     g: &G,
@@ -325,27 +309,19 @@ pub fn top_down_targets<I: IndexView>(
     components: &[I],
     cp: &CompiledPath,
 ) -> (Vec<IdxId>, usize, Cost) {
-    top_down_targets_in(components, cp, &mut IndexEvalScratch::new())
+    let r = top_down_targets_governed(
+        components,
+        cp,
+        &mut IndexEvalScratch::new(),
+        &mut Ungoverned,
+    );
+    never_fails(r.map_err(|(never, _)| never))
 }
 
-/// [`top_down_targets`] over caller-owned scratch — the steady-state frozen
-/// serving path. Dedup goes through the epoch-stamped [`mrx_path::EpochSet`]
-/// instead of a freshly zeroed bitmap per descent/step, and the frontier
-/// vectors are reused, so a warmed-up session descends without touching the
-/// allocator. Insert semantics (and therefore visit order and cost) are
-/// identical to the allocating wrapper.
-pub fn top_down_targets_in<I: IndexView>(
-    components: &[I],
-    cp: &CompiledPath,
-    scratch: &mut IndexEvalScratch,
-) -> (Vec<IdxId>, usize, Cost) {
-    match top_down_targets_governed(components, cp, scratch, &mut Ungoverned) {
-        Ok(r) => r,
-        Err((never, _)) => match never {},
-    }
-}
-
-/// [`top_down_targets_in`] under a [`BudgetMeter`].
+/// [`top_down_targets`] over caller-owned scratch, under a [`BudgetMeter`].
+/// Dedup goes through the epoch-stamped [`mrx_path::EpochSet`] and the
+/// frontier vectors are reused, so a warmed-up caller descends without
+/// touching the allocator.
 pub fn top_down_targets_budgeted<I: IndexView>(
     components: &[I],
     cp: &CompiledPath,
@@ -362,7 +338,7 @@ type GovernedTargets<E> = Result<(Vec<IdxId>, usize, Cost), (E, Cost)>;
 
 /// Governed descent shared by the two wrappers; trip errors carry the
 /// partial cost so the caller can surface it.
-fn top_down_targets_governed<I: IndexView, B: Governor>(
+pub(crate) fn top_down_targets_governed<I: IndexView, B: Governor>(
     components: &[I],
     cp: &CompiledPath,
     scratch: &mut IndexEvalScratch,
@@ -396,30 +372,27 @@ fn top_down_targets_governed<I: IndexView, B: Governor>(
             next.clear();
             seen.reset(fine.slot_bound());
             for &u in frontier.iter() {
-                if B::GOVERNED {
-                    // A limit can trip mid-extent: keep the seeking-cursor
-                    // loop, which exits at the exact tripping visit.
-                    let mut ext = coarse.extent_cursor(u);
-                    while let Some(o) = ext.next() {
-                        let sub = fine.node_of(NodeId(o));
-                        if seen.insert(sub.index()) {
-                            next.push(sub);
-                            cost.index_nodes += 1;
-                            budget.visit(1).map_err(|e| (e, cost))?;
+                // Whole-extent bulk walk (tight per-block decode on packed
+                // extents) under every governor. A trip stops the charging
+                // at the exact tripping visit, so the partial cost is the
+                // same as a per-element loop's; the rest of that one
+                // extent is decoded but ignored.
+                let mut tripped = None;
+                coarse.for_each_extent(u, |o| {
+                    if tripped.is_some() {
+                        return;
+                    }
+                    let sub = fine.node_of(o);
+                    if seen.insert(sub.index()) {
+                        next.push(sub);
+                        cost.index_nodes += 1;
+                        if let Err(e) = budget.visit(1) {
+                            tripped = Some(e);
                         }
                     }
-                } else {
-                    // Nothing can trip: whole-extent bulk walk (tight
-                    // per-block decode on packed extents). Same elements,
-                    // same order, same cost as the cursor loop.
-                    coarse.for_each_extent(u, |o| {
-                        let sub = fine.node_of(o);
-                        if seen.insert(sub.index()) {
-                            next.push(sub);
-                            cost.index_nodes += 1;
-                            let _ = budget.visit(1);
-                        }
-                    });
+                });
+                if let Some(e) = tripped {
+                    return Err((e, cost));
                 }
             }
             std::mem::swap(frontier, next);
@@ -457,29 +430,22 @@ pub fn finish_answer_view<I: IndexView, G: GraphView>(
     cost: Cost,
     policy: TrustPolicy,
 ) -> Answer {
-    finish_answer_view_in(comp, g, cp, targets, cost, policy, &mut EpochMemo::new())
+    let mut memo = EpochMemo::new();
+    let r = finish_answer_view_governed(
+        comp,
+        g,
+        cp,
+        targets,
+        cost,
+        policy,
+        &mut memo,
+        &mut Ungoverned,
+    );
+    never_fails(r.map_err(|(never, _)| never))
 }
 
-/// [`finish_answer_view`] over a caller-owned validator memo, for sessions
-/// that serve many queries: the memo is reset lazily on the first check
-/// (one epoch bump), exactly mirroring the lazily-constructed per-query
-/// validator it replaces — identical memoization, identical cost.
-pub fn finish_answer_view_in<I: IndexView, G: GraphView>(
-    comp: &I,
-    g: &G,
-    cp: &CompiledPath,
-    targets: Vec<IdxId>,
-    cost: Cost,
-    policy: TrustPolicy,
-    memo: &mut EpochMemo,
-) -> Answer {
-    match finish_answer_view_governed(comp, g, cp, targets, cost, policy, memo, &mut Ungoverned) {
-        Ok(a) => a,
-        Err((never, _)) => match never {},
-    }
-}
-
-/// [`finish_answer_view_in`] under a [`BudgetMeter`]: validation work (data
+/// [`finish_answer_view`] over a caller-owned validator memo, under a
+/// [`BudgetMeter`]: validation work (data
 /// nodes walked by the backward checks) charges the budget, and the result
 /// set is capped by `max_result_nodes`.
 #[allow(clippy::too_many_arguments)]
@@ -498,7 +464,7 @@ pub fn finish_answer_view_budgeted<I: IndexView, G: GraphView>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn finish_answer_view_governed<I: IndexView, G: GraphView, B: Governor>(
+pub(crate) fn finish_answer_view_governed<I: IndexView, G: GraphView, B: Governor>(
     comp: &I,
     g: &G,
     cp: &CompiledPath,

@@ -13,12 +13,15 @@
 //! poisons the cache instead of panicking, and the serving layer converts
 //! the poison into a typed error before an answer escapes.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::rc::Rc;
 
 use mrx_error::StoreError;
-use mrx_postings::{
-    decode_legacy_block, decode_tagged_block, SeekingIterator, BLOCK_LEN, MAX_BLOCK_PAYLOAD,
-};
+use mrx_postings::{decode_tagged_block, SeekingIterator, BLOCK_LEN, MAX_BLOCK_PAYLOAD};
 
 use crate::cache::PageCache;
 
@@ -72,9 +75,6 @@ pub struct PagedArena {
     /// Ids must be `< universe`; decode poisons on violation so downstream
     /// random-access structures never index out of range.
     universe: u32,
-    /// Payload format: `true` for tagged blocks (store v5/v6), `false` for
-    /// the pre-tag varint-only form (v3/v4).
-    tagged: bool,
 }
 
 impl PagedArena {
@@ -82,14 +82,12 @@ impl PagedArena {
     /// validating everything that can be checked without touching the
     /// payload: directory shapes, monotone offsets with bounded per-block
     /// spans, ascending block heads within each list, and heads inside the
-    /// id universe. Payload bytes are validated lazily at decode time, in
-    /// whichever wire form `tagged` names.
+    /// id universe. Payload bytes are validated lazily at decode time.
     pub fn new(
         cache: Rc<PageCache>,
         layout: ArenaLayout,
         list_len: Vec<u32>,
         universe: u32,
-        tagged: bool,
     ) -> Result<Self, StoreError> {
         let mut list_block = Vec::with_capacity(list_len.len() + 1);
         list_block.push(0u32);
@@ -145,7 +143,6 @@ impl PagedArena {
             list_block,
             list_len,
             universe,
-            tagged,
         };
         arena.validate_directories()?;
         Ok(arena)
@@ -286,8 +283,8 @@ impl PagedArena {
     /// Decodes block `b` (holding `in_block` ids) into `out[..in_block]`,
     /// reading the payload through the cache — a block may straddle any
     /// number of page seams. Decoding goes through the same checked
-    /// decoders as the eager arena's `from_parts` (per the wire form in
-    /// `self.tagged`); every structural violation (bad tag, truncation,
+    /// tagged-block decoder as the eager arena's `from_parts`; every
+    /// structural violation (bad tag, truncation,
     /// non-ascending ids, overflow, trailing or nonzero-padding bytes,
     /// out-of-universe ids) poisons the cache and returns `false`, and
     /// callers then stop iterating.
@@ -307,12 +304,7 @@ impl PagedArena {
         {
             return false;
         }
-        let decoded = if self.tagged {
-            decode_tagged_block(&payload[..plen], first, in_block, out)
-        } else {
-            decode_legacy_block(&payload[..plen], first, in_block, out)
-        };
-        if let Err(e) = decoded {
+        if let Err(e) = decode_tagged_block(&payload[..plen], first, in_block, out) {
             self.cache.poison(StoreError::Format(format!(
                 "paged arena block {b}: {}",
                 e.0
@@ -507,7 +499,7 @@ mod tests {
         let (region, layout) = region_of(pa);
         let (_, _, _, ll) = pa.parts();
         let cache = PageCache::over_bytes(region, page_size, budget).unwrap();
-        let arena = PagedArena::new(cache.clone(), layout, ll.to_vec(), universe, true).unwrap();
+        let arena = PagedArena::new(cache.clone(), layout, ll.to_vec(), universe).unwrap();
         (cache, arena)
     }
 
@@ -662,7 +654,7 @@ mod tests {
         // Directories live past byte 10, so activation may succeed; the
         // flip must then surface on first payload decode, never as a wrong
         // answer.
-        match PagedArena::new(cache.clone(), layout, ll.to_vec(), u32::MAX, true) {
+        match PagedArena::new(cache.clone(), layout, ll.to_vec(), u32::MAX) {
             Err(StoreError::Checksum { .. }) => {}
             Err(other) => panic!("expected checksum failure, got {other:?}"),
             Ok(arena) => {
@@ -691,7 +683,7 @@ mod tests {
         region[0] = 0xEE;
         let cache = PageCache::over_bytes(region, 64, u64::MAX).unwrap();
         let (_, _, _, ll) = pa.parts();
-        let arena = PagedArena::new(cache.clone(), layout, ll.to_vec(), u32::MAX, true).unwrap();
+        let arena = PagedArena::new(cache.clone(), layout, ll.to_vec(), u32::MAX).unwrap();
         let mut got = Vec::new();
         arena.for_each(0, |v| got.push(v));
         assert!(got.is_empty(), "poisoned block must emit nothing");
@@ -709,7 +701,7 @@ mod tests {
         let (mut region, layout) = region_of(&pa);
         region[0] = mrx_postings::TAG_VARINT;
         let cache = PageCache::over_bytes(region, 64, u64::MAX).unwrap();
-        let arena = PagedArena::new(cache.clone(), layout, ll.to_vec(), u32::MAX, true).unwrap();
+        let arena = PagedArena::new(cache.clone(), layout, ll.to_vec(), u32::MAX).unwrap();
         let mut got = Vec::new();
         arena.for_each(0, |v| got.push(v));
         assert!(got.is_empty());
@@ -730,17 +722,17 @@ mod tests {
         let cache = PageCache::over_bytes(region.clone(), 64, u64::MAX).unwrap();
         let mut bad = layout;
         bad.nblocks += 1;
-        assert!(PagedArena::new(cache, bad, ll.to_vec(), u32::MAX, true).is_err());
+        assert!(PagedArena::new(cache, bad, ll.to_vec(), u32::MAX).is_err());
 
         // Directory ranges outside the region.
         let cache = PageCache::over_bytes(region.clone(), 64, u64::MAX).unwrap();
         let mut bad = layout;
         bad.block_off_off = region.len() as u64;
-        assert!(PagedArena::new(cache, bad, ll.to_vec(), u32::MAX, true).is_err());
+        assert!(PagedArena::new(cache, bad, ll.to_vec(), u32::MAX).is_err());
 
         // Block head at or past the universe.
         let cache = PageCache::over_bytes(region, 64, u64::MAX).unwrap();
-        assert!(PagedArena::new(cache, layout, ll.to_vec(), 1, true).is_err());
+        assert!(PagedArena::new(cache, layout, ll.to_vec(), 1).is_err());
     }
 
     #[test]

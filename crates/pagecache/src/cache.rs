@@ -1,5 +1,10 @@
 //! The fixed-page cache: fault, verify, pin, evict.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -269,7 +274,7 @@ impl PageCache {
 
     /// Positioned read at an **absolute source offset**, outside the paged
     /// region's checksum regime — the escape hatch for lazily-loaded eager
-    /// sections (the v4 graph units) that carry their own digests. The
+    /// sections (the v6 graph units) that carry their own digests. The
     /// caller owns integrity checking of these bytes; region reads must go
     /// through [`PageCache::read`] instead.
     pub fn read_unpaged(&self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {

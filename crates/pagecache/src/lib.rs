@@ -3,7 +3,7 @@
 //!
 //! The paper's premise is frequent-query skew; this crate exploits the same
 //! skew at the storage layer. Instead of slurping and checksumming whole
-//! sections at load (the v2/v3 read path), the v4 layout designates a
+//! sections at load (the v5 read path), the v6 layout designates a
 //! *paged region* of the file whose bytes are fetched on demand in
 //! fixed-size pages via positioned I/O ([`PageSource::read_at`] —
 //! `std::os::unix::fs::FileExt`, no mmap, no libc), verified lazily one
@@ -70,7 +70,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// (~0.7 GB/s); folding eight bytes per round runs ~8x faster, which is
 /// what keeps lazy per-page and per-section verification off the
 /// time-to-first-answer critical path. Not interchangeable with
-/// [`fnv64`] — the v4 writer and reader both use this for bulk data
+/// [`fnv64`] — the v6 writer and reader both use this for bulk data
 /// (page table, graph units) and the byte form only for tiny headers.
 pub fn fnv64_words(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

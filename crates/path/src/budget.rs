@@ -109,12 +109,6 @@ pub trait Governor {
     /// so the compiler erases every check.
     type Err;
 
-    /// Whether limits can actually trip. Evaluators may branch on this to
-    /// pick between a bulk traversal (no early exit needed) and a
-    /// per-element loop that can stop at the exact tripping visit; the
-    /// branch is a constant, so each monomorphization keeps only one arm.
-    const GOVERNED: bool;
-
     /// Charges `n` node visits; fails when the step budget, deadline, or
     /// cancellation flag trips.
     fn visit(&mut self, n: u64) -> Result<(), Self::Err>;
@@ -129,8 +123,6 @@ pub struct Ungoverned;
 
 impl Governor for Ungoverned {
     type Err = Infallible;
-    const GOVERNED: bool = false;
-
     #[inline(always)]
     fn visit(&mut self, _n: u64) -> Result<(), Infallible> {
         Ok(())
@@ -204,8 +196,6 @@ impl BudgetMeter {
 
 impl Governor for BudgetMeter {
     type Err = BudgetKind;
-    const GOVERNED: bool = true;
-
     #[inline]
     fn visit(&mut self, n: u64) -> Result<(), BudgetKind> {
         self.spent += n;

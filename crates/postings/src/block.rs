@@ -31,9 +31,7 @@
 //! [`PostingArena::from_parts`] re-derives it while validating every block
 //! of every encoding byte-for-byte — a cursor over an arena that passed
 //! `from_parts` never reads out of bounds and never sees a non-ascending
-//! id. The pre-tag wire form (varint-only payloads, store versions 3/4) is
-//! still readable through [`PostingArena::from_parts_legacy`] and
-//! [`decode_legacy_block`].
+//! id.
 //!
 //! A [`PostingCursor`] implements [`SeekingIterator`]: `next_seek` binary
 //! searches the skip directory to land on the one block that can contain
@@ -189,7 +187,7 @@ fn encode_block(data: &mut Vec<u8>, chunk: &[u32]) {
     }
 }
 
-/// Shared checked decode of an (untagged) varint delta body.
+/// Checked decode of a varint delta body.
 fn decode_varint_body(
     body: &[u8],
     first: u32,
@@ -280,22 +278,6 @@ pub fn decode_tagged_block(
         _ => return Err(ArenaError("unknown block tag")),
     }
     Ok(())
-}
-
-/// Decodes and validates one **pre-tag** block payload (store versions 3/4:
-/// the whole payload is varint deltas, no tag byte) into `out[..n]`. The
-/// back-compat twin of [`decode_tagged_block`], with identical guarantees.
-pub fn decode_legacy_block(
-    payload: &[u8],
-    first: u32,
-    n: u32,
-    out: &mut [u32; BLOCK_LEN],
-) -> Result<(), ArenaError> {
-    if n == 0 || n > BLOCK_LEN32 {
-        return Err(ArenaError("block id count out of range"));
-    }
-    out[0] = first;
-    decode_varint_body(payload, first, n as usize, out)
 }
 
 /// Decodes a block payload that already passed validation (built by
@@ -597,32 +579,7 @@ impl PostingArena {
         )
     }
 
-    /// Re-encodes every list into the pre-tag wire form (untagged varint
-    /// payloads — store versions 3/4), returning the four legacy arrays in
-    /// [`parts`](Self::parts) order. Back-compat tests and writers use this
-    /// to produce images old readers (and the legacy read path) accept.
-    pub fn legacy_parts(&self) -> (Vec<u8>, Vec<u32>, Vec<u32>, Vec<u32>) {
-        let mut data = Vec::new();
-        let mut block_first = Vec::new();
-        let mut block_off = vec![0u32];
-        let mut ids: Vec<u32> = Vec::new();
-        for l in 0..self.num_lists() {
-            ids.clear();
-            self.decode_into(l, &mut ids);
-            for chunk in ids.chunks(BLOCK_LEN) {
-                block_first.push(chunk[0]);
-                let mut prev = chunk[0];
-                for &v in &chunk[1..] {
-                    write_varint(&mut data, v.wrapping_sub(prev));
-                    prev = v;
-                }
-                block_off.push(data.len() as u32);
-            }
-        }
-        (data, block_first, block_off, self.list_len.clone())
-    }
-
-    /// Shared shape validation for both wire forms: derives `list_block`
+    /// Shape validation of the wire arrays: derives `list_block`
     /// from `list_len` and checks the directory arrays against it and the
     /// payload length.
     fn derive_list_block(
@@ -678,50 +635,6 @@ impl PostingArena {
         };
         arena.validate_payload()?;
         Ok(arena)
-    }
-
-    /// Rebuilds an arena from **pre-tag** serialized parts (store versions
-    /// 3/4, untagged varint payloads), validating them with the same rigor
-    /// as [`from_parts`](Self::from_parts) and re-encoding every list into
-    /// the tagged form. Loading an old file costs one extra encode pass;
-    /// everything downstream (cursors, re-saves) then sees only the current
-    /// format.
-    pub fn from_parts_legacy(
-        data: Vec<u8>,
-        block_first: Vec<u32>,
-        block_off: Vec<u32>,
-        list_len: Vec<u32>,
-    ) -> Result<Self, ArenaError> {
-        let list_block = Self::derive_list_block(data.len(), &block_first, &block_off, &list_len)?;
-        let mut out = PostingArena::new();
-        let mut buf = [0u32; BLOCK_LEN];
-        let mut ids: Vec<u32> = Vec::new();
-        for l in 0..list_len.len() {
-            ids.clear();
-            let mut remaining = list_len[l];
-            let mut prev: Option<u32> = None;
-            for b in list_block[l]..list_block[l + 1] {
-                let b = b as usize;
-                if remaining == 0 {
-                    return Err(ArenaError("block beyond list length"));
-                }
-                let in_block = remaining.min(BLOCK_LEN32);
-                let first = block_first[b];
-                if prev.is_some_and(|p| first <= p) {
-                    return Err(ArenaError("ids not strictly ascending"));
-                }
-                let payload = &data[block_off[b] as usize..block_off[b + 1] as usize];
-                decode_legacy_block(payload, first, in_block, &mut buf)?;
-                ids.extend_from_slice(&buf[..in_block as usize]);
-                prev = Some(buf[in_block as usize - 1]);
-                remaining -= in_block;
-            }
-            if remaining != 0 {
-                return Err(ArenaError("list shorter than its length"));
-            }
-            out.push_list(&ids);
-        }
-        Ok(out)
     }
 
     /// Full decode pass: every block's payload must carry a known tag,
@@ -1147,30 +1060,6 @@ mod tests {
             decode_tagged_block(&[], 0, 1, &mut buf),
             Err(ArenaError("block payload missing its tag"))
         );
-    }
-
-    #[test]
-    fn legacy_wire_round_trips_through_reencode() {
-        let mut rng = SplitMix64(0x1e6a_c1e5);
-        for round in 0..20 {
-            let Some(ids) = styled_list(&mut rng, round % 4, 900) else {
-                continue;
-            };
-            let a = arena_of(&[&[], &ids, &[5]]);
-            let (data, bf, bo, ll) = a.legacy_parts();
-            // Legacy payloads are untagged varints: re-reading them through
-            // the legacy path must reproduce the arena exactly (same lists,
-            // same — freshly chosen — tagged encodings).
-            let b =
-                PostingArena::from_parts_legacy(data.clone(), bf.clone(), bo.clone(), ll.clone())
-                    .expect("valid legacy parts");
-            assert_eq!(a, b, "round {round}");
-            // And the tagged reader must reject the untagged bytes (the
-            // version gate in the store is what routes to the right one).
-            if !ids.is_empty() {
-                assert!(PostingArena::from_parts(data, bf, bo, ll).is_err());
-            }
-        }
     }
 
     #[test]

@@ -35,8 +35,8 @@ mod csr;
 mod seek;
 
 pub use block::{
-    decode_legacy_block, decode_tagged_block, ArenaError, PostingArena, PostingCursor, BLOCK_LEN,
-    MAX_BLOCK_PAYLOAD, TAG_RUN, TAG_VARINT,
+    decode_tagged_block, ArenaError, PostingArena, PostingCursor, BLOCK_LEN, MAX_BLOCK_PAYLOAD,
+    TAG_RUN, TAG_VARINT,
 };
 pub use csr::group_by_key;
 pub use seek::{

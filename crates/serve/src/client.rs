@@ -7,6 +7,11 @@
 //! uses it for connection-level rejections (accept-time shed, slow-frame
 //! kills) that precede or outrun any particular request.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;

@@ -1,5 +1,5 @@
-//! `mrx serve`: a fault-tolerant, multi-tenant query daemon over frozen,
-//! compressed, and demand-paged `.mrx` snapshots.
+//! `mrx serve`: a fault-tolerant, multi-tenant query daemon over
+//! compressed (v5) and demand-paged (v6) `.mrx` snapshots.
 //!
 //! The paper's closing direction (§6) is a *disk-resident* M\*(k)-index
 //! "loaded into memory selectively and incrementally during query
@@ -28,12 +28,17 @@
 //! * **Zero-downtime hot swap** ([`snapshot`]) — RELOAD validates the
 //!   replacement fully (checksums + structure, strictly) *before* an
 //!   epoch-fenced atomic swap, then drains the old epoch. Torn,
-//!   truncated, bit-flipped, or stale-version files are refused while the
-//!   old snapshot keeps serving.
+//!   truncated, bit-flipped, or retired-layout (v1–v4) files are refused
+//!   while the old snapshot keeps serving.
 //!
 //! The wire protocol ([`proto`]) is a dependency-free length-prefixed
 //! binary framing with caps checked before allocation; [`client::Client`]
 //! speaks it for the CLI, tests, and benches.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod client;
 pub mod proto;

@@ -14,6 +14,11 @@
 //! never a panic: every read is bounds-checked and every allocation is
 //! capped first.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::fmt;
 use std::io::{self, Read, Write};
 

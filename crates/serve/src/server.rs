@@ -32,6 +32,11 @@
 //! epoch keeps serving through torn, truncated, or bit-flipped
 //! replacement files.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -862,12 +867,8 @@ fn eval_job(
     let budget = sh.budget_for(&job.tenant, job.probe.clone());
     let mut meter = budget.meter();
     let result = match &snap.data {
-        SnapData::Frozen(g, star) => {
-            let cp = expr.compile(g);
-            star.query_top_down_budgeted(g, &cp, sh.cfg.policy, scratch, &mut meter)
-                .map(|a| (cp, a))
-        }
-        SnapData::Compressed(g, star) => {
+        SnapData::Compressed(resident) => {
+            let (g, star) = &**resident;
             let cp = expr.compile(g);
             star.query_top_down_budgeted(g, &cp, sh.cfg.policy, scratch, &mut meter)
                 .map(|a| (cp, a))

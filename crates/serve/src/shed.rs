@@ -21,6 +21,11 @@
 //! Both structures are deterministic given a fixed arrival order, which
 //! the chaos harness exploits: fairness is asserted, not eyeballed.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};

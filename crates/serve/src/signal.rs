@@ -6,6 +6,11 @@
 //! On non-Unix targets installation is a no-op and the flag simply never
 //! fires, so callers need no platform branches.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static TRIGGERED: AtomicBool = AtomicBool::new(false);

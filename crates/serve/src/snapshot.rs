@@ -11,26 +11,30 @@
 //! for the old `Arc`'s strong count to drain back to one — the classic
 //! epoch-based reclamation fence, with the refcount as the epoch counter.
 //!
-//! Eager layouts (frozen/compressed) are shared read-only across all
-//! workers. The demand-paged layouts serve through an `Rc`-based page
+//! The compressed (v5) layout is shared read-only across all workers.
+//! The demand-paged (v6) layout serves through an `Rc`-based page
 //! cache that is deliberately single-threaded, so the slot holds only the
 //! validated *identity* (path + cache budget) and each worker keeps its
 //! own [`PagedFile`] handle, re-opened when it observes a new epoch.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use mrx_graph::FrozenGraph;
-use mrx_index::{CompressedMStar, FrozenMStar};
+use mrx_index::CompressedMStar;
 use mrx_store::{open_validated, SnapshotPayload, StoreError};
 
 /// The in-memory serving form of one validated snapshot.
 pub(crate) enum SnapData {
-    /// Raw frozen arrays, shared read-only by every worker.
-    Frozen(FrozenGraph, FrozenMStar),
-    /// Compressed posting arenas, shared read-only by every worker.
-    Compressed(FrozenGraph, CompressedMStar),
+    /// Compressed posting arenas, shared read-only by every worker (boxed:
+    /// the paged arm carries only a budget).
+    Compressed(Box<(FrozenGraph, CompressedMStar)>),
     /// Demand-paged layout: validated here, but each worker opens its own
     /// handle (the page cache is single-threaded by design).
     Paged { cache_bytes: Option<u64> },
@@ -41,9 +45,9 @@ pub(crate) enum SnapData {
 pub(crate) struct Snapshot {
     /// Serving epoch: 1 for the boot snapshot, +1 per successful RELOAD.
     pub epoch: u64,
-    /// On-disk layout version (1..=6).
+    /// On-disk layout version (5 or 6).
     pub version: u32,
-    /// `"frozen" | "compressed" | "paged"`.
+    /// `"compressed" | "paged"`.
     pub kind: &'static str,
     /// Where the file lives (paged workers re-open from here).
     pub path: PathBuf,
@@ -68,8 +72,9 @@ impl Snapshot {
         let v = open_validated(&path, strict, cache_bytes)?;
         let kind = v.payload.kind();
         let (index_epoch, data) = match v.payload {
-            SnapshotPayload::Frozen(g, star) => (star.epoch, SnapData::Frozen(g, star)),
-            SnapshotPayload::Compressed(g, star) => (star.epoch, SnapData::Compressed(g, star)),
+            SnapshotPayload::Compressed(g, star) => {
+                (star.epoch, SnapData::Compressed(Box::new((g, star))))
+            }
             SnapshotPayload::Paged(file) => {
                 let e = file.mutation_epoch();
                 // Drop the validation handle; workers open their own.

@@ -12,7 +12,7 @@ use mrx_graph::{DataGraph, FrozenGraph};
 use mrx_index::{MStarIndex, QueryScratch, TrustPolicy};
 use mrx_path::{PathExpr, QueryBudget};
 use mrx_serve::{Client, ClientError, ServeConfig, ServeError, Server, TenantBudget, TenantRate};
-use mrx_store::{save_compressed, save_frozen, save_paged_with};
+use mrx_store::{save_compressed, save_paged_with};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mrx-serve-{tag}-{}", std::process::id()));
@@ -50,7 +50,7 @@ const EXPRS: &[&str] = &[
 /// Single-threaded oracle: exact (Proven) answers for every expression.
 fn oracle(g: &DataGraph) -> HashMap<String, Vec<u32>> {
     let fg = FrozenGraph::freeze(g);
-    let star = MStarIndex::new(g).freeze();
+    let star = MStarIndex::new(g).freeze_compressed();
     let mut scratch = QueryScratch::new();
     EXPRS
         .iter()
@@ -73,9 +73,15 @@ fn save_pair(dir: &Path) -> (PathBuf, PathBuf) {
     // Different layouts on purpose: RELOAD must swap across kinds.
     let mut ia = MStarIndex::new(&ga);
     ia.refine_for(&ga, &PathExpr::parse("//person/name").unwrap());
-    save_frozen(&pa, &FrozenGraph::freeze(&ga), &ia.freeze()).unwrap();
+    save_compressed(&pa, &FrozenGraph::freeze(&ga), &ia.freeze_compressed()).unwrap();
     let ib = MStarIndex::new(&gb);
-    save_compressed(&pb, &FrozenGraph::freeze(&gb), &ib.freeze_compressed()).unwrap();
+    save_paged_with(
+        &pb,
+        &FrozenGraph::freeze(&gb),
+        &ib.freeze_compressed(),
+        1024,
+    )
+    .unwrap();
     (pa, pb)
 }
 
@@ -183,9 +189,9 @@ fn reload_hammer_matches_oracle_per_epoch() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Mid-swap corruption: torn, truncated, bit-flipped, and stale-version
-/// replacement files are each rejected typed while the old epoch keeps
-/// serving correct answers.
+/// Mid-swap corruption: torn, truncated, bit-flipped, unknown-version and
+/// retired-layout (v1–v4) replacement files are each rejected typed while
+/// the old epoch keeps serving correct answers.
 #[test]
 fn corrupt_reload_is_rejected_and_old_epoch_serves() {
     let dir = tmp_dir("corrupt");
@@ -216,18 +222,32 @@ fn corrupt_reload_is_rejected_and_old_epoch_serves() {
     let mut sb = bytes.clone();
     sb[8..12].copy_from_slice(&99u32.to_le_bytes());
     std::fs::write(&stale, &sb).unwrap();
+    let retired: Vec<PathBuf> = (1..=4u32)
+        .map(|v| {
+            let p = dir.join(format!("retired-v{v}.mrx"));
+            let mut rb = bytes.clone();
+            rb[8..12].copy_from_slice(&v.to_le_bytes());
+            std::fs::write(&p, &rb).unwrap();
+            p
+        })
+        .collect();
     let paged_torn = dir.join("torn6.mrx");
     let v6bytes = std::fs::read(&pv6).unwrap();
     std::fs::write(&paged_torn, &v6bytes[..v6bytes.len() * 3 / 5]).unwrap();
 
     let server = Server::start(base_config(&pa)).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
-    for bad in [&torn, &truncated, &flipped, &stale, &paged_torn] {
+    let bad_files = [&torn, &truncated, &flipped, &stale, &paged_torn];
+    for bad in bad_files.into_iter().chain(&retired) {
         let err = c.reload(bad.to_str().unwrap()).unwrap_err();
         assert!(
             matches!(err, ClientError::Server(ServeError::ReloadRejected(_))),
             "expected typed rejection for {bad:?}, got {err:?}"
         );
+        if retired.contains(bad) {
+            let msg = err.to_string();
+            assert!(msg.contains("mrx freeze"), "{bad:?}: {msg}");
+        }
         // Old epoch still serving, bit-identical.
         for e in EXPRS {
             let r = c.query("t", e).unwrap();
@@ -236,7 +256,7 @@ fn corrupt_reload_is_rejected_and_old_epoch_serves() {
         }
     }
     let stats = c.stats().unwrap();
-    assert!(stats.contains("\"reloads_rejected\":5"), "{stats}");
+    assert!(stats.contains("\"reloads_rejected\":9"), "{stats}");
     assert!(stats.contains("\"reloads_ok\":0"), "{stats}");
     // A good file still swaps after all those failures.
     let summary = c.reload(pv6.to_str().unwrap()).unwrap();
@@ -308,10 +328,10 @@ fn overload_sheds_typed() {
     let dir = tmp_dir("overload");
     let g = xmark_like(&XmarkConfig::with_target_nodes(60_000), 7);
     let snap = dir.join("big.mrx");
-    save_frozen(
+    save_compressed(
         &snap,
         &FrozenGraph::freeze(&g),
-        &MStarIndex::new(&g).freeze(),
+        &MStarIndex::new(&g).freeze_compressed(),
     )
     .unwrap();
     let mut cfg = base_config(&snap);
@@ -446,5 +466,71 @@ fn shutdown_drains_and_refuses_new_queries() {
     assert!(refused, "shutdown never started refusing queries");
     let report = server.stop();
     assert!(report.stats_json.contains("\"answers\":"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Lenient boot of a v5 snapshot with one unreadable component: the
+/// component is rebuilt as live `A(i)`, STATS reports it, and answers stay
+/// exact. A strict boot refuses the same file, and so does RELOAD.
+#[test]
+fn lenient_boot_degrades_a_corrupt_v5_component() {
+    let dir = tmp_dir("degraded-boot");
+    let (pa, _) = save_pair(&dir);
+    let mut bytes = std::fs::read(&pa).unwrap();
+    // The last component's payload ends 8 bytes (its digest) before EOF.
+    let off = bytes.len() - 9;
+    bytes[off] ^= 0x40;
+    let damaged = dir.join("damaged.mrx");
+    std::fs::write(&damaged, &bytes).unwrap();
+
+    let mut strict = base_config(&damaged);
+    strict.strict_boot = true;
+    assert!(matches!(
+        Server::start(strict),
+        Err(mrx_serve::StartError::Snapshot(_))
+    ));
+
+    let server = Server::start(base_config(&damaged)).unwrap();
+    let want = oracle(&graph_a());
+    let mut c = Client::connect(server.addr()).unwrap();
+    for e in EXPRS {
+        assert_eq!(&c.query("t", e).unwrap().nodes, &want[*e], "{e}");
+    }
+    let stats = c.stats().unwrap();
+    assert!(stats.contains("\"healthy\":false"), "{stats}");
+    assert!(!stats.contains("\"degraded_components\":[]"), "{stats}");
+    let err = c.reload(damaged.to_str().unwrap()).unwrap_err();
+    assert!(matches!(
+        err,
+        ClientError::Server(ServeError::ReloadRejected(_))
+    ));
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A boot snapshot in a retired layout (v1–v4) is refused by name, even
+/// under a lenient boot.
+#[test]
+fn retired_boot_snapshots_are_refused() {
+    let dir = tmp_dir("retired-boot");
+    let (pa, _) = save_pair(&dir);
+    let bytes = std::fs::read(&pa).unwrap();
+    for version in 1..=4u32 {
+        let mut old = bytes.clone();
+        old[8..12].copy_from_slice(&version.to_le_bytes());
+        let p = dir.join(format!("boot-v{version}.mrx"));
+        std::fs::write(&p, &old).unwrap();
+        match Server::start(base_config(&p)) {
+            Err(mrx_serve::StartError::Snapshot(e)) => {
+                assert!(
+                    matches!(e, mrx_store::StoreError::Retired { version: v } if v == version),
+                    "{e}"
+                );
+                assert!(e.to_string().contains("mrx freeze"), "{e}");
+            }
+            Err(e) => panic!("v{version}: unexpected boot error {e}"),
+            Ok(_) => panic!("v{version}: a retired snapshot must not boot"),
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,50 +1,32 @@
-//! The `.mrx` binary format.
+//! The `.mrx` framing shared by both snapshot layouts: the magic, the
+//! version tags, checksummed sections, and the typed refusal of retired
+//! layouts.
 //!
 //! ```text
-//! graph file     := "MRXGRAPH" u32(version=1) graph-payload u64(fnv64)
-//! graph-payload  := u32(nlabels) string* u32(nnodes) node* u32(nrefs) (u32 u32)*
-//! node           := u32(label) u32(tree_parent | u32::MAX)
-//!
-//! index file     := "MRXSTAR1" u32(version=1) u32(ncomponents)
-//!                   section(graph-payload) dir section(component)*
-//! dir            := u64(absolute offset of each component section)*
-//! section(p)     := u64(len(p)) p u64(fnv64(p))
-//! component      := u32(nnodes) (u32(k) u32(genuine) u32(len) u32(extent)*)*
+//! file        := "MRXSTAR1" u32(version) u32(ncomponents) layout-specific...
+//! section(p)  := u64(len(p)) p u64(fnv64(p))
 //! ```
 //!
-//! Index edges and node labels are derived on load (edges are induced by
-//! extents; the label is the label of any extent member).
+//! Two layouts exist: compressed v5 ([`crate::flat`]) and demand-paged v6
+//! ([`crate::paged`]). Versions 1–4 were earlier layouts of the same data;
+//! a file carrying one is refused with [`StoreError::Retired`], which tells
+//! the user to re-freeze it.
 
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
-
-use mrx_graph::{DataGraph, GraphBuilder, NodeId};
-use mrx_index::{IndexGraph, MStarIndex};
+use std::io::{self, Read, Write};
 
 use crate::wire::{Fnv64, HashingReader, HashingWriter};
 
-pub(crate) const GRAPH_MAGIC: &[u8; 8] = b"MRXGRAPH";
 pub(crate) const STAR_MAGIC: &[u8; 8] = b"MRXSTAR1";
-pub(crate) const VERSION: u32 = 1;
-/// Version tag of the flat (frozen-snapshot) index layout — see
-/// [`crate::flat`].
-pub(crate) const VERSION_FLAT: u32 = 2;
-/// Version tag of the compressed flat layout with pre-tag (varint-only)
-/// posting arenas — still readable; see [`crate::flat`].
-pub(crate) const VERSION_FLAT_C: u32 = 3;
-/// Version tag of the demand-paged layout with pre-tag posting arenas —
-/// still readable; eager graph + per-component meta sections + a
-/// page-checksummed paged region served through a cache.
-pub(crate) const VERSION_PAGED: u32 = 4;
-/// Version tag of the compressed flat layout with encoding-tagged posting
-/// blocks (varint / bit-packed / run, chosen per block) — what the
-/// compressed writer emits.
-pub(crate) const VERSION_FLAT_C_TAGGED: u32 = 5;
-/// Version tag of the demand-paged layout with encoding-tagged posting
-/// blocks — what the paged writer emits.
-pub(crate) const VERSION_PAGED_TAGGED: u32 = 6;
-const MAX_LABEL_LEN: usize = 64 * 1024;
+/// Version tag of the compressed layout: every sorted id list stored as
+/// encoding-tagged posting blocks, loaded eagerly — see [`crate::flat`].
+pub(crate) const VERSION_COMPRESSED: u32 = 5;
+/// Version tag of the demand-paged layout: eager graph core and
+/// per-component metas, extents served through a page cache — see
+/// [`crate::paged`].
+pub(crate) const VERSION_PAGED: u32 = 6;
+/// The newest retired layout version; `1..=LAST_RETIRED` are refused with
+/// [`StoreError::Retired`].
+const LAST_RETIRED: u32 = 4;
 
 pub use mrx_error::StoreError;
 
@@ -52,137 +34,23 @@ pub(crate) fn format_err(m: impl Into<String>) -> StoreError {
     StoreError::Format(m.into())
 }
 
-// ---------------------------------------------------------------------
-// Graph payload
-// ---------------------------------------------------------------------
-
-pub(crate) fn write_graph_payload<W: Write>(
-    w: &mut HashingWriter<W>,
-    g: &DataGraph,
-) -> io::Result<()> {
-    w.write_u32(g.labels().len() as u32)?;
-    for (_, name) in g.labels().iter() {
-        w.write_str(name)?;
+/// Accepts `version` if a reader for it is listed in `accepted`; names a
+/// retired layout with its own typed error.
+pub(crate) fn check_version(version: u32, accepted: &[u32]) -> Result<(), StoreError> {
+    if accepted.contains(&version) {
+        return Ok(());
     }
-    w.write_u32(g.node_count() as u32)?;
-    for v in g.nodes() {
-        w.write_u32(g.label(v).0)?;
-        w.write_u32(g.tree_parent(v).map_or(u32::MAX, |p| p.0))?;
+    if (1..=LAST_RETIRED).contains(&version) {
+        return Err(StoreError::Retired { version });
     }
-    w.write_u32(g.ref_edge_count() as u32)?;
-    for &(from, to) in g.ref_edges() {
-        w.write_u32(from.0)?;
-        w.write_u32(to.0)?;
-    }
-    Ok(())
-}
-
-pub(crate) fn read_graph_payload<R: Read>(
-    r: &mut HashingReader<R>,
-) -> Result<DataGraph, StoreError> {
-    let nlabels = r.read_u32()? as usize;
-    if nlabels > 10_000_000 {
-        return Err(format_err(format!("implausible label count {nlabels}")));
-    }
-    let mut b = GraphBuilder::new();
-    let mut labels = Vec::with_capacity(nlabels);
-    for _ in 0..nlabels {
-        let name = r.read_str(MAX_LABEL_LEN)?;
-        labels.push(b.intern(&name));
-    }
-    let nnodes = r.read_u32()? as usize;
-    if nnodes == 0 {
-        return Err(format_err("graph has no nodes"));
-    }
-    let mut parents = Vec::with_capacity(nnodes);
-    for _ in 0..nnodes {
-        let label = r.read_u32()? as usize;
-        let label = *labels
-            .get(label)
-            .ok_or_else(|| format_err(format!("label id {label} out of range")))?;
-        b.add_node_with(label);
-        parents.push(r.read_u32()?);
-    }
-    for (child, &parent) in parents.iter().enumerate() {
-        if parent == u32::MAX {
-            continue;
-        }
-        if parent as usize >= nnodes || parent as usize == child {
-            return Err(format_err(format!("invalid tree parent {parent}")));
-        }
-        b.add_tree_edge(NodeId(parent), NodeId(child as u32));
-    }
-    let nrefs = r.read_u32()? as usize;
-    for _ in 0..nrefs {
-        let from = r.read_u32()?;
-        let to = r.read_u32()?;
-        if from as usize >= nnodes || to as usize >= nnodes {
-            return Err(format_err("reference edge endpoint out of range"));
-        }
-        b.add_ref(NodeId(from), NodeId(to));
-    }
-    Ok(b.freeze())
-}
-
-// ---------------------------------------------------------------------
-// Component payload
-// ---------------------------------------------------------------------
-
-pub(crate) fn write_component_payload<W: Write>(
-    w: &mut HashingWriter<W>,
-    ig: &IndexGraph,
-) -> io::Result<()> {
-    let parts = ig.export_extents();
-    w.write_u32(parts.len() as u32)?;
-    for (extent, k, genuine) in parts {
-        w.write_u32(k)?;
-        w.write_u32(genuine)?;
-        w.write_u32(extent.len() as u32)?;
-        for o in extent {
-            w.write_u32(o.0)?;
-        }
-    }
-    Ok(())
-}
-
-pub(crate) fn read_component_payload<R: Read>(
-    r: &mut HashingReader<R>,
-    g: &DataGraph,
-) -> Result<IndexGraph, StoreError> {
-    let nnodes = r.read_u32()? as usize;
-    if nnodes == 0 || nnodes > g.node_count() {
-        return Err(format_err(format!("implausible index node count {nnodes}")));
-    }
-    let mut parts = Vec::with_capacity(nnodes);
-    let mut total = 0usize;
-    for _ in 0..nnodes {
-        let k = r.read_u32()?;
-        let genuine = r.read_u32()?;
-        let len = r.read_u32()? as usize;
-        total += len;
-        if total > g.node_count() {
-            return Err(format_err("extents exceed the data graph"));
-        }
-        let mut extent = Vec::with_capacity(len);
-        for _ in 0..len {
-            let o = r.read_u32()?;
-            if o as usize >= g.node_count() {
-                return Err(format_err(format!("extent member {o} out of range")));
-            }
-            extent.push(NodeId(o));
-        }
-        if !extent.windows(2).all(|w| w[0] < w[1]) {
-            return Err(format_err("extent not sorted"));
-        }
-        parts.push((extent, k, genuine));
-    }
-    if total != g.node_count() {
-        return Err(format_err(format!(
-            "extents cover {total} of {} data nodes",
-            g.node_count()
-        )));
-    }
-    Ok(IndexGraph::from_extents(g, parts))
+    let expect = accepted
+        .iter()
+        .map(|v| format!("v{v}"))
+        .collect::<Vec<_>>()
+        .join("/");
+    Err(format_err(format!(
+        "unsupported snapshot version {version} (expected {expect})"
+    )))
 }
 
 /// Writes `[len][payload][digest]` and returns bytes written.
@@ -203,64 +71,6 @@ pub(crate) fn to_payload(
     let mut w = HashingWriter::new(&mut buf);
     f(&mut w)?;
     Ok(buf)
-}
-
-// ---------------------------------------------------------------------
-// Public save/load
-// ---------------------------------------------------------------------
-
-/// Saves a data graph to `path`.
-pub fn save_graph(path: impl AsRef<Path>, g: &DataGraph) -> Result<(), StoreError> {
-    let file = File::create(path)?;
-    save_graph_to(BufWriter::new(file), g)
-}
-
-/// Saves a data graph to an arbitrary writer.
-pub fn save_graph_to<W: Write>(mut out: W, g: &DataGraph) -> Result<(), StoreError> {
-    out.write_all(GRAPH_MAGIC)?;
-    out.write_all(&VERSION.to_le_bytes())?;
-    let payload = to_payload(|w| write_graph_payload(w, g))?;
-    write_section(&mut out, &payload)?;
-    out.flush()?;
-    Ok(())
-}
-
-/// Loads a data graph from `path`.
-///
-/// Knowing the file size up front lets every declared section length be
-/// checked against the bytes actually present *before* any allocation or
-/// streaming happens — a corrupted or hostile length prefix fails fast.
-pub fn load_graph(path: impl AsRef<Path>) -> Result<DataGraph, StoreError> {
-    let file = File::open(path)?;
-    let size = file.metadata()?.len();
-    load_graph_impl(BufReader::new(file), Some(size))
-}
-
-/// Loads a data graph from an arbitrary reader (unknown total size; section
-/// lengths are still capped and truncation still detected, just after
-/// streaming rather than up front).
-pub fn load_graph_from<R: Read>(input: R) -> Result<DataGraph, StoreError> {
-    load_graph_impl(input, None)
-}
-
-fn load_graph_impl<R: Read>(mut input: R, size: Option<u64>) -> Result<DataGraph, StoreError> {
-    let mut magic = [0u8; 8];
-    input.read_exact(&mut magic)?;
-    if &magic != GRAPH_MAGIC {
-        return Err(format_err("not an mrx graph file (bad magic)"));
-    }
-    let mut vbuf = [0u8; 4];
-    input.read_exact(&mut vbuf)?;
-    let version = u32::from_le_bytes(vbuf);
-    if version != VERSION {
-        return Err(format_err(format!("unsupported version {version}")));
-    }
-    let remaining = size.map(|s| s.saturating_sub(12));
-    // The closure is not redundant: a bare fn pointer fails higher-ranked
-    // lifetime inference for the generic decode parameter.
-    #[allow(clippy::redundant_closure)]
-    let (g, _) = read_section_bounded(&mut input, "graph", remaining, |r| read_graph_payload(r))?;
-    Ok(g)
 }
 
 /// Reads `[len][payload][digest]`, verifying the checksum, with an optional
@@ -309,10 +119,7 @@ pub(crate) fn read_section_bounded<R: Read, T>(
             section: name.to_string(),
         });
     }
-    // String allocations while decoding are bounded by the section's own
-    // size: even a loop of individually-valid string lengths cannot
-    // allocate more than the bytes that are supposed to contain them.
-    let mut r = HashingReader::with_str_budget(&payload[..], len as u64);
+    let mut r = HashingReader::new(&payload[..]);
     let value = decode(&mut r)?;
     if r.bytes_read() != len as u64 {
         return Err(format_err(format!(
@@ -323,207 +130,46 @@ pub(crate) fn read_section_bounded<R: Read, T>(
     Ok((value, 8 + len as u64 + 8))
 }
 
-/// Saves a data graph plus its M*(k)-index to `path`.
-pub fn save_mstar(
-    path: impl AsRef<Path>,
-    g: &DataGraph,
-    idx: &MStarIndex,
-) -> Result<(), StoreError> {
-    let file = File::create(path)?;
-    save_mstar_to(BufWriter::new(file), g, idx)
-}
-
-/// Saves a data graph plus its M*(k)-index to an arbitrary writer.
-pub fn save_mstar_to<W: Write>(
-    mut out: W,
-    g: &DataGraph,
-    idx: &MStarIndex,
-) -> Result<(), StoreError> {
-    let ncomp = idx.max_k() + 1;
-    out.write_all(STAR_MAGIC)?;
-    out.write_all(&VERSION.to_le_bytes())?;
-    out.write_all(&(ncomp as u32).to_le_bytes())?;
-
-    let graph_payload = to_payload(|w| write_graph_payload(w, g))?;
-    let component_payloads: Vec<Vec<u8>> = (0..ncomp)
-        .map(|i| to_payload(|w| write_component_payload(w, idx.component(i))))
-        .collect::<io::Result<_>>()?;
-
-    // Directory of absolute component offsets.
-    let header_len = 8 + 4 + 4;
-    let graph_section_len = 8 + graph_payload.len() as u64 + 8;
-    let dir_len = 8 * ncomp as u64;
-    let mut offset = header_len + graph_section_len + dir_len;
-    let mut dir = Vec::with_capacity(ncomp);
-    for p in &component_payloads {
-        dir.push(offset);
-        offset += 8 + p.len() as u64 + 8;
-    }
-
-    write_section(&mut out, &graph_payload)?;
-    for o in &dir {
-        out.write_all(&o.to_le_bytes())?;
-    }
-    for p in &component_payloads {
-        write_section(&mut out, p)?;
-    }
-    out.flush()?;
-    Ok(())
-}
-
-/// Loads a complete `(graph, index)` pair from `path` (eager; use
-/// [`crate::MStarFile`] for lazy loading).
-///
-/// Section lengths are checked against the file size before any section is
-/// allocated or streamed (see [`load_graph`]).
-pub fn load_mstar(path: impl AsRef<Path>) -> Result<(DataGraph, MStarIndex), StoreError> {
-    let file = File::open(path)?;
-    let size = file.metadata()?.len();
-    load_mstar_impl(BufReader::new(file), Some(size))
-}
-
-/// Loads a complete `(graph, index)` pair from an arbitrary reader.
-pub fn load_mstar_from<R: Read>(input: R) -> Result<(DataGraph, MStarIndex), StoreError> {
-    load_mstar_impl(input, None)
-}
-
-fn load_mstar_impl<R: Read>(
-    mut input: R,
-    size: Option<u64>,
-) -> Result<(DataGraph, MStarIndex), StoreError> {
-    let mut magic = [0u8; 8];
-    input.read_exact(&mut magic)?;
-    if &magic != STAR_MAGIC {
-        return Err(format_err("not an mrx index file (bad magic)"));
-    }
-    let mut buf4 = [0u8; 4];
-    input.read_exact(&mut buf4)?;
-    let version = u32::from_le_bytes(buf4);
-    if version == VERSION_FLAT || version == VERSION_FLAT_C || version == VERSION_FLAT_C_TAGGED {
-        return Err(format_err(format!(
-            "flat (v{version}) snapshot; load it with the frozen reader",
-        )));
-    }
-    if version == VERSION_PAGED || version == VERSION_PAGED_TAGGED {
-        return Err(format_err(format!(
-            "paged (v{version}) snapshot; open it with the paged reader",
-        )));
-    }
-    if version != VERSION {
-        return Err(format_err(format!("unsupported version {version}")));
-    }
-    input.read_exact(&mut buf4)?;
-    let ncomp = u32::from_le_bytes(buf4) as usize;
-    if ncomp == 0 || ncomp > 4096 {
-        return Err(format_err(format!("implausible component count {ncomp}")));
-    }
-    let mut remaining = size.map(|s| s.saturating_sub(16));
-    // The closure is not redundant: a bare fn pointer fails higher-ranked
-    // lifetime inference for the generic decode parameter.
-    #[allow(clippy::redundant_closure)]
-    let (g, glen) =
-        read_section_bounded(&mut input, "graph", remaining, |r| read_graph_payload(r))?;
-    if let Some(rem) = remaining.as_mut() {
-        *rem = rem.saturating_sub(glen + 8 * ncomp as u64);
-    }
-    // Skip the directory (sequential read needs no seeking).
-    let mut dir = vec![0u8; 8 * ncomp];
-    input.read_exact(&mut dir)?;
-    let mut components = Vec::with_capacity(ncomp);
-    for i in 0..ncomp {
-        let (c, clen) =
-            read_section_bounded(&mut input, &format!("component {i}"), remaining, |r| {
-                read_component_payload(r, &g)
-            })?;
-        if let Some(rem) = remaining.as_mut() {
-            *rem = rem.saturating_sub(clen);
-        }
-        components.push(c);
-    }
-    Ok((g, MStarIndex::from_components(components)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrx_graph::xml::parse;
-    use mrx_index::EvalStrategy;
-    use mrx_path::{eval_data, PathExpr};
-
-    fn sample() -> DataGraph {
-        parse(
-            r#"<site><people><person id="p"><name/></person></people>
-               <auction><seller person="p"/></auction></site>"#,
-        )
-        .unwrap()
-    }
 
     #[test]
-    fn graph_roundtrip() {
-        let g = sample();
-        let mut buf = Vec::new();
-        save_graph_to(&mut buf, &g).unwrap();
-        let g2 = load_graph_from(&buf[..]).unwrap();
-        assert_eq!(g2.node_count(), g.node_count());
-        assert_eq!(g2.edge_count(), g.edge_count());
-        assert_eq!(g2.ref_edge_count(), g.ref_edge_count());
-        for v in g.nodes() {
-            assert_eq!(g.label_str(g.label(v)), g2.label_str(g2.label(v)));
-            assert_eq!(g.children(v), g2.children(v));
+    fn retired_versions_are_named_and_point_at_freeze() {
+        for version in 1..=4 {
+            let e = check_version(version, &[VERSION_COMPRESSED]).unwrap_err();
+            assert!(matches!(e, StoreError::Retired { version: v } if v == version));
+            let msg = e.to_string();
+            assert!(msg.contains(&format!("v{version}")), "{msg}");
+            assert!(msg.contains("mrx freeze"), "{msg}");
+        }
+        assert!(check_version(VERSION_PAGED, &[VERSION_PAGED]).is_ok());
+        match check_version(99, &[VERSION_COMPRESSED, VERSION_PAGED]) {
+            Err(StoreError::Format(m)) => assert!(m.contains("v5/v6"), "{m}"),
+            other => panic!("expected format error, got {other:?}"),
         }
     }
 
     #[test]
-    fn mstar_roundtrip_preserves_answers_and_sizes() {
-        let g = sample();
-        let mut idx = mrx_index::MStarIndex::new(&g);
-        idx.refine_for(&g, &PathExpr::parse("//auction/seller/person").unwrap());
+    fn section_round_trip_and_corruption() {
+        let payload = to_payload(|w| w.write_u32(7)).unwrap();
         let mut buf = Vec::new();
-        save_mstar_to(&mut buf, &g, &idx).unwrap();
-        let (g2, idx2) = load_mstar_from(&buf[..]).unwrap();
-        idx2.check_invariants(&g2);
-        assert_eq!(idx2.max_k(), idx.max_k());
-        assert_eq!(idx2.node_count(), idx.node_count());
-        assert_eq!(idx2.edge_count(), idx.edge_count());
-        for expr in ["//person", "//seller/person", "//auction/seller/person"] {
-            let q = PathExpr::parse(expr).unwrap();
-            let ans = idx2.query(&g2, &q, EvalStrategy::TopDown);
-            assert_eq!(ans.nodes, eval_data(&g2, &q.compile(&g2)), "{expr}");
-        }
-    }
-
-    #[test]
-    fn corruption_is_detected() {
-        let g = sample();
-        let mut buf = Vec::new();
-        save_graph_to(&mut buf, &g).unwrap();
-        let mid = buf.len() / 2;
-        buf[mid] ^= 0xFF;
-        match load_graph_from(&buf[..]) {
-            Err(StoreError::Checksum { section }) => assert_eq!(section, "graph"),
+        write_section(&mut buf, &payload).unwrap();
+        let (v, len) = read_section_bounded(&mut &buf[..], "s", Some(buf.len() as u64), |r| {
+            Ok(r.read_u32()?)
+        })
+        .unwrap();
+        assert_eq!((v, len), (7, buf.len() as u64));
+        let mut bad = buf.clone();
+        bad[9] ^= 0xFF;
+        match read_section_bounded(&mut &bad[..], "s", None, |r| Ok(r.read_u32()?)) {
+            Err(StoreError::Checksum { section }) => assert_eq!(section, "s"),
             other => panic!("expected checksum failure, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn wrong_magic_and_version_rejected() {
-        let g = sample();
-        let mut buf = Vec::new();
-        save_graph_to(&mut buf, &g).unwrap();
-        // graph file fed to the index loader
-        assert!(matches!(
-            load_mstar_from(&buf[..]),
-            Err(StoreError::Format(_))
-        ));
-        // truncated file
-        assert!(load_graph_from(&buf[..6]).is_err());
-        // bumped version
-        let mut v = buf.clone();
-        v[8] = 99;
-        assert!(matches!(
-            load_graph_from(&v[..]),
-            Err(StoreError::Format(_))
-        ));
+        match read_section_bounded(&mut &buf[..], "s", Some(8), |r| Ok(r.read_u32()?)) {
+            Err(StoreError::Format(m)) => assert!(m.contains("remain in the file"), "{m}"),
+            other => panic!("expected format error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The lazily-loaded data graph behind the demand-paged (v4) snapshot.
+//! The lazily-loaded data graph behind the demand-paged (v6) snapshot.
 //!
 //! [`GraphView`] hands out borrowed slices (`children(v) -> &[NodeId]`),
 //! so the graph cannot be served through an evicting page cache directly —
@@ -15,8 +15,8 @@
 //!
 //! A top-down query under [`TrustPolicy::Proven`] touches only `labels`
 //! and `parents` (the backward validator); `children` and `labelext`
-//! stay on disk. That asymmetry is most of the v4 cold-start win: the
-//! eager v2/v3 loaders deserialize and validate every array element
+//! stay on disk. That asymmetry is most of the v6 cold-start win: the
+//! eager v5 loader deserializes and validates every array element
 //! through a byte-hashing reader before the first answer, while the lazy
 //! units load as single bulk reads verified with the word-folded FNV-64
 //! ([`fnv64_words`]) and validated with the same structural checks
@@ -33,6 +33,11 @@
 //!
 //! [`TrustPolicy::Proven`]: mrx_index::TrustPolicy
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::cell::{Cell, OnceCell};
 use std::io::{self, Write};
 use std::rc::Rc;
@@ -46,7 +51,7 @@ use crate::wire::{HashingReader, HashingWriter};
 /// Number of lazily-loaded unit sections.
 pub(crate) const GRAPH_UNITS: usize = 4;
 
-/// The eagerly-loaded core of a v4 graph: counts, root, and the validated
+/// The eagerly-loaded core of a v6 graph: counts, root, and the validated
 /// label-name arena. Everything query compilation touches, nothing sized
 /// by the corpus.
 pub(crate) struct GraphCore {
@@ -86,9 +91,9 @@ pub(crate) fn write_graph_core<W: Write>(
     w.write_u32(g.root().0)?;
     w.write_u32(g.child_tgt.len() as u32)?;
     w.write_u32(g.parent_tgt.len() as u32)?;
-    crate::flat::write_arr(w, g.name_off.iter().copied())?;
-    crate::flat::write_bytes(w, &g.name_bytes)?;
-    crate::flat::write_arr(w, g.name_order.iter().copied())
+    crate::compressed::write_arr(w, g.name_off.iter().copied())?;
+    crate::compressed::write_bytes(w, &g.name_bytes)?;
+    crate::compressed::write_arr(w, g.name_order.iter().copied())
 }
 
 /// Deserializes and validates the eager core: name arena shape, UTF-8,
@@ -105,9 +110,9 @@ pub(crate) fn read_graph_core(r: &mut HashingReader<&[u8]>) -> Result<GraphCore,
     }
     let nedges = r.read_u32()? as usize;
     let npedges = r.read_u32()? as usize;
-    let name_off = crate::flat::read_arr(r, "name_off", |v| v)?;
-    let name_bytes = crate::flat::read_bytes(r, "name_bytes")?;
-    let name_order = crate::flat::read_arr(r, "name_order", |v| v)?;
+    let name_off = crate::compressed::read_arr(r, "name_off", |v| v)?;
+    let name_bytes = crate::compressed::read_bytes(r, "name_bytes")?;
+    let name_order = crate::compressed::read_arr(r, "name_order", |v| v)?;
     let nl = name_order.len();
     if nl == 0 {
         return Err(format_err("paged graph has no labels"));
@@ -212,7 +217,7 @@ impl Csr {
 }
 
 /// A [`GraphView`] whose adjacency loads on first touch — see the module
-/// docs. Create via the v4 reader ([`crate::PagedFile`]); hand it to any
+/// docs. Create via the v6 reader ([`crate::PagedFile`]); hand it to any
 /// evaluator generic over [`GraphView`].
 pub struct LazyGraph {
     cache: Rc<PageCache>,

@@ -1,75 +1,56 @@
-//! Disk-resident persistence for data graphs and M*(k)-indexes.
+//! Disk-resident persistence for M*(k)-index snapshots.
 //!
 //! The paper closes (§6) with: *"We are currently studying how to make the
 //! M\*(k)-index I/O-efficient by turning it into a disk-resident structure
 //! that can be loaded into memory selectively and incrementally during
-//! query processing."* This crate implements that design point:
+//! query processing."* This crate implements that design point in two
+//! `.mrx` layouts, both versioned and checksummed:
 //!
-//! * a compact, versioned, checksummed binary format (`.mrx`) for data
-//!   graphs and complete M\*(k)-indexes ([`save_graph`], [`save_mstar`],
-//!   [`load_graph`], [`load_mstar`]);
-//! * [`MStarFile`]: an open index file whose **components load lazily** —
-//!   a top-down query of length `j` touches only `I0..Ij`, so short queries
-//!   read a small prefix of the file. Byte- and component-level I/O
-//!   accounting is exposed for experiments.
+//! * **compressed (v5)** ([`save_compressed`], [`load_compressed`],
+//!   [`CompressedFile`]): the data graph plus every component, with every
+//!   sorted id list stored as encoding-tagged posting blocks. Components
+//!   load lazily — a top-down query of length `j` touches only `I0..Ij` —
+//!   into the resident `CompressedIndex` form, which serves straight from
+//!   the compressed extents. See [`compressed`] for the byte layout.
+//! * **demand-paged (v6)** ([`save_paged`], [`PagedFile`]): only the graph
+//!   core and small per-component meta sections load eagerly, while
+//!   extents and the `node_of` inverse map are served through a budgeted
+//!   page cache with per-page checksums — cold start is near-zero and the
+//!   resident set is capped, at the price of page faults on first touch.
+//!   See [`paged`] for the layout and the (degradation-free) failure model.
 //!
-//! Index edges are *not* stored: they are induced by the extents (Property
-//! 2) and are recomputed on load, which roughly halves the file size at a
-//! modest one-time CPU cost — the trade the paper's "logical vs physical
-//! representation" discussion suggests.
-//!
-//! The **flat (v2) layout** ([`save_frozen`], [`load_frozen`],
-//! [`FrozenFile`]) makes the opposite trade for serving: it stores the
-//! frozen CSR arrays verbatim (edges included), so loading is a contiguous
-//! read plus validation with no per-node work — see [`flat`] for the byte
-//! layout and the speed/size discussion.
-//!
-//! The **compressed (v3) layout** ([`save_compressed`],
-//! [`load_compressed`], [`CompressedFile`]) keeps the v2 framing but
-//! stores extents and CSR adjacency as delta-varint posting arenas;
-//! components load into `CompressedIndex` form and serve straight from the
-//! compressed extents through seeking cursors. [`snapshot_version`] peeks
-//! a file's layout so callers can dispatch.
-//!
-//! The **demand-paged (v4) layout** ([`save_paged`], [`PagedFile`]) goes
-//! one step further for beyond-RAM corpora: only the graph and small
-//! per-component meta sections load eagerly, while extents and the
-//! `node_of` inverse map are served through a budgeted page cache with
-//! per-page checksums — cold start is near-zero and the resident set is
-//! capped, at the price of page faults on first touch. See [`paged`] for
-//! the layout and the (degradation-free) failure model.
+//! [`snapshot_version`] peeks a file's layout so callers can dispatch, and
+//! [`open_validated`] loads and fully validates either one for serving.
+//! Files in the retired layouts (versions 1–4) are refused with
+//! [`StoreError::Retired`].
 //!
 //! ```no_run
-//! use mrx_store::{save_mstar, MStarFile};
+//! use mrx_store::{save_paged, PagedFile};
 //! # let g = mrx_graph::xml::parse("<a/>").unwrap();
 //! # let idx = mrx_index::MStarIndex::new(&g);
-//! save_mstar("auctions.mrx", &g, &idx)?;
+//! let fg = mrx_graph::FrozenGraph::freeze(&g);
+//! save_paged("auctions.mrx", &fg, &idx.freeze_compressed())?;
 //!
-//! let mut file = MStarFile::open("auctions.mrx")?;
+//! let mut file = PagedFile::open("auctions.mrx")?;
 //! let q = mrx_path::PathExpr::parse("//a").unwrap();
-//! let ans = file.query_top_down(&q)?;          // loads only I0
+//! let ans = file.query_top_down(&q)?;          // activates only I0
 //! assert_eq!(file.loaded_components(), vec![0]);
 //! # Ok::<(), mrx_store::StoreError>(())
 //! ```
 
+pub mod compressed;
 pub mod fault;
-mod file;
-pub mod flat;
 mod format;
 mod lazy_graph;
 pub mod paged;
 pub mod validate;
 mod wire;
 
-pub use file::MStarFile;
-pub use flat::{
-    load_compressed, load_compressed_from, load_frozen, load_frozen_from, save_compressed,
-    save_compressed_to, save_frozen, save_frozen_to, snapshot_version, CompressedFile, FrozenFile,
+pub use compressed::{
+    load_compressed, load_compressed_from, save_compressed, save_compressed_to, snapshot_version,
+    CompressedFile,
 };
-pub use format::{
-    load_graph, load_graph_from, load_mstar, load_mstar_from, save_graph, save_graph_to,
-    save_mstar, save_mstar_to, StoreError,
-};
+pub use format::StoreError;
 pub use lazy_graph::LazyGraph;
 pub use paged::{paged_image, save_paged, save_paged_with, PagedFile};
 pub use validate::{open_validated, SnapshotPayload, ValidatedSnapshot};

@@ -1,14 +1,14 @@
-//! The demand-paged (v4) `.mrx` snapshot layout.
+//! The demand-paged (v6) `.mrx` snapshot layout.
 //!
-//! v2/v3 serve fast but pay their whole cost up front: every component
+//! The compressed v5 layout serves fast but pays its whole cost up front: every component
 //! section is read, checksummed, and validated before the first answer.
-//! The v4 layout splits a snapshot into a small **eagerly loaded** part
+//! The v6 layout splits a snapshot into a small **eagerly loaded** part
 //! and a large **paged region** that is only ever touched through a
 //! fixed-page [`PageCache`], so cold start reads a few kilobytes and the
 //! resident set is bounded by the cache budget, not the corpus size:
 //!
 //! ```text
-//! paged file   := "MRXSTAR1" u32(version=4) u32(ncomponents) ext
+//! paged file   := "MRXSTAR1" u32(version=6) u32(ncomponents) ext
 //!                 section(graph-core) gunit* dir section(meta)*
 //!                 region section(pagetab)
 //! ext          := u64(paged_off) u64(paged_len) u64(pagetab_off)
@@ -41,7 +41,7 @@
 //! word-folded FNV-64 and structurally validated as it materializes into
 //! [`LazyGraph`] (a top-down Proven query touches only `labels` and
 //! `parents`; see `lazy_graph`), and the per-component meta sections (a
-//! prefix `I0..Ij` exactly like [`crate::FrozenFile`]). **What never
+//! prefix `I0..Ij` exactly like [`crate::CompressedFile`]). **What never
 //! loads whole**: the extent payload and the `node_of` inverse map, which
 //! dominate the file. They are served page-by-page through
 //! [`PagedArena`]/[`PagedU32`], with each 64 KiB page verified against
@@ -50,16 +50,21 @@
 //!
 //! # Failure model: typed errors, no degradation
 //!
-//! v2/v3 readers rebuild an unreadable component from the embedded graph,
+//! The v5 reader rebuilds an unreadable component from the embedded graph,
 //! which is sound because the damage is discovered *before* the component
 //! serves. Under demand paging a flipped bit may only surface mid-query,
 //! after the evaluator has partially consumed the structure, so rebuilding
-//! is no longer a sound drop-in. The v4 reader therefore fails hard: any
+//! is no longer a sound drop-in. The v6 reader therefore fails hard: any
 //! page-checksum mismatch or payload-validation failure poisons the cache,
 //! and [`PagedFile::query`] checks the poison slot after evaluation and
 //! returns the typed error *instead of* the answer. The fault harness
 //! (`fault_bench --paged`) sweeps seeded page corruptions to prove nothing
 //! escapes this net.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::fs::File;
 use std::io::{BufReader, Cursor, Read, Seek, SeekFrom};
@@ -79,17 +84,17 @@ use mrx_pagecache::{
 };
 use mrx_path::{PathExpr, QueryBudget};
 
-use crate::flat::{read_arr, read_flat_prelude, write_arr};
+use crate::compressed::{read_arr, read_prelude, write_arr};
 use crate::format::{
     format_err, read_section_bounded, to_payload, write_section, StoreError, STAR_MAGIC,
-    VERSION_PAGED, VERSION_PAGED_TAGGED,
+    VERSION_PAGED,
 };
 use crate::lazy_graph::{
     graph_unit_payloads, read_graph_core, write_graph_core, LazyGraph, GRAPH_UNITS,
 };
 use crate::wire::{le_u64, HashingReader};
 
-/// Fixed byte length of the paged (v4/v6) header: the 16-byte shared
+/// Fixed byte length of the paged header: the 16-byte shared
 /// prelude plus the 48-byte paged extension.
 const HEADER_LEN_PAGED: u64 = 64;
 
@@ -97,35 +102,13 @@ const HEADER_LEN_PAGED: u64 = 64;
 // Writer
 // ---------------------------------------------------------------------
 
-/// Serializes a paged snapshot in the current tagged-block layout (v6)
-/// into an in-memory image. Exposed so the fault harness and benches can
-/// corrupt or open images without a file; [`save_paged`] is the
-/// file-writing entry point.
+/// Serializes a paged (v6) snapshot into an in-memory image. Exposed so
+/// the fault harness and benches can corrupt or open images without a
+/// file; [`save_paged`] is the file-writing entry point.
 pub fn paged_image(
     g: &FrozenGraph,
     idx: &CompressedMStar,
     page_size: u32,
-) -> Result<Vec<u8>, StoreError> {
-    paged_image_impl(g, idx, page_size, true)
-}
-
-/// [`paged_image`] in the pre-tag v4 layout. Kept for back-compat
-/// coverage: tests use it to prove v4 files still load byte-identically
-/// through the v6 reader path.
-#[cfg(test)]
-pub(crate) fn paged_image_legacy(
-    g: &FrozenGraph,
-    idx: &CompressedMStar,
-    page_size: u32,
-) -> Result<Vec<u8>, StoreError> {
-    paged_image_impl(g, idx, page_size, false)
-}
-
-fn paged_image_impl(
-    g: &FrozenGraph,
-    idx: &CompressedMStar,
-    page_size: u32,
-    tagged: bool,
 ) -> Result<Vec<u8>, StoreError> {
     if idx.components.is_empty() {
         return Err(format_err("paged M* has no components"));
@@ -153,17 +136,7 @@ fn paged_image_impl(
     let mut region: Vec<u8> = Vec::new();
     let mut metas: Vec<Vec<u8>> = Vec::with_capacity(ncomp);
     for c in &idx.components {
-        // Borrow the arena's wire arrays directly for tagged output;
-        // re-encode into owned pre-tag arrays for the legacy layout.
-        let legacy = if tagged {
-            None
-        } else {
-            Some(c.extents.legacy_parts())
-        };
-        let (data, bf, bo, ll): (&[u8], &[u32], &[u32], &[u32]) = match &legacy {
-            Some((d, f, o, l)) => (d, f, o, l),
-            None => c.extents.parts(),
-        };
+        let (data, bf, bo, ll) = c.extents.parts();
         let data_off = region.len() as u64;
         region.extend_from_slice(data);
         let bf_off = region.len() as u64;
@@ -227,12 +200,7 @@ fn paged_image_impl(
 
     let mut out = Vec::with_capacity((pagetab_off as usize) + pagetab.len() + 16);
     out.extend_from_slice(STAR_MAGIC);
-    let version = if tagged {
-        VERSION_PAGED_TAGGED
-    } else {
-        VERSION_PAGED
-    };
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&VERSION_PAGED.to_le_bytes());
     out.extend_from_slice(&(ncomp as u32).to_le_bytes());
     out.extend_from_slice(&paged_off.to_le_bytes());
     out.extend_from_slice(&paged_len.to_le_bytes());
@@ -352,11 +320,11 @@ fn read_paged_meta(
     ))
 }
 
-/// An open paged (v4) snapshot: eager graph core, lazily-materialized
+/// An open paged (v6) snapshot: eager graph core, lazily-materialized
 /// graph units, lazy component meta prefix, and extents/`node_of` served
 /// through a budgeted [`PageCache`].
 ///
-/// Like [`crate::FrozenFile`], a top-down query of length `j` activates
+/// Like [`crate::CompressedFile`], a top-down query of length `j` activates
 /// only components `I0..Ij`; unlike it, activation reads just the meta
 /// section (kilobytes) — the extent payload stays on disk until cursors
 /// fault its pages in. There is **no degradation path**: see the module
@@ -376,9 +344,6 @@ pub struct PagedFile {
     paged_off: u64,
     bytes_read: u64,
     epoch_checked: bool,
-    /// Whether the paged region uses tagged block payloads (v6) or the
-    /// pre-tag varint-only form (v4).
-    tagged: bool,
     scratch: QueryScratch,
 }
 
@@ -420,12 +385,7 @@ impl PagedFile {
         file_len: u64,
         cache_bytes: u64,
     ) -> Result<Self, StoreError> {
-        let (version, ncomp, _) = read_flat_prelude(
-            &mut reader,
-            Some(file_len),
-            &[VERSION_PAGED, VERSION_PAGED_TAGGED],
-        )?;
-        let tagged = version == VERSION_PAGED_TAGGED;
+        let (ncomp, _) = read_prelude(&mut reader, Some(file_len), VERSION_PAGED)?;
         let mut ext = [0u8; 48];
         reader.read_exact(&mut ext)?;
         let paged_off = le_u64(&ext[0..8]);
@@ -521,7 +481,6 @@ impl PagedFile {
             paged_off,
             bytes_read,
             epoch_checked: false,
-            tagged,
             scratch: QueryScratch::new(),
         })
     }
@@ -587,8 +546,8 @@ impl PagedFile {
         self.graph.verify_units()
     }
 
-    /// Ensures components `I0..=Iupto` are activated. Unlike the v2/v3
-    /// readers there is no rebuild fallback — an unreadable meta section
+    /// Ensures components `I0..=Iupto` are activated. Unlike the v5
+    /// reader there is no rebuild fallback — an unreadable meta section
     /// or invalid paged directory is a typed error.
     pub fn ensure_loaded(&mut self, upto: usize) -> Result<(), StoreError> {
         let upto = upto.min(self.offsets.len().saturating_sub(1));
@@ -637,7 +596,6 @@ impl PagedFile {
             layout,
             parts.extent_len.clone(),
             self.graph.node_count() as u32,
-            self.tagged,
         )?;
         let node_of = PagedU32::new(self.cache.clone(), node_of_off, node_of_len)?;
         PagedIndex::assemble(parts, arena, node_of, self.graph.num_labels())
@@ -816,10 +774,7 @@ mod tests {
         let cz = idx.freeze_compressed();
         let path = dir.join("nasa-paged.mrx");
         save_paged_with(&path, &fg, &cz, 256).unwrap();
-        assert_eq!(
-            crate::flat::snapshot_version(&path).unwrap(),
-            VERSION_PAGED_TAGGED
-        );
+        assert_eq!(crate::snapshot_version(&path).unwrap(), VERSION_PAGED);
 
         let mut f = PagedFile::open_with(&path, 64 * 1024).unwrap();
         assert_eq!(f.mutation_epoch(), idx.mutation_epoch());
@@ -939,10 +894,15 @@ mod tests {
         }
         let cut = img[..img.len() - 9].to_vec();
         assert!(PagedFile::open_bytes(cut, DEFAULT_CACHE_BYTES).is_err());
-        // v4 is rejected by the v1 logical reader with a pointer to the
-        // paged reader, not a generic version error.
-        let e = crate::load_mstar_from(&img[..]).unwrap_err();
-        assert!(e.to_string().contains("paged"), "{e}");
+        // A retired layout version is named, not parsed.
+        for version in 1..=4u32 {
+            let mut old = img.clone();
+            old[8..12].copy_from_slice(&version.to_le_bytes());
+            match PagedFile::open_bytes(old, DEFAULT_CACHE_BYTES).map(|_| ()) {
+                Err(StoreError::Retired { version: v }) => assert_eq!(v, version),
+                other => panic!("v{version}: expected a retired-layout error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -962,32 +922,5 @@ mod tests {
         // Serving still works (and still matches) at one-page budget.
         let a2 = f.query_top_down(&q).unwrap();
         assert_eq!(a2.nodes, want.nodes);
-    }
-
-    #[test]
-    fn legacy_v4_images_still_serve_identical_answers() {
-        let (_g, idx) = setup();
-        let fg = FrozenGraph::freeze(&_g);
-        let cz = idx.freeze_compressed();
-        let legacy = paged_image_legacy(&fg, &cz, 64).unwrap();
-        let current = paged_image(&fg, &cz, 64).unwrap();
-        assert_eq!(
-            u32::from_le_bytes([legacy[8], legacy[9], legacy[10], legacy[11]]),
-            VERSION_PAGED
-        );
-        assert_ne!(legacy, current, "legacy image must use the pre-tag wire");
-        let mut old = PagedFile::open_bytes(legacy, DEFAULT_CACHE_BYTES).unwrap();
-        old.verify().unwrap();
-        let mut new = PagedFile::open_bytes(current, DEFAULT_CACHE_BYTES).unwrap();
-        for expr in EXPRS {
-            let q = PathExpr::parse(expr).unwrap();
-            let want = cz.query_top_down(&fg, &q, TrustPolicy::Proven);
-            let a_old = old.query_top_down(&q).unwrap();
-            let a_new = new.query_top_down(&q).unwrap();
-            assert_eq!(a_old.nodes, want.nodes, "{expr}");
-            assert_eq!(a_old.cost, want.cost, "{expr}");
-            assert_eq!(a_new.nodes, want.nodes, "{expr}");
-            assert_eq!(a_new.cost, want.cost, "{expr}");
-        }
     }
 }

@@ -1,5 +1,6 @@
 //! Swap-safe snapshot opening: one entry point that loads **and fully
-//! validates** any `.mrx` snapshot version before a byte of it is served.
+//! validates** a `.mrx` snapshot of either layout before a byte of it is
+//! served.
 //!
 //! A long-running server that hot-swaps snapshots must never fence in a
 //! file it has not proven sound: a torn write, a truncated upload, or a
@@ -12,26 +13,28 @@
 //!   [`PagedFile::verify`], plus materializing every lazy graph unit);
 //! * **structural validation** — the decoded graph and index pass the same
 //!   invariant sweeps the freezers run (`FrozenGraph::validate`,
-//!   `FrozenMStar::validate`, `CompressedMStar::validate`);
-//! * **degradation policy** — the eager flat readers can rebuild an
+//!   `CompressedMStar::validate`);
+//! * **degradation policy** — the compressed (v5) reader can rebuild an
 //!   unreadable component as live `A(i)`; `strict` mode refuses such a
 //!   file outright (a replacement snapshot should be *pristine*), while
 //!   lenient mode accepts it and reports which components were rebuilt.
+//!
+//! A retired layout (versions 1–4) is refused with
+//! [`StoreError::Retired`] before anything else is read.
 
 use std::path::Path;
 
 use mrx_graph::FrozenGraph;
-use mrx_index::{CompressedMStar, FrozenMStar};
+use mrx_index::CompressedMStar;
 
-use crate::file::MStarFile;
-use crate::flat::{snapshot_version, CompressedFile, FrozenFile};
-use crate::format::StoreError;
+use crate::compressed::{snapshot_version, CompressedFile};
+use crate::format::{StoreError, VERSION_COMPRESSED, VERSION_PAGED};
 use crate::paged::PagedFile;
 
 /// A snapshot that passed every check in [`open_validated`], ready to
 /// serve.
 pub struct ValidatedSnapshot {
-    /// The on-disk layout version (1, 2, 3/5, or 4/6).
+    /// The on-disk layout version (5 or 6).
     pub version: u32,
     /// Components rebuilt as live `A(i)` during a lenient load (always
     /// empty under `strict`, and always empty for the paged layouts,
@@ -42,12 +45,15 @@ pub struct ValidatedSnapshot {
 }
 
 /// The serving form a validated snapshot loads into.
+///
+/// Built once per snapshot load and destructured straight away, so the
+/// size gap between the resident and the (boxed) paged variant costs one
+/// move per load, not per query.
+#[allow(clippy::large_enum_variant)]
 pub enum SnapshotPayload {
-    /// Raw frozen arrays (v1 indexes are frozen on load, v2 verbatim).
-    Frozen(FrozenGraph, FrozenMStar),
-    /// Compressed posting arenas (v3/v5), served without decompression.
+    /// Compressed posting arenas (v5), served without decompression.
     Compressed(FrozenGraph, CompressedMStar),
-    /// Demand-paged file (v4/v6): every page and graph unit has been
+    /// Demand-paged file (v6): every page and graph unit has been
     /// faulted and verified, then released back to the cache budget — the
     /// handle serves through its own page cache.
     Paged(Box<PagedFile>),
@@ -57,7 +63,6 @@ impl SnapshotPayload {
     /// Short human name for logs and stats.
     pub fn kind(&self) -> &'static str {
         match self {
-            SnapshotPayload::Frozen(..) => "frozen",
             SnapshotPayload::Compressed(..) => "compressed",
             SnapshotPayload::Paged(_) => "paged",
         }
@@ -82,34 +87,7 @@ pub fn open_validated(
     let path = path.as_ref();
     let version = snapshot_version(path)?;
     match version {
-        crate::format::VERSION => {
-            let file = MStarFile::open(path)?;
-            let (graph, index) = file.into_index()?;
-            let fg = FrozenGraph::freeze(&graph);
-            let star = index.freeze();
-            structural(fg.validate(), "graph")?;
-            structural(star.validate(), "index")?;
-            Ok(ValidatedSnapshot {
-                version,
-                degraded: Vec::new(),
-                payload: SnapshotPayload::Frozen(fg, star),
-            })
-        }
-        crate::format::VERSION_FLAT => {
-            let mut file = FrozenFile::open(path)?;
-            file.ensure_loaded(file.component_count().saturating_sub(1))?;
-            let degraded = file.degraded_components().to_vec();
-            refuse_degraded(strict, &degraded)?;
-            let (graph, star) = file.into_frozen()?;
-            structural(graph.validate(), "graph")?;
-            structural(star.validate(), "index")?;
-            Ok(ValidatedSnapshot {
-                version,
-                degraded,
-                payload: SnapshotPayload::Frozen(graph, star),
-            })
-        }
-        crate::format::VERSION_FLAT_C | crate::format::VERSION_FLAT_C_TAGGED => {
+        VERSION_COMPRESSED => {
             let mut file = CompressedFile::open(path)?;
             file.ensure_loaded(file.component_count().saturating_sub(1))?;
             let degraded = file.degraded_components().to_vec();
@@ -123,7 +101,7 @@ pub fn open_validated(
                 payload: SnapshotPayload::Compressed(graph, star),
             })
         }
-        crate::format::VERSION_PAGED | crate::format::VERSION_PAGED_TAGGED => {
+        VERSION_PAGED => {
             let mut file = match cache_bytes {
                 Some(b) => PagedFile::open_with(path, b)?,
                 None => PagedFile::open(path)?,
@@ -174,30 +152,38 @@ mod tests {
     }
 
     #[test]
-    fn validates_every_snapshot_version() {
+    fn validates_both_layouts_and_refuses_retired_ones() {
         let (g, idx) = setup();
         let fg = FrozenGraph::freeze(&g);
-        let fz = idx.freeze();
         let cz = idx.freeze_compressed();
         let dir = std::env::temp_dir().join(format!("mrx-validate-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let p1 = dir.join("v1.mrx");
-        let p2 = dir.join("v2.mrx");
         let p5 = dir.join("v5.mrx");
         let p6 = dir.join("v6.mrx");
-        crate::save_mstar(&p1, &g, &idx).unwrap();
-        crate::save_frozen(&p2, &fg, &fz).unwrap();
         crate::save_compressed(&p5, &fg, &cz).unwrap();
         crate::save_paged_with(&p6, &fg, &cz, 1024).unwrap();
-        for (p, kind) in [
-            (&p1, "frozen"),
-            (&p2, "frozen"),
-            (&p5, "compressed"),
-            (&p6, "paged"),
-        ] {
+        for (p, kind) in [(&p5, "compressed"), (&p6, "paged")] {
             let snap = open_validated(p, true, None).unwrap();
             assert_eq!(snap.payload.kind(), kind);
             assert!(snap.degraded.is_empty());
+        }
+        // A v1–v4 header is refused by name, with a pointer to `mrx freeze`.
+        let bytes = std::fs::read(&p5).unwrap();
+        for version in 1..=4u32 {
+            let mut old = bytes.clone();
+            old[8..12].copy_from_slice(&version.to_le_bytes());
+            let p = dir.join(format!("v{version}.mrx"));
+            std::fs::write(&p, &old).unwrap();
+            let e = match open_validated(&p, false, None) {
+                Err(e) => e,
+                Ok(_) => panic!("a v{version} snapshot must be refused"),
+            };
+            assert!(matches!(e, StoreError::Retired { version: v } if v == version));
+            assert!(e.to_string().contains("mrx freeze"), "{e}");
+            assert!(matches!(
+                snapshot_version(&p),
+                Err(StoreError::Retired { .. })
+            ));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -206,11 +192,11 @@ mod tests {
     fn strict_refuses_what_lenient_degrades() {
         let (g, idx) = setup();
         let fg = FrozenGraph::freeze(&g);
-        let fz = idx.freeze();
+        let cz = idx.freeze_compressed();
         let dir = std::env::temp_dir().join(format!("mrx-validate-deg-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("v2.mrx");
-        crate::save_frozen(&p, &fg, &fz).unwrap();
+        let p = dir.join("v5.mrx");
+        crate::save_compressed(&p, &fg, &cz).unwrap();
         // Flip one byte near the end of the file: lands in the last
         // component's payload, leaving the header/graph intact.
         let mut bytes = std::fs::read(&p).unwrap();
@@ -227,6 +213,7 @@ mod tests {
         );
         let snap = open_validated(&p, false, None).unwrap();
         assert!(!snap.degraded.is_empty());
+        assert_eq!(snap.payload.kind(), "compressed");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,5 +1,10 @@
 //! Little-endian wire primitives and the FNV-1a checksum.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::io::{self, Read, Write};
 
 /// FNV-1a 64-bit, the format's integrity checksum (fast, dependency-free;
@@ -57,17 +62,6 @@ impl<W: Write> HashingWriter<W> {
     pub fn write_u64(&mut self, v: u64) -> io::Result<()> {
         self.write_all(&v.to_le_bytes())
     }
-
-    pub fn write_str(&mut self, s: &str) -> io::Result<()> {
-        let len = u32::try_from(s.len()).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("string of {} bytes exceeds the u32 wire limit", s.len()),
-            )
-        })?;
-        self.write_u32(len)?;
-        self.write_all(s.as_bytes())
-    }
 }
 
 impl<W: Write> Write for HashingWriter<W> {
@@ -82,40 +76,15 @@ impl<W: Write> Write for HashingWriter<W> {
     }
 }
 
-/// Fallback cumulative string-allocation budget for readers whose input
-/// length is unknown. Section-scoped readers lower this to the section's
-/// byte length.
-#[cfg(test)]
-const DEFAULT_STR_BUDGET: u64 = 256 * 1024 * 1024;
-
 /// A counting reader with length-prefixed primitive helpers.
 pub struct HashingReader<R: Read> {
     inner: R,
     read: u64,
-    /// Cumulative bytes allocated for strings so far.
-    str_bytes: u64,
-    /// Cap on `str_bytes`: a *loop* of individually valid string lengths
-    /// cannot allocate more than this in total, so a hostile length pattern
-    /// is bounded by the input size, not by `loop count × max_len`.
-    str_budget: u64,
 }
 
 impl<R: Read> HashingReader<R> {
-    #[cfg(test)]
     pub fn new(inner: R) -> Self {
-        Self::with_str_budget(inner, DEFAULT_STR_BUDGET)
-    }
-
-    /// A reader whose cumulative string allocation is capped at `budget`
-    /// bytes. Section decoders pass the section's payload length: honest
-    /// strings can never sum past the bytes that contain them.
-    pub fn with_str_budget(inner: R, budget: u64) -> Self {
-        HashingReader {
-            inner,
-            read: 0,
-            str_bytes: 0,
-            str_budget: budget,
-        }
+        HashingReader { inner, read: 0 }
     }
 
     pub fn bytes_read(&self) -> u64 {
@@ -132,32 +101,6 @@ impl<R: Read> HashingReader<R> {
         let mut b = [0u8; 8];
         self.read_exact(&mut b)?;
         Ok(u64::from_le_bytes(b))
-    }
-
-    /// Reads a length-prefixed string, rejecting absurd lengths — both per
-    /// string (`max_len`) and cumulatively (the reader's string budget).
-    pub fn read_str(&mut self, max_len: usize) -> io::Result<String> {
-        let len = self.read_u32()? as usize;
-        if len > max_len {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("string length {len} exceeds limit {max_len}"),
-            ));
-        }
-        self.str_bytes += len as u64;
-        if self.str_bytes > self.str_budget {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "cumulative string allocation {} exceeds budget {}",
-                    self.str_bytes, self.str_budget
-                ),
-            ));
-        }
-        let mut buf = vec![0u8; len];
-        self.read_exact(&mut buf)?;
-        String::from_utf8(buf)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "invalid UTF-8 string"))
     }
 }
 
@@ -200,42 +143,13 @@ mod tests {
         {
             let mut w = HashingWriter::new(&mut bytes);
             w.write_u32(0xDEAD_BEEF).unwrap();
-            w.write_str("multiresolution").unwrap();
-            assert_eq!(w.written(), 4 + 4 + 15);
+            w.write_u64(7).unwrap();
+            assert_eq!(w.written(), 4 + 8);
         }
         let mut r = HashingReader::new(&bytes[..]);
         assert_eq!(r.read_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.read_str(1024).unwrap(), "multiresolution");
+        assert_eq!(r.remaining(), 8);
+        assert_eq!(r.read_u64().unwrap(), 7);
         assert_eq!(r.bytes_read(), bytes.len() as u64);
-    }
-
-    #[test]
-    fn oversized_string_rejected() {
-        let mut bytes = Vec::new();
-        {
-            let mut w = HashingWriter::new(&mut bytes);
-            w.write_str("hello").unwrap();
-        }
-        let mut r = HashingReader::new(&bytes[..]);
-        assert!(r.read_str(3).is_err());
-    }
-
-    #[test]
-    fn cumulative_string_budget_bounds_valid_length_loops() {
-        // Each string passes the per-string check; the loop must still be
-        // stopped by the cumulative budget.
-        let mut bytes = Vec::new();
-        {
-            let mut w = HashingWriter::new(&mut bytes);
-            for _ in 0..8 {
-                w.write_str("0123456789").unwrap();
-            }
-        }
-        let mut r = HashingReader::with_str_budget(&bytes[..], 25);
-        assert!(r.read_str(64).is_ok());
-        assert!(r.read_str(64).is_ok());
-        let e = r.read_str(64).unwrap_err();
-        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-        assert!(e.to_string().contains("cumulative"));
     }
 }

@@ -2,14 +2,19 @@
 //! action: "a disk-resident structure that can be loaded into memory
 //! selectively and incrementally during query processing".
 //!
+//! The demand-paged (v6) snapshot loads selectively twice over: a query of
+//! length `j` activates only components `I0..Ij`, and within them only the
+//! extent pages the evaluation touches fault in from disk.
+//!
 //! ```sh
 //! cargo run --release --example persistent_index
 //! ```
 
+use mrx::graph::FrozenGraph;
 use mrx::index::{EvalStrategy, MStarIndex};
 use mrx::path::PathExpr;
 use mrx::prelude::{xmark_like, XmarkConfig};
-use mrx::store::{save_mstar, MStarFile};
+use mrx::store::{save_paged, PagedFile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Build an index over an auction site and refine it for a mixed-depth
@@ -31,20 +36,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         idx.edge_count()
     );
 
-    // Persist. Edges are not stored (they are induced by the extents), so
-    // the file is compact; every section carries an FNV-64 checksum.
+    // Persist. Extents are compressed posting blocks; the paged region
+    // carries one checksum per page, every eager section its own.
     let path = std::env::temp_dir().join("mrx-example-auctions.mrx");
-    save_mstar(&path, &g, &idx)?;
+    save_paged(&path, &FrozenGraph::freeze(&g), &idx.freeze_compressed())?;
     let file_len = std::fs::metadata(&path)?.len();
     println!("saved {} ({file_len} bytes)\n", path.display());
 
-    // Reopen and watch queries pull in only the components they need.
-    let mut file = MStarFile::open(&path)?;
+    // Reopen and watch queries pull in only the components and pages they
+    // need.
+    let mut file = PagedFile::open(&path)?;
     println!(
-        "opened: {} bytes read (header + data graph + directory)",
-        file.bytes_read()
+        "opened: {} bytes read (header + graph core + directory + page table), \
+         {} bytes left on disk",
+        file.bytes_read(),
+        file.paged_bytes()
     );
 
+    let mut eager = file.bytes_read();
     for expr in [
         "//person",
         "//bidder/personref",
@@ -52,19 +61,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let q = PathExpr::parse(expr)?;
         let ans = file.query_top_down(&q)?;
+        let pages = file.page_stats();
         println!(
-            "{expr:<45} {:>5} answers | components loaded: {:?} | {:>8} bytes read",
+            "{expr:<45} {:>5} answers | components loaded: {:?} | {:>6} eager bytes \
+             | {:>3} pages faulted",
             ans.nodes.len(),
             file.loaded_components(),
-            file.bytes_read()
+            file.bytes_read(),
+            pages.faults
         );
+        // Loading is incremental: eager reads only grow, and only when a
+        // query needs a component that is not active yet.
+        assert!(file.bytes_read() >= eager);
+        eager = file.bytes_read();
     }
+    assert!(file.bytes_read() + file.page_stats().resident_bytes < file_len);
 
-    // The in-memory index and the file agree, of course.
+    // The in-memory index and the file agree, answers and costs alike.
     let q = PathExpr::parse("//closed_auction/buyer/person")?;
     let from_file = file.query_top_down(&q)?;
     let in_memory = idx.query(&g, &q, EvalStrategy::TopDown);
     assert_eq!(from_file.nodes, in_memory.nodes);
+    assert_eq!(from_file.cost, in_memory.cost);
     println!(
         "\nfile and in-memory answers agree on {q} ({} nodes)",
         from_file.nodes.len()

@@ -1,17 +1,51 @@
-//! Property-based tests for the disk-resident store: round-trips over
-//! random graphs and refined indexes, plus robustness against corruption.
-//! Randomness comes from the in-repo seeded PRNG, so every failure
-//! reproduces from its case number.
+//! Property-based tests for the disk-resident store: round-trips of both
+//! snapshot layouts (compressed v5, demand-paged v6) over random graphs and
+//! refined indexes, plus robustness against corruption. Randomness comes
+//! from the in-repo seeded PRNG, so every failure reproduces from its case
+//! number.
 
 use mrx::datagen::{random_graph, Prng, RandomGraphConfig};
-use mrx::graph::FrozenGraph;
-use mrx::index::{EvalStrategy, MStarIndex};
+use mrx::graph::{DataGraph, FrozenGraph};
+use mrx::index::{MStarIndex, TrustPolicy};
 use mrx::path::{eval_data, PathExpr};
-use mrx::store::{
-    load_frozen_from, load_graph_from, load_mstar_from, save_frozen_to, save_graph_to,
-    save_mstar_to, StoreError,
-};
+use mrx::store::{load_compressed_from, paged_image, save_compressed_to, PagedFile, StoreError};
 use mrx::workload::{Workload, WorkloadConfig};
+
+/// The v5 image of `idx` over `g`.
+fn v5_image(g: &DataGraph, idx: &MStarIndex) -> Vec<u8> {
+    let mut buf = Vec::new();
+    save_compressed_to(&mut buf, &FrozenGraph::freeze(g), &idx.freeze_compressed()).unwrap();
+    buf
+}
+
+/// The v6 image of `idx` over `g`, with small pages so images span many.
+fn v6_image(g: &DataGraph, idx: &MStarIndex) -> Vec<u8> {
+    paged_image(&FrozenGraph::freeze(g), &idx.freeze_compressed(), 256).unwrap()
+}
+
+/// Opens a v6 image and touches everything it holds: every component, a
+/// query, and the full page-checksum walk.
+fn open_v6(image: &[u8], q: &PathExpr) -> Result<(), StoreError> {
+    let mut f = PagedFile::open_bytes(image.to_vec(), 1 << 20)?;
+    f.ensure_loaded(usize::MAX)?;
+    f.query_top_down(q)?;
+    f.verify()
+}
+
+/// Typed-or-Ok, by construction of the error enum: any panic (index out of
+/// bounds, capacity overflow, unwrap) fails the harness, which is the
+/// property under test.
+fn assert_typed(r: Result<(), StoreError>) {
+    match r {
+        Ok(())
+        | Err(
+            StoreError::Checksum { .. }
+            | StoreError::Format(_)
+            | StoreError::Io(_)
+            | StoreError::Retired { .. },
+        ) => {}
+    }
+}
 
 #[test]
 fn graph_roundtrip_is_exact() {
@@ -26,17 +60,16 @@ fn graph_roundtrip_is_exact() {
             },
             rng.next_u64(),
         );
-        let mut buf = Vec::new();
-        save_graph_to(&mut buf, &g).unwrap();
-        let g2 = load_graph_from(&buf[..]).unwrap();
-        assert_eq!(g2.node_count(), g.node_count());
-        assert_eq!(g2.edge_count(), g.edge_count());
-        assert_eq!(g2.ref_edge_count(), g.ref_edge_count());
+        let idx = MStarIndex::new(&g);
+        let fg = FrozenGraph::freeze(&g);
+        let (g5, _) = load_compressed_from(&v5_image(&g, &idx)[..]).unwrap();
+        assert_eq!(g5, fg, "case {case}: v5 graph");
+        let f6 = PagedFile::open_bytes(v6_image(&g, &idx), 1 << 20).unwrap();
+        assert_eq!(f6.graph().to_frozen().unwrap(), fg, "case {case}: v6 graph");
         for v in g.nodes() {
-            assert_eq!(g.label_str(g.label(v)), g2.label_str(g2.label(v)));
-            assert_eq!(g.children(v), g2.children(v));
-            assert_eq!(g.parents(v), g2.parents(v));
-            assert_eq!(g.tree_parent(v), g2.tree_parent(v));
+            assert_eq!(g.label_str(g.label(v)), g5.label_str(g5.label(v)));
+            assert_eq!(g.children(v), g5.children(v));
+            assert_eq!(g.parents(v), g5.parents(v));
         }
     }
 }
@@ -67,21 +100,26 @@ fn mstar_roundtrip_preserves_everything() {
         for q in &w.queries {
             idx.refine_for(&g, q);
         }
-        let mut buf = Vec::new();
-        save_mstar_to(&mut buf, &g, &idx).unwrap();
-        let (g2, idx2) = load_mstar_from(&buf[..]).unwrap();
-        idx2.check_invariants(&g2);
-        assert_eq!(idx2.max_k(), idx.max_k());
-        assert_eq!(idx2.node_count(), idx.node_count());
-        assert_eq!(idx2.edge_count(), idx.edge_count());
-        assert_eq!(idx2.logical_node_count(), idx.logical_node_count());
+        let cz = idx.freeze_compressed();
+        let (g5, cz5) = load_compressed_from(&v5_image(&g, &idx)[..]).unwrap();
+        assert_eq!(cz5, cz, "case {case}: v5 index");
+        cz5.validate().unwrap();
+        let mut f6 = PagedFile::open_bytes(v6_image(&g, &idx), 1 << 20).unwrap();
+        f6.ensure_loaded(usize::MAX).unwrap();
+        assert_eq!(f6.component_count(), idx.max_k() + 1);
+        assert_eq!(f6.mutation_epoch(), idx.mutation_epoch());
         // proven similarities survive, so sound answers stay identical
         for q in &w.queries {
-            let truth = eval_data(&g2, &q.compile(&g2));
+            let truth = eval_data(&g, &q.compile(&g));
             assert_eq!(
-                idx2.query(&g2, q, EvalStrategy::TopDown).nodes,
+                cz5.query_top_down(&g5, q, TrustPolicy::Proven).nodes,
                 truth,
-                "{q}"
+                "case {case}: v5 {q}"
+            );
+            assert_eq!(
+                f6.query_top_down(q).unwrap().nodes,
+                truth,
+                "case {case}: v6 {q}"
             );
         }
     }
@@ -102,29 +140,33 @@ fn single_byte_corruption_never_panics_and_rarely_passes() {
         );
         let mut idx = MStarIndex::new(&g);
         idx.refine_for(&g, &PathExpr::parse("//l0/l1").unwrap());
-        let mut buf = Vec::new();
-        save_mstar_to(&mut buf, &g, &idx).unwrap();
+        let mut buf = v5_image(&g, &idx);
         let i = rng.gen_range(0..buf.len());
         buf[i] ^= 0x5A;
         // Must not panic; anything but silent acceptance of a *different*
-        // index is fine. (Flips inside the directory padding or a length
-        // prefix surface as Format/Io errors; flips in payloads trip the
+        // index is fine. (Flips inside the directory or a length prefix
+        // surface as Format/Io errors; flips in payloads trip the
         // checksum.)
-        match load_mstar_from(&buf[..]) {
-            Ok((g2, idx2)) => {
+        match load_compressed_from(&buf[..]) {
+            Ok((g2, cz2)) => {
                 // The flip hit a byte that decodes identically (e.g. inside
                 // the directory, which the sequential loader skips). Accept
                 // only if the result is indistinguishable.
-                assert_eq!(g2.node_count(), g.node_count());
-                assert_eq!(idx2.node_count(), idx.node_count());
+                assert_eq!(g2, FrozenGraph::freeze(&g));
+                assert_eq!(cz2, idx.freeze_compressed());
             }
-            Err(StoreError::Checksum { .. } | StoreError::Format(_) | StoreError::Io(_)) => {}
+            Err(
+                StoreError::Checksum { .. }
+                | StoreError::Format(_)
+                | StoreError::Io(_)
+                | StoreError::Retired { .. },
+            ) => {}
         }
     }
 }
 
-/// Builds a small refined snapshot pair (v1 extent layout bytes, v2 flat
-/// CSR layout bytes) from one seeded random graph.
+/// Builds a small refined snapshot pair (v5 compressed bytes, v6
+/// demand-paged bytes) from one seeded random graph.
 fn snapshot_pair(seed: u64) -> (Vec<u8>, Vec<u8>) {
     let mut rng = Prng::seed_from_u64(seed);
     let g = random_graph(
@@ -139,11 +181,7 @@ fn snapshot_pair(seed: u64) -> (Vec<u8>, Vec<u8>) {
     let mut idx = MStarIndex::new(&g);
     idx.refine_for(&g, &PathExpr::parse("//l0/l1").unwrap());
     idx.refine_for(&g, &PathExpr::parse("//l2").unwrap());
-    let mut v1 = Vec::new();
-    save_mstar_to(&mut v1, &g, &idx).unwrap();
-    let mut v2 = Vec::new();
-    save_frozen_to(&mut v2, &FrozenGraph::freeze(&g), &idx.freeze()).unwrap();
-    (v1, v2)
+    (v5_image(&g, &idx), v6_image(&g, &idx))
 }
 
 /// Applies `count` seeded byte mutations (xor, overwrite, or splice-out)
@@ -169,30 +207,24 @@ fn mutate_bytes(buf: &mut Vec<u8>, rng: &mut Prng, count: usize) {
 
 /// Seeded multi-byte mutation over both snapshot layouts: every mutated
 /// image must either load (the mutation hit dead bytes such as directory
-/// padding) or fail with a typed `StoreError` — never panic. Exercises
+/// padding) or fail with a typed `StoreError` — never panic. On v6 the
+/// "load" is open + full activation + a query + the page-checksum walk. Exercises
 /// 1..=8 mutations per image so shifted lengths, spliced sections, and
 /// compound corruptions are all covered, not just single flips.
 #[test]
 fn seeded_multibyte_mutation_parses_or_errors_typed() {
     for case in 0..96u64 {
         let mut rng = Prng::seed_from_u64(0xFA17 ^ case);
-        let (v1, v2) = snapshot_pair(rng.next_u64());
-        for (label, image) in [("v1", &v1), ("v2", &v2)] {
-            let mut buf = image.clone();
-            let n = rng.gen_range(1..9usize);
-            mutate_bytes(&mut buf, &mut rng, n);
-            // Typed-or-Ok, by construction of the error enum: any panic
-            // (index out of bounds, capacity overflow, unwrap) fails the
-            // harness, which is the property under test.
-            let outcome = match label {
-                "v1" => load_mstar_from(&buf[..]).map(|_| ()),
-                _ => load_frozen_from(&buf[..]).map(|_| ()),
-            };
-            match outcome {
-                Ok(()) => {}
-                Err(StoreError::Checksum { .. } | StoreError::Format(_) | StoreError::Io(_)) => {}
-            }
-        }
+        let (v5, v6) = snapshot_pair(rng.next_u64());
+        let q = PathExpr::parse("//l0/l1").unwrap();
+        let mut buf = v5.clone();
+        let n = rng.gen_range(1..9usize);
+        mutate_bytes(&mut buf, &mut rng, n);
+        assert_typed(load_compressed_from(&buf[..]).map(|_| ()));
+        let mut buf = v6.clone();
+        let n = rng.gen_range(1..9usize);
+        mutate_bytes(&mut buf, &mut rng, n);
+        assert_typed(open_v6(&buf, &q));
     }
 }
 
@@ -215,12 +247,13 @@ fn mutation_regression_seeds_stay_typed() {
     ];
     for &(seed, n) in CASES {
         let mut rng = Prng::seed_from_u64(seed);
-        let (v1, v2) = snapshot_pair(rng.next_u64());
-        for image in [&v1, &v2] {
+        let (v5, v6) = snapshot_pair(rng.next_u64());
+        let q = PathExpr::parse("//l2").unwrap();
+        for image in [&v5, &v6] {
             let mut buf = image.clone();
             mutate_bytes(&mut buf, &mut rng, n);
-            let _ = load_mstar_from(&buf[..]);
-            let _ = load_frozen_from(&buf[..]);
+            assert_typed(load_compressed_from(&buf[..]).map(|_| ()));
+            assert_typed(open_v6(&buf, &q));
         }
     }
 }
@@ -238,9 +271,19 @@ fn truncation_is_an_io_or_format_error() {
             },
             rng.next_u64(),
         );
-        let mut buf = Vec::new();
-        save_graph_to(&mut buf, &g).unwrap();
-        let n = rng.gen_range(0..buf.len().saturating_sub(1).max(1));
-        assert!(load_graph_from(&buf[..n]).is_err());
+        let idx = MStarIndex::new(&g);
+        let q = PathExpr::parse("//l0").unwrap();
+        let v5 = v5_image(&g, &idx);
+        let n = rng.gen_range(0..v5.len().saturating_sub(1).max(1));
+        assert!(matches!(
+            load_compressed_from(&v5[..n]),
+            Err(StoreError::Io(_) | StoreError::Format(_))
+        ));
+        let v6 = v6_image(&g, &idx);
+        let n = rng.gen_range(0..v6.len().saturating_sub(1).max(1));
+        assert!(matches!(
+            open_v6(&v6[..n], &q),
+            Err(StoreError::Io(_) | StoreError::Format(_))
+        ));
     }
 }
