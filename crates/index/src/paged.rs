@@ -19,10 +19,10 @@
 //! `Result`s. Instead every integrity failure — page checksum mismatch,
 //! I/O error, structurally invalid block, out-of-range id — *poisons* the
 //! shared cache and the read surfaces return safe sentinels (`None`-like
-//! exhaustion, node 0). The store's serving wrapper checks
-//! [`mrx_pagecache::PageCache::take_poison`] after evaluating and returns
+//! exhaustion, node 0). Every fallible serving path checks the one fault
+//! probe, [`crate::Servable::fault_cache`], after evaluating and returns
 //! the typed error instead of the answer, so corruption is always caught
-//! before any answer is served. Deep cross-structure invariants that the
+//! before any answer is served or cached. Deep cross-structure invariants that the
 //! eager loaders verify by full decode (extents partition the data nodes;
 //! `node_of` inverts them) are intentionally *not* re-proven at activation
 //! — that full pass is exactly the cold-start cost this form exists to
@@ -36,7 +36,7 @@
 )]
 
 use mrx_graph::{LabelId, NodeId};
-use mrx_pagecache::{PagedArena, PagedU32, StoreError};
+use mrx_pagecache::{PageCache, PagedArena, PagedU32, StoreError};
 use mrx_postings::{group_by_key, PostingId};
 
 use crate::view::{ExtentCursor, IndexView};
@@ -299,6 +299,10 @@ impl IndexView for PagedIndex {
 
     fn push_all_nodes(&self, out: &mut Vec<IdxId>) {
         out.extend((0..self.labels.len()).map(|i| IdxId(i as u32)));
+    }
+
+    fn page_cache(&self) -> Option<&PageCache> {
+        Some(self.extents.cache())
     }
 }
 

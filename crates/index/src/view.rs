@@ -23,6 +23,7 @@
 //! the two representations.
 
 use mrx_graph::{GraphView, LabelId, NodeId};
+use mrx_pagecache::PageCache;
 use mrx_path::{
     never_fails, BudgetError, BudgetMeter, CompiledPath, CompiledStep, Cost, EpochMemo, Governor,
     Ungoverned, ValidatorRef,
@@ -146,6 +147,12 @@ pub trait IndexView {
     fn push_label_nodes(&self, l: LabelId, out: &mut Vec<IdxId>);
     /// Appends every node to `out`, in ascending id order.
     fn push_all_nodes(&self, out: &mut Vec<IdxId>);
+    /// The page cache this view's reads fault through, where integrity
+    /// failures are recorded (see [`crate::Servable::fault_cache`]); `None`
+    /// for in-memory views.
+    fn page_cache(&self) -> Option<&PageCache> {
+        None
+    }
 }
 
 impl IndexView for IndexGraph {

@@ -34,9 +34,9 @@
 //! page against the table built at write time ([`page_checksums`]) before
 //! the bytes enter the cache, and every structural violation found while
 //! decoding (truncated block, non-ascending ids, out-of-range members)
-//! poisons the cache instead of panicking. The serving layer checks
-//! [`PageCache::take_poison`] after evaluating and returns the error in
-//! place of the answer — corruption is always caught before any answer is
+//! poisons the cache instead of panicking. The serving layer's one fault
+//! probe takes the poison ([`PageCache::take_poison`]) after evaluating and
+//! returns the error in place of the answer — corruption is always caught before any answer is
 //! served, which the fault-injection harness proves seed by seed.
 
 mod arena;

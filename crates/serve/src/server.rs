@@ -12,8 +12,9 @@
 //!    admission: token bucket first (`RateLimited`), then the bounded DRR
 //!    queue (`Overloaded`). Each rejection carries a retry-after hint.
 //! 3. A worker pops the query in deficit-round-robin order, pins the
-//!    current snapshot `Arc`, probes the shared answer cache, and
-//!    otherwise evaluates under the tenant's [`QueryBudget`] — with a
+//!    current snapshot `Arc`, and serves it through its [`QuerySession`],
+//!    attached to the daemon's shared answer cache: one cache probe, and
+//!    on a miss an evaluation under the tenant's [`QueryBudget`] — with a
 //!    disconnect probe wired in, so a vanished client cancels its own
 //!    query at the next budget poll instead of burning a worker.
 //! 4. The worker replies through a rendezvous channel; the connection
@@ -41,17 +42,15 @@ use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use mrx_error::BudgetKind;
+use mrx_error::{BudgetKind, MrxError};
 use mrx_index::{
-    Answer, PagedMStar, QueryScratch, SharedAnswerCache, SharedCacheConfig, TrustPolicy,
+    Answer, PagedMStar, QuerySession, SharedAnswerCache, SharedCacheConfig, TrustPolicy,
 };
-use mrx_pagecache::PageCache;
 use mrx_path::{CancelProbe, PathExpr, QueryBudget};
 use mrx_store::{LazyGraph, PagedFile, StoreError};
 
@@ -255,7 +254,6 @@ struct PagedView {
     snap_epoch: u64,
     graph: LazyGraph,
     star: PagedMStar,
-    cache: Rc<PageCache>,
 }
 
 pub(crate) struct Shared {
@@ -798,13 +796,13 @@ fn do_reload(sh: &Arc<Shared>, path: &str) -> Response {
 }
 
 fn worker_loop(sh: Arc<Shared>) {
-    let mut scratch = QueryScratch::new();
+    let mut session = QuerySession::new(sh.cfg.policy);
     let mut view: Option<PagedView> = None;
     loop {
         match sh.queue.pop(sh.cfg.tick) {
             Popped::Item(job) => {
                 sh.in_flight.fetch_add(1, Ordering::SeqCst);
-                let resp = eval_job(&sh, &mut scratch, &mut view, &job);
+                let resp = eval_job(&sh, &mut session, &mut view, &job);
                 if matches!(resp, Response::Answer { .. }) {
                     inc(&sh.stats.answers);
                 }
@@ -832,21 +830,22 @@ fn open_view(snap: &Snapshot, cache_bytes: Option<u64>) -> Result<PagedView, Sto
         Some(b) => PagedFile::open_with(&snap.path, b)?,
         None => PagedFile::open(&snap.path)?,
     };
-    let (graph, star, cache) = file.into_parts()?;
+    let (graph, star, _cache) = file.into_parts()?;
     Ok(PagedView {
         snap_epoch: snap.epoch,
         graph,
         star,
-        cache,
     })
 }
 
-/// Evaluates one admitted query against the pinned snapshot. Every
-/// failure mode returns a typed error; partial answers are impossible
-/// (an error discards the whole evaluation).
+/// Evaluates one admitted query against the pinned snapshot through the
+/// worker's session, attached to the daemon's answer cache under the
+/// snapshot's serving epoch. Every failure mode returns a typed error;
+/// partial answers are impossible (an error discards the whole
+/// evaluation).
 fn eval_job(
     sh: &Arc<Shared>,
-    scratch: &mut QueryScratch,
+    session: &mut QuerySession,
     view: &mut Option<PagedView>,
     job: &Job,
 ) -> Response {
@@ -858,27 +857,17 @@ fn eval_job(
             return Response::Error(ServeError::Path(e.to_string()));
         }
     };
-    // Shared answer cache: keyed by expression, valid only for this exact
-    // (serving epoch, index epoch) pair, so a hot swap can never serve a
-    // stale answer.
-    if let Some((_cp, ans)) = sh.cache.get(&expr, snap.epoch, snap.index_epoch) {
-        return answer_response(snap.epoch, &ans);
-    }
-    let budget = sh.budget_for(&job.tenant, job.probe.clone());
-    let mut meter = budget.meter();
-    let result = match &snap.data {
+    // The cache key is (expression, serving epoch, index epoch), so a hot
+    // swap can never serve a stale answer.
+    session.attach_shared(Arc::clone(&sh.cache), snap.epoch);
+    session.set_budget(sh.budget_for(&job.tenant, job.probe.clone()));
+    let served = match &snap.data {
         SnapData::Compressed(resident) => {
             let (g, star) = &**resident;
-            let cp = expr.compile(g);
-            star.query_top_down_budgeted(g, &cp, sh.cfg.policy, scratch, &mut meter)
-                .map(|a| (cp, a))
+            session.try_serve(star, g, &expr)
         }
         SnapData::Paged { cache_bytes } => {
-            let stale = match view {
-                Some(v) => v.snap_epoch != snap.epoch,
-                None => true,
-            };
-            if stale {
+            if view.as_ref().is_none_or(|v| v.snap_epoch != snap.epoch) {
                 *view = None; // drop the old epoch's handle before opening
                 match open_view(&snap, *cache_bytes) {
                     Ok(v) => *view = Some(v),
@@ -889,40 +878,16 @@ fn eval_job(
                 }
             }
             match view {
-                Some(v) => {
-                    let cp = expr.compile(&v.graph);
-                    let r = v.star.query_top_down_budgeted(
-                        &v.graph,
-                        &cp,
-                        sh.cfg.policy,
-                        scratch,
-                        &mut meter,
-                    );
-                    // A page-integrity failure poisons the cache rather
-                    // than panicking; surface it as a typed error and
-                    // never admit the tainted answer.
-                    if let Some(e) = v.cache.take_poison() {
-                        inc(&sh.stats.poison_trips);
-                        inc(&sh.stats.store_errors);
-                        return Response::Error(ServeError::Store(format!(
-                            "page integrity failure: {e}"
-                        )));
-                    }
-                    r.map(|a| (cp, a))
-                }
+                Some(v) => session.try_serve(&v.star, &v.graph, &expr),
                 None => {
                     return Response::Error(ServeError::Server("paged view unavailable".into()))
                 }
             }
         }
     };
-    match result {
-        Ok((cp, ans)) => {
-            sh.cache
-                .admit(&expr, snap.epoch, snap.index_epoch, &cp, &ans);
-            answer_response(snap.epoch, &ans)
-        }
-        Err(be) => {
+    match served {
+        Ok(ans) => answer_response(snap.epoch, ans),
+        Err(MrxError::Budget(be)) => {
             if be.kind == BudgetKind::Cancelled {
                 inc(&sh.stats.cancelled);
             } else {
@@ -934,5 +899,13 @@ fn eval_job(
                 data_nodes: be.data_nodes,
             })
         }
+        // The session's fault probe: a page-integrity failure poisons the
+        // page cache rather than panicking, and its answer is never admitted.
+        Err(MrxError::Store(e)) => {
+            inc(&sh.stats.poison_trips);
+            inc(&sh.stats.store_errors);
+            Response::Error(ServeError::Store(format!("page integrity failure: {e}")))
+        }
+        Err(e) => Response::Error(ServeError::Server(e.to_string())),
     }
 }

@@ -14,8 +14,10 @@
 //! The compressed (v5) layout is shared read-only across all workers.
 //! The demand-paged (v6) layout serves through an `Rc`-based page
 //! cache that is deliberately single-threaded, so the slot holds only the
-//! validated *identity* (path + cache budget) and each worker keeps its
-//! own [`PagedFile`] handle, re-opened when it observes a new epoch.
+//! validated *identity* (path + cache budget). Each worker opens its own
+//! paged view ([`mrx_store::PagedFile::into_parts`]) when it observes a new
+//! epoch and serves it through its `QuerySession`, whose fault probe checks
+//! that view's page cache after every evaluation.
 
 #![cfg_attr(
     not(test),
@@ -36,7 +38,7 @@ pub(crate) enum SnapData {
     /// the paged arm carries only a budget).
     Compressed(Box<(FrozenGraph, CompressedMStar)>),
     /// Demand-paged layout: validated here, but each worker opens its own
-    /// handle (the page cache is single-threaded by design).
+    /// view (the page cache is single-threaded by design).
     Paged { cache_bytes: Option<u64> },
 }
 
@@ -54,9 +56,6 @@ pub(crate) struct Snapshot {
     /// Components degraded to live `A(i)` at load time (lenient boot
     /// loads only; RELOAD validates strictly and never degrades).
     pub degraded: Vec<usize>,
-    /// The index mutation epoch recorded in the file — the second half of
-    /// the shared answer cache key.
-    pub index_epoch: u64,
     pub data: SnapData,
 }
 
@@ -71,16 +70,10 @@ impl Snapshot {
     ) -> Result<Snapshot, StoreError> {
         let v = open_validated(&path, strict, cache_bytes)?;
         let kind = v.payload.kind();
-        let (index_epoch, data) = match v.payload {
-            SnapshotPayload::Compressed(g, star) => {
-                (star.epoch, SnapData::Compressed(Box::new((g, star))))
-            }
-            SnapshotPayload::Paged(file) => {
-                let e = file.mutation_epoch();
-                // Drop the validation handle; workers open their own.
-                drop(file);
-                (e, SnapData::Paged { cache_bytes })
-            }
+        let data = match v.payload {
+            SnapshotPayload::Compressed(g, star) => SnapData::Compressed(Box::new((g, star))),
+            // The validation handle is dropped; workers open their own.
+            SnapshotPayload::Paged(_) => SnapData::Paged { cache_bytes },
         };
         Ok(Snapshot {
             epoch,
@@ -88,7 +81,6 @@ impl Snapshot {
             kind,
             path,
             degraded: v.degraded,
-            index_epoch,
             data,
         })
     }

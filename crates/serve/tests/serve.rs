@@ -12,7 +12,7 @@ use mrx_graph::{DataGraph, FrozenGraph};
 use mrx_index::{MStarIndex, QueryScratch, TrustPolicy};
 use mrx_path::{PathExpr, QueryBudget};
 use mrx_serve::{Client, ClientError, ServeConfig, ServeError, Server, TenantBudget, TenantRate};
-use mrx_store::{save_compressed, save_paged_with};
+use mrx_store::{paged_image, save_compressed, save_paged_with, PagedFile};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mrx-serve-{tag}-{}", std::process::id()));
@@ -504,6 +504,98 @@ fn lenient_boot_degrades_a_corrupt_v5_component() {
         err,
         ClientError::Server(ServeError::ReloadRejected(_))
     ));
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A paged snapshot corrupted on disk after a clean boot: one extent page
+/// is flipped in place. A query whose evaluation touches the page gets a
+/// typed store error naming the integrity failure, and so does its repeat
+/// (the answer was never admitted); STATS counts the poison trips, and a
+/// query over clean pages still matches the oracle.
+#[test]
+fn corrupt_page_after_boot_is_a_typed_error_and_never_cached() {
+    const PAGED_EXPRS: &[&str] = &[
+        "//person/name",
+        "//item/name",
+        "//open_auction/bidder/personref",
+        "//category/name",
+        "//closed_auction/price",
+        "//person",
+    ];
+    let dir = tmp_dir("page-integrity");
+    let g = xmark_like(&XmarkConfig::with_target_nodes(3_000), 5);
+    let fg = FrozenGraph::freeze(&g);
+    let cz = MStarIndex::new(&g).freeze_compressed();
+    let image = paged_image(&fg, &cz, 64).unwrap();
+    let le = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap()) as usize;
+    let (paged_off, paged_len) = (le(&image[16..24]), le(&image[24..32]));
+
+    // Judge in process which queries a flip reaches: pick the first flip
+    // that faults some query and leaves another clean.
+    let reached = |at: usize| -> Option<(Vec<&str>, Vec<&str>)> {
+        let mut bad = image.clone();
+        bad[paged_off + at] ^= 0x10;
+        let (lg, star, cache) = PagedFile::open_bytes(bad, 1 << 20)
+            .and_then(PagedFile::into_parts)
+            .ok()?;
+        let (mut hit, mut clean) = (Vec::new(), Vec::new());
+        for e in PAGED_EXPRS {
+            let q = PathExpr::parse(e).unwrap();
+            star.query_top_down(&lg, &q, TrustPolicy::Proven);
+            match cache.take_poison() {
+                Some(_) => hit.push(*e),
+                None => clean.push(*e),
+            }
+        }
+        (!hit.is_empty() && !clean.is_empty()).then_some((hit, clean))
+    };
+    let (at, (hit, clean)) = (0..paged_len)
+        .step_by(64)
+        .find_map(|at| reached(at).map(|r| (at, r)))
+        .expect("some page flip must fault one query and spare another");
+
+    let path = dir.join("paged.mrx");
+    std::fs::write(&path, &image).unwrap();
+    let mut cfg = base_config(&path);
+    cfg.workers = 1;
+    let server = Server::start(cfg).unwrap();
+    {
+        use std::io::{Seek, SeekFrom, Write};
+        let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.seek(SeekFrom::Start((paged_off + at) as u64)).unwrap();
+        f.write_all(&[image[paged_off + at] ^ 0x10]).unwrap();
+    }
+
+    let mut c = Client::connect(server.addr()).unwrap();
+    for e in &hit {
+        for round in ["first", "repeat"] {
+            match c.query("t", e) {
+                Err(ClientError::Server(ServeError::Store(msg))) => {
+                    assert!(msg.contains("page integrity failure"), "{e} {round}: {msg}")
+                }
+                other => panic!("{e} {round}: corrupt page served: {other:?}"),
+            }
+        }
+    }
+    for e in &clean {
+        let q = PathExpr::parse(e).unwrap();
+        let want: Vec<u32> = cz
+            .query_top_down(&fg, &q, TrustPolicy::Proven)
+            .nodes
+            .iter()
+            .map(|n| n.0)
+            .collect();
+        assert_eq!(c.query("t", e).unwrap().nodes, want, "{e}");
+    }
+    let stats = c.stats().unwrap();
+    let trips: usize = stats
+        .split("\"poison_trips\":")
+        .nth(1)
+        .and_then(|t| t.split(|ch: char| !ch.is_ascii_digit()).next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no poison_trips in {stats}"));
+    assert_eq!(trips, 2 * hit.len(), "{stats}");
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -27,9 +27,12 @@
 //! Accessors are infallible by trait contract, so a unit that fails its
 //! checksum or structural validation **poisons the shared
 //! [`PageCache`]** and falls back to a structurally-safe empty shape
-//! (no rows, label 0). The serving layer checks the poison slot after
-//! every query and returns the typed error instead of the answer — the
-//! same always-caught-before-serving contract the paged region has.
+//! (no rows, label 0). It is the same cache the paged index reads
+//! through, so the serving layer's one fault probe
+//! ([`mrx_index::Servable::fault_cache`]) covers graph units too: the
+//! poison is checked after every query and returned as the typed error
+//! instead of the answer — the same always-caught-before-serving contract
+//! the paged region has.
 //!
 //! [`TrustPolicy::Proven`]: mrx_index::TrustPolicy
 

@@ -56,10 +56,12 @@
 //! after the evaluator has partially consumed the structure, so rebuilding
 //! is no longer a sound drop-in. The v6 reader therefore fails hard: any
 //! page-checksum mismatch or payload-validation failure poisons the cache,
-//! and [`PagedFile::query`] checks the poison slot after evaluation and
-//! returns the typed error *instead of* the answer. The fault harness
-//! (`fault_bench --paged`) sweeps seeded page corruptions to prove nothing
-//! escapes this net.
+//! and every serving path checks the hierarchy's fault probe
+//! ([`mrx_index::Servable::fault_cache`]) after evaluation and returns the
+//! typed error *instead of* the answer — [`PagedFile::query`] here, and
+//! [`mrx_index::QuerySession::try_serve`] over [`PagedFile::into_parts`].
+//! The fault harness (`fault_bench --paged`) sweeps seeded page corruptions
+//! to prove nothing escapes this net.
 
 #![cfg_attr(
     not(test),
@@ -75,14 +77,14 @@ use mrx_error::MrxError;
 use mrx_graph::{FrozenGraph, LabelId};
 use mrx_index::{
     Answer, CompressedMStar, IdxId, IndexView, PagedIndex, PagedIndexParts, PagedMStar,
-    QueryScratch, TrustPolicy,
+    QueryScratch, Servable, TrustPolicy,
 };
 use mrx_pagecache::{
     fnv64, fnv64_words, page_checksums, ArenaLayout, BytesSource, FileSource, PageCache,
     PageSource, PageStats, PagedArena, PagedU32, DEFAULT_CACHE_BYTES, DEFAULT_PAGE_SIZE,
     MAX_PAGE_SIZE, MIN_PAGE_SIZE,
 };
-use mrx_path::{PathExpr, QueryBudget};
+use mrx_path::{never_fails, BudgetMeter, Cost, Governor, PathExpr, QueryBudget, Ungoverned};
 
 use crate::compressed::{read_arr, read_prelude, write_arr};
 use crate::format::{
@@ -608,26 +610,12 @@ impl PagedFile {
     }
 
     /// Answers `path` top-down with an explicit trust policy. The answer
-    /// is returned only if the page cache is clean afterwards: a checksum
-    /// or payload failure discovered mid-evaluation surfaces as the typed
+    /// is returned only if the evaluation raised no fault: a checksum or
+    /// payload failure discovered mid-evaluation surfaces as the typed
     /// error instead.
     pub fn query(&mut self, path: &PathExpr, policy: TrustPolicy) -> Result<Answer, StoreError> {
-        let len = path.steps().len().saturating_sub(1);
-        self.ensure_loaded(len)?;
-        if let Some(e) = self.cache.take_poison() {
-            return Err(e);
-        }
-        let star = PagedMStar {
-            components: std::mem::take(&mut self.components),
-            epoch: self.star_epoch,
-        };
-        let cp = path.compile(&self.graph);
-        let ans = star.query_top_down_with_scratch(&self.graph, &cp, policy, &mut self.scratch);
-        self.components = star.components;
-        if let Some(e) = self.cache.take_poison() {
-            return Err(e);
-        }
-        Ok(ans)
+        let r = self.evaluate(path, policy, &mut Ungoverned)?;
+        Ok(never_fails(r.map_err(|(never, _)| never)))
     }
 
     /// [`PagedFile::query`] under a [`QueryBudget`] — the governed paged
@@ -638,39 +626,48 @@ impl PagedFile {
         policy: TrustPolicy,
         budget: &QueryBudget,
     ) -> Result<Answer, MrxError> {
-        let len = path.steps().len().saturating_sub(1);
-        self.ensure_loaded(len)?;
-        if let Some(e) = self.cache.take_poison() {
-            return Err(e.into());
-        }
+        self.evaluate(path, policy, &mut budget.meter())?
+            .map_err(|(kind, cost)| MrxError::Budget(BudgetMeter::exhausted(kind, &cost)))
+    }
+
+    /// Activates the prefix `path` needs and evaluates it top-down under
+    /// `budget`, then checks the hierarchy's fault probe: a fault outranks
+    /// whatever the evaluation returned.
+    #[allow(clippy::type_complexity)]
+    fn evaluate<B: Governor>(
+        &mut self,
+        path: &PathExpr,
+        policy: TrustPolicy,
+        budget: &mut B,
+    ) -> Result<Result<Answer, (B::Err, Cost)>, StoreError> {
+        self.ensure_loaded(path.steps().len().saturating_sub(1))?;
         let star = PagedMStar {
             components: std::mem::take(&mut self.components),
             epoch: self.star_epoch,
         };
         let cp = path.compile(&self.graph);
-        let mut meter = budget.meter();
-        let r =
-            star.query_top_down_budgeted(&self.graph, &cp, policy, &mut self.scratch, &mut meter);
+        let r = star.eval(&self.graph, &cp, policy, &mut self.scratch, budget);
+        let fault = star.take_fault();
         self.components = star.components;
-        if let Some(e) = self.cache.take_poison() {
-            return Err(e.into());
+        match fault {
+            Some(e) => Err(e),
+            None => Ok(r),
         }
-        r.map_err(MrxError::Budget)
     }
 
     /// Activates everything and hands out the parts for session-style
     /// serving (replay loops that want the star, graph, and cache — the
-    /// cache for poison checks and page stats — without the file wrapper).
+    /// cache for page stats — without the file wrapper).
     #[allow(clippy::type_complexity)]
     pub fn into_parts(mut self) -> Result<(LazyGraph, PagedMStar, Rc<PageCache>), StoreError> {
         self.ensure_loaded(self.offsets.len().saturating_sub(1))?;
-        if let Some(e) = self.cache.take_poison() {
-            return Err(e);
-        }
         let star = PagedMStar {
             components: self.components,
             epoch: self.star_epoch,
         };
+        if let Some(e) = star.take_fault() {
+            return Err(e);
+        }
         Ok((self.graph, star, self.cache))
     }
 }
@@ -679,7 +676,7 @@ impl PagedFile {
 mod tests {
     use super::*;
     use mrx_graph::DataGraph;
-    use mrx_index::MStarIndex;
+    use mrx_index::{MStarIndex, QuerySession};
     use mrx_path::eval_data;
 
     fn setup() -> (DataGraph, MStarIndex) {
@@ -859,6 +856,62 @@ mod tests {
         let f = PagedFile::open_bytes(img, DEFAULT_CACHE_BYTES).unwrap();
         f.verify().unwrap();
         assert_eq!(f.graph().to_frozen().unwrap(), _fg);
+    }
+
+    /// A session serving a corrupt image never caches an answer evaluated
+    /// over a bad page: `try_serve` returns every faulted evaluation as a
+    /// typed store error, a repeat faults again instead of hitting the
+    /// cache, and `serve` returns the answer uncached with the fault left
+    /// for the page cache's owner.
+    #[test]
+    fn session_never_caches_an_answer_evaluated_over_a_bad_page() {
+        let (_g, cz, fg, img) = image(64);
+        let paged_off = le_u64(&img[16..24]) as usize;
+        let paged_len = le_u64(&img[24..32]) as usize;
+        let queries: Vec<PathExpr> = EXPRS.iter().map(|e| PathExpr::parse(e).unwrap()).collect();
+        let mut faulted = 0;
+        for at in (0..paged_len).step_by(61) {
+            let mut bad = img.clone();
+            bad[paged_off + at] ^= 0x10;
+            // A flip inside a pinned skip directory fails activation instead.
+            let Ok((graph, star, cache)) =
+                PagedFile::open_bytes(bad, DEFAULT_CACHE_BYTES).and_then(PagedFile::into_parts)
+            else {
+                continue;
+            };
+            let mut session = QuerySession::new(TrustPolicy::Proven);
+            for q in &queries {
+                let ctx = format!("flip at region byte {at}, {q}");
+                let cp = q.compile(&graph);
+                star.query_top_down_with_scratch(
+                    &graph,
+                    &cp,
+                    TrustPolicy::Proven,
+                    &mut QueryScratch::new(),
+                );
+                if cache.take_poison().is_none() {
+                    let want = cz.query_top_down(&fg, q, TrustPolicy::Proven);
+                    let got = session.try_serve(&star, &graph, q).unwrap();
+                    assert_eq!(got.nodes, want.nodes, "{ctx}");
+                    continue;
+                }
+                faulted += 1;
+                for round in ["first", "repeat"] {
+                    match session.try_serve(&star, &graph, q) {
+                        Err(MrxError::Store(_)) => {}
+                        other => panic!("{ctx}: {round} serving returned {other:?}"),
+                    }
+                }
+                assert!(!cache.poisoned(), "{ctx}: try_serve must take the fault");
+                let misses = session.stats().misses;
+                for _ in 0..2 {
+                    session.serve(&star, &graph, q);
+                    assert!(cache.take_poison().is_some(), "{ctx}: serve took the fault");
+                }
+                assert_eq!(session.stats().misses, misses + 2, "{ctx}: cached");
+            }
+        }
+        assert!(faulted > 0, "the sweep never faulted a query");
     }
 
     #[test]

@@ -68,6 +68,12 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> servebench build (the end-to-end benchmark compiles against the serving API)"
+# servebench is its own package outside the workspace, so nothing above
+# compiles it; it uses SharedAnswerCache, SharedCacheConfig and PageCache
+# directly, and an API break there would only surface when it runs.
+cargo build --release --offline --manifest-path servebench/Cargo.toml
+
 echo "==> refine_bench smoke"
 cargo run -p mrx-bench --bin refine_bench --release -- --smoke
 
