@@ -1,8 +1,8 @@
 //! Fault-injection harness for the `.mrx` serving read path.
 //!
 //! Experiments over a real XMark-like snapshot in both layouts: compressed
-//! (v5) and demand-paged (v6). The `v3`/`v4` labels in prints and JSON
-//! keys are kept for history continuity and mean v5 and v6; every
+//! (v5) and demand-paged (v7). The `v3`/`v4` labels in prints and JSON
+//! keys are kept for history continuity and mean v5 and v7; every
 //! posting-section fault below lands inside or around a tagged block
 //! (delta-varint, bit-packed, or run):
 //!
@@ -328,7 +328,7 @@ fn main() {
         .map(|i| cz.component(i).extent_bytes())
         .sum();
     println!(
-        "fault_bench: XMark-like, {} nodes, v5 {} bytes, v6 {} bytes, {} seeds per format",
+        "fault_bench: XMark-like, {} nodes, v5 {} bytes, v7 {} bytes, {} seeds per format",
         g.node_count(),
         v3.len(),
         v4.len(),

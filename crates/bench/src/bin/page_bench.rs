@@ -1,4 +1,4 @@
-//! Demand-paged serving (v6) vs. the eager compressed (v5) snapshot, on
+//! Demand-paged serving (v7) vs. the eager compressed (v5) snapshot, on
 //! the default XMark-like dataset. The `v3`/`v4` names in prints and JSON
 //! keys are kept for history continuity — they mean "eager compressed"
 //! and "paged":
@@ -123,14 +123,14 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("mrx-page-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let p3 = dir.join("bench-v5.mrx");
-    let p4 = dir.join("bench-v6.mrx");
+    let p4 = dir.join("bench-v7.mrx");
     save_compressed(&p3, &fg, &cz).expect("save v5");
-    save_paged_with(&p4, &fg, &cz, page_size).expect("save v6");
+    save_paged_with(&p4, &fg, &cz, page_size).expect("save v7");
     let v3_bytes = std::fs::metadata(&p3).expect("stat v3").len();
     let v4_bytes = std::fs::metadata(&p4).expect("stat v4").len();
     println!(
         "page_bench: XMark-like, {} nodes, {} queries, page {} B, \
-         v5 {} / v6 {} bytes, reps={}",
+         v5 {} / v7 {} bytes, reps={}",
         g.node_count(),
         w.queries.len(),
         page_size,
@@ -187,9 +187,9 @@ fn main() {
     let resident = time("replay/resident-v3", opts.reps, || {
         replay(&cz, &fg, &w.queries, POLICY, 1).total
     });
-    let file = PagedFile::open_with(&p4, cache_cap).expect("open v6 for replay");
+    let file = PagedFile::open_with(&p4, cache_cap).expect("open v7 for replay");
     let resident_total = replay(&cz, &fg, &w.queries, POLICY, 1).total;
-    let (pg, star, cache) = file.into_parts().expect("activate v6");
+    let (pg, star, cache) = file.into_parts().expect("activate v7");
     let paged_total = replay_paged(&star, &pg, &w.queries);
     assert_eq!(
         paged_total, resident_total,

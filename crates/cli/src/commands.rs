@@ -49,19 +49,19 @@ pass (deduplicated worklist, shared scratch) instead of one FUP at a time.
 `freeze` builds an M*(k)-index of an XML file (adapted to --fups) and
 writes a compressed v5 snapshot whose extents and adjacency are posting
 lists served without decompression. `freeze --paged` writes a
-demand-paged v6 snapshot instead: extents and the node map stay on disk
-and are served through a budgeted page cache with per-page checksums, so
-opening is near-instant and the resident set is capped. `query` on a
-.mrx file detects the layout from its header; for v6, --cache-bytes caps
-the cache and --stats adds page fault/hit/eviction counters. Snapshots in
-the retired v1–v4 layouts are refused: re-freeze them with `freeze`.
+demand-paged v7 snapshot instead: extents stay on disk and are served
+through a budgeted page cache with per-page checksums, so opening is
+near-instant and the resident set is capped. `query` on a .mrx file
+detects the layout from its header; for v7, --cache-bytes caps the cache
+and --stats adds page fault/hit/eviction counters. Snapshots in the
+retired v1–v4 and v6 layouts are refused: re-freeze them with `freeze`.
 Every command that reads XML accepts --strict-refs, which rejects
 documents with duplicate ID declarations or dangling IDREF tokens
 (otherwise those are counted and reported as a warning).
 --max-steps / --max-nodes / --timeout-ms bound a query's node visits,
 answer size, and wall-clock time; an exhausted budget reports the partial
 cost instead of an answer (`--stats` counts such trips as budget_trips).
-`serve` runs the fault-tolerant multi-tenant daemon over a v5 or v6
+`serve` runs the fault-tolerant multi-tenant daemon over a v5 or v7
 snapshot: bounded queues with typed Overloaded/RateLimited shedding
 (--rate/--burst arm a default per-tenant token bucket), per-tenant budgets
 (--max-steps/--max-nodes/--timeout-ms apply per query), graceful
@@ -364,22 +364,22 @@ fn cmd_query(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
     };
     let budget = budget_from_args(&args)?;
 
-    // A snapshot: the layout comes from its header (a retired v1–v4
-    // header is refused with a typed error naming `mrx freeze`).
+    // A snapshot: the layout comes from its header (a retired header is
+    // refused with a typed error naming `mrx freeze`).
     if path.ends_with(".mrx") {
-        if mrx_store::snapshot_version(path)? == 6 {
+        if mrx_store::snapshot_version(path)? == 7 {
             return query_paged(out, &args, path, &q, policy, &budget);
         }
         if args.option("cache-bytes").is_some() {
             return Err(Box::new(ArgError(
-                "--cache-bytes applies only to demand-paged v6 snapshots".into(),
+                "--cache-bytes applies only to demand-paged v7 snapshots".into(),
             )));
         }
         return query_compressed(out, &args, path, &q, policy, &budget);
     }
     if args.option("cache-bytes").is_some() {
         return Err(Box::new(ArgError(
-            "--cache-bytes applies only to demand-paged v6 snapshots".into(),
+            "--cache-bytes applies only to demand-paged v7 snapshots".into(),
         )));
     }
 
@@ -476,9 +476,9 @@ fn query_compressed(
     Ok(())
 }
 
-/// Serves one query from a demand-paged (v6) snapshot: near-zero open,
-/// component metadata loaded as a prefix, extents and the node map paged
-/// in on demand under the cache budget.
+/// Serves one query from a demand-paged (v7) snapshot: near-zero open,
+/// component metadata loaded as a prefix, extents paged in on demand
+/// under the cache budget.
 fn query_paged(
     out: &mut impl std::io::Write,
     args: &Args,
@@ -602,7 +602,7 @@ fn print_nodes<G: GraphView>(
 }
 
 /// Builds an M*(k)-index of an XML document, adapted to `--fups`, and
-/// writes it as a compressed v5 snapshot (or demand-paged v6 with
+/// writes it as a compressed v5 snapshot (or demand-paged v7 with
 /// `--paged`).
 fn cmd_freeze(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
     let args = Args::scan(raw, &["out", "fups", "page-size"])?;
@@ -637,7 +637,7 @@ fn cmd_freeze(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
             }
             None => mrx_store::save_paged(dest, &fg, &cz)?,
         }
-        "demand-paged v6"
+        "demand-paged v7"
     } else {
         mrx_store::save_compressed(dest, &fg, &cz)?;
         "compressed v5"
@@ -904,7 +904,7 @@ mod tests {
         assert!(s.contains("down (≈2-down):"), "{s}");
     }
 
-    /// Freezes `DOC` adapted to one FUP into a v5 and a v6 snapshot.
+    /// Freezes `DOC` adapted to one FUP into a v5 and a v7 snapshot.
     fn freeze_pair(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
         let doc = tempfile(&format!("{tag}.xml"), DOC);
         let fups = tempfile(
@@ -912,7 +912,7 @@ mod tests {
             "# c\n//auction/seller/person\n\n",
         );
         let v5 = tempfile(&format!("{tag}-v5.mrx"), "");
-        let v6 = tempfile(&format!("{tag}-v6.mrx"), "");
+        let v7 = tempfile(&format!("{tag}-v7.mrx"), "");
         let common = [doc.to_str().unwrap(), "--fups", fups.to_str().unwrap()];
         let s = run_cmd(
             "freeze",
@@ -923,26 +923,26 @@ mod tests {
         assert!(s.contains("compressed v5"), "{s}");
         let paged = [
             "--out",
-            v6.to_str().unwrap(),
+            v7.to_str().unwrap(),
             "--paged",
             "--page-size",
             "64",
         ];
         let s = run_cmd("freeze", &[&common[..], &paged[..]].concat()).unwrap();
-        assert!(s.contains("demand-paged v6"), "{s}");
-        (v5, v6)
+        assert!(s.contains("demand-paged v7"), "{s}");
+        (v5, v7)
     }
 
     #[test]
     fn freeze_and_autodetected_query() {
-        let (v5, v6) = freeze_pair("freeze");
+        let (v5, v7) = freeze_pair("freeze");
         let q = "//auction/seller/person";
         // The layout comes from the header: no flag needed for either.
         let packed = run_cmd("query", &[v5.to_str().unwrap(), q]).unwrap();
         assert!(packed.contains("1 answers"), "{packed}");
         assert!(packed.contains("loaded 3 of 3 components"), "{packed}");
         assert!(packed.contains("extent bytes resident"), "{packed}");
-        let paged = run_cmd("query", &[v6.to_str().unwrap(), q]).unwrap();
+        let paged = run_cmd("query", &[v7.to_str().unwrap(), q]).unwrap();
         assert!(paged.contains("bytes demand-paged"), "{paged}");
         // Same answer count and cost line from both layouts.
         assert_eq!(packed.lines().next(), paged.lines().next());
@@ -950,21 +950,21 @@ mod tests {
         let short = run_cmd("query", &[v5.to_str().unwrap(), "//seller/person"]).unwrap();
         assert!(short.contains("loaded 2 of 3 components"), "{short}");
 
-        for f in [&v5, &v6] {
+        for f in [&v5, &v7] {
             let shown = run_cmd("query", &[f.to_str().unwrap(), q, "--show-nodes"]).unwrap();
             assert!(shown.contains("<person>"), "{shown}");
         }
-        // --cache-bytes caps the v6 cache and --stats adds its counters;
+        // --cache-bytes caps the v7 cache and --stats adds its counters;
         // on a v5 snapshot --cache-bytes is a clear error.
         let s = run_cmd(
             "query",
-            &[v6.to_str().unwrap(), q, "--cache-bytes", "4096", "--stats"],
+            &[v7.to_str().unwrap(), q, "--cache-bytes", "4096", "--stats"],
         )
         .unwrap();
         assert!(s.contains("pages: size=64"), "{s}");
         assert!(s.contains("faults="), "{s}");
         let e = run_cmd("query", &[v5.to_str().unwrap(), q, "--cache-bytes", "64"]).unwrap_err();
-        assert!(e.contains("v6"), "{e}");
+        assert!(e.contains("v7"), "{e}");
     }
 
     #[test]
@@ -1020,7 +1020,7 @@ mod tests {
     fn retired_snapshots_are_refused_with_a_pointer_to_freeze() {
         let (v5, _) = freeze_pair("retired");
         let bytes = std::fs::read(&v5).unwrap();
-        for version in 1..=4u32 {
+        for version in [1, 2, 3, 4, 6u32] {
             let mut old = bytes.clone();
             old[8..12].copy_from_slice(&version.to_le_bytes());
             let p = tempfile(&format!("retired-v{version}.mrx"), "");
@@ -1094,8 +1094,8 @@ mod tests {
 
     #[test]
     fn query_budget_applies_to_both_snapshot_layouts() {
-        let (v5, v6) = freeze_pair("budget");
-        for file in [&v5, &v6] {
+        let (v5, v7) = freeze_pair("budget");
+        for file in [&v5, &v7] {
             let f = file.to_str().unwrap();
             let s = run_cmd("query", &[f, "//seller/person", "--max-steps", "1"]).unwrap();
             assert!(s.contains("budget exhausted"), "{f}: {s}");

@@ -54,6 +54,8 @@ pub struct FrozenIndex {
     /// Inverse extent map: `node_of_data[o]` is the node whose extent
     /// contains data node `o`. Length = data-graph node count.
     pub node_of_data: Vec<IdxId>,
+    /// The node whose extent contains the data graph's root.
+    pub root: IdxId,
     /// CSR offsets into [`by_label_ids`](Self::by_label_ids), one row per
     /// label in the data graph's alphabet. Length `num_labels + 1`.
     pub by_label_off: Vec<u32>,
@@ -93,6 +95,7 @@ impl FrozenIndex {
             parent_off: Vec::with_capacity(n + 1),
             parent_tgt: Vec::new(),
             node_of_data: Vec::with_capacity(ig.data_node_count()),
+            root: IdxId(map[ig.root_node().index()]),
             by_label_off: Vec::new(),
             by_label_ids: Vec::with_capacity(n),
             lemma2: ig.lemma2_safe(),
@@ -151,9 +154,12 @@ impl FrozenIndex {
         if self.k.len() != n || self.genuine.len() != n {
             return Err("similarity arrays disagree with node count".into());
         }
+        if self.root.index() >= n {
+            return Err("root node out of range".into());
+        }
         check_csr("extent", &self.extent_off, self.extent_arena.len(), n)?;
-        check_csr("child", &self.child_off, self.child_tgt.len(), n)?;
-        check_csr("parent", &self.parent_off, self.parent_tgt.len(), n)?;
+        check_adjacency("child", &self.child_off, &self.child_tgt, n)?;
+        check_adjacency("parent", &self.parent_off, &self.parent_tgt, n)?;
         check_csr(
             "by_label",
             &self.by_label_off,
@@ -166,26 +172,11 @@ impl FrozenIndex {
         if self.by_label_ids.len() != n {
             return Err("by_label does not cover every node exactly once".into());
         }
-        for (what, tgt) in [("child", &self.child_tgt), ("parent", &self.parent_tgt)] {
-            if tgt.iter().any(|t| t.index() >= n) {
-                return Err(format!("{what} target out of range"));
-            }
-        }
         let off_pairs = |off: &[u32]| -> Vec<(usize, usize)> {
             off.windows(2)
                 .map(|w| (w[0] as usize, w[1] as usize))
                 .collect()
         };
-        for (a, b) in off_pairs(&self.child_off) {
-            if !self.child_tgt[a..b].windows(2).all(|w| w[0] < w[1]) {
-                return Err("child row not strictly ascending".into());
-            }
-        }
-        for (a, b) in off_pairs(&self.parent_off) {
-            if !self.parent_tgt[a..b].windows(2).all(|w| w[0] < w[1]) {
-                return Err("parent row not strictly ascending".into());
-            }
-        }
         let d = self.node_of_data.len();
         for (v, (a, b)) in off_pairs(&self.extent_off).into_iter().enumerate() {
             if a == b {
@@ -227,7 +218,13 @@ impl FrozenIndex {
     }
 }
 
-fn check_csr(what: &str, off: &[u32], arena_len: usize, rows: usize) -> Result<(), String> {
+/// Checks CSR offsets: `rows + 1` monotone entries spanning the arena.
+pub(crate) fn check_csr(
+    what: &str,
+    off: &[u32],
+    arena_len: usize,
+    rows: usize,
+) -> Result<(), String> {
     if off.len() != rows + 1 {
         return Err(format!("{what} offsets have wrong length"));
     }
@@ -236,6 +233,27 @@ fn check_csr(what: &str, off: &[u32], arena_len: usize, rows: usize) -> Result<(
     }
     if !off.windows(2).all(|w| w[0] <= w[1]) {
         return Err(format!("{what} offsets not monotone"));
+    }
+    Ok(())
+}
+
+/// Checks an adjacency CSR over `n` nodes: offsets as in [`check_csr`],
+/// every row strictly ascending, every target in range.
+pub(crate) fn check_adjacency(
+    what: &str,
+    off: &[u32],
+    tgt: &[IdxId],
+    n: usize,
+) -> Result<(), String> {
+    check_csr(what, off, tgt.len(), n)?;
+    for w in off.windows(2) {
+        let row = &tgt[w[0] as usize..w[1] as usize];
+        if row.windows(2).any(|p| p[0] >= p[1]) {
+            return Err(format!("{what} row not strictly ascending"));
+        }
+        if row.last().is_some_and(|t| t.index() >= n) {
+            return Err(format!("{what} target out of range"));
+        }
     }
     Ok(())
 }
@@ -329,7 +347,7 @@ mod tests {
             let mut c1 = Cost::ZERO;
             let mut c2 = Cost::ZERO;
             let live: Vec<IdxId> = ig.eval_in_place(&g, &cp, &mut c1, &mut s1).to_vec();
-            let froz: Vec<IdxId> = view::eval_view(&fz, &g, &cp, &mut c2, &mut s2).to_vec();
+            let froz: Vec<IdxId> = view::eval_view(&fz, &cp, &mut c2, &mut s2).to_vec();
             assert_eq!(live.len(), froz.len(), "{expr}");
             assert_eq!(c1, c2, "{expr}");
             // Targets correspond under the monotone renumbering.

@@ -90,6 +90,8 @@ struct Slot {
 pub struct IndexGraph {
     slots: Vec<Slot>,
     node_of_data: Vec<IdxId>,
+    /// The data graph's root, for [`IndexGraph::root_node`].
+    root: NodeId,
     /// label -> node ids; may contain dead ids (compacted lazily).
     by_label: Vec<Vec<IdxId>>,
     live_per_label: Vec<u32>,
@@ -131,6 +133,7 @@ impl IndexGraph {
         let mut ig = IndexGraph {
             slots: Vec::with_capacity(nb),
             node_of_data: vec![IdxId(u32::MAX); n],
+            root: g.root(),
             by_label: vec![Vec::new(); g.labels().len()],
             live_per_label: vec![0; g.labels().len()],
             live_nodes: 0,
@@ -344,6 +347,12 @@ impl IndexGraph {
     #[inline]
     pub fn node_of(&self, o: NodeId) -> IdxId {
         self.node_of_data[o.index()]
+    }
+
+    /// The index node whose extent contains the data graph's root.
+    #[inline]
+    pub fn root_node(&self) -> IdxId {
+        self.node_of(self.root)
     }
 
     /// Iterates over live index node ids.
@@ -655,14 +664,16 @@ impl IndexGraph {
     /// [`IndexGraph::eval_in`] returning the scratch-owned result slice
     /// instead of cloning it. The batched adaptation engine uses this for
     /// its skip-if-converged probes, where the targets are only inspected.
+    /// Index evaluation reads only the index (the anchored filter uses
+    /// [`IndexGraph::root_node`]), so `g` is not consulted.
     pub fn eval_in_place<'s>(
         &self,
-        g: &DataGraph,
+        _g: &DataGraph,
         path: &CompiledPath,
         cost: &mut Cost,
         scratch: &'s mut IndexEvalScratch,
     ) -> &'s [IdxId] {
-        crate::view::eval_view(self, g, path, cost, scratch)
+        crate::view::eval_view(self, path, cost, scratch)
     }
 
     /// Memoized check that an instance of `cp.steps[step..]` *starts* at

@@ -62,7 +62,7 @@ pub use graph::{IdxId, IndexEvalScratch, IndexGraph};
 pub use m_k::MkIndex;
 pub use m_star::{EvalStrategy, MStarIndex};
 pub use one_index::OneIndex;
-pub use paged::{PagedIndex, PagedIndexParts};
+pub use paged::PagedIndex;
 pub use partition::{
     bisim, bisim_stats, intersect_partitions, k_bisim, k_bisim_all, k_bisim_stats, l_bisim_down,
     l_bisim_down_stats, label_partition, naive, refine_once, refine_once_down, Partition,
@@ -77,9 +77,11 @@ pub use session::{
     replay, replay_budgeted, replay_mstar, QuerySession, ReplayReport, Servable, SessionStats,
     SharedAnswerCache, SharedCacheConfig, SharedCacheStats,
 };
-pub use snapshot::{CompressedMStar, MStarSnapshot, PagedMStar};
+pub use snapshot::{
+    CompressedMStar, ExtentStore, MStarSnapshot, PagedMStar, SnapshotIndex, SubnodeLinks,
+};
 pub use ud_k_l::UdIndex;
 pub use view::{
     eval_view, finish_answer_view, finish_answer_view_budgeted, top_down_targets,
-    top_down_targets_budgeted, ExtentCursor, IndexView,
+    top_down_targets_budgeted, IndexView,
 };

@@ -155,7 +155,7 @@ pub(crate) fn answer_governed<I: IndexView, G: GraphView, B: Governor>(
     budget: &mut B,
 ) -> Result<Answer, (B::Err, Cost)> {
     let mut cost = Cost::ZERO;
-    let targets = match eval_view_governed(ig, g, cp, &mut cost, &mut scratch.eval, budget) {
+    let targets = match eval_view_governed(ig, cp, &mut cost, &mut scratch.eval, budget) {
         Ok(f) => f.to_vec(),
         Err(e) => return Err((e, cost)),
     };

@@ -49,7 +49,8 @@ use mrx_error::{MrxError, StoreError};
 use mrx_graph::{DataGraph, GraphView};
 use mrx_pagecache::PageCache;
 use mrx_path::{
-    never_fails, BudgetMeter, CompiledPath, Cost, Governor, PathExpr, QueryBudget, Ungoverned,
+    never_fails, BudgetKind, BudgetMeter, CompiledPath, Cost, Governor, PathExpr, QueryBudget,
+    Ungoverned,
 };
 
 use crate::query::{self, Answer, QueryScratch, TrustPolicy};
@@ -641,7 +642,10 @@ impl QuerySession {
     /// An evaluation that faulted on a paged target returns the fault as
     /// [`MrxError::Store`], whatever the evaluation itself returned. Nothing
     /// is cached for either. With an unlimited budget the evaluation is
-    /// unmetered.
+    /// unmetered. A cache hit does no work, so `max_steps` and the deadline
+    /// have nothing to bound there, but the result cap still applies: a
+    /// hit larger than `max_result_nodes` returns the same
+    /// [`BudgetKind::ResultNodes`] error a miss would, with zero cost.
     pub fn try_serve<'s, T: Servable, G: GraphView>(
         &'s mut self,
         target: &T,
@@ -675,6 +679,14 @@ impl QuerySession {
                 MrxError::Budget(e)
             })?;
             self.finish(path, epoch, &compiled, answer, true);
+        } else if self
+            .budget
+            .max_result_nodes
+            .is_some_and(|cap| self.last.nodes.len() as u64 > cap)
+        {
+            self.stats.budget_trips += 1;
+            let e = BudgetMeter::exhausted(BudgetKind::ResultNodes, &Cost::ZERO);
+            return Err(MrxError::Budget(e));
         }
         Ok(&self.last)
     }
@@ -1087,6 +1099,43 @@ mod tests {
         assert_eq!(cs.insertions, 1);
         assert_eq!(cs.hits, 2);
         assert_eq!(cs.entries, 1);
+    }
+
+    /// A hit is checked against the result cap: another session's
+    /// admission must not lift this session's `max_result_nodes`.
+    #[test]
+    fn shared_cache_hit_respects_the_result_cap() {
+        let g = doc();
+        let ig = IndexGraph::a0(&g);
+        let p = PathExpr::parse("//person/name/last").unwrap();
+        let shared = Arc::new(SharedAnswerCache::new(SharedCacheConfig {
+            min_cost: 0,
+            ..SharedCacheConfig::default()
+        }));
+        let mut open = QuerySession::new(TrustPolicy::Proven);
+        open.attach_shared(shared.clone(), 0);
+        let mut capped = QuerySession::new(TrustPolicy::Proven);
+        capped.attach_shared(shared.clone(), 0);
+        capped.set_budget(QueryBudget {
+            max_result_nodes: Some(0),
+            ..QueryBudget::unlimited()
+        });
+        let trip = |r: Result<&Answer, MrxError>| match r {
+            Err(MrxError::Budget(e)) => assert_eq!(e.kind, BudgetKind::ResultNodes),
+            other => panic!("expected a result-cap trip, got {other:?}"),
+        };
+        trip(capped.try_serve(&ig, &g, &p));
+        assert_eq!(open.try_serve(&ig, &g, &p).unwrap().nodes.len(), 1);
+        assert_eq!(shared.stats().entries, 1);
+        trip(capped.try_serve(&ig, &g, &p));
+        assert_eq!(capped.stats().hits, 1);
+        assert_eq!(capped.stats().budget_trips, 2);
+        // A cap the answer fits under serves the hit.
+        capped.set_budget(QueryBudget {
+            max_result_nodes: Some(1),
+            ..QueryBudget::unlimited()
+        });
+        assert_eq!(capped.try_serve(&ig, &g, &p).unwrap().nodes.len(), 1);
     }
 
     #[test]

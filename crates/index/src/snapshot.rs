@@ -1,31 +1,285 @@
-//! Immutable M*(k) hierarchies and the one top-down query implementation
-//! every M*(k) serving form shares.
+//! Immutable M*(k) hierarchies, their components, and the one top-down
+//! query implementation every M*(k) serving form shares.
 //!
-//! [`MStarSnapshot`] holds one component per resolution in any
-//! [`IndexView`] representation: compressed extents in memory
-//! ([`CompressedMStar`], the `.mrx` v5 serving form) or demand-paged
-//! extents behind a page cache ([`PagedMStar`], the v6 serving form).
+//! A [`SnapshotIndex`] is one frozen component — dense ids, flat arrays —
+//! generic over where its extents live ([`ExtentStore`]): compressed
+//! posting blocks in memory ([`CompressedIndex`], the `.mrx` v5 serving
+//! form) or the same blocks behind a page cache ([`PagedIndex`], the v7
+//! serving form). [`MStarSnapshot`] holds one component per resolution.
 //! QUERYTOPDOWN (§4.1) is written once, in [`top_down_governed`], and
 //! monomorphized over the representation and the [`Governor`]: the live
 //! [`MStarIndex`], both snapshot forms, and the budgeted and unbudgeted
 //! entry points all run the same code, so answers and [`Cost`] cannot
 //! drift between them.
+//!
+//! Each snapshot component `Ii` (`i ≥ 1`) stores the §4 cross-component
+//! links from `I(i−1)` into itself as a [`SubnodeLinks`] CSR, so a step
+//! down reads one row instead of mapping a coarse extent through a
+//! data-sized `node_of` map — only the live [`crate::IndexGraph`] keeps
+//! that map, because refinement needs it.
 
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use mrx_graph::GraphView;
+use mrx_graph::{GraphView, LabelId, NodeId};
+use mrx_pagecache::PageCache;
 use mrx_path::{
     never_fails, BudgetError, BudgetMeter, CompiledPath, Cost, Governor, PathExpr, Ungoverned,
 };
 
 use crate::compressed::CompressedIndex;
+use crate::frozen::check_csr;
 use crate::paged::PagedIndex;
 use crate::query::{self, Answer, QueryScratch, TrustPolicy};
 use crate::view::{self, IndexView};
-use crate::{FrozenIndex, MStarIndex};
+use crate::{FrozenIndex, IdxId, MStarIndex};
+
+/// Where a snapshot component keeps its extents; list `v` is node `v`'s
+/// sorted extent.
+pub trait ExtentStore {
+    /// Length of list `v`.
+    fn len_of(&self, v: usize) -> usize;
+    /// First (minimum) id of list `v`.
+    fn first_of(&self, v: usize) -> Option<u32>;
+    /// Calls `f` with every id of list `v`, ascending.
+    fn for_each(&self, v: usize, f: impl FnMut(u32));
+    /// Appends list `v` to `out`.
+    fn push_into(&self, v: usize, out: &mut Vec<NodeId>) {
+        out.reserve(self.len_of(v));
+        self.for_each(v, |o| out.push(NodeId(o)));
+    }
+    /// The page cache reads fault through (see [`IndexView::page_cache`]).
+    fn page_cache(&self) -> Option<&PageCache> {
+        None
+    }
+}
+
+/// One immutable snapshot component with its extents in `E`.
+///
+/// Ids are dense, and every array except the extents matches
+/// [`FrozenIndex`] field for field; the fields are public so the store
+/// can write and read them verbatim. Instead of the inverse extent map,
+/// a component carries the node holding the data root and its
+/// [`SubnodeLinks`]. Instances built from untrusted bytes must pass
+/// [`CompressedIndex::validate`] or [`PagedIndex::assemble`] before
+/// serving.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotIndex<E> {
+    /// Label of each node.
+    pub labels: Vec<LabelId>,
+    /// Claimed local similarity of each node.
+    pub k: Vec<u32>,
+    /// Proven local similarity of each node.
+    pub genuine: Vec<u32>,
+    /// The extents, one list per node.
+    pub extents: E,
+    /// CSR offsets into [`child_tgt`](Self::child_tgt). Length `n + 1`.
+    pub child_off: Vec<u32>,
+    /// Child adjacency; each row sorted and deduped.
+    pub child_tgt: Vec<IdxId>,
+    /// CSR offsets into [`parent_tgt`](Self::parent_tgt). Length `n + 1`.
+    pub parent_off: Vec<u32>,
+    /// Parent adjacency; each row sorted and deduped.
+    pub parent_tgt: Vec<IdxId>,
+    /// The node whose extent contains the data graph's root.
+    pub root: IdxId,
+    /// The subnodes of every node of the next-coarser component (empty
+    /// for `I0` and for a component frozen on its own).
+    pub links: SubnodeLinks,
+    /// CSR offsets into [`by_label_ids`](Self::by_label_ids).
+    pub by_label_off: Vec<u32>,
+    /// Nodes grouped by label, ascending ids within each row.
+    pub by_label_ids: Vec<IdxId>,
+    /// The source's [`FrozenIndex::lemma2`].
+    pub lemma2: bool,
+    /// The source's [`FrozenIndex::epoch`].
+    pub epoch: u64,
+}
+
+impl<E> SnapshotIndex<E> {
+    /// Number of index nodes (all ids dense and live).
+    pub fn node_count(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// The size of the label alphabet this snapshot was built over.
+    pub fn num_labels(&self) -> usize {
+        self.by_label_off.len() - 1
+    }
+
+    /// Sorted child nodes of `v`.
+    pub fn children(&self, v: IdxId) -> &[IdxId] {
+        &self.child_tgt[self.child_off[v.index()] as usize..self.child_off[v.index() + 1] as usize]
+    }
+
+    /// Sorted parent nodes of `v`.
+    pub fn parents(&self, v: IdxId) -> &[IdxId] {
+        &self.parent_tgt
+            [self.parent_off[v.index()] as usize..self.parent_off[v.index() + 1] as usize]
+    }
+
+    /// Nodes labeled `l`, ascending.
+    pub fn label_nodes(&self, l: LabelId) -> &[IdxId] {
+        &self.by_label_ids
+            [self.by_label_off[l.index()] as usize..self.by_label_off[l.index() + 1] as usize]
+    }
+}
+
+impl<E: ExtentStore> IndexView for SnapshotIndex<E> {
+    fn slot_bound(&self) -> usize {
+        self.labels.len()
+    }
+
+    fn label(&self, v: IdxId) -> LabelId {
+        self.labels[v.index()]
+    }
+
+    fn k(&self, v: IdxId) -> u32 {
+        self.k[v.index()]
+    }
+
+    fn genuine(&self, v: IdxId) -> u32 {
+        self.genuine[v.index()]
+    }
+
+    fn extent_len(&self, v: IdxId) -> usize {
+        self.extents.len_of(v.index())
+    }
+
+    fn extent_first(&self, v: IdxId) -> NodeId {
+        // Extents are never empty (they partition the data nodes); the
+        // fallback keeps this total without a panic path.
+        self.extents
+            .first_of(v.index())
+            .map(NodeId)
+            .unwrap_or(NodeId(0))
+    }
+
+    fn for_each_extent(&self, v: IdxId, mut f: impl FnMut(NodeId)) {
+        self.extents.for_each(v.index(), |o| f(NodeId(o)));
+    }
+
+    fn push_extent(&self, v: IdxId, out: &mut Vec<NodeId>) {
+        self.extents.push_into(v.index(), out);
+    }
+
+    fn parents(&self, v: IdxId) -> &[IdxId] {
+        SnapshotIndex::parents(self, v)
+    }
+
+    fn children(&self, v: IdxId) -> &[IdxId] {
+        SnapshotIndex::children(self, v)
+    }
+
+    fn root_node(&self) -> IdxId {
+        self.root
+    }
+
+    fn for_each_subnode(&self, _coarse: &Self, u: IdxId, mut f: impl FnMut(IdxId)) {
+        for &s in self.links.row(u) {
+            f(s);
+        }
+    }
+
+    fn lemma2_safe(&self) -> bool {
+        self.lemma2
+    }
+
+    fn mutation_epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    fn push_label_nodes(&self, l: LabelId, out: &mut Vec<IdxId>) {
+        if l.index() < self.num_labels() {
+            out.extend_from_slice(self.label_nodes(l));
+        }
+    }
+
+    fn push_all_nodes(&self, out: &mut Vec<IdxId>) {
+        out.extend((0..self.labels.len()).map(|i| IdxId(i as u32)));
+    }
+
+    fn page_cache(&self) -> Option<&PageCache> {
+        self.extents.page_cache()
+    }
+}
+
+/// The subnode links a snapshot component `Ii` carries: row `u` lists the
+/// subnodes in `Ii` of node `u` of `I(i−1)`, exactly
+/// [`MStarIndex::subnodes`]`(i − 1, u)` — distinct, in first-occurrence
+/// order over `u`'s extent. `I0` has no rows.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SubnodeLinks {
+    /// CSR offsets into [`tgt`](Self::tgt): one row per node of `I(i−1)`,
+    /// plus one. Empty for `I0`.
+    pub off: Vec<u32>,
+    /// Subnode ids in `Ii`, row after row.
+    pub tgt: Vec<IdxId>,
+}
+
+impl SubnodeLinks {
+    /// The rows for `coarse`'s nodes into a component of `n` nodes whose
+    /// inverse extent map is `node_of`: row `u` holds the distinct
+    /// `node_of` images of `u`'s extent in first-occurrence order, which
+    /// is [`MStarIndex::subnodes`] by definition. Every coarse extent
+    /// member must index `node_of`.
+    pub fn derive(coarse: &CompressedIndex, node_of: &[IdxId], n: usize) -> SubnodeLinks {
+        let mut links = SubnodeLinks {
+            off: Vec::with_capacity(coarse.node_count() + 1),
+            // Rows that nest hold each node once; only overlap grows this.
+            tgt: Vec::with_capacity(n),
+        };
+        let mut stamp = vec![u32::MAX; n];
+        links.off.push(0);
+        for u in 0..coarse.node_count() {
+            coarse.extents.for_each(u, |o| {
+                let s = node_of[o as usize];
+                if stamp[s.index()] != u as u32 {
+                    stamp[s.index()] = u as u32;
+                    links.tgt.push(s);
+                }
+            });
+            links.off.push(links.tgt.len() as u32);
+        }
+        links
+    }
+
+    /// The subnodes of coarse node `u`.
+    #[inline]
+    pub fn row(&self, u: IdxId) -> &[IdxId] {
+        &self.tgt[self.off[u.index()] as usize..self.off[u.index() + 1] as usize]
+    }
+
+    /// Checks the rows of a component with `n` nodes whose coarser
+    /// neighbour has `coarse` nodes (`None` for `I0`, which has none):
+    /// offsets well formed, ids in range, every node in some row, and —
+    /// when `tree` — in exactly one.
+    pub fn check(&self, coarse: Option<usize>, n: usize, tree: bool) -> Result<(), String> {
+        let Some(m) = coarse else {
+            return match self.off.is_empty() && self.tgt.is_empty() {
+                true => Ok(()),
+                false => Err("I0 carries subnode links".into()),
+            };
+        };
+        check_csr("subnode link", &self.off, self.tgt.len(), m)?;
+        let mut seen = vec![false; n];
+        for t in &self.tgt {
+            let s = seen
+                .get_mut(t.index())
+                .ok_or_else(|| format!("subnode link {} out of range", t.0))?;
+            if *s && tree {
+                return Err(format!("node {} has two supernodes", t.0));
+            }
+            *s = true;
+        }
+        match seen.iter().position(|s| !s) {
+            Some(v) => Err(format!("node {v} has no supernode")),
+            None => Ok(()),
+        }
+    }
+}
 
 /// An immutable M*(k) hierarchy: every component `Ii` in representation
 /// `I`, plus the source index's combined mutation epoch.
@@ -43,8 +297,8 @@ pub struct MStarSnapshot<I> {
 /// The in-memory serving form: extents in compressed posting blocks.
 pub type CompressedMStar = MStarSnapshot<CompressedIndex>;
 
-/// The beyond-RAM serving form: extents and the inverse extent map paged
-/// in through one shared page cache.
+/// The beyond-RAM serving form: extents paged in through one shared page
+/// cache.
 pub type PagedMStar = MStarSnapshot<PagedIndex>;
 
 /// QUERYTOPDOWN (§4.1) over any component hierarchy: evaluate the
@@ -148,21 +402,30 @@ impl CompressedMStar {
             return Err("compressed M* has no components".into());
         }
         for (i, c) in self.components.iter().enumerate() {
-            c.validate().map_err(|e| format!("component {i}: {e}"))?;
+            let coarse = i.checked_sub(1).map(|j| self.components[j].node_count());
+            c.validate()
+                .and_then(|()| c.links.check(coarse, c.node_count(), false))
+                .map_err(|e| format!("component {i}: {e}"))?;
         }
         Ok(())
     }
 }
 
 impl MStarIndex {
-    /// Freezes every component into the compressed serving form.
+    /// Freezes every component into the compressed serving form, each
+    /// `Ii` (`i ≥ 1`) linked below `I(i−1)` through its frozen inverse map.
     pub fn freeze_compressed(&self) -> CompressedMStar {
+        let mut components: Vec<CompressedIndex> = Vec::with_capacity(self.components.len());
+        for c in &self.components {
+            let fz = FrozenIndex::freeze(c);
+            let mut cz = CompressedIndex::from_frozen(&fz);
+            if let Some(coarse) = components.last() {
+                cz.links = SubnodeLinks::derive(coarse, &fz.node_of_data, fz.node_count());
+            }
+            components.push(cz);
+        }
         CompressedMStar {
-            components: self
-                .components
-                .iter()
-                .map(|c| CompressedIndex::from_frozen(&FrozenIndex::freeze(c)))
-                .collect(),
+            components,
             epoch: self.mutation_epoch(),
         }
     }
@@ -203,6 +466,46 @@ mod tests {
                 assert_eq!(live.nodes, comp.nodes, "{expr}");
                 assert_eq!(live.cost, comp.cost, "{expr}");
                 assert_eq!(live.validated, comp.validated, "{expr}");
+            }
+        }
+    }
+
+    /// Every frozen row is the live `subnodes(i - 1, u)` under the
+    /// monotone renumbering, on a graph with multiple parents and cycles.
+    #[test]
+    fn snapshot_rows_equal_live_subnodes() {
+        let g = mrx_datagen::random_graph(
+            &mrx_datagen::RandomGraphConfig {
+                nodes: 400,
+                labels: 4,
+                extra_edge_ratio: 0.5,
+                allow_cycles: true,
+            },
+            5,
+        );
+        let mut idx = MStarIndex::new(&g);
+        for expr in ["//l1/l2/l3", "//l0/l1", "//l2/l0/l1/l3/l2"] {
+            idx.refine_for(&g, &PathExpr::parse(expr).unwrap());
+        }
+        let cz = idx.freeze_compressed();
+        cz.validate().expect("valid snapshot");
+        assert!(cz.components[0].links.off.is_empty());
+        assert!(idx.max_k() >= 3);
+        for i in 1..=idx.max_k() {
+            let (coarse, fine) = (idx.component(i - 1), idx.component(i));
+            let mut dense = vec![IdxId(u32::MAX); fine.slot_bound()];
+            for (d, v) in fine.iter().enumerate() {
+                dense[v.index()] = IdxId(d as u32);
+            }
+            let links = &cz.components[i].links;
+            assert_eq!(links.off.len(), coarse.node_count() + 1, "I{i}");
+            for (d, u) in coarse.iter().enumerate() {
+                let live: Vec<IdxId> = idx
+                    .subnodes(i - 1, u)
+                    .iter()
+                    .map(|s| dense[s.index()])
+                    .collect();
+                assert_eq!(links.row(IdxId(d as u32)), &live[..], "I{i} row {d}");
             }
         }
     }

@@ -2,8 +2,9 @@
 //! the live and snapshot representations.
 //!
 //! [`IndexView`] is the narrow surface the §3.1/§4.1 query algorithms
-//! need from an index: per-node attributes, induced adjacency, the
-//! extent map, and label-grouped node enumeration. [`crate::IndexGraph`]
+//! need from an index: per-node attributes, induced adjacency, extents,
+//! the cross-component subnode links, and label-grouped node enumeration.
+//! [`crate::IndexGraph`]
 //! implements it by filtering its slot arena; the compressed and paged
 //! snapshot components implement it over flat arenas and posting blocks.
 //! The free functions here — [`eval_view`], [`top_down_targets`],
@@ -28,66 +29,11 @@ use mrx_path::{
     never_fails, BudgetError, BudgetMeter, CompiledPath, CompiledStep, Cost, EpochMemo, Governor,
     Ungoverned, ValidatorRef,
 };
-use mrx_postings::{contains_seeking, PostingCursor, PostingId, SeekingIterator, SliceSeeker};
+use mrx_postings::{contains_seeking, PostingId, SliceSeeker};
 
 use crate::graph::IndexEvalScratch;
 use crate::query::{Answer, TrustPolicy};
 use crate::{IdxId, IndexGraph};
-
-/// A seeking cursor over one extent, whatever its physical representation.
-///
-/// The evaluators below never touch extent storage directly — they iterate
-/// and seek through this enum, which is what lets raw-slice (live)
-/// and delta-compressed extents serve through one algorithm with identical
-/// visit order and cost. A closed enum instead of an associated type keeps
-/// [`IndexView`] simple, and both arms monomorphize away wherever the
-/// concrete view type is known.
-///
-/// `Paged` dominates the enum size because [`mrx_pagecache::PagedCursor`]
-/// carries its block decode buffer inline. That is deliberate: cursors are
-/// built per step inside the evaluator hot loop, and boxing the variant
-/// would trade a stack copy for a heap allocation per extent touched.
-#[allow(clippy::large_enum_variant)]
-pub enum ExtentCursor<'a> {
-    /// A raw sorted slice (live indexes); seeks by galloping.
-    Slice(SliceSeeker<'a, NodeId>),
-    /// Delta-compressed posting blocks (compressed indexes); seeks through
-    /// the block skip directory.
-    Packed(PostingCursor<'a>),
-    /// Demand-paged posting blocks (paged indexes): same wire form and
-    /// skip-directory jump as `Packed`, but payload bytes fault in through
-    /// a page cache as the cursor touches them.
-    Paged(mrx_pagecache::PagedCursor<'a>),
-}
-
-impl SeekingIterator for ExtentCursor<'_> {
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            ExtentCursor::Slice(s) => s.next(),
-            ExtentCursor::Packed(p) => p.next(),
-            ExtentCursor::Paged(p) => p.next(),
-        }
-    }
-
-    #[inline]
-    fn next_seek(&mut self, target: u32) -> Option<u32> {
-        match self {
-            ExtentCursor::Slice(s) => s.next_seek(target),
-            ExtentCursor::Packed(p) => p.next_seek(target),
-            ExtentCursor::Paged(p) => p.next_seek(target),
-        }
-    }
-
-    #[inline]
-    fn remaining(&self) -> usize {
-        match self {
-            ExtentCursor::Slice(s) => s.remaining(),
-            ExtentCursor::Packed(p) => p.remaining(),
-            ExtentCursor::Paged(p) => p.remaining(),
-        }
-    }
-}
 
 /// Read-only access to one structural index graph for query serving.
 ///
@@ -95,9 +41,9 @@ impl SeekingIterator for ExtentCursor<'_> {
 /// live [`IndexGraph`] has dead slots below `slot_bound()`, which is why
 /// enumeration goes through the `push_*` methods instead of ranges.
 ///
-/// Extents are exposed *only* through length, first element, a seeking
-/// cursor, and bulk append — never as a slice — so implementations are free
-/// to store them compressed.
+/// Extents are exposed *only* through length, first element, a full walk,
+/// and bulk append — never as a slice — so implementations are free to
+/// store them compressed.
 pub trait IndexView {
     /// Upper bound on node ids (sizing for mark/memo arrays).
     fn slot_bound(&self) -> usize;
@@ -112,31 +58,27 @@ pub trait IndexView {
     fn extent_len(&self, v: IdxId) -> usize;
     /// The first (minimum) data node of `v`'s extent.
     fn extent_first(&self, v: IdxId) -> NodeId;
-    /// A seeking cursor over the sorted extent of `v`.
-    fn extent_cursor(&self, v: IdxId) -> ExtentCursor<'_>;
-    /// Calls `f` with every data node of `v`'s extent, in ascending order —
-    /// the same visit order as draining
-    /// [`extent_cursor`](Self::extent_cursor). Implementations override
-    /// this with their tightest full-scan loop so the evaluators' whole-
-    /// extent walks (target descent, member validation) skip per-element
-    /// cursor dispatch.
-    fn for_each_extent(&self, v: IdxId, mut f: impl FnMut(NodeId))
+    /// Calls `f` with every data node of `v`'s extent, in ascending order,
+    /// through the representation's tightest full-scan loop.
+    fn for_each_extent(&self, v: IdxId, f: impl FnMut(NodeId))
     where
-        Self: Sized,
-    {
-        let mut ext = self.extent_cursor(v);
-        while let Some(o) = ext.next() {
-            f(NodeId(o));
-        }
-    }
+        Self: Sized;
     /// Appends the sorted extent of `v` to `out`.
     fn push_extent(&self, v: IdxId, out: &mut Vec<NodeId>);
     /// Sorted parent index nodes of `v`.
     fn parents(&self, v: IdxId) -> &[IdxId];
     /// Sorted child index nodes of `v`.
     fn children(&self, v: IdxId) -> &[IdxId];
-    /// The index node whose extent contains data node `o`.
-    fn node_of(&self, o: NodeId) -> IdxId;
+    /// The index node whose extent contains the data graph's root (the
+    /// anchored filter of §3.1).
+    fn root_node(&self) -> IdxId;
+    /// Calls `f` with the subnodes in this component of node `u` of the
+    /// next-coarser component `coarse` — the §4.1 top-down step. Each
+    /// subnode comes first in first-occurrence order over `u`'s extent;
+    /// repeats are allowed (the descent dedups).
+    fn for_each_subnode(&self, coarse: &Self, u: IdxId, f: impl FnMut(IdxId))
+    where
+        Self: Sized;
     /// Whether Lemma 2 applies with proven similarities (see
     /// [`IndexGraph::lemma2_safe`]).
     fn lemma2_safe(&self) -> bool;
@@ -180,10 +122,6 @@ impl IndexView for IndexGraph {
         IndexGraph::extent(self, v)[0]
     }
 
-    fn extent_cursor(&self, v: IdxId) -> ExtentCursor<'_> {
-        ExtentCursor::Slice(SliceSeeker::new(IndexGraph::extent(self, v)))
-    }
-
     fn for_each_extent(&self, v: IdxId, mut f: impl FnMut(NodeId)) {
         for &o in IndexGraph::extent(self, v) {
             f(o);
@@ -202,8 +140,16 @@ impl IndexView for IndexGraph {
         IndexGraph::children(self, v)
     }
 
-    fn node_of(&self, o: NodeId) -> IdxId {
-        IndexGraph::node_of(self, o)
+    fn root_node(&self) -> IdxId {
+        IndexGraph::root_node(self)
+    }
+
+    /// The live form keeps no links: it walks `u`'s extent through
+    /// `node_of`, which refinement maintains anyway.
+    fn for_each_subnode(&self, coarse: &Self, u: IdxId, mut f: impl FnMut(IdxId)) {
+        for &o in IndexGraph::extent(coarse, u) {
+            f(IndexGraph::node_of(self, o));
+        }
     }
 
     fn lemma2_safe(&self) -> bool {
@@ -230,29 +176,20 @@ impl IndexView for IndexGraph {
 /// This is the engine behind [`IndexGraph::eval_in_place`] and the snapshot
 /// serving path; cost accounting follows §5 — one visit per initial
 /// frontier node, then one per *distinct* child examined per step.
-pub fn eval_view<'s, I: IndexView, G: GraphView>(
+pub fn eval_view<'s, I: IndexView>(
     ig: &I,
-    g: &G,
     path: &CompiledPath,
     cost: &mut Cost,
     scratch: &'s mut IndexEvalScratch,
 ) -> &'s [IdxId] {
-    never_fails(eval_view_governed(
-        ig,
-        g,
-        path,
-        cost,
-        scratch,
-        &mut Ungoverned,
-    ))
+    never_fails(eval_view_governed(ig, path, cost, scratch, &mut Ungoverned))
 }
 
 /// The one traversal [`eval_view`] and the budgeted §3.1 query monomorphize
 /// ([`Ungoverned`] erases every budget check, so the ungoverned build is
 /// identical to the pre-budget evaluator).
-pub(crate) fn eval_view_governed<'s, I: IndexView, G: GraphView, B: Governor>(
+pub(crate) fn eval_view_governed<'s, I: IndexView, B: Governor>(
     ig: &I,
-    g: &G,
     path: &CompiledPath,
     cost: &mut Cost,
     scratch: &'s mut IndexEvalScratch,
@@ -271,7 +208,7 @@ pub(crate) fn eval_view_governed<'s, I: IndexView, G: GraphView, B: Governor>(
     }
     if path.anchored {
         // Only index nodes containing a child of the data root qualify.
-        let root_idx = ig.node_of(g.root());
+        let root_idx = ig.root_node();
         frontier.retain(|&v| contains_seeking(SliceSeeker::new(ig.parents(v)), root_idx.to_u32()));
     }
     cost.index_nodes += frontier.len() as u64;
@@ -307,11 +244,11 @@ pub(crate) fn eval_view_governed<'s, I: IndexView, G: GraphView, B: Governor>(
 /// component per step. Returns the raw target set in discovery order, the
 /// component level it lives in, and the cost so far.
 ///
-/// The descent inlines `subnodes` against the shared `seen` set: extents
-/// within a component are disjoint and each fine node refines exactly one
-/// coarse node, so the per-supernode dedup of
-/// [`crate::MStarIndex::subnodes`] is subsumed — same set, same
-/// first-occurrence order, same cost.
+/// Each step down reads the subnode links
+/// ([`IndexView::for_each_subnode`]) against the shared `seen` set, so a
+/// fine node reached from two frontier nodes is visited once: same set,
+/// same first-occurrence order and same cost as unioning
+/// [`crate::MStarIndex::subnodes`] over the frontier.
 pub fn top_down_targets<I: IndexView>(
     components: &[I],
     cp: &CompiledPath,
@@ -379,17 +316,13 @@ pub(crate) fn top_down_targets_governed<I: IndexView, B: Governor>(
             next.clear();
             seen.reset(fine.slot_bound());
             for &u in frontier.iter() {
-                // Whole-extent bulk walk (tight per-block decode on packed
-                // extents) under every governor. A trip stops the charging
-                // at the exact tripping visit, so the partial cost is the
-                // same as a per-element loop's; the rest of that one
-                // extent is decoded but ignored.
+                // A trip stops the charging at the exact tripping visit;
+                // the rest of that one row is read but ignored.
                 let mut tripped = None;
-                coarse.for_each_extent(u, |o| {
+                fine.for_each_subnode(coarse, u, |sub| {
                     if tripped.is_some() {
                         return;
                     }
-                    let sub = fine.node_of(o);
                     if seen.insert(sub.index()) {
                         next.push(sub);
                         cost.index_nodes += 1;

@@ -403,48 +403,6 @@ impl SeekingIterator for PagedCursor<'_> {
     }
 }
 
-/// A demand-paged `[u32]`: random access by index, bounds-checked, with
-/// out-of-range access poisoning the cache rather than panicking. Backs the
-/// `node_of` inverse extent maps, whose access pattern is exactly the
-/// frequent-query skew the cache exploits.
-pub struct PagedU32 {
-    cache: Rc<PageCache>,
-    off: u64,
-    len: u32,
-}
-
-impl PagedU32 {
-    /// Wraps `len` little-endian `u32`s at region-relative `off`.
-    pub fn new(cache: Rc<PageCache>, off: u64, len: u32) -> Result<Self, StoreError> {
-        range_in(cache.region_len(), off, 4 * u64::from(len), "u32 array")?;
-        Ok(PagedU32 { cache, off, len })
-    }
-
-    /// Element count.
-    pub fn len(&self) -> u32 {
-        self.len
-    }
-
-    /// Whether the array is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Element `i`; 0 (with poison set) when `i` is out of range or the
-    /// backing page fails.
-    #[inline]
-    pub fn get(&self, i: u32) -> u32 {
-        if i >= self.len {
-            self.cache.poison(StoreError::Format(format!(
-                "paged u32 array index {i} out of range ({})",
-                self.len
-            )));
-            return 0;
-        }
-        self.cache.read_u32(self.off + 4 * u64::from(i))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -733,29 +691,5 @@ mod tests {
         // Block head at or past the universe.
         let cache = PageCache::over_bytes(region, 64, u64::MAX).unwrap();
         assert!(PagedArena::new(cache, layout, ll.to_vec(), 1).is_err());
-    }
-
-    #[test]
-    fn paged_u32_matches_slice_and_bounds_checks() {
-        let vals: Vec<u32> = (0..500u32).map(|i| i.wrapping_mul(2654435761)).collect();
-        let mut region = Vec::new();
-        for &v in &vals {
-            region.extend_from_slice(&v.to_le_bytes());
-        }
-        let cache = PageCache::over_bytes(region, 64, 4 * 64).unwrap();
-        let arr = PagedU32::new(cache.clone(), 0, vals.len() as u32).unwrap();
-        assert_eq!(arr.len(), 500);
-        let mut rng = SplitMix64(42);
-        for _ in 0..2000 {
-            let i = rng.below(500) as u32;
-            assert_eq!(arr.get(i), vals[i as usize]);
-        }
-        assert!(!cache.poisoned());
-        assert_eq!(arr.get(500), 0);
-        assert!(cache.poisoned());
-        let _ = cache.take_poison();
-
-        // Construction rejects arrays that overhang the region.
-        assert!(PagedU32::new(cache, 4, 500).is_err());
     }
 }

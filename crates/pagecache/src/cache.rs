@@ -274,7 +274,7 @@ impl PageCache {
 
     /// Positioned read at an **absolute source offset**, outside the paged
     /// region's checksum regime — the escape hatch for lazily-loaded eager
-    /// sections (the v6 graph units) that carry their own digests. The
+    /// sections (the paged layout's graph units) that carry their own digests. The
     /// caller owns integrity checking of these bytes; region reads must go
     /// through [`PageCache::read`] instead.
     pub fn read_unpaged(&self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
@@ -416,8 +416,11 @@ impl PageCache {
 
         // A fault on the page right after the previous one means the
         // caller is walking forward — worth opening the readahead window
-        // once this fault lands.
-        let sequential = inner.last_fault != EMPTY && inner.last_fault.wrapping_add(1) == page;
+        // once this fault lands. Pins are not walks: a directory that
+        // straddles a page seam must not prefetch the payload after it,
+        // so activation reads exactly the pages it pins.
+        let sequential =
+            !pin && inner.last_fault != EMPTY && inner.last_fault.wrapping_add(1) == page;
 
         let len = self.page_len(page);
         // Reclaim before inserting so the new page can never evict itself.
@@ -781,6 +784,15 @@ mod tests {
         assert!(stats.prefetched > stats.faults, "{stats:?}");
         assert!(stats.readahead_hits > 0, "{stats:?}");
         assert_eq!(stats.checksum_failures, 0);
+    }
+
+    #[test]
+    fn pinning_across_a_seam_prefetches_nothing() {
+        let cache = PageCache::over_bytes(region(64 * 16), 64, u64::MAX).unwrap();
+        assert!(cache.pin(32, 3 * 64));
+        let stats = cache.stats();
+        assert_eq!((stats.faults, stats.prefetched), (4, 0), "{stats:?}");
+        assert_eq!(stats.pinned_pages, 4);
     }
 
     #[test]

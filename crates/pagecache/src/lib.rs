@@ -3,7 +3,7 @@
 //!
 //! The paper's premise is frequent-query skew; this crate exploits the same
 //! skew at the storage layer. Instead of slurping and checksumming whole
-//! sections at load (the v5 read path), the v6 layout designates a
+//! sections at load (the v5 read path), the paged v7 layout designates a
 //! *paged region* of the file whose bytes are fetched on demand in
 //! fixed-size pages via positioned I/O ([`PageSource::read_at`] —
 //! `std::os::unix::fs::FileExt`, no mmap, no libc), verified lazily one
@@ -11,7 +11,7 @@
 //! configurable byte budget with clock eviction. Hot pages stay resident;
 //! cold pages cost one `read_at` when (and only when) a query touches them.
 //!
-//! Three layers live here:
+//! Two layers live here:
 //!
 //! * [`PageCache`] — the cache itself: fault/hit/eviction accounting,
 //!   pinning for directory pages, checksum-verify-on-fault, and a *poison*
@@ -24,9 +24,8 @@
 //!   blocks of [`BLOCK_LEN`] ids + skip directory), identical iteration
 //!   and seek semantics, but payload bytes live on disk and decode one
 //!   block at a time through the cache — lists freely straddle page seams.
-//! * [`PagedU32`] — a demand-paged `&[u32]`, used for the `node_of` inverse
-//!   extent maps (the random-access-hot structure that benefits most from
-//!   residency skew).
+//!   Extents are the only paged structure: everything a query probes per
+//!   step, the subnode links included, is resident.
 //!
 //! # Integrity contract
 //!
@@ -43,7 +42,7 @@ mod arena;
 mod cache;
 mod source;
 
-pub use arena::{ArenaLayout, PagedArena, PagedCursor, PagedU32};
+pub use arena::{ArenaLayout, PagedArena, PagedCursor};
 pub use cache::{
     PageCache, PageStats, DEFAULT_CACHE_BYTES, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE,
 };
@@ -70,7 +69,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// (~0.7 GB/s); folding eight bytes per round runs ~8x faster, which is
 /// what keeps lazy per-page and per-section verification off the
 /// time-to-first-answer critical path. Not interchangeable with
-/// [`fnv64`] — the v6 writer and reader both use this for bulk data
+/// [`fnv64`] — the paged writer and reader both use this for bulk data
 /// (page table, graph units) and the byte form only for tiny headers.
 pub fn fnv64_words(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

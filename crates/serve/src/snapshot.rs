@@ -12,7 +12,7 @@
 //! epoch-based reclamation fence, with the refcount as the epoch counter.
 //!
 //! The compressed (v5) layout is shared read-only across all workers.
-//! The demand-paged (v6) layout serves through an `Rc`-based page
+//! The demand-paged (v7) layout serves through an `Rc`-based page
 //! cache that is deliberately single-threaded, so the slot holds only the
 //! validated *identity* (path + cache budget). Each worker opens its own
 //! paged view ([`mrx_store::PagedFile::into_parts`]) when it observes a new

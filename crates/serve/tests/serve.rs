@@ -199,9 +199,9 @@ fn corrupt_reload_is_rejected_and_old_epoch_serves() {
     let want_a = oracle(&graph_a());
     // Also cover the paged layout as a corruption target.
     let gb = graph_b();
-    let pv6 = dir.join("b6.mrx");
+    let pv7 = dir.join("b7.mrx");
     save_paged_with(
-        &pv6,
+        &pv7,
         &FrozenGraph::freeze(&gb),
         &MStarIndex::new(&gb).freeze_compressed(),
         1024,
@@ -222,7 +222,8 @@ fn corrupt_reload_is_rejected_and_old_epoch_serves() {
     let mut sb = bytes.clone();
     sb[8..12].copy_from_slice(&99u32.to_le_bytes());
     std::fs::write(&stale, &sb).unwrap();
-    let retired: Vec<PathBuf> = (1..=4u32)
+    let retired: Vec<PathBuf> = [1, 2, 3, 4, 6u32]
+        .into_iter()
         .map(|v| {
             let p = dir.join(format!("retired-v{v}.mrx"));
             let mut rb = bytes.clone();
@@ -231,9 +232,9 @@ fn corrupt_reload_is_rejected_and_old_epoch_serves() {
             p
         })
         .collect();
-    let paged_torn = dir.join("torn6.mrx");
-    let v6bytes = std::fs::read(&pv6).unwrap();
-    std::fs::write(&paged_torn, &v6bytes[..v6bytes.len() * 3 / 5]).unwrap();
+    let paged_torn = dir.join("torn7.mrx");
+    let v7bytes = std::fs::read(&pv7).unwrap();
+    std::fs::write(&paged_torn, &v7bytes[..v7bytes.len() * 3 / 5]).unwrap();
 
     let server = Server::start(base_config(&pa)).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
@@ -256,10 +257,10 @@ fn corrupt_reload_is_rejected_and_old_epoch_serves() {
         }
     }
     let stats = c.stats().unwrap();
-    assert!(stats.contains("\"reloads_rejected\":9"), "{stats}");
+    assert!(stats.contains("\"reloads_rejected\":10"), "{stats}");
     assert!(stats.contains("\"reloads_ok\":0"), "{stats}");
     // A good file still swaps after all those failures.
-    let summary = c.reload(pv6.to_str().unwrap()).unwrap();
+    let summary = c.reload(pv7.to_str().unwrap()).unwrap();
     assert!(summary.contains("\"epoch\":2"), "{summary}");
     assert!(summary.contains("\"kind\":\"paged\""), "{summary}");
     let want_b = oracle(&gb);
@@ -315,6 +316,42 @@ fn rate_limit_and_budget_are_typed() {
         }
         other => panic!("expected Budget trip, got {other:?}"),
     }
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One tenant's traffic must not lift another tenant's result cap: a
+/// shared-cache hit is checked against the cap of the tenant it serves.
+#[test]
+fn shared_cache_hit_keeps_each_tenants_result_cap() {
+    let dir = tmp_dir("result-cap");
+    let (pa, _) = save_pair(&dir);
+    let mut cfg = base_config(&pa);
+    cfg.tenant_budgets.insert(
+        "capped".into(),
+        TenantBudget {
+            max_steps: None,
+            max_result_nodes: Some(1),
+            deadline_ms: None,
+        },
+    );
+    // Admit every answer, so the open tenant's query becomes a hit.
+    cfg.cache.min_cost = 0;
+    let server = Server::start(cfg).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let capped = |c: &mut Client| match c.query("capped", "//person/name") {
+        Err(ClientError::Server(ServeError::Budget { kind, .. })) => {
+            assert_eq!(kind, mrx_path::BudgetKind::ResultNodes)
+        }
+        other => panic!("expected a result-cap trip, got {other:?}"),
+    };
+    capped(&mut c);
+    assert_eq!(c.query("open", "//person/name").unwrap().nodes.len(), 2);
+    capped(&mut c);
+    let stats = c.stats().unwrap();
+    assert!(stats.contains("\"cache\":{\"hits\":1,"), "{stats}");
+    // An answer under the cap is served to the capped tenant as before.
+    assert_eq!(c.query("capped", "//address").unwrap().nodes.len(), 1);
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -600,14 +637,14 @@ fn corrupt_page_after_boot_is_a_typed_error_and_never_cached() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A boot snapshot in a retired layout (v1–v4) is refused by name, even
+/// A boot snapshot in a retired layout (v1–v4, v6) is refused by name, even
 /// under a lenient boot.
 #[test]
 fn retired_boot_snapshots_are_refused() {
     let dir = tmp_dir("retired-boot");
     let (pa, _) = save_pair(&dir);
     let bytes = std::fs::read(&pa).unwrap();
-    for version in 1..=4u32 {
+    for version in [1, 2, 3, 4, 6u32] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&version.to_le_bytes());
         let p = dir.join(format!("boot-v{version}.mrx"));

@@ -19,13 +19,15 @@
 //! Every sorted id list is an encoding-tagged [`PostingArena`]. On load the
 //! graph and index adjacency decode back to raw CSR (serving walks them as
 //! slices), while component **extents stay compressed**: a component loads
-//! into a [`CompressedIndex`] and is served through seeking cursors without
-//! ever materializing the extent arrays. Two derived arrays
-//! (`node_of_data`, `by_label`) are rebuilt by one counting pass each, so
-//! they are not stored. Section checksums are verified before any block is
-//! decoded, so a bit flip is caught by FNV-64 first and by
-//! [`PostingArena::from_parts`] payload validation second — never by a
-//! panic mid-decode.
+//! into a [`CompressedIndex`] and is served through per-block bulk decodes
+//! without ever materializing the extent arrays. The derived arrays are not
+//! stored: `by_label` is rebuilt by one counting pass, and one inversion
+//! pass over the extents into a reused scratch map proves they partition
+//! the data nodes and yields the data root's node and the subnode links
+//! from the previous component (see `link_component`). Section checksums
+//! are verified before any block is decoded, so a bit flip is caught by
+//! FNV-64 first and by [`PostingArena::from_parts`] payload validation
+//! second — never by a panic mid-decode.
 //!
 //! Every declared length — section and per-array — is validated against the
 //! bytes actually available *before* the corresponding buffer is allocated,
@@ -44,7 +46,8 @@ use std::path::Path;
 use mrx_error::MrxError;
 use mrx_graph::{FrozenGraph, LabelId, NodeId, PackedGraphCsr};
 use mrx_index::{
-    Answer, CompressedIndex, CompressedMStar, FrozenIndex, IdxId, QueryScratch, TrustPolicy,
+    Answer, CompressedIndex, CompressedMStar, FrozenIndex, IdxId, QueryScratch, SubnodeLinks,
+    TrustPolicy,
 };
 use mrx_path::{PathExpr, QueryBudget};
 use mrx_postings::{PostingArena, SeekingIterator};
@@ -233,15 +236,16 @@ fn write_compressed_component_payload<W: Write>(
 
 /// Reads one packed component straight into its [`CompressedIndex`]
 /// serving form: adjacency decodes back to raw CSR, the extent arena stays
-/// compressed, and `node_of_data` / `by_label` are derived by one counting
-/// pass each.
+/// compressed, `by_label` is derived by one counting pass, and
+/// [`link_component`] links it below `coarse`.
 fn read_compressed_component_payload(
     r: &mut HashingReader<&[u8]>,
-    num_labels: usize,
-    data_nodes: usize,
+    g: &FrozenGraph,
+    coarse: Option<&CompressedIndex>,
+    node_of: &mut Vec<IdxId>,
 ) -> Result<CompressedIndex, StoreError> {
     let n = r.read_u32()? as usize;
-    if n == 0 || n > data_nodes {
+    if n == 0 || n > g.node_count() {
         return Err(format_err(format!("implausible index node count {n}")));
     }
     let lemma2 = match r.read_u32()? {
@@ -264,14 +268,50 @@ fn read_compressed_component_payload(
         return Err(format_err("extent arena list count disagrees with nodes"));
     }
 
-    // Derive node_of_data by inverting the extent partition through the
-    // cursors — the only full decode pass a load pays for extents.
-    let mut node_of_data = vec![IdxId(u32::MAX); data_nodes];
+    let (by_label_off, by_label_ids) = derive_by_label(&labels, g.num_labels())?;
+    let (child_off, child_tgt) = child.decode_csr::<IdxId>();
+    let (parent_off, parent_tgt) = parent.decode_csr::<IdxId>();
+
+    let mut c = CompressedIndex {
+        labels,
+        k,
+        genuine,
+        extents,
+        child_off,
+        child_tgt,
+        parent_off,
+        parent_tgt,
+        root: IdxId(0),
+        links: SubnodeLinks::default(),
+        by_label_off,
+        by_label_ids,
+        lemma2,
+        epoch,
+    };
+    link_component(&mut c, coarse, g, node_of)?;
+    c.validate().map_err(format_err)?;
+    Ok(c)
+}
+
+/// Inverts `c`'s extents into the scratch map `node_of` through the
+/// cursors — the only full decode pass a load pays for extents — proving
+/// they partition `g`'s nodes, then records the node holding `g`'s root
+/// and derives the links below `coarse`. Rows come from the extents
+/// actually loaded, so they stay exact even next to a rebuilt component
+/// that does not nest between its neighbours.
+fn link_component(
+    c: &mut CompressedIndex,
+    coarse: Option<&CompressedIndex>,
+    g: &FrozenGraph,
+    node_of: &mut Vec<IdxId>,
+) -> Result<(), StoreError> {
+    node_of.clear();
+    node_of.resize(g.node_count(), IdxId(u32::MAX));
     let mut covered = 0usize;
-    for v in 0..n {
-        let mut cur = extents.cursor(v);
+    for v in 0..c.node_count() {
+        let mut cur = c.extents.cursor(v);
         while let Some(o) = cur.next() {
-            let slot = node_of_data
+            let slot = node_of
                 .get_mut(o as usize)
                 .ok_or_else(|| format_err(format!("extent member {o} out of range")))?;
             if *slot != IdxId(u32::MAX) {
@@ -281,33 +321,19 @@ fn read_compressed_component_payload(
             covered += 1;
         }
     }
-    if covered != data_nodes {
+    if covered != g.node_count() {
         return Err(format_err(format!(
-            "extents cover {covered} of {data_nodes} data nodes"
+            "extents cover {covered} of {} data nodes",
+            g.node_count()
         )));
     }
-
-    let (by_label_off, by_label_ids) = derive_by_label(&labels, num_labels)?;
-    let (child_off, child_tgt) = child.decode_csr::<IdxId>();
-    let (parent_off, parent_tgt) = parent.decode_csr::<IdxId>();
-
-    let c = CompressedIndex {
-        labels,
-        k,
-        genuine,
-        extents,
-        child_off,
-        child_tgt,
-        parent_off,
-        parent_tgt,
-        node_of_data,
-        by_label_off,
-        by_label_ids,
-        lemma2,
-        epoch,
-    };
-    c.validate().map_err(format_err)?;
-    Ok(c)
+    c.root = *node_of
+        .get(g.root().index())
+        .ok_or_else(|| format_err("graph root out of range"))?;
+    c.links = coarse
+        .map(|coarse| SubnodeLinks::derive(coarse, node_of, c.node_count()))
+        .unwrap_or_default();
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -392,11 +418,12 @@ fn load_compressed_impl<R: Read>(
     let (graph, ncomp, mut remaining) = read_header(&mut input, size)?;
     let mut dir = vec![0u8; 8 * ncomp];
     input.read_exact(&mut dir)?;
-    let mut components = Vec::with_capacity(ncomp);
+    let mut components: Vec<CompressedIndex> = Vec::with_capacity(ncomp);
+    let mut node_of = Vec::new();
     for i in 0..ncomp {
         let (c, clen) =
             read_section_bounded(&mut input, &format!("component {i}"), remaining, |r| {
-                read_compressed_component_payload(r, graph.num_labels(), graph.node_count())
+                read_compressed_component_payload(r, &graph, components.last(), &mut node_of)
             })?;
         if let Some(rem) = remaining.as_mut() {
             *rem = rem.saturating_sub(clen);
@@ -407,9 +434,9 @@ fn load_compressed_impl<R: Read>(
 }
 
 /// Peeks the layout version of an `.mrx` snapshot — `5` (compressed) or
-/// `6` (demand-paged) — without loading any section. A retired layout
-/// (versions 1–4) is refused with [`StoreError::Retired`], anything else
-/// with a format error.
+/// `7` (demand-paged) — without loading any section. A retired layout
+/// (versions 1–4 and 6) is refused with [`StoreError::Retired`], anything
+/// else with a format error.
 pub fn snapshot_version(path: impl AsRef<Path>) -> Result<u32, StoreError> {
     let mut f = File::open(path)?;
     let mut hdr = [0u8; 12];
@@ -476,7 +503,7 @@ fn assemble(components: Vec<CompressedIndex>) -> CompressedMStar {
 
 /// An open compressed snapshot whose components load lazily into
 /// [`CompressedIndex`] serving form — extents stay compressed in memory
-/// and are served through seeking cursors.
+/// and are decoded block by block as queries walk them.
 ///
 /// A top-down query of length `j` touches only `I0..Ij`: evaluating
 /// top-down over the loaded prefix is *identical* to evaluating over the
@@ -505,6 +532,8 @@ pub struct CompressedFile {
     /// (ascending, each listed once).
     degraded: Vec<usize>,
     bytes_read: u64,
+    /// Scratch inverse extent map, reused by every component load.
+    node_of: Vec<IdxId>,
 }
 
 impl CompressedFile {
@@ -539,6 +568,7 @@ impl CompressedFile {
             components: Vec::new(),
             degraded: Vec::new(),
             bytes_read,
+            node_of: Vec::new(),
         })
     }
 
@@ -583,7 +613,7 @@ impl CompressedFile {
         for i in self.components.len()..=upto {
             let c = match self.read_component(i) {
                 Ok(c) => c,
-                Err(e) => self.rebuild_component(i, &e),
+                Err(e) => self.rebuild_component(i, &e)?,
             };
             self.components.push(c);
         }
@@ -601,8 +631,9 @@ impl CompressedFile {
             |r| {
                 read_compressed_component_payload(
                     r,
-                    self.graph.num_labels(),
-                    self.graph.node_count(),
+                    &self.graph,
+                    self.components.last(),
+                    &mut self.node_of,
                 )
             },
         )?;
@@ -613,14 +644,25 @@ impl CompressedFile {
     /// Fallback for an unreadable component section: rebuild `Ii` as the
     /// exact `A(i)` partition of the embedded graph and compress it —
     /// sound because every block is a genuine `i`-bisimulation class.
-    fn rebuild_component(&mut self, i: usize, cause: &StoreError) -> CompressedIndex {
+    fn rebuild_component(
+        &mut self,
+        i: usize,
+        cause: &StoreError,
+    ) -> Result<CompressedIndex, StoreError> {
         eprintln!(
             "mrx-store: component {i} unreadable ({cause}); rebuilding it from the data graph"
         );
         let dg = thaw_graph(&self.graph);
         let ak = mrx_index::AkIndex::build(&dg, i as u32);
         self.degraded.push(i);
-        CompressedIndex::from_frozen(&FrozenIndex::freeze(ak.graph()))
+        let mut c = CompressedIndex::from_frozen(&FrozenIndex::freeze(ak.graph()));
+        link_component(
+            &mut c,
+            self.components.last(),
+            &self.graph,
+            &mut self.node_of,
+        )?;
+        Ok(c)
     }
 
     /// Answers `path` top-down under the sound trust policy, loading only
@@ -811,6 +853,33 @@ mod tests {
         let ans4 = f.query_top_down(&q4).unwrap();
         assert_eq!(ans4.nodes, eval_data(&g, &q4.compile(&g)));
         assert_eq!(f.degraded_components(), &[2]);
+
+        // The rebuilt A(2) need not nest between its stored neighbours, so
+        // the links into and out of it overlap; a whole workload must
+        // still answer exactly.
+        let w = mrx_workload::Workload::generate(
+            &g,
+            &mrx_workload::WorkloadConfig {
+                max_path_len: 5,
+                num_queries: 60,
+                seed: 3,
+                max_enumerated_paths: 100_000,
+            },
+        );
+        for q in &w.queries {
+            let ans = f.query_top_down(q).unwrap();
+            assert_eq!(ans.nodes, eval_data(&g, &q.compile(&g)), "{q}");
+        }
+        assert_eq!(f.loaded_components(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(f.degraded_components(), &[2]);
+        let (_, star) = f.into_compressed().unwrap();
+        let (c2, c3) = (&star.components[2], &star.components[3]);
+        let n2 = Some(c2.node_count());
+        assert!(
+            c3.links.check(n2, c3.node_count(), true).is_err(),
+            "rows nest"
+        );
+        star.validate().unwrap();
         std::fs::remove_file(path).ok();
     }
 
@@ -876,7 +945,7 @@ mod tests {
     fn retired_and_paged_versions_are_refused_by_the_v5_reader() {
         let (g, idx) = setup();
         let bytes = image(&g, &idx);
-        for version in 1..=4u32 {
+        for version in crate::format::RETIRED {
             let mut old = bytes.clone();
             old[8..12].copy_from_slice(&version.to_le_bytes());
             match load_compressed_from(&old[..]) {
@@ -884,10 +953,10 @@ mod tests {
                 other => panic!("v{version}: expected a retired-layout error, got {other:?}"),
             }
         }
-        let v6 =
+        let paged =
             crate::paged_image(&FrozenGraph::freeze(&g), &idx.freeze_compressed(), 256).unwrap();
-        match load_compressed_from(&v6[..]) {
-            Err(StoreError::Format(m)) => assert!(m.contains("version 6"), "{m}"),
+        match load_compressed_from(&paged[..]) {
+            Err(StoreError::Format(m)) => assert!(m.contains("version 7"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
         }
     }

@@ -7,10 +7,10 @@
 //! section(p)  := u64(len(p)) p u64(fnv64(p))
 //! ```
 //!
-//! Two layouts exist: compressed v5 ([`crate::flat`]) and demand-paged v6
-//! ([`crate::paged`]). Versions 1–4 were earlier layouts of the same data;
-//! a file carrying one is refused with [`StoreError::Retired`], which tells
-//! the user to re-freeze it.
+//! Two layouts exist: compressed v5 ([`crate::compressed`]) and
+//! demand-paged v7 ([`crate::paged`]). Versions 1–4 and 6 were earlier
+//! layouts of the same data; a file carrying one is refused with
+//! [`StoreError::Retired`], which tells the user to re-freeze it.
 
 use std::io::{self, Read, Write};
 
@@ -18,15 +18,16 @@ use crate::wire::{Fnv64, HashingReader, HashingWriter};
 
 pub(crate) const STAR_MAGIC: &[u8; 8] = b"MRXSTAR1";
 /// Version tag of the compressed layout: every sorted id list stored as
-/// encoding-tagged posting blocks, loaded eagerly — see [`crate::flat`].
+/// encoding-tagged posting blocks, loaded eagerly — see
+/// [`crate::compressed`].
 pub(crate) const VERSION_COMPRESSED: u32 = 5;
 /// Version tag of the demand-paged layout: eager graph core and
-/// per-component metas, extents served through a page cache — see
-/// [`crate::paged`].
-pub(crate) const VERSION_PAGED: u32 = 6;
-/// The newest retired layout version; `1..=LAST_RETIRED` are refused with
-/// [`StoreError::Retired`].
-const LAST_RETIRED: u32 = 4;
+/// per-component metas with the subnode links, extents served through a
+/// page cache — see [`crate::paged`].
+pub(crate) const VERSION_PAGED: u32 = 7;
+/// Retired layout versions, refused with [`StoreError::Retired`]. Version 6
+/// was the paged layout with a `node_of` map per component.
+pub(crate) const RETIRED: [u32; 5] = [1, 2, 3, 4, 6];
 
 pub use mrx_error::StoreError;
 
@@ -40,7 +41,7 @@ pub(crate) fn check_version(version: u32, accepted: &[u32]) -> Result<(), StoreE
     if accepted.contains(&version) {
         return Ok(());
     }
-    if (1..=LAST_RETIRED).contains(&version) {
+    if RETIRED.contains(&version) {
         return Err(StoreError::Retired { version });
     }
     let expect = accepted
@@ -136,7 +137,7 @@ mod tests {
 
     #[test]
     fn retired_versions_are_named_and_point_at_freeze() {
-        for version in 1..=4 {
+        for version in RETIRED {
             let e = check_version(version, &[VERSION_COMPRESSED]).unwrap_err();
             assert!(matches!(e, StoreError::Retired { version: v } if v == version));
             let msg = e.to_string();
@@ -145,7 +146,7 @@ mod tests {
         }
         assert!(check_version(VERSION_PAGED, &[VERSION_PAGED]).is_ok());
         match check_version(99, &[VERSION_COMPRESSED, VERSION_PAGED]) {
-            Err(StoreError::Format(m)) => assert!(m.contains("v5/v6"), "{m}"),
+            Err(StoreError::Format(m)) => assert!(m.contains("v5/v7"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
         }
     }

@@ -1,4 +1,4 @@
-//! The lazily-loaded data graph behind the demand-paged (v6) snapshot.
+//! The lazily-loaded data graph behind the demand-paged (v7) snapshot.
 //!
 //! [`GraphView`] hands out borrowed slices (`children(v) -> &[NodeId]`),
 //! so the graph cannot be served through an evicting page cache directly —
@@ -15,7 +15,7 @@
 //!
 //! A top-down query under [`TrustPolicy::Proven`] touches only `labels`
 //! and `parents` (the backward validator); `children` and `labelext`
-//! stay on disk. That asymmetry is most of the v6 cold-start win: the
+//! stay on disk. That asymmetry is most of the paged cold-start win: the
 //! eager v5 loader deserializes and validates every array element
 //! through a byte-hashing reader before the first answer, while the lazy
 //! units load as single bulk reads verified with the word-folded FNV-64
@@ -54,7 +54,7 @@ use crate::wire::{HashingReader, HashingWriter};
 /// Number of lazily-loaded unit sections.
 pub(crate) const GRAPH_UNITS: usize = 4;
 
-/// The eagerly-loaded core of a v6 graph: counts, root, and the validated
+/// The eagerly-loaded core of a paged graph: counts, root, and the validated
 /// label-name arena. Everything query compilation touches, nothing sized
 /// by the corpus.
 pub(crate) struct GraphCore {
@@ -220,7 +220,7 @@ impl Csr {
 }
 
 /// A [`GraphView`] whose adjacency loads on first touch — see the module
-/// docs. Create via the v6 reader ([`crate::PagedFile`]); hand it to any
+/// docs. Create via the paged reader ([`crate::PagedFile`]); hand it to any
 /// evaluator generic over [`GraphView`].
 pub struct LazyGraph {
     cache: Rc<PageCache>,

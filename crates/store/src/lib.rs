@@ -12,16 +12,17 @@
 //!   load lazily — a top-down query of length `j` touches only `I0..Ij` —
 //!   into the resident `CompressedIndex` form, which serves straight from
 //!   the compressed extents. See [`compressed`] for the byte layout.
-//! * **demand-paged (v6)** ([`save_paged`], [`PagedFile`]): only the graph
-//!   core and small per-component meta sections load eagerly, while
-//!   extents and the `node_of` inverse map are served through a budgeted
-//!   page cache with per-page checksums — cold start is near-zero and the
-//!   resident set is capped, at the price of page faults on first touch.
+//! * **demand-paged (v7)** ([`save_paged`], [`PagedFile`]): only the graph
+//!   core and small per-component meta sections (which carry the subnode
+//!   links between components) load eagerly, while extents are served
+//!   through a budgeted page cache with per-page checksums — cold start is
+//!   near-zero and the resident set is capped, at the price of page faults
+//!   on first touch.
 //!   See [`paged`] for the layout and the (degradation-free) failure model.
 //!
 //! [`snapshot_version`] peeks a file's layout so callers can dispatch, and
 //! [`open_validated`] loads and fully validates either one for serving.
-//! Files in the retired layouts (versions 1–4) are refused with
+//! Files in the retired layouts (versions 1–4 and 6) are refused with
 //! [`StoreError::Retired`].
 //!
 //! ```no_run

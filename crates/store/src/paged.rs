@@ -1,14 +1,14 @@
-//! The demand-paged (v6) `.mrx` snapshot layout.
+//! The demand-paged (v7) `.mrx` snapshot layout.
 //!
 //! The compressed v5 layout serves fast but pays its whole cost up front: every component
 //! section is read, checksummed, and validated before the first answer.
-//! The v6 layout splits a snapshot into a small **eagerly loaded** part
+//! The v7 layout splits a snapshot into a small **eagerly loaded** part
 //! and a large **paged region** that is only ever touched through a
 //! fixed-page [`PageCache`], so cold start reads a few kilobytes and the
 //! resident set is bounded by the cache budget, not the corpus size:
 //!
 //! ```text
-//! paged file   := "MRXSTAR1" u32(version=6) u32(ncomponents) ext
+//! paged file   := "MRXSTAR1" u32(version=7) u32(ncomponents) ext
 //!                 section(graph-core) gunit* dir section(meta)*
 //!                 region section(pagetab)
 //! ext          := u64(paged_off) u64(paged_len) u64(pagetab_off)
@@ -21,17 +21,22 @@
 //!                 parents [n+1 off | npedges tgt],
 //!                 labelext [nlabels+1 off | n tgt]
 //! dir          := u64(absolute offset of each meta section)*
-//! meta         := u32(n) u32(lemma2) u64(epoch)
+//! meta         := u32(n) u32(lemma2) u64(epoch) u32(root)
 //!                 arr(labels) arr(k) arr(genuine) arr(extent_len)
 //!                 arr(child_off) arr(child_tgt) arr(parent_off) arr(parent_tgt)
+//!                 arr(sub_off) arr(sub_tgt)
 //!                 u64(data_off) u64(data_len) u64(bf_off) u64(bo_off)
-//!                 u32(nblocks) u64(node_of_off) u32(node_of_len)
+//!                 u32(nblocks)
 //! region       := per component: extent varint payload,
-//!                 [u32; nblocks] block_first, [u32; nblocks+1] block_off,
-//!                 [u32; node_of_len] node_of      (offsets region-relative)
+//!                 [u32; nblocks] block_first, [u32; nblocks+1] block_off
+//!                                                  (offsets region-relative)
 //! pagetab      := u64(fnv64_words of each page_size-byte page)*
 //! section(p)   := u64(len(p)) p u64(fnv64(p))
 //! ```
+//!
+//! `root` is the component's node holding the data root, and
+//! `sub_off`/`sub_tgt` are its subnode links (one row per node of the
+//! previous component, empty for `I0`; see [`mrx_index::SubnodeLinks`]).
 //!
 //! **What loads eagerly** (at [`PagedFile::open`]): the 64-byte header,
 //! the graph core (counts, root, label names — all query compilation
@@ -41,12 +46,12 @@
 //! word-folded FNV-64 and structurally validated as it materializes into
 //! [`LazyGraph`] (a top-down Proven query touches only `labels` and
 //! `parents`; see `lazy_graph`), and the per-component meta sections (a
-//! prefix `I0..Ij` exactly like [`crate::CompressedFile`]). **What never
-//! loads whole**: the extent payload and the `node_of` inverse map, which
-//! dominate the file. They are served page-by-page through
-//! [`PagedArena`]/[`PagedU32`], with each 64 KiB page verified against
-//! its checksum the first time it faults in — integrity checking becomes
-//! lazy and incremental instead of a whole-file pass at load.
+//! prefix `I0..Ij` exactly like [`crate::CompressedFile`]), whose links
+//! are validated to form a tree at activation. **What never loads
+//! whole**: the extent payload, which dominates the file. It is served
+//! page-by-page through [`PagedArena`], with each 64 KiB page verified
+//! against its checksum the first time it faults in — integrity checking
+//! becomes lazy and incremental instead of a whole-file pass at load.
 //!
 //! # Failure model: typed errors, no degradation
 //!
@@ -54,7 +59,7 @@
 //! which is sound because the damage is discovered *before* the component
 //! serves. Under demand paging a flipped bit may only surface mid-query,
 //! after the evaluator has partially consumed the structure, so rebuilding
-//! is no longer a sound drop-in. The v6 reader therefore fails hard: any
+//! is no longer a sound drop-in. The paged reader therefore fails hard: any
 //! page-checksum mismatch or payload-validation failure poisons the cache,
 //! and every serving path checks the hierarchy's fault probe
 //! ([`mrx_index::Servable::fault_cache`]) after evaluation and returns the
@@ -76,13 +81,13 @@ use std::rc::Rc;
 use mrx_error::MrxError;
 use mrx_graph::{FrozenGraph, LabelId};
 use mrx_index::{
-    Answer, CompressedMStar, IdxId, IndexView, PagedIndex, PagedIndexParts, PagedMStar,
-    QueryScratch, Servable, TrustPolicy,
+    Answer, CompressedMStar, IdxId, IndexView, PagedIndex, PagedMStar, QueryScratch, Servable,
+    SubnodeLinks, TrustPolicy,
 };
 use mrx_pagecache::{
     fnv64, fnv64_words, page_checksums, ArenaLayout, BytesSource, FileSource, PageCache,
-    PageSource, PageStats, PagedArena, PagedU32, DEFAULT_CACHE_BYTES, DEFAULT_PAGE_SIZE,
-    MAX_PAGE_SIZE, MIN_PAGE_SIZE,
+    PageSource, PageStats, PagedArena, DEFAULT_CACHE_BYTES, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE,
+    MIN_PAGE_SIZE,
 };
 use mrx_path::{never_fails, BudgetMeter, Cost, Governor, PathExpr, QueryBudget, Ungoverned};
 
@@ -104,7 +109,7 @@ const HEADER_LEN_PAGED: u64 = 64;
 // Writer
 // ---------------------------------------------------------------------
 
-/// Serializes a paged (v6) snapshot into an in-memory image. Exposed so
+/// Serializes a paged (v7) snapshot into an in-memory image. Exposed so
 /// the fault harness and benches can corrupt or open images without a
 /// file; [`save_paged`] is the file-writing entry point.
 pub fn paged_image(
@@ -149,18 +154,13 @@ pub fn paged_image(
         for &v in bo {
             region.extend_from_slice(&v.to_le_bytes());
         }
-        let node_of_off = region.len() as u64;
-        for v in &c.node_of_data {
-            region.extend_from_slice(&v.0.to_le_bytes());
-        }
         let nblocks = u32::try_from(bf.len())
             .map_err(|_| format_err("extent arena exceeds u32 block count"))?;
-        let node_of_len = u32::try_from(c.node_of_data.len())
-            .map_err(|_| format_err("inverse map exceeds u32 length"))?;
         let meta = to_payload(|w| {
             w.write_u32(c.labels.len() as u32)?;
             w.write_u32(u32::from(c.lemma2))?;
             w.write_u64(c.epoch)?;
+            w.write_u32(c.root.0)?;
             write_arr(w, c.labels.iter().map(|l| l.0))?;
             write_arr(w, c.k.iter().copied())?;
             write_arr(w, c.genuine.iter().copied())?;
@@ -169,13 +169,13 @@ pub fn paged_image(
             write_arr(w, c.child_tgt.iter().map(|v| v.0))?;
             write_arr(w, c.parent_off.iter().copied())?;
             write_arr(w, c.parent_tgt.iter().map(|v| v.0))?;
+            write_arr(w, c.links.off.iter().copied())?;
+            write_arr(w, c.links.tgt.iter().map(|v| v.0))?;
             w.write_u64(data_off)?;
             w.write_u64(data.len() as u64)?;
             w.write_u64(bf_off)?;
             w.write_u64(bo_off)?;
-            w.write_u32(nblocks)?;
-            w.write_u64(node_of_off)?;
-            w.write_u32(node_of_len)
+            w.write_u32(nblocks)
         })?;
         metas.push(meta);
     }
@@ -232,7 +232,7 @@ pub fn paged_image(
     Ok(out)
 }
 
-/// Saves a paged (v6) snapshot with the default 64 KiB page size.
+/// Saves a paged (v7) snapshot with the default 64 KiB page size.
 pub fn save_paged(
     path: impl AsRef<Path>,
     g: &FrozenGraph,
@@ -263,19 +263,22 @@ pub fn save_paged_with(
 trait ReadSeek: Read + Seek {}
 impl<T: Read + Seek> ReadSeek for T {}
 
-/// Decodes a meta section into the resident parts plus the region offsets
-/// of the paged structures. Shape validation happens in
-/// [`PagedIndex::assemble`] / [`PagedArena::new`]; this only reads.
-#[allow(clippy::type_complexity)]
+/// Decodes a meta section into an unassembled [`PagedIndex`] whose arena
+/// reads through `cache` over a universe of `universe` data nodes. Shape
+/// validation happens in [`PagedArena::new`] and
+/// [`PagedIndex::assemble`]; this only reads.
 fn read_paged_meta(
     r: &mut HashingReader<&[u8]>,
-) -> Result<(PagedIndexParts, ArenaLayout, u64, u32), StoreError> {
+    cache: &Rc<PageCache>,
+    universe: u32,
+) -> Result<PagedIndex, StoreError> {
     let n = r.read_u32()? as usize;
     if n == 0 {
         return Err(format_err("paged component has no nodes"));
     }
     let lemma2 = r.read_u32()? != 0;
     let epoch = r.read_u64()?;
+    let root = IdxId(r.read_u32()?);
     let labels = read_arr(r, "labels", LabelId)?;
     let k = read_arr(r, "k", |v| v)?;
     let genuine = read_arr(r, "genuine", |v| v)?;
@@ -284,47 +287,44 @@ fn read_paged_meta(
     let child_tgt = read_arr(r, "child_tgt", IdxId)?;
     let parent_off = read_arr(r, "parent_off", |v| v)?;
     let parent_tgt = read_arr(r, "parent_tgt", IdxId)?;
+    let links = SubnodeLinks {
+        off: read_arr(r, "sub_off", |v| v)?,
+        tgt: read_arr(r, "sub_tgt", IdxId)?,
+    };
     if labels.len() != n {
         return Err(format_err(format!(
             "paged component declares {n} nodes but carries {}",
             labels.len()
         )));
     }
-    let data_off = r.read_u64()?;
-    let data_len = r.read_u64()?;
-    let block_first_off = r.read_u64()?;
-    let block_off_off = r.read_u64()?;
-    let nblocks = r.read_u32()?;
-    let node_of_off = r.read_u64()?;
-    let node_of_len = r.read_u32()?;
-    Ok((
-        PagedIndexParts {
-            labels,
-            k,
-            genuine,
-            child_off,
-            child_tgt,
-            parent_off,
-            parent_tgt,
-            extent_len,
-            lemma2,
-            epoch,
-        },
-        ArenaLayout {
-            data_off,
-            data_len,
-            block_first_off,
-            block_off_off,
-            nblocks,
-        },
-        node_of_off,
-        node_of_len,
-    ))
+    let layout = ArenaLayout {
+        data_off: r.read_u64()?,
+        data_len: r.read_u64()?,
+        block_first_off: r.read_u64()?,
+        block_off_off: r.read_u64()?,
+        nblocks: r.read_u32()?,
+    };
+    Ok(PagedIndex {
+        labels,
+        k,
+        genuine,
+        extents: PagedArena::new(cache.clone(), layout, extent_len, universe)?,
+        child_off,
+        child_tgt,
+        parent_off,
+        parent_tgt,
+        root,
+        links,
+        by_label_off: Vec::new(),
+        by_label_ids: Vec::new(),
+        lemma2,
+        epoch,
+    })
 }
 
-/// An open paged (v6) snapshot: eager graph core, lazily-materialized
-/// graph units, lazy component meta prefix, and extents/`node_of` served
-/// through a budgeted [`PageCache`].
+/// An open paged (v7) snapshot: eager graph core, lazily-materialized
+/// graph units, lazy component meta prefix, and extents served through a
+/// budgeted [`PageCache`].
 ///
 /// Like [`crate::CompressedFile`], a top-down query of length `j` activates
 /// only components `I0..Ij`; unlike it, activation reads just the meta
@@ -575,32 +575,22 @@ impl PagedFile {
         Ok(())
     }
 
-    /// Reads and activates component `Ii`: decode its meta section, then
-    /// pin the paged arena's skip directories and validate their shape.
+    /// Reads and activates component `Ii`: decode its meta section, pin
+    /// the paged arena's skip directories, and validate the resident
+    /// arrays, the links to `I(i−1)` included.
     fn read_component(&mut self, i: usize) -> Result<PagedIndex, StoreError> {
         self.reader.seek(SeekFrom::Start(self.offsets[i]))?;
         let budget = self.paged_off.saturating_sub(self.offsets[i]);
-        let ((parts, layout, node_of_off, node_of_len), len) = read_section_bounded(
+        let (cache, universe) = (&self.cache, self.graph.node_count() as u32);
+        let (c, len) = read_section_bounded(
             &mut self.reader,
             &format!("component {i}"),
             Some(budget),
-            read_paged_meta,
+            |r| read_paged_meta(r, cache, universe),
         )?;
         self.bytes_read += len;
-        if node_of_len as usize != self.graph.node_count() {
-            return Err(format_err(format!(
-                "component {i} inverse map covers {node_of_len} of {} data nodes",
-                self.graph.node_count()
-            )));
-        }
-        let arena = PagedArena::new(
-            self.cache.clone(),
-            layout,
-            parts.extent_len.clone(),
-            self.graph.node_count() as u32,
-        )?;
-        let node_of = PagedU32::new(self.cache.clone(), node_of_off, node_of_len)?;
-        PagedIndex::assemble(parts, arena, node_of, self.graph.num_labels())
+        let coarse = self.components.last().map(PagedIndex::node_count);
+        c.assemble(self.graph.num_labels(), coarse)
             .map_err(|e| format_err(format!("component {i}: {e}")))
     }
 
@@ -936,6 +926,41 @@ mod tests {
         }
     }
 
+    /// A link id out of range behind a valid checksum is refused when its
+    /// component activates: typed, and before anything serves through it.
+    #[test]
+    fn hostile_link_id_is_refused_at_activation() {
+        let (_g, _cz, _fg, mut img) = image(64);
+        let mut dir_at = 64usize;
+        for _ in 0..(1 + GRAPH_UNITS) {
+            dir_at += 16 + le_u64(&img[dir_at..dir_at + 8]) as usize;
+        }
+        let meta1 = le_u64(&img[dir_at + 8..dir_at + 16]) as usize;
+        let len = le_u64(&img[meta1..meta1 + 8]) as usize;
+        let payload = meta1 + 8;
+        let word = |img: &[u8], at: usize| u32::from_le_bytes(img[at..at + 4].try_into().unwrap());
+        let n = word(&img, payload);
+        // Skip n, lemma2, epoch, root and the nine arrays before sub_tgt.
+        let mut at = payload + 20;
+        for _ in 0..9 {
+            at += 4 + 4 * word(&img, at) as usize;
+        }
+        assert!(word(&img, at) > 0, "component 1 has links");
+        img[at + 4..at + 8].copy_from_slice(&n.to_le_bytes());
+        let sum = fnv64(&img[payload..payload + len]);
+        img[payload + len..payload + len + 8].copy_from_slice(&sum.to_le_bytes());
+
+        let mut f = PagedFile::open_bytes(img, DEFAULT_CACHE_BYTES).unwrap();
+        f.ensure_loaded(0).unwrap();
+        match f.ensure_loaded(1) {
+            Err(StoreError::Format(m)) => assert!(m.contains("out of range"), "{m}"),
+            other => panic!("expected a format error, got {other:?}"),
+        }
+        assert_eq!(f.loaded_components(), vec![0]);
+        let q = PathExpr::parse("//dataset/reference").unwrap();
+        assert!(matches!(f.query_top_down(&q), Err(StoreError::Format(_))));
+    }
+
     #[test]
     fn header_and_truncation_are_rejected() {
         let (_g, _cz, _fg, img) = image(64);
@@ -948,7 +973,7 @@ mod tests {
         let cut = img[..img.len() - 9].to_vec();
         assert!(PagedFile::open_bytes(cut, DEFAULT_CACHE_BYTES).is_err());
         // A retired layout version is named, not parsed.
-        for version in 1..=4u32 {
+        for version in crate::format::RETIRED {
             let mut old = img.clone();
             old[8..12].copy_from_slice(&version.to_le_bytes());
             match PagedFile::open_bytes(old, DEFAULT_CACHE_BYTES).map(|_| ()) {

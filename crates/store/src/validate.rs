@@ -19,7 +19,7 @@
 //!   file outright (a replacement snapshot should be *pristine*), while
 //!   lenient mode accepts it and reports which components were rebuilt.
 //!
-//! A retired layout (versions 1–4) is refused with
+//! A retired layout (versions 1–4 and 6) is refused with
 //! [`StoreError::Retired`] before anything else is read.
 
 use std::path::Path;
@@ -53,7 +53,7 @@ pub struct ValidatedSnapshot {
 pub enum SnapshotPayload {
     /// Compressed posting arenas (v5), served without decompression.
     Compressed(FrozenGraph, CompressedMStar),
-    /// Demand-paged file (v6): every page and graph unit has been
+    /// Demand-paged file (v7): every page and graph unit has been
     /// faulted and verified, then released back to the cache budget — the
     /// handle serves through its own page cache.
     Paged(Box<PagedFile>),
@@ -167,9 +167,9 @@ mod tests {
             assert_eq!(snap.payload.kind(), kind);
             assert!(snap.degraded.is_empty());
         }
-        // A v1–v4 header is refused by name, with a pointer to `mrx freeze`.
+        // A retired header is refused by name, with a pointer to `mrx freeze`.
         let bytes = std::fs::read(&p5).unwrap();
-        for version in 1..=4u32 {
+        for version in crate::format::RETIRED {
             let mut old = bytes.clone();
             old[8..12].copy_from_slice(&version.to_le_bytes());
             let p = dir.join(format!("v{version}.mrx"));

@@ -1,4 +1,4 @@
-//! Pins the v5 and v6 wire formats: the byte length and FNV-64 digest of
+//! Pins the v5 and v7 wire formats: the byte length and FNV-64 digest of
 //! both images for a small seeded XMark corpus. A change to either writer
 //! that moves a single byte fails here, so `snapshot_mb` in the benchmark
 //! and every snapshot already on disk stay what they were.
@@ -27,19 +27,19 @@ fn corpus() -> (FrozenGraph, mrx_index::CompressedMStar) {
 }
 
 #[test]
-fn v5_and_v6_images_are_pinned() {
+fn v5_and_v7_images_are_pinned() {
     let (fg, cz) = corpus();
     let mut v5 = Vec::new();
     save_compressed_to(&mut v5, &fg, &cz).unwrap();
-    let v6 = paged_image(&fg, &cz, 4096).unwrap();
+    let v7 = paged_image(&fg, &cz, 4096).unwrap();
     assert_eq!(
         (v5.len(), fnv64(&v5)),
         (104_215, 0xe634_a07f_88bb_261d),
         "v5 image moved"
     );
     assert_eq!(
-        (v6.len(), fnv64(&v6)),
-        (156_385, 0xe40d_1f43_5af5_c767),
-        "v6 image moved"
+        (v7.len(), fnv64(&v7)),
+        (108_425, 0x1cbe_d756_5576_d21e),
+        "v7 image moved"
     );
 }

@@ -1,16 +1,19 @@
 //! One differential suite for the two snapshot layouts the server runs:
-//! compressed (v5) and demand-paged (v6).
+//! compressed (v5) and demand-paged (v7).
 //!
 //! Every case writes a real `.mrx` file and reopens it the way serving
-//! does — v5 through the validated loader, v6 through a [`PagedFile`] with
+//! does — v5 through the validated loader, v7 through a [`PagedFile`] with
 //! tiny pages and a budget far below the paged region, so queries cross
 //! page seams and churn the clock mid-evaluation. The table is datasets ×
-//! layouts × trust policies × cold/warm sessions; every answer and
+//! layouts × trust policies × cold/warm sessions — the datasets are XMark,
+//! NASA, and a random graph with multiple parents and IDREF cycles, whose
+//! index nodes have the most tangled subnode links; every answer and
 //! [`Cost`] must equal the live [`MStarIndex`]'s top-down evaluation, and
 //! every sound answer must equal naive evaluation on the data graph.
 
 use std::path::PathBuf;
 
+use mrx::datagen::{random_graph, RandomGraphConfig};
 use mrx::graph::{FrozenGraph, GraphView};
 use mrx::index::{EvalStrategy, IndexView, MStarSnapshot, QueryScratch, QuerySession};
 use mrx::path::{eval_data, PathExpr};
@@ -22,9 +25,9 @@ use mrx::workload::{Workload, WorkloadConfig};
 
 const POLICIES: [TrustPolicy; 2] = [TrustPolicy::Proven, TrustPolicy::Claimed];
 
-/// v6 page size and cache budget: 64-byte pages, 64 evictable pages.
+/// v7 page size and cache budget: 64-byte pages, 16 evictable pages.
 const PAGE: u32 = 64;
-const CACHE: u64 = 64 * PAGE as u64;
+const CACHE: u64 = 16 * PAGE as u64;
 
 #[derive(Debug, Clone, Copy)]
 enum Layout {
@@ -41,6 +44,18 @@ fn docs() -> Vec<(&'static str, DataGraph)> {
             xmark_like(&XmarkConfig::with_target_nodes(2_500), 11),
         ),
         ("nasa", nasa_like(2_500, 12)),
+        (
+            "random",
+            random_graph(
+                &RandomGraphConfig {
+                    nodes: 600,
+                    labels: 5,
+                    extra_edge_ratio: 0.4,
+                    allow_cycles: true,
+                },
+                13,
+            ),
+        ),
     ]
 }
 
@@ -140,7 +155,7 @@ fn snapshots_match_live_top_down_and_the_naive_oracle() {
                 }
                 Layout::Paged => {
                     save_paged_with(&path, &fg, &cz, PAGE).unwrap();
-                    assert_eq!(snapshot_version(&path).unwrap(), 6, "{ctx}");
+                    assert_eq!(snapshot_version(&path).unwrap(), 7, "{ctx}");
                     let file = PagedFile::open_with(&path, CACHE).unwrap();
                     let (sg, star, cache) = file.into_parts().unwrap();
                     check(&ctx, &star, &sg, &idx, &g, &w.queries);
@@ -165,23 +180,23 @@ fn lazy_prefix_loading_matches_the_full_hierarchy() {
     let idx = adapted(&g, &w);
     let fg = FrozenGraph::freeze(&g);
     let cz = idx.freeze_compressed();
-    let (p5, p6) = (snapshot_path("prefix-v5"), snapshot_path("prefix-v6"));
+    let (p5, p7) = (snapshot_path("prefix-v5"), snapshot_path("prefix-v7"));
     save_compressed(&p5, &fg, &cz).unwrap();
-    save_paged_with(&p6, &fg, &cz, PAGE).unwrap();
+    save_paged_with(&p7, &fg, &cz, PAGE).unwrap();
     for q in &w.queries {
         let want = cz.query_top_down(&fg, q, TrustPolicy::Proven);
         let prefix: Vec<usize> = (0..=q.steps().len().saturating_sub(1).min(cz.max_k())).collect();
         let mut v5 = mrx::store::CompressedFile::open(&p5).unwrap();
         let a5 = v5.query_top_down(q).unwrap();
         assert_eq!(v5.loaded_components(), prefix, "v5 prefix on {q}");
-        let mut v6 = PagedFile::open_with(&p6, CACHE).unwrap();
-        let a6 = v6.query_top_down(q).unwrap();
-        assert_eq!(v6.loaded_components(), prefix, "v6 prefix on {q}");
-        for (layout, a) in [("v5", &a5), ("v6", &a6)] {
+        let mut v7 = PagedFile::open_with(&p7, CACHE).unwrap();
+        let a7 = v7.query_top_down(q).unwrap();
+        assert_eq!(v7.loaded_components(), prefix, "v7 prefix on {q}");
+        for (layout, a) in [("v5", &a5), ("v7", &a7)] {
             assert_eq!(a.nodes, want.nodes, "{layout} on {q}");
             assert_eq!(a.cost, want.cost, "{layout} on {q}");
         }
     }
     std::fs::remove_file(p5).ok();
-    std::fs::remove_file(p6).ok();
+    std::fs::remove_file(p7).ok();
 }
