@@ -30,9 +30,8 @@ use std::io::Write as _;
 
 use mrx_bench::timing::time;
 use mrx_bench::{json, Dataset, Scale};
-use mrx_graph::{FrozenGraph, GraphView};
-use mrx_index::{replay, MStarIndex, PagedMStar, QuerySession, TrustPolicy};
-use mrx_path::{Cost, PathExpr};
+use mrx_graph::FrozenGraph;
+use mrx_index::{replay, MStarIndex, TrustPolicy};
 use mrx_store::{load_compressed, save_compressed, save_paged_with, PagedFile};
 use mrx_workload::{Workload, WorkloadConfig};
 
@@ -82,17 +81,6 @@ fn parse_args() -> Opts {
         opts.reps = 1;
     }
     opts
-}
-
-/// Replays `queries` through one session over a paged hierarchy (its page
-/// cache is single-threaded, so paged replay is sequential).
-fn replay_paged<G: GraphView>(star: &PagedMStar, g: &G, queries: &[PathExpr]) -> Cost {
-    let mut session = QuerySession::new(POLICY);
-    let mut total = Cost::ZERO;
-    for q in queries {
-        total += session.serve(star, g, q).cost;
-    }
-    total
 }
 
 fn main() {
@@ -190,13 +178,13 @@ fn main() {
     let file = PagedFile::open_with(&p4, cache_cap).expect("open v7 for replay");
     let resident_total = replay(&cz, &fg, &w.queries, POLICY, 1).total;
     let (pg, star, cache) = file.into_parts().expect("activate v7");
-    let paged_total = replay_paged(&star, &pg, &w.queries);
+    let paged_total = replay(&star, &pg, &w.queries, POLICY, 1).total;
     assert_eq!(
         paged_total, resident_total,
         "capped-cache replay must cost exactly what resident serving costs"
     );
     let capped = time("replay/paged-25pct", opts.reps, || {
-        replay_paged(&star, &pg, &w.queries)
+        replay(&star, &pg, &w.queries, POLICY, 1).total
     });
     assert!(
         cache.take_poison().is_none(),

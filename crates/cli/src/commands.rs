@@ -69,7 +69,9 @@ degradation reported through `client stats`, and zero-downtime hot swap
 via `client reload FILE.mrx` (the file is fully validated first; a torn
 or corrupt file is rejected while the old snapshot keeps serving).
 SIGINT/SIGTERM drain in-flight queries, then print final stats. --strict
-refuses a boot snapshot that would degrade instead of serving it.
+refuses a boot snapshot that would degrade instead of serving it. For a
+v7 snapshot, --cache-bytes is one page-cache budget for the whole daemon:
+every worker serves through the snapshot's one shared cache.
 ";
 
 type CmdResult = Result<(), Box<dyn Error>>;

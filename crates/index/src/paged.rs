@@ -134,7 +134,7 @@ mod tests {
     use mrx_graph::DataGraph;
     use mrx_pagecache::ArenaLayout;
     use mrx_path::PathExpr;
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     fn doc() -> DataGraph {
         parse(
@@ -155,7 +155,7 @@ mod tests {
         cz: &CompressedIndex,
         page_size: u32,
         budget: u64,
-    ) -> (Rc<PageCache>, PagedIndex) {
+    ) -> (Arc<PageCache>, PagedIndex) {
         let (data, bf, bo, ll) = cz.extents.parts();
         let mut region = data.to_vec();
         let bf_off = region.len() as u64;
@@ -202,7 +202,7 @@ mod tests {
         coarse: Option<usize>,
         page_size: u32,
         budget: u64,
-    ) -> (Rc<PageCache>, PagedIndex) {
+    ) -> (Arc<PageCache>, PagedIndex) {
         let (cache, paged) = paged_parts(cz, page_size, budget);
         let paged = paged
             .assemble(cz.num_labels(), coarse)

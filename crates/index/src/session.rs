@@ -759,8 +759,6 @@ impl ReplayReport {
 /// a single-query workload) degrades to a plain sequential loop.
 ///
 /// Generic over [`Servable`] × [`GraphView`] like [`QuerySession::serve`].
-/// A demand-paged hierarchy is not `Sync` (its page cache is
-/// single-threaded by design), so it replays through one session directly.
 pub fn replay<T: Servable + Sync, G: GraphView + Sync>(
     target: &T,
     g: &G,

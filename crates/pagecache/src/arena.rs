@@ -18,7 +18,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use mrx_error::StoreError;
 use mrx_postings::{decode_tagged_block, SeekingIterator, BLOCK_LEN, MAX_BLOCK_PAYLOAD};
@@ -63,7 +63,7 @@ fn range_in(region_len: u64, off: u64, len: u64, what: &str) -> Result<(), Store
 /// jump, same visit order — so serving through it yields the same answers
 /// and the same cost accounting.
 pub struct PagedArena {
-    cache: Rc<PageCache>,
+    cache: Arc<PageCache>,
     data_off: u64,
     data_len: u64,
     bf_off: u64,
@@ -84,7 +84,7 @@ impl PagedArena {
     /// spans, ascending block heads within each list, and heads inside the
     /// id universe. Payload bytes are validated lazily at decode time.
     pub fn new(
-        cache: Rc<PageCache>,
+        cache: Arc<PageCache>,
         layout: ArenaLayout,
         list_len: Vec<u32>,
         universe: u32,
@@ -189,7 +189,7 @@ impl PagedArena {
 
     /// The cache this arena reads through (shared with sibling structures
     /// of the same component).
-    pub fn cache(&self) -> &Rc<PageCache> {
+    pub fn cache(&self) -> &Arc<PageCache> {
         &self.cache
     }
 
@@ -453,7 +453,7 @@ mod tests {
         page_size: u32,
         budget: u64,
         universe: u32,
-    ) -> (Rc<PageCache>, PagedArena) {
+    ) -> (Arc<PageCache>, PagedArena) {
         let (region, layout) = region_of(pa);
         let (_, _, _, ll) = pa.parts();
         let cache = PageCache::over_bytes(region, page_size, budget).unwrap();

@@ -5,9 +5,9 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{self, ThreadId};
 
 use mrx_error::StoreError;
 
@@ -59,10 +59,10 @@ pub struct PageStats {
     pub readahead_hits: u64,
     /// Prefetched pages evicted before any lookup touched them.
     pub wasted_prefetches: u64,
-    /// Cumulative integrity failures recorded via [`PageCache::poison`].
-    /// Unlike the poison slot itself — which `take_poison` consumes after
-    /// every query — this counter survives, so long-running servers can
-    /// report how often a snapshot's pages failed verification.
+    /// Cumulative integrity failures recorded via [`PageCache::poison`] on
+    /// any thread. Unlike the poison slots — which `take_poison` consumes
+    /// after every query — this counter survives, so long-running servers
+    /// can report how often a snapshot's pages failed verification.
     pub poison_events: u64,
 }
 
@@ -86,26 +86,26 @@ struct Inner {
     /// Clock hand over `slots`.
     hand: usize,
     budget: u64,
-    resident_bytes: u64,
-    pinned_pages: u64,
-    faults: u64,
-    hits: u64,
-    evictions: u64,
-    checksum_failures: u64,
-    prefetched: u64,
-    readahead_hits: u64,
-    wasted_prefetches: u64,
-    /// Cumulative count of recorded integrity failures (see
-    /// [`PageStats::poison_events`]).
-    poison_events: u64,
+    /// Traffic counters; `resident_pages` is derived from `map` instead.
+    stats: PageStats,
     /// Most recently faulted-or-prefetched page; a demand fault on
     /// `last_fault + 1` marks the walk as sequential and opens the
     /// readahead window.
     last_fault: u32,
-    /// First integrity failure observed; read surfaces return sentinels
-    /// once set, and the query entry point converts it into a typed error
-    /// before any answer escapes.
-    poison: Option<StoreError>,
+    /// First integrity failure per thread (a query never spans threads):
+    /// that thread's reads return sentinels, and its query entry point
+    /// converts the failure into a typed error before any answer escapes.
+    poison: HashMap<ThreadId, StoreError>,
+}
+
+impl Inner {
+    fn poisoned(&self) -> bool {
+        !self.poison.is_empty() && self.poison.contains_key(&thread::current().id())
+    }
+
+    fn set_poison(&mut self, e: StoreError) {
+        self.poison.entry(thread::current().id()).or_insert(e);
+    }
 }
 
 /// A fixed-page cache over one region `[base, base + region_len)` of a
@@ -114,15 +114,16 @@ struct Inner {
 ///
 /// Offsets in the read API are **region-relative**. Reads copy out (no
 /// borrows escape), so callers can hold many logical cursors over one
-/// cache; interior mutability is a `RefCell`, making the cache
-/// single-threaded by design (`!Sync`) — one cache per serving thread.
+/// cache. One `Mutex` guards residency and counters, so every serving
+/// thread reads through the same frames under one byte budget; integrity
+/// failures are recorded per thread (see [`PageCache::poison`]).
 pub struct PageCache {
     source: Box<dyn PageSource>,
     base: u64,
     region_len: u64,
     page_size: u32,
     checksums: Vec<u64>,
-    inner: RefCell<Inner>,
+    inner: Mutex<Inner>,
 }
 
 impl PageCache {
@@ -137,7 +138,7 @@ impl PageCache {
         page_size: u32,
         checksums: Vec<u64>,
         budget: u64,
-    ) -> Result<Rc<PageCache>, StoreError> {
+    ) -> Result<Arc<PageCache>, StoreError> {
         if !(MIN_PAGE_SIZE..=MAX_PAGE_SIZE).contains(&page_size) {
             return Err(StoreError::Format(format!(
                 "page size {page_size} outside [{MIN_PAGE_SIZE}, {MAX_PAGE_SIZE}]"
@@ -162,30 +163,21 @@ impl PageCache {
                 source.len()
             )));
         }
-        Ok(Rc::new(PageCache {
+        Ok(Arc::new(PageCache {
             source,
             base,
             region_len,
             page_size,
             checksums,
-            inner: RefCell::new(Inner {
+            inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 slots: Vec::new(),
                 free: Vec::new(),
                 hand: 0,
                 budget: budget.max(1),
-                resident_bytes: 0,
-                pinned_pages: 0,
-                faults: 0,
-                hits: 0,
-                evictions: 0,
-                checksum_failures: 0,
-                prefetched: 0,
-                readahead_hits: 0,
-                wasted_prefetches: 0,
-                poison_events: 0,
+                stats: PageStats::default(),
                 last_fault: EMPTY,
-                poison: None,
+                poison: HashMap::new(),
             }),
         }))
     }
@@ -196,7 +188,7 @@ impl PageCache {
         region: Vec<u8>,
         page_size: u32,
         budget: u64,
-    ) -> Result<Rc<PageCache>, StoreError> {
+    ) -> Result<Arc<PageCache>, StoreError> {
         let sums = page_checksums(&region, page_size);
         let len = region.len() as u64;
         PageCache::new(
@@ -224,52 +216,49 @@ impl PageCache {
         self.checksums.len() as u32
     }
 
+    /// The cache state. No critical section can panic partway (its indices
+    /// come from the map and the region geometry), so a poisoned mutex
+    /// still holds consistent frames and is entered as is.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Snapshot of the traffic counters.
     pub fn stats(&self) -> PageStats {
-        let inner = self.inner.borrow();
+        let inner = self.lock();
         PageStats {
-            faults: inner.faults,
-            hits: inner.hits,
-            evictions: inner.evictions,
-            checksum_failures: inner.checksum_failures,
             resident_pages: inner.map.len() as u64,
-            resident_bytes: inner.resident_bytes,
-            pinned_pages: inner.pinned_pages,
-            prefetched: inner.prefetched,
-            readahead_hits: inner.readahead_hits,
-            wasted_prefetches: inner.wasted_prefetches,
-            poison_events: inner.poison_events,
+            ..inner.stats
         }
     }
 
     /// Replaces the eviction byte budget, reclaiming immediately if the
     /// cache is now over it.
     pub fn set_budget(&self, budget: u64) {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.lock();
         inner.budget = budget.max(1);
         Self::evict_for(&mut inner, 0);
     }
 
-    /// Records an integrity failure. The first poison wins; later ones are
-    /// dropped (the first is the root cause).
+    /// Records an integrity failure for the calling thread's query, so no
+    /// other thread's query fails on it or takes it. The first poison wins;
+    /// later ones are dropped (the first is the root cause).
     pub fn poison(&self, e: StoreError) {
-        let mut inner = self.inner.borrow_mut();
-        inner.poison_events += 1;
-        if inner.poison.is_none() {
-            inner.poison = Some(e);
-        }
+        let mut inner = self.lock();
+        inner.stats.poison_events += 1;
+        inner.set_poison(e);
     }
 
-    /// Whether an integrity failure has been recorded.
+    /// Whether the calling thread has recorded an integrity failure.
     pub fn poisoned(&self) -> bool {
-        self.inner.borrow().poison.is_some()
+        self.lock().poisoned()
     }
 
-    /// Takes the recorded failure, clearing the flag. The serving layer
-    /// calls this after every query; a corrupt page re-poisons on its next
-    /// fault, so clearing never masks persistent corruption.
+    /// Takes the calling thread's recorded failure, clearing its flag. The
+    /// serving layer calls this after every query; a corrupt page re-poisons
+    /// on its next fault, so clearing never masks persistent corruption.
     pub fn take_poison(&self) -> Option<StoreError> {
-        self.inner.borrow_mut().poison.take()
+        self.lock().poison.remove(&thread::current().id())
     }
 
     /// Positioned read at an **absolute source offset**, outside the paged
@@ -292,18 +281,18 @@ impl PageCache {
 
     /// Copies `dst.len()` bytes at region-relative `off` into `dst`,
     /// faulting (and verifying) pages as needed. On any failure —
-    /// out-of-range read, I/O error, checksum mismatch, or an
-    /// already-poisoned cache — `dst` is zeroed, the poison records the
+    /// out-of-range read, I/O error, checksum mismatch, or a thread that
+    /// is already poisoned — `dst` is zeroed, the poison records the
     /// cause, and `false` is returned.
     pub fn read(&self, off: u64, dst: &mut [u8]) -> bool {
-        let mut inner = self.inner.borrow_mut();
-        if inner.poison.is_some() {
+        let mut inner = self.lock();
+        if inner.poisoned() {
             dst.fill(0);
             return false;
         }
         let end = off.checked_add(dst.len() as u64);
         if end.is_none_or(|e| e > self.region_len) {
-            inner.poison = Some(StoreError::Format(format!(
+            inner.set_poison(StoreError::Format(format!(
                 "paged read [{off}, +{}) outside the region ({} bytes)",
                 dst.len(),
                 self.region_len
@@ -351,12 +340,12 @@ impl PageCache {
             return true;
         }
         let end = off.checked_add(len);
-        let mut inner = self.inner.borrow_mut();
-        if inner.poison.is_some() {
+        let mut inner = self.lock();
+        if inner.poisoned() {
             return false;
         }
         let Some(end) = end.filter(|&e| e <= self.region_len) else {
-            inner.poison = Some(StoreError::Format(format!(
+            inner.set_poison(StoreError::Format(format!(
                 "pin [{off}, +{len}) outside the region ({} bytes)",
                 self.region_len
             )));
@@ -404,13 +393,13 @@ impl PageCache {
             f.referenced = true;
             if f.prefetched {
                 f.prefetched = false;
-                inner.readahead_hits += 1;
+                inner.stats.readahead_hits += 1;
             }
             if pin && !f.pinned {
                 f.pinned = true;
-                inner.pinned_pages += 1;
+                inner.stats.pinned_pages += 1;
             }
-            inner.hits += 1;
+            inner.stats.hits += 1;
             return Some(slot);
         }
 
@@ -426,16 +415,16 @@ impl PageCache {
         // Reclaim before inserting so the new page can never evict itself.
         Self::evict_for(inner, len as u64);
 
-        inner.faults += 1;
+        inner.stats.faults += 1;
         let mut data = vec![0u8; len].into_boxed_slice();
         let off = self.base + u64::from(page) * u64::from(self.page_size);
         if let Err(e) = self.source.read_at(off, &mut data) {
-            inner.poison = Some(StoreError::Io(e));
+            inner.set_poison(StoreError::Io(e));
             return None;
         }
         if fnv64_words(&data) != self.checksums[page as usize] {
-            inner.checksum_failures += 1;
-            inner.poison = Some(StoreError::Checksum {
+            inner.stats.checksum_failures += 1;
+            inner.set_poison(StoreError::Checksum {
                 section: format!("page {page}"),
             });
             return None;
@@ -481,9 +470,9 @@ impl PageCache {
             }
         };
         inner.map.insert(page, slot);
-        inner.resident_bytes += len;
+        inner.stats.resident_bytes += len;
         if pin {
-            inner.pinned_pages += 1;
+            inner.stats.pinned_pages += 1;
         }
         slot
     }
@@ -513,7 +502,7 @@ impl PageCache {
         // Under cache pressure (budget ≈ working set) the window collapses
         // to nothing and readahead turns itself off instead of thrashing
         // the clock with pages the walk may never reach.
-        let headroom = inner.budget.saturating_sub(inner.resident_bytes);
+        let headroom = inner.budget.saturating_sub(inner.stats.resident_bytes);
         let mut take = 0u32;
         let mut take_bytes = 0usize;
         while take < count {
@@ -550,7 +539,7 @@ impl PageCache {
                     data: data.to_vec().into_boxed_slice(),
                 },
             );
-            inner.prefetched += 1;
+            inner.stats.prefetched += 1;
             // Chain the window: prefetched pages satisfy lookups without
             // faulting, so the *next* demand fault lands right past the
             // window and must still read as sequential.
@@ -561,11 +550,11 @@ impl PageCache {
     /// Readahead hint for a caller about to walk `[off, off + len)`
     /// sequentially: batch-fetches the window's first non-resident pages
     /// (bounded by the readahead window size) before the per-page lookups
-    /// begin. Out-of-range hints are clamped; a poisoned cache ignores
-    /// hints. Purely an optimization — identical results with or without.
+    /// begin. Out-of-range hints are clamped; a poisoned thread's are
+    /// ignored. Purely an optimization — identical results with or without.
     pub fn readahead(&self, off: u64, len: u64) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.poison.is_some() || len == 0 || off >= self.region_len {
+        let mut inner = self.lock();
+        if inner.poisoned() || len == 0 || off >= self.region_len {
             return;
         }
         let end = off.saturating_add(len).min(self.region_len);
@@ -592,7 +581,7 @@ impl PageCache {
             return;
         }
         let mut steps = 2 * inner.slots.len();
-        while inner.resident_bytes + need > inner.budget && steps > 0 {
+        while inner.stats.resident_bytes + need > inner.budget && steps > 0 {
             steps -= 1;
             let slot = inner.hand;
             inner.hand = (inner.hand + 1) % inner.slots.len();
@@ -607,13 +596,13 @@ impl PageCache {
             let page = f.page;
             f.page = EMPTY;
             if f.prefetched {
-                inner.wasted_prefetches += 1;
+                inner.stats.wasted_prefetches += 1;
             }
-            inner.resident_bytes -= f.data.len() as u64;
+            inner.stats.resident_bytes -= f.data.len() as u64;
             f.data = Box::new([]);
             inner.map.remove(&page);
             inner.free.push(slot as u32);
-            inner.evictions += 1;
+            inner.stats.evictions += 1;
         }
     }
 }

@@ -14,11 +14,11 @@
 //! Two layers live here:
 //!
 //! * [`PageCache`] — the cache itself: fault/hit/eviction accounting,
-//!   pinning for directory pages, checksum-verify-on-fault, and a *poison*
-//!   flag that records the first integrity failure so infallible read
-//!   surfaces (the `IndexView` contract) can return sentinel values while
-//!   the owning query is guaranteed to observe the typed error before any
-//!   answer is served.
+//!   pinning for directory pages, checksum-verify-on-fault, and a
+//!   per-thread *poison* slot that records a query's first integrity
+//!   failure so infallible read surfaces (the `IndexView` contract) can
+//!   return sentinels while the owning query is guaranteed to observe the
+//!   typed error before any answer is served. One cache serves all threads.
 //! * [`PagedArena`] / [`PagedCursor`] — the demand-paged twin of
 //!   [`mrx_postings::PostingArena`]: identical wire form (delta-varint
 //!   blocks of [`BLOCK_LEN`] ids + skip directory), identical iteration

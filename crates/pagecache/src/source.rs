@@ -4,14 +4,15 @@ use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
 
-/// A random-access byte store the cache reads pages from. Implementations
-/// must be cheap to read at arbitrary offsets and need no interior
-/// mutability (positioned reads don't move a file cursor).
+/// A random-access byte store the cache reads pages from, shared by every
+/// thread reading the cache. Implementations must be cheap to read at
+/// arbitrary offsets and need no interior mutability (positioned reads
+/// don't move a file cursor).
 ///
 /// The trait is public so the fault-injection harness can wrap a source
 /// and inject I/O errors, short reads, or stale bytes underneath a live
 /// cache.
-pub trait PageSource {
+pub trait PageSource: Send + Sync {
     /// Total readable length in bytes.
     fn len(&self) -> u64;
 

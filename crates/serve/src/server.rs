@@ -41,7 +41,7 @@
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -49,10 +49,10 @@ use std::time::{Duration, Instant};
 
 use mrx_error::{BudgetKind, MrxError};
 use mrx_index::{
-    Answer, PagedMStar, QuerySession, SharedAnswerCache, SharedCacheConfig, TrustPolicy,
+    Answer, QuerySession, Servable, SharedAnswerCache, SharedCacheConfig, TrustPolicy,
 };
 use mrx_path::{CancelProbe, PathExpr, QueryBudget};
-use mrx_store::{LazyGraph, PagedFile, StoreError};
+use mrx_store::StoreError;
 
 use crate::proto::{
     decode_request, encode_response, write_frame, Request, Response, ServeError, MAX_REQUEST_FRAME,
@@ -117,8 +117,9 @@ pub struct ServeConfig {
     pub tick: Duration,
     /// Shared answer-cache geometry (capacity, byte cap, admission).
     pub cache: SharedCacheConfig,
-    /// Page-cache budget for paged snapshots (per worker), `None` for the
-    /// format default.
+    /// Page-cache budget for paged snapshots, `None` for the format
+    /// default. One budget for the whole daemon: every worker serves
+    /// through the snapshot's one shared page cache.
     pub paged_cache_bytes: Option<u64>,
     /// Refuse a boot snapshot that would degrade components (RELOAD is
     /// always strict; boot defaults to lenient so a partially damaged
@@ -248,14 +249,6 @@ struct Job {
     probe: CancelProbe,
 }
 
-/// A worker's private handle onto a paged snapshot (the page cache is
-/// single-threaded by design, so each worker opens its own).
-struct PagedView {
-    snap_epoch: u64,
-    graph: LazyGraph,
-    star: PagedMStar,
-}
-
 pub(crate) struct Shared {
     cfg: ServeConfig,
     slot: SnapshotSlot,
@@ -312,11 +305,18 @@ impl Shared {
         let snap = self.slot.pin();
         let degraded: Vec<String> = snap.degraded.iter().map(|d| d.to_string()).collect();
         let c = self.cache.stats();
+        // The paged snapshot's one page cache; a v5 snapshot has none.
+        let p = match &snap.data {
+            SnapData::Paged(paged) => paged.1.fault_cache().map(|pc| pc.stats()),
+            SnapData::Compressed(_) => None,
+        }
+        .unwrap_or_default();
         format!(
             "{{\"epoch\":{},\"kind\":\"{}\",\"version\":{},\"degraded_components\":[{}],\
              \"healthy\":{},\"conns\":{},\"queue\":{},\"counters\":{{{}}},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"insertions\":{},\"bypass_large\":{},\
-             \"bypass_cheap\":{},\"evictions\":{},\"entries\":{},\"bytes\":{}}}}}",
+             \"bypass_cheap\":{},\"evictions\":{},\"entries\":{},\"bytes\":{}}},\
+             \"pages\":{{\"resident_bytes\":{},\"faults\":{},\"hits\":{}}}}}",
             snap.epoch,
             snap.kind,
             snap.version,
@@ -333,6 +333,9 @@ impl Shared {
             c.evictions,
             c.entries,
             c.bytes,
+            p.resident_bytes,
+            p.faults,
+            p.hits,
         )
     }
 }
@@ -356,13 +359,8 @@ impl Server {
     /// Validates the boot snapshot, binds, and spawns the acceptor and
     /// worker pool. Returns once the socket is accepting.
     pub fn start(cfg: ServeConfig) -> Result<Server, StartError> {
-        let snap = Snapshot::load(
-            cfg.snapshot.clone(),
-            1,
-            cfg.strict_boot,
-            cfg.paged_cache_bytes,
-        )
-        .map_err(StartError::Snapshot)?;
+        let snap = Snapshot::load(&cfg.snapshot, 1, cfg.strict_boot, cfg.paged_cache_bytes)
+            .map_err(StartError::Snapshot)?;
         let listener = TcpListener::bind(&cfg.addr).map_err(StartError::Io)?;
         listener.set_nonblocking(true).map_err(StartError::Io)?;
         let addr = listener.local_addr().map_err(StartError::Io)?;
@@ -761,7 +759,7 @@ fn do_reload(sh: &Arc<Shared>, path: &str) -> Response {
     let next_epoch = sh.slot.epoch() + 1;
     let t0 = Instant::now();
     match Snapshot::load(
-        PathBuf::from(path),
+        Path::new(path),
         next_epoch,
         true, // RELOAD is always strict: a replacement must be pristine
         sh.cfg.paged_cache_bytes,
@@ -797,12 +795,11 @@ fn do_reload(sh: &Arc<Shared>, path: &str) -> Response {
 
 fn worker_loop(sh: Arc<Shared>) {
     let mut session = QuerySession::new(sh.cfg.policy);
-    let mut view: Option<PagedView> = None;
     loop {
         match sh.queue.pop(sh.cfg.tick) {
             Popped::Item(job) => {
                 sh.in_flight.fetch_add(1, Ordering::SeqCst);
-                let resp = eval_job(&sh, &mut session, &mut view, &job);
+                let resp = eval_job(&sh, &mut session, &job);
                 if matches!(resp, Response::Answer { .. }) {
                     inc(&sh.stats.answers);
                 }
@@ -825,30 +822,12 @@ fn answer_response(serving_epoch: u64, a: &Answer) -> Response {
     }
 }
 
-fn open_view(snap: &Snapshot, cache_bytes: Option<u64>) -> Result<PagedView, StoreError> {
-    let file = match cache_bytes {
-        Some(b) => PagedFile::open_with(&snap.path, b)?,
-        None => PagedFile::open(&snap.path)?,
-    };
-    let (graph, star, _cache) = file.into_parts()?;
-    Ok(PagedView {
-        snap_epoch: snap.epoch,
-        graph,
-        star,
-    })
-}
-
 /// Evaluates one admitted query against the pinned snapshot through the
 /// worker's session, attached to the daemon's answer cache under the
 /// snapshot's serving epoch. Every failure mode returns a typed error;
 /// partial answers are impossible (an error discards the whole
 /// evaluation).
-fn eval_job(
-    sh: &Arc<Shared>,
-    session: &mut QuerySession,
-    view: &mut Option<PagedView>,
-    job: &Job,
-) -> Response {
+fn eval_job(sh: &Arc<Shared>, session: &mut QuerySession, job: &Job) -> Response {
     let snap = sh.slot.pin();
     let expr = match PathExpr::parse(&job.expr) {
         Ok(e) => e,
@@ -866,23 +845,9 @@ fn eval_job(
             let (g, star) = &**resident;
             session.try_serve(star, g, &expr)
         }
-        SnapData::Paged { cache_bytes } => {
-            if view.as_ref().is_none_or(|v| v.snap_epoch != snap.epoch) {
-                *view = None; // drop the old epoch's handle before opening
-                match open_view(&snap, *cache_bytes) {
-                    Ok(v) => *view = Some(v),
-                    Err(e) => {
-                        inc(&sh.stats.store_errors);
-                        return Response::Error(ServeError::Store(e.to_string()));
-                    }
-                }
-            }
-            match view {
-                Some(v) => session.try_serve(&v.star, &v.graph, &expr),
-                None => {
-                    return Response::Error(ServeError::Server("paged view unavailable".into()))
-                }
-            }
+        SnapData::Paged(paged) => {
+            let (g, star) = &**paged;
+            session.try_serve(star, g, &expr)
         }
     };
     match served {

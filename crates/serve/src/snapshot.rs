@@ -11,35 +11,37 @@
 //! for the old `Arc`'s strong count to drain back to one — the classic
 //! epoch-based reclamation fence, with the refcount as the epoch counter.
 //!
-//! The compressed (v5) layout is shared read-only across all workers.
-//! The demand-paged (v7) layout serves through an `Rc`-based page
-//! cache that is deliberately single-threaded, so the slot holds only the
-//! validated *identity* (path + cache budget). Each worker opens its own
-//! paged view ([`mrx_store::PagedFile::into_parts`]) when it observes a new
-//! epoch and serves it through its `QuerySession`, whose fault probe checks
-//! that view's page cache after every evaluation.
+//! Both layouts are shared read-only across all workers: the slot holds
+//! exactly the structures validation proved. For the demand-paged (v7)
+//! layout that is the validated handle's graph and hierarchy
+//! ([`mrx_store::PagedFile::into_parts`]), which read through one
+//! thread-safe page cache under the daemon's one `--cache-bytes` budget.
+//! The handle keeps its file open, so a file renamed over the path later
+//! is never served under this epoch. Each worker's `QuerySession` checks
+//! the cache's fault probe — which records faults per thread — after
+//! every evaluation.
 
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use mrx_graph::FrozenGraph;
-use mrx_index::CompressedMStar;
-use mrx_store::{open_validated, SnapshotPayload, StoreError};
+use mrx_index::{CompressedMStar, PagedMStar};
+use mrx_store::{open_validated, LazyGraph, SnapshotPayload, StoreError};
 
-/// The in-memory serving form of one validated snapshot.
+/// The in-memory serving form of one validated snapshot, shared read-only
+/// by every worker.
 pub(crate) enum SnapData {
-    /// Compressed posting arenas, shared read-only by every worker (boxed:
-    /// the paged arm carries only a budget).
+    /// Compressed posting arenas (v5).
     Compressed(Box<(FrozenGraph, CompressedMStar)>),
-    /// Demand-paged layout: validated here, but each worker opens its own
-    /// view (the page cache is single-threaded by design).
-    Paged { cache_bytes: Option<u64> },
+    /// Demand-paged hierarchy and lazy graph (v7), reading through one
+    /// page cache.
+    Paged(Box<(LazyGraph, PagedMStar)>),
 }
 
 /// One fully-validated snapshot, stamped with the serving epoch it was
@@ -47,12 +49,10 @@ pub(crate) enum SnapData {
 pub(crate) struct Snapshot {
     /// Serving epoch: 1 for the boot snapshot, +1 per successful RELOAD.
     pub epoch: u64,
-    /// On-disk layout version (5 or 6).
+    /// On-disk layout version (5 or 7).
     pub version: u32,
     /// `"compressed" | "paged"`.
     pub kind: &'static str,
-    /// Where the file lives (paged workers re-open from here).
-    pub path: PathBuf,
     /// Components degraded to live `A(i)` at load time (lenient boot
     /// loads only; RELOAD validates strictly and never degrades).
     pub degraded: Vec<usize>,
@@ -61,25 +61,27 @@ pub(crate) struct Snapshot {
 
 impl Snapshot {
     /// Loads and validates `path`, stamping the result with `epoch`.
-    /// `strict` refuses files that would only load by degrading.
+    /// `strict` refuses files that would only load by degrading;
+    /// `cache_bytes` is the paged layout's page-cache budget.
     pub fn load(
-        path: PathBuf,
+        path: &Path,
         epoch: u64,
         strict: bool,
         cache_bytes: Option<u64>,
     ) -> Result<Snapshot, StoreError> {
-        let v = open_validated(&path, strict, cache_bytes)?;
+        let v = open_validated(path, strict, cache_bytes)?;
         let kind = v.payload.kind();
         let data = match v.payload {
             SnapshotPayload::Compressed(g, star) => SnapData::Compressed(Box::new((g, star))),
-            // The validation handle is dropped; workers open their own.
-            SnapshotPayload::Paged(_) => SnapData::Paged { cache_bytes },
+            SnapshotPayload::Paged(file) => {
+                let (graph, star, _cache) = file.into_parts()?;
+                SnapData::Paged(Box::new((graph, star)))
+            }
         };
         Ok(Snapshot {
             epoch,
             version: v.version,
             kind,
-            path,
             degraded: v.degraded,
             data,
         })

@@ -663,3 +663,107 @@ fn retired_boot_snapshots_are_refused() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The number after `"key":` in the part of `stats` following `after`.
+fn stat_after(stats: &str, after: &str, key: &str) -> u64 {
+    stats
+        .split(after)
+        .nth(1)
+        .and_then(|t| t.split(&format!("\"{key}\":")).nth(1))
+        .and_then(|t| t.split(|ch: char| !ch.is_ascii_digit()).next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no {key} after {after} in {stats}"))
+}
+
+/// The daemon serves the paged file it validated, not whatever sits at
+/// the path later: a different snapshot renamed over the boot path before
+/// the first query is never read.
+#[test]
+fn paged_file_renamed_over_the_boot_path_is_never_served() {
+    let dir = tmp_dir("rename");
+    let path = dir.join("live.mrx");
+    let other = dir.join("other.mrx");
+    for (g, p) in [(graph_a(), &path), (graph_b(), &other)] {
+        let star = MStarIndex::new(&g).freeze_compressed();
+        save_paged_with(p, &FrozenGraph::freeze(&g), &star, 1024).unwrap();
+    }
+    let mut cfg = base_config(&path);
+    cfg.workers = 1;
+    let server = Server::start(cfg).unwrap();
+    std::fs::rename(&other, &path).unwrap();
+    let want = oracle(&graph_a());
+    let mut c = Client::connect(server.addr()).unwrap();
+    for e in EXPRS {
+        let r = c.query("t", e).unwrap();
+        assert_eq!((r.epoch, &r.nodes), (1, &want[*e]), "{e}");
+    }
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Four workers serve one paged snapshot through one page cache under one
+/// budget: concurrent clients' answers all match the oracle, and the
+/// resident page bytes STATS reports never exceed `paged_cache_bytes`.
+/// The answer cache admits nothing, so every query reads pages.
+#[test]
+fn workers_share_one_page_cache_within_its_budget() {
+    const BUDGET: u64 = 12 * 64;
+    const QUERIES: &[&str] = &[
+        "//person/name",
+        "//item/name",
+        "//open_auction/bidder/personref",
+        "//category/name",
+        "//closed_auction/price",
+        "//person",
+    ];
+    let dir = tmp_dir("shared-pages");
+    let g = xmark_like(&XmarkConfig::with_target_nodes(3_000), 5);
+    let (fg, cz) = (
+        FrozenGraph::freeze(&g),
+        MStarIndex::new(&g).freeze_compressed(),
+    );
+    let want: Arc<HashMap<&str, Vec<u32>>> = Arc::new(
+        QUERIES
+            .iter()
+            .map(|e| {
+                let q = PathExpr::parse(e).unwrap();
+                let a = cz.query_top_down(&fg, &q, TrustPolicy::Proven);
+                (*e, a.nodes.iter().map(|n| n.0).collect())
+            })
+            .collect(),
+    );
+    let path = dir.join("paged.mrx");
+    save_paged_with(&path, &fg, &cz, 64).unwrap();
+    let mut cfg = base_config(&path);
+    cfg.workers = 4;
+    cfg.paged_cache_bytes = Some(BUDGET);
+    cfg.cache.min_cost = u64::MAX;
+    let server = Server::start(cfg).unwrap();
+    let addr = server.addr();
+    let clients: Vec<_> = (0..4)
+        .map(|t| {
+            let want = Arc::clone(&want);
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                for i in 0..30 {
+                    let e = QUERIES[(i + t) % QUERIES.len()];
+                    assert_eq!(c.query(&format!("t{t}"), e).unwrap().nodes, want[e], "{e}");
+                }
+            })
+        })
+        .collect();
+    for h in clients {
+        h.join().unwrap();
+    }
+    let stats = Client::connect(addr).unwrap().stats().unwrap();
+    // More faults than the budget holds pages: the working set does not
+    // fit, so the shared cache kept evicting.
+    assert!(
+        stat_after(&stats, "\"pages\":", "faults") > BUDGET / 64,
+        "{stats}"
+    );
+    let resident = stat_after(&stats, "\"pages\":", "resident_bytes");
+    assert!(resident > 0 && resident <= BUDGET, "{stats}");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}

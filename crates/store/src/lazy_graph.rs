@@ -26,13 +26,16 @@
 //!
 //! Accessors are infallible by trait contract, so a unit that fails its
 //! checksum or structural validation **poisons the shared
-//! [`PageCache`]** and falls back to a structurally-safe empty shape
-//! (no rows, label 0). It is the same cache the paged index reads
-//! through, so the serving layer's one fault probe
+//! [`PageCache`]** (for the calling thread) and the accessor answers as if
+//! the unit were empty (no rows, label 0). A failed load is never stored:
+//! the next access loads again and poisons again, so a corrupt unit can
+//! never serve a later query from an empty fallback. It is the same cache
+//! the paged index reads through, so the serving layer's one fault probe
 //! ([`mrx_index::Servable::fault_cache`]) covers graph units too: the
 //! poison is checked after every query and returned as the typed error
 //! instead of the answer — the same always-caught-before-serving contract
-//! the paged region has.
+//! the paged region has. Units load once and are then shared read-only by
+//! every thread, like the cache.
 //!
 //! [`TrustPolicy::Proven`]: mrx_index::TrustPolicy
 
@@ -41,9 +44,9 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use std::cell::{Cell, OnceCell};
 use std::io::{self, Write};
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use mrx_graph::{FrozenGraph, GraphView, LabelId, NodeId};
 use mrx_pagecache::{fnv64_words, PageCache};
@@ -207,44 +210,52 @@ impl Csr {
     fn row(&self, i: usize) -> &[NodeId] {
         &self.tgt[self.off[i] as usize..self.off[i + 1] as usize]
     }
+}
 
-    /// The structurally-safe fallback installed when a unit fails to load:
-    /// every row empty. Slicing can never go out of bounds, so evaluation
-    /// runs to completion and the poisoned cache discards the answer.
-    fn empty(rows: usize) -> Csr {
-        Csr {
-            off: vec![0; rows + 1],
-            tgt: Vec::new(),
-        }
+/// The unit in `cell`, loading it with `load` on first touch. Only a
+/// successful load is stored; racing first touches may both load, and one
+/// result wins.
+fn unit<T>(
+    cell: &OnceLock<T>,
+    load: impl FnOnce() -> Result<T, StoreError>,
+) -> Result<&T, StoreError> {
+    if let Some(v) = cell.get() {
+        return Ok(v);
     }
+    let v = load()?;
+    Ok(cell.get_or_init(|| v))
 }
 
 /// A [`GraphView`] whose adjacency loads on first touch — see the module
 /// docs. Create via the paged reader ([`crate::PagedFile`]); hand it to any
 /// evaluator generic over [`GraphView`].
 pub struct LazyGraph {
-    cache: Rc<PageCache>,
+    cache: Arc<PageCache>,
     core: GraphCore,
     /// Absolute file offset of each unit section frame.
     unit_off: [u64; GRAPH_UNITS],
-    labels: OnceCell<Vec<LabelId>>,
-    children: OnceCell<Csr>,
-    parents: OnceCell<Csr>,
-    labelext: OnceCell<Csr>,
-    lazy_bytes: Cell<u64>,
+    labels: OnceLock<Vec<LabelId>>,
+    children: OnceLock<Csr>,
+    parents: OnceLock<Csr>,
+    labelext: OnceLock<Csr>,
+    lazy_bytes: AtomicU64,
 }
 
 impl LazyGraph {
-    pub(crate) fn new(core: GraphCore, unit_off: [u64; GRAPH_UNITS], cache: Rc<PageCache>) -> Self {
+    pub(crate) fn new(
+        core: GraphCore,
+        unit_off: [u64; GRAPH_UNITS],
+        cache: Arc<PageCache>,
+    ) -> Self {
         LazyGraph {
             cache,
             core,
             unit_off,
-            labels: OnceCell::new(),
-            children: OnceCell::new(),
-            parents: OnceCell::new(),
-            labelext: OnceCell::new(),
-            lazy_bytes: Cell::new(0),
+            labels: OnceLock::new(),
+            children: OnceLock::new(),
+            parents: OnceLock::new(),
+            labelext: OnceLock::new(),
+            lazy_bytes: AtomicU64::new(0),
         }
     }
 
@@ -270,7 +281,7 @@ impl LazyGraph {
                 section: UNIT_NAMES[i].into(),
             });
         }
-        self.lazy_bytes.set(self.lazy_bytes.get() + 16 + expect);
+        self.lazy_bytes.fetch_add(16 + expect, Ordering::Relaxed);
         Ok(buf)
     }
 
@@ -318,7 +329,7 @@ impl LazyGraph {
         if csr.tgt.len() != self.core.n {
             return Err(format_err("label CSR does not cover every node"));
         }
-        let labels = self.labels_arr();
+        let labels = unit(&self.labels, || self.load_labels())?;
         for l in 0..nl {
             let nodes = csr.row(l);
             if nodes.windows(2).any(|w| w[0] >= w[1]) {
@@ -335,46 +346,19 @@ impl LazyGraph {
         Ok(csr)
     }
 
-    fn labels_arr(&self) -> &[LabelId] {
-        self.labels.get_or_init(|| match self.load_labels() {
-            Ok(v) => v,
-            Err(e) => {
-                self.cache.poison(e);
-                vec![LabelId(0); self.core.n]
-            }
-        })
-    }
-
-    fn children_csr(&self) -> &Csr {
-        self.children
-            .get_or_init(|| match self.load_csr(1, self.core.n, self.core.n as u32) {
-                Ok(c) => c,
-                Err(e) => {
-                    self.cache.poison(e);
-                    Csr::empty(self.core.n)
-                }
-            })
-    }
-
-    fn parents_csr(&self) -> &Csr {
-        self.parents
-            .get_or_init(|| match self.load_csr(2, self.core.n, self.core.n as u32) {
-                Ok(c) => c,
-                Err(e) => {
-                    self.cache.poison(e);
-                    Csr::empty(self.core.n)
-                }
-            })
-    }
-
-    fn labelext_csr(&self) -> &Csr {
-        self.labelext.get_or_init(|| match self.load_labelext() {
-            Ok(c) => c,
-            Err(e) => {
-                self.cache.poison(e);
-                Csr::empty(self.core.num_labels())
-            }
-        })
+    /// A unit for an infallible accessor: a load failure poisons the
+    /// calling thread and yields `None` (the accessor answers empty). A
+    /// thread that is already poisoned skips the load — its answer is
+    /// discarded anyway.
+    fn served<'a, T>(
+        &self,
+        cell: &'a OnceLock<T>,
+        load: impl FnOnce() -> Result<T, StoreError>,
+    ) -> Option<&'a T> {
+        if cell.get().is_none() && self.cache.poisoned() {
+            return None;
+        }
+        unit(cell, load).map_err(|e| self.cache.poison(e)).ok()
     }
 
     /// Number of nodes (eager; ids are dense in `0..node_count()`).
@@ -400,7 +384,7 @@ impl LazyGraph {
     /// Bytes of unit sections materialized so far (frames included) —
     /// the lazy complement of the reader's eager `bytes_read`.
     pub fn lazy_bytes_loaded(&self) -> u64 {
-        self.lazy_bytes.get()
+        self.lazy_bytes.load(Ordering::Relaxed)
     }
 
     /// Digest-checks all four unit sections straight from the source
@@ -418,35 +402,27 @@ impl LazyGraph {
     /// instead of poisoning — the fallible bulk counterpart of the
     /// accessors.
     pub fn ensure_all(&self) -> Result<(), StoreError> {
-        if self.labels.get().is_none() {
-            let v = self.load_labels()?;
-            let _ = self.labels.set(v);
-        }
-        if self.children.get().is_none() {
-            let v = self.load_csr(1, self.core.n, self.core.n as u32)?;
-            let _ = self.children.set(v);
-        }
-        if self.parents.get().is_none() {
-            let v = self.load_csr(2, self.core.n, self.core.n as u32)?;
-            let _ = self.parents.set(v);
-        }
-        if self.labelext.get().is_none() {
-            let v = self.load_labelext()?;
-            let _ = self.labelext.set(v);
-        }
-        Ok(())
+        self.frozen_parts().map(|_| ())
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn frozen_parts(&self) -> Result<(&[LabelId], &Csr, &Csr, &Csr), StoreError> {
+        let n = self.core.n;
+        Ok((
+            unit(&self.labels, || self.load_labels())?,
+            unit(&self.children, || self.load_csr(1, n, n as u32))?,
+            unit(&self.parents, || self.load_csr(2, n, n as u32))?,
+            unit(&self.labelext, || self.load_labelext())?,
+        ))
     }
 
     /// Materializes everything into an owned [`FrozenGraph`] (with its
     /// full structural validation) — the round-trip/diagnostic exit, not
     /// a serving path.
     pub fn to_frozen(&self) -> Result<FrozenGraph, StoreError> {
-        self.ensure_all()?;
-        let children = self.children_csr();
-        let parents = self.parents_csr();
-        let labelext = self.labelext_csr();
+        let (labels, children, parents, labelext) = self.frozen_parts()?;
         let g = FrozenGraph {
-            node_labels: self.labels_arr().to_vec(),
+            node_labels: labels.to_vec(),
             child_off: children.off.clone(),
             child_tgt: children.tgt.clone(),
             parent_off: parents.off.clone(),
@@ -473,19 +449,26 @@ impl GraphView for LazyGraph {
     }
 
     fn label(&self, v: NodeId) -> LabelId {
-        self.labels_arr()[v.index()]
+        self.served(&self.labels, || self.load_labels())
+            .and_then(|l| l.get(v.index()).copied())
+            .unwrap_or(LabelId(0))
     }
 
     fn children(&self, v: NodeId) -> &[NodeId] {
-        self.children_csr().row(v.index())
+        let n = self.core.n;
+        self.served(&self.children, || self.load_csr(1, n, n as u32))
+            .map_or(&[], |c| c.row(v.index()))
     }
 
     fn parents(&self, v: NodeId) -> &[NodeId] {
-        self.parents_csr().row(v.index())
+        let n = self.core.n;
+        self.served(&self.parents, || self.load_csr(2, n, n as u32))
+            .map_or(&[], |c| c.row(v.index()))
     }
 
     fn label_nodes(&self, l: LabelId) -> &[NodeId] {
-        self.labelext_csr().row(l.index())
+        self.served(&self.labelext, || self.load_labelext())
+            .map_or(&[], |c| c.row(l.index()))
     }
 
     fn label_lookup(&self, name: &str) -> Option<LabelId> {

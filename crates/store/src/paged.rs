@@ -76,7 +76,7 @@
 use std::fs::File;
 use std::io::{BufReader, Cursor, Read, Seek, SeekFrom};
 use std::path::Path;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use mrx_error::MrxError;
 use mrx_graph::{FrozenGraph, LabelId};
@@ -269,7 +269,7 @@ impl<T: Read + Seek> ReadSeek for T {}
 /// [`PagedIndex::assemble`]; this only reads.
 fn read_paged_meta(
     r: &mut HashingReader<&[u8]>,
-    cache: &Rc<PageCache>,
+    cache: &Arc<PageCache>,
     universe: u32,
 ) -> Result<PagedIndex, StoreError> {
     let n = r.read_u32()? as usize;
@@ -338,7 +338,7 @@ pub struct PagedFile {
     offsets: Vec<u64>,
     /// Always a prefix `I0..I(len-1)` of the file's components.
     components: Vec<PagedIndex>,
-    cache: Rc<PageCache>,
+    cache: Arc<PageCache>,
     /// The full hierarchy's mutation epoch from the header — reported even
     /// when only a prefix is active, and cross-checked once all components
     /// have loaded.
@@ -645,11 +645,12 @@ impl PagedFile {
         }
     }
 
-    /// Activates everything and hands out the parts for session-style
-    /// serving (replay loops that want the star, graph, and cache — the
-    /// cache for page stats — without the file wrapper).
+    /// Activates everything and hands out the parts for shared serving —
+    /// the daemon's one view of a snapshot, replay loops — without the
+    /// file wrapper. The parts are `Send + Sync` and read through the one
+    /// returned cache (handed out for its page stats).
     #[allow(clippy::type_complexity)]
-    pub fn into_parts(mut self) -> Result<(LazyGraph, PagedMStar, Rc<PageCache>), StoreError> {
+    pub fn into_parts(mut self) -> Result<(LazyGraph, PagedMStar, Arc<PageCache>), StoreError> {
         self.ensure_loaded(self.offsets.len().saturating_sub(1))?;
         let star = PagedMStar {
             components: self.components,
@@ -817,15 +818,21 @@ mod tests {
             .unwrap();
     }
 
+    /// `img` with one bit flipped in the labels graph unit, whose payload
+    /// starts 8 bytes into the first unit frame, which follows the graph
+    /// core section at 64.
+    fn labels_unit_flipped(img: &[u8]) -> Vec<u8> {
+        let gcore_len = le_u64(&img[64..72]) as usize;
+        let unit0 = 64 + 16 + gcore_len;
+        let mut bad = img.to_vec();
+        bad[unit0 + 8] ^= 0x04;
+        bad
+    }
+
     #[test]
     fn graph_unit_corruption_poisons_instead_of_answering() {
         let (_g, _cz, _fg, img) = image(64);
-        // The labels unit payload starts 8 bytes into the first unit
-        // frame, which follows the graph core section at 64.
-        let gcore_len = le_u64(&img[64..72]) as usize;
-        let unit0 = 64 + 16 + gcore_len;
-        let mut bad = img.clone();
-        bad[unit0 + 8] ^= 0x04;
+        let bad = labels_unit_flipped(&img);
         // The offline sweep names the damaged unit...
         let f = PagedFile::open_bytes(bad.clone(), DEFAULT_CACHE_BYTES).unwrap();
         match f.verify() {
@@ -846,6 +853,118 @@ mod tests {
         let f = PagedFile::open_bytes(img, DEFAULT_CACHE_BYTES).unwrap();
         f.verify().unwrap();
         assert_eq!(f.graph().to_frozen().unwrap(), _fg);
+    }
+
+    /// A graph unit that fails to load is never stored: the next query
+    /// over the same file loads it again and faults again, instead of
+    /// answering over an empty fallback.
+    #[test]
+    fn corrupt_graph_unit_faults_every_query_not_just_the_first() {
+        let (_g, _cz, _fg, img) = image(64);
+        let mut f = PagedFile::open_bytes(labels_unit_flipped(&img), DEFAULT_CACHE_BYTES).unwrap();
+        let q = PathExpr::parse("/dataset/title").unwrap();
+        for round in ["first", "second"] {
+            match f.query_top_down(&q) {
+                Err(StoreError::Checksum { section }) => assert_eq!(section, "graph labels"),
+                other => panic!("{round} query over a corrupt graph unit: {other:?}"),
+            }
+        }
+    }
+
+    /// Compile-time guard: the paged serving parts can be shared across
+    /// threads, which is what lets a daemon serve every worker from one
+    /// validated view under one cache budget.
+    #[test]
+    fn paged_serving_parts_are_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<PageCache>();
+        assert_send_sync::<LazyGraph>();
+        assert_send_sync::<PagedMStar>();
+    }
+
+    /// Two threads share one view of an image with one corrupt region
+    /// page, under a four-page budget. Each round forces the interleaving
+    /// a cache-wide poison slot gets wrong: thread A faults the page and
+    /// holds its fault while thread B serves clean queries, then both serve
+    /// at once. B's answers must match the oracle, and A's fault must still
+    /// be A's to take — else A's query would answer over sentinels.
+    #[test]
+    fn threads_sharing_a_view_see_only_their_own_faults() {
+        let (g, _cz, _fg, img) = image(64);
+        let paged_off = le_u64(&img[16..24]) as usize;
+        let paged_len = le_u64(&img[24..32]) as usize;
+        let queries: Vec<PathExpr> = EXPRS.iter().map(|e| PathExpr::parse(e).unwrap()).collect();
+        let open = |at: usize| {
+            let mut bad = img.clone();
+            bad[paged_off + at] ^= 0x10;
+            PagedFile::open_bytes(bad, 4 * 64).and_then(PagedFile::into_parts)
+        };
+        // Pick the first flip that faults some query and spares another.
+        let (at, hit, clean) = (0..paged_len)
+            .step_by(64)
+            .find_map(|at| {
+                let (graph, star, _cache) = open(at).ok()?;
+                let (hit, clean): (Vec<&PathExpr>, Vec<&PathExpr>) =
+                    queries.iter().partition(|q| {
+                        star.query_top_down(&graph, q, TrustPolicy::Proven);
+                        star.take_fault().is_some()
+                    });
+                (!hit.is_empty() && !clean.is_empty()).then_some((at, hit, clean))
+            })
+            .expect("some page flip must fault one query and spare another");
+        let (graph, star, cache) = open(at).unwrap();
+        // Each thread records its wrong results instead of panicking, so a
+        // failure cannot strand the other thread at the barrier.
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| {
+                let (mut session, mut wrong) = (QuerySession::new(TrustPolicy::Proven), Vec::new());
+                for round in 0..200 {
+                    star.query_top_down(&graph, hit[0], TrustPolicy::Proven);
+                    barrier.wait(); // B serves while A holds its fault
+                    barrier.wait();
+                    if star.take_fault().is_none() {
+                        wrong.push(format!("round {round}: A's fault was taken"));
+                    }
+                    for q in &hit {
+                        let r = session.try_serve(&star, &graph, q);
+                        if !matches!(r, Err(MrxError::Store(_))) {
+                            wrong.push(format!("round {round}, {q}: corrupt page served: {r:?}"));
+                        }
+                    }
+                }
+                wrong
+            });
+            let b = s.spawn(|| {
+                let mut wrong = Vec::new();
+                for round in 0..200 {
+                    barrier.wait();
+                    for phase in ["A poisoned", "concurrent"] {
+                        // A fresh session: every answer is evaluated.
+                        let mut session = QuerySession::new(TrustPolicy::Proven);
+                        for q in &clean {
+                            let want = eval_data(&g, &q.compile(&g));
+                            match session.try_serve(&star, &graph, q) {
+                                Ok(a) if a.nodes == want => {}
+                                r => wrong.push(format!("round {round}, {phase}, {q}: {r:?}")),
+                            }
+                        }
+                        if phase == "A poisoned" {
+                            barrier.wait();
+                        }
+                    }
+                }
+                wrong
+            });
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(a.is_empty() && b.is_empty(), "A: {a:?}\nB: {b:?}");
+        // The corrupt page is never cached: every fault re-read it.
+        assert!(
+            cache.stats().checksum_failures >= 400,
+            "{:?}",
+            cache.stats()
+        );
     }
 
     /// A session serving a corrupt image never caches an answer evaluated

@@ -1,7 +1,11 @@
-//! One differential suite for the two snapshot layouts the server runs:
-//! compressed (v5) and demand-paged (v7).
+//! One differential suite for the serving forms: the live index families
+//! through a [`QuerySession`], and the two snapshot layouts the server
+//! runs, compressed (v5) and demand-paged (v7).
 //!
-//! Every case writes a real `.mrx` file and reopens it the way serving
+//! The session cases serve every family cold, warm (cache hit), after
+//! refinement invalidated the cache, and replayed at 1/2/8 threads; every
+//! answer and [`Cost`] must equal the per-query entry points. Every
+//! snapshot case writes a real `.mrx` file and reopens it the way serving
 //! does — v5 through the validated loader, v7 through a [`PagedFile`] with
 //! tiny pages and a budget far below the paged region, so queries cross
 //! page seams and churn the clock mid-evaluation. The table is datasets ×
@@ -15,9 +19,13 @@ use std::path::PathBuf;
 
 use mrx::datagen::{random_graph, RandomGraphConfig};
 use mrx::graph::{FrozenGraph, GraphView};
-use mrx::index::{EvalStrategy, IndexView, MStarSnapshot, QueryScratch, QuerySession};
+use mrx::index::query::answer_compiled;
+use mrx::index::{
+    replay, replay_mstar, AkIndex, DkIndex, EvalStrategy, IndexGraph, IndexView, MStarSnapshot,
+    MkIndex, OneIndex, QueryScratch, QuerySession,
+};
 use mrx::path::{eval_data, PathExpr};
-use mrx::prelude::{nasa_like, xmark_like, DataGraph, MStarIndex, TrustPolicy, XmarkConfig};
+use mrx::prelude::{nasa_like, xmark_like, Cost, DataGraph, MStarIndex, TrustPolicy, XmarkConfig};
 use mrx::store::{
     open_validated, save_compressed, save_paged_with, snapshot_version, PagedFile, SnapshotPayload,
 };
@@ -199,4 +207,164 @@ fn lazy_prefix_loading_matches_the_full_hierarchy() {
     }
     std::fs::remove_file(p5).ok();
     std::fs::remove_file(p7).ok();
+}
+
+/// Serves every query twice (cold, then warm hit) and checks both servings
+/// against the per-query `answer_compiled` path.
+fn assert_session_parity(tag: &str, ig: &IndexGraph, g: &DataGraph, queries: &[PathExpr]) {
+    for policy in POLICIES {
+        let mut session = QuerySession::new(policy);
+        for round in ["cold", "warm"] {
+            for q in queries {
+                let served = session.serve(ig, g, q);
+                let legacy = answer_compiled(ig, g, &q.compile(g), policy);
+                let ctx = format!("{tag}/{policy:?}/{round} on {q}");
+                assert_eq!(served.nodes, legacy.nodes, "{ctx}: answer");
+                assert_eq!(served.cost, legacy.cost, "{ctx}: cost");
+            }
+        }
+        let stats = session.stats();
+        assert_eq!(stats.queries, 2 * queries.len() as u64, "{tag}/{policy:?}");
+        assert!(
+            stats.hits >= queries.len() as u64,
+            "{tag}/{policy:?}: warm round must hit"
+        );
+        assert_eq!(stats.evictions, 0, "{tag}/{policy:?}");
+    }
+}
+
+#[test]
+fn sessions_match_legacy_answers_on_all_single_graph_families() {
+    for (ds, g) in docs() {
+        let w = workload(&g);
+        let (ak, one) = (AkIndex::build(&g, 2), OneIndex::build(&g));
+        let dkc = DkIndex::construct(&g, &w.queries);
+        let (mut dkp, mut mk) = (DkIndex::a0(&g), MkIndex::new(&g));
+        for q in &w.queries {
+            dkp.promote_for(&g, q);
+            mk.refine_for(&g, q);
+        }
+        for (name, ig) in [
+            ("ak", ak.graph()),
+            ("one", one.graph()),
+            ("dk-construct", dkc.graph()),
+            ("dk-promote", dkp.graph()),
+            ("mk", mk.graph()),
+        ] {
+            assert_session_parity(&format!("{ds}/{name}"), ig, &g, &w.queries);
+        }
+    }
+}
+
+#[test]
+fn sessions_match_legacy_answers_on_mstar() {
+    for (ds, g) in docs() {
+        let w = workload(&g);
+        let mstar = adapted(&g, &w);
+        for policy in POLICIES {
+            let mut session = QuerySession::new(policy);
+            for round in ["cold", "warm"] {
+                for q in &w.queries {
+                    let served = session.serve_mstar(&mstar, &g, q, EvalStrategy::TopDown);
+                    let legacy = mstar.query_with_policy(&g, q, EvalStrategy::TopDown, policy);
+                    let ctx = format!("{ds}/mstar/{policy:?}/{round} on {q}");
+                    assert_eq!(served.nodes, legacy.nodes, "{ctx}: answer");
+                    assert_eq!(served.cost, legacy.cost, "{ctx}: cost");
+                }
+            }
+            assert!(session.stats().hits >= w.queries.len() as u64);
+        }
+    }
+}
+
+/// Refinement between servings must invalidate cached answers: the
+/// re-served answer always matches a fresh evaluation, never the stale
+/// pre-refinement extent.
+#[test]
+fn post_refinement_servings_match_fresh_evaluation() {
+    for (ds, g) in docs() {
+        let w = workload(&g);
+        let (early, late) = w.queries.split_at(w.queries.len() / 2);
+        for policy in POLICIES {
+            let mut mk = MkIndex::new(&g);
+            let mut session = QuerySession::new(policy);
+            for q in early {
+                session.serve(mk.graph(), &g, q);
+            }
+            for q in late {
+                mk.refine_for(&g, q); // bumps the mutation epoch
+            }
+            for q in &w.queries {
+                let served = session.serve(mk.graph(), &g, q).clone();
+                let fresh = answer_compiled(mk.graph(), &g, &q.compile(&g), policy);
+                assert_eq!(
+                    served.nodes, fresh.nodes,
+                    "{ds}/{policy:?}: stale answer for {q}"
+                );
+                assert_eq!(served.cost, fresh.cost, "{ds}/{policy:?}: {q}");
+            }
+        }
+    }
+}
+
+/// Serve a query on M(k), apply an FUP whose refinement splits one of its
+/// target index nodes, and the re-served answer must be a fresh
+/// evaluation (and ground truth), not the stale cached extent.
+#[test]
+fn mk_fup_splitting_a_target_node_evicts_the_cached_answer() {
+    let (_, g) = docs().remove(0);
+    let served_q = PathExpr::parse("//person").unwrap();
+    let fup = PathExpr::parse("//open_auction/bidder/personref/person").unwrap();
+    let mut mk = MkIndex::new(&g);
+    let mut session = QuerySession::new(TrustPolicy::Claimed);
+    let before = session.serve(mk.graph(), &g, &served_q).clone();
+    assert_eq!(before.nodes, eval_data(&g, &served_q.compile(&g)));
+    let epoch_before = mk.graph().mutation_epoch();
+    mk.refine_for(&g, &fup);
+    assert!(
+        mk.graph().mutation_epoch() > epoch_before,
+        "refinement bumps the epoch"
+    );
+    assert!(
+        before
+            .target_index_nodes
+            .iter()
+            .any(|&t| !mk.graph().is_alive(t)),
+        "test premise: the FUP splits a target node of the served query"
+    );
+    let after = session.serve(mk.graph(), &g, &served_q).clone();
+    let fresh = mk.query_paper(&g, &served_q);
+    assert_eq!(
+        (&after.nodes, after.cost),
+        (&fresh.nodes, fresh.cost),
+        "stale extent served"
+    );
+    assert_eq!(after.nodes, eval_data(&g, &served_q.compile(&g)));
+    assert_eq!((session.stats().evictions, session.stats().hits), (1, 0));
+}
+
+/// Parallel replay aggregates per-thread sessions: totals are identical at
+/// 1, 2 and 8 threads and equal the per-query sum.
+#[test]
+fn replay_totals_are_thread_count_invariant() {
+    for (ds, g) in docs() {
+        let w = workload(&g);
+        let (ak, mstar) = (AkIndex::build(&g, 2), adapted(&g, &w));
+        for policy in POLICIES {
+            let sum = |f: &dyn Fn(&PathExpr) -> Cost| w.queries.iter().map(f).sum::<Cost>();
+            let legacy = sum(&|q| answer_compiled(ak.graph(), &g, &q.compile(&g), policy).cost);
+            let strategy = EvalStrategy::TopDown;
+            let legacy_ms = sum(&|q| mstar.query_with_policy(&g, q, strategy, policy).cost);
+            for threads in [1usize, 2, 8] {
+                let r = replay(ak.graph(), &g, &w.queries, policy, threads);
+                assert_eq!(r.total, legacy, "{ds}/ak/{policy:?}/{threads}t");
+                assert_eq!(
+                    (r.queries, r.stats.queries),
+                    (w.queries.len(), r.queries as u64)
+                );
+                let r = replay_mstar(&mstar, &g, &w.queries, strategy, policy, threads);
+                assert_eq!(r.total, legacy_ms, "{ds}/mstar/{policy:?}/{threads}t");
+            }
+        }
+    }
 }
