@@ -1,11 +1,11 @@
 //! Minimal JSON syntax checker for the bench binaries.
 //!
-//! The bench binaries emit machine-read JSON lines (`BENCH_refine.json`,
-//! `BENCH_query.json`) built by hand with `format!`. A malformed line —
-//! a missing brace after an edit, a NaN formatted as `NaN` — would corrupt
-//! the accumulated history silently. Each binary validates its line with
-//! [`assert_valid`] *before* appending, so `scripts/check.sh` fails loudly
-//! instead. (No external JSON crate: the repo is dependency-free by
+//! The bench binaries emit machine-read JSON lines (`BENCH_adapt.json`,
+//! `BENCH_fault.json`, `BENCH_compress.json`) built by hand with
+//! `format!`. A malformed line — a missing brace after an edit, a NaN
+//! formatted as `NaN` — would corrupt the accumulated history silently.
+//! Each binary validates its line with [`assert_valid`] *before*
+//! appending, so `scripts/check.sh` fails loudly instead. (No external JSON crate: the repo is dependency-free by
 //! policy; a strict recursive-descent recognizer is ~100 lines.)
 
 /// Checks that `s` is exactly one valid JSON value (leading/trailing

@@ -55,22 +55,6 @@ pub fn time<T>(name: &str, iters: usize, mut f: impl FnMut() -> T) -> Timing {
     }
 }
 
-/// Times `f` once (for expensive operations where repetition is too slow).
-pub fn time_once<T>(name: &str, f: impl FnOnce() -> T) -> (Timing, T) {
-    let t0 = Instant::now();
-    let out = f();
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    (
-        Timing {
-            name: name.to_string(),
-            iters: 1,
-            mean_ms: ms,
-            min_ms: ms,
-        },
-        out,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,12 +66,5 @@ mod tests {
         assert!(t.min_ms >= 0.0);
         assert!(t.min_ms <= t.mean_ms);
         assert!(t.render().contains("spin"));
-    }
-
-    #[test]
-    fn time_once_returns_the_value() {
-        let (t, v) = time_once("id", || 42);
-        assert_eq!(v, 42);
-        assert_eq!(t.iters, 1);
     }
 }

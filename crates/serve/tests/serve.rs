@@ -1,18 +1,23 @@
 //! End-to-end daemon tests: correctness under concurrency, RELOAD storms,
-//! mid-swap corruption, shedding, and shutdown.
+//! mid-swap corruption, shedding, shutdown, and a seeded chaos scenario
+//! that mixes them all.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mrx_datagen::{xmark_like, XmarkConfig};
+use mrx_datagen::{nasa_like, xmark_like, Prng, XmarkConfig};
 use mrx_graph::{DataGraph, FrozenGraph};
 use mrx_index::{MStarIndex, QueryScratch, TrustPolicy};
 use mrx_path::{PathExpr, QueryBudget};
-use mrx_serve::{Client, ClientError, ServeConfig, ServeError, Server, TenantBudget, TenantRate};
+use mrx_serve::{
+    Client, ClientError, Response, ServeConfig, ServeError, Server, TenantBudget, TenantRate,
+    MAX_REQUEST_FRAME,
+};
 use mrx_store::{paged_image, save_compressed, save_paged_with, PagedFile};
+use mrx_workload::{Workload, WorkloadConfig};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mrx-serve-{tag}-{}", std::process::id()));
@@ -48,13 +53,14 @@ const EXPRS: &[&str] = &[
 ];
 
 /// Single-threaded oracle: exact (Proven) answers for every expression.
-fn oracle(g: &DataGraph) -> HashMap<String, Vec<u32>> {
+fn oracle<S: AsRef<str>>(g: &DataGraph, exprs: &[S]) -> HashMap<String, Vec<u32>> {
     let fg = FrozenGraph::freeze(g);
     let star = MStarIndex::new(g).freeze_compressed();
     let mut scratch = QueryScratch::new();
-    EXPRS
+    exprs
         .iter()
         .map(|e| {
+            let e = e.as_ref();
             let pe = PathExpr::parse(e).unwrap();
             let cp = pe.compile(&fg);
             let mut meter = QueryBudget::default().meter();
@@ -85,6 +91,29 @@ fn save_pair(dir: &Path) -> (PathBuf, PathBuf) {
     (pa, pb)
 }
 
+/// The four corrupt variants of a good snapshot image, written to `dir` in
+/// the order torn, truncated, bit-flipped, stale-version. RELOAD must
+/// reject every one and keep the old epoch serving.
+fn corrupt_variants(good: &Path, dir: &Path) -> [PathBuf; 4] {
+    let bytes = std::fs::read(good).unwrap();
+    let mut flipped = bytes.clone();
+    let off = flipped.len() - 9;
+    flipped[off] ^= 0x20;
+    let mut stale = bytes.clone();
+    stale[8..12].copy_from_slice(&99u32.to_le_bytes());
+    let images = [
+        ("torn.mrx", bytes[..bytes.len() / 2].to_vec()),
+        ("trunc.mrx", bytes[..bytes.len() - 3].to_vec()),
+        ("flip.mrx", flipped),
+        ("stale.mrx", stale),
+    ];
+    images.map(|(name, image)| {
+        let p = dir.join(name);
+        std::fs::write(&p, image).unwrap();
+        p
+    })
+}
+
 fn base_config(snapshot: &PathBuf) -> ServeConfig {
     let mut cfg = ServeConfig::new("127.0.0.1:0", snapshot);
     cfg.drain_timeout = Duration::from_secs(2);
@@ -96,7 +125,7 @@ fn ping_query_stats_shutdown() {
     let dir = tmp_dir("basic");
     let (pa, _) = save_pair(&dir);
     let server = Server::start(base_config(&pa)).unwrap();
-    let want = oracle(&graph_a());
+    let want = oracle(&graph_a(), EXPRS);
     let mut c = Client::connect(server.addr()).unwrap();
     c.ping().unwrap();
     for e in EXPRS {
@@ -127,8 +156,8 @@ fn ping_query_stats_shutdown() {
 fn reload_hammer_matches_oracle_per_epoch() {
     let dir = tmp_dir("hammer");
     let (pa, pb) = save_pair(&dir);
-    let want_a = Arc::new(oracle(&graph_a()));
-    let want_b = Arc::new(oracle(&graph_b()));
+    let want_a = Arc::new(oracle(&graph_a(), EXPRS));
+    let want_b = Arc::new(oracle(&graph_b(), EXPRS));
     for &workers in &[2usize, 4, 8] {
         let mut cfg = base_config(&pa);
         cfg.workers = workers;
@@ -196,7 +225,7 @@ fn reload_hammer_matches_oracle_per_epoch() {
 fn corrupt_reload_is_rejected_and_old_epoch_serves() {
     let dir = tmp_dir("corrupt");
     let (pa, pb) = save_pair(&dir);
-    let want_a = oracle(&graph_a());
+    let want_a = oracle(&graph_a(), EXPRS);
     // Also cover the paged layout as a corruption target.
     let gb = graph_b();
     let pv7 = dir.join("b7.mrx");
@@ -208,20 +237,8 @@ fn corrupt_reload_is_rejected_and_old_epoch_serves() {
     )
     .unwrap();
 
+    let [torn, truncated, flipped, stale] = corrupt_variants(&pb, &dir);
     let bytes = std::fs::read(&pb).unwrap();
-    let torn = dir.join("torn.mrx");
-    std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
-    let truncated = dir.join("trunc.mrx");
-    std::fs::write(&truncated, &bytes[..bytes.len() - 3]).unwrap();
-    let flipped = dir.join("flip.mrx");
-    let mut fb = bytes.clone();
-    let off = fb.len() - 9;
-    fb[off] ^= 0x20;
-    std::fs::write(&flipped, &fb).unwrap();
-    let stale = dir.join("stale.mrx");
-    let mut sb = bytes.clone();
-    sb[8..12].copy_from_slice(&99u32.to_le_bytes());
-    std::fs::write(&stale, &sb).unwrap();
     let retired: Vec<PathBuf> = [1, 2, 3, 4, 6u32]
         .into_iter()
         .map(|v| {
@@ -263,7 +280,7 @@ fn corrupt_reload_is_rejected_and_old_epoch_serves() {
     let summary = c.reload(pv7.to_str().unwrap()).unwrap();
     assert!(summary.contains("\"epoch\":2"), "{summary}");
     assert!(summary.contains("\"kind\":\"paged\""), "{summary}");
-    let want_b = oracle(&gb);
+    let want_b = oracle(&gb, EXPRS);
     for e in EXPRS {
         let r = c.query("t", e).unwrap();
         assert_eq!(r.epoch, 2);
@@ -528,7 +545,7 @@ fn lenient_boot_degrades_a_corrupt_v5_component() {
     ));
 
     let server = Server::start(base_config(&damaged)).unwrap();
-    let want = oracle(&graph_a());
+    let want = oracle(&graph_a(), EXPRS);
     let mut c = Client::connect(server.addr()).unwrap();
     for e in EXPRS {
         assert_eq!(&c.query("t", e).unwrap().nodes, &want[*e], "{e}");
@@ -691,7 +708,7 @@ fn paged_file_renamed_over_the_boot_path_is_never_served() {
     cfg.workers = 1;
     let server = Server::start(cfg).unwrap();
     std::fs::rename(&other, &path).unwrap();
-    let want = oracle(&graph_a());
+    let want = oracle(&graph_a(), EXPRS);
     let mut c = Client::connect(server.addr()).unwrap();
     for e in EXPRS {
         let r = c.query("t", e).unwrap();
@@ -765,5 +782,287 @@ fn workers_share_one_page_cache_within_its_budget() {
     let resident = stat_after(&stats, "\"pages\":", "resident_bytes");
     assert!(resident > 0 && resident <= BUDGET, "{stats}");
     server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One seeded malformed frame and whether the server owes it a reply.
+/// `false` means the abuser hangs up after a partial frame and the server
+/// must simply reap the connection.
+fn malformed_frame(rng: &mut Prng) -> (Vec<u8>, bool) {
+    match rng.gen_range(0..5usize) {
+        // Declared length beyond the request cap: rejected pre-allocation.
+        0 => {
+            let len = rng.gen_range(MAX_REQUEST_FRAME as u64 + 1..u32::MAX as u64);
+            ((len as u32).to_le_bytes().to_vec(), true)
+        }
+        // Garbage verb byte in an otherwise well-framed payload.
+        1 => {
+            let verb = 32 + rng.gen_range(0..200u64) as u8;
+            let mut payload = 7u32.to_le_bytes().to_vec();
+            payload.push(verb);
+            payload.extend_from_slice(&[0u8; 4]);
+            let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+            f.extend_from_slice(&payload);
+            (f, true)
+        }
+        // QUERY whose tenant length lies far past the frame end.
+        2 => {
+            let mut payload = 9u32.to_le_bytes().to_vec();
+            payload.push(1); // VERB_QUERY
+            payload.extend_from_slice(&(rng.gen_range(100..u16::MAX as u64) as u16).to_le_bytes());
+            payload.extend_from_slice(b"x");
+            let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+            f.extend_from_slice(&payload);
+            (f, true)
+        }
+        // Empty payload: too short to even carry a request id.
+        3 => (0u32.to_le_bytes().to_vec(), true),
+        // Truncated frame: declare more than is sent, then hang up.
+        _ => {
+            let declared = rng.gen_range(16..512u64) as u32;
+            let sent = rng.gen_range(0..declared as u64 / 2) as usize;
+            let mut f = declared.to_le_bytes().to_vec();
+            f.extend(vec![0xAAu8; sent]);
+            (f, false)
+        }
+    }
+}
+
+/// Seeded chaos over two layouts. RELOAD storms flip the daemon between
+/// an XMark-like compressed snapshot and a NASA-like paged one, and the
+/// four corrupt images are tried in turn between the good swaps. Abusers
+/// send malformed frames and hang up mid-frame, and flood tenants drive
+/// the bounded queue into typed shed. Meanwhile one healthy tenant queries
+/// nonstop, and every answer any tenant gets must equal the oracle for the
+/// epoch stamped on it.
+///
+/// Gates: the healthy tenant serves in every epoch; every corrupt image is
+/// rejected at least once, each time without moving the epoch; the
+/// daemon's reload counters agree with the reloader's; abusers see typed
+/// protocol errors; no component degrades; and the healthy tenant's p999
+/// stays under 2 s.
+#[test]
+fn chaos_reloads_keep_a_healthy_tenant_on_the_oracle() {
+    const SEED: u64 = 42;
+    const GOOD_RELOADS: u64 = 6;
+    let dir = tmp_dir("chaos");
+    let ga = xmark_like(&XmarkConfig::with_target_nodes(3_000), 0xA0C71);
+    let gb = nasa_like(3_000, 0x9A5A);
+    let wa = Workload::generate(
+        &ga,
+        &WorkloadConfig {
+            max_path_len: 4,
+            num_queries: 40,
+            seed: SEED,
+            max_enumerated_paths: 200_000,
+        },
+    );
+    let exprs: Vec<String> = wa
+        .queries
+        .iter()
+        .take(10)
+        .map(|q| q.to_string())
+        .chain(["//*".to_string(), "//*/*".to_string()])
+        .collect();
+    let want_a = Arc::new(oracle(&ga, &exprs));
+    let want_b = Arc::new(oracle(&gb, &exprs));
+
+    // Two layouts on purpose: every swap crosses the compressed/paged
+    // boundary, so each RELOAD to B validates a paged file and installs
+    // its daemon-wide page cache, and each RELOAD back to A drops it.
+    let pa = dir.join("chaos-a.mrx");
+    let pb = dir.join("chaos-b.mrx");
+    let ia = MStarIndex::new(&ga);
+    save_compressed(&pa, &FrozenGraph::freeze(&ga), &ia.freeze_compressed()).unwrap();
+    let ib = MStarIndex::new(&gb);
+    save_paged_with(
+        &pb,
+        &FrozenGraph::freeze(&gb),
+        &ib.freeze_compressed(),
+        4096,
+    )
+    .unwrap();
+    let corrupt = corrupt_variants(&pb, &dir);
+
+    let mut cfg = base_config(&pa);
+    cfg.workers = 4;
+    cfg.queue_cap = 64;
+    cfg.tenant_backlog = 8;
+    cfg.frame_timeout = Duration::from_millis(200);
+    cfg.tick = Duration::from_millis(10);
+    let server = Server::start(cfg).unwrap();
+    let addr = server.addr();
+    let stop = Arc::new(AtomicBool::new(false));
+
+    // Healthy tenant: every answer oracle-checked for its stamped epoch;
+    // records which epochs it served under and its latency distribution.
+    let healthy = {
+        let stop = Arc::clone(&stop);
+        let exprs = exprs.clone();
+        let (wa, wb) = (Arc::clone(&want_a), Arc::clone(&want_b));
+        std::thread::spawn(move || {
+            let mut c = Client::connect(addr).unwrap();
+            let mut lat = Vec::new();
+            let mut epochs = BTreeSet::new();
+            let mut i = 0usize;
+            while !stop.load(Ordering::Relaxed) {
+                let e = &exprs[i % exprs.len()];
+                i += 1;
+                let q0 = Instant::now();
+                let r = c.query("healthy", e).expect("healthy tenant must serve");
+                lat.push(q0.elapsed().as_micros() as u64);
+                let want = if r.epoch % 2 == 1 { &wa } else { &wb };
+                assert_eq!(
+                    &r.nodes, &want[e],
+                    "wrong answer for {e} at epoch {}",
+                    r.epoch
+                );
+                epochs.insert(r.epoch);
+            }
+            (lat, epochs)
+        })
+    };
+
+    // Flood tenants: drive the bounded queue; Ok answers are still
+    // oracle-checked, Overloaded is the expected typed shed.
+    let floods: Vec<_> = (0..3u64)
+        .map(|f| {
+            let stop = Arc::clone(&stop);
+            let exprs = exprs.clone();
+            let (wa, wb) = (Arc::clone(&want_a), Arc::clone(&want_b));
+            std::thread::spawn(move || {
+                let mut rng = Prng::seed_from_u64(SEED ^ (0xF100D + f));
+                let mut c = Client::connect(addr).unwrap();
+                let tenant = format!("flood{f}");
+                while !stop.load(Ordering::Relaxed) {
+                    let e = &exprs[rng.gen_range(0..exprs.len())];
+                    match c.query(&tenant, e) {
+                        Ok(r) => {
+                            let want = if r.epoch % 2 == 1 { &wa } else { &wb };
+                            assert_eq!(&r.nodes, &want[e], "flood wrong answer for {e}");
+                        }
+                        Err(ClientError::Server(ServeError::Overloaded { .. })) => {}
+                        Err(e) => panic!("flood tenant got a non-shed failure: {e}"),
+                    }
+                }
+            })
+        })
+        .collect();
+
+    // Abusers: malformed frames, abrupt disconnects, reconnect loops.
+    let abusers: Vec<_> = (0..2u64)
+        .map(|a| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut rng = Prng::seed_from_u64(SEED ^ (0xAB05E + a));
+                let mut typed = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let Ok(mut c) = Client::connect_with(addr, Duration::from_secs(5)) else {
+                        std::thread::sleep(Duration::from_millis(5));
+                        continue;
+                    };
+                    if rng.gen_bool(0.2) {
+                        // Plain abrupt disconnect; sometimes after a valid ping.
+                        if rng.gen_bool(0.5) {
+                            let _ = c.ping();
+                        }
+                        continue;
+                    }
+                    let (frame, expect_response) = malformed_frame(&mut rng);
+                    if c.send_raw(&frame).is_err() || !expect_response {
+                        continue;
+                    }
+                    match c.read_response_raw() {
+                        Ok((_, Response::Error(ServeError::Protocol(_)))) => typed += 1,
+                        Ok((_, other)) => panic!("malformed frame got {other:?}"),
+                        // The server may slam the connection after (or
+                        // instead of) the typed reply under load.
+                        Err(_) => {}
+                    }
+                }
+                typed
+            })
+        })
+        .collect();
+
+    // The reloader: good reloads alternate B, A, B, ... with corrupt attempts
+    // mixed in, which cycle through the four images in order. Epoch parity
+    // (odd = A, even = B) is the contract the query threads check against.
+    // After the good reloads it keeps trying corrupt images until each one
+    // has been rejected.
+    let mut rng = Prng::seed_from_u64(SEED);
+    let mut reloader = Client::connect(addr).unwrap();
+    let (mut reloads_ok, mut reloads_rejected) = (0u64, 0u64);
+    let mut rejected_per_image = [0u64; 4];
+    while reloads_ok < GOOD_RELOADS || reloads_rejected < corrupt.len() as u64 {
+        if reloads_ok == GOOD_RELOADS || rng.gen_bool(0.35) {
+            let i = reloads_rejected as usize % corrupt.len();
+            let before = stat_after(&server.stats_json(), "{", "epoch");
+            match reloader.reload(corrupt[i].to_str().unwrap()) {
+                Err(ClientError::Server(ServeError::ReloadRejected(_))) => {}
+                other => panic!("{:?} must be rejected, got {other:?}", corrupt[i]),
+            }
+            let after = stat_after(&server.stats_json(), "{", "epoch");
+            assert_eq!(before, after, "{:?} moved the epoch", corrupt[i]);
+            rejected_per_image[i] += 1;
+            reloads_rejected += 1;
+        } else {
+            let next = if reloads_ok.is_multiple_of(2) {
+                &pb
+            } else {
+                &pa
+            };
+            reloader.reload(next.to_str().unwrap()).unwrap();
+            reloads_ok += 1;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    stop.store(true, Ordering::Relaxed);
+    let (mut lat, epochs) = healthy.join().expect("healthy thread must not panic");
+    for f in floods {
+        f.join().expect("flood thread must not panic");
+    }
+    let mut typed_protocol = 0u64;
+    for a in abusers {
+        typed_protocol += a.join().expect("abuser thread must not panic");
+    }
+    let stats = server.stats_json();
+    server.stop();
+
+    let got_epochs: Vec<u64> = epochs.into_iter().collect();
+    assert_eq!(
+        got_epochs,
+        (1..=1 + reloads_ok).collect::<Vec<_>>(),
+        "healthy tenant must serve through every RELOAD"
+    );
+    assert!(
+        rejected_per_image.iter().all(|&n| n > 0),
+        "every corrupt image must be tried: {rejected_per_image:?}"
+    );
+    assert_eq!(
+        stat_after(&stats, "\"counters\":", "reloads_ok"),
+        GOOD_RELOADS,
+        "{stats}"
+    );
+    assert_eq!(
+        stat_after(&stats, "\"counters\":", "reloads_rejected"),
+        reloads_rejected,
+        "{stats}"
+    );
+    assert!(
+        typed_protocol > 0,
+        "abusers never saw a typed protocol error"
+    );
+    assert!(
+        stats.contains("\"degraded_components\":[]"),
+        "chaos run must stay healthy: {stats}"
+    );
+    lat.sort_unstable();
+    let p999_us = lat[((lat.len() - 1) as f64 * 0.999).round() as usize];
+    assert!(
+        p999_us < 2_000_000,
+        "healthy-tenant p999 must stay bounded under chaos (got {p999_us} us)"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Repo-wide check gate: formatting, lints, the full test suite, and smoke
-# runs of the timing binaries. Everything runs offline. The bench binaries
-# validate their own JSON output line and assert answer parity internally,
-# so a panic or malformed line fails this script (set -e).
+# Repo-wide check gate: formatting, lints, source-pattern gates, the full
+# test suite (which includes the daemon chaos scenario), a servebench
+# build, and smoke runs of the three bench binaries whose gates live
+# nowhere else: adapt_bench (batched-vs-legacy speedup), fault_bench (fault
+# classification) and compress_bench (decode-tax ceilings). Everything runs
+# offline. Each binary validates its own JSON line and asserts its gates
+# internally, so a panic or malformed line fails this script (set -e).
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -74,12 +77,6 @@ echo "==> servebench build (the end-to-end benchmark compiles against the servin
 # directly, and an API break there would only surface when it runs.
 cargo build --release --offline --manifest-path servebench/Cargo.toml
 
-echo "==> refine_bench smoke"
-cargo run -p mrx-bench --bin refine_bench --release -- --smoke
-
-echo "==> query_bench smoke"
-cargo run -p mrx-bench --bin query_bench --release -- --smoke
-
 echo "==> adapt_bench smoke"
 cargo run -p mrx-bench --bin adapt_bench --release -- --smoke
 
@@ -92,14 +89,5 @@ echo "==> compress_bench smoke (decode-tax ceilings asserted in-binary)"
 # (~1.3x cached / ~1.5x cache-less, gated at 1.6x/2.4x) runs at full
 # scale, where per-rep minimums are stable enough to gate on.
 cargo run -p mrx-bench --bin compress_bench --release -- --smoke
-
-echo "==> page_bench smoke (paged parity + cache behaviour)"
-cargo run -p mrx-bench --bin page_bench --release -- --smoke
-
-echo "==> serve_bench smoke (daemon throughput + oracle parity)"
-cargo run -p mrx-bench --bin serve_bench --release -- --smoke
-
-echo "==> serve_bench chaos smoke (reload storms, corrupt swaps, wire abuse)"
-cargo run -p mrx-bench --bin serve_bench --release -- --chaos --smoke
 
 echo "==> all checks passed"

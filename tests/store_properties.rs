@@ -1,5 +1,5 @@
 //! Property-based tests for the disk-resident store: round-trips of both
-//! snapshot layouts (compressed v5, demand-paged v6) over random graphs and
+//! snapshot layouts (compressed v5, demand-paged v7) over random graphs and
 //! refined indexes, plus robustness against corruption. Randomness comes
 //! from the in-repo seeded PRNG, so every failure reproduces from its case
 //! number.
@@ -18,14 +18,14 @@ fn v5_image(g: &DataGraph, idx: &MStarIndex) -> Vec<u8> {
     buf
 }
 
-/// The v6 image of `idx` over `g`, with small pages so images span many.
-fn v6_image(g: &DataGraph, idx: &MStarIndex) -> Vec<u8> {
+/// The v7 image of `idx` over `g`, with small pages so images span many.
+fn v7_image(g: &DataGraph, idx: &MStarIndex) -> Vec<u8> {
     paged_image(&FrozenGraph::freeze(g), &idx.freeze_compressed(), 256).unwrap()
 }
 
-/// Opens a v6 image and touches everything it holds: every component, a
+/// Opens a v7 image and touches everything it holds: every component, a
 /// query, and the full page-checksum walk.
-fn open_v6(image: &[u8], q: &PathExpr) -> Result<(), StoreError> {
+fn open_v7(image: &[u8], q: &PathExpr) -> Result<(), StoreError> {
     let mut f = PagedFile::open_bytes(image.to_vec(), 1 << 20)?;
     f.ensure_loaded(usize::MAX)?;
     f.query_top_down(q)?;
@@ -64,8 +64,8 @@ fn graph_roundtrip_is_exact() {
         let fg = FrozenGraph::freeze(&g);
         let (g5, _) = load_compressed_from(&v5_image(&g, &idx)[..]).unwrap();
         assert_eq!(g5, fg, "case {case}: v5 graph");
-        let f6 = PagedFile::open_bytes(v6_image(&g, &idx), 1 << 20).unwrap();
-        assert_eq!(f6.graph().to_frozen().unwrap(), fg, "case {case}: v6 graph");
+        let f7 = PagedFile::open_bytes(v7_image(&g, &idx), 1 << 20).unwrap();
+        assert_eq!(f7.graph().to_frozen().unwrap(), fg, "case {case}: v7 graph");
         for v in g.nodes() {
             assert_eq!(g.label_str(g.label(v)), g5.label_str(g5.label(v)));
             assert_eq!(g.children(v), g5.children(v));
@@ -104,10 +104,10 @@ fn mstar_roundtrip_preserves_everything() {
         let (g5, cz5) = load_compressed_from(&v5_image(&g, &idx)[..]).unwrap();
         assert_eq!(cz5, cz, "case {case}: v5 index");
         cz5.validate().unwrap();
-        let mut f6 = PagedFile::open_bytes(v6_image(&g, &idx), 1 << 20).unwrap();
-        f6.ensure_loaded(usize::MAX).unwrap();
-        assert_eq!(f6.component_count(), idx.max_k() + 1);
-        assert_eq!(f6.mutation_epoch(), idx.mutation_epoch());
+        let mut f7 = PagedFile::open_bytes(v7_image(&g, &idx), 1 << 20).unwrap();
+        f7.ensure_loaded(usize::MAX).unwrap();
+        assert_eq!(f7.component_count(), idx.max_k() + 1);
+        assert_eq!(f7.mutation_epoch(), idx.mutation_epoch());
         // proven similarities survive, so sound answers stay identical
         for q in &w.queries {
             let truth = eval_data(&g, &q.compile(&g));
@@ -117,9 +117,9 @@ fn mstar_roundtrip_preserves_everything() {
                 "case {case}: v5 {q}"
             );
             assert_eq!(
-                f6.query_top_down(q).unwrap().nodes,
+                f7.query_top_down(q).unwrap().nodes,
                 truth,
-                "case {case}: v6 {q}"
+                "case {case}: v7 {q}"
             );
         }
     }
@@ -165,7 +165,7 @@ fn single_byte_corruption_never_panics_and_rarely_passes() {
     }
 }
 
-/// Builds a small refined snapshot pair (v5 compressed bytes, v6
+/// Builds a small refined snapshot pair (v5 compressed bytes, v7
 /// demand-paged bytes) from one seeded random graph.
 fn snapshot_pair(seed: u64) -> (Vec<u8>, Vec<u8>) {
     let mut rng = Prng::seed_from_u64(seed);
@@ -181,7 +181,7 @@ fn snapshot_pair(seed: u64) -> (Vec<u8>, Vec<u8>) {
     let mut idx = MStarIndex::new(&g);
     idx.refine_for(&g, &PathExpr::parse("//l0/l1").unwrap());
     idx.refine_for(&g, &PathExpr::parse("//l2").unwrap());
-    (v5_image(&g, &idx), v6_image(&g, &idx))
+    (v5_image(&g, &idx), v7_image(&g, &idx))
 }
 
 /// Applies `count` seeded byte mutations (xor, overwrite, or splice-out)
@@ -207,7 +207,7 @@ fn mutate_bytes(buf: &mut Vec<u8>, rng: &mut Prng, count: usize) {
 
 /// Seeded multi-byte mutation over both snapshot layouts: every mutated
 /// image must either load (the mutation hit dead bytes such as directory
-/// padding) or fail with a typed `StoreError` — never panic. On v6 the
+/// padding) or fail with a typed `StoreError` — never panic. On v7 the
 /// "load" is open + full activation + a query + the page-checksum walk. Exercises
 /// 1..=8 mutations per image so shifted lengths, spliced sections, and
 /// compound corruptions are all covered, not just single flips.
@@ -215,16 +215,16 @@ fn mutate_bytes(buf: &mut Vec<u8>, rng: &mut Prng, count: usize) {
 fn seeded_multibyte_mutation_parses_or_errors_typed() {
     for case in 0..96u64 {
         let mut rng = Prng::seed_from_u64(0xFA17 ^ case);
-        let (v5, v6) = snapshot_pair(rng.next_u64());
+        let (v5, v7) = snapshot_pair(rng.next_u64());
         let q = PathExpr::parse("//l0/l1").unwrap();
         let mut buf = v5.clone();
         let n = rng.gen_range(1..9usize);
         mutate_bytes(&mut buf, &mut rng, n);
         assert_typed(load_compressed_from(&buf[..]).map(|_| ()));
-        let mut buf = v6.clone();
+        let mut buf = v7.clone();
         let n = rng.gen_range(1..9usize);
         mutate_bytes(&mut buf, &mut rng, n);
-        assert_typed(open_v6(&buf, &q));
+        assert_typed(open_v7(&buf, &q));
     }
 }
 
@@ -247,13 +247,13 @@ fn mutation_regression_seeds_stay_typed() {
     ];
     for &(seed, n) in CASES {
         let mut rng = Prng::seed_from_u64(seed);
-        let (v5, v6) = snapshot_pair(rng.next_u64());
+        let (v5, v7) = snapshot_pair(rng.next_u64());
         let q = PathExpr::parse("//l2").unwrap();
-        for image in [&v5, &v6] {
+        for image in [&v5, &v7] {
             let mut buf = image.clone();
             mutate_bytes(&mut buf, &mut rng, n);
             assert_typed(load_compressed_from(&buf[..]).map(|_| ()));
-            assert_typed(open_v6(&buf, &q));
+            assert_typed(open_v7(&buf, &q));
         }
     }
 }
@@ -279,10 +279,10 @@ fn truncation_is_an_io_or_format_error() {
             load_compressed_from(&v5[..n]),
             Err(StoreError::Io(_) | StoreError::Format(_))
         ));
-        let v6 = v6_image(&g, &idx);
-        let n = rng.gen_range(0..v6.len().saturating_sub(1).max(1));
+        let v7 = v7_image(&g, &idx);
+        let n = rng.gen_range(0..v7.len().saturating_sub(1).max(1));
         assert!(matches!(
-            open_v6(&v6[..n], &q),
+            open_v7(&v7[..n], &q),
             Err(StoreError::Io(_) | StoreError::Format(_))
         ));
     }
