@@ -198,7 +198,12 @@ fn main() {
     }
     let fg = FrozenGraph::freeze(&g);
     let cz: CompressedMStar = idx.freeze_compressed();
-    cz.validate().expect("compressed hierarchy invalid");
+    for (i, c) in cz.components.iter().enumerate() {
+        let coarse = i.checked_sub(1).map(|j| cz.components[j].node_count());
+        c.clone()
+            .assemble(fg.node_count(), fg.num_labels(), coarse, true)
+            .unwrap_or_else(|e| panic!("compressed component {i} invalid: {e}"));
+    }
     println!(
         "compress_bench: XMark-like, {} nodes, {} edges, {} queries, {} components, reps={}",
         g.node_count(),

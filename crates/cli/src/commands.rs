@@ -368,21 +368,17 @@ fn cmd_query(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
 
     // A snapshot: the layout comes from its header (a retired header is
     // refused with a typed error naming `mrx freeze`).
-    if path.ends_with(".mrx") {
-        if mrx_store::snapshot_version(path)? == 7 {
-            return query_paged(out, &args, path, &q, policy, &budget);
-        }
-        if args.option("cache-bytes").is_some() {
-            return Err(Box::new(ArgError(
-                "--cache-bytes applies only to demand-paged v7 snapshots".into(),
-            )));
-        }
-        return query_compressed(out, &args, path, &q, policy, &budget);
+    let snapshot = path.ends_with(".mrx");
+    if snapshot && mrx_store::snapshot_version(path)? == 7 {
+        return query_paged(out, &args, path, &q, policy, &budget);
     }
     if args.option("cache-bytes").is_some() {
         return Err(Box::new(ArgError(
             "--cache-bytes applies only to demand-paged v7 snapshots".into(),
         )));
+    }
+    if snapshot {
+        return query_compressed(out, &args, path, &q, policy, &budget);
     }
 
     let g = load_xml(path, args.flag("strict-refs"), out)?;
@@ -1104,6 +1100,21 @@ mod tests {
             let s = run_cmd("query", &[f, "//seller/person", "--max-steps", "100000"]).unwrap();
             assert!(s.contains("1 answers"), "{f}: {s}");
         }
+    }
+
+    #[test]
+    fn cache_bytes_is_refused_outside_paged_snapshots() {
+        let (v5, v7) = freeze_pair("cache-bytes");
+        let xml = tempfile("cache-bytes.xml", DOC);
+        for file in [&v5, &xml] {
+            let f = file.to_str().unwrap();
+            let e =
+                run_cmd("query", &[f, "//seller/person", "--cache-bytes", "65536"]).unwrap_err();
+            assert!(e.contains("--cache-bytes applies only"), "{f}: {e}");
+        }
+        let f = v7.to_str().unwrap();
+        let s = run_cmd("query", &[f, "//seller/person", "--cache-bytes", "65536"]).unwrap();
+        assert!(s.contains("1 answers"), "{f}: {s}");
     }
 
     const MESSY_DOC: &str = r#"<r><p id="a"/><p id="a"/><q refs="a zzz"/></r>"#;

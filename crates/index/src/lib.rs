@@ -36,7 +36,6 @@ pub mod adapt;
 mod apex;
 pub mod compressed;
 mod d_k;
-pub mod frozen;
 pub mod graph;
 mod m_k;
 mod m_star;
@@ -57,7 +56,6 @@ pub use adapt::AdaptEngine;
 pub use apex::ApexIndex;
 pub use compressed::CompressedIndex;
 pub use d_k::{label_requirements, DkIndex};
-pub use frozen::FrozenIndex;
 pub use graph::{IdxId, IndexEvalScratch, IndexGraph};
 pub use m_k::MkIndex;
 pub use m_star::{EvalStrategy, MStarIndex};

@@ -24,15 +24,16 @@
 //! probe, [`crate::Servable::fault_cache`], after evaluating and returns
 //! the typed error instead of the answer, so corruption is always caught
 //! before any answer is served or cached. The resident arrays are checked
-//! whole at activation, the subnode links included (they must form a
+//! whole at activation by [`SnapshotIndex::assemble`], the check the
+//! compressed form shares, with the subnode links required to form a
 //! tree: the paged form never degrades, so no component is ever rebuilt
-//! into a partition that overlaps its neighbours). The deep extent
-//! invariant that the eager loader verifies by full decode — extents
-//! partition the data nodes — is intentionally *not* re-proven at
-//! activation: that full pass is exactly the cold-start cost this form
-//! exists to avoid; per-page checksums carry the integrity burden
-//! instead, and every decode still enforces the local invariants (ascent,
-//! bounds, exact payload consumption).
+//! into a partition that overlaps its neighbours. The extent cardinalities
+//! must sum to the data nodes, but the members themselves are
+//! intentionally *not* decoded at activation to re-prove the partition:
+//! that full pass is exactly the cold-start cost this form exists to
+//! avoid. Per-page checksums carry the integrity burden instead, and every
+//! decode still enforces the local invariants (ascent, bounds, exact
+//! payload consumption).
 
 #![cfg_attr(
     not(test),
@@ -40,11 +41,8 @@
 )]
 
 use mrx_pagecache::{PageCache, PagedArena};
-use mrx_postings::group_by_key;
 
-use crate::frozen::check_adjacency;
 use crate::snapshot::{ExtentStore, SnapshotIndex};
-use crate::IdxId;
 
 /// A snapshot component whose extents are demand-paged. See the module
 /// docs for what is resident and what faults.
@@ -64,76 +62,25 @@ impl ExtentStore for PagedArena {
         PagedArena::for_each(self, v, f)
     }
 
+    fn num_lists(&self) -> usize {
+        PagedArena::num_lists(self)
+    }
+
     fn page_cache(&self) -> Option<&PageCache> {
         Some(self.cache())
-    }
-}
-
-impl PagedIndex {
-    /// Assembles a component read from its meta section for serving: its
-    /// label buckets arrive empty, and its arena's universe is the data
-    /// node count. `coarse` is the node count of the next-coarser component
-    /// (`None` for `I0`). Validates every invariant the resident arrays
-    /// can witness — array shapes, CSR structure, label and root range,
-    /// extent cardinalities against the universe, subnode links forming a
-    /// tree — and derives the label buckets (so they are correct by
-    /// construction). Costs no paged-region reads beyond the directory
-    /// pages the arena already pinned.
-    pub fn assemble(
-        mut self,
-        num_labels: usize,
-        coarse: Option<usize>,
-    ) -> Result<PagedIndex, String> {
-        let n = self.labels.len();
-        if n == 0 {
-            return Err("paged component has no nodes".into());
-        }
-        if self.k.len() != n || self.genuine.len() != n {
-            return Err("similarity arrays disagree with node count".into());
-        }
-        if self.extents.num_lists() != n {
-            return Err("extent arena list count disagrees with node count".into());
-        }
-        let mut covered: u64 = 0;
-        for v in 0..n {
-            let len = self.extents.len_of(v);
-            if len == 0 {
-                return Err(format!("node {v} has an empty extent"));
-            }
-            covered += len as u64;
-        }
-        // Necessary (not sufficient) partition condition checkable without
-        // touching the payload: extent cardinalities cover every data node
-        // exactly once, and decode-time bounds keep members inside them.
-        let universe = self.extents.universe();
-        if covered != u64::from(universe) {
-            return Err(format!("extents cover {covered} of {universe} data nodes"));
-        }
-        check_adjacency("child", &self.child_off, &self.child_tgt, n)?;
-        check_adjacency("parent", &self.parent_off, &self.parent_tgt, n)?;
-        if self.labels.iter().any(|l| l.index() >= num_labels) {
-            return Err("node label out of range".into());
-        }
-        if self.root.index() >= n {
-            return Err("root node out of range".into());
-        }
-        self.links.check(coarse, n, true)?;
-        let (off, ids) = group_by_key(n, num_labels, |i| self.labels[i].index() as u32);
-        self.by_label_off = off;
-        self.by_label_ids = ids.into_iter().map(IdxId).collect();
-        Ok(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{query, CompressedIndex, FrozenIndex, IndexGraph, MStarIndex, PagedMStar};
+    use crate::{query, CompressedIndex, IdxId, IndexGraph, MStarIndex, PagedMStar};
     use crate::{QueryScratch, TrustPolicy};
     use mrx_graph::xml::parse;
-    use mrx_graph::DataGraph;
+    use mrx_graph::{DataGraph, GraphView, NodeId};
     use mrx_pagecache::ArenaLayout;
     use mrx_path::PathExpr;
+    use mrx_postings::PostingArena;
     use std::sync::Arc;
 
     fn doc() -> DataGraph {
@@ -204,8 +151,9 @@ mod tests {
         budget: u64,
     ) -> (Arc<PageCache>, PagedIndex) {
         let (cache, paged) = paged_parts(cz, page_size, budget);
+        let data_nodes = paged.extents.universe() as usize;
         let paged = paged
-            .assemble(cz.num_labels(), coarse)
+            .assemble(data_nodes, cz.num_labels(), coarse, true)
             .expect("valid paged component");
         (cache, paged)
     }
@@ -214,8 +162,7 @@ mod tests {
     fn paged_answers_match_compressed_answers_and_costs() {
         let g = doc();
         let ig = IndexGraph::a0(&g);
-        let fz = FrozenIndex::freeze(&ig);
-        let cz = CompressedIndex::from_frozen(&fz);
+        let cz = CompressedIndex::freeze(&ig, None);
         // Tiny pages + tiny budget: every structure straddles seams and
         // faults repeatedly mid-query.
         let (cache, paged) = paged_of(&cz, None, 64, 4 * 64);
@@ -283,7 +230,9 @@ mod tests {
         let lie = |f: &dyn Fn(&mut PagedIndex), coarse: Option<usize>| {
             let (_, mut paged) = paged_parts(fine, 64, u64::MAX);
             f(&mut paged);
-            paged.assemble(fine.num_labels(), coarse).map(|_| ())
+            paged
+                .assemble(g.node_count(), fine.num_labels(), coarse, true)
+                .map(|_| ())
         };
         assert!(lie(&|_| {}, m).is_ok());
         assert!(lie(&|p| p.k.truncate(0), m).is_err());
@@ -296,5 +245,79 @@ mod tests {
         let n = fine.node_count() as u32;
         assert!(lie(&|p| p.links.tgt[0] = IdxId(n), m).is_err());
         assert!(lie(&|p| p.links.tgt[1] = p.links.tgt[0], m).is_err());
+    }
+
+    /// `cz` with its extent lists rewritten by `edit`, which sees every
+    /// list in node order and may append more.
+    fn with_extents(cz: &CompressedIndex, edit: impl Fn(&mut Vec<Vec<NodeId>>)) -> CompressedIndex {
+        let mut lists: Vec<Vec<NodeId>> = (0..cz.node_count())
+            .map(|v| {
+                let mut out = Vec::new();
+                cz.extents.push_into(v, &mut out);
+                out
+            })
+            .collect();
+        edit(&mut lists);
+        let mut extents = PostingArena::new();
+        for l in &lists {
+            extents.push_list(l);
+        }
+        CompressedIndex {
+            extents,
+            ..cz.clone()
+        }
+    }
+
+    /// The shared load check rejects the same corruptions in both
+    /// layouts: each case is assembled once as a compressed and once as a
+    /// paged component.
+    #[test]
+    fn assemble_rejects_corruption_in_both_layouts() {
+        let g = doc();
+        let good = CompressedIndex::freeze(&IndexGraph::a0(&g), None);
+        let (d, nl) = (g.node_count(), g.num_labels());
+        let check = |cz: &CompressedIndex| -> [Result<(), String>; 2] {
+            let (_, paged) = paged_parts(cz, 64, u64::MAX);
+            [
+                cz.clone().assemble(d, nl, None, true).map(|_| ()),
+                paged.assemble(d, nl, None, true).map(|_| ()),
+            ]
+        };
+        assert_eq!(check(&good), [Ok(()), Ok(())]);
+        let rejects = |bad: CompressedIndex, what: &str| {
+            for (layout, r) in ["compressed", "paged"].iter().zip(check(&bad)) {
+                assert!(r.is_err(), "{layout}: {what} accepted");
+            }
+        };
+
+        let mut bad = good.clone();
+        bad.k.pop();
+        rejects(bad, "short similarity array");
+
+        let mut bad = good.clone();
+        bad.child_off[1] = u32::MAX;
+        rejects(bad, "non-monotone child offsets");
+
+        let mut bad = good.clone();
+        bad.parent_tgt[0] = IdxId(u32::MAX);
+        rejects(bad, "parent target out of range");
+
+        // A member of node 1's extent also in node 0's: the cardinalities
+        // overshoot the data nodes.
+        let bad = with_extents(&good, |l| {
+            let o = l[1][0];
+            l[0].push(o);
+            l[0].sort();
+        });
+        rejects(bad, "two extents sharing a member");
+
+        // One more node with an empty extent: every other count still adds up.
+        let mut bad = with_extents(&good, |l| l.push(Vec::new()));
+        bad.labels.push(bad.labels[0]);
+        bad.k.push(0);
+        bad.genuine.push(0);
+        bad.child_off.push(bad.child_tgt.len() as u32);
+        bad.parent_off.push(bad.parent_tgt.len() as u32);
+        rejects(bad, "empty extent");
     }
 }

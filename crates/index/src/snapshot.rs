@@ -6,11 +6,16 @@
 //! posting blocks in memory ([`CompressedIndex`], the `.mrx` v5 serving
 //! form) or the same blocks behind a page cache ([`PagedIndex`], the v7
 //! serving form). [`MStarSnapshot`] holds one component per resolution.
-//! QUERYTOPDOWN (§4.1) is written once, in [`top_down_governed`], and
+//! QUERYTOPDOWN (§4.1) is written once, in `top_down_governed`, and
 //! monomorphized over the representation and the [`Governor`]: the live
 //! [`MStarIndex`], both snapshot forms, and the budgeted and unbudgeted
 //! entry points all run the same code, so answers and [`Cost`] cannot
 //! drift between them.
+//!
+//! Components are built straight from the live index
+//! ([`CompressedIndex::freeze`]) and written by the store; a component
+//! read back from bytes of either layout passes one check,
+//! [`SnapshotIndex::assemble`], before it serves.
 //!
 //! Each snapshot component `Ii` (`i ≥ 1`) stores the §4 cross-component
 //! links from `I(i−1)` into itself as a [`SubnodeLinks`] CSR, so a step
@@ -30,11 +35,10 @@ use mrx_path::{
 };
 
 use crate::compressed::CompressedIndex;
-use crate::frozen::check_csr;
 use crate::paged::PagedIndex;
 use crate::query::{self, Answer, QueryScratch, TrustPolicy};
 use crate::view::{self, IndexView};
-use crate::{FrozenIndex, IdxId, MStarIndex};
+use crate::{IdxId, MStarIndex};
 
 /// Where a snapshot component keeps its extents; list `v` is node `v`'s
 /// sorted extent.
@@ -45,6 +49,8 @@ pub trait ExtentStore {
     fn first_of(&self, v: usize) -> Option<u32>;
     /// Calls `f` with every id of list `v`, ascending.
     fn for_each(&self, v: usize, f: impl FnMut(u32));
+    /// Number of lists.
+    fn num_lists(&self) -> usize;
     /// Appends list `v` to `out`.
     fn push_into(&self, v: usize, out: &mut Vec<NodeId>) {
         out.reserve(self.len_of(v));
@@ -58,13 +64,12 @@ pub trait ExtentStore {
 
 /// One immutable snapshot component with its extents in `E`.
 ///
-/// Ids are dense, and every array except the extents matches
-/// [`FrozenIndex`] field for field; the fields are public so the store
-/// can write and read them verbatim. Instead of the inverse extent map,
-/// a component carries the node holding the data root and its
+/// Ids are dense: [`CompressedIndex::freeze`] renumbers the live slots
+/// in ascending order. The fields are public so the store can write and
+/// read them verbatim. Instead of the live inverse extent map, a
+/// component carries the node holding the data root and its
 /// [`SubnodeLinks`]. Instances built from untrusted bytes must pass
-/// [`CompressedIndex::validate`] or [`PagedIndex::assemble`] before
-/// serving.
+/// [`assemble`](Self::assemble) before serving.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotIndex<E> {
     /// Label of each node.
@@ -92,9 +97,10 @@ pub struct SnapshotIndex<E> {
     pub by_label_off: Vec<u32>,
     /// Nodes grouped by label, ascending ids within each row.
     pub by_label_ids: Vec<IdxId>,
-    /// The source's [`FrozenIndex::lemma2`].
+    /// The live graph's [`crate::IndexGraph::lemma2_safe`] at freeze time.
     pub lemma2: bool,
-    /// The source's [`FrozenIndex::epoch`].
+    /// The live graph's [`crate::IndexGraph::mutation_epoch`] at freeze
+    /// time.
     pub epoch: u64,
 }
 
@@ -125,6 +131,103 @@ impl<E> SnapshotIndex<E> {
         &self.by_label_ids
             [self.by_label_off[l.index()] as usize..self.by_label_off[l.index() + 1] as usize]
     }
+}
+
+impl<E: ExtentStore> SnapshotIndex<E> {
+    /// The one check a component read from outside passes before it
+    /// serves, whichever layout it came from, and the step that derives
+    /// its label buckets (no layout stores them, so they are correct by
+    /// construction). `data_nodes` is the data graph's node count,
+    /// `num_labels` its alphabet size, and `coarse` the node count of the
+    /// next-coarser component (`None` for `I0`).
+    ///
+    /// Checks every invariant the resident arrays witness: similarity
+    /// array lengths, one extent list per node, no empty extent, extent
+    /// cardinalities summing to the data nodes, child and parent CSR
+    /// structure, label and root range, and the subnode links — forming a
+    /// tree when `tree` is set. Extent members are not decoded: the v5
+    /// loader proves the partition by inverting its extents
+    /// (`link_component` in the store), and the v7 layout leaves members
+    /// to its per-page checksums and decode-time bounds.
+    pub fn assemble(
+        mut self,
+        data_nodes: usize,
+        num_labels: usize,
+        coarse: Option<usize>,
+        tree: bool,
+    ) -> Result<Self, String> {
+        let n = self.labels.len();
+        if self.k.len() != n || self.genuine.len() != n {
+            return Err("similarity arrays disagree with node count".into());
+        }
+        if self.extents.num_lists() != n {
+            return Err("extent arena list count disagrees with node count".into());
+        }
+        let mut covered: u64 = 0;
+        for v in 0..n {
+            let len = self.extents.len_of(v);
+            if len == 0 {
+                return Err(format!("node {v} has an empty extent"));
+            }
+            covered += len as u64;
+        }
+        if covered != data_nodes as u64 {
+            return Err(format!(
+                "extents cover {covered} of {data_nodes} data nodes"
+            ));
+        }
+        check_adjacency("child", &self.child_off, &self.child_tgt, n)?;
+        check_adjacency("parent", &self.parent_off, &self.parent_tgt, n)?;
+        if self.labels.iter().any(|l| l.index() >= num_labels) {
+            return Err("node label out of range".into());
+        }
+        if self.root.index() >= n {
+            return Err("root node out of range".into());
+        }
+        self.links.check(coarse, n, tree)?;
+        self.derive_by_label(num_labels);
+        Ok(self)
+    }
+
+    /// Rebuilds the label buckets from `labels` (every label below
+    /// `num_labels`) by one counting pass.
+    pub(crate) fn derive_by_label(&mut self, num_labels: usize) {
+        let (off, ids) = mrx_postings::group_by_key(self.labels.len(), num_labels, |i| {
+            self.labels[i].index() as u32
+        });
+        self.by_label_off = off;
+        self.by_label_ids = ids.into_iter().map(IdxId).collect();
+    }
+}
+
+/// Checks CSR offsets: `rows + 1` monotone entries spanning the arena.
+fn check_csr(what: &str, off: &[u32], arena_len: usize, rows: usize) -> Result<(), String> {
+    if off.len() != rows + 1 {
+        return Err(format!("{what} offsets have wrong length"));
+    }
+    if off[0] != 0 || off[rows] as usize != arena_len {
+        return Err(format!("{what} offsets do not span the arena"));
+    }
+    if !off.windows(2).all(|w| w[0] <= w[1]) {
+        return Err(format!("{what} offsets not monotone"));
+    }
+    Ok(())
+}
+
+/// Checks an adjacency CSR over `n` nodes: offsets as in [`check_csr`],
+/// every row strictly ascending, every target in range.
+fn check_adjacency(what: &str, off: &[u32], tgt: &[IdxId], n: usize) -> Result<(), String> {
+    check_csr(what, off, tgt.len(), n)?;
+    for w in off.windows(2) {
+        let row = &tgt[w[0] as usize..w[1] as usize];
+        if row.windows(2).any(|p| p[0] >= p[1]) {
+            return Err(format!("{what} row not strictly ascending"));
+        }
+        if row.last().is_some_and(|t| t.index() >= n) {
+            return Err(format!("{what} target out of range"));
+        }
+    }
+    Ok(())
 }
 
 impl<E: ExtentStore> IndexView for SnapshotIndex<E> {
@@ -394,35 +497,13 @@ impl<I: IndexView> MStarSnapshot<I> {
     }
 }
 
-impl CompressedMStar {
-    /// Validates every component (see [`CompressedIndex::validate`]); run
-    /// on hierarchies built from untrusted bytes before serving.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.components.is_empty() {
-            return Err("compressed M* has no components".into());
-        }
-        for (i, c) in self.components.iter().enumerate() {
-            let coarse = i.checked_sub(1).map(|j| self.components[j].node_count());
-            c.validate()
-                .and_then(|()| c.links.check(coarse, c.node_count(), false))
-                .map_err(|e| format!("component {i}: {e}"))?;
-        }
-        Ok(())
-    }
-}
-
 impl MStarIndex {
     /// Freezes every component into the compressed serving form, each
-    /// `Ii` (`i ≥ 1`) linked below `I(i−1)` through its frozen inverse map.
+    /// `Ii` (`i ≥ 1`) linked below `I(i−1)` (see [`CompressedIndex::freeze`]).
     pub fn freeze_compressed(&self) -> CompressedMStar {
         let mut components: Vec<CompressedIndex> = Vec::with_capacity(self.components.len());
         for c in &self.components {
-            let fz = FrozenIndex::freeze(c);
-            let mut cz = CompressedIndex::from_frozen(&fz);
-            if let Some(coarse) = components.last() {
-                cz.links = SubnodeLinks::derive(coarse, &fz.node_of_data, fz.node_count());
-            }
-            components.push(cz);
+            components.push(CompressedIndex::freeze(c, components.last()));
         }
         CompressedMStar {
             components,
@@ -436,6 +517,21 @@ mod tests {
     use super::*;
     use crate::EvalStrategy;
     use mrx_graph::xml::parse;
+    use mrx_graph::DataGraph;
+
+    /// Runs every component of a fresh freeze through the shared load
+    /// check: it passes, links nest into a tree, and re-deriving the label
+    /// buckets reproduces the frozen ones.
+    fn assert_assembles(cz: &CompressedMStar, g: &DataGraph) {
+        for (i, c) in cz.components.iter().enumerate() {
+            let coarse = i.checked_sub(1).map(|j| cz.components[j].node_count());
+            let again = c
+                .clone()
+                .assemble(g.node_count(), g.num_labels(), coarse, true)
+                .unwrap_or_else(|e| panic!("I{i}: {e}"));
+            assert_eq!(&again, c, "I{i}");
+        }
+    }
 
     #[test]
     fn compressed_snapshot_matches_live_top_down() {
@@ -450,7 +546,7 @@ mod tests {
         let mut idx = MStarIndex::new(&g);
         idx.refine_for(&g, &PathExpr::parse("//person/name/last").unwrap());
         let cz = idx.freeze_compressed();
-        cz.validate().expect("valid snapshot");
+        assert_assembles(&cz, &g);
         assert_eq!(cz.mutation_epoch(), idx.mutation_epoch());
         for expr in [
             "//person/name/last",
@@ -488,7 +584,7 @@ mod tests {
             idx.refine_for(&g, &PathExpr::parse(expr).unwrap());
         }
         let cz = idx.freeze_compressed();
-        cz.validate().expect("valid snapshot");
+        assert_assembles(&cz, &g);
         assert!(cz.components[0].links.off.is_empty());
         assert!(idx.max_k() >= 3);
         for i in 1..=idx.max_k() {

@@ -21,7 +21,7 @@
 //!   typed error before any answer is served. One cache serves all threads.
 //! * [`PagedArena`] / [`PagedCursor`] — the demand-paged twin of
 //!   [`mrx_postings::PostingArena`]: identical wire form (delta-varint
-//!   blocks of [`BLOCK_LEN`] ids + skip directory), identical iteration
+//!   blocks of [`mrx_postings::BLOCK_LEN`] ids + skip directory), identical iteration
 //!   and seek semantics, but payload bytes live on disk and decode one
 //!   block at a time through the cache — lists freely straddle page seams.
 //!   Extents are the only paged structure: everything a query probes per

@@ -393,7 +393,7 @@ impl PostingArena {
 
     /// Appends one sorted, strictly ascending list and returns its index.
     /// Each block is written as whichever encoding is smallest for its
-    /// deltas (see [`encode_block`]).
+    /// deltas (see `encode_block`).
     pub fn push_list<T: PostingId>(&mut self, ids: &[T]) -> usize {
         let mut chunk_buf = [0u32; BLOCK_LEN];
         for chunk in ids.chunks(BLOCK_LEN) {

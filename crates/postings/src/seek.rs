@@ -116,7 +116,7 @@ const GALLOP_RATIO: usize = 8;
 
 /// Intersection of two seeking iterators.
 ///
-/// When one side is much shorter than the other (by [`GALLOP_RATIO`]), the
+/// When one side is much shorter than the other (by `GALLOP_RATIO`), the
 /// shorter side drives and the longer side seeks — runs of misses are
 /// skipped in logarithmic time. When the sides are comparable, seeking
 /// cannot skip anything and the loop degrades to a plain linear merge, so

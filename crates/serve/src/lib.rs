@@ -25,7 +25,7 @@
 //!   live `A(i)` rebuild path, and reports them via the STATS health
 //!   verb; failures with no sound fallback (page-checksum poison) are
 //!   typed errors on that request only. Partial answers are impossible.
-//! * **Zero-downtime hot swap** ([`snapshot`]) — RELOAD validates the
+//! * **Zero-downtime hot swap** (the `snapshot` module) — RELOAD validates the
 //!   replacement fully (checksums + structure, strictly) *before* an
 //!   epoch-fenced atomic swap, then drains the old epoch. Torn,
 //!   truncated, bit-flipped, or retired-layout (v1–v4) files are refused

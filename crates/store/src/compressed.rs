@@ -30,9 +30,11 @@
 //! second — never by a panic mid-decode.
 //!
 //! Every declared length — section and per-array — is validated against the
-//! bytes actually available *before* the corresponding buffer is allocated,
-//! and every loaded structure passes its full `validate()` before it is
-//! returned.
+//! bytes actually available *before* the corresponding buffer is allocated.
+//! The graph passes `FrozenGraph::validate` as it is rebuilt, and each
+//! component passes the inversion and then
+//! [`CompressedIndex::assemble`], the structural check the paged layout
+//! shares, so every byte read is checked exactly once before it serves.
 
 #![cfg_attr(
     not(test),
@@ -46,8 +48,7 @@ use std::path::Path;
 use mrx_error::MrxError;
 use mrx_graph::{FrozenGraph, LabelId, NodeId, PackedGraphCsr};
 use mrx_index::{
-    Answer, CompressedIndex, CompressedMStar, FrozenIndex, IdxId, QueryScratch, SubnodeLinks,
-    TrustPolicy,
+    Answer, CompressedIndex, CompressedMStar, IdxId, QueryScratch, SubnodeLinks, TrustPolicy,
 };
 use mrx_path::{PathExpr, QueryBudget};
 use mrx_postings::{PostingArena, SeekingIterator};
@@ -147,20 +148,6 @@ fn read_arena(r: &mut HashingReader<&[u8]>, name: &str) -> Result<PostingArena, 
         .map_err(|e| format_err(format!("posting arena `{name}`: {e}")))
 }
 
-/// Derives the by-label CSR from per-node labels via the shared
-/// counting-sort builder, pre-validating every label id (the builder
-/// indexes its key range unchecked).
-fn derive_by_label(
-    labels: &[LabelId],
-    num_labels: usize,
-) -> Result<(Vec<u32>, Vec<IdxId>), StoreError> {
-    if let Some(l) = labels.iter().find(|l| l.index() >= num_labels) {
-        return Err(format_err(format!("index label {} out of range", l.0)));
-    }
-    let (off, ids) = mrx_postings::group_by_key(labels.len(), num_labels, |i| labels[i].0);
-    Ok((off, ids.into_iter().map(IdxId).collect()))
-}
-
 // ---------------------------------------------------------------------
 // Payloads
 // ---------------------------------------------------------------------
@@ -236,8 +223,9 @@ fn write_compressed_component_payload<W: Write>(
 
 /// Reads one packed component straight into its [`CompressedIndex`]
 /// serving form: adjacency decodes back to raw CSR, the extent arena stays
-/// compressed, `by_label` is derived by one counting pass, and
-/// [`link_component`] links it below `coarse`.
+/// compressed, [`link_component`] proves the partition and links it below
+/// `coarse`, and [`CompressedIndex::assemble`] checks the rest and derives
+/// `by_label`.
 fn read_compressed_component_payload(
     r: &mut HashingReader<&[u8]>,
     g: &FrozenGraph,
@@ -264,11 +252,6 @@ fn read_compressed_component_payload(
     if labels.len() != n {
         return Err(format_err("label array does not match node count"));
     }
-    if extents.num_lists() != n {
-        return Err(format_err("extent arena list count disagrees with nodes"));
-    }
-
-    let (by_label_off, by_label_ids) = derive_by_label(&labels, g.num_labels())?;
     let (child_off, child_tgt) = child.decode_csr::<IdxId>();
     let (parent_off, parent_tgt) = parent.decode_csr::<IdxId>();
 
@@ -283,32 +266,40 @@ fn read_compressed_component_payload(
         parent_tgt,
         root: IdxId(0),
         links: SubnodeLinks::default(),
-        by_label_off,
-        by_label_ids,
+        by_label_off: Vec::new(),
+        by_label_ids: Vec::new(),
         lemma2,
         epoch,
     };
     link_component(&mut c, coarse, g, node_of)?;
-    c.validate().map_err(format_err)?;
-    Ok(c)
+    c.assemble(
+        g.node_count(),
+        g.num_labels(),
+        coarse.map(CompressedIndex::node_count),
+        false,
+    )
+    .map_err(format_err)
 }
 
 /// Inverts `c`'s extents into the scratch map `node_of` through the
 /// cursors — the only full decode pass a load pays for extents — proving
-/// they partition `g`'s nodes, then records the node holding `g`'s root
+/// that every member is a data node of `g` and in exactly one extent and
+/// that the extents cover `g`, then records the node holding `g`'s root
 /// and derives the links below `coarse`. Rows come from the extents
 /// actually loaded, so they stay exact even next to a rebuilt component
-/// that does not nest between its neighbours.
+/// that does not nest between its neighbours. Runs before the list count
+/// is checked, so it walks the lists the arena holds.
 fn link_component(
     c: &mut CompressedIndex,
     coarse: Option<&CompressedIndex>,
     g: &FrozenGraph,
     node_of: &mut Vec<IdxId>,
 ) -> Result<(), StoreError> {
+    let lists = c.extents.num_lists();
     node_of.clear();
     node_of.resize(g.node_count(), IdxId(u32::MAX));
     let mut covered = 0usize;
-    for v in 0..c.node_count() {
+    for v in 0..lists {
         let mut cur = c.extents.cursor(v);
         while let Some(o) = cur.next() {
             let slot = node_of
@@ -331,7 +322,7 @@ fn link_component(
         .get(g.root().index())
         .ok_or_else(|| format_err("graph root out of range"))?;
     c.links = coarse
-        .map(|coarse| SubnodeLinks::derive(coarse, node_of, c.node_count()))
+        .map(|coarse| SubnodeLinks::derive(coarse, node_of, lists))
         .unwrap_or_default();
     Ok(())
 }
@@ -551,7 +542,7 @@ impl CompressedFile {
         for c in dir.chunks_exact(8) {
             let o = le_u64(c);
             // 8(len) + 8(digest) is the smallest possible section.
-            if o <= prev || o + 16 > file_len {
+            if o <= prev || o.checked_add(16).is_none_or(|end| end > file_len) {
                 return Err(format_err(format!(
                     "component directory offset {o} outside the file"
                 )));
@@ -613,7 +604,7 @@ impl CompressedFile {
         for i in self.components.len()..=upto {
             let c = match self.read_component(i) {
                 Ok(c) => c,
-                Err(e) => self.rebuild_component(i, &e)?,
+                Err(e) => self.rebuild_component(i, &e),
             };
             self.components.push(c);
         }
@@ -644,25 +635,14 @@ impl CompressedFile {
     /// Fallback for an unreadable component section: rebuild `Ii` as the
     /// exact `A(i)` partition of the embedded graph and compress it —
     /// sound because every block is a genuine `i`-bisimulation class.
-    fn rebuild_component(
-        &mut self,
-        i: usize,
-        cause: &StoreError,
-    ) -> Result<CompressedIndex, StoreError> {
+    fn rebuild_component(&mut self, i: usize, cause: &StoreError) -> CompressedIndex {
         eprintln!(
             "mrx-store: component {i} unreadable ({cause}); rebuilding it from the data graph"
         );
         let dg = thaw_graph(&self.graph);
         let ak = mrx_index::AkIndex::build(&dg, i as u32);
         self.degraded.push(i);
-        let mut c = CompressedIndex::from_frozen(&FrozenIndex::freeze(ak.graph()));
-        link_component(
-            &mut c,
-            self.components.last(),
-            &self.graph,
-            &mut self.node_of,
-        )?;
-        Ok(c)
+        CompressedIndex::freeze(ak.graph(), self.components.last())
     }
 
     /// Answers `path` top-down under the sound trust policy, loading only
@@ -872,14 +852,20 @@ mod tests {
         }
         assert_eq!(f.loaded_components(), vec![0, 1, 2, 3, 4]);
         assert_eq!(f.degraded_components(), &[2]);
-        let (_, star) = f.into_compressed().unwrap();
+        let (fg, star) = f.into_compressed().unwrap();
         let (c2, c3) = (&star.components[2], &star.components[3]);
         let n2 = Some(c2.node_count());
         assert!(
             c3.links.check(n2, c3.node_count(), true).is_err(),
             "rows nest"
         );
-        star.validate().unwrap();
+        for (i, c) in star.components.iter().enumerate() {
+            let coarse = i.checked_sub(1).map(|j| star.components[j].node_count());
+            let checked = c
+                .clone()
+                .assemble(fg.node_count(), fg.num_labels(), coarse, false);
+            assert_eq!(checked.as_ref(), Ok(c), "I{i}");
+        }
         std::fs::remove_file(path).ok();
     }
 
@@ -959,5 +945,104 @@ mod tests {
             Err(StoreError::Format(m)) => assert!(m.contains("version 7"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
         }
+    }
+
+    /// The v5 image of `idx` with component `i` rewritten by `edit`, which
+    /// gets the component and its extent lists. The writer stores what it
+    /// is given, so every checksum in the image is valid and only the
+    /// loader's structural checks stand between the damage and serving.
+    fn tampered_image(
+        g: &DataGraph,
+        idx: &MStarIndex,
+        i: usize,
+        edit: impl FnOnce(&mut CompressedIndex, &mut Vec<Vec<u32>>),
+    ) -> Vec<u8> {
+        let mut cz = idx.freeze_compressed();
+        let c = &mut cz.components[i];
+        let mut lists: Vec<Vec<u32>> = (0..c.node_count())
+            .map(|v| {
+                let mut out = Vec::new();
+                c.extents.for_each(v, |o| out.push(o));
+                out
+            })
+            .collect();
+        edit(c, &mut lists);
+        c.extents = PostingArena::new();
+        for l in &lists {
+            c.extents.push_list(l);
+        }
+        let mut buf = Vec::new();
+        save_compressed_to(&mut buf, &FrozenGraph::freeze(g), &cz).unwrap();
+        buf
+    }
+
+    /// One more `I0` node with an empty extent leaves every count
+    /// consistent — the cardinalities still sum to the data nodes and the
+    /// inversion sees every member once — so only the shared check's
+    /// empty-extent test refuses it.
+    #[test]
+    fn empty_extent_list_is_refused_or_degraded() {
+        let (g, idx) = setup();
+        let bytes = tampered_image(&g, &idx, 0, |c, lists| {
+            lists.push(Vec::new());
+            c.labels.push(c.labels[0]);
+            c.k.push(0);
+            c.genuine.push(0);
+            c.child_off.push(c.child_tgt.len() as u32);
+            c.parent_off.push(c.parent_tgt.len() as u32);
+        });
+        match load_compressed_from(&bytes[..]) {
+            Err(StoreError::Format(m)) => assert!(m.contains("empty extent"), "{m}"),
+            other => panic!("expected format error, got {other:?}"),
+        }
+        let path = tempdir().join("empty-extent.mrx");
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            crate::open_validated(&path, true, None),
+            Err(StoreError::Format(_))
+        ));
+        let lenient = crate::open_validated(&path, false, None).unwrap();
+        assert_eq!(lenient.degraded, vec![0]);
+        std::fs::remove_file(path).ok();
+    }
+
+    /// A member moved into a second extent leaves a hole of the same size:
+    /// the cardinalities still sum to the data nodes, so only the v5
+    /// inversion refuses it.
+    #[test]
+    fn overlapping_extents_are_refused_by_the_inversion() {
+        let (g, idx) = setup();
+        let bytes = tampered_image(&g, &idx, 1, |_, lists| {
+            let (a, b) = (lists.len() - 2, lists.len() - 1);
+            let hole = lists[a].remove(0);
+            assert_ne!(NodeId(hole), g.root(), "the hole must not hide the root");
+            let shared = lists[b][0];
+            lists[a].push(shared);
+            lists[a].sort();
+        });
+        match load_compressed_from(&bytes[..]) {
+            Err(StoreError::Format(m)) => assert!(m.contains("in two extents"), "{m}"),
+            other => panic!("expected format error, got {other:?}"),
+        }
+    }
+
+    /// A directory entry near `u64::MAX` must be refused as outside the
+    /// file, not overflow the bounds check.
+    #[test]
+    fn directory_offset_near_u64_max_is_a_format_error() {
+        let (g, idx) = setup();
+        let mut bytes = image(&g, &idx);
+        let glen = le_u64(&bytes[16..24]) as usize;
+        let ncomp = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let last = 24 + glen + 8 + 8 * (ncomp - 1);
+        bytes[last..last + 8].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
+        let path = tempdir().join("dir-overflow.mrx");
+        std::fs::write(&path, &bytes).unwrap();
+        match crate::open_validated(&path, false, None) {
+            Err(StoreError::Format(m)) => assert!(m.contains("outside the file"), "{m}"),
+            Err(other) => panic!("expected format error, got {other:?}"),
+            Ok(_) => panic!("expected format error, got a loaded snapshot"),
+        }
+        std::fs::remove_file(path).ok();
     }
 }

@@ -266,7 +266,8 @@ impl<T: Read + Seek> ReadSeek for T {}
 /// Decodes a meta section into an unassembled [`PagedIndex`] whose arena
 /// reads through `cache` over a universe of `universe` data nodes. Shape
 /// validation happens in [`PagedArena::new`] and
-/// [`PagedIndex::assemble`]; this only reads.
+/// [`PagedIndex::assemble`](mrx_index::SnapshotIndex::assemble); this only
+/// reads.
 fn read_paged_meta(
     r: &mut HashingReader<&[u8]>,
     cache: &Arc<PageCache>,
@@ -407,7 +408,7 @@ impl PagedFile {
         if paged_off < HEADER_LEN_PAGED
             || region_end > file_len
             || pagetab_off < region_end
-            || pagetab_off + 16 > file_len
+            || pagetab_off.checked_add(16).is_none_or(|end| end > file_len)
         {
             return Err(format_err(format!(
                 "paged layout [{paged_off}, {region_end}) + table at {pagetab_off} \
@@ -443,7 +444,7 @@ impl PagedFile {
             let o = le_u64(c);
             // 8(len) + 8(digest) is the smallest possible section, and meta
             // sections all live before the paged region.
-            if o <= prev || o + 16 > paged_off {
+            if o <= prev || o.checked_add(16).is_none_or(|end| end > paged_off) {
                 return Err(format_err(format!(
                     "component directory offset {o} outside the meta area"
                 )));
@@ -590,8 +591,13 @@ impl PagedFile {
         )?;
         self.bytes_read += len;
         let coarse = self.components.last().map(PagedIndex::node_count);
-        c.assemble(self.graph.num_labels(), coarse)
-            .map_err(|e| format_err(format!("component {i}: {e}")))
+        c.assemble(
+            self.graph.node_count(),
+            self.graph.num_labels(),
+            coarse,
+            true,
+        )
+        .map_err(|e| format_err(format!("component {i}: {e}")))
     }
 
     /// Answers `path` top-down under the sound trust policy.
@@ -1119,5 +1125,39 @@ mod tests {
         // Serving still works (and still matches) at one-page budget.
         let a2 = f.query_top_down(&q).unwrap();
         assert_eq!(a2.nodes, want.nodes);
+    }
+
+    /// A page-table offset near `u64::MAX` behind a valid header checksum
+    /// must be refused as outside the file, not overflow the bounds check.
+    #[test]
+    fn pagetab_offset_near_u64_max_is_a_format_error() {
+        let (_g, _cz, _fg, mut img) = image(64);
+        // pagetab_off is header bytes 32..40; the extension checksum over
+        // bytes 16..56 sits at 56..64.
+        img[32..40].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
+        let sum = fnv64(&img[16..56]);
+        img[56..64].copy_from_slice(&sum.to_le_bytes());
+        match PagedFile::open_bytes(img, DEFAULT_CACHE_BYTES).map(|_| ()) {
+            Err(StoreError::Format(m)) => assert!(m.contains("outside the file"), "{m}"),
+            other => panic!("expected a format error, got {other:?}"),
+        }
+    }
+
+    /// A meta directory entry near `u64::MAX` must be refused as outside
+    /// the meta area, not overflow the bounds check.
+    #[test]
+    fn meta_directory_offset_near_u64_max_is_a_format_error() {
+        let (_g, _cz, _fg, mut img) = image(64);
+        let mut dir_at = 64usize;
+        for _ in 0..(1 + GRAPH_UNITS) {
+            dir_at += 16 + le_u64(&img[dir_at..dir_at + 8]) as usize;
+        }
+        let ncomp = u32::from_le_bytes(img[12..16].try_into().unwrap()) as usize;
+        let last = dir_at + 8 * (ncomp - 1);
+        img[last..last + 8].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
+        match PagedFile::open_bytes(img, DEFAULT_CACHE_BYTES).map(|_| ()) {
+            Err(StoreError::Format(m)) => assert!(m.contains("outside the meta area"), "{m}"),
+            other => panic!("expected a format error, got {other:?}"),
+        }
     }
 }

@@ -11,9 +11,12 @@
 //! * **framing + checksums** — every section is read and verified (for the
 //!   demand-paged layouts this means faulting and verifying every page via
 //!   [`PagedFile::verify`], plus materializing every lazy graph unit);
-//! * **structural validation** — the decoded graph and index pass the same
-//!   invariant sweeps the freezers run (`FrozenGraph::validate`,
-//!   `CompressedMStar::validate`);
+//! * **structural validation** — each loader checks every byte it reads
+//!   exactly once as it decodes it: the graph passes
+//!   `FrozenGraph::validate`, and every component passes
+//!   [`mrx_index::SnapshotIndex::assemble`], the one check both layouts
+//!   share (the compressed reader first proves by inversion that its
+//!   extents partition the data nodes), so nothing is re-validated here;
 //! * **degradation policy** — the compressed (v5) reader can rebuild an
 //!   unreadable component as live `A(i)`; `strict` mode refuses such a
 //!   file outright (a replacement snapshot should be *pristine*), while
@@ -69,10 +72,6 @@ impl SnapshotPayload {
     }
 }
 
-fn structural(r: Result<(), String>, what: &str) -> Result<(), StoreError> {
-    r.map_err(|e| StoreError::Format(format!("{what} failed structural validation: {e}")))
-}
-
 /// Opens `path`, dispatching on [`snapshot_version`], and validates the
 /// whole file (checksums + structure) before returning it. With `strict`
 /// set, a file that would only load by degrading components to live
@@ -93,8 +92,6 @@ pub fn open_validated(
             let degraded = file.degraded_components().to_vec();
             refuse_degraded(strict, &degraded)?;
             let (graph, star) = file.into_compressed()?;
-            structural(graph.validate(), "graph")?;
-            structural(star.validate(), "index")?;
             Ok(ValidatedSnapshot {
                 version,
                 degraded,

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo-wide check gate: formatting, lints, source-pattern gates, the full
+# Repo-wide check gate: formatting, lints, rustdoc, source-pattern gates, the full
 # test suite (which includes the daemon chaos scenario), a servebench
 # build, and smoke runs of the three bench binaries whose gates live
 # nowhere else: adapt_bench (batched-vs-legacy speedup), fault_bench (fault
@@ -19,6 +19,9 @@ echo "==> cargo clippy (offline, warnings are errors)"
 # `#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used,
 # clippy::panic))]`, so an unwrap/expect/panic! outside its tests fails here.
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "==> rustdoc (warnings are errors, so doc links to deleted or private items fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> set-algebra gate: no hand-rolled sorted-slice merges outside mrx-postings"
 # Sorted-id intersection/union/difference must go through the seeking-
