@@ -1,12 +1,12 @@
-//! Minimal JSON syntax checker for the bench binaries.
+//! Minimal JSON syntax checker for `compress_bench`.
 //!
-//! The bench binaries emit machine-read JSON lines (`BENCH_adapt.json`,
-//! `BENCH_fault.json`, `BENCH_compress.json`) built by hand with
-//! `format!`. A malformed line — a missing brace after an edit, a NaN
-//! formatted as `NaN` — would corrupt the accumulated history silently.
-//! Each binary validates its line with [`assert_valid`] *before*
-//! appending, so `scripts/check.sh` fails loudly instead. (No external JSON crate: the repo is dependency-free by
-//! policy; a strict recursive-descent recognizer is ~100 lines.)
+//! `compress_bench` emits a machine-read JSON line (`BENCH_compress.json`)
+//! built by hand with `format!`. A malformed line — a missing brace after
+//! an edit, a NaN formatted as `NaN` — would corrupt the accumulated
+//! history silently. The binary validates its line with [`assert_valid`]
+//! *before* appending, so `scripts/check.sh` fails loudly instead. (No
+//! external JSON crate: the repo is dependency-free by policy; a strict
+//! recursive-descent recognizer is ~100 lines.)
 
 /// Checks that `s` is exactly one valid JSON value (leading/trailing
 /// whitespace allowed).

@@ -42,7 +42,6 @@ mod m_star;
 mod one_index;
 pub mod paged;
 mod partition;
-mod partition_worklist;
 pub mod query;
 pub mod refine;
 pub mod session;
@@ -65,15 +64,14 @@ pub use partition::{
     bisim, bisim_stats, intersect_partitions, k_bisim, k_bisim_all, k_bisim_stats, l_bisim_down,
     l_bisim_down_stats, label_partition, naive, refine_once, refine_once_down, Partition,
 };
-pub use partition_worklist::bisim_worklist;
 pub use query::{answer, answer_budgeted, answer_paper, Answer, QueryScratch, TrustPolicy};
 pub use refine::{
     default_threads, host_parallelism, requested_threads, Direction, RefineStats, Refiner,
     SEQ_THRESHOLD,
 };
 pub use session::{
-    replay, replay_budgeted, replay_mstar, QuerySession, ReplayReport, Servable, SessionStats,
-    SharedAnswerCache, SharedCacheConfig, SharedCacheStats,
+    replay, replay_mstar, QuerySession, ReplayReport, Servable, SessionStats, SharedAnswerCache,
+    SharedCacheConfig, SharedCacheStats,
 };
 pub use snapshot::{
     CompressedMStar, ExtentStore, MStarSnapshot, PagedMStar, SnapshotIndex, SubnodeLinks,

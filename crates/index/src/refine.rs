@@ -92,8 +92,7 @@ pub fn default_threads() -> usize {
 }
 
 /// The raw `MRX_THREADS` request, if set to a positive integer — before the
-/// clamp applied by [`default_threads`]. Bench output records both so a
-/// regression from oversubscription is visible in the JSON history.
+/// clamp applied by [`default_threads`].
 pub fn requested_threads() -> Option<usize> {
     std::env::var("MRX_THREADS")
         .ok()

@@ -42,7 +42,7 @@
 )]
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use mrx_error::{MrxError, StoreError};
@@ -766,7 +766,7 @@ pub fn replay<T: Servable + Sync, G: GraphView + Sync>(
     policy: TrustPolicy,
     threads: usize,
 ) -> ReplayReport {
-    replay_impl(queries, threads, policy, None, |session, q| {
+    replay_impl(queries, threads, policy, |session, q| {
         session.serve(target, g, q).cost
     })
 }
@@ -780,91 +780,24 @@ pub fn replay_mstar(
     policy: TrustPolicy,
     threads: usize,
 ) -> ReplayReport {
-    replay_impl(queries, threads, policy, None, |session, q| {
+    replay_impl(queries, threads, policy, |session, q| {
         session.serve_mstar(idx, g, q, strategy).cost
     })
-}
-
-/// [`replay`] with every query governed by `budget`. A tripped query
-/// contributes its partial cost and is counted in
-/// [`SessionStats::budget_trips`]; the replay moves on to the next query. A
-/// worker that trips the *deadline* raises the shared cancellation flag so
-/// sibling workers stop cooperatively at their next poll instead of burning
-/// past a deadline that has already passed for everyone.
-pub fn replay_budgeted<T: Servable + Sync, G: GraphView + Sync>(
-    target: &T,
-    g: &G,
-    queries: &[PathExpr],
-    policy: TrustPolicy,
-    threads: usize,
-    budget: &QueryBudget,
-) -> ReplayReport {
-    let (budget, flag) = with_shared_cancel(budget);
-    let flag = &flag;
-    replay_impl(queries, threads, policy, Some(budget), move |session, q| {
-        cost_or_partial(session.try_serve(target, g, q).map(|a| a.cost), flag)
-    })
-}
-
-/// Clones `budget`, guaranteeing a cancellation flag all workers share.
-fn with_shared_cancel(budget: &QueryBudget) -> (QueryBudget, Arc<AtomicBool>) {
-    let mut budget = budget.clone();
-    let flag = budget
-        .cancel
-        .get_or_insert_with(|| Arc::new(AtomicBool::new(false)))
-        .clone();
-    (budget, flag)
-}
-
-/// Extracts the (partial) cost from a governed serve outcome; a deadline
-/// trip raises the shared flag so sibling workers cancel cooperatively.
-fn cost_or_partial(r: Result<Cost, MrxError>, flag: &Arc<AtomicBool>) -> Cost {
-    match r {
-        Ok(c) => c,
-        Err(e) => match e.as_budget() {
-            Some(b) => {
-                if b.kind == mrx_path::BudgetKind::Deadline {
-                    flag.store(true, Ordering::Relaxed);
-                }
-                Cost {
-                    index_nodes: b.index_nodes,
-                    data_nodes: b.data_nodes,
-                }
-            }
-            None => Cost::ZERO,
-        },
-    }
 }
 
 fn replay_impl<F>(
     queries: &[PathExpr],
     threads: usize,
     policy: TrustPolicy,
-    budget: Option<QueryBudget>,
     serve_one: F,
 ) -> ReplayReport
 where
     F: Fn(&mut QuerySession, &PathExpr) -> Cost + Sync,
 {
-    let cancel = budget.as_ref().and_then(|b| b.cancel.clone());
-    let make_session = || {
-        let mut s = QuerySession::new(policy);
-        if let Some(b) = &budget {
-            s.set_budget(b.clone());
-        }
-        s
-    };
     let run_part = |part: &[PathExpr]| {
-        let mut session = make_session();
+        let mut session = QuerySession::new(policy);
         let mut total = Cost::ZERO;
         for q in part {
-            // Cooperative cancellation between queries: a raised flag stops
-            // the remaining workload instead of tripping query by query.
-            if let Some(flag) = &cancel {
-                if flag.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
             total += serve_one(&mut session, q);
         }
         (total, session.stats)

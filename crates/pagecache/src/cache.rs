@@ -362,7 +362,7 @@ impl PageCache {
 
     /// Reads and verifies every page of the region straight from the
     /// source (bypassing the cache, so residency is unchanged). The
-    /// fault-injection harness uses this to prove a corrupt region cannot
+    /// fault-injection tests use this to prove a corrupt region cannot
     /// hide from the per-page table.
     pub fn verify_all(&self) -> Result<(), StoreError> {
         let mut buf = vec![0u8; self.page_size as usize];

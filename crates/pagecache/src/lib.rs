@@ -36,7 +36,7 @@
 //! poisons the cache instead of panicking. The serving layer's one fault
 //! probe takes the poison ([`PageCache::take_poison`]) after evaluating and
 //! returns the error in place of the answer — corruption is always caught before any answer is
-//! served, which the fault-injection harness proves seed by seed.
+//! served, which the store's fault-injection test proves seed by seed.
 
 mod arena;
 mod cache;

@@ -9,9 +9,9 @@ use std::os::unix::fs::FileExt;
 /// arbitrary offsets and need no interior mutability (positioned reads
 /// don't move a file cursor).
 ///
-/// The trait is public so the fault-injection harness can wrap a source
-/// and inject I/O errors, short reads, or stale bytes underneath a live
-/// cache.
+/// The trait is public because the store picks the source per snapshot:
+/// [`FileSource`] for a file on disk, [`BytesSource`] for an image in
+/// memory. No harness wraps it; fault tests corrupt the image bytes.
 pub trait PageSource: Send + Sync {
     /// Total readable length in bytes.
     fn len(&self) -> u64;

@@ -65,8 +65,9 @@
 //! ([`mrx_index::Servable::fault_cache`]) after evaluation and returns the
 //! typed error *instead of* the answer — [`PagedFile::query`] here, and
 //! [`mrx_index::QuerySession::try_serve`] over [`PagedFile::into_parts`].
-//! The fault harness (`fault_bench --paged`) sweeps seeded page corruptions
-//! to prove nothing escapes this net.
+//! The fault-injection test (`tests/fault_injection.rs`) sweeps seeded
+//! corruptions and flips bits across the paged region to prove nothing
+//! escapes this net.
 
 #![cfg_attr(
     not(test),
@@ -110,8 +111,8 @@ const HEADER_LEN_PAGED: u64 = 64;
 // ---------------------------------------------------------------------
 
 /// Serializes a paged (v7) snapshot into an in-memory image. Exposed so
-/// the fault harness and benches can corrupt or open images without a
-/// file; [`save_paged`] is the file-writing entry point.
+/// tests can corrupt or open images without a file; [`save_paged`] is the
+/// file-writing entry point.
 pub fn paged_image(
     g: &FrozenGraph,
     idx: &CompressedMStar,
@@ -369,8 +370,8 @@ impl PagedFile {
         )
     }
 
-    /// Opens a paged snapshot from an in-memory image — the fault-harness
-    /// and test entry point (no temp files per corruption seed).
+    /// Opens a paged snapshot from an in-memory image — the entry point for
+    /// tests and fault injection (no temp files per corruption seed).
     pub fn open_bytes(image: Vec<u8>, cache_bytes: u64) -> Result<Self, StoreError> {
         let file_len = image.len() as u64;
         let source = BytesSource(image.clone());

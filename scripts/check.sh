@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Repo-wide check gate: formatting, lints, rustdoc, source-pattern gates, the full
-# test suite (which includes the daemon chaos scenario), a servebench
-# build, and smoke runs of the three bench binaries whose gates live
-# nowhere else: adapt_bench (batched-vs-legacy speedup), fault_bench (fault
-# classification) and compress_bench (decode-tax ceilings). Everything runs
-# offline. Each binary validates its own JSON line and asserts its gates
+# test suite (which includes the daemon chaos scenario, the seeded snapshot
+# fault injection and the wire-protocol fuzz), a servebench build, and a
+# smoke run of compress_bench, the one remaining timing binary. It stays
+# because its smoke run asserts wall-clock decode-tax ceilings (packed vs
+# raw extents), and a wall-clock ratio has no deterministic test to live
+# in. The binary validates its own JSON line and asserts its gates
 # internally, so a panic or malformed line fails this script (set -e).
+# Everything runs offline.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -79,12 +81,6 @@ echo "==> servebench build (the end-to-end benchmark compiles against the servin
 # compiles it; it uses SharedAnswerCache, SharedCacheConfig and PageCache
 # directly, and an API break there would only surface when it runs.
 cargo build --release --offline --manifest-path servebench/Cargo.toml
-
-echo "==> adapt_bench smoke"
-cargo run -p mrx-bench --bin adapt_bench --release -- --smoke
-
-echo "==> fault_bench smoke (seeded fault injection)"
-cargo run -p mrx-bench --bin fault_bench --release -- --smoke
 
 echo "==> compress_bench smoke (decode-tax ceilings asserted in-binary)"
 # The smoke run asserts the loose decode-tax blowup ceilings itself

@@ -4,8 +4,8 @@
 //! `MStarIndex::refine_for`) applied sequentially — extents, `k` values and
 //! false-instance counts — over shuffled duplicated workloads, at one and
 //! two threads. Plus the steady-state guarantees: zero scratch allocations
-//! when re-adapting a converged batch, and a single observable mutation
-//! epoch per batch.
+//! when re-adapting a converged batch, no extra scratch work for repeated
+//! FUPs, and a single observable mutation epoch per batch.
 
 use mrx::datagen::Prng;
 use mrx::index::{
@@ -204,6 +204,58 @@ fn steady_state_adaptation_is_allocation_free() {
         engine.stats().scratch_allocs,
         warm_allocs,
         "converged M*(k) batch must not allocate scratch"
+    );
+}
+
+/// A batch that repeats every FUP three times plans each distinct FUP
+/// once: from a fresh index and a fresh engine it must leave bit-identical
+/// indexes and exactly the scratch counters of the batch without repeats.
+/// This pins the dedup that made batched adaptation beat the per-FUP loop.
+#[test]
+fn repeated_fups_cost_nothing_beyond_the_distinct_batch() {
+    let (_, g) = docs().remove(0);
+    let fups = shuffled_fups(&g, 1);
+    let counters = |e: &AdaptEngine| (e.stats().scratch_allocs, e.stats().scratch_reuses);
+
+    assert_repeats_are_free("M(k)", &fups, |batch| {
+        let (mut idx, mut engine) = (MkIndex::new(&g), AdaptEngine::with_threads(1));
+        idx.refine_batch(&g, batch, &mut engine);
+        let out = (idx.graph().export_extents(), idx.false_instance_breaks());
+        (out, counters(&engine))
+    });
+    assert_repeats_are_free("D(k)-promote", &fups, |batch| {
+        let (mut idx, mut engine) = (DkIndex::a0(&g), AdaptEngine::with_threads(1));
+        idx.promote_batch(&g, batch, &mut engine);
+        (idx.graph().export_extents(), counters(&engine))
+    });
+    assert_repeats_are_free("M*(k)", &fups, |batch| {
+        let (mut idx, mut engine) = (MStarIndex::new(&g), AdaptEngine::with_threads(1));
+        idx.refine_batch(&g, batch, &mut engine);
+        let extents: Vec<_> = (0..=idx.max_k())
+            .map(|i| idx.component(i).export_extents())
+            .collect();
+        ((extents, idx.false_instance_breaks()), counters(&engine))
+    });
+}
+
+/// Adapts `fups` once and with every FUP repeated three times, each on a
+/// fresh index and engine; `adapt` returns the index state and the
+/// engine's `(scratch_allocs, scratch_reuses)`.
+fn assert_repeats_are_free<I: PartialEq>(
+    family: &str,
+    fups: &[PathExpr],
+    adapt: impl Fn(&[PathExpr]) -> (I, (u64, u64)),
+) {
+    let tripled: Vec<PathExpr> = fups.iter().flat_map(|f| [f, f, f]).cloned().collect();
+    let (once, once_counters) = adapt(fups);
+    let (thrice, thrice_counters) = adapt(&tripled);
+    assert!(
+        thrice == once,
+        "{family}: repeating every FUP changed the index"
+    );
+    assert_eq!(
+        thrice_counters, once_counters,
+        "{family}: repeating every FUP changed (scratch_allocs, scratch_reuses)"
     );
 }
 

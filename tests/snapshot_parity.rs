@@ -9,7 +9,8 @@
 //! does — v5 through the validated loader, v7 through a [`PagedFile`] with
 //! tiny pages and a budget far below the paged region, so queries cross
 //! page seams and churn the clock mid-evaluation. The table is datasets ×
-//! layouts × trust policies × cold/warm sessions — the datasets are XMark,
+//! layouts × trust policies × cold/warm/budgeted sessions (a budget so
+//! generous the meter runs but never trips) — the datasets are XMark,
 //! NASA, and a random graph with multiple parents and IDREF cycles, whose
 //! index nodes have the most tangled subnode links; every answer and
 //! [`Cost`] must equal the live [`MStarIndex`]'s top-down evaluation, and
@@ -24,7 +25,7 @@ use mrx::index::{
     replay, replay_mstar, AkIndex, DkIndex, EvalStrategy, IndexGraph, IndexView, MStarSnapshot,
     MkIndex, OneIndex, QueryScratch, QuerySession,
 };
-use mrx::path::{eval_data, PathExpr};
+use mrx::path::{eval_data, PathExpr, QueryBudget};
 use mrx::prelude::{nasa_like, xmark_like, Cost, DataGraph, MStarIndex, TrustPolicy, XmarkConfig};
 use mrx::store::{
     open_validated, save_compressed, save_paged_with, snapshot_version, PagedFile, SnapshotPayload,
@@ -105,9 +106,18 @@ fn check<I: IndexView, G: GraphView>(
     queries: &[PathExpr],
 ) {
     assert_eq!(star.mutation_epoch(), idx.mutation_epoch(), "{ctx}: epoch");
+    // Limits no query reaches: the meter runs on every evaluation and
+    // never trips, so it must change neither answers nor `Cost`.
+    let generous = QueryBudget {
+        max_steps: Some(u64::MAX / 2),
+        max_result_nodes: Some(u64::MAX / 2),
+        ..QueryBudget::unlimited()
+    };
     for policy in POLICIES {
         let mut session = QuerySession::new(policy);
         let mut live_session = QuerySession::new(policy);
+        let mut metered = QuerySession::new(policy);
+        metered.set_budget(generous.clone());
         for round in ["cold", "warm"] {
             for q in queries {
                 let ctx = format!("{ctx}/{policy:?}/{round} on {q}");
@@ -127,6 +137,9 @@ fn check<I: IndexView, G: GraphView>(
                 let warm = session.serve(star, sg, q);
                 assert_eq!(warm.nodes, live.nodes, "{ctx}: session answer");
                 assert_eq!(warm.cost, live.cost, "{ctx}: session cost");
+                let governed = metered.try_serve(star, sg, q).unwrap();
+                assert_eq!(governed.nodes, warm.nodes, "{ctx}: budgeted answer");
+                assert_eq!(governed.cost, warm.cost, "{ctx}: budgeted cost");
                 live_session.serve_mstar(idx, g, q, EvalStrategy::TopDown);
             }
         }
@@ -134,6 +147,11 @@ fn check<I: IndexView, G: GraphView>(
             session.stats(),
             live_session.stats(),
             "{ctx}/{policy:?}: cache behaviour diverged"
+        );
+        assert_eq!(
+            metered.stats(),
+            session.stats(),
+            "{ctx}/{policy:?}: budgeted"
         );
         assert!(session.stats().hits >= queries.len() as u64, "{ctx}");
     }
