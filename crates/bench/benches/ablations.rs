@@ -5,7 +5,8 @@
 //!    pre-filtering vs bottom-up vs hybrid, per query length. The paper
 //!    predicts top-down wins and bottom-up pays for its downward re-checks.
 //! 2. **The price of soundness**: average rerun cost under the paper's
-//!    claimed-k trust policy vs this library's sound proven-k policy.
+//!    claimed-k trust policy vs this library's sound proven-k policy, and
+//!    the sound cost once `AdaptEngine` certifies exact similarities.
 //! 3. **FUP threshold**: refining for every query vs only for expressions
 //!    seen ≥ t times (index size and average streaming cost).
 //! 4. **Reference density**: how ID/IDREF entanglement inflates each index
@@ -17,8 +18,8 @@ use mrx_bench::{Dataset, Scale};
 use mrx_datagen::nasa_like_with_density;
 use mrx_graph::DataGraph;
 use mrx_index::{
-    default_threads, replay, replay_mstar, AkIndex, DkIndex, EvalStrategy, MStarIndex, MkIndex,
-    TrustPolicy,
+    default_threads, replay, replay_mstar, AdaptEngine, AkIndex, DkIndex, EvalStrategy, MStarIndex,
+    MkIndex, TrustPolicy,
 };
 use mrx_path::PathExpr;
 use mrx_workload::{FupExtractor, Workload, WorkloadConfig};
@@ -97,47 +98,65 @@ fn strategy_ablation(scale: Scale) {
     }
 }
 
-/// Ablation 2: the price of soundness.
+/// Ablation 2: the price of soundness, and what exact-similarity
+/// certificates win back. The certified M*(k) is adapted through
+/// [`AdaptEngine`]; its extents are bit-identical to the `refine_for`
+/// build's, so only the sound cost can move.
 fn soundness_ablation(scale: Scale) {
     println!("# Ablation 2: claimed-k (paper) vs proven-k (sound) rerun cost");
     println!(
-        "{:<8} {:<8} {:>14} {:>14} {:>10}",
-        "dataset", "index", "paper avg", "sound avg", "overhead"
+        "{:<8} {:<8} {:>14} {:>14} {:>10} {:>15}",
+        "dataset", "index", "paper avg", "sound avg", "overhead", "certified avg"
     );
     for ds in [Dataset::XMark, Dataset::Nasa] {
         let g = ds.load(scale);
         let w = workload(&g, 9, scale.num_queries());
         let mut mk = MkIndex::new(&g);
-        let mut mstar = MStarIndex::new(&g);
         for q in &w.queries {
             mk.refine_for(&g, q);
-            mstar.refine_for(&g, q);
         }
+        let mstar = refined_mstar(&g, &w);
+        let mut certified = MStarIndex::new(&g);
+        AdaptEngine::new().adapt_mstar(&g, &mut certified, &w.queries);
         // Reruns go through the parallel session replay (the indexes are
         // read-only here); totals are thread-count-independent.
         let n = w.queries.len() as f64;
         let threads = default_threads();
         let strat = EvalStrategy::TopDown;
-        let mk_paper = replay(mk.graph(), &g, &w.queries, TrustPolicy::Claimed, threads)
-            .total
-            .total();
-        let mk_sound = replay(mk.graph(), &g, &w.queries, TrustPolicy::Proven, threads)
-            .total
-            .total();
-        let ms_paper = replay_mstar(&mstar, &g, &w.queries, strat, TrustPolicy::Claimed, threads)
-            .total
-            .total();
-        let ms_sound = replay_mstar(&mstar, &g, &w.queries, strat, TrustPolicy::Proven, threads)
-            .total
-            .total();
-        for (name, paper, sound) in [("M(k)", mk_paper, mk_sound), ("M*(k)", ms_paper, ms_sound)] {
+        let avg = |total: u64| total as f64 / n;
+        let mk_run = |policy| {
+            replay(mk.graph(), &g, &w.queries, policy, threads)
+                .total
+                .total()
+        };
+        let ms_run = |idx: &MStarIndex, policy| {
+            replay_mstar(idx, &g, &w.queries, strat, policy, threads)
+                .total
+                .total()
+        };
+        let rows = [
+            (
+                "M(k)",
+                mk_run(TrustPolicy::Claimed),
+                mk_run(TrustPolicy::Proven),
+                None,
+            ),
+            (
+                "M*(k)",
+                ms_run(&mstar, TrustPolicy::Claimed),
+                ms_run(&mstar, TrustPolicy::Proven),
+                Some(ms_run(&certified, TrustPolicy::Proven)),
+            ),
+        ];
+        for (name, paper, sound, cert) in rows {
             println!(
-                "{:<8} {:<8} {:>14.1} {:>14.1} {:>9.1}%",
+                "{:<8} {:<8} {:>14.1} {:>14.1} {:>9.1}% {:>15}",
                 ds.name(),
                 name,
-                paper as f64 / n,
-                sound as f64 / n,
-                (sound as f64 / paper as f64 - 1.0) * 100.0
+                avg(paper),
+                avg(sound),
+                (sound as f64 / paper as f64 - 1.0) * 100.0,
+                cert.map_or("-".to_string(), |c| format!("{:.1}", avg(c)))
             );
         }
     }

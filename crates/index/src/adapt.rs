@@ -45,15 +45,26 @@
 //! Truth sets are shared across duplicates and computed in parallel with
 //! `std::thread::scope` when more than one effective thread is configured.
 //!
+//! **Exact similarity.** After each M*(k) batch the engine raises every
+//! node of every component to its exact similarity, the largest `j ≤ K`
+//! (`K` the hierarchy's `max_k`) such that the node's extent lies in one
+//! `≈j` block ([`MStarIndex::certify_exact`]). The sound query policy
+//! trusts only these proven values, so a certified node skips full-extent
+//! validation wherever the index really is precise. The engine holds the
+//! `≈0 ..= ≈K` partitions of its graph: they are built once, on one
+//! thread beside the sequential job loop, and extended only when `K`
+//! grows, so a long-lived engine pays for them once.
+//!
 //! An engine is tied to the [`DataGraph`] it first plans against (compiled
-//! paths and truth sets are graph-specific); use one engine per document.
+//! paths, truth sets and partitions are graph-specific); use one engine per
+//! document.
 
 use mrx_graph::{DataGraph, NodeId};
 use mrx_path::{CompiledPath, Cost, EpochSet, EvalScratch, PathExpr};
 
 use crate::graph::IndexEvalScratch;
-use crate::refine::{default_threads, RefineStats};
-use crate::{DkIndex, IdxId, IndexGraph, MStarIndex, MkIndex};
+use crate::refine::{default_threads, Direction, RefineStats, Refiner};
+use crate::{label_partition, DkIndex, IdxId, IndexGraph, MStarIndex, MkIndex, Partition};
 
 /// One planned unit of adaptation work: a distinct FUP of the batch.
 struct Job {
@@ -166,6 +177,9 @@ pub struct AdaptEngine {
     stats: RefineStats,
     plan: Option<Plan>,
     scratch: AdaptScratch,
+    /// `≈0 ..= ≈K` of the engine's data graph (index `j` holds `≈j`), for
+    /// the exact-similarity certificate; extended only when K grows.
+    similarity: Vec<Partition>,
 }
 
 impl Default for AdaptEngine {
@@ -192,6 +206,7 @@ impl AdaptEngine {
             },
             plan: None,
             scratch: AdaptScratch::default(),
+            similarity: Vec::new(),
         }
     }
 
@@ -260,11 +275,11 @@ impl AdaptEngine {
     }
 
     /// Batched M*(k) adaptation: equivalent to `refine_for` on every batch
-    /// element in order, bit-identically. Dirty jobs run through the
-    /// mark-based REFINE* mirror (which keeps the legacy on-demand growth
-    /// schedule — see module docs), with dedup, shared truths, convergence
-    /// skipping and a single observable epoch bump per pre-existing
-    /// component.
+    /// element in order followed by [`MStarIndex::certify_exact`],
+    /// bit-identically. Dirty jobs run through the mark-based REFINE*
+    /// mirror (which keeps the legacy on-demand growth schedule — see
+    /// module docs), with dedup, shared truths, convergence skipping and a
+    /// single observable epoch bump per pre-existing component.
     pub fn adapt_mstar(&mut self, g: &DataGraph, idx: &mut MStarIndex, batch: &[PathExpr]) {
         self.prepare_plan(g, batch, true);
         let plan = self.plan.take().expect("plan prepared above");
@@ -273,6 +288,33 @@ impl AdaptEngine {
             .iter()
             .map(IndexGraph::epoch_snapshot)
             .collect();
+        // REFINE* never skips a job the hierarchy is too short for, so the
+        // batch ends at exactly this height. Partitions it lacks are built
+        // on one thread beside the sequential job loop.
+        let height = plan
+            .jobs
+            .iter()
+            .map(|j| j.len as usize)
+            .fold(idx.max_k(), usize::max);
+        let mut parts = std::mem::take(&mut self.similarity);
+        std::thread::scope(|s| {
+            if height > 0 && !covers(&parts, g, height) {
+                s.spawn(|| extend_partitions(g, &mut parts, height));
+            }
+            self.run_mstar_jobs(g, idx, &plan);
+        });
+        debug_assert_eq!(idx.max_k(), height);
+        idx.certify_exact(&parts);
+        self.similarity = parts;
+        for (comp, &e0) in idx.components.iter_mut().zip(&snapshots) {
+            comp.collapse_epoch(e0);
+        }
+        self.plan = Some(plan);
+    }
+
+    /// The M*(k) job loop: skips converged jobs, runs the rest through
+    /// [`MStarCore`].
+    fn run_mstar_jobs(&mut self, g: &DataGraph, idx: &mut MStarIndex, plan: &Plan) {
         for job in &plan.jobs {
             if job.len == 0 {
                 continue;
@@ -300,10 +342,6 @@ impl AdaptEngine {
             }
             .refine(job);
         }
-        for (comp, &e0) in idx.components.iter_mut().zip(&snapshots) {
-            comp.collapse_epoch(e0);
-        }
-        self.plan = Some(plan);
     }
 
     /// Builds or reuses the worklist for `batch`.
@@ -364,6 +402,27 @@ impl AdaptEngine {
                 });
             }
         });
+    }
+}
+
+/// Whether `parts` holds `≈0 ..= ≈k` of `g`.
+fn covers(parts: &[Partition], g: &DataGraph, k: usize) -> bool {
+    parts.len() > k && parts[0].block_of.len() == g.node_count()
+}
+
+/// Extends `parts` to `≈0 ..= ≈k` of `g` with a one-thread [`Refiner`],
+/// continuing from the finest partition already held (a set built over
+/// another graph is dropped first).
+fn extend_partitions(g: &DataGraph, parts: &mut Vec<Partition>, k: usize) {
+    if !covers(parts, g, 0) {
+        parts.clear();
+    }
+    let start = parts.pop().unwrap_or_else(|| label_partition(g));
+    let mut r = Refiner::from_partition(g, Direction::Up, start.clone(), 1);
+    parts.push(start);
+    while parts.len() <= k {
+        r.step();
+        parts.push(r.partition().clone());
     }
 }
 

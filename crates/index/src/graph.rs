@@ -16,6 +16,8 @@ use mrx_graph::{DataGraph, LabelId, NodeId};
 use mrx_path::{CompiledPath, Cost, EpochSet};
 use mrx_postings::SliceSeeker;
 
+use crate::Partition;
+
 /// Reusable buffers for [`IndexGraph::eval_in`]: the per-step
 /// duplicate-suppression set plus the two frontier vectors swapped between
 /// steps. Grows to the index size on first use, then allocation-free.
@@ -69,9 +71,11 @@ struct Slot {
     k: u32,
     /// The *proven* local similarity: a sound lower bound on the k for
     /// which all extent members are k-bisimilar, established by one of
-    /// four certificates — partition construction, subset inheritance,
-    /// the parent-uniformity rule of [`IndexGraph::replace_node`], or an
-    /// explicit caller floor ([`IndexGraph::raise_genuine`]).
+    /// five certificates — partition construction, subset inheritance,
+    /// the parent-uniformity rule of [`IndexGraph::replace_node`], an
+    /// explicit caller floor ([`IndexGraph::raise_genuine`]), or the exact
+    /// similarity against ground-truth partitions
+    /// ([`IndexGraph::certify_exact`]).
     genuine: u32,
     extent: Vec<NodeId>,  // sorted
     parents: Vec<IdxId>,  // sorted, deduped
@@ -267,6 +271,58 @@ impl IndexGraph {
             self.epoch += 1;
             self.recheck_p3_around(v);
         }
+    }
+
+    /// The exact-similarity certificate: raises every node's proven
+    /// similarity to the largest `j ≤ K = parts.len() − 1` such that its
+    /// extent lies in one block of `parts[j]`, which must be the `≈j`
+    /// partition of this index's data graph (index `j` holds `≈j`, as
+    /// [`crate::k_bisim_all`] returns them). A node's `genuine` never
+    /// drops. `≈(j+1)` refines `≈j`, so each extent member can only lower
+    /// the level it shares with the first one: one pass over the extent
+    /// plus at most `K` level steps per node, and no allocation. Returns
+    /// whether any node rose; the epoch bumps once if so, and the sticky
+    /// Lemma 2 flag is re-checked over every edge.
+    pub fn certify_exact(&mut self, parts: &[Partition]) -> bool {
+        let Some(cap) = parts.len().checked_sub(1) else {
+            return false;
+        };
+        debug_assert!(parts
+            .iter()
+            .all(|p| p.block_of.len() == self.node_of_data.len()));
+        let cap = cap as u32;
+        let mut raised = false;
+        for slot in self.slots.iter_mut() {
+            if !slot.alive || slot.genuine >= cap {
+                continue;
+            }
+            let first = slot.extent[0].index();
+            let mut j = cap;
+            for o in &slot.extent[1..] {
+                while j > slot.genuine
+                    && parts[j as usize].block_of[o.index()] != parts[j as usize].block_of[first]
+                {
+                    j -= 1;
+                }
+                if j == slot.genuine {
+                    break;
+                }
+            }
+            if j > slot.genuine {
+                slot.genuine = j;
+                raised = true;
+            }
+        }
+        if raised {
+            self.epoch += 1;
+            let slots = &self.slots;
+            self.genuine_p3 &= slots.iter().filter(|s| s.alive).all(|s| {
+                s.parents
+                    .iter()
+                    .all(|u| slots[u.index()].genuine.saturating_add(1) >= s.genuine)
+            });
+        }
+        raised
     }
 
     /// The current mutation generation. Strictly increases whenever a
@@ -998,6 +1054,36 @@ mod tests {
         let cn: Vec<IdxId> = ig.nodes_with_label(c).collect();
         ig.raise_genuine(cn[0], 10);
         assert!(!ig.lemma2_safe(), "gap parent.genuine + 1 < child.genuine");
+    }
+
+    #[test]
+    fn exact_certificate_raises_to_the_true_similarity_once() {
+        // The two y nodes differ in their parents' labels, so their A(0)
+        // node is exactly 0-bisimilar; every singleton is exact up to K.
+        let mut b = GraphBuilder::new();
+        let r = b.add_node("r");
+        let x = b.add_child(r, "x");
+        let z = b.add_child(r, "z");
+        let y1 = b.add_child(x, "y");
+        let y2 = b.add_child(z, "y");
+        let w = b.add_child(y1, "w");
+        b.add_ref(y2, w);
+        let g = b.freeze();
+        let mut ig = IndexGraph::a0(&g);
+        let parts = crate::k_bisim_all(&g, 2);
+        let e0 = ig.mutation_epoch();
+        assert!(ig.certify_exact(&parts));
+        assert_eq!(ig.mutation_epoch(), e0 + 1, "one bump for the pass");
+        assert_eq!(ig.genuine(ig.node_of(y2)), 0);
+        for o in [r, x, z, w] {
+            assert_eq!(ig.genuine(ig.node_of(o)), 2, "{o:?} is capped at K");
+        }
+        assert!(
+            !ig.lemma2_safe(),
+            "w (2) sits more than one above its parent y (0)"
+        );
+        assert!(!ig.certify_exact(&parts), "a second pass raises nothing");
+        assert_eq!(ig.mutation_epoch(), e0 + 1);
     }
 
     #[test]

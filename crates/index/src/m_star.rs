@@ -23,7 +23,7 @@ use mrx_path::{never_fails, CompiledPath, Cost, PathExpr, Ungoverned};
 
 use crate::graph::{difference_sorted, intersect_sorted, pred_extent, succ_extent};
 use crate::snapshot::top_down_governed;
-use crate::{query, Answer, IdxId, IndexGraph, QueryScratch, TrustPolicy};
+use crate::{query, Answer, IdxId, IndexGraph, Partition, QueryScratch, TrustPolicy};
 
 /// Evaluation strategy for path expressions on an M*(k)-index (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +103,18 @@ impl MStarIndex {
             .map(IndexGraph::mutation_epoch)
             .sum::<u64>()
             + self.components.len() as u64
+    }
+
+    /// Raises every node of every component to its exact similarity, capped
+    /// at [`max_k`](Self::max_k) (see [`IndexGraph::certify_exact`]).
+    /// `parts[j]` must be the `≈j` partition of this index's data graph;
+    /// levels beyond `max_k` are ignored. [`crate::AdaptEngine::adapt_mstar`]
+    /// runs this after every batch.
+    pub fn certify_exact(&mut self, parts: &[Partition]) {
+        let parts = &parts[..parts.len().min(self.max_k() + 1)];
+        for comp in &mut self.components {
+            comp.certify_exact(parts);
+        }
     }
 
     /// The supernode in `I(i-1)` of node `v` in `Ii`.

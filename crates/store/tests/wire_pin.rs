@@ -1,7 +1,9 @@
 //! Pins the v5 and v7 wire formats: the byte length and FNV-64 digest of
 //! both images for a small seeded XMark corpus. A change to either writer
 //! that moves a single byte fails here, so `snapshot_mb` in the benchmark
-//! and every snapshot already on disk stay what they were.
+//! and every snapshot already on disk stay what they were. The index is
+//! adapted through `AdaptEngine`, so the digests also pin its certified
+//! `genuine` values; the byte lengths do not depend on them.
 
 use mrx_datagen::{xmark_like, XmarkConfig};
 use mrx_graph::FrozenGraph;
@@ -34,12 +36,12 @@ fn v5_and_v7_images_are_pinned() {
     let v7 = paged_image(&fg, &cz, 4096).unwrap();
     assert_eq!(
         (v5.len(), fnv64(&v5)),
-        (104_215, 0xe634_a07f_88bb_261d),
+        (104_215, 0xf038_084c_81ea_2aa8),
         "v5 image moved"
     );
     assert_eq!(
         (v7.len(), fnv64(&v7)),
-        (108_425, 0x1cbe_d756_5576_d21e),
+        (108_425, 0x8d24_2e13_aff0_492c),
         "v7 image moved"
     );
 }

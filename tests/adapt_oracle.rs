@@ -3,13 +3,15 @@
 //! recursive operators (`MkIndex::refine_for`, `DkIndex::promote_for`,
 //! `MStarIndex::refine_for`) applied sequentially — extents, `k` values and
 //! false-instance counts — over shuffled duplicated workloads, at one and
-//! two threads. Plus the steady-state guarantees: zero scratch allocations
-//! when re-adapting a converged batch, no extra scratch work for repeated
-//! FUPs, and a single observable mutation epoch per batch.
+//! two threads. M*(k) oracles get the engine's exact-similarity pass
+//! (`MStarIndex::certify_exact`) after each batch, so `genuine` matches
+//! too. Plus the steady-state guarantees: zero scratch allocations when
+//! re-adapting a converged batch, no extra scratch work for repeated FUPs,
+//! and a single observable mutation epoch per batch.
 
 use mrx::datagen::Prng;
 use mrx::index::{
-    AdaptEngine, DkIndex, EvalStrategy, MStarIndex, MkIndex, QuerySession, TrustPolicy,
+    k_bisim_all, AdaptEngine, DkIndex, EvalStrategy, MStarIndex, MkIndex, QuerySession, TrustPolicy,
 };
 use mrx::path::PathExpr;
 use mrx::prelude::{nasa_like, xmark_like, DataGraph, XmarkConfig};
@@ -108,6 +110,7 @@ fn batched_mstar_matches_sequential_refine_for() {
             for f in &fups {
                 oracle.refine_for(&g, f);
             }
+            certify(&g, &mut oracle);
             for threads in [1usize, 2] {
                 let mut idx = MStarIndex::new(&g);
                 let mut engine = AdaptEngine::with_threads(threads);
@@ -135,9 +138,16 @@ fn batched_mstar_matches_sequential_refine_for() {
     }
 }
 
+/// The engine's exact-similarity pass, applied to a `refine_for` oracle.
+fn certify(g: &DataGraph, idx: &mut MStarIndex) {
+    idx.certify_exact(&k_bisim_all(g, idx.max_k() as u32));
+}
+
 /// Interleaved batches across families must stay bit-identical too: the
 /// engine's plan cache is rebuilt when the batch changes, and convergence
-/// skipping must not skip work a prefix batch left undone.
+/// skipping must not skip work a prefix batch left undone. For M*(k) the
+/// first half's certified `genuine` values feed the second half, so this
+/// also pins that a certified index adapts on exactly as the oracle does.
 #[test]
 fn engine_survives_changing_batches() {
     let (_, g) = docs().remove(0);
@@ -158,6 +168,27 @@ fn engine_survives_changing_batches() {
         oracle.graph().export_extents()
     );
     assert_eq!(idx.false_instance_breaks(), oracle.false_instance_breaks());
+
+    let mut oracle = MStarIndex::new(&g);
+    let mut idx = MStarIndex::new(&g);
+    let mut engine = AdaptEngine::with_threads(1);
+    for (half, batch) in [("first", first), ("second", second)] {
+        for f in batch {
+            oracle.refine_for(&g, f);
+        }
+        certify(&g, &mut oracle);
+        idx.refine_batch(&g, batch, &mut engine);
+        idx.check_invariants(&g);
+        assert_eq!(idx.max_k(), oracle.max_k(), "after the {half} half");
+        for i in 0..=idx.max_k() {
+            assert_eq!(
+                idx.component(i).export_extents(),
+                oracle.component(i).export_extents(),
+                "component {i} after the {half} half"
+            );
+        }
+        assert_eq!(idx.false_instance_breaks(), oracle.false_instance_breaks());
+    }
 }
 
 /// Re-adapting an already-converged batch must be allocation-free: every

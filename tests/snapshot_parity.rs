@@ -15,6 +15,15 @@
 //! index nodes have the most tangled subnode links; every answer and
 //! [`Cost`] must equal the live [`MStarIndex`]'s top-down evaluation, and
 //! every sound answer must equal naive evaluation on the data graph.
+//!
+//! M\*(k) is adapted through [`AdaptEngine`], so every index here carries
+//! the engine's exact-similarity certificates: one test checks them node
+//! by node against independently computed naive partitions, and the
+//! parity test checks that they never raise a query's sound `Cost` above
+//! the uncertified `refine_for` build's. A failing comparison is shrunk to
+//! a minimal graph and workload before it panics (`shrink`).
+
+mod shrink;
 
 use std::path::PathBuf;
 
@@ -22,8 +31,8 @@ use mrx::datagen::{random_graph, RandomGraphConfig};
 use mrx::graph::{FrozenGraph, GraphView};
 use mrx::index::query::answer_compiled;
 use mrx::index::{
-    replay, replay_mstar, AkIndex, DkIndex, EvalStrategy, IndexGraph, IndexView, MStarSnapshot,
-    MkIndex, OneIndex, QueryScratch, QuerySession,
+    naive, replay, replay_mstar, AdaptEngine, AkIndex, DkIndex, EvalStrategy, IndexGraph,
+    IndexView, MStarSnapshot, MkIndex, OneIndex, Partition, QueryScratch, QuerySession,
 };
 use mrx::path::{eval_data, PathExpr, QueryBudget};
 use mrx::prelude::{nasa_like, xmark_like, Cost, DataGraph, MStarIndex, TrustPolicy, XmarkConfig};
@@ -80,9 +89,17 @@ fn workload(g: &DataGraph) -> Workload {
     )
 }
 
-fn adapted(g: &DataGraph, w: &Workload) -> MStarIndex {
+/// M\*(k) adapted to `queries` through the engine, certified.
+fn adapted(g: &DataGraph, queries: &[PathExpr]) -> MStarIndex {
     let mut idx = MStarIndex::new(g);
-    for q in &w.queries {
+    AdaptEngine::with_threads(1).adapt_mstar(g, &mut idx, queries);
+    idx
+}
+
+/// The same index built by per-FUP `refine_for`, without certification.
+fn uncertified(g: &DataGraph, queries: &[PathExpr]) -> MStarIndex {
+    let mut idx = MStarIndex::new(g);
+    for q in queries {
         idx.refine_for(g, q);
     }
     idx
@@ -159,41 +176,101 @@ fn check<I: IndexView, G: GraphView>(
 
 #[test]
 fn snapshots_match_live_top_down_and_the_naive_oracle() {
+    let mut fell = Vec::new();
     for (ds, g) in docs() {
         let w = workload(&g);
-        let idx = adapted(&g, &w);
-        let fg = FrozenGraph::freeze(&g);
-        let cz = idx.freeze_compressed();
-        for layout in LAYOUTS {
-            let ctx = format!("{ds}/{layout:?}");
-            let path = snapshot_path(&format!("{ds}-{layout:?}"));
-            match layout {
-                Layout::Compressed => {
-                    save_compressed(&path, &fg, &cz).unwrap();
-                    assert_eq!(snapshot_version(&path).unwrap(), 5, "{ctx}");
-                    let v = open_validated(&path, true, None).unwrap();
-                    let SnapshotPayload::Compressed(sg, star) = v.payload else {
-                        panic!("{ctx}: a v5 file must load compressed");
-                    };
-                    assert_eq!(sg, fg, "{ctx}: graph round trip");
-                    assert_eq!(star, cz, "{ctx}: index round trip");
-                    check(&ctx, &star, &sg, &idx, &g, &w.queries);
-                }
-                Layout::Paged => {
-                    save_paged_with(&path, &fg, &cz, PAGE).unwrap();
-                    assert_eq!(snapshot_version(&path).unwrap(), 7, "{ctx}");
-                    let file = PagedFile::open_with(&path, CACHE).unwrap();
-                    let (sg, star, cache) = file.into_parts().unwrap();
-                    check(&ctx, &star, &sg, &idx, &g, &w.queries);
-                    assert!(cache.take_poison().is_none(), "{ctx}: clean file poisoned");
-                    let s = cache.stats();
-                    assert!(s.faults > 0, "{ctx}: paged serving must fault");
-                    assert!(s.evictions > 0, "{ctx}: the budget must force eviction");
-                    assert_eq!(s.checksum_failures, 0, "{ctx}");
+        let (certified, plain) =
+            shrink::check_or_shrink(ds, &g, &w.queries, |g, qs| parity_case(ds, g, qs));
+        if certified < plain {
+            fell.push(ds);
+        }
+    }
+    assert!(
+        !fell.is_empty(),
+        "exact certificates lowered the sound Cost on no dataset"
+    );
+}
+
+/// One dataset of the parity table: both layouts against the live index
+/// and the naive oracle, and every query's sound top-down `Cost` against
+/// the uncertified build's. Returns the two `Cost` sums.
+fn parity_case(ds: &str, g: &DataGraph, queries: &[PathExpr]) -> (u64, u64) {
+    let idx = adapted(g, queries);
+    let fg = FrozenGraph::freeze(g);
+    let cz = idx.freeze_compressed();
+    for layout in LAYOUTS {
+        let ctx = format!("{ds}/{layout:?}");
+        let path = snapshot_path(&format!("{ds}-{layout:?}"));
+        match layout {
+            Layout::Compressed => {
+                save_compressed(&path, &fg, &cz).unwrap();
+                assert_eq!(snapshot_version(&path).unwrap(), 5, "{ctx}");
+                let v = open_validated(&path, true, None).unwrap();
+                let SnapshotPayload::Compressed(sg, star) = v.payload else {
+                    panic!("{ctx}: a v5 file must load compressed");
+                };
+                assert_eq!(sg, fg, "{ctx}: graph round trip");
+                assert_eq!(star, cz, "{ctx}: index round trip");
+                check(&ctx, &star, &sg, &idx, g, queries);
+            }
+            Layout::Paged => {
+                save_paged_with(&path, &fg, &cz, PAGE).unwrap();
+                assert_eq!(snapshot_version(&path).unwrap(), 7, "{ctx}");
+                let file = PagedFile::open_with(&path, CACHE).unwrap();
+                let (sg, star, cache) = file.into_parts().unwrap();
+                check(&ctx, &star, &sg, &idx, g, queries);
+                assert!(cache.take_poison().is_none(), "{ctx}: clean file poisoned");
+                let s = cache.stats();
+                assert!(s.faults > 0, "{ctx}: paged serving must fault");
+                assert!(s.evictions > 0, "{ctx}: the budget must force eviction");
+                assert_eq!(s.checksum_failures, 0, "{ctx}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+    let plain = uncertified(g, queries);
+    let (mut certified_sum, mut plain_sum) = (0, 0);
+    for q in queries {
+        let ctx = format!("{ds} on {q}");
+        let a = idx.query(g, q, EvalStrategy::TopDown).cost;
+        let b = plain.query(g, q, EvalStrategy::TopDown).cost;
+        assert_eq!(a.index_nodes, b.index_nodes, "{ctx}: index visits");
+        assert!(a.total() <= b.total(), "{ctx}: certified cost rose");
+        certified_sum += a.total();
+        plain_sum += b.total();
+    }
+    (certified_sum, plain_sum)
+}
+
+/// After adaptation every node of every component carries its exact
+/// similarity, capped at `K = max_k`: `min(genuine, K)` equals the largest
+/// `j ≤ K` whose naive `≈j` partition holds the node's extent in one
+/// block, computed here independently of the engine's partitions.
+#[test]
+fn adaptation_certifies_the_exact_similarity() {
+    for (ds, g) in docs() {
+        let w = workload(&g);
+        shrink::check_or_shrink(ds, &g, &w.queries, |g, qs| {
+            let idx = adapted(g, qs);
+            let k = idx.max_k();
+            let parts: Vec<Partition> = (0..=k).map(|j| naive::k_bisim(g, j as u32)).collect();
+            for i in 0..=k {
+                let comp = idx.component(i);
+                for v in comp.iter() {
+                    let ext = comp.extent(v);
+                    let exact = (0..=k)
+                        .rev()
+                        .find(|&j| ext.iter().all(|&o| parts[j].same_block(o, ext[0])))
+                        .unwrap_or(0);
+                    assert_eq!(
+                        (comp.genuine(v) as usize).min(k),
+                        exact,
+                        "{ds}: I{i} node {v:?} of {} members: similarity",
+                        ext.len()
+                    );
                 }
             }
-            std::fs::remove_file(&path).ok();
-        }
+        });
     }
 }
 
@@ -203,7 +280,7 @@ fn snapshots_match_live_top_down_and_the_naive_oracle() {
 fn lazy_prefix_loading_matches_the_full_hierarchy() {
     let (_, g) = docs().remove(1);
     let w = workload(&g);
-    let idx = adapted(&g, &w);
+    let idx = adapted(&g, &w.queries);
     let fg = FrozenGraph::freeze(&g);
     let cz = idx.freeze_compressed();
     let (p5, p7) = (snapshot_path("prefix-v5"), snapshot_path("prefix-v7"));
@@ -278,7 +355,7 @@ fn sessions_match_legacy_answers_on_all_single_graph_families() {
 fn sessions_match_legacy_answers_on_mstar() {
     for (ds, g) in docs() {
         let w = workload(&g);
-        let mstar = adapted(&g, &w);
+        let mstar = adapted(&g, &w.queries);
         for policy in POLICIES {
             let mut session = QuerySession::new(policy);
             for round in ["cold", "warm"] {
@@ -367,7 +444,7 @@ fn mk_fup_splitting_a_target_node_evicts_the_cached_answer() {
 fn replay_totals_are_thread_count_invariant() {
     for (ds, g) in docs() {
         let w = workload(&g);
-        let (ak, mstar) = (AkIndex::build(&g, 2), adapted(&g, &w));
+        let (ak, mstar) = (AkIndex::build(&g, 2), adapted(&g, &w.queries));
         for policy in POLICIES {
             let sum = |f: &dyn Fn(&PathExpr) -> Cost| w.queries.iter().map(f).sum::<Cost>();
             let legacy = sum(&|q| answer_compiled(ak.graph(), &g, &q.compile(&g), policy).cost);
