@@ -18,9 +18,7 @@
 pub mod datasets;
 pub mod experiment;
 pub mod figures;
-pub mod json;
 pub mod plot;
-pub mod timing;
 
 pub use datasets::{Dataset, Scale};
 pub use experiment::{AdaptiveRun, AkPoint, CostSizeExperiment, GrowthPoint, IndexKind, SizedCost};

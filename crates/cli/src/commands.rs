@@ -16,8 +16,8 @@ use mrx_graph::stats::{graph_stats, label_histogram};
 use mrx_graph::xml;
 use mrx_graph::{DataGraph, FrozenGraph, GraphView};
 use mrx_index::{
-    AdaptEngine, AkIndex, DkIndex, MStarIndex, MkIndex, OneIndex, QuerySession, TrustPolicy,
-    UdIndex,
+    AdaptEngine, AkIndex, DkIndex, MStarIndex, MkIndex, OneIndex, QuerySession, Servable,
+    TrustPolicy, UdIndex,
 };
 use mrx_path::{PathExpr, QueryBudget};
 use mrx_workload::{Workload, WorkloadConfig};
@@ -32,7 +32,7 @@ USAGE:
   mrx gen <xmark|nasa> [--nodes N] [--seed S] [--out FILE]
   mrx stats <file.xml> [--labels N]
   mrx index <file.xml> --kind <a0|ak|one|ud|dk-construct|dk-promote|mk|mstar>
-            [--k N] [--l N] [--fups FILE] [--stats] [--batch]
+            [--k N] [--l N] [--fups FILE] [--stats]
   mrx query <file.xml|file.mrx> <expr> [--kind KIND] [--k N] [--fups FILE] [--paper] [--stats]
             [--cache-bytes N] [--max-steps N] [--max-nodes N] [--timeout-ms N]
   mrx freeze <file.xml> --out FILE.mrx [--fups FILE] [--paged [--page-size N]]
@@ -44,16 +44,19 @@ USAGE:
 
 Path expressions: //a/b/c (descendant), /a/b (root-anchored), * wildcards.
 FUP files: one path expression per line; lines starting with # are skipped.
---batch adapts dk-promote/mk/mstar to the whole FUP file in one batched
-pass (deduplicated worklist, shared scratch) instead of one FUP at a time.
+The adaptive kinds (dk-promote, mk, mstar) adapt to the whole FUP file in
+one batched pass; an M*(k)-index then certifies each node's exact
+similarity, so sound queries validate only where it is imprecise.
 `freeze` builds an M*(k)-index of an XML file (adapted to --fups) and
 writes a compressed v5 snapshot whose extents and adjacency are posting
 lists served without decompression. `freeze --paged` writes a
 demand-paged v7 snapshot instead: extents stay on disk and are served
 through a budgeted page cache with per-page checksums, so opening is
 near-instant and the resident set is capped. `query` on a .mrx file
-detects the layout from its header; for v7, --cache-bytes caps the cache
-and --stats adds page fault/hit/eviction counters. Snapshots in the
+detects the layout from its header and loads only the components the
+expression needs; for v7, --cache-bytes caps the cache and --stats adds
+page fault/hit/eviction counters. A snapshot carries its own index, so
+--kind, --k, --fups and --strict-refs are refused there. Snapshots in the
 retired v1–v4 and v6 layouts are refused: re-freeze them with `freeze`.
 Every command that reads XML accepts --strict-refs, which rejects
 documents with duplicate ID declarations or dangling IDREF tokens
@@ -221,7 +224,7 @@ fn build_summary(name: &str, nodes: usize, edges: usize) -> String {
 
 fn cmd_index(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
     let args = Args::scan(raw, &["kind", "k", "l", "fups"])?;
-    args.reject_unknown_flags(&["stats", "batch", "strict-refs"])?;
+    args.reject_unknown_flags(&["stats", "strict-refs"])?;
     let path = args.require_positional(0, "file.xml")?;
     let g = load_xml(path, args.flag("strict-refs"), out)?;
     let kind = args.option("kind").unwrap_or("mstar");
@@ -231,12 +234,6 @@ fn cmd_index(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
         Some(f) => load_fups(f)?,
         None => Vec::new(),
     };
-    let batch = args.flag("batch");
-    if batch && !matches!(kind, "dk-promote" | "mk" | "mstar") {
-        return Err(Box::new(ArgError(format!(
-            "--batch applies only to adaptive kinds (dk-promote, mk, mstar), not `{kind}`"
-        ))));
-    }
     match kind {
         "a0" => {
             let (idx, rs) = AkIndex::build_with_stats(&g, 0);
@@ -287,26 +284,14 @@ fn cmd_index(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
         }
         "dk-promote" => {
             let mut idx = DkIndex::a0(&g);
-            if batch {
-                idx.promote_batch(&g, &fups, &mut AdaptEngine::new());
-            } else {
-                for f in &fups {
-                    idx.promote_for(&g, f);
-                }
-            }
+            idx.promote_batch(&g, &fups, &mut AdaptEngine::new());
             out.write_all(
                 build_summary("D(k)-promote", idx.node_count(), idx.edge_count()).as_bytes(),
             )?;
         }
         "mk" => {
             let mut idx = MkIndex::new(&g);
-            if batch {
-                idx.refine_batch(&g, &fups, &mut AdaptEngine::new());
-            } else {
-                for f in &fups {
-                    idx.refine_for(&g, f);
-                }
-            }
+            idx.refine_batch(&g, &fups, &mut AdaptEngine::new());
             out.write_all(build_summary("M(k)", idx.node_count(), idx.edge_count()).as_bytes())?;
             if args.flag("stats") {
                 let s = mrx_index::stats::index_stats(&g, idx.graph());
@@ -315,13 +300,7 @@ fn cmd_index(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
         }
         "mstar" => {
             let mut idx = MStarIndex::new(&g);
-            if batch {
-                idx.refine_batch(&g, &fups, &mut AdaptEngine::new());
-            } else {
-                for f in &fups {
-                    idx.refine_for(&g, f);
-                }
-            }
+            idx.refine_batch(&g, &fups, &mut AdaptEngine::new());
             out.write_all(
                 build_summary(
                     &format!("M*(k), {} components", idx.max_k() + 1),
@@ -364,13 +343,29 @@ fn cmd_query(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
     } else {
         TrustPolicy::Proven
     };
-    let budget = budget_from_args(&args)?;
+    let mut session = QuerySession::new(policy);
+    session.set_budget(budget_from_args(&args)?);
 
-    // A snapshot: the layout comes from its header (a retired header is
-    // refused with a typed error naming `mrx freeze`).
+    // A snapshot carries its own index, and its layout comes from its
+    // header (a retired header is refused with a typed error naming
+    // `mrx freeze`).
     let snapshot = path.ends_with(".mrx");
-    if snapshot && mrx_store::snapshot_version(path)? == 7 {
-        return query_paged(out, &args, path, &q, policy, &budget);
+    if snapshot {
+        let index_flags = ["kind", "k", "fups"]
+            .into_iter()
+            .filter(|o| args.option(o).is_some());
+        let refused: Vec<&str> = index_flags
+            .chain(args.flag("strict-refs").then_some("strict-refs"))
+            .collect();
+        if !refused.is_empty() {
+            return Err(Box::new(ArgError(format!(
+                "--{} applies only to XML documents: a snapshot carries its own index",
+                refused.join(", --")
+            ))));
+        }
+        if mrx_store::snapshot_version(path)? == 7 {
+            return query_paged(out, &args, path, &q, &mut session);
+        }
     }
     if args.option("cache-bytes").is_some() {
         return Err(Box::new(ArgError(
@@ -378,7 +373,7 @@ fn cmd_query(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
         )));
     }
     if snapshot {
-        return query_compressed(out, &args, path, &q, policy, &budget);
+        return query_compressed(out, &args, path, &q, &mut session);
     }
 
     let g = load_xml(path, args.flag("strict-refs"), out)?;
@@ -389,38 +384,33 @@ fn cmd_query(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
         None => Vec::new(),
     };
     fups.push(q.clone()); // the queried expression is itself a FUP
-    let mut session = QuerySession::new(policy);
-    session.set_budget(budget);
+    let mut engine = AdaptEngine::new();
     match kind {
-        "ak" => {
-            let idx = AkIndex::build(&g, k);
-            finish_session_query(out, &args, &g, &mut session, |s| {
-                s.try_serve(idx.graph(), &g, &q).cloned()
-            })
-        }
-        "one" => {
-            let idx = OneIndex::build(&g);
-            finish_session_query(out, &args, &g, &mut session, |s| {
-                s.try_serve(idx.graph(), &g, &q).cloned()
-            })
-        }
+        "ak" => serve_query(
+            out,
+            &args,
+            &mut session,
+            AkIndex::build(&g, k).graph(),
+            &g,
+            &q,
+        ),
+        "one" => serve_query(
+            out,
+            &args,
+            &mut session,
+            OneIndex::build(&g).graph(),
+            &g,
+            &q,
+        ),
         "mk" => {
             let mut idx = MkIndex::new(&g);
-            for f in &fups {
-                idx.refine_for(&g, f);
-            }
-            finish_session_query(out, &args, &g, &mut session, |s| {
-                s.try_serve(idx.graph(), &g, &q).cloned()
-            })
+            idx.refine_batch(&g, &fups, &mut engine);
+            serve_query(out, &args, &mut session, idx.graph(), &g, &q)
         }
         "mstar" => {
             let mut idx = MStarIndex::new(&g);
-            for f in &fups {
-                idx.refine_for(&g, f);
-            }
-            finish_session_query(out, &args, &g, &mut session, |s| {
-                s.try_serve(&idx, &g, &q).cloned()
-            })
+            idx.refine_batch(&g, &fups, &mut engine);
+            serve_query(out, &args, &mut session, &idx, &g, &q)
         }
         other => Err(Box::new(ArgError(format!("unknown index kind `{other}`"))) as Box<dyn Error>),
     }
@@ -433,25 +423,11 @@ fn query_compressed(
     args: &Args,
     path: &str,
     q: &PathExpr,
-    policy: TrustPolicy,
-    budget: &QueryBudget,
+    session: &mut QuerySession,
 ) -> CmdResult {
     let mut file = mrx_store::CompressedFile::open(path)?;
-    let ans = match file.query_budgeted(q, policy, budget) {
-        Ok(ans) => ans,
-        Err(e @ MrxError::Budget(_)) => {
-            writeln!(out, "{}", render_budget_trip(&e))?;
-            return Ok(());
-        }
-        Err(e) => return Err(Box::new(e)),
-    };
-    writeln!(
-        out,
-        "{} answers, cost {} index + {} data node visits",
-        ans.nodes.len(),
-        ans.cost.index_nodes,
-        ans.cost.data_nodes
-    )?;
+    let (graph, star) = file.activate(q)?;
+    serve_query(out, args, session, star, graph, q)?;
     writeln!(
         out,
         "loaded {} of {} components ({} bytes; {} extent bytes resident)",
@@ -468,9 +444,6 @@ fn query_compressed(
             file.degraded_components()
         )?;
     }
-    if args.flag("show-nodes") {
-        print_nodes(out, file.graph(), &ans.nodes)?;
-    }
     Ok(())
 }
 
@@ -482,31 +455,14 @@ fn query_paged(
     args: &Args,
     path: &str,
     q: &PathExpr,
-    policy: TrustPolicy,
-    budget: &QueryBudget,
+    session: &mut QuerySession,
 ) -> CmdResult {
     let mut file = match args.option("cache-bytes") {
         Some(_) => mrx_store::PagedFile::open_with(path, args.option_parse("cache-bytes", 0u64)?)?,
         None => mrx_store::PagedFile::open(path)?,
     };
-    let ans = match file.query_budgeted(q, policy, budget) {
-        Ok(ans) => ans,
-        Err(e @ MrxError::Budget(_)) => {
-            writeln!(out, "{}", render_budget_trip(&e))?;
-            if args.flag("stats") {
-                print_page_stats(out, &file)?;
-            }
-            return Ok(());
-        }
-        Err(e) => return Err(Box::new(e)),
-    };
-    writeln!(
-        out,
-        "{} answers, cost {} index + {} data node visits",
-        ans.nodes.len(),
-        ans.cost.index_nodes,
-        ans.cost.data_nodes
-    )?;
+    let (graph, star) = file.activate(q)?;
+    serve_query(out, args, session, star, graph, q)?;
     writeln!(
         out,
         "loaded {} of {} components ({} bytes eager; {} bytes demand-paged)",
@@ -516,47 +472,38 @@ fn query_paged(
         file.paged_bytes()
     )?;
     if args.flag("stats") {
-        print_page_stats(out, &file)?;
-    }
-    if args.flag("show-nodes") {
-        print_nodes(out, file.graph(), &ans.nodes)?;
+        let s = file.page_stats();
+        writeln!(
+            out,
+            "pages: size={} faults={} hits={} evictions={} resident_bytes={} pinned={} \
+             prefetched={} readahead_hits={} wasted_prefetches={}",
+            file.page_size(),
+            s.faults,
+            s.hits,
+            s.evictions,
+            s.resident_bytes,
+            s.pinned_pages,
+            s.prefetched,
+            s.readahead_hits,
+            s.wasted_prefetches
+        )?;
     }
     Ok(())
 }
 
-/// The `--stats` page-cache line for paged serving.
-fn print_page_stats(
-    out: &mut impl std::io::Write,
-    file: &mrx_store::PagedFile,
-) -> std::io::Result<()> {
-    let s = file.page_stats();
-    writeln!(
-        out,
-        "pages: size={} faults={} hits={} evictions={} resident_bytes={} pinned={} \
-         prefetched={} readahead_hits={} wasted_prefetches={}",
-        file.page_size(),
-        s.faults,
-        s.hits,
-        s.evictions,
-        s.resident_bytes,
-        s.pinned_pages,
-        s.prefetched,
-        s.readahead_hits,
-        s.wasted_prefetches
-    )
-}
-
-/// Runs a governed session query and prints the answer line, the budget
-/// trip (if any), session counters under `--stats`, and the answer nodes
-/// under `--show-nodes`.
-fn finish_session_query<G: GraphView>(
+/// The one CLI serving path: serves `q` through the session, then prints
+/// the answer line or the budget trip, the session counters under
+/// `--stats`, and the answer nodes under `--show-nodes`.
+fn serve_query<T: Servable, G: GraphView>(
     out: &mut impl std::io::Write,
     args: &Args,
-    g: &G,
     session: &mut QuerySession,
-    serve: impl FnOnce(&mut QuerySession) -> Result<mrx_index::Answer, MrxError>,
+    target: &T,
+    g: &G,
+    q: &PathExpr,
 ) -> CmdResult {
-    match serve(session) {
+    let served = session.try_serve(target, g, q).cloned();
+    match served {
         Ok(ans) => {
             writeln!(
                 out,
@@ -622,9 +569,7 @@ fn cmd_freeze(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
     let g = load_xml(path, args.flag("strict-refs"), out)?;
     let mut idx = MStarIndex::new(&g);
     if let Some(f) = args.option("fups") {
-        for fup in &load_fups(f)? {
-            idx.refine_for(&g, fup);
-        }
+        idx.refine_batch(&g, &load_fups(f)?, &mut AdaptEngine::new());
     }
     let fg = FrozenGraph::freeze(&g);
     let cz = idx.freeze_compressed();
@@ -781,6 +726,7 @@ fn cmd_client(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrx_path::Cost;
 
     fn run_cmd(cmd: &str, args: &[&str]) -> Result<String, String> {
         let mut out = Vec::new();
@@ -853,19 +799,44 @@ mod tests {
 
     #[test]
     fn index_batch_matches_sequential() {
+        // The CLI adapts through the batched engine, which is oracle-tested
+        // for bit-identical indexes; here pin that its summary line equals
+        // a sequential per-FUP build's.
         let p = tempfile("batch.xml", DOC);
-        let fups = tempfile("batch-fups.txt", "//auction/seller/person\n//person/name\n");
-        let f = p.to_str().unwrap();
-        let fu = fups.to_str().unwrap();
-        // The batched engine is oracle-tested for bit-identical indexes; here
-        // just pin that the CLI wiring reaches the same summary line.
-        for kind in ["dk-promote", "mk", "mstar"] {
-            let seq = run_cmd("index", &[f, "--kind", kind, "--fups", fu]).unwrap();
-            let bat = run_cmd("index", &[f, "--kind", kind, "--fups", fu, "--batch"]).unwrap();
-            assert_eq!(seq, bat, "{kind}: batched summary diverged");
+        let listing = "//auction/seller/person\n//person/name\n";
+        let fups = tempfile("batch-fups.txt", listing);
+        let g = xml::parse(DOC).unwrap();
+        let (mut dk, mut mk, mut ms) = (DkIndex::a0(&g), MkIndex::new(&g), MStarIndex::new(&g));
+        for line in listing.lines() {
+            let q = PathExpr::parse(line).unwrap();
+            dk.promote_for(&g, &q);
+            mk.refine_for(&g, &q);
+            ms.refine_for(&g, &q);
         }
-        let err = run_cmd("index", &[f, "--kind", "a0", "--batch"]).unwrap_err();
-        assert!(err.contains("adaptive kinds"), "{err}");
+        let components = format!("M*(k), {} components", ms.max_k() + 1);
+        for (kind, want) in [
+            (
+                "dk-promote",
+                build_summary("D(k)-promote", dk.node_count(), dk.edge_count()),
+            ),
+            (
+                "mk",
+                build_summary("M(k)", mk.node_count(), mk.edge_count()),
+            ),
+            (
+                "mstar",
+                build_summary(&components, ms.node_count(), ms.edge_count()),
+            ),
+        ] {
+            let args = [
+                p.to_str().unwrap(),
+                "--kind",
+                kind,
+                "--fups",
+                fups.to_str().unwrap(),
+            ];
+            assert_eq!(run_cmd("index", &args).unwrap(), want, "{kind}");
+        }
     }
 
     #[test]
@@ -985,6 +956,10 @@ mod tests {
             (
                 "index",
                 vec![doc.to_str().unwrap(), "--kind", "mstar", "--save", "x.mrx"],
+            ),
+            (
+                "index",
+                vec![doc.to_str().unwrap(), "--kind", "mk", "--batch"],
             ),
         ] {
             let e = run_cmd(cmd, &args).unwrap_err();
@@ -1115,6 +1090,103 @@ mod tests {
         let f = v7.to_str().unwrap();
         let s = run_cmd("query", &[f, "//seller/person", "--cache-bytes", "65536"]).unwrap();
         assert!(s.contains("1 answers"), "{f}: {s}");
+    }
+
+    #[test]
+    fn index_flags_are_refused_on_snapshots() {
+        let (v5, v7) = freeze_pair("index-flags");
+        let fups = tempfile("index-flags-fups.txt", "//seller/person\n");
+        for file in [&v5, &v7] {
+            let f = file.to_str().unwrap();
+            for extra in [
+                vec!["--kind", "mk"],
+                vec!["--k", "3"],
+                vec!["--fups", fups.to_str().unwrap()],
+                vec!["--strict-refs"],
+            ] {
+                let args = [&[f, "//seller/person"][..], &extra[..]].concat();
+                let e = run_cmd("query", &args).unwrap_err();
+                assert!(
+                    e.contains(&format!("{} applies only", extra[0])),
+                    "{f} {extra:?}: {e}"
+                );
+            }
+            let e = run_cmd("query", &[f, "//person", "--kind", "ak", "--k", "1"]).unwrap_err();
+            assert!(e.contains("--kind, --k applies only"), "{f}: {e}");
+        }
+    }
+
+    /// `mrx freeze --fups` adapts through the batched engine: its snapshot
+    /// is the in-process `AdaptEngine` build, certificates included, so
+    /// every FUP gets the same answer and `Cost` from either.
+    #[test]
+    fn cli_freeze_matches_an_in_process_engine_build() {
+        let g = xmark_like(&XmarkConfig::with_target_nodes(3_000), 5);
+        let doc = xml::write_document(&g).unwrap();
+        let xml_path = tempfile("engine.xml", &doc);
+        let g = xml::parse(&doc).unwrap();
+        let w = Workload::generate(
+            &g,
+            &WorkloadConfig {
+                max_path_len: 4,
+                num_queries: 20,
+                seed: 3,
+                max_enumerated_paths: 100_000,
+            },
+        );
+        let listing: String = w.queries.iter().map(|q| format!("{q}\n")).collect();
+        let fups = tempfile("engine-fups.txt", &listing);
+        let snap = tempfile("engine.mrx", "");
+        run_cmd(
+            "freeze",
+            &[
+                xml_path.to_str().unwrap(),
+                "--fups",
+                fups.to_str().unwrap(),
+                "--out",
+                snap.to_str().unwrap(),
+            ],
+        )
+        .unwrap();
+
+        let mut idx = MStarIndex::new(&g);
+        idx.refine_batch(&g, &w.queries, &mut AdaptEngine::new());
+        let (fg, cz) = (FrozenGraph::freeze(&g), idx.freeze_compressed());
+        assert_eq!(
+            mrx_store::load_compressed(&snap).unwrap(),
+            (fg.clone(), cz.clone())
+        );
+        let mut file = mrx_store::CompressedFile::open(&snap).unwrap();
+        let (mut from_cli, mut in_process) = (Cost::ZERO, Cost::ZERO);
+        for q in &w.queries {
+            let want = QuerySession::new(TrustPolicy::Proven)
+                .serve(&cz, &fg, q)
+                .clone();
+            let (graph, star) = file.activate(q).unwrap();
+            let mut session = QuerySession::new(TrustPolicy::Proven);
+            let got = session.try_serve(star, graph, q).unwrap();
+            assert_eq!(got.nodes, want.nodes, "{q}");
+            assert_eq!(got.cost, want.cost, "{q}");
+            from_cli += got.cost;
+            in_process += want.cost;
+        }
+        // Per-FUP refinement leaves the conservative certificates only, so
+        // the engine's exact ones must be visibly cheaper to serve.
+        let mut uncertified = MStarIndex::new(&g);
+        for q in &w.queries {
+            uncertified.refine_for(&g, q);
+        }
+        let plain = uncertified.freeze_compressed();
+        let mut session = QuerySession::new(TrustPolicy::Proven);
+        let mut plain_total = Cost::ZERO;
+        for q in &w.queries {
+            plain_total += session.serve(&plain, &fg, q).cost;
+        }
+        assert_eq!(from_cli, in_process);
+        assert!(
+            from_cli.total() < plain_total.total(),
+            "{from_cli:?} vs {plain_total:?}"
+        );
     }
 
     const MESSY_DOC: &str = r#"<r><p id="a"/><p id="a"/><q refs="a zzz"/></r>"#;

@@ -64,11 +64,8 @@ pub use partition::{
     bisim, bisim_stats, intersect_partitions, k_bisim, k_bisim_all, k_bisim_stats, l_bisim_down,
     l_bisim_down_stats, label_partition, naive, refine_once, refine_once_down, Partition,
 };
-pub use query::{answer, answer_budgeted, answer_paper, Answer, QueryScratch, TrustPolicy};
-pub use refine::{
-    default_threads, host_parallelism, requested_threads, Direction, RefineStats, Refiner,
-    SEQ_THRESHOLD,
-};
+pub use query::{answer, answer_paper, Answer, QueryScratch, TrustPolicy};
+pub use refine::{default_threads, Direction, RefineStats, Refiner, SEQ_THRESHOLD};
 pub use session::{
     replay, replay_mstar, QuerySession, ReplayReport, Servable, SessionStats, SharedAnswerCache,
     SharedCacheConfig, SharedCacheStats,

@@ -292,7 +292,7 @@ impl MStarIndex {
                 let level = cp.length().min(self.max_k());
                 query::answer_compiled(&self.components[level], g, &cp, policy)
             }
-            EvalStrategy::TopDown => self.query_top_down(g, &cp, policy),
+            EvalStrategy::TopDown => self.top_down(g, &cp, policy),
             EvalStrategy::Subpath { start, end } => self.query_subpath(g, &cp, start, end, policy),
             EvalStrategy::BottomUp => self.query_bottom_up(g, &cp, policy),
             EvalStrategy::Hybrid { split } => self.query_hybrid(g, &cp, split, policy),
@@ -301,7 +301,7 @@ impl MStarIndex {
 
     /// QUERYTOPDOWN (§4.1): evaluate the length-`i` prefix in `Ii` — the
     /// implementation every snapshot form shares.
-    fn query_top_down(&self, g: &DataGraph, cp: &CompiledPath, policy: TrustPolicy) -> Answer {
+    fn top_down(&self, g: &DataGraph, cp: &CompiledPath, policy: TrustPolicy) -> Answer {
         let mut scratch = QueryScratch::new();
         never_fails(
             top_down_governed(
@@ -339,7 +339,8 @@ impl MStarIndex {
             steps: cp.steps[start..end].to_vec(),
         };
         // Phase 1: the subpath, top-down (cheap, coarse components).
-        let (mut candidates, sub_level, mut cost) = self.query_top_down_targets(&sub);
+        let (mut candidates, sub_level, mut cost) =
+            crate::view::top_down_targets(&self.components, &sub);
         // Phase 2: descend to component I_m.
         let mut level = sub_level;
         while level < m {
@@ -392,13 +393,6 @@ impl MStarIndex {
             q = next;
         }
         self.finish_answer(g, cp, m, q, cost, policy)
-    }
-
-    /// Top-down evaluation returning the raw index target set, the component
-    /// level it lives in, and the cost so far (the shared engine behind the
-    /// top-down, subpath, and hybrid strategies).
-    fn query_top_down_targets(&self, cp: &CompiledPath) -> (Vec<IdxId>, usize, Cost) {
-        crate::view::top_down_targets(&self.components, cp)
     }
 
     /// Bottom-up evaluation (§4.1): grow the suffix one label at a time,
@@ -504,14 +498,15 @@ impl MStarIndex {
     ) -> Answer {
         let m = cp.length();
         if m == 0 {
-            return self.query_top_down(g, cp, policy);
+            return self.top_down(g, cp, policy);
         }
         let split = split.clamp(1, m);
         let prefix = CompiledPath {
             anchored: cp.anchored,
             steps: cp.steps[..=split].to_vec(),
         };
-        let (mut candidates, mut level, mut cost) = self.query_top_down_targets(&prefix);
+        let (mut candidates, mut level, mut cost) =
+            crate::view::top_down_targets(&self.components, &prefix);
         let target_level = m.min(self.max_k());
         while level < target_level {
             let mut next: Vec<IdxId> = Vec::new();

@@ -75,7 +75,7 @@ impl ExtentStore for PagedArena {
 mod tests {
     use super::*;
     use crate::{query, CompressedIndex, IdxId, IndexGraph, MStarIndex, PagedMStar};
-    use crate::{QueryScratch, TrustPolicy};
+    use crate::{QuerySession, TrustPolicy};
     use mrx_graph::xml::parse;
     use mrx_graph::{DataGraph, GraphView, NodeId};
     use mrx_pagecache::ArenaLayout;
@@ -198,8 +198,6 @@ mod tests {
             epoch: cz.epoch,
         };
         assert_eq!(paged.mutation_epoch(), cz.mutation_epoch());
-        let mut s1 = QueryScratch::new();
-        let mut s2 = QueryScratch::new();
         for expr in [
             "//person/name/last",
             "//name/last",
@@ -207,10 +205,10 @@ mod tests {
             "//name",
             "/people/person",
         ] {
-            let cp = PathExpr::parse(expr).unwrap().compile(&g);
+            let p = PathExpr::parse(expr).unwrap();
             for policy in [TrustPolicy::Proven, TrustPolicy::Claimed] {
-                let a = cz.query_top_down_with_scratch(&g, &cp, policy, &mut s1);
-                let b = paged.query_top_down_with_scratch(&g, &cp, policy, &mut s2);
+                let a = QuerySession::new(policy).serve(&cz, &g, &p).clone();
+                let b = QuerySession::new(policy).serve(&paged, &g, &p).clone();
                 assert_eq!(a.nodes, b.nodes, "{expr}");
                 assert_eq!(a.cost, b.cost, "{expr}");
                 assert_eq!(a.validated, b.validated, "{expr}");

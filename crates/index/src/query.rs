@@ -1,9 +1,13 @@
-//! The paper's query algorithm (§3.1), shared by every single-graph index.
+//! The paper's query algorithm (§3.1), shared by every single-graph index,
+//! and its answering rule, shared by every index form.
 //!
 //! 1. Find the target set of the expression in the index graph.
 //! 2. For each target index node `v`: if `v`'s local similarity covers the
 //!    expression length, return `v.extent` outright; otherwise *validate*
 //!    the extent members against the data graph and return true answers.
+//!
+//! Step 2 is written once, in `answer_targets`; the M\*(k) strategies of
+//! §4.1 reach it with their own targets (see [`crate::snapshot`]).
 //!
 //! ## Trust policies
 //!
@@ -33,10 +37,14 @@
 //! data-node visits during step 2. Extent members of trusted target nodes
 //! are **not** counted.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use mrx_graph::{GraphView, NodeId};
 use mrx_path::{
-    BudgetError, BudgetMeter, CompiledPath, Cost, EpochMemo, Governor, PathExpr, Ungoverned,
-    ValidatorRef,
+    never_fails, CompiledPath, Cost, EpochMemo, Governor, PathExpr, Ungoverned, ValidatorRef,
 };
 
 use crate::graph::IndexEvalScratch;
@@ -45,7 +53,7 @@ use crate::IdxId;
 
 /// All per-query mutable state for one serving thread: index-eval buffers
 /// plus the validator memo. One instance per [`crate::QuerySession`] (or
-/// per call for the legacy entry points); reuse makes answering
+/// per call for the one-shot entry points); reuse makes answering
 /// allocation-free in steady state.
 #[derive(Debug, Default, Clone)]
 pub struct QueryScratch {
@@ -91,7 +99,9 @@ pub struct Answer {
 /// All entry points here are generic over [`IndexView`] × [`GraphView`]:
 /// the same code serves the live `IndexGraph`/`DataGraph` pair and their
 /// compressed and paged snapshots, with bit-identical answers and costs (see
-/// [`crate::view`] for the correspondence argument).
+/// [`crate::view`] for the correspondence argument). Serving goes through
+/// [`crate::QuerySession`], which adds scratch reuse, the answer cache and
+/// the budget.
 pub fn answer<I: IndexView, G: GraphView>(ig: &I, g: &G, path: &PathExpr) -> Answer {
     answer_compiled(ig, g, &path.compile(g), TrustPolicy::Proven)
 }
@@ -108,44 +118,14 @@ pub fn answer_compiled<I: IndexView, G: GraphView>(
     cp: &CompiledPath,
     policy: TrustPolicy,
 ) -> Answer {
-    answer_with_scratch(ig, g, cp, policy, &mut QueryScratch::new())
+    let r = answer_governed(ig, g, cp, policy, &mut QueryScratch::new(), &mut Ungoverned);
+    never_fails(r.map_err(|(never, _)| never))
 }
 
-/// [`answer_compiled`] over caller-owned scratch — the allocation-free
-/// serving path. Bit-identical answers and cost counts: the validator memo
-/// is reset (one epoch bump) lazily on the first validation, exactly
-/// mirroring the lazily-constructed per-query validator it replaces.
-pub fn answer_with_scratch<I: IndexView, G: GraphView>(
-    ig: &I,
-    g: &G,
-    cp: &CompiledPath,
-    policy: TrustPolicy,
-    scratch: &mut QueryScratch,
-) -> Answer {
-    match answer_governed(ig, g, cp, policy, scratch, &mut Ungoverned) {
-        Ok(a) => a,
-        Err((never, _)) => match never {},
-    }
-}
-
-/// [`answer_with_scratch`] under a [`BudgetMeter`]: both the index traversal
-/// and the validation walk charge the budget, and the result set is capped
-/// by `max_result_nodes`. Trips return a typed [`BudgetError`] carrying the
-/// partial cost spent.
-pub fn answer_budgeted<I: IndexView, G: GraphView>(
-    ig: &I,
-    g: &G,
-    cp: &CompiledPath,
-    policy: TrustPolicy,
-    scratch: &mut QueryScratch,
-    meter: &mut BudgetMeter,
-) -> Result<Answer, BudgetError> {
-    answer_governed(ig, g, cp, policy, scratch, meter)
-        .map_err(|(kind, cost)| BudgetMeter::exhausted(kind, &cost))
-}
-
-/// The one §3.1 implementation both wrappers monomorphize ([`Ungoverned`]
-/// erases every budget check).
+/// The single-graph §3.1 query, monomorphized over the [`Governor`]
+/// ([`Ungoverned`] erases every budget check): find the targets, then
+/// answer them by [`answer_targets`] with Lemma 2's premise taken from
+/// [`IndexView::lemma2_safe`].
 pub(crate) fn answer_governed<I: IndexView, G: GraphView, B: Governor>(
     ig: &I,
     g: &G,
@@ -159,10 +139,57 @@ pub(crate) fn answer_governed<I: IndexView, G: GraphView, B: Governor>(
         Ok(f) => f.to_vec(),
         Err(e) => return Err((e, cost)),
     };
+    let trust_proven = ig.lemma2_safe();
+    answer_targets(
+        ig,
+        g,
+        cp,
+        targets,
+        cost,
+        policy,
+        trust_proven,
+        &mut scratch.memo,
+        budget,
+    )
+}
+
+/// The paper's answering rule (§3.1, §4.1), the one place a trust policy
+/// decides what a target index node costs: return the extent of a node
+/// whose similarity covers the expression length, validate every other
+/// node's extent member by member.
+///
+/// Under [`TrustPolicy::Proven`] a covered node is `≈len`-homogeneous, so
+/// its extent is all answers or none. `trust_proven` is the caller's
+/// premise that the extent is exact as it stands; without it one
+/// representative decides the whole node.
+/// - A single index graph passes [`IndexView::lemma2_safe`]: proven
+///   similarities then satisfy Property 3 everywhere, so Lemma 2 makes the
+///   index-level instance real.
+/// - A component hierarchy passes "the expression is a single label". Its
+///   strategies reach targets through coarser components, so even a
+///   `lemma2_safe` component gives no reachability premise; only a
+///   label-only query is precise by construction, since every extent
+///   member carries the node's label.
+///
+/// Root-anchored expressions always validate every member:
+/// k-bisimilarity speaks about incoming label paths from anywhere, not
+/// root-anchored ones.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn answer_targets<I: IndexView, G: GraphView, B: Governor>(
+    ig: &I,
+    g: &G,
+    cp: &CompiledPath,
+    targets: Vec<IdxId>,
+    mut cost: Cost,
+    policy: TrustPolicy,
+    trust_proven: bool,
+    memo: &mut EpochMemo,
+    budget: &mut B,
+) -> Result<Answer, (B::Err, Cost)> {
     let len = cp.length() as u32;
     let mut nodes = Vec::new();
     let mut validated = false;
-    let mut validator = ValidatorRef::new(g, cp, &mut scratch.memo);
+    let mut validator = ValidatorRef::new(g, cp, memo);
     for &t in &targets {
         // Validation walks data nodes; charge the delta each arm adds.
         let before = cost.data_nodes;
@@ -171,13 +198,9 @@ pub(crate) fn answer_governed<I: IndexView, G: GraphView, B: Governor>(
                 ig.push_extent(t, &mut nodes);
             }
             TrustPolicy::Proven if ig.genuine(t) >= len && !cp.anchored => {
-                if ig.lemma2_safe() {
-                    // Proven similarities satisfy Property 3 everywhere, so
-                    // Lemma 2 applies: the extent is exact as-is.
+                if trust_proven {
                     ig.push_extent(t, &mut nodes);
                 } else {
-                    // ≈len-homogeneous extent: one representative decides
-                    // the whole node.
                     validated = true;
                     if validator.is_answer(ig.extent_first(t), &mut cost) {
                         ig.push_extent(t, &mut nodes);
@@ -185,9 +208,6 @@ pub(crate) fn answer_governed<I: IndexView, G: GraphView, B: Governor>(
                 }
             }
             _ => {
-                // Under-similar extent, or a root-anchored expression
-                // (k-bisimilarity speaks about incoming label paths from
-                // anywhere, not root-anchored ones): validate every member.
                 validated = true;
                 ig.for_each_extent(t, |o| {
                     if validator.is_answer(o, &mut cost) {

@@ -21,8 +21,8 @@
 //!   so the result is **bit-identical** to the naive engine's partition, not
 //!   merely equal up to renumbering.
 //!
-//! Thread count comes from the `MRX_THREADS` environment variable when set,
-//! otherwise from `std::thread::available_parallelism`. Per-round timings and
+//! Thread count comes from `std::thread::available_parallelism` unless the
+//! caller passes one ([`Refiner::with_threads`]). Per-round timings and
 //! scratch sizes are recorded in [`RefineStats`] (rendered by
 //! `mrx_index::stats` and printed by the CLI's `--stats` flag).
 
@@ -79,29 +79,8 @@ impl RefineStats {
     }
 }
 
-/// Resolves the worker thread count: `MRX_THREADS` if set to a positive
-/// integer (clamped to the host's parallelism — oversubscribing a small
-/// host regresses the parallel rounds), else
-/// `std::thread::available_parallelism`, else 1.
+/// The worker thread count: `std::thread::available_parallelism`, else 1.
 pub fn default_threads() -> usize {
-    let host = host_parallelism();
-    match requested_threads() {
-        Some(t) => t.min(host),
-        None => host,
-    }
-}
-
-/// The raw `MRX_THREADS` request, if set to a positive integer — before the
-/// clamp applied by [`default_threads`].
-pub fn requested_threads() -> Option<usize> {
-    std::env::var("MRX_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-}
-
-/// `std::thread::available_parallelism`, defaulting to 1.
-pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -640,9 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn env_override_parses() {
-        // Only checks the parsing contract; the env itself is process-global
-        // so we avoid mutating it in-tests.
+    fn default_threads_is_at_least_one() {
         assert!(default_threads() >= 1);
     }
 

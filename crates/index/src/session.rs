@@ -7,7 +7,7 @@
 //! 1. **Scratch reuse** — all per-query mutable state (index-eval frontiers,
 //!    the validator memo) lives in the session and is cleared by epoch
 //!    bumps, so evaluating a query performs no scratch allocations in
-//!    steady state (see [`crate::query::answer_with_scratch`]).
+//!    steady state (see [`QueryScratch`]).
 //! 2. **Answer caching** — a served answer is kept in a
 //!    [`SharedAnswerCache`] keyed by the normalized expression; re-serving a
 //!    frequent query is one read-locked hash probe. Entries are stamped with

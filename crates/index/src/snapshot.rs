@@ -8,9 +8,10 @@
 //! serving form). [`MStarSnapshot`] holds one component per resolution.
 //! QUERYTOPDOWN (§4.1) is written once, in `top_down_governed`, and
 //! monomorphized over the representation and the [`Governor`]: the live
-//! [`MStarIndex`], both snapshot forms, and the budgeted and unbudgeted
-//! entry points all run the same code, so answers and [`Cost`] cannot
-//! drift between them.
+//! [`MStarIndex`] and both snapshot forms run the same code, budgeted or
+//! not, so answers and [`Cost`] cannot drift between them. A snapshot is
+//! served through [`crate::QuerySession`] alone, over
+//! [`crate::Servable::eval`].
 //!
 //! Components are built straight from the live index
 //! ([`CompressedIndex::freeze`]) and written by the store; a component
@@ -30,9 +31,7 @@
 
 use mrx_graph::{GraphView, LabelId, NodeId};
 use mrx_pagecache::PageCache;
-use mrx_path::{
-    never_fails, BudgetError, BudgetMeter, CompiledPath, Cost, Governor, PathExpr, Ungoverned,
-};
+use mrx_path::{CompiledPath, Cost, Governor};
 
 use crate::compressed::CompressedIndex;
 use crate::paged::PagedIndex;
@@ -451,50 +450,6 @@ impl<I: IndexView> MStarSnapshot<I> {
     pub fn mutation_epoch(&self) -> u64 {
         self.epoch
     }
-
-    /// Answers `path` top-down — the same algorithm as
-    /// [`MStarIndex::query_with_policy`] with
-    /// [`crate::EvalStrategy::TopDown`], so answers and costs match the
-    /// live index bit for bit.
-    pub fn query_top_down<G: GraphView>(
-        &self,
-        g: &G,
-        path: &PathExpr,
-        policy: TrustPolicy,
-    ) -> Answer {
-        self.query_top_down_with_scratch(g, &path.compile(g), policy, &mut QueryScratch::new())
-    }
-
-    /// [`query_top_down`](Self::query_top_down) for a compiled path over
-    /// caller-owned scratch — the allocation-free steady-state path.
-    pub fn query_top_down_with_scratch<G: GraphView>(
-        &self,
-        g: &G,
-        cp: &CompiledPath,
-        policy: TrustPolicy,
-        scratch: &mut QueryScratch,
-    ) -> Answer {
-        never_fails(
-            top_down_governed(&self.components, g, cp, policy, scratch, &mut Ungoverned)
-                .map_err(|(never, _)| never),
-        )
-    }
-
-    /// [`query_top_down_with_scratch`](Self::query_top_down_with_scratch)
-    /// under a [`BudgetMeter`]: descent, traversal, and validation all
-    /// charge the budget; trips return a typed [`BudgetError`] with the
-    /// partial cost attached.
-    pub fn query_top_down_budgeted<G: GraphView>(
-        &self,
-        g: &G,
-        cp: &CompiledPath,
-        policy: TrustPolicy,
-        scratch: &mut QueryScratch,
-        meter: &mut BudgetMeter,
-    ) -> Result<Answer, BudgetError> {
-        top_down_governed(&self.components, g, cp, policy, scratch, meter)
-            .map_err(|(kind, cost)| BudgetMeter::exhausted(kind, &cost))
-    }
 }
 
 impl MStarIndex {
@@ -515,9 +470,11 @@ impl MStarIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EvalStrategy;
+    use crate::{EvalStrategy, QuerySession};
+    use mrx_error::MrxError;
     use mrx_graph::xml::parse;
     use mrx_graph::DataGraph;
+    use mrx_path::{PathExpr, QueryBudget};
 
     /// Runs every component of a fresh freeze through the shared load
     /// check: it passes, links nest into a tree, and re-deriving the label
@@ -558,7 +515,7 @@ mod tests {
             let p = PathExpr::parse(expr).unwrap();
             for policy in [TrustPolicy::Proven, TrustPolicy::Claimed] {
                 let live = idx.query_with_policy(&g, &p, EvalStrategy::TopDown, policy);
-                let comp = cz.query_top_down(&g, &p, policy);
+                let comp = QuerySession::new(policy).serve(&cz, &g, &p).clone();
                 assert_eq!(live.nodes, comp.nodes, "{expr}");
                 assert_eq!(live.cost, comp.cost, "{expr}");
                 assert_eq!(live.validated, comp.validated, "{expr}");
@@ -620,29 +577,24 @@ mod tests {
         idx.refine_for(&g, &PathExpr::parse("//person/name/last").unwrap());
         let cz = idx.freeze_compressed();
         for expr in ["//person/name/last", "//name/last", "//site/*/person"] {
-            let cp = PathExpr::parse(expr).unwrap().compile(&g);
-            let mut scratch = QueryScratch::new();
-            let full = cz.query_top_down_with_scratch(&g, &cp, TrustPolicy::Proven, &mut scratch);
+            let p = PathExpr::parse(expr).unwrap();
+            let full = QuerySession::new(TrustPolicy::Proven)
+                .serve(&cz, &g, &p)
+                .clone();
             let total = full.cost.total();
             let mut last_partial = 0;
             for max_steps in 0..=total {
-                let budget = mrx_path::QueryBudget {
+                let mut session = QuerySession::new(TrustPolicy::Proven);
+                session.set_budget(QueryBudget {
                     max_steps: Some(max_steps),
-                    ..mrx_path::QueryBudget::unlimited()
-                };
-                let r = cz.query_top_down_budgeted(
-                    &g,
-                    &cp,
-                    TrustPolicy::Proven,
-                    &mut scratch,
-                    &mut budget.meter(),
-                );
-                match r {
+                    ..QueryBudget::unlimited()
+                });
+                match session.try_serve(&cz, &g, &p) {
                     Ok(a) => {
                         assert_eq!(max_steps, total, "{expr}: finished under budget");
-                        assert_eq!((a.nodes, a.cost), (full.nodes.clone(), full.cost));
+                        assert_eq!((&a.nodes, a.cost), (&full.nodes, full.cost));
                     }
-                    Err(e) => {
+                    Err(MrxError::Budget(e)) => {
                         // Tripped on the first charge past the budget, and
                         // never charged a visit the full run did not make.
                         let partial = e.index_nodes + e.data_nodes;
@@ -651,6 +603,7 @@ mod tests {
                         assert!(partial >= last_partial, "{expr}: partial cost shrank");
                         last_partial = partial;
                     }
+                    Err(e) => panic!("{expr}: {e}"),
                 }
             }
         }

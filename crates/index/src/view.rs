@@ -9,8 +9,9 @@
 //! snapshot components implement it over flat arenas and posting blocks.
 //! The free functions here — [`eval_view`], [`top_down_targets`],
 //! [`finish_answer_view`] — are the *single* implementation of index
-//! evaluation, target descent, and answer validation, so live and snapshot
-//! serving cannot drift apart.
+//! evaluation and target descent, and the hierarchy's way into the one
+//! answering rule in [`crate::query`], so live and snapshot serving cannot
+//! drift apart.
 //!
 //! ## Why answers and costs are bit-identical across views
 //!
@@ -27,12 +28,12 @@ use mrx_graph::{GraphView, LabelId, NodeId};
 use mrx_pagecache::PageCache;
 use mrx_path::{
     never_fails, BudgetError, BudgetMeter, CompiledPath, CompiledStep, Cost, EpochMemo, Governor,
-    Ungoverned, ValidatorRef,
+    Ungoverned,
 };
 use mrx_postings::{contains_seeking, PostingId, SliceSeeker};
 
 use crate::graph::IndexEvalScratch;
-use crate::query::{Answer, TrustPolicy};
+use crate::query::{self, Answer, TrustPolicy};
 use crate::{IdxId, IndexGraph};
 
 /// Read-only access to one structural index graph for query serving.
@@ -358,10 +359,10 @@ pub(crate) fn top_down_targets_governed<I: IndexView, B: Governor>(
     Ok((frontier.clone(), level, cost))
 }
 
-/// Turns an index-level target set into a validated [`Answer`] — the
-/// multi-component counterpart of [`crate::query::answer_with_scratch`]'s
-/// trust arms (see [`crate::MStarIndex`] for why `lemma2_safe` gives no
-/// skip here).
+/// Turns an index-level target set of a component hierarchy into a
+/// validated [`Answer`]: the paper's answering rule
+/// (`crate::query::answer_targets`) with the hierarchy's premise, under
+/// which only a label-only query trusts a proven extent without a check.
 pub fn finish_answer_view<I: IndexView, G: GraphView>(
     comp: &I,
     g: &G,
@@ -403,65 +404,18 @@ pub fn finish_answer_view_budgeted<I: IndexView, G: GraphView>(
         .map_err(|(kind, cost)| BudgetMeter::exhausted(kind, &cost))
 }
 
+/// The governed form both wrappers and the top-down query share.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_answer_view_governed<I: IndexView, G: GraphView, B: Governor>(
     comp: &I,
     g: &G,
     cp: &CompiledPath,
     targets: Vec<IdxId>,
-    mut cost: Cost,
+    cost: Cost,
     policy: TrustPolicy,
     memo: &mut EpochMemo,
     budget: &mut B,
 ) -> Result<Answer, (B::Err, Cost)> {
-    let len = cp.length() as u32;
-    let mut nodes = Vec::new();
-    let mut validated = false;
-    let mut validator = ValidatorRef::new(g, cp, memo);
-    for &t in &targets {
-        // Validation walks data nodes; charge the delta each arm adds.
-        let before = cost.data_nodes;
-        match policy {
-            TrustPolicy::Claimed if comp.k(t) >= len => {
-                comp.push_extent(t, &mut nodes);
-            }
-            TrustPolicy::Proven if len == 0 => {
-                // Label-only queries are precise by construction: every
-                // extent member carries the node's label.
-                comp.push_extent(t, &mut nodes);
-            }
-            TrustPolicy::Proven if comp.genuine(t) >= len => {
-                // ≈len-homogeneous extent: one representative decides the
-                // whole node. Unlike the single-graph query, the
-                // multi-component strategies reach targets through coarser
-                // components, so even a `lemma2_safe` component gives no
-                // reachability premise and the representative check cannot
-                // be skipped (see `crate::query`).
-                validated = true;
-                if validator.is_answer(comp.extent_first(t), &mut cost) {
-                    comp.push_extent(t, &mut nodes);
-                }
-            }
-            _ => {
-                validated = true;
-                comp.for_each_extent(t, |o| {
-                    if validator.is_answer(o, &mut cost) {
-                        nodes.push(o);
-                    }
-                });
-            }
-        }
-        budget
-            .visit(cost.data_nodes - before)
-            .map_err(|e| (e, cost))?;
-        budget.results(nodes.len()).map_err(|e| (e, cost))?;
-    }
-    nodes.sort_unstable();
-    nodes.dedup();
-    Ok(Answer {
-        nodes,
-        cost,
-        target_index_nodes: targets,
-        validated,
-    })
+    let label_only = cp.length() == 0;
+    query::answer_targets(comp, g, cp, targets, cost, policy, label_only, memo, budget)
 }

@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 
 use mrx_datagen::{nasa_like, xmark_like, Prng, XmarkConfig};
 use mrx_graph::{DataGraph, FrozenGraph};
-use mrx_index::{MStarIndex, QueryScratch, TrustPolicy};
-use mrx_path::{PathExpr, QueryBudget};
+use mrx_index::{MStarIndex, QuerySession, TrustPolicy};
+use mrx_path::PathExpr;
 use mrx_serve::{
     Client, ClientError, Response, ServeConfig, ServeError, Server, TenantBudget, TenantRate,
 };
@@ -58,17 +58,13 @@ const EXPRS: &[&str] = &[
 fn oracle<S: AsRef<str>>(g: &DataGraph, exprs: &[S]) -> HashMap<String, Vec<u32>> {
     let fg = FrozenGraph::freeze(g);
     let star = MStarIndex::new(g).freeze_compressed();
-    let mut scratch = QueryScratch::new();
+    let mut session = QuerySession::new(TrustPolicy::Proven);
     exprs
         .iter()
         .map(|e| {
             let e = e.as_ref();
             let pe = PathExpr::parse(e).unwrap();
-            let cp = pe.compile(&fg);
-            let mut meter = QueryBudget::default().meter();
-            let a = star
-                .query_top_down_budgeted(&fg, &cp, TrustPolicy::Proven, &mut scratch, &mut meter)
-                .unwrap();
+            let a = session.try_serve(&star, &fg, &pe).unwrap();
             (e.to_string(), a.nodes.iter().map(|n| n.0).collect())
         })
         .collect()
@@ -598,7 +594,7 @@ fn corrupt_page_after_boot_is_a_typed_error_and_never_cached() {
         let (mut hit, mut clean) = (Vec::new(), Vec::new());
         for e in PAGED_EXPRS {
             let q = PathExpr::parse(e).unwrap();
-            star.query_top_down(&lg, &q, TrustPolicy::Proven);
+            QuerySession::new(TrustPolicy::Proven).serve(&star, &lg, &q);
             match cache.take_poison() {
                 Some(_) => hit.push(*e),
                 None => clean.push(*e),
@@ -636,8 +632,8 @@ fn corrupt_page_after_boot_is_a_typed_error_and_never_cached() {
     }
     for e in &clean {
         let q = PathExpr::parse(e).unwrap();
-        let want: Vec<u32> = cz
-            .query_top_down(&fg, &q, TrustPolicy::Proven)
+        let want: Vec<u32> = QuerySession::new(TrustPolicy::Proven)
+            .serve(&cz, &fg, &q)
             .nodes
             .iter()
             .map(|n| n.0)
@@ -746,7 +742,8 @@ fn workers_share_one_page_cache_within_its_budget() {
             .iter()
             .map(|e| {
                 let q = PathExpr::parse(e).unwrap();
-                let a = cz.query_top_down(&fg, &q, TrustPolicy::Proven);
+                let mut session = QuerySession::new(TrustPolicy::Proven);
+                let a = session.serve(&cz, &fg, &q);
                 (*e, a.nodes.iter().map(|n| n.0).collect())
             })
             .collect(),

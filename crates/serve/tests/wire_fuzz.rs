@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use mrx_datagen::{xmark_like, Prng, XmarkConfig};
 use mrx_graph::FrozenGraph;
-use mrx_index::{MStarIndex, TrustPolicy};
+use mrx_index::{MStarIndex, QuerySession, TrustPolicy};
 use mrx_serve::{Client, Response, ServeConfig, ServeError, Server};
 use mrx_store::save_compressed;
 use mrx_workload::{Workload, WorkloadConfig};
@@ -79,8 +79,8 @@ fn malformed_frames_get_typed_errors_and_the_daemon_stays_healthy() {
     let fg = FrozenGraph::freeze(&g);
     let cz = idx.freeze_compressed();
     let probe = &w.queries[0];
-    let want: Vec<u32> = cz
-        .query_top_down(&fg, probe, TrustPolicy::Proven)
+    let want: Vec<u32> = QuerySession::new(TrustPolicy::Proven)
+        .serve(&cz, &fg, probe)
         .nodes
         .iter()
         .map(|n| n.0)

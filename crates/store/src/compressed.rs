@@ -45,12 +45,9 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use mrx_error::MrxError;
 use mrx_graph::{FrozenGraph, LabelId, NodeId, PackedGraphCsr};
-use mrx_index::{
-    Answer, CompressedIndex, CompressedMStar, IdxId, QueryScratch, SubnodeLinks, TrustPolicy,
-};
-use mrx_path::{PathExpr, QueryBudget};
+use mrx_index::{CompressedIndex, CompressedMStar, IdxId, SubnodeLinks};
+use mrx_path::PathExpr;
 use mrx_postings::{PostingArena, SeekingIterator};
 
 use crate::format::{
@@ -484,8 +481,12 @@ pub(crate) fn read_prelude<R: Read>(
 /// defines it (sum of component epochs plus the component count), so a
 /// freeze → save → load round trip is `==` to the original snapshot.
 fn assemble(components: Vec<CompressedIndex>) -> CompressedMStar {
-    let epoch = components.iter().map(|c| c.epoch).sum::<u64>() + components.len() as u64;
+    let epoch = combined_epoch(&components);
     CompressedMStar { components, epoch }
+}
+
+fn combined_epoch(components: &[CompressedIndex]) -> u64 {
+    components.iter().map(|c| c.epoch).sum::<u64>() + components.len() as u64
 }
 
 // ---------------------------------------------------------------------
@@ -500,7 +501,8 @@ fn assemble(components: Vec<CompressedIndex>) -> CompressedMStar {
 /// top-down over the loaded prefix is *identical* to evaluating over the
 /// full hierarchy, because descent from component `i` targets component
 /// `min(i + 1, j)` and the query never looks past `Ij` — the paper's §6
-/// selective loading.
+/// selective loading. [`CompressedFile::activate`] loads that prefix;
+/// the query itself is served through [`mrx_index::QuerySession`].
 ///
 /// # Graceful degradation
 ///
@@ -517,8 +519,9 @@ pub struct CompressedFile {
     file_len: u64,
     graph: FrozenGraph,
     offsets: Vec<u64>,
-    /// Always a prefix `I0..I(len-1)` of the file's components.
-    components: Vec<CompressedIndex>,
+    /// Always a prefix `I0..I(len-1)` of the file's components, stamped
+    /// with the prefix's combined epoch.
+    star: CompressedMStar,
     /// Components rebuilt from the graph after a failed section read
     /// (ascending, each listed once).
     degraded: Vec<usize>,
@@ -556,7 +559,7 @@ impl CompressedFile {
             file_len,
             graph,
             offsets,
-            components: Vec::new(),
+            star: assemble(Vec::new()),
             degraded: Vec::new(),
             bytes_read,
             node_of: Vec::new(),
@@ -576,7 +579,7 @@ impl CompressedFile {
 
     /// Indices of the components currently in memory (always a prefix).
     pub fn loaded_components(&self) -> Vec<usize> {
-        (0..self.components.len()).collect()
+        (0..self.star.components.len()).collect()
     }
 
     /// Bytes read from the file so far (header + graph + dir + loaded
@@ -594,20 +597,21 @@ impl CompressedFile {
     /// Heap bytes the loaded components' extent representations hold —
     /// the serving-footprint side of the compression trade.
     pub fn extent_bytes(&self) -> usize {
-        self.components.iter().map(|c| c.extent_bytes()).sum()
+        self.star.components.iter().map(|c| c.extent_bytes()).sum()
     }
 
     /// Ensures components `I0..=Iupto` are resident, rebuilding any whose
     /// section cannot be read.
     pub fn ensure_loaded(&mut self, upto: usize) -> Result<(), StoreError> {
         let upto = upto.min(self.offsets.len().saturating_sub(1));
-        for i in self.components.len()..=upto {
+        for i in self.star.components.len()..=upto {
             let c = match self.read_component(i) {
                 Ok(c) => c,
                 Err(e) => self.rebuild_component(i, &e),
             };
-            self.components.push(c);
+            self.star.components.push(c);
         }
+        self.star.epoch = combined_epoch(&self.star.components);
         Ok(())
     }
 
@@ -623,7 +627,7 @@ impl CompressedFile {
                 read_compressed_component_payload(
                     r,
                     &self.graph,
-                    self.components.last(),
+                    self.star.components.last(),
                     &mut self.node_of,
                 )
             },
@@ -642,54 +646,24 @@ impl CompressedFile {
         let dg = thaw_graph(&self.graph);
         let ak = mrx_index::AkIndex::build(&dg, i as u32);
         self.degraded.push(i);
-        CompressedIndex::freeze(ak.graph(), self.components.last())
+        CompressedIndex::freeze(ak.graph(), self.star.components.last())
     }
 
-    /// Answers `path` top-down under the sound trust policy, loading only
-    /// the components the query needs (`I0..I(length)`).
-    pub fn query_top_down(&mut self, path: &PathExpr) -> Result<Answer, StoreError> {
-        self.query(path, TrustPolicy::Proven)
-    }
-
-    /// Answers `path` top-down with an explicit trust policy.
-    pub fn query(&mut self, path: &PathExpr, policy: TrustPolicy) -> Result<Answer, StoreError> {
-        let len = path.steps().len().saturating_sub(1);
-        self.ensure_loaded(len)?;
-        let star = assemble(std::mem::take(&mut self.components));
-        let ans = star.query_top_down(&self.graph, path, policy);
-        self.components = star.components;
-        Ok(ans)
-    }
-
-    /// [`CompressedFile::query`] under a [`QueryBudget`] — the governed
-    /// lazy serving path. Budget exhaustion surfaces as
-    /// [`MrxError::Budget`] with the partial cost attached; load failures
-    /// as [`MrxError::Store`].
-    pub fn query_budgeted(
+    /// Loads the prefix `I0..I(length)` that `path` needs and returns the
+    /// graph and the loaded hierarchy, for [`mrx_index::QuerySession`] to
+    /// serve.
+    pub fn activate(
         &mut self,
         path: &PathExpr,
-        policy: TrustPolicy,
-        budget: &QueryBudget,
-    ) -> Result<Answer, MrxError> {
-        let len = path.steps().len().saturating_sub(1);
-        self.ensure_loaded(len)?;
-        let star = assemble(std::mem::take(&mut self.components));
-        let mut meter = budget.meter();
-        let r = star.query_top_down_budgeted(
-            &self.graph,
-            &path.compile(&self.graph),
-            policy,
-            &mut QueryScratch::new(),
-            &mut meter,
-        );
-        self.components = star.components;
-        r.map_err(MrxError::Budget)
+    ) -> Result<(&FrozenGraph, &CompressedMStar), StoreError> {
+        self.ensure_loaded(path.steps().len().saturating_sub(1))?;
+        Ok((&self.graph, &self.star))
     }
 
     /// Loads everything and returns the full in-memory snapshot.
     pub fn into_compressed(mut self) -> Result<(FrozenGraph, CompressedMStar), StoreError> {
         self.ensure_loaded(self.offsets.len().saturating_sub(1))?;
-        Ok((self.graph, assemble(self.components)))
+        Ok((self.graph, self.star))
     }
 }
 
@@ -719,8 +693,18 @@ fn thaw_graph(g: &FrozenGraph) -> mrx_graph::DataGraph {
 mod tests {
     use super::*;
     use mrx_graph::DataGraph;
-    use mrx_index::MStarIndex;
+    use mrx_index::{Answer, MStarIndex, QuerySession, TrustPolicy};
     use mrx_path::eval_data;
+
+    /// Serves `q` from `f` through a fresh session over the prefix `q`
+    /// needs.
+    fn serve(f: &mut CompressedFile, q: &PathExpr) -> Answer {
+        let (g, star) = f.activate(q).unwrap();
+        QuerySession::new(TrustPolicy::Proven)
+            .try_serve(star, g, q)
+            .unwrap()
+            .clone()
+    }
 
     fn setup() -> (DataGraph, MStarIndex) {
         let g = mrx_datagen::nasa_like(2_000, 4);
@@ -797,7 +781,7 @@ mod tests {
                 mrx_index::EvalStrategy::TopDown,
                 TrustPolicy::Proven,
             );
-            let lazy = cf.query_top_down(&q).unwrap();
+            let lazy = serve(&mut cf, &q);
             assert_eq!(lazy.nodes, live.nodes, "{expr}");
             assert_eq!(lazy.cost, live.cost, "{expr}");
             assert_eq!(lazy.nodes, eval_data(&g, &q.compile(&g)), "{expr}");
@@ -823,14 +807,14 @@ mod tests {
 
         let mut f = CompressedFile::open(&path).unwrap();
         let q = PathExpr::parse("//dataset/reference/source").unwrap();
-        let ans = f.query_top_down(&q).unwrap();
+        let ans = serve(&mut f, &q);
         assert_eq!(ans.nodes, eval_data(&g, &q.compile(&g)));
         assert_eq!(f.degraded_components(), &[2]);
         assert_eq!(f.loaded_components(), vec![0, 1, 2]);
 
         // Later components past the corrupt one still load from the file.
         let q4 = PathExpr::parse("//reference/source/journal/author/lastname").unwrap();
-        let ans4 = f.query_top_down(&q4).unwrap();
+        let ans4 = serve(&mut f, &q4);
         assert_eq!(ans4.nodes, eval_data(&g, &q4.compile(&g)));
         assert_eq!(f.degraded_components(), &[2]);
 
@@ -847,7 +831,7 @@ mod tests {
             },
         );
         for q in &w.queries {
-            let ans = f.query_top_down(q).unwrap();
+            let ans = serve(&mut f, q);
             assert_eq!(ans.nodes, eval_data(&g, &q.compile(&g)), "{q}");
         }
         assert_eq!(f.loaded_components(), vec![0, 1, 2, 3, 4]);

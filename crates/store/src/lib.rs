@@ -25,7 +25,12 @@
 //! Files in the retired layouts (versions 1–4 and 6) are refused with
 //! [`StoreError::Retired`].
 //!
+//! Neither file answers queries itself. Each loads the prefix a query
+//! needs ([`CompressedFile::activate`], [`PagedFile::activate`]) and hands
+//! it to [`mrx_index::QuerySession`], the one serving path:
+//!
 //! ```no_run
+//! use mrx_index::{QuerySession, TrustPolicy};
 //! use mrx_store::{save_paged, PagedFile};
 //! # let g = mrx_graph::xml::parse("<a/>").unwrap();
 //! # let idx = mrx_index::MStarIndex::new(&g);
@@ -34,9 +39,12 @@
 //!
 //! let mut file = PagedFile::open("auctions.mrx")?;
 //! let q = mrx_path::PathExpr::parse("//a").unwrap();
-//! let ans = file.query_top_down(&q)?;          // activates only I0
+//! let (graph, star) = file.activate(&q)?;       // activates only I0
+//! let mut session = QuerySession::new(TrustPolicy::Proven);
+//! let ans = session.try_serve(star, graph, &q)?;
+//! println!("{} answers", ans.nodes.len());
 //! assert_eq!(file.loaded_components(), vec![0]);
-//! # Ok::<(), mrx_store::StoreError>(())
+//! # Ok::<(), mrx_error::MrxError>(())
 //! ```
 
 pub mod compressed;

@@ -61,10 +61,10 @@
 //! after the evaluator has partially consumed the structure, so rebuilding
 //! is no longer a sound drop-in. The paged reader therefore fails hard: any
 //! page-checksum mismatch or payload-validation failure poisons the cache,
-//! and every serving path checks the hierarchy's fault probe
-//! ([`mrx_index::Servable::fault_cache`]) after evaluation and returns the
-//! typed error *instead of* the answer — [`PagedFile::query`] here, and
-//! [`mrx_index::QuerySession::try_serve`] over [`PagedFile::into_parts`].
+//! and the one serving path, [`mrx_index::QuerySession::try_serve`] (over
+//! [`PagedFile::activate`] or [`PagedFile::into_parts`]), checks the
+//! hierarchy's fault probe ([`mrx_index::Servable::fault_cache`]) after
+//! evaluation and returns the typed error *instead of* the answer.
 //! The fault-injection test (`tests/fault_injection.rs`) sweeps seeded
 //! corruptions and flips bits across the paged region to prove nothing
 //! escapes this net.
@@ -79,18 +79,16 @@ use std::io::{BufReader, Cursor, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::Arc;
 
-use mrx_error::MrxError;
 use mrx_graph::{FrozenGraph, LabelId};
 use mrx_index::{
-    Answer, CompressedMStar, IdxId, IndexView, PagedIndex, PagedMStar, QueryScratch, Servable,
-    SubnodeLinks, TrustPolicy,
+    CompressedMStar, IdxId, IndexView, PagedIndex, PagedMStar, Servable, SubnodeLinks,
 };
 use mrx_pagecache::{
     fnv64, fnv64_words, page_checksums, ArenaLayout, BytesSource, FileSource, PageCache,
     PageSource, PageStats, PagedArena, DEFAULT_CACHE_BYTES, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE,
     MIN_PAGE_SIZE,
 };
-use mrx_path::{never_fails, BudgetMeter, Cost, Governor, PathExpr, QueryBudget, Ungoverned};
+use mrx_path::PathExpr;
 
 use crate::compressed::{read_arr, read_prelude, write_arr};
 use crate::format::{
@@ -338,17 +336,15 @@ pub struct PagedFile {
     graph: LazyGraph,
     /// Absolute offsets of the per-component meta sections.
     offsets: Vec<u64>,
-    /// Always a prefix `I0..I(len-1)` of the file's components.
-    components: Vec<PagedIndex>,
+    /// Always a prefix `I0..I(len-1)` of the file's components, stamped
+    /// with the full hierarchy's mutation epoch from the header — reported
+    /// even when only a prefix is active, and cross-checked once all
+    /// components have loaded.
+    star: PagedMStar,
     cache: Arc<PageCache>,
-    /// The full hierarchy's mutation epoch from the header — reported even
-    /// when only a prefix is active, and cross-checked once all components
-    /// have loaded.
-    star_epoch: u64,
     paged_off: u64,
     bytes_read: u64,
     epoch_checked: bool,
-    scratch: QueryScratch,
 }
 
 impl PagedFile {
@@ -479,13 +475,14 @@ impl PagedFile {
             reader,
             graph,
             offsets,
-            components: Vec::new(),
+            star: PagedMStar {
+                components: Vec::new(),
+                epoch: star_epoch,
+            },
             cache,
-            star_epoch,
             paged_off,
             bytes_read,
             epoch_checked: false,
-            scratch: QueryScratch::new(),
         })
     }
 
@@ -502,7 +499,7 @@ impl PagedFile {
 
     /// Indices of the components currently activated (always a prefix).
     pub fn loaded_components(&self) -> Vec<usize> {
-        (0..self.components.len()).collect()
+        (0..self.star.components.len()).collect()
     }
 
     /// Bytes read *eagerly* so far: header, graph, directory, page table,
@@ -515,7 +512,7 @@ impl PagedFile {
     /// The full hierarchy's mutation epoch (from the header; valid even
     /// when only a prefix is active).
     pub fn mutation_epoch(&self) -> u64 {
-        self.star_epoch
+        self.star.epoch
     }
 
     /// Page size of the paged region.
@@ -555,21 +552,18 @@ impl PagedFile {
     /// or invalid paged directory is a typed error.
     pub fn ensure_loaded(&mut self, upto: usize) -> Result<(), StoreError> {
         let upto = upto.min(self.offsets.len().saturating_sub(1));
-        for i in self.components.len()..=upto {
+        for i in self.star.components.len()..=upto {
             let c = self.read_component(i)?;
-            self.components.push(c);
+            self.star.components.push(c);
         }
-        if !self.epoch_checked && self.components.len() == self.offsets.len() {
-            let derived = self
-                .components
-                .iter()
-                .map(|c| c.mutation_epoch())
-                .sum::<u64>()
-                + self.components.len() as u64;
-            if derived != self.star_epoch {
+        let components = &self.star.components;
+        if !self.epoch_checked && components.len() == self.offsets.len() {
+            let derived = components.iter().map(|c| c.mutation_epoch()).sum::<u64>()
+                + components.len() as u64;
+            if derived != self.star.epoch {
                 return Err(format_err(format!(
                     "component epochs sum to {derived}, header claims {}",
-                    self.star_epoch
+                    self.star.epoch
                 )));
             }
             self.epoch_checked = true;
@@ -591,7 +585,7 @@ impl PagedFile {
             |r| read_paged_meta(r, cache, universe),
         )?;
         self.bytes_read += len;
-        let coarse = self.components.last().map(PagedIndex::node_count);
+        let coarse = self.star.components.last().map(PagedIndex::node_count);
         c.assemble(
             self.graph.node_count(),
             self.graph.num_labels(),
@@ -601,55 +595,14 @@ impl PagedFile {
         .map_err(|e| format_err(format!("component {i}: {e}")))
     }
 
-    /// Answers `path` top-down under the sound trust policy.
-    pub fn query_top_down(&mut self, path: &PathExpr) -> Result<Answer, StoreError> {
-        self.query(path, TrustPolicy::Proven)
-    }
-
-    /// Answers `path` top-down with an explicit trust policy. The answer
-    /// is returned only if the evaluation raised no fault: a checksum or
-    /// payload failure discovered mid-evaluation surfaces as the typed
-    /// error instead.
-    pub fn query(&mut self, path: &PathExpr, policy: TrustPolicy) -> Result<Answer, StoreError> {
-        let r = self.evaluate(path, policy, &mut Ungoverned)?;
-        Ok(never_fails(r.map_err(|(never, _)| never)))
-    }
-
-    /// [`PagedFile::query`] under a [`QueryBudget`] — the governed paged
-    /// serving path.
-    pub fn query_budgeted(
-        &mut self,
-        path: &PathExpr,
-        policy: TrustPolicy,
-        budget: &QueryBudget,
-    ) -> Result<Answer, MrxError> {
-        self.evaluate(path, policy, &mut budget.meter())?
-            .map_err(|(kind, cost)| MrxError::Budget(BudgetMeter::exhausted(kind, &cost)))
-    }
-
-    /// Activates the prefix `path` needs and evaluates it top-down under
-    /// `budget`, then checks the hierarchy's fault probe: a fault outranks
-    /// whatever the evaluation returned.
-    #[allow(clippy::type_complexity)]
-    fn evaluate<B: Governor>(
-        &mut self,
-        path: &PathExpr,
-        policy: TrustPolicy,
-        budget: &mut B,
-    ) -> Result<Result<Answer, (B::Err, Cost)>, StoreError> {
+    /// Activates the prefix `I0..I(length)` that `path` needs and returns
+    /// the graph and the activated hierarchy, for
+    /// [`mrx_index::QuerySession::try_serve`] to serve. The session checks
+    /// the hierarchy's fault probe after evaluating, so a page that fails
+    /// its checksum mid-query surfaces as the typed error, not an answer.
+    pub fn activate(&mut self, path: &PathExpr) -> Result<(&LazyGraph, &PagedMStar), StoreError> {
         self.ensure_loaded(path.steps().len().saturating_sub(1))?;
-        let star = PagedMStar {
-            components: std::mem::take(&mut self.components),
-            epoch: self.star_epoch,
-        };
-        let cp = path.compile(&self.graph);
-        let r = star.eval(&self.graph, &cp, policy, &mut self.scratch, budget);
-        let fault = star.take_fault();
-        self.components = star.components;
-        match fault {
-            Some(e) => Err(e),
-            None => Ok(r),
-        }
+        Ok((&self.graph, &self.star))
     }
 
     /// Activates everything and hands out the parts for shared serving —
@@ -659,23 +612,33 @@ impl PagedFile {
     #[allow(clippy::type_complexity)]
     pub fn into_parts(mut self) -> Result<(LazyGraph, PagedMStar, Arc<PageCache>), StoreError> {
         self.ensure_loaded(self.offsets.len().saturating_sub(1))?;
-        let star = PagedMStar {
-            components: self.components,
-            epoch: self.star_epoch,
-        };
-        if let Some(e) = star.take_fault() {
+        if let Some(e) = self.star.take_fault() {
             return Err(e);
         }
-        Ok((self.graph, star, self.cache))
+        Ok((self.graph, self.star, self.cache))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrx_error::MrxError;
     use mrx_graph::DataGraph;
-    use mrx_index::{MStarIndex, QuerySession};
+    use mrx_index::{Answer, MStarIndex, QuerySession, TrustPolicy};
     use mrx_path::eval_data;
+
+    /// Serves `q` from `f` through a fresh session over the prefix `q`
+    /// needs.
+    fn serve(f: &mut PagedFile, q: &PathExpr, policy: TrustPolicy) -> Result<Answer, MrxError> {
+        let (graph, star) = f.activate(q)?;
+        QuerySession::new(policy).try_serve(star, graph, q).cloned()
+    }
+
+    /// The in-memory snapshot's top-down answer: the reference every paged
+    /// answer must equal.
+    fn want(cz: &CompressedMStar, fg: &FrozenGraph, q: &PathExpr, policy: TrustPolicy) -> Answer {
+        QuerySession::new(policy).serve(cz, fg, q).clone()
+    }
 
     fn setup() -> (DataGraph, MStarIndex) {
         let g = mrx_datagen::nasa_like(2_000, 4);
@@ -717,14 +680,14 @@ mod tests {
         for expr in EXPRS {
             let q = PathExpr::parse(expr).unwrap();
             for policy in [TrustPolicy::Proven, TrustPolicy::Claimed] {
-                let want = cz.query_top_down(&fg, &q, policy);
-                let got = f.query(&q, policy).unwrap();
+                let want = want(&cz, &fg, &q, policy);
+                let got = serve(&mut f, &q, policy).unwrap();
                 assert_eq!(got.nodes, want.nodes, "{expr}");
                 assert_eq!(got.cost, want.cost, "{expr}");
                 assert_eq!(got.validated, want.validated, "{expr}");
             }
             assert_eq!(
-                f.query(&q, TrustPolicy::Proven).unwrap().nodes,
+                serve(&mut f, &q, TrustPolicy::Proven).unwrap().nodes,
                 eval_data(&g, &q.compile(&g)),
                 "{expr}"
             );
@@ -745,10 +708,10 @@ mod tests {
         let after_open = f.bytes_read();
         assert!(after_open < total, "open must not read the whole file");
         let q = PathExpr::parse("//lastname").unwrap();
-        f.query_top_down(&q).unwrap();
+        serve(&mut f, &q, TrustPolicy::Proven).unwrap();
         assert_eq!(f.loaded_components(), vec![0]);
         let q = PathExpr::parse("//dataset/reference/source").unwrap();
-        f.query_top_down(&q).unwrap();
+        serve(&mut f, &q, TrustPolicy::Proven).unwrap();
         assert_eq!(f.loaded_components(), vec![0, 1, 2]);
         // Eager reads cover metas but never the paged region, which is
         // accounted through the cache instead.
@@ -778,8 +741,8 @@ mod tests {
         f.ensure_loaded(usize::MAX).unwrap();
         for expr in EXPRS {
             let q = PathExpr::parse(expr).unwrap();
-            let want = cz.query_top_down(&fg, &q, TrustPolicy::Proven);
-            let got = f.query_top_down(&q).unwrap();
+            let want = want(&cz, &fg, &q, TrustPolicy::Proven);
+            let got = serve(&mut f, &q, TrustPolicy::Proven).unwrap();
             assert_eq!(got.nodes, want.nodes, "{expr}");
             assert_eq!(got.cost, want.cost, "{expr}");
         }
@@ -812,8 +775,8 @@ mod tests {
         }
         let mut f = PagedFile::open_bytes(bad, DEFAULT_CACHE_BYTES).unwrap();
         let q = PathExpr::parse("//lastname").unwrap();
-        match f.query_top_down(&q) {
-            Err(StoreError::Checksum { section }) => {
+        match serve(&mut f, &q, TrustPolicy::Proven) {
+            Err(MrxError::Store(StoreError::Checksum { section })) => {
                 assert!(section.starts_with("page "), "{section}")
             }
             other => panic!("corrupt page served: {other:?}"),
@@ -852,8 +815,10 @@ mod tests {
         // `check_backward` onto the lazy labels array.
         let mut f = PagedFile::open_bytes(bad, DEFAULT_CACHE_BYTES).unwrap();
         let q = PathExpr::parse("/dataset/title").unwrap();
-        match f.query_top_down(&q) {
-            Err(StoreError::Checksum { section }) => assert_eq!(section, "graph labels"),
+        match serve(&mut f, &q, TrustPolicy::Proven) {
+            Err(MrxError::Store(StoreError::Checksum { section })) => {
+                assert_eq!(section, "graph labels")
+            }
             other => panic!("corrupt graph unit served: {other:?}"),
         }
         // The clean image's lazy graph round-trips to the eager one.
@@ -871,8 +836,10 @@ mod tests {
         let mut f = PagedFile::open_bytes(labels_unit_flipped(&img), DEFAULT_CACHE_BYTES).unwrap();
         let q = PathExpr::parse("/dataset/title").unwrap();
         for round in ["first", "second"] {
-            match f.query_top_down(&q) {
-                Err(StoreError::Checksum { section }) => assert_eq!(section, "graph labels"),
+            match serve(&mut f, &q, TrustPolicy::Proven) {
+                Err(MrxError::Store(StoreError::Checksum { section })) => {
+                    assert_eq!(section, "graph labels")
+                }
                 other => panic!("{round} query over a corrupt graph unit: {other:?}"),
             }
         }
@@ -913,7 +880,7 @@ mod tests {
                 let (graph, star, _cache) = open(at).ok()?;
                 let (hit, clean): (Vec<&PathExpr>, Vec<&PathExpr>) =
                     queries.iter().partition(|q| {
-                        star.query_top_down(&graph, q, TrustPolicy::Proven);
+                        QuerySession::new(TrustPolicy::Proven).serve(&star, &graph, q);
                         star.take_fault().is_some()
                     });
                 (!hit.is_empty() && !clean.is_empty()).then_some((at, hit, clean))
@@ -927,7 +894,7 @@ mod tests {
             let a = s.spawn(|| {
                 let (mut session, mut wrong) = (QuerySession::new(TrustPolicy::Proven), Vec::new());
                 for round in 0..200 {
-                    star.query_top_down(&graph, hit[0], TrustPolicy::Proven);
+                    QuerySession::new(TrustPolicy::Proven).serve(&star, &graph, hit[0]);
                     barrier.wait(); // B serves while A holds its fault
                     barrier.wait();
                     if star.take_fault().is_none() {
@@ -998,15 +965,9 @@ mod tests {
             let mut session = QuerySession::new(TrustPolicy::Proven);
             for q in &queries {
                 let ctx = format!("flip at region byte {at}, {q}");
-                let cp = q.compile(&graph);
-                star.query_top_down_with_scratch(
-                    &graph,
-                    &cp,
-                    TrustPolicy::Proven,
-                    &mut QueryScratch::new(),
-                );
+                QuerySession::new(TrustPolicy::Proven).serve(&star, &graph, q);
                 if cache.take_poison().is_none() {
-                    let want = cz.query_top_down(&fg, q, TrustPolicy::Proven);
+                    let want = want(&cz, &fg, q, TrustPolicy::Proven);
                     let got = session.try_serve(&star, &graph, q).unwrap();
                     assert_eq!(got.nodes, want.nodes, "{ctx}");
                     continue;
@@ -1046,8 +1007,10 @@ mod tests {
         bad[meta0 + 12] ^= 0x01; // inside the payload, past the length word
         let mut f = PagedFile::open_bytes(bad, DEFAULT_CACHE_BYTES).unwrap();
         let q = PathExpr::parse("//lastname").unwrap();
-        match f.query_top_down(&q) {
-            Err(StoreError::Checksum { section }) => assert!(section.contains("component 0")),
+        match serve(&mut f, &q, TrustPolicy::Proven) {
+            Err(MrxError::Store(StoreError::Checksum { section })) => {
+                assert!(section.contains("component 0"))
+            }
             other => panic!("expected component checksum error, got {other:?}"),
         }
     }
@@ -1084,7 +1047,10 @@ mod tests {
         }
         assert_eq!(f.loaded_components(), vec![0]);
         let q = PathExpr::parse("//dataset/reference").unwrap();
-        assert!(matches!(f.query_top_down(&q), Err(StoreError::Format(_))));
+        assert!(matches!(
+            serve(&mut f, &q, TrustPolicy::Proven),
+            Err(MrxError::Store(StoreError::Format(_)))
+        ));
     }
 
     #[test]
@@ -1114,17 +1080,15 @@ mod tests {
         let (_g, cz, fg, img) = image(64);
         let mut f = PagedFile::open_bytes(img, DEFAULT_CACHE_BYTES).unwrap();
         let q = PathExpr::parse("//source/journal").unwrap();
-        let want = cz.query_top_down(&fg, &q, TrustPolicy::Proven);
-        let a = f
-            .query_budgeted(&q, TrustPolicy::Proven, &QueryBudget::unlimited())
-            .unwrap();
+        let want = want(&cz, &fg, &q, TrustPolicy::Proven);
+        let a = serve(&mut f, &q, TrustPolicy::Proven).unwrap();
         assert_eq!(a.nodes, want.nodes);
         let resident_before = f.page_stats().resident_bytes;
         assert!(resident_before > 0);
         f.set_cache_budget(64);
         assert!(f.page_stats().resident_bytes <= resident_before);
         // Serving still works (and still matches) at one-page budget.
-        let a2 = f.query_top_down(&q).unwrap();
+        let a2 = serve(&mut f, &q, TrustPolicy::Proven).unwrap();
         assert_eq!(a2.nodes, want.nodes);
     }
 

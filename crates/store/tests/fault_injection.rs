@@ -37,8 +37,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mrx_datagen::{xmark_like, XmarkConfig};
+use mrx_error::MrxError;
 use mrx_graph::{FrozenGraph, NodeId};
-use mrx_index::{CompressedMStar, MStarIndex};
+use mrx_index::{CompressedMStar, MStarIndex, QuerySession, TrustPolicy};
 use mrx_path::PathExpr;
 use mrx_store::fault::{FaultKind, FaultPlan};
 use mrx_store::{load_compressed_from, paged_image, save_compressed_to, PagedFile, StoreError};
@@ -218,8 +219,8 @@ fn region_flips(image: &[u8], queries: &[PathExpr], clean: &[Vec<NodeId>]) -> (u
             other => panic!("v7: flip of region bit {bit} escaped the page walk: {other:?}"),
         }
         for (q, want) in queries.iter().zip(clean) {
-            match f.query_top_down(q) {
-                Ok(a) => assert_eq!(&a.nodes, want, "v7: wrong answer on {q} (bit {bit})"),
+            match serve(&mut f, q) {
+                Ok(nodes) => assert_eq!(&nodes, want, "v7: wrong answer on {q} (bit {bit})"),
                 Err(StoreError::Checksum { .. }) => {
                     mid_query.fetch_add(1, Ordering::Relaxed);
                     break;
@@ -233,6 +234,17 @@ fn region_flips(image: &[u8], queries: &[PathExpr], clean: &[Vec<NodeId>]) -> (u
     (bits.len(), mid_query.into_inner())
 }
 
+/// Serves `q` from `f` through a fresh session over the prefix `q` needs.
+/// An unbudgeted session can fail only in the store.
+fn serve(f: &mut PagedFile, q: &PathExpr) -> Result<Vec<NodeId>, StoreError> {
+    let (graph, star) = f.activate(q)?;
+    match QuerySession::new(TrustPolicy::Proven).try_serve(star, graph, q) {
+        Ok(a) => Ok(a.nodes.clone()),
+        Err(MrxError::Store(e)) => Err(e),
+        Err(e) => panic!("unbudgeted serving failed outside the store: {e}"),
+    }
+}
+
 /// Answers `queries` top-down from a v7 image after activating every
 /// component, then walks every page checksum.
 fn serve_v7(img: &[u8], queries: &[PathExpr]) -> Result<Vec<Vec<NodeId>>, StoreError> {
@@ -240,7 +252,7 @@ fn serve_v7(img: &[u8], queries: &[PathExpr]) -> Result<Vec<Vec<NodeId>>, StoreE
     f.ensure_loaded(usize::MAX)?;
     let answers = queries
         .iter()
-        .map(|q| f.query_top_down(q).map(|a| a.nodes))
+        .map(|q| serve(&mut f, q))
         .collect::<Result<_, _>>()?;
     f.verify()?;
     Ok(answers)

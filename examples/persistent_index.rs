@@ -4,14 +4,15 @@
 //!
 //! The demand-paged (v7) snapshot loads selectively twice over: a query of
 //! length `j` activates only components `I0..Ij`, and within them only the
-//! extent pages the evaluation touches fault in from disk.
+//! extent pages the evaluation touches fault in from disk. The activated
+//! prefix is served through a `QuerySession`, the one serving path.
 //!
 //! ```sh
 //! cargo run --release --example persistent_index
 //! ```
 
 use mrx::graph::FrozenGraph;
-use mrx::index::{EvalStrategy, MStarIndex};
+use mrx::index::{EvalStrategy, MStarIndex, QuerySession, TrustPolicy};
 use mrx::path::PathExpr;
 use mrx::prelude::{xmark_like, XmarkConfig};
 use mrx::store::{save_paged, PagedFile};
@@ -53,6 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         file.paged_bytes()
     );
 
+    let mut session = QuerySession::new(TrustPolicy::Proven);
     let mut eager = file.bytes_read();
     for expr in [
         "//person",
@@ -60,7 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "//open_auction/bidder/personref/person",
     ] {
         let q = PathExpr::parse(expr)?;
-        let ans = file.query_top_down(&q)?;
+        let (graph, star) = file.activate(&q)?;
+        let ans = session.try_serve(star, graph, &q)?;
         let pages = file.page_stats();
         println!(
             "{expr:<45} {:>5} answers | components loaded: {:?} | {:>6} eager bytes \
@@ -79,7 +82,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The in-memory index and the file agree, answers and costs alike.
     let q = PathExpr::parse("//closed_auction/buyer/person")?;
-    let from_file = file.query_top_down(&q)?;
+    let (graph, star) = file.activate(&q)?;
+    let from_file = session.try_serve(star, graph, &q)?;
     let in_memory = idx.query(&g, &q, EvalStrategy::TopDown);
     assert_eq!(from_file.nodes, in_memory.nodes);
     assert_eq!(from_file.cost, in_memory.cost);

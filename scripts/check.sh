@@ -1,12 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide check gate: formatting, lints, rustdoc, source-pattern gates, the full
 # test suite (which includes the daemon chaos scenario, the seeded snapshot
-# fault injection and the wire-protocol fuzz), a servebench build, and a
-# smoke run of compress_bench, the one remaining timing binary. It stays
-# because its smoke run asserts wall-clock decode-tax ceilings (packed vs
-# raw extents), and a wall-clock ratio has no deterministic test to live
-# in. The binary validates its own JSON line and asserts its gates
-# internally, so a panic or malformed line fails this script (set -e).
+# fault injection and the wire-protocol fuzz) and a servebench build.
 # Everything runs offline.
 #
 # Usage: scripts/check.sh
@@ -30,12 +25,10 @@ echo "==> set-algebra gate: no hand-rolled sorted-slice merges outside mrx-posti
 # iterator algebra in crates/postings (SliceSeeker / PostingCursor +
 # *_seeking), so raw, compressed, and paged extents share one algorithm.
 # A two-pointer merge loop over two slices is the telltale of a bypass.
-# Allowlisted: the postings crate itself and compress_bench's documented
-# linear-merge baseline, which exists to be measured against.
+# Allowlisted: the postings crate itself.
 merges=$(grep -rn --include='*.rs' -E \
   'while [a-z_]+ < [a-z_]+\.len\(\) && [a-z_]+ < [a-z_]+\.len\(\)' crates \
-  | grep -v 'crates/postings/' \
-  | grep -v 'crates/bench/src/bin/compress_bench.rs' || true)
+  | grep -v 'crates/postings/' || true)
 if [ -n "$merges" ]; then
   echo "direct sorted-slice merge outside mrx-postings (use the seeking-iterator algebra):"
   echo "$merges"
@@ -81,12 +74,5 @@ echo "==> servebench build (the end-to-end benchmark compiles against the servin
 # compiles it; it uses SharedAnswerCache, SharedCacheConfig and PageCache
 # directly, and an API break there would only surface when it runs.
 cargo build --release --offline --manifest-path servebench/Cargo.toml
-
-echo "==> compress_bench smoke (decode-tax ceilings asserted in-binary)"
-# The smoke run asserts the loose decode-tax blowup ceilings itself
-# (replay <= 3x, cache-less <= 3x of raw); the tight envelope
-# (~1.3x cached / ~1.5x cache-less, gated at 1.6x/2.4x) runs at full
-# scale, where per-rep minimums are stable enough to gate on.
-cargo run -p mrx-bench --bin compress_bench --release -- --smoke
 
 echo "==> all checks passed"

@@ -127,35 +127,3 @@ fn fixpoint_matches_naive_bisim() {
         }
     }
 }
-
-#[test]
-fn mrx_threads_env_is_respected_by_default_constructor() {
-    // `default_threads` is read at Refiner::new; engine output must not
-    // depend on it. Set, exercise, restore.
-    let g = random_graph(
-        &RandomGraphConfig {
-            nodes: 120,
-            labels: 3,
-            extra_edge_ratio: 0.2,
-            allow_cycles: false,
-        },
-        5,
-    );
-    let expect = naive::k_bisim(&g, 3);
-    let prior = std::env::var("MRX_THREADS").ok();
-    let host = mrx::index::host_parallelism();
-    for setting in ["1", "2", "8"] {
-        std::env::set_var("MRX_THREADS", setting);
-        let requested = setting.parse::<usize>().unwrap();
-        // Requests beyond the host's parallelism are clamped: oversubscribing
-        // a small host regresses the parallel rounds without any upside.
-        assert_eq!(mrx::index::requested_threads(), Some(requested));
-        assert_eq!(mrx::index::default_threads(), requested.min(host));
-        let got = mrx::index::k_bisim(&g, 3);
-        assert_eq!(got.block_of, expect.block_of, "MRX_THREADS={setting}");
-    }
-    match prior {
-        Some(v) => std::env::set_var("MRX_THREADS", v),
-        None => std::env::remove_var("MRX_THREADS"),
-    }
-}

@@ -32,7 +32,7 @@ use mrx::graph::{FrozenGraph, GraphView};
 use mrx::index::query::answer_compiled;
 use mrx::index::{
     naive, replay, replay_mstar, AdaptEngine, AkIndex, DkIndex, EvalStrategy, IndexGraph,
-    IndexView, MStarSnapshot, MkIndex, OneIndex, Partition, QueryScratch, QuerySession,
+    IndexView, MStarSnapshot, MkIndex, OneIndex, Partition, QuerySession,
 };
 use mrx::path::{eval_data, PathExpr, QueryBudget};
 use mrx::prelude::{nasa_like, xmark_like, Cost, DataGraph, MStarIndex, TrustPolicy, XmarkConfig};
@@ -142,12 +142,7 @@ fn check<I: IndexView, G: GraphView>(
                 if policy == TrustPolicy::Proven {
                     assert_eq!(live.nodes, eval_data(g, &q.compile(g)), "{ctx}: oracle");
                 }
-                let cold = star.query_top_down_with_scratch(
-                    sg,
-                    &q.compile(sg),
-                    policy,
-                    &mut QueryScratch::new(),
-                );
+                let cold = QuerySession::new(policy).serve(star, sg, q).clone();
                 assert_eq!(cold.nodes, live.nodes, "{ctx}: cold answer");
                 assert_eq!(cold.cost, live.cost, "{ctx}: cold cost");
                 assert_eq!(cold.validated, live.validated, "{ctx}: cold validation");
@@ -287,13 +282,23 @@ fn lazy_prefix_loading_matches_the_full_hierarchy() {
     save_compressed(&p5, &fg, &cz).unwrap();
     save_paged_with(&p7, &fg, &cz, PAGE).unwrap();
     for q in &w.queries {
-        let want = cz.query_top_down(&fg, q, TrustPolicy::Proven);
+        let want = QuerySession::new(TrustPolicy::Proven)
+            .serve(&cz, &fg, q)
+            .clone();
         let prefix: Vec<usize> = (0..=q.steps().len().saturating_sub(1).min(cz.max_k())).collect();
         let mut v5 = mrx::store::CompressedFile::open(&p5).unwrap();
-        let a5 = v5.query_top_down(q).unwrap();
+        let (g5, star5) = v5.activate(q).unwrap();
+        let a5 = QuerySession::new(TrustPolicy::Proven)
+            .try_serve(star5, g5, q)
+            .unwrap()
+            .clone();
         assert_eq!(v5.loaded_components(), prefix, "v5 prefix on {q}");
         let mut v7 = PagedFile::open_with(&p7, CACHE).unwrap();
-        let a7 = v7.query_top_down(q).unwrap();
+        let (g7, star7) = v7.activate(q).unwrap();
+        let a7 = QuerySession::new(TrustPolicy::Proven)
+            .try_serve(star7, g7, q)
+            .unwrap()
+            .clone();
         assert_eq!(v7.loaded_components(), prefix, "v7 prefix on {q}");
         for (layout, a) in [("v5", &a5), ("v7", &a7)] {
             assert_eq!(a.nodes, want.nodes, "{layout} on {q}");

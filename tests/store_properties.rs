@@ -6,10 +6,11 @@
 
 use mrx::datagen::{random_graph, Prng, RandomGraphConfig};
 use mrx::graph::{DataGraph, FrozenGraph};
-use mrx::index::{MStarIndex, TrustPolicy};
+use mrx::index::{MStarIndex, QuerySession, TrustPolicy};
 use mrx::path::{eval_data, PathExpr};
 use mrx::store::{load_compressed_from, paged_image, save_compressed_to, PagedFile, StoreError};
 use mrx::workload::{Workload, WorkloadConfig};
+use mrx_error::MrxError;
 
 /// The v5 image of `idx` over `g`.
 fn v5_image(g: &DataGraph, idx: &MStarIndex) -> Vec<u8> {
@@ -28,7 +29,12 @@ fn v7_image(g: &DataGraph, idx: &MStarIndex) -> Vec<u8> {
 fn open_v7(image: &[u8], q: &PathExpr) -> Result<(), StoreError> {
     let mut f = PagedFile::open_bytes(image.to_vec(), 1 << 20)?;
     f.ensure_loaded(usize::MAX)?;
-    f.query_top_down(q)?;
+    let (graph, star) = f.activate(q)?;
+    match QuerySession::new(TrustPolicy::Proven).try_serve(star, graph, q) {
+        Ok(_) => {}
+        Err(MrxError::Store(e)) => return Err(e),
+        Err(e) => panic!("unbudgeted serving failed outside the store: {e}"),
+    }
     f.verify()
 }
 
@@ -110,13 +116,16 @@ fn mstar_roundtrip_preserves_everything() {
         // proven similarities survive, so sound answers stay identical
         for q in &w.queries {
             let truth = eval_data(&g, &q.compile(&g));
+            let mut session = QuerySession::new(TrustPolicy::Proven);
             assert_eq!(
-                cz5.query_top_down(&g5, q, TrustPolicy::Proven).nodes,
+                session.serve(&cz5, &g5, q).nodes,
                 truth,
                 "case {case}: v5 {q}"
             );
+            let (g7, star7) = f7.activate(q).unwrap();
+            let mut session = QuerySession::new(TrustPolicy::Proven);
             assert_eq!(
-                f7.query_top_down(q).unwrap().nodes,
+                session.try_serve(star7, g7, q).unwrap().nodes,
                 truth,
                 "case {case}: v7 {q}"
             );
