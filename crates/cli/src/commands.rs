@@ -50,21 +50,21 @@ similarity, so sound queries validate only where it is imprecise.
 `freeze` builds an M*(k)-index of an XML file (adapted to --fups) and
 writes a compressed v5 snapshot whose extents and adjacency are posting
 lists served without decompression. `freeze --paged` writes a
-demand-paged v7 snapshot instead: extents stay on disk and are served
+demand-paged v8 snapshot instead: extents stay on disk and are served
 through a budgeted page cache with per-page checksums, so opening is
 near-instant and the resident set is capped. `query` on a .mrx file
 detects the layout from its header and loads only the components the
-expression needs; for v7, --cache-bytes caps the cache and --stats adds
+expression needs; for v8, --cache-bytes caps the cache and --stats adds
 page fault/hit/eviction counters. A snapshot carries its own index, so
 --kind, --k, --fups and --strict-refs are refused there. Snapshots in the
-retired v1–v4 and v6 layouts are refused: re-freeze them with `freeze`.
+retired v1–v4, v6 and v7 layouts are refused: re-freeze them with `freeze`.
 Every command that reads XML accepts --strict-refs, which rejects
 documents with duplicate ID declarations or dangling IDREF tokens
 (otherwise those are counted and reported as a warning).
 --max-steps / --max-nodes / --timeout-ms bound a query's node visits,
 answer size, and wall-clock time; an exhausted budget reports the partial
 cost instead of an answer (`--stats` counts such trips as budget_trips).
-`serve` runs the fault-tolerant multi-tenant daemon over a v5 or v7
+`serve` runs the fault-tolerant multi-tenant daemon over a v5 or v8
 snapshot: bounded queues with typed Overloaded/RateLimited shedding
 (--rate/--burst arm a default per-tenant token bucket), per-tenant budgets
 (--max-steps/--max-nodes/--timeout-ms apply per query), graceful
@@ -73,7 +73,7 @@ via `client reload FILE.mrx` (the file is fully validated first; a torn
 or corrupt file is rejected while the old snapshot keeps serving).
 SIGINT/SIGTERM drain in-flight queries, then print final stats. --strict
 refuses a boot snapshot that would degrade instead of serving it. For a
-v7 snapshot, --cache-bytes is one page-cache budget for the whole daemon:
+v8 snapshot, --cache-bytes is one page-cache budget for the whole daemon:
 every worker serves through the snapshot's one shared cache.
 ";
 
@@ -363,13 +363,13 @@ fn cmd_query(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
                 refused.join(", --")
             ))));
         }
-        if mrx_store::snapshot_version(path)? == 7 {
+        if mrx_store::snapshot_version(path)? == mrx_store::VERSION_PAGED {
             return query_paged(out, &args, path, &q, &mut session);
         }
     }
     if args.option("cache-bytes").is_some() {
         return Err(Box::new(ArgError(
-            "--cache-bytes applies only to demand-paged v7 snapshots".into(),
+            "--cache-bytes applies only to demand-paged v8 snapshots".into(),
         )));
     }
     if snapshot {
@@ -447,7 +447,7 @@ fn query_compressed(
     Ok(())
 }
 
-/// Serves one query from a demand-paged (v7) snapshot: near-zero open,
+/// Serves one query from a demand-paged (v8) snapshot: near-zero open,
 /// component metadata loaded as a prefix, extents paged in on demand
 /// under the cache budget.
 fn query_paged(
@@ -547,7 +547,7 @@ fn print_nodes<G: GraphView>(
 }
 
 /// Builds an M*(k)-index of an XML document, adapted to `--fups`, and
-/// writes it as a compressed v5 snapshot (or demand-paged v7 with
+/// writes it as a compressed v5 snapshot (or demand-paged v8 with
 /// `--paged`).
 fn cmd_freeze(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
     let args = Args::scan(raw, &["out", "fups", "page-size"])?;
@@ -580,7 +580,7 @@ fn cmd_freeze(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
             }
             None => mrx_store::save_paged(dest, &fg, &cz)?,
         }
-        "demand-paged v7"
+        "demand-paged v8"
     } else {
         mrx_store::save_compressed(dest, &fg, &cz)?;
         "compressed v5"
@@ -591,6 +591,16 @@ fn cmd_freeze(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
         cz.components.len(),
         fg.node_count()
     )?;
+    if args.flag("paged") {
+        // A sole subnode reads its supernode's list, so each distinct
+        // extent is stored once.
+        writeln!(
+            out,
+            "{} extent lists for {} nodes",
+            cz.distinct_extents(),
+            cz.components.iter().map(|c| c.node_count()).sum::<usize>()
+        )?;
+    }
     Ok(())
 }
 
@@ -873,7 +883,7 @@ mod tests {
         assert!(s.contains("down (≈2-down):"), "{s}");
     }
 
-    /// Freezes `DOC` adapted to one FUP into a v5 and a v7 snapshot.
+    /// Freezes `DOC` adapted to one FUP into a v5 and a v8 snapshot.
     fn freeze_pair(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
         let doc = tempfile(&format!("{tag}.xml"), DOC);
         let fups = tempfile(
@@ -881,7 +891,7 @@ mod tests {
             "# c\n//auction/seller/person\n\n",
         );
         let v5 = tempfile(&format!("{tag}-v5.mrx"), "");
-        let v7 = tempfile(&format!("{tag}-v7.mrx"), "");
+        let v8 = tempfile(&format!("{tag}-v8.mrx"), "");
         let common = [doc.to_str().unwrap(), "--fups", fups.to_str().unwrap()];
         let s = run_cmd(
             "freeze",
@@ -892,26 +902,27 @@ mod tests {
         assert!(s.contains("compressed v5"), "{s}");
         let paged = [
             "--out",
-            v7.to_str().unwrap(),
+            v8.to_str().unwrap(),
             "--paged",
             "--page-size",
             "64",
         ];
         let s = run_cmd("freeze", &[&common[..], &paged[..]].concat()).unwrap();
-        assert!(s.contains("demand-paged v7"), "{s}");
-        (v5, v7)
+        assert!(s.contains("demand-paged v8"), "{s}");
+        assert!(s.contains(" extent lists for "), "{s}");
+        (v5, v8)
     }
 
     #[test]
     fn freeze_and_autodetected_query() {
-        let (v5, v7) = freeze_pair("freeze");
+        let (v5, v8) = freeze_pair("freeze");
         let q = "//auction/seller/person";
         // The layout comes from the header: no flag needed for either.
         let packed = run_cmd("query", &[v5.to_str().unwrap(), q]).unwrap();
         assert!(packed.contains("1 answers"), "{packed}");
         assert!(packed.contains("loaded 3 of 3 components"), "{packed}");
         assert!(packed.contains("extent bytes resident"), "{packed}");
-        let paged = run_cmd("query", &[v7.to_str().unwrap(), q]).unwrap();
+        let paged = run_cmd("query", &[v8.to_str().unwrap(), q]).unwrap();
         assert!(paged.contains("bytes demand-paged"), "{paged}");
         // Same answer count and cost line from both layouts.
         assert_eq!(packed.lines().next(), paged.lines().next());
@@ -919,21 +930,21 @@ mod tests {
         let short = run_cmd("query", &[v5.to_str().unwrap(), "//seller/person"]).unwrap();
         assert!(short.contains("loaded 2 of 3 components"), "{short}");
 
-        for f in [&v5, &v7] {
+        for f in [&v5, &v8] {
             let shown = run_cmd("query", &[f.to_str().unwrap(), q, "--show-nodes"]).unwrap();
             assert!(shown.contains("<person>"), "{shown}");
         }
-        // --cache-bytes caps the v7 cache and --stats adds its counters;
+        // --cache-bytes caps the v8 cache and --stats adds its counters;
         // on a v5 snapshot --cache-bytes is a clear error.
         let s = run_cmd(
             "query",
-            &[v7.to_str().unwrap(), q, "--cache-bytes", "4096", "--stats"],
+            &[v8.to_str().unwrap(), q, "--cache-bytes", "4096", "--stats"],
         )
         .unwrap();
         assert!(s.contains("pages: size=64"), "{s}");
         assert!(s.contains("faults="), "{s}");
         let e = run_cmd("query", &[v5.to_str().unwrap(), q, "--cache-bytes", "64"]).unwrap_err();
-        assert!(e.contains("v7"), "{e}");
+        assert!(e.contains("v8"), "{e}");
     }
 
     #[test]
@@ -993,7 +1004,7 @@ mod tests {
     fn retired_snapshots_are_refused_with_a_pointer_to_freeze() {
         let (v5, _) = freeze_pair("retired");
         let bytes = std::fs::read(&v5).unwrap();
-        for version in [1, 2, 3, 4, 6u32] {
+        for version in [1, 2, 3, 4, 6, 7u32] {
             let mut old = bytes.clone();
             old[8..12].copy_from_slice(&version.to_le_bytes());
             let p = tempfile(&format!("retired-v{version}.mrx"), "");
@@ -1067,8 +1078,8 @@ mod tests {
 
     #[test]
     fn query_budget_applies_to_both_snapshot_layouts() {
-        let (v5, v7) = freeze_pair("budget");
-        for file in [&v5, &v7] {
+        let (v5, v8) = freeze_pair("budget");
+        for file in [&v5, &v8] {
             let f = file.to_str().unwrap();
             let s = run_cmd("query", &[f, "//seller/person", "--max-steps", "1"]).unwrap();
             assert!(s.contains("budget exhausted"), "{f}: {s}");
@@ -1079,7 +1090,7 @@ mod tests {
 
     #[test]
     fn cache_bytes_is_refused_outside_paged_snapshots() {
-        let (v5, v7) = freeze_pair("cache-bytes");
+        let (v5, v8) = freeze_pair("cache-bytes");
         let xml = tempfile("cache-bytes.xml", DOC);
         for file in [&v5, &xml] {
             let f = file.to_str().unwrap();
@@ -1087,16 +1098,16 @@ mod tests {
                 run_cmd("query", &[f, "//seller/person", "--cache-bytes", "65536"]).unwrap_err();
             assert!(e.contains("--cache-bytes applies only"), "{f}: {e}");
         }
-        let f = v7.to_str().unwrap();
+        let f = v8.to_str().unwrap();
         let s = run_cmd("query", &[f, "//seller/person", "--cache-bytes", "65536"]).unwrap();
         assert!(s.contains("1 answers"), "{f}: {s}");
     }
 
     #[test]
     fn index_flags_are_refused_on_snapshots() {
-        let (v5, v7) = freeze_pair("index-flags");
+        let (v5, v8) = freeze_pair("index-flags");
         let fups = tempfile("index-flags-fups.txt", "//seller/person\n");
-        for file in [&v5, &v7] {
+        for file in [&v5, &v8] {
             let f = file.to_str().unwrap();
             for extra in [
                 vec!["--kind", "mk"],
@@ -1152,6 +1163,27 @@ mod tests {
         let mut idx = MStarIndex::new(&g);
         idx.refine_batch(&g, &w.queries, &mut AdaptEngine::new());
         let (fg, cz) = (FrozenGraph::freeze(&g), idx.freeze_compressed());
+        // The paged freeze reports the lists it stores: paper §4's count.
+        let paged = tempfile("engine-paged.mrx", "");
+        let s = run_cmd(
+            "freeze",
+            &[
+                xml_path.to_str().unwrap(),
+                "--fups",
+                fups.to_str().unwrap(),
+                "--out",
+                paged.to_str().unwrap(),
+                "--paged",
+            ],
+        )
+        .unwrap();
+        let counts = format!(
+            "{} extent lists for {} nodes",
+            idx.node_count(),
+            idx.logical_node_count()
+        );
+        assert!(idx.node_count() < idx.logical_node_count(), "{counts}");
+        assert!(s.contains(&counts), "{s}");
         assert_eq!(
             mrx_store::load_compressed(&snap).unwrap(),
             (fg.clone(), cz.clone())

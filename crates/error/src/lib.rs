@@ -30,7 +30,7 @@ pub enum StoreError {
     Io(io::Error),
     /// Structurally invalid file (bad magic, version, counts, ids).
     Format(String),
-    /// A snapshot in a retired layout (versions 1–4 and 6): readable only by
+    /// A snapshot in a retired layout (versions 1–4, 6 and 7): readable only by
     /// re-freezing it from its source document.
     Retired {
         /// The layout version the file's header names.
@@ -50,7 +50,7 @@ impl fmt::Display for StoreError {
             StoreError::Format(m) => write!(f, "malformed store file: {m}"),
             StoreError::Retired { version } => write!(
                 f,
-                "snapshot layout v{version} is no longer supported (this build reads v5 and v7); \
+                "snapshot layout v{version} is no longer supported (this build reads v5 and v8); \
                  re-freeze it with `mrx freeze`"
             ),
             StoreError::Checksum { section } => {

@@ -26,8 +26,10 @@
 //! before any answer is served or cached. The resident arrays are checked
 //! whole at activation by [`SnapshotIndex::assemble`], the check the
 //! compressed form shares, with the subnode links required to form a
-//! tree: the paged form never degrades, so no component is ever rebuilt
-//! into a partition that overlaps its neighbours. The extent cardinalities
+//! tree that splits every coarse extent: the paged form never degrades, so
+//! no component is ever rebuilt into a partition that overlaps its
+//! neighbours, and a node that is its supernode's only subnode reads the
+//! supernode's stored list. The extent cardinalities
 //! must sum to the data nodes, but the members themselves are
 //! intentionally *not* decoded at activation to re-prove the partition:
 //! that full pass is exactly the cold-start cost this form exists to
@@ -142,11 +144,10 @@ mod tests {
         (cache, paged)
     }
 
-    /// Assembles `cz` as a [`PagedIndex`] whose coarser neighbour has
-    /// `coarse` nodes.
+    /// Assembles `cz` as a [`PagedIndex`] below `coarse`.
     fn paged_of(
         cz: &CompressedIndex,
-        coarse: Option<usize>,
+        coarse: Option<&PagedIndex>,
         page_size: u32,
         budget: u64,
     ) -> (Arc<PageCache>, PagedIndex) {
@@ -187,9 +188,8 @@ mod tests {
         let cz = idx.freeze_compressed();
         let mut caches = Vec::new();
         let mut comps = Vec::new();
-        for (i, c) in cz.components.iter().enumerate() {
-            let coarse = i.checked_sub(1).map(|j| cz.components[j].node_count());
-            let (cache, p) = paged_of(c, coarse, 64, 6 * 64);
+        for c in &cz.components {
+            let (cache, p) = paged_of(c, comps.last(), 64, 6 * 64);
             caches.push(cache);
             comps.push(p);
         }
@@ -224,8 +224,11 @@ mod tests {
         idx.refine_for(&g, &PathExpr::parse("//person/name/last").unwrap());
         let cz = idx.freeze_compressed();
         let (coarse, fine) = (&cz.components[0], &cz.components[1]);
-        let m = Some(coarse.node_count());
-        let lie = |f: &dyn Fn(&mut PagedIndex), coarse: Option<usize>| {
+        let (_, coarse) = paged_of(coarse, None, 64, u64::MAX);
+        let (_, fine_ok) = paged_of(fine, Some(&coarse), 64, u64::MAX);
+        assert_ne!(fine_ok.node_count(), coarse.node_count());
+        let m = Some(&coarse);
+        let lie = |f: &dyn Fn(&mut PagedIndex), coarse: Option<&PagedIndex>| {
             let (_, mut paged) = paged_parts(fine, 64, u64::MAX);
             f(&mut paged);
             paged
@@ -237,12 +240,19 @@ mod tests {
         assert!(lie(&|p| p.child_off[1] = u32::MAX, m).is_err());
         assert!(lie(&|p| p.root = IdxId(fine.node_count() as u32), m).is_err());
         // Links of the wrong shape: an I0 with rows, rows for the wrong
-        // coarse count, an id out of range, a node under two supernodes.
+        // coarse count, an id out of range, a node under two supernodes,
+        // and two sole subnodes traded between their supernodes, which
+        // still forms a tree but no longer splits the coarse extents.
         assert!(lie(&|_| {}, None).is_err());
-        assert!(lie(&|_| {}, Some(coarse.node_count() + 1)).is_err());
+        assert!(lie(&|_| {}, Some(&fine_ok)).is_err());
         let n = fine.node_count() as u32;
         assert!(lie(&|p| p.links.tgt[0] = IdxId(n), m).is_err());
         assert!(lie(&|p| p.links.tgt[1] = p.links.tgt[0], m).is_err());
+        assert_eq!(
+            (coarse.links.off.len(), &fine.links.off[..3]),
+            (0, &[0, 1, 2][..])
+        );
+        assert!(lie(&|p| p.links.tgt.swap(0, 1), m).is_err());
     }
 
     /// `cz` with its extent lists rewritten by `edit`, which sees every

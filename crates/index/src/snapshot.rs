@@ -4,7 +4,7 @@
 //! A [`SnapshotIndex`] is one frozen component — dense ids, flat arrays —
 //! generic over where its extents live ([`ExtentStore`]): compressed
 //! posting blocks in memory ([`CompressedIndex`], the `.mrx` v5 serving
-//! form) or the same blocks behind a page cache ([`PagedIndex`], the v7
+//! form) or the same blocks behind a page cache ([`PagedIndex`], the v8
 //! serving form). [`MStarSnapshot`] holds one component per resolution.
 //! QUERYTOPDOWN (§4.1) is written once, in `top_down_governed`, and
 //! monomorphized over the representation and the [`Governor`]: the live
@@ -137,22 +137,24 @@ impl<E: ExtentStore> SnapshotIndex<E> {
     /// serves, whichever layout it came from, and the step that derives
     /// its label buckets (no layout stores them, so they are correct by
     /// construction). `data_nodes` is the data graph's node count,
-    /// `num_labels` its alphabet size, and `coarse` the node count of the
-    /// next-coarser component (`None` for `I0`).
+    /// `num_labels` its alphabet size, and `coarse` the next-coarser
+    /// component, already assembled (`None` for `I0`).
     ///
     /// Checks every invariant the resident arrays witness: similarity
     /// array lengths, one extent list per node, no empty extent, extent
     /// cardinalities summing to the data nodes, child and parent CSR
     /// structure, label and root range, and the subnode links — forming a
-    /// tree when `tree` is set. Extent members are not decoded: the v5
-    /// loader proves the partition by inverting its extents
-    /// (`link_component` in the store), and the v7 layout leaves members
-    /// to its per-page checksums and decode-time bounds.
+    /// tree when `tree` is set. A tree must also nest: each coarse node's
+    /// extent has as many members as its subnodes' together, and the same
+    /// least member. Extent members are not decoded: the v5 loader proves
+    /// the partition by inverting its extents (`link_component` in the
+    /// store), and the paged layout leaves members to its per-page
+    /// checksums and decode-time bounds.
     pub fn assemble(
         mut self,
         data_nodes: usize,
         num_labels: usize,
-        coarse: Option<usize>,
+        coarse: Option<&Self>,
         tree: bool,
     ) -> Result<Self, String> {
         let n = self.labels.len();
@@ -183,9 +185,32 @@ impl<E: ExtentStore> SnapshotIndex<E> {
         if self.root.index() >= n {
             return Err("root node out of range".into());
         }
-        self.links.check(coarse, n, tree)?;
+        self.links
+            .check(coarse.map(SnapshotIndex::node_count), n, tree)?;
+        if let (Some(coarse), true) = (coarse, tree) {
+            self.check_nesting(coarse)?;
+        }
         self.derive_by_label(num_labels);
         Ok(self)
+    }
+
+    /// Each row of checked tree links against the coarse extent it splits:
+    /// the subnodes' extents hold as many members as the supernode's, and
+    /// the least of their first members is the supernode's first member.
+    fn check_nesting(&self, coarse: &Self) -> Result<(), String> {
+        for u in 0..coarse.node_count() {
+            let (mut len, mut first) = (0usize, u32::MAX);
+            for s in self.links.row(IdxId(u as u32)) {
+                len += self.extents.len_of(s.index());
+                first = first.min(self.extents.first_of(s.index()).unwrap_or(u32::MAX));
+            }
+            if len != coarse.extents.len_of(u) || Some(first) != coarse.extents.first_of(u) {
+                return Err(format!(
+                    "the subnodes of coarse node {u} do not split its extent"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Rebuilds the label buckets from `labels` (every label below
@@ -348,6 +373,22 @@ impl SubnodeLinks {
         links
     }
 
+    /// For each of the component's `n` nodes, its supernode when it is
+    /// that supernode's only subnode, else `None`. Such a node is a §4
+    /// duplicate: its extent is its supernode's. Total on unchecked links:
+    /// a malformed row or an id out of range is skipped.
+    pub fn sole_supernodes(&self, n: usize) -> Vec<Option<IdxId>> {
+        let mut sole = vec![None; n];
+        for (u, w) in self.off.windows(2).enumerate() {
+            if let Some(&[s]) = self.tgt.get(w[0] as usize..w[1] as usize) {
+                if let Some(slot) = sole.get_mut(s.index()) {
+                    *slot = Some(IdxId(u as u32));
+                }
+            }
+        }
+        sole
+    }
+
     /// The subnodes of coarse node `u`.
     #[inline]
     pub fn row(&self, u: IdxId) -> &[IdxId] {
@@ -452,6 +493,22 @@ impl<I: IndexView> MStarSnapshot<I> {
     }
 }
 
+impl<E> MStarSnapshot<SnapshotIndex<E>> {
+    /// The distinct extent lists of the hierarchy: every node's but a sole
+    /// subnode's, which shares its supernode's list. This is paper §4's
+    /// stored node count, [`MStarIndex::node_count`], and the number of
+    /// lists the paged layout writes.
+    pub fn distinct_extents(&self) -> usize {
+        self.components
+            .iter()
+            .map(|c| {
+                let n = c.node_count();
+                n - c.links.sole_supernodes(n).iter().flatten().count()
+            })
+            .sum()
+    }
+}
+
 impl MStarIndex {
     /// Freezes every component into the compressed serving form, each
     /// `Ii` (`i ≥ 1`) linked below `I(i−1)` (see [`CompressedIndex::freeze`]).
@@ -481,7 +538,7 @@ mod tests {
     /// buckets reproduces the frozen ones.
     fn assert_assembles(cz: &CompressedMStar, g: &DataGraph) {
         for (i, c) in cz.components.iter().enumerate() {
-            let coarse = i.checked_sub(1).map(|j| cz.components[j].node_count());
+            let coarse = i.checked_sub(1).map(|j| &cz.components[j]);
             let again = c
                 .clone()
                 .assemble(g.node_count(), g.num_labels(), coarse, true)

@@ -5,8 +5,13 @@
 //! The eager arena holds its four arrays on the heap and validates every
 //! byte up front. Here the heavy arrays (tagged block payload, skip
 //! directory, block offsets) stay on disk inside the paged region; only the
-//! tiny per-list tables (`list_len`, derived `list_block`) are resident.
-//! Activation pins the two directory arrays — a seek probes them on every
+//! tiny per-list tables (`list_len`, `list_block`) are resident.
+//!
+//! One region-wide arena can serve several [`PagedArena`]s: each owns a
+//! contiguous *run* of blocks, activated after the runs before it, and may
+//! also *share* lists that an earlier run stores ([`RunList::Shared`]), so a
+//! list is written once however many arenas read it. Activation pins the
+//! run's slices of the two directory arrays — a seek probes them on every
 //! jump, so they must never fault — and validates their *shape* (monotone
 //! offsets, bounded block spans, ascending block heads). Payload bytes are
 //! validated lazily, block by block, as queries decode them: any violation
@@ -44,6 +49,35 @@ pub struct ArenaLayout {
     pub nblocks: u32,
 }
 
+/// Where one list's blocks start in its arena's block numbering, and how
+/// many ids it holds: all another arena over the same layout needs to
+/// read it (see [`RunList::Shared`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ListSpan {
+    /// The list's first block.
+    pub first_block: u32,
+    /// The list's length in ids.
+    pub len: u32,
+}
+
+impl ListSpan {
+    /// One past the list's last block.
+    fn end_block(self) -> u64 {
+        u64::from(self.first_block) + u64::from(blocks_of(self.len))
+    }
+}
+
+/// One list of a run being activated by [`PagedArena::run`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunList {
+    /// A list the run stores itself, of this many ids; a run's own lists
+    /// sit back to back in the order they are given.
+    Own(u32),
+    /// A list an earlier run stores ([`PagedArena::span`] of an arena
+    /// activated before this one, over the same layout).
+    Shared(ListSpan),
+}
+
 fn blocks_of(len: u32) -> u32 {
     len.div_ceil(BLOCK_LEN32)
 }
@@ -68,8 +102,11 @@ pub struct PagedArena {
     data_len: u64,
     bf_off: u64,
     bo_off: u64,
+    /// Blocks in the whole layout.
     nblocks: u32,
-    /// Derived from `list_len` exactly as the eager arena derives it.
+    /// One past the last block of this arena's own run.
+    run_end: u32,
+    /// First block of each list; a list spans `blocks_of(len)` blocks.
     list_block: Vec<u32>,
     list_len: Vec<u32>,
     /// Ids must be `< universe`; decode poisons on violation so downstream
@@ -78,39 +115,83 @@ pub struct PagedArena {
 }
 
 impl PagedArena {
-    /// Activates an arena over `layout`, pinning both directory arrays and
-    /// validating everything that can be checked without touching the
-    /// payload: directory shapes, monotone offsets with bounded per-block
-    /// spans, ascending block heads within each list, and heads inside the
-    /// id universe. Payload bytes are validated lazily at decode time.
+    /// Activates an arena that owns every block of `layout`: the lists
+    /// `list_len`, back to back from block 0, must fill it exactly. See
+    /// [`PagedArena::run`] for what activation checks.
     pub fn new(
         cache: Arc<PageCache>,
         layout: ArenaLayout,
         list_len: Vec<u32>,
         universe: u32,
     ) -> Result<Self, StoreError> {
-        let mut list_block = Vec::with_capacity(list_len.len() + 1);
-        list_block.push(0u32);
-        let mut total: u64 = 0;
-        for &len in &list_len {
-            total += u64::from(blocks_of(len));
-            if total > u64::from(u32::MAX) {
-                return Err(StoreError::Format(
-                    "paged arena block count overflow".into(),
-                ));
-            }
-            list_block.push(total as u32);
-        }
-        if total != u64::from(layout.nblocks) {
+        let lists: Vec<RunList> = list_len.into_iter().map(RunList::Own).collect();
+        let arena = Self::run(cache, layout, 0, &lists, universe)?;
+        if arena.run_end != layout.nblocks {
             return Err(StoreError::Format(format!(
-                "paged arena lists need {total} blocks, layout declares {}",
-                layout.nblocks
+                "paged arena lists need {} blocks, layout declares {}",
+                arena.run_end, layout.nblocks
             )));
         }
-        if layout.data_len > u64::from(u32::MAX) {
-            return Err(StoreError::Format(
-                "paged arena payload exceeds u32 offsets".into(),
+        Ok(arena)
+    }
+
+    /// Activates the run of `layout` that starts at block `first_block`:
+    /// `lists` are the arena's lists in order, each either stored by this
+    /// run ([`RunList::Own`], laid out back to back from `first_block`) or
+    /// shared from a run before it ([`RunList::Shared`], which must end at
+    /// or before `first_block`). Pins the run's slices of both directory
+    /// arrays and validates everything that can be checked without
+    /// touching the payload: directory ranges, monotone offsets with
+    /// bounded per-block spans inside the payload, ascending block heads
+    /// within each own list, and heads inside the id universe. Shared
+    /// lists were checked when their run activated; payload bytes are
+    /// validated lazily at decode time.
+    pub fn run(
+        cache: Arc<PageCache>,
+        layout: ArenaLayout,
+        first_block: u32,
+        lists: &[RunList],
+        universe: u32,
+    ) -> Result<Self, StoreError> {
+        let fail = |msg: String| Err(StoreError::Format(msg));
+        if first_block > layout.nblocks {
+            return fail(format!(
+                "paged arena run at block {first_block} past the layout's {}",
+                layout.nblocks
             ));
+        }
+        let mut list_block = Vec::with_capacity(lists.len());
+        let mut list_len = Vec::with_capacity(lists.len());
+        let mut end = u64::from(first_block);
+        for &l in lists {
+            let span = match l {
+                RunList::Own(len) => {
+                    let span = ListSpan {
+                        first_block: end as u32,
+                        len,
+                    };
+                    end = span.end_block();
+                    if end > u64::from(layout.nblocks) {
+                        return fail(format!(
+                            "paged arena lists need blocks past the layout's {}",
+                            layout.nblocks
+                        ));
+                    }
+                    span
+                }
+                RunList::Shared(span) if span.end_block() <= u64::from(first_block) => span,
+                RunList::Shared(span) => {
+                    return fail(format!(
+                        "paged arena shares block {} of a run at or past its own",
+                        span.first_block
+                    ))
+                }
+            };
+            list_block.push(span.first_block);
+            list_len.push(span.len);
+        }
+        if layout.data_len > u64::from(u32::MAX) {
+            return fail("paged arena payload exceeds u32 offsets".into());
         }
         let region_len = cache.region_len();
         let nb = u64::from(layout.nblocks);
@@ -123,10 +204,12 @@ impl PagedArena {
             "offset table",
         )?;
 
-        // Directories are probed on every seek: fault them in now and pin
-        // them so the clock can never push a seek into a page fault.
-        if !cache.pin(layout.block_first_off, 4 * nb)
-            || !cache.pin(layout.block_off_off, 4 * (nb + 1))
+        // Directories are probed on every seek: fault the run's slices in
+        // now and pin them so the clock can never push a seek into a page
+        // fault. A shared list's slices were pinned by its own run.
+        let (lo, hi) = (u64::from(first_block), end);
+        if !cache.pin(layout.block_first_off + 4 * lo, 4 * (hi - lo))
+            || !cache.pin(layout.block_off_off + 4 * lo, 4 * (hi - lo + 1))
         {
             return Err(cache
                 .take_poison()
@@ -140,38 +223,45 @@ impl PagedArena {
             bf_off: layout.block_first_off,
             bo_off: layout.block_off_off,
             nblocks: layout.nblocks,
+            run_end: end as u32,
             list_block,
             list_len,
             universe,
         };
-        arena.validate_directories()?;
+        arena.validate_run(first_block)?;
         Ok(arena)
     }
 
-    /// Shape checks over the pinned directories: `block_off` starts at 0,
-    /// ascends monotonically with per-block spans a valid block can
-    /// actually occupy, and ends exactly at the payload length; block heads
-    /// ascend strictly within each list and sit inside the universe.
-    fn validate_directories(&self) -> Result<(), StoreError> {
+    /// Shape checks over the run's pinned directory slices: `block_off`
+    /// starts at 0 in the first run, ascends monotonically with per-block
+    /// spans a valid block can actually occupy and inside the payload, and
+    /// ends exactly at the payload length in the last run; block heads
+    /// ascend strictly within each own list (the lists that start in the
+    /// run) and sit inside the universe.
+    fn validate_run(&self, first_block: u32) -> Result<(), StoreError> {
         let fail = |msg: String| Err(StoreError::Format(msg));
-        if self.bo(0) != 0 {
+        if first_block == 0 && self.bo(0) != 0 {
             return fail("paged arena offset table does not start at 0".into());
         }
-        for b in 0..self.nblocks {
+        for b in first_block..self.run_end {
             let (lo, hi) = (self.bo(b), self.bo(b + 1));
             if hi < lo {
                 return fail(format!("paged arena block {b} offsets not monotone"));
             }
-            if (hi - lo) as usize > MAX_BLOCK_PAYLOAD {
-                return fail(format!("paged arena block {b} payload impossibly large"));
+            if (hi - lo) as usize > MAX_BLOCK_PAYLOAD || u64::from(hi) > self.data_len {
+                return fail(format!(
+                    "paged arena block {b} payload impossibly large or past the end"
+                ));
             }
         }
-        if u64::from(self.bo(self.nblocks)) != self.data_len {
+        if self.run_end == self.nblocks && u64::from(self.bo(self.nblocks)) != self.data_len {
             return fail("paged arena offset table does not cover the payload".into());
         }
-        for l in 0..self.num_lists() {
-            let (lo, hi) = (self.list_block[l], self.list_block[l + 1]);
-            for b in lo..hi {
+        for (l, &lo) in self.list_block.iter().enumerate() {
+            if lo < first_block {
+                continue;
+            }
+            for b in lo..lo + blocks_of(self.list_len[l]) {
                 let first = self.bf(b);
                 if first >= self.universe {
                     return fail(format!("paged arena block {b} head outside the universe"));
@@ -203,9 +293,18 @@ impl PagedArena {
         self.universe
     }
 
-    /// Number of blocks across all lists.
-    pub fn num_blocks(&self) -> u32 {
-        self.nblocks
+    /// One past the last block of this arena's own run: where the next
+    /// run over the same layout starts.
+    pub fn run_end(&self) -> u32 {
+        self.run_end
+    }
+
+    /// Where list `i` lives, for a later run to share it.
+    pub fn span(&self, i: usize) -> ListSpan {
+        ListSpan {
+            first_block: self.list_block[i],
+            len: self.list_len[i],
+        }
     }
 
     /// Length of list `i`.
@@ -223,13 +322,21 @@ impl PagedArena {
         Some(self.bf(self.list_block[i]))
     }
 
+    /// The blocks `[lo, hi)` of list `i`.
+    #[inline]
+    fn blocks(&self, i: usize) -> (u32, u32) {
+        let lo = self.list_block[i];
+        (lo, lo + blocks_of(self.list_len[i]))
+    }
+
     /// A seeking cursor over list `i`.
     #[inline]
     pub fn cursor(&self, i: usize) -> PagedCursor<'_> {
+        let (blk_lo, blk_hi) = self.blocks(i);
         PagedCursor {
             arena: self,
-            blk_lo: self.list_block[i],
-            blk_hi: self.list_block[i + 1],
+            blk_lo,
+            blk_hi,
             len: self.list_len[i],
             idx: 0,
             buf_blk: u32::MAX,
@@ -242,7 +349,7 @@ impl PagedArena {
     /// set) if a block fails to decode; the owning query observes the
     /// poison before any answer is served.
     pub fn for_each(&self, i: usize, mut f: impl FnMut(u32)) {
-        let (blo, bhi) = (self.list_block[i], self.list_block[i + 1]);
+        let (blo, bhi) = self.blocks(i);
         if blo == bhi {
             return;
         }
@@ -691,5 +798,56 @@ mod tests {
         // Block head at or past the universe.
         let cache = PageCache::over_bytes(region, 64, u64::MAX).unwrap();
         assert!(PagedArena::new(cache, layout, ll.to_vec(), 1).is_err());
+    }
+
+    /// Two runs over one region-wide arena: the second stores one list and
+    /// shares the first run's big list, which it reads exactly as the
+    /// first run does. A run may share only blocks that end before it.
+    #[test]
+    fn runs_share_lists_stored_by_earlier_runs() {
+        let big: Vec<u32> = (0..300).map(|i| i * 3 + 1).collect();
+        let mut pa = PostingArena::new();
+        for l in [&big[..], &[2, 4], &[7]] {
+            pa.push_list(l);
+        }
+        let (region, layout) = region_of(&pa);
+        let cache = PageCache::over_bytes(region, 64, u64::MAX).unwrap();
+        let own = |len: usize| RunList::Own(len as u32);
+        let first = PagedArena::run(cache.clone(), layout, 0, &[own(300), own(2)], 1000).unwrap();
+        let shared = RunList::Shared(first.span(0));
+        let second = PagedArena::run(
+            cache.clone(),
+            layout,
+            first.run_end(),
+            &[own(1), shared],
+            1000,
+        )
+        .unwrap();
+        assert_eq!(second.run_end(), layout.nblocks);
+        for (arena, i, want) in [
+            (&first, 0, &big[..]),
+            (&second, 1, &big),
+            (&second, 0, &[7]),
+        ] {
+            let mut got = Vec::new();
+            arena.for_each(i, |v| got.push(v));
+            assert_eq!(got, want);
+            let mut c = arena.cursor(i);
+            assert_eq!(c.next_seek(500), want.iter().copied().find(|&v| v >= 500));
+        }
+        assert!(!cache.poisoned());
+        // Sharing a list of this run, or of no run yet activated, fails.
+        for span in [
+            second.span(0),
+            ListSpan {
+                first_block: layout.nblocks,
+                len: 1,
+            },
+        ] {
+            let r = PagedArena::run(cache.clone(), layout, 3, &[RunList::Shared(span)], 1000);
+            assert!(r.is_err(), "{span:?}");
+        }
+        // A run past the layout's blocks fails.
+        assert!(PagedArena::run(cache, layout, layout.nblocks + 1, &[], 1000).is_err());
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The paper's premise is frequent-query skew; this crate exploits the same
 //! skew at the storage layer. Instead of slurping and checksumming whole
-//! sections at load (the v5 read path), the paged v7 layout designates a
+//! sections at load (the v5 read path), the paged v8 layout designates a
 //! *paged region* of the file whose bytes are fetched on demand in
 //! fixed-size pages via positioned I/O ([`PageSource::read_at`] —
 //! `std::os::unix::fs::FileExt`, no mmap, no libc), verified lazily one
@@ -24,8 +24,10 @@
 //!   blocks of [`mrx_postings::BLOCK_LEN`] ids + skip directory), identical iteration
 //!   and seek semantics, but payload bytes live on disk and decode one
 //!   block at a time through the cache — lists freely straddle page seams.
-//!   Extents are the only paged structure: everything a query probes per
-//!   step, the subnode links included, is resident.
+//!   One region-wide arena is cut into per-component runs, and an arena
+//!   may share a list an earlier run stores, so each distinct extent is
+//!   on disk once. Extents are the only paged structure: everything a
+//!   query probes per step, the subnode links included, is resident.
 //!
 //! # Integrity contract
 //!
@@ -42,7 +44,7 @@ mod arena;
 mod cache;
 mod source;
 
-pub use arena::{ArenaLayout, PagedArena, PagedCursor};
+pub use arena::{ArenaLayout, ListSpan, PagedArena, PagedCursor, RunList};
 pub use cache::{
     PageCache, PageStats, DEFAULT_CACHE_BYTES, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE,
 };

@@ -12,7 +12,7 @@
 //! epoch-based reclamation fence, with the refcount as the epoch counter.
 //!
 //! Both layouts are shared read-only across all workers: the slot holds
-//! exactly the structures validation proved. For the demand-paged (v7)
+//! exactly the structures validation proved. For the demand-paged (v8)
 //! layout that is the validated handle's graph and hierarchy
 //! ([`mrx_store::PagedFile::into_parts`]), which read through one
 //! thread-safe page cache under the daemon's one `--cache-bytes` budget.
@@ -39,7 +39,7 @@ use mrx_store::{open_validated, LazyGraph, SnapshotPayload, StoreError};
 pub(crate) enum SnapData {
     /// Compressed posting arenas (v5).
     Compressed(Box<(FrozenGraph, CompressedMStar)>),
-    /// Demand-paged hierarchy and lazy graph (v7), reading through one
+    /// Demand-paged hierarchy and lazy graph (v8), reading through one
     /// page cache.
     Paged(Box<(LazyGraph, PagedMStar)>),
 }
@@ -49,7 +49,7 @@ pub(crate) enum SnapData {
 pub(crate) struct Snapshot {
     /// Serving epoch: 1 for the boot snapshot, +1 per successful RELOAD.
     pub epoch: u64,
-    /// On-disk layout version (5 or 7).
+    /// On-disk layout version (5 or 8).
     pub version: u32,
     /// `"compressed" | "paged"`.
     pub kind: &'static str,

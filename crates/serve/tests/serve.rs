@@ -226,9 +226,9 @@ fn corrupt_reload_is_rejected_and_old_epoch_serves() {
     let want_a = oracle(&graph_a(), EXPRS);
     // Also cover the paged layout as a corruption target.
     let gb = graph_b();
-    let pv7 = dir.join("b7.mrx");
+    let pv8 = dir.join("b7.mrx");
     save_paged_with(
-        &pv7,
+        &pv8,
         &FrozenGraph::freeze(&gb),
         &MStarIndex::new(&gb).freeze_compressed(),
         1024,
@@ -237,7 +237,7 @@ fn corrupt_reload_is_rejected_and_old_epoch_serves() {
 
     let [torn, truncated, flipped, stale] = corrupt_variants(&pb, &dir);
     let bytes = std::fs::read(&pb).unwrap();
-    let retired: Vec<PathBuf> = [1, 2, 3, 4, 6u32]
+    let retired: Vec<PathBuf> = [1, 2, 3, 4, 6, 7u32]
         .into_iter()
         .map(|v| {
             let p = dir.join(format!("retired-v{v}.mrx"));
@@ -248,8 +248,8 @@ fn corrupt_reload_is_rejected_and_old_epoch_serves() {
         })
         .collect();
     let paged_torn = dir.join("torn7.mrx");
-    let v7bytes = std::fs::read(&pv7).unwrap();
-    std::fs::write(&paged_torn, &v7bytes[..v7bytes.len() * 3 / 5]).unwrap();
+    let v8bytes = std::fs::read(&pv8).unwrap();
+    std::fs::write(&paged_torn, &v8bytes[..v8bytes.len() * 3 / 5]).unwrap();
 
     let server = Server::start(base_config(&pa)).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
@@ -272,10 +272,10 @@ fn corrupt_reload_is_rejected_and_old_epoch_serves() {
         }
     }
     let stats = c.stats().unwrap();
-    assert!(stats.contains("\"reloads_rejected\":10"), "{stats}");
+    assert!(stats.contains("\"reloads_rejected\":11"), "{stats}");
     assert!(stats.contains("\"reloads_ok\":0"), "{stats}");
     // A good file still swaps after all those failures.
-    let summary = c.reload(pv7.to_str().unwrap()).unwrap();
+    let summary = c.reload(pv8.to_str().unwrap()).unwrap();
     assert!(summary.contains("\"epoch\":2"), "{summary}");
     assert!(summary.contains("\"kind\":\"paged\""), "{summary}");
     let want_b = oracle(&gb, EXPRS);
@@ -652,14 +652,14 @@ fn corrupt_page_after_boot_is_a_typed_error_and_never_cached() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A boot snapshot in a retired layout (v1–v4, v6) is refused by name, even
+/// A boot snapshot in a retired layout (v1–v4, v6, v7) is refused by name, even
 /// under a lenient boot.
 #[test]
 fn retired_boot_snapshots_are_refused() {
     let dir = tmp_dir("retired-boot");
     let (pa, _) = save_pair(&dir);
     let bytes = std::fs::read(&pa).unwrap();
-    for version in [1, 2, 3, 4, 6u32] {
+    for version in [1, 2, 3, 4, 6, 7u32] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&version.to_le_bytes());
         let p = dir.join(format!("boot-v{version}.mrx"));
@@ -852,11 +852,15 @@ fn chaos_reloads_keep_a_healthy_tenant_on_the_oracle() {
 
     // Healthy tenant: every answer oracle-checked for its stamped epoch;
     // records which epochs it served under and its latency distribution.
+    // It reports its first answer, so the reloads start only after the
+    // tenant has served under the boot epoch.
+    let (served_tx, served_rx) = std::sync::mpsc::channel();
     let healthy = {
         let stop = Arc::clone(&stop);
         let exprs = exprs.clone();
         let (wa, wb) = (Arc::clone(&want_a), Arc::clone(&want_b));
         std::thread::spawn(move || {
+            let mut served_tx = Some(served_tx);
             let mut c = Client::connect(addr).unwrap();
             let mut lat = Vec::new();
             let mut epochs = BTreeSet::new();
@@ -874,6 +878,9 @@ fn chaos_reloads_keep_a_healthy_tenant_on_the_oracle() {
                     r.epoch
                 );
                 epochs.insert(r.epoch);
+                if let Some(tx) = served_tx.take() {
+                    let _ = tx.send(());
+                }
             }
             (lat, epochs)
         })
@@ -946,6 +953,9 @@ fn chaos_reloads_keep_a_healthy_tenant_on_the_oracle() {
     // (odd = A, even = B) is the contract the query threads check against.
     // After the good reloads it keeps trying corrupt images until each one
     // has been rejected.
+    served_rx
+        .recv()
+        .expect("the healthy tenant must serve under the boot epoch");
     let mut rng = Prng::seed_from_u64(SEED);
     let mut reloader = Client::connect(addr).unwrap();
     let (mut reloads_ok, mut reloads_rejected) = (0u64, 0u64);

@@ -269,13 +269,8 @@ fn read_compressed_component_payload(
         epoch,
     };
     link_component(&mut c, coarse, g, node_of)?;
-    c.assemble(
-        g.node_count(),
-        g.num_labels(),
-        coarse.map(CompressedIndex::node_count),
-        false,
-    )
-    .map_err(format_err)
+    c.assemble(g.node_count(), g.num_labels(), coarse, false)
+        .map_err(format_err)
 }
 
 /// Inverts `c`'s extents into the scratch map `node_of` through the
@@ -421,10 +416,10 @@ fn load_compressed_impl<R: Read>(
     Ok((graph, assemble(components)))
 }
 
-/// Peeks the layout version of an `.mrx` snapshot — `5` (compressed) or
-/// `7` (demand-paged) — without loading any section. A retired layout
-/// (versions 1–4 and 6) is refused with [`StoreError::Retired`], anything
-/// else with a format error.
+/// Peeks the layout version of an `.mrx` snapshot —
+/// [`VERSION_COMPRESSED`] (5) or [`VERSION_PAGED`] (8) — without loading
+/// any section. A retired layout (versions 1–4, 6 and 7) is refused with
+/// [`StoreError::Retired`], anything else with a format error.
 pub fn snapshot_version(path: impl AsRef<Path>) -> Result<u32, StoreError> {
     let mut f = File::open(path)?;
     let mut hdr = [0u8; 12];
@@ -844,7 +839,7 @@ mod tests {
             "rows nest"
         );
         for (i, c) in star.components.iter().enumerate() {
-            let coarse = i.checked_sub(1).map(|j| star.components[j].node_count());
+            let coarse = i.checked_sub(1).map(|j| &star.components[j]);
             let checked = c
                 .clone()
                 .assemble(fg.node_count(), fg.num_labels(), coarse, false);
@@ -926,7 +921,7 @@ mod tests {
         let paged =
             crate::paged_image(&FrozenGraph::freeze(&g), &idx.freeze_compressed(), 256).unwrap();
         match load_compressed_from(&paged[..]) {
-            Err(StoreError::Format(m)) => assert!(m.contains("version 7"), "{m}"),
+            Err(StoreError::Format(m)) => assert!(m.contains("version 8"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
         }
     }

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Two layouts exist: compressed v5 ([`crate::compressed`]) and
-//! demand-paged v7 ([`crate::paged`]). Versions 1–4 and 6 were earlier
+//! demand-paged v8 ([`crate::paged`]). Versions 1–4, 6 and 7 were earlier
 //! layouts of the same data; a file carrying one is refused with
 //! [`StoreError::Retired`], which tells the user to re-freeze it.
 
@@ -20,14 +20,15 @@ pub(crate) const STAR_MAGIC: &[u8; 8] = b"MRXSTAR1";
 /// Version tag of the compressed layout: every sorted id list stored as
 /// encoding-tagged posting blocks, loaded eagerly — see
 /// [`crate::compressed`].
-pub(crate) const VERSION_COMPRESSED: u32 = 5;
+pub const VERSION_COMPRESSED: u32 = 5;
 /// Version tag of the demand-paged layout: eager graph core and
-/// per-component metas with the subnode links, extents served through a
-/// page cache — see [`crate::paged`].
-pub(crate) const VERSION_PAGED: u32 = 7;
+/// per-component metas with the subnode links, each distinct extent
+/// served once through a page cache — see [`crate::paged`].
+pub const VERSION_PAGED: u32 = 8;
 /// Retired layout versions, refused with [`StoreError::Retired`]. Version 6
-/// was the paged layout with a `node_of` map per component.
-pub(crate) const RETIRED: [u32; 5] = [1, 2, 3, 4, 6];
+/// was the paged layout with a `node_of` map per component, and version 7
+/// the paged layout that stored a sole subnode's extent again.
+pub(crate) const RETIRED: [u32; 6] = [1, 2, 3, 4, 6, 7];
 
 pub use mrx_error::StoreError;
 
@@ -146,7 +147,7 @@ mod tests {
         }
         assert!(check_version(VERSION_PAGED, &[VERSION_PAGED]).is_ok());
         match check_version(99, &[VERSION_COMPRESSED, VERSION_PAGED]) {
-            Err(StoreError::Format(m)) => assert!(m.contains("v5/v7"), "{m}"),
+            Err(StoreError::Format(m)) => assert!(m.contains("v5/v8"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
         }
     }

@@ -1,4 +1,4 @@
-//! The lazily-loaded data graph behind the demand-paged (v7) snapshot.
+//! The lazily-loaded data graph behind the demand-paged (v8) snapshot.
 //!
 //! [`GraphView`] hands out borrowed slices (`children(v) -> &[NodeId]`),
 //! so the graph cannot be served through an evicting page cache directly —

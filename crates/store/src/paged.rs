@@ -1,19 +1,19 @@
-//! The demand-paged (v7) `.mrx` snapshot layout.
+//! The demand-paged (v8) `.mrx` snapshot layout.
 //!
 //! The compressed v5 layout serves fast but pays its whole cost up front: every component
 //! section is read, checksummed, and validated before the first answer.
-//! The v7 layout splits a snapshot into a small **eagerly loaded** part
+//! The v8 layout splits a snapshot into a small **eagerly loaded** part
 //! and a large **paged region** that is only ever touched through a
 //! fixed-page [`PageCache`], so cold start reads a few kilobytes and the
 //! resident set is bounded by the cache budget, not the corpus size:
 //!
 //! ```text
-//! paged file   := "MRXSTAR1" u32(version=7) u32(ncomponents) ext
+//! paged file   := "MRXSTAR1" u32(version=8) u32(ncomponents) ext
 //!                 section(graph-core) gunit* dir section(meta)*
 //!                 region section(pagetab)
 //! ext          := u64(paged_off) u64(paged_len) u64(pagetab_off)
-//!                 u32(page_size) u32(npages) u64(star_epoch)
-//!                 u64(fnv64 of the preceding 40 ext bytes)
+//!                 u32(page_size) u32(npages) u64(star_epoch) u64(data_len)
+//!                 u64(fnv64 of the preceding 48 ext bytes)
 //! graph-core   := u32(n) u32(root) u32(nedges) u32(npedges)
 //!                 arr(name_off) bytes(name_bytes) arr(name_order)
 //! gunit        := u64(len) raw-LE-u32s u64(fnv64_words) — four of them:
@@ -25,11 +25,9 @@
 //!                 arr(labels) arr(k) arr(genuine) arr(extent_len)
 //!                 arr(child_off) arr(child_tgt) arr(parent_off) arr(parent_tgt)
 //!                 arr(sub_off) arr(sub_tgt)
-//!                 u64(data_off) u64(data_len) u64(bf_off) u64(bo_off)
-//!                 u32(nblocks)
-//! region       := per component: extent varint payload,
+//! region       := extent payload [data_len bytes],
 //!                 [u32; nblocks] block_first, [u32; nblocks+1] block_off
-//!                                                  (offsets region-relative)
+//!                 (nblocks = (paged_len − data_len − 4) / 8)
 //! pagetab      := u64(fnv64_words of each page_size-byte page)*
 //! section(p)   := u64(len(p)) p u64(fnv64(p))
 //! ```
@@ -37,6 +35,17 @@
 //! `root` is the component's node holding the data root, and
 //! `sub_off`/`sub_tgt` are its subnode links (one row per node of the
 //! previous component, empty for `I0`; see [`mrx_index::SubnodeLinks`]).
+//!
+//! **Each distinct extent is stored once** (paper §4). A node of `Ii`
+//! (`i ≥ 1`) whose supernode's link row has one entry is a sole subnode:
+//! its extent is the supernode's, so it shares that list and stores none.
+//! The region is one arena of every stored list, component by component
+//! and in node order within a component. `extent_len` lists the lengths of
+//! the lists a component stores, skipping its sole subnodes, and the
+//! component's lists start at the block where the previous component's
+//! end. Nothing records the sharing: the reader derives it from the links,
+//! which are checksummed with the meta section and checked to form a tree
+//! that splits every coarse extent before anything serves.
 //!
 //! **What loads eagerly** (at [`PagedFile::open`]): the 64-byte header,
 //! the graph core (counts, root, label names — all query compilation
@@ -47,7 +56,8 @@
 //! [`LazyGraph`] (a top-down Proven query touches only `labels` and
 //! `parents`; see `lazy_graph`), and the per-component meta sections (a
 //! prefix `I0..Ij` exactly like [`crate::CompressedFile`]), whose links
-//! are validated to form a tree at activation. **What never loads
+//! are validated at activation to form a tree that splits every coarse
+//! extent. **What never loads
 //! whole**: the extent payload, which dominates the file. It is served
 //! page-by-page through [`PagedArena`], with each 64 KiB page verified
 //! against its checksum the first time it faults in — integrity checking
@@ -85,10 +95,11 @@ use mrx_index::{
 };
 use mrx_pagecache::{
     fnv64, fnv64_words, page_checksums, ArenaLayout, BytesSource, FileSource, PageCache,
-    PageSource, PageStats, PagedArena, DEFAULT_CACHE_BYTES, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE,
-    MIN_PAGE_SIZE,
+    PageSource, PageStats, PagedArena, RunList, DEFAULT_CACHE_BYTES, DEFAULT_PAGE_SIZE,
+    MAX_PAGE_SIZE, MIN_PAGE_SIZE,
 };
 use mrx_path::PathExpr;
+use mrx_postings::PostingArena;
 
 use crate::compressed::{read_arr, read_prelude, write_arr};
 use crate::format::{
@@ -101,16 +112,19 @@ use crate::lazy_graph::{
 use crate::wire::{le_u64, HashingReader};
 
 /// Fixed byte length of the paged header: the 16-byte shared
-/// prelude plus the 48-byte paged extension.
-const HEADER_LEN_PAGED: u64 = 64;
+/// prelude plus the 56-byte paged extension.
+const HEADER_LEN_PAGED: u64 = 72;
 
 // ---------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------
 
-/// Serializes a paged (v7) snapshot into an in-memory image. Exposed so
+/// Serializes a paged (v8) snapshot into an in-memory image. Exposed so
 /// tests can corrupt or open images without a file; [`save_paged`] is the
-/// file-writing entry point.
+/// file-writing entry point. The links must form a tree, and a sole
+/// subnode's extent must equal its supernode's, because only the
+/// supernode's is written: an index whose links or extents break this is
+/// refused with a format error.
 pub fn paged_image(
     g: &FrozenGraph,
     idx: &CompressedMStar,
@@ -137,46 +151,71 @@ pub fn paged_image(
     let gcore_payload = to_payload(|w| write_graph_core(w, g))?;
     let gunits = graph_unit_payloads(g);
 
-    // The paged region and, per component, a meta payload carrying the
-    // resident arrays plus region-relative offsets of the paged ones.
-    let mut region: Vec<u8> = Vec::new();
+    // One arena for the whole region holds every distinct extent list
+    // once, component by component. A sole subnode's extent is its
+    // supernode's (paper §4), so it is checked equal and not written: the
+    // reader derives the sharing from the subnode links.
+    let mut arena = PostingArena::new();
     let mut metas: Vec<Vec<u8>> = Vec::with_capacity(ncomp);
-    for c in &idx.components {
-        let (data, bf, bo, ll) = c.extents.parts();
-        let data_off = region.len() as u64;
-        region.extend_from_slice(data);
-        let bf_off = region.len() as u64;
-        for &v in bf {
-            region.extend_from_slice(&v.to_le_bytes());
+    let (mut ext, mut sup) = (Vec::<u32>::new(), Vec::<u32>::new());
+    for (i, c) in idx.components.iter().enumerate() {
+        let n = c.node_count();
+        if c.extents.num_lists() != n {
+            return Err(format_err(format!(
+                "component {i} carries {} extent lists for {n} nodes",
+                c.extents.num_lists()
+            )));
         }
-        let bo_off = region.len() as u64;
-        for &v in bo {
-            region.extend_from_slice(&v.to_le_bytes());
+        let coarse = i.checked_sub(1).map(|j| &idx.components[j]);
+        c.links
+            .check(coarse.map(|c| c.node_count()), n, true)
+            .map_err(|e| format_err(format!("component {i}: {e}")))?;
+        let mut stored = Vec::new();
+        for (v, sole) in c.links.sole_supernodes(n).into_iter().enumerate() {
+            ext.clear();
+            c.extents.decode_into(v, &mut ext);
+            match (sole, coarse) {
+                (Some(u), Some(coarse)) => {
+                    sup.clear();
+                    coarse.extents.decode_into(u.index(), &mut sup);
+                    if ext != sup {
+                        return Err(format_err(format!(
+                            "component {i}: node {v} is the sole subnode of coarse node {} \
+                             but its extent differs",
+                            u.0
+                        )));
+                    }
+                }
+                _ => {
+                    arena.push_list(&ext);
+                    stored.push(ext.len() as u32);
+                }
+            }
         }
-        let nblocks = u32::try_from(bf.len())
-            .map_err(|_| format_err("extent arena exceeds u32 block count"))?;
         let meta = to_payload(|w| {
-            w.write_u32(c.labels.len() as u32)?;
+            w.write_u32(n as u32)?;
             w.write_u32(u32::from(c.lemma2))?;
             w.write_u64(c.epoch)?;
             w.write_u32(c.root.0)?;
             write_arr(w, c.labels.iter().map(|l| l.0))?;
             write_arr(w, c.k.iter().copied())?;
             write_arr(w, c.genuine.iter().copied())?;
-            write_arr(w, ll.iter().copied())?;
+            write_arr(w, stored.iter().copied())?;
             write_arr(w, c.child_off.iter().copied())?;
             write_arr(w, c.child_tgt.iter().map(|v| v.0))?;
             write_arr(w, c.parent_off.iter().copied())?;
             write_arr(w, c.parent_tgt.iter().map(|v| v.0))?;
             write_arr(w, c.links.off.iter().copied())?;
-            write_arr(w, c.links.tgt.iter().map(|v| v.0))?;
-            w.write_u64(data_off)?;
-            w.write_u64(data.len() as u64)?;
-            w.write_u64(bf_off)?;
-            w.write_u64(bo_off)?;
-            w.write_u32(nblocks)
+            write_arr(w, c.links.tgt.iter().map(|v| v.0))
         })?;
         metas.push(meta);
+    }
+    let (data, bf, bo, _) = arena.parts();
+    u32::try_from(bf.len()).map_err(|_| format_err("extent arena exceeds u32 block count"))?;
+    let mut region: Vec<u8> = Vec::with_capacity(data.len() + 4 * (bf.len() + bo.len()));
+    region.extend_from_slice(data);
+    for &v in bf.iter().chain(bo) {
+        region.extend_from_slice(&v.to_le_bytes());
     }
 
     let graph_sec = 8 + gcore_payload.len() as u64 + 8;
@@ -209,6 +248,7 @@ pub fn paged_image(
     out.extend_from_slice(&page_size.to_le_bytes());
     out.extend_from_slice(&npages.to_le_bytes());
     out.extend_from_slice(&idx.epoch.to_le_bytes());
+    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
     let ext_fnv = fnv64(&out[16..]);
     out.extend_from_slice(&ext_fnv.to_le_bytes());
     write_section(&mut out, &gcore_payload)?;
@@ -231,7 +271,7 @@ pub fn paged_image(
     Ok(out)
 }
 
-/// Saves a paged (v7) snapshot with the default 64 KiB page size.
+/// Saves a paged (v8) snapshot with the default 64 KiB page size.
 pub fn save_paged(
     path: impl AsRef<Path>,
     g: &FrozenGraph,
@@ -262,14 +302,20 @@ pub fn save_paged_with(
 trait ReadSeek: Read + Seek {}
 impl<T: Read + Seek> ReadSeek for T {}
 
-/// Decodes a meta section into an unassembled [`PagedIndex`] whose arena
-/// reads through `cache` over a universe of `universe` data nodes. Shape
-/// validation happens in [`PagedArena::new`] and
-/// [`PagedIndex::assemble`](mrx_index::SnapshotIndex::assemble); this only
-/// reads.
+/// Decodes a meta section into an unassembled [`PagedIndex`] below
+/// `coarse`, whose extents read through `cache` over a universe of
+/// `universe` data nodes. The subnode links are checked first, because
+/// they decide which lists the component stores: a node that is its
+/// supernode's only subnode shares the supernode's list, and every other
+/// node takes the next stored list, in a run that starts where `coarse`'s
+/// ends. [`PagedArena::run`] and
+/// [`PagedIndex::assemble`](mrx_index::SnapshotIndex::assemble) check the
+/// rest.
 fn read_paged_meta(
     r: &mut HashingReader<&[u8]>,
     cache: &Arc<PageCache>,
+    layout: ArenaLayout,
+    coarse: Option<&PagedIndex>,
     universe: u32,
 ) -> Result<PagedIndex, StoreError> {
     let n = r.read_u32()? as usize;
@@ -297,18 +343,31 @@ fn read_paged_meta(
             labels.len()
         )));
     }
-    let layout = ArenaLayout {
-        data_off: r.read_u64()?,
-        data_len: r.read_u64()?,
-        block_first_off: r.read_u64()?,
-        block_off_off: r.read_u64()?,
-        nblocks: r.read_u32()?,
-    };
+    links
+        .check(coarse.map(PagedIndex::node_count), n, true)
+        .map_err(format_err)?;
+    let sole = links.sole_supernodes(n);
+    let own = sole.iter().filter(|s| s.is_none()).count();
+    if extent_len.len() != own {
+        return Err(format_err(format!(
+            "paged component stores {} extent lists for {own} nodes",
+            extent_len.len()
+        )));
+    }
+    let mut stored = extent_len.into_iter();
+    let lists: Vec<RunList> = sole
+        .into_iter()
+        .map(|s| match (s, coarse) {
+            (Some(u), Some(c)) => RunList::Shared(c.extents.span(u.index())),
+            _ => RunList::Own(stored.next().unwrap_or(0)),
+        })
+        .collect();
+    let first_block = coarse.map_or(0, |c| c.extents.run_end());
     Ok(PagedIndex {
         labels,
         k,
         genuine,
-        extents: PagedArena::new(cache.clone(), layout, extent_len, universe)?,
+        extents: PagedArena::run(cache.clone(), layout, first_block, &lists, universe)?,
         child_off,
         child_tgt,
         parent_off,
@@ -322,7 +381,7 @@ fn read_paged_meta(
     })
 }
 
-/// An open paged (v7) snapshot: eager graph core, lazily-materialized
+/// An open paged (v8) snapshot: eager graph core, lazily-materialized
 /// graph units, lazy component meta prefix, and extents served through a
 /// budgeted [`PageCache`].
 ///
@@ -342,6 +401,8 @@ pub struct PagedFile {
     /// components have loaded.
     star: PagedMStar,
     cache: Arc<PageCache>,
+    /// The region-wide extent arena every component runs over.
+    layout: ArenaLayout,
     paged_off: u64,
     bytes_read: u64,
     epoch_checked: bool,
@@ -386,7 +447,7 @@ impl PagedFile {
         cache_bytes: u64,
     ) -> Result<Self, StoreError> {
         let (ncomp, _) = read_prelude(&mut reader, Some(file_len), VERSION_PAGED)?;
-        let mut ext = [0u8; 48];
+        let mut ext = [0u8; 56];
         reader.read_exact(&mut ext)?;
         let paged_off = le_u64(&ext[0..8]);
         let paged_len = le_u64(&ext[8..16]);
@@ -394,11 +455,32 @@ impl PagedFile {
         let page_size = u32::from_le_bytes([ext[24], ext[25], ext[26], ext[27]]);
         let npages = u32::from_le_bytes([ext[28], ext[29], ext[30], ext[31]]);
         let star_epoch = le_u64(&ext[32..40]);
-        if fnv64(&ext[..40]) != le_u64(&ext[40..48]) {
+        let data_len = le_u64(&ext[40..48]);
+        if fnv64(&ext[..48]) != le_u64(&ext[48..56]) {
             return Err(StoreError::Checksum {
                 section: "paged header".into(),
             });
         }
+        // The region is the extent payload, then both directories:
+        // `paged_len = data_len + 4 * nblocks + 4 * (nblocks + 1)`.
+        let nblocks = paged_len
+            .checked_sub(data_len)
+            .and_then(|d| d.checked_sub(4))
+            .filter(|d| d % 8 == 0)
+            .and_then(|d| u32::try_from(d / 8).ok())
+            .ok_or_else(|| {
+                format_err(format!(
+                    "paged region of {paged_len} bytes cannot hold a {data_len}-byte payload \
+                     and its directories"
+                ))
+            })?;
+        let layout = ArenaLayout {
+            data_off: 0,
+            data_len,
+            block_first_off: data_len,
+            block_off_off: data_len + 4 * u64::from(nblocks),
+            nblocks,
+        };
         let region_end = paged_off
             .checked_add(paged_len)
             .ok_or_else(|| format_err("paged region overflows"))?;
@@ -480,6 +562,7 @@ impl PagedFile {
                 epoch: star_epoch,
             },
             cache,
+            layout,
             paged_off,
             bytes_read,
             epoch_checked: false,
@@ -566,26 +649,33 @@ impl PagedFile {
                     self.star.epoch
                 )));
             }
+            let end = components.last().map_or(0, |c| c.extents.run_end());
+            if end != self.layout.nblocks {
+                return Err(format_err(format!(
+                    "components read {end} of the region's {} extent blocks",
+                    self.layout.nblocks
+                )));
+            }
             self.epoch_checked = true;
         }
         Ok(())
     }
 
     /// Reads and activates component `Ii`: decode its meta section, pin
-    /// the paged arena's skip directories, and validate the resident
-    /// arrays, the links to `I(i−1)` included.
+    /// its run of the skip directories, and validate the resident arrays,
+    /// the links to `I(i−1)` included.
     fn read_component(&mut self, i: usize) -> Result<PagedIndex, StoreError> {
         self.reader.seek(SeekFrom::Start(self.offsets[i]))?;
         let budget = self.paged_off.saturating_sub(self.offsets[i]);
         let (cache, universe) = (&self.cache, self.graph.node_count() as u32);
+        let coarse = self.star.components.last();
         let (c, len) = read_section_bounded(
             &mut self.reader,
             &format!("component {i}"),
             Some(budget),
-            |r| read_paged_meta(r, cache, universe),
+            |r| read_paged_meta(r, cache, self.layout, coarse, universe),
         )?;
         self.bytes_read += len;
-        let coarse = self.star.components.last().map(PagedIndex::node_count);
         c.assemble(
             self.graph.node_count(),
             self.graph.num_labels(),
@@ -790,10 +880,11 @@ mod tests {
 
     /// `img` with one bit flipped in the labels graph unit, whose payload
     /// starts 8 bytes into the first unit frame, which follows the graph
-    /// core section at 64.
+    /// core section after the header.
     fn labels_unit_flipped(img: &[u8]) -> Vec<u8> {
-        let gcore_len = le_u64(&img[64..72]) as usize;
-        let unit0 = 64 + 16 + gcore_len;
+        let h = HEADER_LEN_PAGED as usize;
+        let gcore_len = le_u64(&img[h..h + 8]) as usize;
+        let unit0 = h + 16 + gcore_len;
         let mut bad = img.to_vec();
         bad[unit0 + 8] ^= 0x04;
         bad
@@ -997,7 +1088,7 @@ mod tests {
         // First meta section offset is the first directory entry; the
         // directory follows the graph core section and the four unit
         // frames, each of which leads with a u64 payload length.
-        let mut dir_at = 64usize;
+        let mut dir_at = HEADER_LEN_PAGED as usize;
         for _ in 0..(1 + GRAPH_UNITS) {
             let len = le_u64(&img[dir_at..dir_at + 8]) as usize;
             dir_at += 16 + len;
@@ -1020,7 +1111,7 @@ mod tests {
     #[test]
     fn hostile_link_id_is_refused_at_activation() {
         let (_g, _cz, _fg, mut img) = image(64);
-        let mut dir_at = 64usize;
+        let mut dir_at = HEADER_LEN_PAGED as usize;
         for _ in 0..(1 + GRAPH_UNITS) {
             dir_at += 16 + le_u64(&img[dir_at..dir_at + 8]) as usize;
         }
@@ -1051,6 +1142,43 @@ mod tests {
             serve(&mut f, &q, TrustPolicy::Proven),
             Err(MrxError::Store(StoreError::Format(_)))
         ));
+    }
+
+    /// The writer stores a sole subnode's extent only as its supernode's,
+    /// so it refuses a hierarchy whose links call a node sole while its
+    /// extent differs, instead of writing a file that serves the wrong
+    /// members.
+    #[test]
+    fn writer_refuses_a_sole_subnode_whose_extent_differs() {
+        let (_g, idx) = setup();
+        let fg = FrozenGraph::freeze(&_g);
+        let mut cz = idx.freeze_compressed();
+        let (i, v) = (1..cz.components.len())
+            .find_map(|i| {
+                let c = &cz.components[i];
+                let sole = c.links.sole_supernodes(c.node_count());
+                (0..c.node_count())
+                    .find(|&v| sole[v].is_some() && c.extents.len_of(v) > 1)
+                    .map(|v| (i, v))
+            })
+            .expect("some sole subnode holds two members");
+        let c = &mut cz.components[i];
+        let mut lists = mrx_postings::PostingArena::new();
+        for u in 0..c.node_count() {
+            let mut ext: Vec<u32> = Vec::new();
+            c.extents.decode_into(u, &mut ext);
+            if u == v {
+                ext.pop();
+            }
+            lists.push_list(&ext);
+        }
+        c.extents = lists;
+        match paged_image(&fg, &cz, 64) {
+            Err(StoreError::Format(m)) => {
+                assert!(m.contains(&format!("node {v} is the sole subnode")), "{m}")
+            }
+            other => panic!("expected a format error, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]
@@ -1098,10 +1226,10 @@ mod tests {
     fn pagetab_offset_near_u64_max_is_a_format_error() {
         let (_g, _cz, _fg, mut img) = image(64);
         // pagetab_off is header bytes 32..40; the extension checksum over
-        // bytes 16..56 sits at 56..64.
+        // bytes 16..64 sits at 64..72.
         img[32..40].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
-        let sum = fnv64(&img[16..56]);
-        img[56..64].copy_from_slice(&sum.to_le_bytes());
+        let sum = fnv64(&img[16..64]);
+        img[64..72].copy_from_slice(&sum.to_le_bytes());
         match PagedFile::open_bytes(img, DEFAULT_CACHE_BYTES).map(|_| ()) {
             Err(StoreError::Format(m)) => assert!(m.contains("outside the file"), "{m}"),
             other => panic!("expected a format error, got {other:?}"),
@@ -1113,7 +1241,7 @@ mod tests {
     #[test]
     fn meta_directory_offset_near_u64_max_is_a_format_error() {
         let (_g, _cz, _fg, mut img) = image(64);
-        let mut dir_at = 64usize;
+        let mut dir_at = HEADER_LEN_PAGED as usize;
         for _ in 0..(1 + GRAPH_UNITS) {
             dir_at += 16 + le_u64(&img[dir_at..dir_at + 8]) as usize;
         }

@@ -22,7 +22,7 @@
 //!   file outright (a replacement snapshot should be *pristine*), while
 //!   lenient mode accepts it and reports which components were rebuilt.
 //!
-//! A retired layout (versions 1–4 and 6) is refused with
+//! A retired layout (versions 1–4, 6 and 7) is refused with
 //! [`StoreError::Retired`] before anything else is read.
 
 use std::path::Path;
@@ -37,7 +37,7 @@ use crate::paged::PagedFile;
 /// A snapshot that passed every check in [`open_validated`], ready to
 /// serve.
 pub struct ValidatedSnapshot {
-    /// The on-disk layout version (5 or 7).
+    /// The on-disk layout version (5 or 8).
     pub version: u32,
     /// Components rebuilt as live `A(i)` during a lenient load (always
     /// empty under `strict`, and always empty for the paged layouts,
@@ -56,7 +56,7 @@ pub struct ValidatedSnapshot {
 pub enum SnapshotPayload {
     /// Compressed posting arenas (v5), served without decompression.
     Compressed(FrozenGraph, CompressedMStar),
-    /// Demand-paged file (v7): every page and graph unit has been
+    /// Demand-paged file (v8): every page and graph unit has been
     /// faulted and verified, then released back to the cache budget — the
     /// handle serves through its own page cache.
     Paged(Box<PagedFile>),

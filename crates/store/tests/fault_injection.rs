@@ -1,31 +1,37 @@
 //! Seeded fault injection against both snapshot layouts, compressed (v5)
-//! and demand-paged (v7), on the tiny XMark-like corpus (2,767 nodes) with
+//! and demand-paged (v8), on the tiny XMark-like corpus (2,767 nodes) with
 //! its M*(k) adapted to a 60-query workload (seed 7, max length 4).
 //!
 //! One test runs three phases in sequence:
 //!
 //! * **corruption sweep** — 500 seeded [`FaultPlan`]s per layout, each
 //!   applied to a fresh copy of the image. A load either returns exactly
-//!   the clean snapshot (v5) or the clean answers (v7), or fails with a
+//!   the clean snapshot (v5) or the clean answers (v8), or fails with a
 //!   typed [`StoreError`]. It never panics, and rejecting an image never
 //!   allocates more than a clean load plus twice the image plus 2 MiB, so a
 //!   lying length prefix cannot balloon the loader. v5 reads through each
 //!   plan's faulting reader and takes every kind: short reads are legal
 //!   `Read` behaviour and must load, injected I/O errors must surface as
-//!   `StoreError::Io`. The v7 open reads an in-memory image, where a reader
+//!   `StoreError::Io`. The v8 open reads an in-memory image, where a reader
 //!   fault cannot fire, so its plans are drawn from the image-level kinds
-//!   only. A v7 "load" is open, every component, four queries and the full
+//!   only. A v8 "load" is open, every component, four queries and the full
 //!   page-checksum walk, since the paged region is never read eagerly;
 //! * **payload bit flips** — every 97th bit (coprime to 8, so every bit
 //!   position within a byte is hit) of every checksummed v5 section
 //!   payload, tagged posting blocks and their tag bytes included. Each
 //!   flipped image must fail with `StoreError::Checksum`, so no block
 //!   decoder ever sees a flipped bit;
-//! * **paged-region bit flips** — every 97th bit of a v7 paged region cut
+//! * **paged-region bit flips** — every 31st bit of a v8 paged region cut
 //!   into 256-byte pages. The open must succeed (the region is lazy), the
 //!   page walk must name a corrupt page, and each query must return the
 //!   clean answer (its pages were never touched) or fail with a typed
-//!   checksum error at first touch.
+//!   checksum error at first touch;
+//! * **resealed link rows** — in every v8 component below `I0`, a row of
+//!   the subnode links with two subnodes is made to look sole, and a sole
+//!   row made to look split, by moving one row boundary in `sub_off` and
+//!   resealing the meta checksum. The sole rows decide which nodes share
+//!   their supernode's stored extent, so each case must end in a typed
+//!   error or the clean answers, never a panic.
 //!
 //! The allocation bound needs a process-wide counting allocator, so this
 //! binary holds exactly one `#[test]` and the sweep runs first, on one
@@ -40,6 +46,7 @@ use mrx_datagen::{xmark_like, XmarkConfig};
 use mrx_error::MrxError;
 use mrx_graph::{FrozenGraph, NodeId};
 use mrx_index::{CompressedMStar, MStarIndex, QuerySession, TrustPolicy};
+use mrx_pagecache::fnv64;
 use mrx_path::PathExpr;
 use mrx_store::fault::{FaultKind, FaultPlan};
 use mrx_store::{load_compressed_from, paged_image, save_compressed_to, PagedFile, StoreError};
@@ -86,9 +93,13 @@ fn bytes_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 /// Seeds per layout in the corruption sweep.
 const SEEDS: usize = 500;
-/// Every `STRIDE`-th bit is flipped in the bit-flip phases.
+/// Every `STRIDE`-th bit is flipped in the v5 payload phase.
 const STRIDE: u64 = 97;
-/// Cache budget for every v7 open: larger than any image here.
+/// Every `REGION_STRIDE`-th bit is flipped in the v8 region phase; the
+/// region stores each distinct extent once, so it is denser than the v5
+/// sections.
+const REGION_STRIDE: u64 = 31;
+/// Cache budget for every v8 open: larger than any image here.
 const CACHE: u64 = 1 << 22;
 
 /// Whether `plan` corrupts the image rather than the reader.
@@ -160,11 +171,11 @@ fn payload_ranges(image: &[u8]) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Every [`STRIDE`]-th bit position inside the byte ranges `ranges`.
-fn sampled_bits(ranges: &[(usize, usize)]) -> Vec<u64> {
+/// Every `stride`-th bit position inside the byte ranges `ranges`.
+fn sampled_bits(ranges: &[(usize, usize)], stride: u64) -> Vec<u64> {
     ranges
         .iter()
-        .flat_map(|&(start, end)| (start as u64 * 8..end as u64 * 8).step_by(STRIDE as usize))
+        .flat_map(|&(start, end)| (start as u64 * 8..end as u64 * 8).step_by(stride as usize))
         .collect()
 }
 
@@ -191,7 +202,7 @@ fn for_each_flip(image: &[u8], bits: &[u64], f: impl Fn(u64, Vec<u8>) + Sync) {
 /// flip must fail the load with `StoreError::Checksum`. Returns the number
 /// of bits flipped.
 fn payload_flips(image: &[u8]) -> usize {
-    let bits = sampled_bits(&payload_ranges(image));
+    let bits = sampled_bits(&payload_ranges(image), STRIDE);
     for_each_flip(image, &bits, |bit, img| {
         match load_compressed_from(&img[..]) {
             Err(StoreError::Checksum { .. }) => {}
@@ -201,7 +212,7 @@ fn payload_flips(image: &[u8]) -> usize {
     bits.len()
 }
 
-/// Flips every [`STRIDE`]-th bit of a v7 image's paged region. The open
+/// Flips every [`REGION_STRIDE`]-th bit of a v8 image's paged region. The open
 /// must succeed, [`PagedFile::verify`] must name a corrupt page, and each
 /// query must return its clean answer or fail with a checksum error: the
 /// checksum runs on page fault, before any block decode sees the page.
@@ -209,24 +220,24 @@ fn payload_flips(image: &[u8]) -> usize {
 fn region_flips(image: &[u8], queries: &[PathExpr], clean: &[Vec<NodeId>]) -> (usize, u64) {
     let le_u64 = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
     let (paged_off, paged_len) = (le_u64(16), le_u64(24));
-    let bits = sampled_bits(&[(paged_off, paged_off + paged_len)]);
+    let bits = sampled_bits(&[(paged_off, paged_off + paged_len)], REGION_STRIDE);
     let mid_query = AtomicU64::new(0);
     for_each_flip(image, &bits, |bit, img| {
         let mut f = PagedFile::open_bytes(img, CACHE)
-            .unwrap_or_else(|e| panic!("v7: the open read the lazy region (bit {bit}): {e}"));
+            .unwrap_or_else(|e| panic!("v8: the open read the lazy region (bit {bit}): {e}"));
         match f.verify() {
             Err(StoreError::Checksum { ref section }) if section.starts_with("page ") => {}
-            other => panic!("v7: flip of region bit {bit} escaped the page walk: {other:?}"),
+            other => panic!("v8: flip of region bit {bit} escaped the page walk: {other:?}"),
         }
         for (q, want) in queries.iter().zip(clean) {
             match serve(&mut f, q) {
-                Ok(nodes) => assert_eq!(&nodes, want, "v7: wrong answer on {q} (bit {bit})"),
+                Ok(nodes) => assert_eq!(&nodes, want, "v8: wrong answer on {q} (bit {bit})"),
                 Err(StoreError::Checksum { .. }) => {
                     mid_query.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
                 Err(e) => {
-                    panic!("v7: region bit {bit} surfaced as a non-checksum error on {q}: {e}")
+                    panic!("v8: region bit {bit} surfaced as a non-checksum error on {q}: {e}")
                 }
             }
         }
@@ -245,9 +256,9 @@ fn serve(f: &mut PagedFile, q: &PathExpr) -> Result<Vec<NodeId>, StoreError> {
     }
 }
 
-/// Answers `queries` top-down from a v7 image after activating every
+/// Answers `queries` top-down from a v8 image after activating every
 /// component, then walks every page checksum.
-fn serve_v7(img: &[u8], queries: &[PathExpr]) -> Result<Vec<Vec<NodeId>>, StoreError> {
+fn serve_v8(img: &[u8], queries: &[PathExpr]) -> Result<Vec<Vec<NodeId>>, StoreError> {
     let mut f = PagedFile::open_bytes(img.to_vec(), CACHE)?;
     f.ensure_loaded(usize::MAX)?;
     let answers = queries
@@ -256,6 +267,80 @@ fn serve_v7(img: &[u8], queries: &[PathExpr]) -> Result<Vec<Vec<NodeId>>, StoreE
         .collect::<Result<_, _>>()?;
     f.verify()?;
     Ok(answers)
+}
+
+/// Absolute offsets of every component's meta section in a v8 image. The
+/// meta directory follows the 72-byte header, the graph core section and
+/// the four graph unit frames, each of which leads with its u64 payload
+/// length and ends with a u64 digest.
+fn meta_sections(image: &[u8]) -> Vec<usize> {
+    let word = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    let ncomp = u32::from_le_bytes(image[12..16].try_into().unwrap()) as usize;
+    let mut dir = 72;
+    for _ in 0..5 {
+        dir += 16 + word(dir);
+    }
+    (0..ncomp).map(|i| word(dir + 8 * i)).collect()
+}
+
+/// Byte offset of the first `sub_off` entry in the meta section at `meta`,
+/// and the entry count: the payload starts 8 bytes in with n, lemma2,
+/// epoch and root (20 bytes), then eight `u32`-counted arrays come first.
+fn sub_off_array(image: &[u8], meta: usize) -> (usize, usize) {
+    let word = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize;
+    let mut at = meta + 8 + 20;
+    for _ in 0..8 {
+        at += 4 + 4 * word(at);
+    }
+    (at + 4, word(at))
+}
+
+/// Recomputes the digest of the section at `at` after its payload changed.
+fn reseal(image: &mut [u8], at: usize) {
+    let len = u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    let sum = fnv64(&image[at + 8..at + 8 + len]);
+    image[at + 8 + len..at + 16 + len].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Moves the boundary between link rows `u` and `u + 1` of every
+/// component below `I0` wherever row `u` has two subnodes (it loses its
+/// second, so it looks sole) or one (it gains the next row's first, so it
+/// looks split), reseals the meta checksum, and serves `queries` from each
+/// resealed image. Each must end in a typed error or the clean answers.
+/// Returns (rows made sole, rows made split, cases rejected).
+fn resealed_rows(image: &[u8], queries: &[PathExpr], clean: &[Vec<NodeId>]) -> (u64, u64, u64) {
+    let (mut sole, mut split, mut rejected) = (0, 0, 0);
+    for (i, &meta) in meta_sections(image).iter().enumerate().skip(1) {
+        let (at, count) = sub_off_array(image, meta);
+        let off =
+            |u: usize| u32::from_le_bytes(image[at + 4 * u..at + 4 * u + 4].try_into().unwrap());
+        for u in 0..count.saturating_sub(2) {
+            let moved = match off(u + 1) - off(u) {
+                2 => off(u + 1) - 1,
+                1 => off(u + 1) + 1,
+                _ => continue,
+            };
+            let mut img = image.to_vec();
+            img[at + 4 * (u + 1)..at + 4 * (u + 2)].copy_from_slice(&moved.to_le_bytes());
+            reseal(&mut img, meta);
+            let kind = if moved < off(u + 1) { "sole" } else { "split" };
+            let r = catch_unwind(AssertUnwindSafe(|| serve_v8(&img, queries)))
+                .unwrap_or_else(|_| panic!("v8: I{i} row {u} made {kind} panicked"));
+            match r {
+                Ok(answers) => assert!(
+                    answers == clean,
+                    "v8: I{i} row {u} made {kind} answered wrong"
+                ),
+                Err(_) => rejected += 1,
+            }
+            if kind == "sole" {
+                sole += 1;
+            } else {
+                split += 1;
+            }
+        }
+    }
+    (sole, split, rejected)
 }
 
 fn v5_image(fg: &FrozenGraph, cz: &CompressedMStar) -> Vec<u8> {
@@ -322,26 +407,26 @@ fn corrupt_snapshots_never_panic_and_never_answer_wrong() {
         "v5: the sweep must draw both reader kinds"
     );
 
-    // --- Corruption sweep, v7: image-level plans only, 4 KiB pages.
-    let v7 = paged_image(&fg, &cz, 4096).unwrap();
-    let clean_v7 = serve_v7(&v7, queries).unwrap();
+    // --- Corruption sweep, v8: image-level plans only, 4 KiB pages.
+    let v8 = paged_image(&fg, &cz, 4096).unwrap();
+    let clean_v8 = serve_v8(&v8, queries).unwrap();
     let plans = (0u64..)
         .map(|s| (s, FaultPlan::from_seed(s)))
         .filter(|(_, p)| image_level(p))
         .take(SEEDS);
-    let mut v7_rejected = 0u64;
+    let mut v8_rejected = 0u64;
     sweep(
-        "v7",
-        &v7,
+        "v8",
+        &v8,
         plans,
-        |_, img| serve_v7(img, queries),
+        |_, img| serve_v8(img, queries),
         |seed, plan, r| match r {
             Ok(answers) => assert!(
-                answers == clean_v7,
-                "v7: seed {seed} ({:?}) served a wrong answer",
+                answers == clean_v8,
+                "v8: seed {seed} ({:?}) served a wrong answer",
                 plan.kind()
             ),
-            Err(_) => v7_rejected += 1,
+            Err(_) => v8_rejected += 1,
         },
     );
 
@@ -350,15 +435,25 @@ fn corrupt_snapshots_never_panic_and_never_answer_wrong() {
     let flips = payload_flips(&v5_image(&fg, &small));
     assert!(flips >= 7_708, "v5: only {flips} payload bits flipped");
 
-    let small_v7 = paged_image(&fg, &small, 256).unwrap();
-    let clean = serve_v7(&small_v7, queries).unwrap();
-    let (region, mid_query) = region_flips(&small_v7, queries, &clean);
-    assert!(region >= 735, "v7: only {region} region bits flipped");
-    assert!(mid_query > 0, "v7: no region flip surfaced mid-query");
+    let small_v8 = paged_image(&fg, &small, 256).unwrap();
+    let clean = serve_v8(&small_v8, queries).unwrap();
+    let (region, mid_query) = region_flips(&small_v8, queries, &clean);
+    assert!(region >= 735, "v8: only {region} region bits flipped");
+    assert!(mid_query > 0, "v8: no region flip surfaced mid-query");
+
+    // --- Link rows resealed behind a valid meta checksum.
+    let (made_sole, made_split, resealed_rejected) = resealed_rows(&v8, queries, &clean_v8);
+    assert!(
+        made_sole > 0 && made_split > 0,
+        "v8: the resealed rows must include both kinds ({made_sole} sole, {made_split} split)"
+    );
 
     println!(
         "v5 sweep: {v5_rejected} image faults rejected, {io_errors} I/O errors surfaced, \
-         {short_reads} short reads loaded; v7 sweep: {v7_rejected} of {SEEDS} rejected; \
-         {flips} payload flips caught; {region} region flips caught ({mid_query} mid-query)"
+         {short_reads} short reads loaded; v8 sweep: {v8_rejected} of {SEEDS} rejected; \
+         {flips} payload flips caught; {region} region flips caught ({mid_query} mid-query); \
+         {resealed_rejected} of {} resealed link rows rejected ({made_sole} made sole, \
+         {made_split} made split)",
+        made_sole + made_split
     );
 }

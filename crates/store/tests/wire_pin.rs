@@ -1,4 +1,4 @@
-//! Pins the v5 and v7 wire formats: the byte length and FNV-64 digest of
+//! Pins the v5 and v8 wire formats: the byte length and FNV-64 digest of
 //! both images for a small seeded XMark corpus. A change to either writer
 //! that moves a single byte fails here, so `snapshot_mb` in the benchmark
 //! and every snapshot already on disk stay what they were. The index is
@@ -29,19 +29,19 @@ fn corpus() -> (FrozenGraph, mrx_index::CompressedMStar) {
 }
 
 #[test]
-fn v5_and_v7_images_are_pinned() {
+fn v5_and_v8_images_are_pinned() {
     let (fg, cz) = corpus();
     let mut v5 = Vec::new();
     save_compressed_to(&mut v5, &fg, &cz).unwrap();
-    let v7 = paged_image(&fg, &cz, 4096).unwrap();
+    let v8 = paged_image(&fg, &cz, 4096).unwrap();
     assert_eq!(
         (v5.len(), fnv64(&v5)),
         (104_215, 0xf038_084c_81ea_2aa8),
         "v5 image moved"
     );
     assert_eq!(
-        (v7.len(), fnv64(&v7)),
-        (108_425, 0x8d24_2e13_aff0_492c),
-        "v7 image moved"
+        (v8.len(), fnv64(&v8)),
+        (96_152, 0x8de8_391c_af5e_33ce),
+        "v8 image moved"
     );
 }

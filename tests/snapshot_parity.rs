@@ -1,12 +1,12 @@
 //! One differential suite for the serving forms: the live index families
 //! through a [`QuerySession`], and the two snapshot layouts the server
-//! runs, compressed (v5) and demand-paged (v7).
+//! runs, compressed (v5) and demand-paged (v8).
 //!
 //! The session cases serve every family cold, warm (cache hit), after
 //! refinement invalidated the cache, and replayed at 1/2/8 threads; every
 //! answer and [`Cost`] must equal the per-query entry points. Every
 //! snapshot case writes a real `.mrx` file and reopens it the way serving
-//! does — v5 through the validated loader, v7 through a [`PagedFile`] with
+//! does — v5 through the validated loader, v8 through a [`PagedFile`] with
 //! tiny pages and a budget far below the paged region, so queries cross
 //! page seams and churn the clock mid-evaluation. The table is datasets ×
 //! layouts × trust policies × cold/warm/budgeted sessions (a budget so
@@ -25,14 +25,15 @@
 
 mod shrink;
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 use mrx::datagen::{random_graph, RandomGraphConfig};
 use mrx::graph::{FrozenGraph, GraphView};
 use mrx::index::query::answer_compiled;
 use mrx::index::{
-    naive, replay, replay_mstar, AdaptEngine, AkIndex, DkIndex, EvalStrategy, IndexGraph,
-    IndexView, MStarSnapshot, MkIndex, OneIndex, Partition, QuerySession,
+    naive, replay, replay_mstar, AdaptEngine, AkIndex, CompressedMStar, DkIndex, EvalStrategy,
+    IndexGraph, IndexView, MStarSnapshot, MkIndex, OneIndex, PagedMStar, Partition, QuerySession,
 };
 use mrx::path::{eval_data, PathExpr, QueryBudget};
 use mrx::prelude::{nasa_like, xmark_like, Cost, DataGraph, MStarIndex, TrustPolicy, XmarkConfig};
@@ -40,10 +41,11 @@ use mrx::store::{
     open_validated, save_compressed, save_paged_with, snapshot_version, PagedFile, SnapshotPayload,
 };
 use mrx::workload::{Workload, WorkloadConfig};
+use mrx_postings::BLOCK_LEN;
 
 const POLICIES: [TrustPolicy; 2] = [TrustPolicy::Proven, TrustPolicy::Claimed];
 
-/// v7 page size and cache budget: 64-byte pages, 16 evictable pages.
+/// v8 page size and cache budget: 64-byte pages, 16 evictable pages.
 const PAGE: u32 = 64;
 const CACHE: u64 = 16 * PAGE as u64;
 
@@ -171,28 +173,32 @@ fn check<I: IndexView, G: GraphView>(
 
 #[test]
 fn snapshots_match_live_top_down_and_the_naive_oracle() {
-    let mut fell = Vec::new();
+    let (mut fell, mut sole_targets) = (Vec::new(), 0);
     for (ds, g) in docs() {
         let w = workload(&g);
-        let (certified, plain) =
+        let (certified, plain, sole) =
             shrink::check_or_shrink(ds, &g, &w.queries, |g, qs| parity_case(ds, g, qs));
         if certified < plain {
             fell.push(ds);
         }
+        sole_targets += sole;
     }
     assert!(
         !fell.is_empty(),
         "exact certificates lowered the sound Cost on no dataset"
     );
+    assert!(sole_targets > 0, "no query targeted a sole subnode");
 }
 
 /// One dataset of the parity table: both layouts against the live index
 /// and the naive oracle, and every query's sound top-down `Cost` against
-/// the uncertified build's. Returns the two `Cost` sums.
-fn parity_case(ds: &str, g: &DataGraph, queries: &[PathExpr]) -> (u64, u64) {
+/// the uncertified build's. Returns the two `Cost` sums and the number of
+/// queries that targeted a sole subnode (see [`sole_target_parity`]).
+fn parity_case(ds: &str, g: &DataGraph, queries: &[PathExpr]) -> (u64, u64, usize) {
     let idx = adapted(g, queries);
     let fg = FrozenGraph::freeze(g);
     let cz = idx.freeze_compressed();
+    let mut sole = 0;
     for layout in LAYOUTS {
         let ctx = format!("{ds}/{layout:?}");
         let path = snapshot_path(&format!("{ds}-{layout:?}"));
@@ -210,10 +216,11 @@ fn parity_case(ds: &str, g: &DataGraph, queries: &[PathExpr]) -> (u64, u64) {
             }
             Layout::Paged => {
                 save_paged_with(&path, &fg, &cz, PAGE).unwrap();
-                assert_eq!(snapshot_version(&path).unwrap(), 7, "{ctx}");
+                assert_eq!(snapshot_version(&path).unwrap(), 8, "{ctx}");
                 let file = PagedFile::open_with(&path, CACHE).unwrap();
                 let (sg, star, cache) = file.into_parts().unwrap();
                 check(&ctx, &star, &sg, &idx, g, queries);
+                sole = sole_target_parity(&ctx, &star, &sg, &cz, &idx, g, queries);
                 assert!(cache.take_poison().is_none(), "{ctx}: clean file poisoned");
                 let s = cache.stats();
                 assert!(s.faults > 0, "{ctx}: paged serving must fault");
@@ -234,7 +241,114 @@ fn parity_case(ds: &str, g: &DataGraph, queries: &[PathExpr]) -> (u64, u64) {
         certified_sum += a.total();
         plain_sum += b.total();
     }
-    (certified_sum, plain_sum)
+    (certified_sum, plain_sum, sole)
+}
+
+/// Serves, through the paged file, every query whose targets include a
+/// sole subnode of the component its descent ends in, `I(min(length, K))`
+/// past `I0`. The paged layout stores no list for such a node: it reads
+/// its supernode's. Each answer and `Cost` must equal the compressed
+/// snapshot's and the live index's, and the answer naive evaluation's.
+/// Returns the number of such queries.
+fn sole_target_parity<G: GraphView>(
+    ctx: &str,
+    star: &PagedMStar,
+    sg: &G,
+    cz: &CompressedMStar,
+    idx: &MStarIndex,
+    g: &DataGraph,
+    queries: &[PathExpr],
+) -> usize {
+    let mut served = 0;
+    for q in queries {
+        let level = q.compile(g).length().min(star.max_k());
+        let c = star.component(level);
+        let sole = c.links.sole_supernodes(c.node_count());
+        let paged = QuerySession::new(TrustPolicy::Proven)
+            .serve(star, sg, q)
+            .clone();
+        if !paged
+            .target_index_nodes
+            .iter()
+            .any(|t| sole[t.index()].is_some())
+        {
+            continue;
+        }
+        let ctx = format!("{ctx} on {q}");
+        let compressed = QuerySession::new(TrustPolicy::Proven)
+            .serve(cz, &FrozenGraph::freeze(g), q)
+            .clone();
+        let live = idx.query(g, q, EvalStrategy::TopDown);
+        let got = (&paged.nodes, paged.cost);
+        assert_eq!(
+            got,
+            (&compressed.nodes, compressed.cost),
+            "{ctx}: sole target v5"
+        );
+        assert_eq!(got, (&live.nodes, live.cost), "{ctx}: sole target live");
+        assert_eq!(
+            paged.nodes,
+            eval_data(g, &q.compile(g)),
+            "{ctx}: sole target oracle"
+        );
+        served += 1;
+    }
+    served
+}
+
+/// Paper §4 size accounting, on disk: the paged file stores one extent
+/// list per distinct extent, `MStarIndex::node_count` of them, because a
+/// sole subnode reads its supernode's; the ids it stores are exactly those
+/// of the nodes that are not sole subnodes, and nothing else fills the
+/// paged region.
+#[test]
+fn paged_file_stores_each_distinct_extent_once() {
+    let (_, g) = docs().remove(0);
+    let idx = adapted(&g, &workload(&g).queries);
+    let cz = idx.freeze_compressed();
+    let path = snapshot_path("distinct-extents");
+    save_paged_with(&path, &FrozenGraph::freeze(&g), &cz, PAGE).unwrap();
+    let (_, star, _) = PagedFile::open_with(&path, CACHE)
+        .unwrap()
+        .into_parts()
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+
+    // From the live index: a sole subnode is its supernode's only subnode.
+    let (mut ids, mut sole_ids, mut half_sole) = (0, 0, false);
+    for i in 0..=idx.max_k() {
+        let comp = idx.component(i);
+        let mut sole = 0;
+        for v in comp.iter() {
+            let len = comp.extent(v).len();
+            ids += len;
+            if i > 0 && idx.subnodes(i - 1, idx.supernode(i, v)).len() == 1 {
+                sole += 1;
+                sole_ids += len;
+            }
+        }
+        half_sole |= 2 * sole >= comp.node_count();
+    }
+    assert!(half_sole, "no component is at least half sole subnodes");
+
+    // Each list as (first block, length): shared lists coincide.
+    let lists: HashSet<(u32, u32)> = star
+        .components
+        .iter()
+        .flat_map(|c| (0..c.node_count()).map(|v| c.extents.span(v)))
+        .map(|l| (l.first_block, l.len))
+        .collect();
+    assert!(idx.node_count() < idx.logical_node_count());
+    assert_eq!(lists.len(), idx.node_count(), "stored lists");
+    assert_eq!(lists.len(), cz.distinct_extents(), "stored lists");
+    let stored: usize = lists.iter().map(|&(_, len)| len as usize).sum();
+    assert_eq!(stored, ids - sole_ids, "stored extent ids");
+    let blocks: usize = lists
+        .iter()
+        .map(|&(_, len)| (len as usize).div_ceil(BLOCK_LEN))
+        .sum();
+    let region_blocks = star.components.last().unwrap().extents.run_end() as usize;
+    assert_eq!(blocks, region_blocks, "the distinct lists fill the region");
 }
 
 /// After adaptation every node of every component carries its exact
@@ -278,9 +392,9 @@ fn lazy_prefix_loading_matches_the_full_hierarchy() {
     let idx = adapted(&g, &w.queries);
     let fg = FrozenGraph::freeze(&g);
     let cz = idx.freeze_compressed();
-    let (p5, p7) = (snapshot_path("prefix-v5"), snapshot_path("prefix-v7"));
+    let (p5, p8) = (snapshot_path("prefix-v5"), snapshot_path("prefix-v8"));
     save_compressed(&p5, &fg, &cz).unwrap();
-    save_paged_with(&p7, &fg, &cz, PAGE).unwrap();
+    save_paged_with(&p8, &fg, &cz, PAGE).unwrap();
     for q in &w.queries {
         let want = QuerySession::new(TrustPolicy::Proven)
             .serve(&cz, &fg, q)
@@ -293,20 +407,20 @@ fn lazy_prefix_loading_matches_the_full_hierarchy() {
             .unwrap()
             .clone();
         assert_eq!(v5.loaded_components(), prefix, "v5 prefix on {q}");
-        let mut v7 = PagedFile::open_with(&p7, CACHE).unwrap();
-        let (g7, star7) = v7.activate(q).unwrap();
-        let a7 = QuerySession::new(TrustPolicy::Proven)
-            .try_serve(star7, g7, q)
+        let mut v8 = PagedFile::open_with(&p8, CACHE).unwrap();
+        let (g8, star8) = v8.activate(q).unwrap();
+        let a8 = QuerySession::new(TrustPolicy::Proven)
+            .try_serve(star8, g8, q)
             .unwrap()
             .clone();
-        assert_eq!(v7.loaded_components(), prefix, "v7 prefix on {q}");
-        for (layout, a) in [("v5", &a5), ("v7", &a7)] {
+        assert_eq!(v8.loaded_components(), prefix, "v8 prefix on {q}");
+        for (layout, a) in [("v5", &a5), ("v8", &a8)] {
             assert_eq!(a.nodes, want.nodes, "{layout} on {q}");
             assert_eq!(a.cost, want.cost, "{layout} on {q}");
         }
     }
     std::fs::remove_file(p5).ok();
-    std::fs::remove_file(p7).ok();
+    std::fs::remove_file(p8).ok();
 }
 
 /// Serves every query twice (cold, then warm hit) and checks both servings

@@ -1,5 +1,5 @@
 //! Property-based tests for the disk-resident store: round-trips of both
-//! snapshot layouts (compressed v5, demand-paged v7) over random graphs and
+//! snapshot layouts (compressed v5, demand-paged v8) over random graphs and
 //! refined indexes, plus robustness against corruption. Randomness comes
 //! from the in-repo seeded PRNG, so every failure reproduces from its case
 //! number.
@@ -19,14 +19,14 @@ fn v5_image(g: &DataGraph, idx: &MStarIndex) -> Vec<u8> {
     buf
 }
 
-/// The v7 image of `idx` over `g`, with small pages so images span many.
-fn v7_image(g: &DataGraph, idx: &MStarIndex) -> Vec<u8> {
+/// The v8 image of `idx` over `g`, with small pages so images span many.
+fn v8_image(g: &DataGraph, idx: &MStarIndex) -> Vec<u8> {
     paged_image(&FrozenGraph::freeze(g), &idx.freeze_compressed(), 256).unwrap()
 }
 
-/// Opens a v7 image and touches everything it holds: every component, a
+/// Opens a v8 image and touches everything it holds: every component, a
 /// query, and the full page-checksum walk.
-fn open_v7(image: &[u8], q: &PathExpr) -> Result<(), StoreError> {
+fn open_v8(image: &[u8], q: &PathExpr) -> Result<(), StoreError> {
     let mut f = PagedFile::open_bytes(image.to_vec(), 1 << 20)?;
     f.ensure_loaded(usize::MAX)?;
     let (graph, star) = f.activate(q)?;
@@ -70,8 +70,8 @@ fn graph_roundtrip_is_exact() {
         let fg = FrozenGraph::freeze(&g);
         let (g5, _) = load_compressed_from(&v5_image(&g, &idx)[..]).unwrap();
         assert_eq!(g5, fg, "case {case}: v5 graph");
-        let f7 = PagedFile::open_bytes(v7_image(&g, &idx), 1 << 20).unwrap();
-        assert_eq!(f7.graph().to_frozen().unwrap(), fg, "case {case}: v7 graph");
+        let f7 = PagedFile::open_bytes(v8_image(&g, &idx), 1 << 20).unwrap();
+        assert_eq!(f7.graph().to_frozen().unwrap(), fg, "case {case}: v8 graph");
         for v in g.nodes() {
             assert_eq!(g.label_str(g.label(v)), g5.label_str(g5.label(v)));
             assert_eq!(g.children(v), g5.children(v));
@@ -109,7 +109,7 @@ fn mstar_roundtrip_preserves_everything() {
         let cz = idx.freeze_compressed();
         let (g5, cz5) = load_compressed_from(&v5_image(&g, &idx)[..]).unwrap();
         assert_eq!(cz5, cz, "case {case}: v5 index");
-        let mut f7 = PagedFile::open_bytes(v7_image(&g, &idx), 1 << 20).unwrap();
+        let mut f7 = PagedFile::open_bytes(v8_image(&g, &idx), 1 << 20).unwrap();
         f7.ensure_loaded(usize::MAX).unwrap();
         assert_eq!(f7.component_count(), idx.max_k() + 1);
         assert_eq!(f7.mutation_epoch(), idx.mutation_epoch());
@@ -122,12 +122,12 @@ fn mstar_roundtrip_preserves_everything() {
                 truth,
                 "case {case}: v5 {q}"
             );
-            let (g7, star7) = f7.activate(q).unwrap();
+            let (g8, star8) = f7.activate(q).unwrap();
             let mut session = QuerySession::new(TrustPolicy::Proven);
             assert_eq!(
-                session.try_serve(star7, g7, q).unwrap().nodes,
+                session.try_serve(star8, g8, q).unwrap().nodes,
                 truth,
-                "case {case}: v7 {q}"
+                "case {case}: v8 {q}"
             );
         }
     }
@@ -173,7 +173,7 @@ fn single_byte_corruption_never_panics_and_rarely_passes() {
     }
 }
 
-/// Builds a small refined snapshot pair (v5 compressed bytes, v7
+/// Builds a small refined snapshot pair (v5 compressed bytes, v8
 /// demand-paged bytes) from one seeded random graph.
 fn snapshot_pair(seed: u64) -> (Vec<u8>, Vec<u8>) {
     let mut rng = Prng::seed_from_u64(seed);
@@ -189,7 +189,7 @@ fn snapshot_pair(seed: u64) -> (Vec<u8>, Vec<u8>) {
     let mut idx = MStarIndex::new(&g);
     idx.refine_for(&g, &PathExpr::parse("//l0/l1").unwrap());
     idx.refine_for(&g, &PathExpr::parse("//l2").unwrap());
-    (v5_image(&g, &idx), v7_image(&g, &idx))
+    (v5_image(&g, &idx), v8_image(&g, &idx))
 }
 
 /// Applies `count` seeded byte mutations (xor, overwrite, or splice-out)
@@ -215,7 +215,7 @@ fn mutate_bytes(buf: &mut Vec<u8>, rng: &mut Prng, count: usize) {
 
 /// Seeded multi-byte mutation over both snapshot layouts: every mutated
 /// image must either load (the mutation hit dead bytes such as directory
-/// padding) or fail with a typed `StoreError` — never panic. On v7 the
+/// padding) or fail with a typed `StoreError` — never panic. On v8 the
 /// "load" is open + full activation + a query + the page-checksum walk. Exercises
 /// 1..=8 mutations per image so shifted lengths, spliced sections, and
 /// compound corruptions are all covered, not just single flips.
@@ -223,16 +223,16 @@ fn mutate_bytes(buf: &mut Vec<u8>, rng: &mut Prng, count: usize) {
 fn seeded_multibyte_mutation_parses_or_errors_typed() {
     for case in 0..96u64 {
         let mut rng = Prng::seed_from_u64(0xFA17 ^ case);
-        let (v5, v7) = snapshot_pair(rng.next_u64());
+        let (v5, v8) = snapshot_pair(rng.next_u64());
         let q = PathExpr::parse("//l0/l1").unwrap();
         let mut buf = v5.clone();
         let n = rng.gen_range(1..9usize);
         mutate_bytes(&mut buf, &mut rng, n);
         assert_typed(load_compressed_from(&buf[..]).map(|_| ()));
-        let mut buf = v7.clone();
+        let mut buf = v8.clone();
         let n = rng.gen_range(1..9usize);
         mutate_bytes(&mut buf, &mut rng, n);
-        assert_typed(open_v7(&buf, &q));
+        assert_typed(open_v8(&buf, &q));
     }
 }
 
@@ -255,13 +255,13 @@ fn mutation_regression_seeds_stay_typed() {
     ];
     for &(seed, n) in CASES {
         let mut rng = Prng::seed_from_u64(seed);
-        let (v5, v7) = snapshot_pair(rng.next_u64());
+        let (v5, v8) = snapshot_pair(rng.next_u64());
         let q = PathExpr::parse("//l2").unwrap();
-        for image in [&v5, &v7] {
+        for image in [&v5, &v8] {
             let mut buf = image.clone();
             mutate_bytes(&mut buf, &mut rng, n);
             assert_typed(load_compressed_from(&buf[..]).map(|_| ()));
-            assert_typed(open_v7(&buf, &q));
+            assert_typed(open_v8(&buf, &q));
         }
     }
 }
@@ -287,10 +287,10 @@ fn truncation_is_an_io_or_format_error() {
             load_compressed_from(&v5[..n]),
             Err(StoreError::Io(_) | StoreError::Format(_))
         ));
-        let v7 = v7_image(&g, &idx);
-        let n = rng.gen_range(0..v7.len().saturating_sub(1).max(1));
+        let v8 = v8_image(&g, &idx);
+        let n = rng.gen_range(0..v8.len().saturating_sub(1).max(1));
         assert!(matches!(
-            open_v7(&v7[..n], &q),
+            open_v8(&v8[..n], &q),
             Err(StoreError::Io(_) | StoreError::Format(_))
         ));
     }
