@@ -62,7 +62,9 @@ impl CompressedIndex {
     /// and the label→nodes map is rebuilt dense, so refinement churn in the
     /// live `by_label` lists does not survive freezing. The links are the
     /// live inverse extent map taken through the renumbering, in a
-    /// data-sized scratch that lives only for this call.
+    /// data-sized scratch that lives only for this call; the reach
+    /// certificate is derived over them as [`SnapshotIndex::assemble`]
+    /// derives it.
     pub fn freeze(ig: &IndexGraph, coarse: Option<&CompressedIndex>) -> CompressedIndex {
         let mut map = vec![IdxId(u32::MAX); ig.slot_bound()];
         for (i, v) in ig.iter().enumerate() {
@@ -82,6 +84,7 @@ impl CompressedIndex {
             links: SubnodeLinks::default(),
             by_label_off: Vec::new(),
             by_label_ids: Vec::new(),
+            reach: Vec::new(),
             lemma2: ig.lemma2_safe(),
             epoch: ig.mutation_epoch(),
         };
@@ -106,6 +109,7 @@ impl CompressedIndex {
                 .collect();
             c.links = SubnodeLinks::derive(coarse, &node_of, n);
         }
+        c.derive_reach(coarse);
         c
     }
 

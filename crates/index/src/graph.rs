@@ -115,6 +115,10 @@ pub struct IndexGraph {
     /// invalidating — conservative, but refinement only ever runs between
     /// queries, so over-eviction is cheap and staleness is impossible.
     epoch: u64,
+    /// Reach certificate per slot, re-derived by the owning M\*(k)
+    /// hierarchy after each of its mutations ([`crate::view::derive_reach`]);
+    /// empty, so all zero, elsewhere.
+    reach: Vec<u32>,
 }
 
 impl IndexGraph {
@@ -144,6 +148,7 @@ impl IndexGraph {
             live_edges: 0,
             genuine_p3: true,
             epoch: 0,
+            reach: Vec::new(),
         };
         for (b, extent) in extents.into_iter().enumerate() {
             assert!(!extent.is_empty(), "partition block {b} is empty");
@@ -376,6 +381,20 @@ impl IndexGraph {
                 return;
             }
         }
+    }
+
+    /// The reach certificate of `v`: the expression length up to which a
+    /// top-down target `v` with that proven similarity is answered without
+    /// validation (see [`crate::view::derive_reach`]). Zero outside an
+    /// M\*(k) hierarchy.
+    #[inline]
+    pub fn reach(&self, v: IdxId) -> u32 {
+        self.reach.get(v.index()).copied().unwrap_or(0)
+    }
+
+    /// Installs a reach certificate derived over this graph's slots.
+    pub(crate) fn set_reach(&mut self, reach: Vec<u32>) {
+        self.reach = reach;
     }
 
     /// The sorted extent of `v`.

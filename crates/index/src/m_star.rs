@@ -115,6 +115,17 @@ impl MStarIndex {
         for comp in &mut self.components {
             comp.certify_exact(parts);
         }
+        self.derive_reach();
+    }
+
+    /// Re-derives every component's reach certificate, coarse to fine
+    /// ([`crate::view::derive_reach`]). Every mutator of the hierarchy
+    /// ends here, so top-down answers never read a stale certificate.
+    fn derive_reach(&mut self) {
+        for i in 1..self.components.len() {
+            let reach = crate::view::derive_reach(&self.components[i], &self.components[i - 1]);
+            self.components[i].set_reach(reach);
+        }
     }
 
     /// The supernode in `I(i-1)` of node `v` in `Ii`.
@@ -628,6 +639,7 @@ impl MStarIndex {
             let relevant = self.components[len].extent(v).to_vec();
             self.refine_node(g, len, v, &relevant, Some(&cp));
         }
+        self.derive_reach();
     }
 
     /// REFINENODE*(v ∈ I_k, k, relevantData) — and, with `exit` set,

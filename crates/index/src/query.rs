@@ -26,10 +26,14 @@
 //!   whose *proven* similarity covers the expression is `≈len`-homogeneous,
 //!   so all extent members share the same incoming label paths up to `len`
 //!   and one memoized validation of a single representative decides the
-//!   whole extent (homogeneity alone does not make the index-level instance
-//!   real — that would additionally need proven similarities to satisfy
-//!   Property 3 along the instance, which selective refinement does not
-//!   maintain). Nodes without the proven cover validate every member.
+//!   whole extent. Homogeneity alone does not make the index-level
+//!   instance real; the caller's premise does. A single graph has it when
+//!   proven similarities satisfy Property 3 everywhere
+//!   ([`IndexView::lemma2_safe`]); in an M\*(k) hierarchy a target has it
+//!   when its reach certificate covers the expression
+//!   ([`crate::view::derive_reach`]), and its extent is then returned
+//!   without touching data. Nodes without the proven cover validate every
+//!   member.
 //! * [`TrustPolicy::Claimed`]: the paper's behaviour, used by the experiment
 //!   harness so the reported cost figures match the paper's protocol.
 //!
@@ -139,7 +143,7 @@ pub(crate) fn answer_governed<I: IndexView, G: GraphView, B: Governor>(
         Ok(f) => f.to_vec(),
         Err(e) => return Err((e, cost)),
     };
-    let trust_proven = ig.lemma2_safe();
+    let safe = ig.lemma2_safe();
     answer_targets(
         ig,
         g,
@@ -147,7 +151,7 @@ pub(crate) fn answer_governed<I: IndexView, G: GraphView, B: Governor>(
         targets,
         cost,
         policy,
-        trust_proven,
+        |_| safe,
         &mut scratch.memo,
         budget,
     )
@@ -159,17 +163,19 @@ pub(crate) fn answer_governed<I: IndexView, G: GraphView, B: Governor>(
 /// node's extent member by member.
 ///
 /// Under [`TrustPolicy::Proven`] a covered node is `≈len`-homogeneous, so
-/// its extent is all answers or none. `trust_proven` is the caller's
-/// premise that the extent is exact as it stands; without it one
+/// its extent is all answers or none. `certified(t)` is the caller's
+/// premise that target `t`'s extent is exact as it stands; without it one
 /// representative decides the whole node.
-/// - A single index graph passes [`IndexView::lemma2_safe`]: proven
-///   similarities then satisfy Property 3 everywhere, so Lemma 2 makes the
-///   index-level instance real.
-/// - A component hierarchy passes "the expression is a single label". Its
-///   strategies reach targets through coarser components, so even a
-///   `lemma2_safe` component gives no reachability premise; only a
-///   label-only query is precise by construction, since every extent
-///   member carries the node's label.
+/// - A single index graph answers [`IndexView::lemma2_safe`] for every
+///   target: proven similarities then satisfy Property 3 everywhere, so
+///   Lemma 2 makes the index-level instance real.
+/// - A component hierarchy answers `reach(t) ≥ len` with the reach
+///   certificate of [`crate::view::derive_reach`]. Its strategies reach
+///   targets through coarser components, so a component's own
+///   `lemma2_safe` gives no premise; the certificate carries Lemma 2's
+///   premise across the links instead (the proof is in DESIGN.md §5).
+///   `I0` is certified at depth 0, so a label-only query is always
+///   trusted: every extent member carries the node's label.
 ///
 /// Root-anchored expressions always validate every member:
 /// k-bisimilarity speaks about incoming label paths from anywhere, not
@@ -182,7 +188,7 @@ pub(crate) fn answer_targets<I: IndexView, G: GraphView, B: Governor>(
     targets: Vec<IdxId>,
     mut cost: Cost,
     policy: TrustPolicy,
-    trust_proven: bool,
+    certified: impl Fn(IdxId) -> bool,
     memo: &mut EpochMemo,
     budget: &mut B,
 ) -> Result<Answer, (B::Err, Cost)> {
@@ -198,7 +204,7 @@ pub(crate) fn answer_targets<I: IndexView, G: GraphView, B: Governor>(
                 ig.push_extent(t, &mut nodes);
             }
             TrustPolicy::Proven if ig.genuine(t) >= len && !cp.anchored => {
-                if trust_proven {
+                if certified(t) {
                     ig.push_extent(t, &mut nodes);
                 } else {
                     validated = true;

@@ -96,6 +96,9 @@ pub struct SnapshotIndex<E> {
     pub by_label_off: Vec<u32>,
     /// Nodes grouped by label, ascending ids within each row.
     pub by_label_ids: Vec<IdxId>,
+    /// Each node's reach certificate ([`view::derive_reach`]); like the
+    /// label buckets, no layout stores it.
+    pub reach: Vec<u32>,
     /// The live graph's [`crate::IndexGraph::lemma2_safe`] at freeze time.
     pub lemma2: bool,
     /// The live graph's [`crate::IndexGraph::mutation_epoch`] at freeze
@@ -135,10 +138,10 @@ impl<E> SnapshotIndex<E> {
 impl<E: ExtentStore> SnapshotIndex<E> {
     /// The one check a component read from outside passes before it
     /// serves, whichever layout it came from, and the step that derives
-    /// its label buckets (no layout stores them, so they are correct by
-    /// construction). `data_nodes` is the data graph's node count,
-    /// `num_labels` its alphabet size, and `coarse` the next-coarser
-    /// component, already assembled (`None` for `I0`).
+    /// its label buckets and reach certificate (no layout stores them, so
+    /// they are correct by construction). `data_nodes` is the data graph's
+    /// node count, `num_labels` its alphabet size, and `coarse` the
+    /// next-coarser component, already assembled (`None` for `I0`).
     ///
     /// Checks every invariant the resident arrays witness: similarity
     /// array lengths, one extent list per node, no empty extent, extent
@@ -191,6 +194,7 @@ impl<E: ExtentStore> SnapshotIndex<E> {
             self.check_nesting(coarse)?;
         }
         self.derive_by_label(num_labels);
+        self.derive_reach(coarse);
         Ok(self)
     }
 
@@ -211,6 +215,17 @@ impl<E: ExtentStore> SnapshotIndex<E> {
             }
         }
         Ok(())
+    }
+
+    /// Derives the reach certificate below `coarse`, the next-coarser
+    /// component with its certificate already derived; without one (`I0`,
+    /// or a component frozen on its own) every node is certified at depth
+    /// 0 only.
+    pub(crate) fn derive_reach(&mut self, coarse: Option<&Self>) {
+        self.reach = match coarse {
+            Some(coarse) => view::derive_reach(&*self, coarse),
+            None => vec![0; self.node_count()],
+        };
     }
 
     /// Rebuilds the label buckets from `labels` (every label below
@@ -312,6 +327,10 @@ impl<E: ExtentStore> IndexView for SnapshotIndex<E> {
 
     fn lemma2_safe(&self) -> bool {
         self.lemma2
+    }
+
+    fn reach(&self, v: IdxId) -> u32 {
+        self.reach.get(v.index()).copied().unwrap_or(0)
     }
 
     fn mutation_epoch(&self) -> u64 {

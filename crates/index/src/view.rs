@@ -83,6 +83,11 @@ pub trait IndexView {
     /// Whether Lemma 2 applies with proven similarities (see
     /// [`IndexGraph::lemma2_safe`]).
     fn lemma2_safe(&self) -> bool;
+    /// The reach certificate of `v` ([`derive_reach`]): a target that an
+    /// M\*(k) strategy reaches for a length-`len` expression, with
+    /// `genuine ≥ len` and `reach ≥ len`, has an extent of answers only.
+    /// Zero outside a component hierarchy.
+    fn reach(&self, v: IdxId) -> u32;
     /// Mutation generation for answer-cache invalidation. Snapshot views are
     /// immutable and report the epoch captured at freeze time.
     fn mutation_epoch(&self) -> u64;
@@ -157,6 +162,10 @@ impl IndexView for IndexGraph {
         IndexGraph::lemma2_safe(self)
     }
 
+    fn reach(&self, v: IdxId) -> u32 {
+        IndexGraph::reach(self, v)
+    }
+
     fn mutation_epoch(&self) -> u64 {
         IndexGraph::mutation_epoch(self)
     }
@@ -168,6 +177,48 @@ impl IndexView for IndexGraph {
     fn push_all_nodes(&self, out: &mut Vec<IdxId>) {
         out.extend(self.iter());
     }
+}
+
+/// Derives the reach certificate of component `fine` = `Ij` below
+/// `coarse` = `I(j−1)`, indexed by node id (DESIGN.md §5, "Lemma 2 for
+/// the component hierarchy"). With `sup(u)` the supernode of `u`:
+///
+/// `reach(v) = min(genuine(v), 1 + reach(sup(u)))` over the parents `u` of
+/// `v` in `Ij`, or over `u = v` when `v` has none.
+///
+/// `I0`'s certificate is all zero, so by induction `reach(v) ≤ j`, and
+/// `reach(v) = j` exactly when `genuine(v) ≥ j` and every such `sup(u)`
+/// is certified at `j − 1`. The supernodes come from the
+/// subnode links ([`IndexView::for_each_subnode`]), which are trusted
+/// only where they nest: if a node of `fine` lies under two coarse nodes
+/// or under none, the whole component is left at zero.
+pub fn derive_reach<I: IndexView>(fine: &I, coarse: &I) -> Vec<u32> {
+    const NONE: u32 = u32::MAX;
+    let mut sup = vec![NONE; fine.slot_bound()];
+    let mut reach = vec![0; fine.slot_bound()];
+    let mut nodes = Vec::new();
+    coarse.push_all_nodes(&mut nodes);
+    let mut nested = true;
+    for &u in &nodes {
+        fine.for_each_subnode(coarse, u, |s| match sup[s.index()] {
+            NONE => sup[s.index()] = u.to_u32(),
+            t => nested &= t == u.to_u32(),
+        });
+    }
+    nodes.clear();
+    fine.push_all_nodes(&mut nodes);
+    if !nested || nodes.iter().any(|v| sup[v.index()] == NONE) {
+        return reach;
+    }
+    let above = |u: IdxId| coarse.reach(IdxId(sup[u.index()])).saturating_add(1);
+    for &v in &nodes {
+        let via = match fine.parents(v) {
+            [] => above(v),
+            ps => ps.iter().map(|&u| above(u)).fold(u32::MAX, u32::min),
+        };
+        reach[v.index()] = fine.genuine(v).min(via);
+    }
+    reach
 }
 
 /// Evaluates a compiled path on any index view, returning the target set
@@ -362,7 +413,10 @@ pub(crate) fn top_down_targets_governed<I: IndexView, B: Governor>(
 /// Turns an index-level target set of a component hierarchy into a
 /// validated [`Answer`]: the paper's answering rule
 /// (`crate::query::answer_targets`) with the hierarchy's premise, under
-/// which only a label-only query trusts a proven extent without a check.
+/// which a proven target of a length-`len` expression is trusted without
+/// a check when its reach certificate ([`derive_reach`]) is at least
+/// `len`. The targets must live in `I(len)` and be reached as every
+/// M\*(k) strategy reaches them (DESIGN.md §5).
 pub fn finish_answer_view<I: IndexView, G: GraphView>(
     comp: &I,
     g: &G,
@@ -416,6 +470,7 @@ pub(crate) fn finish_answer_view_governed<I: IndexView, G: GraphView, B: Governo
     memo: &mut EpochMemo,
     budget: &mut B,
 ) -> Result<Answer, (B::Err, Cost)> {
-    let label_only = cp.length() == 0;
-    query::answer_targets(comp, g, cp, targets, cost, policy, label_only, memo, budget)
+    let len = cp.length() as u32;
+    let certified = |t: IdxId| comp.reach(t) >= len;
+    query::answer_targets(comp, g, cp, targets, cost, policy, certified, memo, budget)
 }

@@ -376,6 +376,7 @@ fn read_paged_meta(
         links,
         by_label_off: Vec::new(),
         by_label_ids: Vec::new(),
+        reach: Vec::new(),
         lemma2,
         epoch,
     })

@@ -31,7 +31,13 @@
 //!   row made to look split, by moving one row boundary in `sub_off` and
 //!   resealing the meta checksum. The sole rows decide which nodes share
 //!   their supernode's stored extent, so each case must end in a typed
-//!   error or the clean answers, never a panic.
+//!   error or the clean answers, never a panic;
+//! * **components that do not nest** — a hand-made v5 image whose `I2` is
+//!   the A(2)-index, under which the adapted `I3` does not nest. v5 stores
+//!   no links: the loader derives them from the extents it reads, so some
+//!   `I3` node lies under two `I2` nodes. The load must succeed with every
+//!   component that does not nest left without a reach certificate (all
+//!   zero), and every workload query must answer as naive evaluation does.
 //!
 //! The allocation bound needs a process-wide counting allocator, so this
 //! binary holds exactly one `#[test]` and the sweep runs first, on one
@@ -44,10 +50,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mrx_datagen::{xmark_like, XmarkConfig};
 use mrx_error::MrxError;
-use mrx_graph::{FrozenGraph, NodeId};
-use mrx_index::{CompressedMStar, MStarIndex, QuerySession, TrustPolicy};
+use mrx_graph::{DataGraph, FrozenGraph, NodeId};
+use mrx_index::{
+    k_bisim, CompressedIndex, CompressedMStar, IndexGraph, MStarIndex, QuerySession, TrustPolicy,
+};
 use mrx_pagecache::fnv64;
-use mrx_path::PathExpr;
+use mrx_path::{eval_data, PathExpr};
 use mrx_store::fault::{FaultKind, FaultPlan};
 use mrx_store::{load_compressed_from, paged_image, save_compressed_to, PagedFile, StoreError};
 use mrx_workload::{Workload, WorkloadConfig};
@@ -343,6 +351,39 @@ fn resealed_rows(image: &[u8], queries: &[PathExpr], clean: &[Vec<NodeId>]) -> (
     (sole, split, rejected)
 }
 
+/// Loads `cz` with its `I2` swapped for the A(2)-index of `g` from a v5
+/// image, checks that every component whose derived links overlap carries
+/// no reach certificate, and serves `queries` against naive evaluation.
+/// Returns how many components do not nest.
+fn knotted_v5(
+    g: &DataGraph,
+    fg: &FrozenGraph,
+    cz: &CompressedMStar,
+    queries: &[PathExpr],
+) -> usize {
+    let mut knotted = cz.clone();
+    let a2 = IndexGraph::from_partition(g, &k_bisim(g, 2), |_| 2);
+    knotted.components[2] = CompressedIndex::freeze(&a2, Some(&knotted.components[1]));
+    let (sg, star) = load_compressed_from(&v5_image(fg, &knotted)[..]).unwrap();
+    let mut loose = 0;
+    for (i, c) in star.components.iter().enumerate().skip(1) {
+        let coarse = star.components[i - 1].node_count();
+        if c.links.check(Some(coarse), c.node_count(), true).is_err() {
+            loose += 1;
+            assert!(
+                c.reach.iter().all(|&r| r == 0),
+                "v5: I{i} does not nest but carries a reach certificate"
+            );
+        }
+    }
+    let mut session = QuerySession::new(TrustPolicy::Proven);
+    for q in queries {
+        let a = session.serve(&star, &sg, q);
+        assert_eq!(a.nodes, eval_data(g, &q.compile(g)), "v5 knotted: {q}");
+    }
+    loose
+}
+
 fn v5_image(fg: &FrozenGraph, cz: &CompressedMStar) -> Vec<u8> {
     let mut image = Vec::new();
     save_compressed_to(&mut image, fg, cz).unwrap();
@@ -448,12 +489,16 @@ fn corrupt_snapshots_never_panic_and_never_answer_wrong() {
         "v8: the resealed rows must include both kinds ({made_sole} sole, {made_split} split)"
     );
 
+    // --- Components that do not nest, hand-made and saved as v5.
+    let loose = knotted_v5(&g, &fg, &cz, &w.queries);
+    assert!(loose > 0, "v5: the swapped-in A(2) nests after all");
+
     println!(
         "v5 sweep: {v5_rejected} image faults rejected, {io_errors} I/O errors surfaced, \
          {short_reads} short reads loaded; v8 sweep: {v8_rejected} of {SEEDS} rejected; \
          {flips} payload flips caught; {region} region flips caught ({mid_query} mid-query); \
          {resealed_rejected} of {} resealed link rows rejected ({made_sole} made sole, \
-         {made_split} made split)",
+         {made_split} made split); {loose} component(s) that do not nest loaded uncertified",
         made_sole + made_split
     );
 }

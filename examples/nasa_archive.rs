@@ -83,7 +83,8 @@ fn main() {
 
     // All of them answer the FUP precisely. Under the paper's claimed-k
     // policy none needs validation; the library's default (sound) policy
-    // additionally re-checks one representative per M(k)/M*(k) target node.
+    // re-checks one representative per M(k)/M*(k) target node unless the
+    // node's proven similarity and Lemma 2's premise cover the query.
     for (label, ans) in [
         ("D(k)", dk.query(&g, &fup)),
         ("M(k)", mk.query(&g, &fup)),

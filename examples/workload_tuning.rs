@@ -75,8 +75,8 @@ fn main() {
     // After the stream, the hot queries are cheap. Under the paper's
     // claimed-k policy a refined FUP never validates; the sound default
     // policy may still validate one representative per target wherever the
-    // claimed similarity is not genuinely proven (see DESIGN.md §"Paper
-    // deviations"), but it is always exact.
+    // claimed similarity is not genuinely proven or the path to the target
+    // is not (see DESIGN.md §"Paper deviations"), but it is always exact.
     let hot = extractor.fups().first().cloned();
     if let Some(hot) = hot {
         let sound = idx.query(&g, &hot, EvalStrategy::TopDown);

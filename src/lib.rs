@@ -32,8 +32,9 @@
 //! let first = idx.answer_and_refine(&g, &fup);
 //!
 //! // 4. After refinement the index answers the FUP precisely: the default
-//! //    (sound) policy double-checks one representative per index node,
-//! //    the paper's claimed-k policy trusts the index outright.
+//! //    (sound) policy double-checks one representative per index node
+//! //    unless its proofs cover the query, the paper's claimed-k policy
+//! //    trusts the index outright.
 //! let second = idx.query(&g, &fup, EvalStrategy::TopDown);
 //! assert_eq!(first.nodes, second.nodes);
 //! assert!(!idx.query_paper(&g, &fup, EvalStrategy::TopDown).validated);
