@@ -50,21 +50,22 @@ similarity, so sound queries validate only where it is imprecise.
 `freeze` builds an M*(k)-index of an XML file (adapted to --fups) and
 writes a compressed v5 snapshot whose extents and adjacency are posting
 lists served without decompression. `freeze --paged` writes a
-demand-paged v8 snapshot instead: extents stay on disk and are served
+demand-paged v9 snapshot instead: extents stay on disk and are served
 through a budgeted page cache with per-page checksums, so opening is
-near-instant and the resident set is capped. `query` on a .mrx file
+near-instant and the resident set is capped; it prints where the file's
+bytes go, section by section. `query` on a .mrx file
 detects the layout from its header and loads only the components the
-expression needs; for v8, --cache-bytes caps the cache and --stats adds
+expression needs; for v9, --cache-bytes caps the cache and --stats adds
 page fault/hit/eviction counters. A snapshot carries its own index, so
 --kind, --k, --fups and --strict-refs are refused there. Snapshots in the
-retired v1–v4, v6 and v7 layouts are refused: re-freeze them with `freeze`.
+retired v1–v4 and v6–v8 layouts are refused: re-freeze them with `freeze`.
 Every command that reads XML accepts --strict-refs, which rejects
 documents with duplicate ID declarations or dangling IDREF tokens
 (otherwise those are counted and reported as a warning).
 --max-steps / --max-nodes / --timeout-ms bound a query's node visits,
 answer size, and wall-clock time; an exhausted budget reports the partial
 cost instead of an answer (`--stats` counts such trips as budget_trips).
-`serve` runs the fault-tolerant multi-tenant daemon over a v5 or v8
+`serve` runs the fault-tolerant multi-tenant daemon over a v5 or v9
 snapshot: bounded queues with typed Overloaded/RateLimited shedding
 (--rate/--burst arm a default per-tenant token bucket), per-tenant budgets
 (--max-steps/--max-nodes/--timeout-ms apply per query), graceful
@@ -73,7 +74,7 @@ via `client reload FILE.mrx` (the file is fully validated first; a torn
 or corrupt file is rejected while the old snapshot keeps serving).
 SIGINT/SIGTERM drain in-flight queries, then print final stats. --strict
 refuses a boot snapshot that would degrade instead of serving it. For a
-v8 snapshot, --cache-bytes is one page-cache budget for the whole daemon:
+v9 snapshot, --cache-bytes is one page-cache budget for the whole daemon:
 every worker serves through the snapshot's one shared cache.
 ";
 
@@ -369,7 +370,7 @@ fn cmd_query(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
     }
     if args.option("cache-bytes").is_some() {
         return Err(Box::new(ArgError(
-            "--cache-bytes applies only to demand-paged v8 snapshots".into(),
+            "--cache-bytes applies only to demand-paged v9 snapshots".into(),
         )));
     }
     if snapshot {
@@ -447,7 +448,7 @@ fn query_compressed(
     Ok(())
 }
 
-/// Serves one query from a demand-paged (v8) snapshot: near-zero open,
+/// Serves one query from a demand-paged (v9) snapshot: near-zero open,
 /// component metadata loaded as a prefix, extents paged in on demand
 /// under the cache budget.
 fn query_paged(
@@ -547,8 +548,8 @@ fn print_nodes<G: GraphView>(
 }
 
 /// Builds an M*(k)-index of an XML document, adapted to `--fups`, and
-/// writes it as a compressed v5 snapshot (or demand-paged v8 with
-/// `--paged`).
+/// writes it as a compressed v5 snapshot (or demand-paged v9 with
+/// `--paged`, reporting where its bytes go).
 fn cmd_freeze(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
     let args = Args::scan(raw, &["out", "fups", "page-size"])?;
     args.reject_unknown_flags(&["strict-refs", "paged"])?;
@@ -580,7 +581,7 @@ fn cmd_freeze(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
             }
             None => mrx_store::save_paged(dest, &fg, &cz)?,
         }
-        "demand-paged v8"
+        "demand-paged v9"
     } else {
         mrx_store::save_compressed(dest, &fg, &cz)?;
         "compressed v5"
@@ -599,6 +600,19 @@ fn cmd_freeze(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
             "{} extent lists for {} nodes",
             cz.distinct_extents(),
             cz.components.iter().map(|c| c.node_count()).sum::<usize>()
+        )?;
+        let s = mrx_store::PagedFile::open(dest)?.sections();
+        writeln!(
+            out,
+            "bytes: header {}, graph core {}, graph units {}, metas {}, region {}, \
+             page table {}; file {}",
+            s.header,
+            s.graph_core,
+            s.graph_units,
+            s.metas,
+            s.region,
+            s.page_table,
+            s.total()
         )?;
     }
     Ok(())
@@ -883,7 +897,7 @@ mod tests {
         assert!(s.contains("down (≈2-down):"), "{s}");
     }
 
-    /// Freezes `DOC` adapted to one FUP into a v5 and a v8 snapshot.
+    /// Freezes `DOC` adapted to one FUP into a v5 and a v9 snapshot.
     fn freeze_pair(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
         let doc = tempfile(&format!("{tag}.xml"), DOC);
         let fups = tempfile(
@@ -891,7 +905,7 @@ mod tests {
             "# c\n//auction/seller/person\n\n",
         );
         let v5 = tempfile(&format!("{tag}-v5.mrx"), "");
-        let v8 = tempfile(&format!("{tag}-v8.mrx"), "");
+        let v9 = tempfile(&format!("{tag}-v9.mrx"), "");
         let common = [doc.to_str().unwrap(), "--fups", fups.to_str().unwrap()];
         let s = run_cmd(
             "freeze",
@@ -902,27 +916,67 @@ mod tests {
         assert!(s.contains("compressed v5"), "{s}");
         let paged = [
             "--out",
-            v8.to_str().unwrap(),
+            v9.to_str().unwrap(),
             "--paged",
             "--page-size",
             "64",
         ];
         let s = run_cmd("freeze", &[&common[..], &paged[..]].concat()).unwrap();
-        assert!(s.contains("demand-paged v8"), "{s}");
+        assert!(s.contains("demand-paged v9"), "{s}");
         assert!(s.contains(" extent lists for "), "{s}");
-        (v5, v8)
+        (v5, v9)
+    }
+
+    /// `freeze --paged` names the bytes of every section, and they add up
+    /// to the file it wrote.
+    #[test]
+    fn freeze_paged_reports_where_the_bytes_go() {
+        let doc = tempfile("bytes.xml", DOC);
+        let v9 = tempfile("bytes-v9.mrx", "");
+        let s = run_cmd(
+            "freeze",
+            &[
+                doc.to_str().unwrap(),
+                "--out",
+                v9.to_str().unwrap(),
+                "--paged",
+            ],
+        )
+        .unwrap();
+        let line = s.lines().find(|l| l.starts_with("bytes: ")).expect(&s);
+        let (parts, file) = line["bytes: ".len()..].split_once("; file ").expect(line);
+        let mut names = Vec::new();
+        let mut sum = 0u64;
+        for part in parts.split(", ") {
+            let (name, n) = part.rsplit_once(' ').expect(part);
+            names.push(name);
+            sum += n.parse::<u64>().expect(part);
+        }
+        assert_eq!(
+            names,
+            [
+                "header",
+                "graph core",
+                "graph units",
+                "metas",
+                "region",
+                "page table"
+            ]
+        );
+        let len = std::fs::metadata(&v9).unwrap().len();
+        assert_eq!((sum, file.parse::<u64>().unwrap()), (len, len), "{line}");
     }
 
     #[test]
     fn freeze_and_autodetected_query() {
-        let (v5, v8) = freeze_pair("freeze");
+        let (v5, v9) = freeze_pair("freeze");
         let q = "//auction/seller/person";
         // The layout comes from the header: no flag needed for either.
         let packed = run_cmd("query", &[v5.to_str().unwrap(), q]).unwrap();
         assert!(packed.contains("1 answers"), "{packed}");
         assert!(packed.contains("loaded 3 of 3 components"), "{packed}");
         assert!(packed.contains("extent bytes resident"), "{packed}");
-        let paged = run_cmd("query", &[v8.to_str().unwrap(), q]).unwrap();
+        let paged = run_cmd("query", &[v9.to_str().unwrap(), q]).unwrap();
         assert!(paged.contains("bytes demand-paged"), "{paged}");
         // Same answer count and cost line from both layouts.
         assert_eq!(packed.lines().next(), paged.lines().next());
@@ -930,21 +984,21 @@ mod tests {
         let short = run_cmd("query", &[v5.to_str().unwrap(), "//seller/person"]).unwrap();
         assert!(short.contains("loaded 2 of 3 components"), "{short}");
 
-        for f in [&v5, &v8] {
+        for f in [&v5, &v9] {
             let shown = run_cmd("query", &[f.to_str().unwrap(), q, "--show-nodes"]).unwrap();
             assert!(shown.contains("<person>"), "{shown}");
         }
-        // --cache-bytes caps the v8 cache and --stats adds its counters;
+        // --cache-bytes caps the v9 cache and --stats adds its counters;
         // on a v5 snapshot --cache-bytes is a clear error.
         let s = run_cmd(
             "query",
-            &[v8.to_str().unwrap(), q, "--cache-bytes", "4096", "--stats"],
+            &[v9.to_str().unwrap(), q, "--cache-bytes", "4096", "--stats"],
         )
         .unwrap();
         assert!(s.contains("pages: size=64"), "{s}");
         assert!(s.contains("faults="), "{s}");
         let e = run_cmd("query", &[v5.to_str().unwrap(), q, "--cache-bytes", "64"]).unwrap_err();
-        assert!(e.contains("v8"), "{e}");
+        assert!(e.contains("v9"), "{e}");
     }
 
     #[test]
@@ -1078,8 +1132,8 @@ mod tests {
 
     #[test]
     fn query_budget_applies_to_both_snapshot_layouts() {
-        let (v5, v8) = freeze_pair("budget");
-        for file in [&v5, &v8] {
+        let (v5, v9) = freeze_pair("budget");
+        for file in [&v5, &v9] {
             let f = file.to_str().unwrap();
             let s = run_cmd("query", &[f, "//seller/person", "--max-steps", "1"]).unwrap();
             assert!(s.contains("budget exhausted"), "{f}: {s}");
@@ -1090,7 +1144,7 @@ mod tests {
 
     #[test]
     fn cache_bytes_is_refused_outside_paged_snapshots() {
-        let (v5, v8) = freeze_pair("cache-bytes");
+        let (v5, v9) = freeze_pair("cache-bytes");
         let xml = tempfile("cache-bytes.xml", DOC);
         for file in [&v5, &xml] {
             let f = file.to_str().unwrap();
@@ -1098,16 +1152,16 @@ mod tests {
                 run_cmd("query", &[f, "//seller/person", "--cache-bytes", "65536"]).unwrap_err();
             assert!(e.contains("--cache-bytes applies only"), "{f}: {e}");
         }
-        let f = v8.to_str().unwrap();
+        let f = v9.to_str().unwrap();
         let s = run_cmd("query", &[f, "//seller/person", "--cache-bytes", "65536"]).unwrap();
         assert!(s.contains("1 answers"), "{f}: {s}");
     }
 
     #[test]
     fn index_flags_are_refused_on_snapshots() {
-        let (v5, v8) = freeze_pair("index-flags");
+        let (v5, v9) = freeze_pair("index-flags");
         let fups = tempfile("index-flags-fups.txt", "//seller/person\n");
-        for file in [&v5, &v8] {
+        for file in [&v5, &v9] {
             let f = file.to_str().unwrap();
             for extra in [
                 vec!["--kind", "mk"],

@@ -50,7 +50,7 @@ impl fmt::Display for StoreError {
             StoreError::Format(m) => write!(f, "malformed store file: {m}"),
             StoreError::Retired { version } => write!(
                 f,
-                "snapshot layout v{version} is no longer supported (this build reads v5 and v8); \
+                "snapshot layout v{version} is no longer supported (this build reads v5 and v9); \
                  re-freeze it with `mrx freeze`"
             ),
             StoreError::Checksum { section } => {

@@ -228,15 +228,25 @@ impl FrozenGraph {
     /// Checks every structural invariant; call after reassembling a
     /// snapshot from untrusted bytes.
     ///
-    /// Verifies offset-array shape and monotonicity, id ranges, per-node
-    /// sortedness of adjacency, the label CSR against `node_labels`, and
-    /// that the name arena is valid UTF-8 with `name_order` a permutation
-    /// sorted by name.
+    /// Verifies offset-array shape and monotonicity, id ranges, strictly
+    /// ascending rows, parent rows that are exactly the child rows' transpose,
+    /// the label CSR against `node_labels`, and that the name arena is
+    /// valid UTF-8 with `name_order` a permutation sorted by name.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.node_labels.len();
         let nl = self.name_order.len();
         check_csr("child", &self.child_off, &self.child_tgt, n, n)?;
         check_csr("parent", &self.parent_off, &self.parent_tgt, n, n)?;
+        // Each direction can be well formed on its own and still disagree
+        // with the other; evaluators walk both.
+        if !mrx_postings::is_transpose(
+            &self.child_off,
+            &self.child_tgt,
+            &self.parent_off,
+            &self.parent_tgt,
+        ) {
+            return Err("parent rows are not the transpose of the child rows".into());
+        }
         check_csr("label", &self.label_off, &self.label_tgt, nl, n)?;
         if self.name_off.len() != nl + 1 {
             return Err(format!(
@@ -422,6 +432,27 @@ mod tests {
         let mut bad = ok.clone();
         bad.name_bytes[0] = 0xFF;
         assert!(bad.validate().is_err(), "invalid UTF-8 name");
+
+        // Each direction well formed on its own, but they disagree: a
+        // parent row drops the root.
+        let mut bad = ok.clone();
+        let at = bad.parent_tgt.iter().position(|&p| p == bad.root).unwrap();
+        bad.parent_tgt.remove(at);
+        for o in bad.parent_off.iter_mut().filter(|o| **o as usize > at) {
+            *o -= 1;
+        }
+        assert_eq!(
+            bad.validate(),
+            Err("parent rows are not the transpose of the child rows".into())
+        );
+
+        let mut bad = ok.clone();
+        let v = (0..bad.node_count())
+            .find(|&v| bad.child_off[v + 1] - bad.child_off[v] >= 2)
+            .unwrap();
+        bad.child_tgt
+            .swap(bad.child_off[v] as usize, bad.child_off[v] as usize + 1);
+        assert!(bad.validate().is_err(), "unsorted child row");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use mrx_path::{never_fails, CompiledPath, Cost, PathExpr, Ungoverned};
 
 use crate::graph::{difference_sorted, intersect_sorted, pred_extent, succ_extent};
 use crate::snapshot::top_down_governed;
-use crate::{query, Answer, IdxId, IndexGraph, Partition, QueryScratch, TrustPolicy};
+use crate::{query, Answer, IdxId, IndexGraph, IndexView, Partition, QueryScratch, TrustPolicy};
 
 /// Evaluation strategy for path expressions on an M*(k)-index (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,9 +121,15 @@ impl MStarIndex {
     /// Re-derives every component's reach certificate, coarse to fine
     /// ([`crate::view::derive_reach`]). Every mutator of the hierarchy
     /// ends here, so top-down answers never read a stale certificate.
+    /// Components nest (REFINE* only splits), so a node's supernode is the
+    /// coarse node holding its least member: one `node_of` lookup per node
+    /// instead of a walk over every coarse extent.
     fn derive_reach(&mut self) {
         for i in 1..self.components.len() {
-            let reach = crate::view::derive_reach(&self.components[i], &self.components[i - 1]);
+            let (fine, coarse) = (&self.components[i], &self.components[i - 1]);
+            let reach = crate::view::reach_under(fine, coarse, |v| {
+                coarse.node_of(IndexView::extent_first(fine, v))
+            });
             self.components[i].set_reach(reach);
         }
     }

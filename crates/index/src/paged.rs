@@ -311,6 +311,18 @@ mod tests {
         bad.parent_tgt[0] = IdxId(u32::MAX);
         rejects(bad, "parent target out of range");
 
+        // Each direction well formed on its own, but a parent row drops an
+        // edge the child rows hold.
+        let mut bad = good.clone();
+        let v = (0..bad.node_count())
+            .find(|&v| bad.parent_off[v + 1] > bad.parent_off[v])
+            .unwrap();
+        bad.parent_tgt.remove(bad.parent_off[v] as usize);
+        for o in &mut bad.parent_off[v + 1..] {
+            *o -= 1;
+        }
+        rejects(bad, "parent rows that are not the child rows' transpose");
+
         // A member of node 1's extent also in node 0's: the cardinalities
         // overshoot the data nodes.
         let bad = with_extents(&good, |l| {

@@ -4,7 +4,7 @@
 //! A [`SnapshotIndex`] is one frozen component — dense ids, flat arrays —
 //! generic over where its extents live ([`ExtentStore`]): compressed
 //! posting blocks in memory ([`CompressedIndex`], the `.mrx` v5 serving
-//! form) or the same blocks behind a page cache ([`PagedIndex`], the v8
+//! form) or the same blocks behind a page cache ([`PagedIndex`], the v9
 //! serving form). [`MStarSnapshot`] holds one component per resolution.
 //! QUERYTOPDOWN (§4.1) is written once, in `top_down_governed`, and
 //! monomorphized over the representation and the [`Governor`]: the live
@@ -139,15 +139,18 @@ impl<E: ExtentStore> SnapshotIndex<E> {
     /// The one check a component read from outside passes before it
     /// serves, whichever layout it came from, and the step that derives
     /// its label buckets and reach certificate (no layout stores them, so
-    /// they are correct by construction). `data_nodes` is the data graph's
-    /// node count, `num_labels` its alphabet size, and `coarse` the
-    /// next-coarser component, already assembled (`None` for `I0`).
+    /// they are correct by construction) and, when both parent arrays are
+    /// left empty, its parent rows as the transpose of its child rows.
+    /// `data_nodes` is the data graph's node count, `num_labels` its
+    /// alphabet size, and `coarse` the next-coarser component, already
+    /// assembled (`None` for `I0`).
     ///
     /// Checks every invariant the resident arrays witness: similarity
     /// array lengths, one extent list per node, no empty extent, extent
     /// cardinalities summing to the data nodes, child and parent CSR
-    /// structure, label and root range, and the subnode links — forming a
-    /// tree when `tree` is set. A tree must also nest: each coarse node's
+    /// structure with stored parent rows the transpose of the child rows,
+    /// label and root range, and the subnode links — forming a tree when
+    /// `tree` is set. A tree must also nest: each coarse node's
     /// extent has as many members as its subnodes' together, and the same
     /// least member. Extent members are not decoded: the v5 loader proves
     /// the partition by inverting its extents (`link_component` in the
@@ -181,7 +184,21 @@ impl<E: ExtentStore> SnapshotIndex<E> {
             ));
         }
         check_adjacency("child", &self.child_off, &self.child_tgt, n)?;
-        check_adjacency("parent", &self.parent_off, &self.parent_tgt, n)?;
+        if self.parent_off.is_empty() && self.parent_tgt.is_empty() {
+            // A layout that stores one direction: the other is its transpose.
+            (self.parent_off, self.parent_tgt) =
+                mrx_postings::transpose(&self.child_off, &self.child_tgt, n);
+        } else {
+            check_adjacency("parent", &self.parent_off, &self.parent_tgt, n)?;
+            if !mrx_postings::is_transpose(
+                &self.child_off,
+                &self.child_tgt,
+                &self.parent_off,
+                &self.parent_tgt,
+            ) {
+                return Err("parent rows are not the transpose of the child rows".into());
+            }
+        }
         if self.labels.iter().any(|l| l.index() >= num_labels) {
             return Err("node label out of range".into());
         }

@@ -195,7 +195,6 @@ impl IndexView for IndexGraph {
 pub fn derive_reach<I: IndexView>(fine: &I, coarse: &I) -> Vec<u32> {
     const NONE: u32 = u32::MAX;
     let mut sup = vec![NONE; fine.slot_bound()];
-    let mut reach = vec![0; fine.slot_bound()];
     let mut nodes = Vec::new();
     coarse.push_all_nodes(&mut nodes);
     let mut nested = true;
@@ -208,9 +207,24 @@ pub fn derive_reach<I: IndexView>(fine: &I, coarse: &I) -> Vec<u32> {
     nodes.clear();
     fine.push_all_nodes(&mut nodes);
     if !nested || nodes.iter().any(|v| sup[v.index()] == NONE) {
-        return reach;
+        return vec![0; fine.slot_bound()];
     }
-    let above = |u: IdxId| coarse.reach(IdxId(sup[u.index()])).saturating_add(1);
+    reach_under(fine, coarse, |u| IdxId(sup[u.index()]))
+}
+
+/// The reach certificate of `fine` given the supernode in `coarse` of
+/// each of its nodes, which must nest ([`derive_reach`] checks that; the
+/// live [`crate::MStarIndex`] keeps it as an invariant and finds a
+/// supernode through `node_of` in O(1)).
+pub(crate) fn reach_under<I: IndexView>(
+    fine: &I,
+    coarse: &I,
+    sup: impl Fn(IdxId) -> IdxId,
+) -> Vec<u32> {
+    let mut reach = vec![0; fine.slot_bound()];
+    let mut nodes = Vec::new();
+    fine.push_all_nodes(&mut nodes);
+    let above = |u: IdxId| coarse.reach(sup(u)).saturating_add(1);
     for &v in &nodes {
         let via = match fine.parents(v) {
             [] => above(v),

@@ -3,7 +3,7 @@
 //!
 //! The paper's premise is frequent-query skew; this crate exploits the same
 //! skew at the storage layer. Instead of slurping and checksumming whole
-//! sections at load (the v5 read path), the paged v8 layout designates a
+//! sections at load (the v5 read path), the paged v9 layout designates a
 //! *paged region* of the file whose bytes are fetched on demand in
 //! fixed-size pages via positioned I/O ([`PageSource::read_at`] —
 //! `std::os::unix::fs::FileExt`, no mmap, no libc), verified lazily one

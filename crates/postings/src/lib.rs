@@ -25,20 +25,26 @@
 //! * [`group_by_key`]: the shared counting-sort CSR builder used by every
 //!   layer that groups ids by a key (label buckets in frozen indexes and
 //!   the store's load path), deduplicating what used to be parallel
-//!   implementations.
+//!   implementations, and [`transpose`], which derives one adjacency
+//!   direction from the other ([`is_transpose`] checks that two agree).
+//! * The row codec ([`put_words`], [`put_rows`], [`RowReader`]): LEB128
+//!   words and delta-coded adjacency rows, the compact resident half of the
+//!   paged snapshot, decoded with the same typed refusal of hostile bytes.
 //!
 //! The crate is dependency-free and knows nothing about graphs or indexes;
 //! callers adapt their id newtypes via [`PostingId`].
 
 mod block;
 mod csr;
+mod rows;
 mod seek;
 
 pub use block::{
     decode_tagged_block, ArenaError, PostingArena, PostingCursor, BLOCK_LEN, MAX_BLOCK_PAYLOAD,
     TAG_RUN, TAG_VARINT,
 };
-pub use csr::group_by_key;
+pub use csr::{group_by_key, is_transpose, transpose};
+pub use rows::{put_rows, put_words, CodecError, RowOrder, RowReader};
 pub use seek::{
     contains_seeking, difference_seeking, intersect_seeking, union_seeking, PostingId,
     SeekingIterator, SliceSeeker,

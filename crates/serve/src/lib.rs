@@ -1,5 +1,5 @@
 //! `mrx serve`: a fault-tolerant, multi-tenant query daemon over
-//! compressed (v5) and demand-paged (v8) `.mrx` snapshots.
+//! compressed (v5) and demand-paged (v9) `.mrx` snapshots.
 //!
 //! The paper's closing direction (§6) is a *disk-resident* M\*(k)-index
 //! "loaded into memory selectively and incrementally during query

@@ -12,7 +12,7 @@
 //! epoch-based reclamation fence, with the refcount as the epoch counter.
 //!
 //! Both layouts are shared read-only across all workers: the slot holds
-//! exactly the structures validation proved. For the demand-paged (v8)
+//! exactly the structures validation proved. For the demand-paged (v9)
 //! layout that is the validated handle's graph and hierarchy
 //! ([`mrx_store::PagedFile::into_parts`]), which read through one
 //! thread-safe page cache under the daemon's one `--cache-bytes` budget.
@@ -39,7 +39,7 @@ use mrx_store::{open_validated, LazyGraph, SnapshotPayload, StoreError};
 pub(crate) enum SnapData {
     /// Compressed posting arenas (v5).
     Compressed(Box<(FrozenGraph, CompressedMStar)>),
-    /// Demand-paged hierarchy and lazy graph (v8), reading through one
+    /// Demand-paged hierarchy and lazy graph (v9), reading through one
     /// page cache.
     Paged(Box<(LazyGraph, PagedMStar)>),
 }

@@ -418,8 +418,8 @@ fn load_compressed_impl<R: Read>(
 }
 
 /// Peeks the layout version of an `.mrx` snapshot —
-/// [`VERSION_COMPRESSED`] (5) or [`VERSION_PAGED`] (8) — without loading
-/// any section. A retired layout (versions 1–4, 6 and 7) is refused with
+/// [`VERSION_COMPRESSED`] (5) or [`VERSION_PAGED`] (9) — without loading
+/// any section. A retired layout (versions 1–4 and 6–8) is refused with
 /// [`StoreError::Retired`], anything else with a format error.
 pub fn snapshot_version(path: impl AsRef<Path>) -> Result<u32, StoreError> {
     let mut f = File::open(path)?;
@@ -922,7 +922,9 @@ mod tests {
         let paged =
             crate::paged_image(&FrozenGraph::freeze(&g), &idx.freeze_compressed(), 256).unwrap();
         match load_compressed_from(&paged[..]) {
-            Err(StoreError::Format(m)) => assert!(m.contains("version 8"), "{m}"),
+            Err(StoreError::Format(m)) => {
+                assert!(m.contains(&format!("version {VERSION_PAGED}")), "{m}")
+            }
             other => panic!("expected format error, got {other:?}"),
         }
     }

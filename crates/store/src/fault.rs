@@ -11,6 +11,11 @@
 //!   *without* any error at all ([`Read::read`] is allowed to return
 //!   fewer bytes than asked at any time).
 //!
+//! A third tool edits inside the checksums: [`reseal_paged`] replaces a
+//! paged file's graph unit or meta payload and reseals every digest and
+//! offset that covers it ([`paged_payload`] and [`paged_links`] find the
+//! bytes to edit), so a test reaches the decoders behind the checksums.
+//!
 //! The contract under test: a loader fed any faulted input either
 //! succeeds with a fully validated structure or returns a typed
 //! [`StoreError`](crate::StoreError) — it never panics, never aborts,
@@ -194,6 +199,121 @@ impl<R: Read> Read for FaultReader<R> {
             }
         }
     }
+}
+
+/// A checksummed part of a paged (v9) image that [`reseal_paged`] can
+/// replace: a graph unit (0 = labels, 1 = parents) or a component's meta
+/// section.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PagedPart {
+    /// Graph unit section `u`.
+    GraphUnit(usize),
+    /// The meta section of component `i`.
+    Meta(usize),
+}
+
+/// Frame offsets of a paged image: the graph core, both graph units and
+/// the meta directory, in that order.
+fn paged_frames(image: &[u8]) -> Option<[usize; 4]> {
+    let word = |at: usize| Some(crate::wire::le_u64(image.get(at..at.checked_add(8)?)?) as usize);
+    let core = crate::paged::HEADER_LEN_PAGED as usize;
+    let unit0 = core.checked_add(16)?.checked_add(word(core)?)?;
+    let unit1 = unit0.checked_add(16)?.checked_add(word(unit0)?)?;
+    let dir = unit1.checked_add(16)?.checked_add(word(unit1)?)?;
+    Some([core, unit0, unit1, dir])
+}
+
+/// Byte range of `part`'s payload in a paged image, or `None` when the
+/// image does not hold it.
+pub fn paged_payload(image: &[u8], part: PagedPart) -> Option<std::ops::Range<usize>> {
+    let word = |at: usize| Some(crate::wire::le_u64(image.get(at..at.checked_add(8)?)?) as usize);
+    let [_, unit0, unit1, dir] = paged_frames(image)?;
+    let frame = match part {
+        PagedPart::GraphUnit(0) => unit0,
+        PagedPart::GraphUnit(1) => unit1,
+        PagedPart::GraphUnit(_) => return None,
+        PagedPart::Meta(i) => word(dir.checked_add(i.checked_mul(8)?)?)?,
+    };
+    let end = frame.checked_add(8)?.checked_add(word(frame)?)?;
+    (end.checked_add(8)? <= image.len()).then_some(frame + 8..end)
+}
+
+/// Byte range of component `i`'s subnode link rows in a paged image
+/// (empty for `I0`), found by walking the meta payload with the row codec,
+/// or `None` when the image does not hold them.
+pub fn paged_links(image: &[u8], i: usize) -> Option<std::ops::Range<usize>> {
+    use mrx_postings::{RowOrder, RowReader};
+    let nodes = |j: usize| -> Option<(std::ops::Range<usize>, usize)> {
+        let meta = paged_payload(image, PagedPart::Meta(j))?;
+        let n = u32::from_le_bytes(image.get(meta.start..meta.start + 4)?.try_into().ok()?);
+        Some((meta, n as usize))
+    };
+    let (meta, n) = nodes(i)?;
+    let coarse = match i.checked_sub(1) {
+        Some(j) => nodes(j)?.1,
+        None => 0,
+    };
+    let codec = meta.start + 20;
+    let mut r = RowReader::new(image.get(codec..meta.end)?);
+    for _ in 0..3 {
+        r.words(n, 1 << 32, |_| ()).ok()?;
+    }
+    r.rows::<u32>(n, u32::MAX, RowOrder::Ascending).ok()?;
+    let start = codec + r.position();
+    r.rows::<u32>(coarse, u32::MAX, RowOrder::Stored).ok()?;
+    Some(start..codec + r.position())
+}
+
+/// `image` with `part`'s payload replaced by `payload` and everything that
+/// covers it resealed: the part's own digest, the graph core's record of a
+/// unit's length (and the core's digest), the directory entries, region
+/// and page-table offsets that follow it, and the header checksum. The
+/// region and the page table move unchanged, so only the decoders stand
+/// between the edit and serving. `None` when the image does not hold
+/// `part`.
+pub fn reseal_paged(image: &[u8], part: PagedPart, payload: &[u8]) -> Option<Vec<u8>> {
+    use mrx_pagecache::{fnv64, fnv64_words};
+    let old = paged_payload(image, part)?;
+    let [core, _, _, dir] = paged_frames(image)?;
+    let ncomp = u32::from_le_bytes(image.get(12..16)?.try_into().ok()?) as usize;
+    let frame = old.start - 8;
+    let grow = |o: usize| match o > frame {
+        true => (o + payload.len()).checked_sub(old.len()),
+        false => Some(o),
+    };
+    let digest = match part {
+        PagedPart::GraphUnit(_) => fnv64_words(payload),
+        PagedPart::Meta(_) => fnv64(payload),
+    };
+    let mut out = image.get(..frame)?.to_vec();
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&digest.to_le_bytes());
+    out.extend_from_slice(image.get(old.end + 8..)?);
+    fn put(out: &mut [u8], at: usize, v: u64) -> Option<()> {
+        out.get_mut(at..at + 8)?.copy_from_slice(&v.to_le_bytes());
+        Some(())
+    }
+    let moved = grow(dir)?;
+    for i in 0..ncomp {
+        let o = crate::wire::le_u64(image.get(dir + 8 * i..dir + 8 * i + 8)?);
+        put(&mut out, moved + 8 * i, grow(o as usize)? as u64)?;
+    }
+    for at in [16, 32] {
+        let o = crate::wire::le_u64(image.get(at..at + 8)?);
+        put(&mut out, at, grow(o as usize)? as u64)?;
+    }
+    if let PagedPart::GraphUnit(u) = part {
+        // The core payload: u32 n, u32 root, u32 nedges, then the unit
+        // lengths.
+        put(&mut out, core + 8 + 12 + 8 * u, payload.len() as u64)?;
+        let len = crate::wire::le_u64(out.get(core..core + 8)?) as usize;
+        let sum = fnv64(out.get(core + 8..core + 8 + len)?);
+        put(&mut out, core + 8 + len, sum)?;
+    }
+    let sum = fnv64(out.get(16..64)?);
+    put(&mut out, 64, sum)?;
+    Some(out)
 }
 
 #[cfg(test)]

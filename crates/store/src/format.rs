@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Two layouts exist: compressed v5 ([`crate::compressed`]) and
-//! demand-paged v8 ([`crate::paged`]). Versions 1–4, 6 and 7 were earlier
+//! demand-paged v9 ([`crate::paged`]). Versions 1–4 and 6–8 were earlier
 //! layouts of the same data; a file carrying one is refused with
 //! [`StoreError::Retired`], which tells the user to re-freeze it.
 
@@ -22,13 +22,16 @@ pub(crate) const STAR_MAGIC: &[u8; 8] = b"MRXSTAR1";
 /// [`crate::compressed`].
 pub const VERSION_COMPRESSED: u32 = 5;
 /// Version tag of the demand-paged layout: eager graph core and
-/// per-component metas with the subnode links, each distinct extent
-/// served once through a page cache — see [`crate::paged`].
-pub const VERSION_PAGED: u32 = 8;
+/// per-component metas with the subnode links, graph and metas in the row
+/// codec with their mirror halves derived, each distinct extent served
+/// once through a page cache — see [`crate::paged`].
+pub const VERSION_PAGED: u32 = 9;
 /// Retired layout versions, refused with [`StoreError::Retired`]. Version 6
-/// was the paged layout with a `node_of` map per component, and version 7
-/// the paged layout that stored a sole subnode's extent again.
-pub(crate) const RETIRED: [u32; 6] = [1, 2, 3, 4, 6, 7];
+/// was the paged layout with a `node_of` map per component, version 7 the
+/// paged layout that stored a sole subnode's extent again, and version 8
+/// the paged layout that stored the graph and metas as raw `u32` arrays,
+/// both adjacency directions included.
+pub(crate) const RETIRED: [u32; 7] = [1, 2, 3, 4, 6, 7, 8];
 
 pub use mrx_error::StoreError;
 
@@ -147,7 +150,7 @@ mod tests {
         }
         assert!(check_version(VERSION_PAGED, &[VERSION_PAGED]).is_ok());
         match check_version(99, &[VERSION_COMPRESSED, VERSION_PAGED]) {
-            Err(StoreError::Format(m)) => assert!(m.contains("v5/v8"), "{m}"),
+            Err(StoreError::Format(m)) => assert!(m.contains("v5/v9"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
         }
     }

@@ -1,36 +1,42 @@
-//! The lazily-loaded data graph behind the demand-paged (v8) snapshot.
+//! The lazily-loaded data graph behind the demand-paged (v9) snapshot.
 //!
 //! [`GraphView`] hands out borrowed slices (`children(v) -> &[NodeId]`),
 //! so the graph cannot be served through an evicting page cache directly —
 //! a borrow must stay valid for as long as the caller holds it. What *can*
 //! be deferred is the load itself: [`LazyGraph`] keeps only the label-name
-//! arena and the counts resident (everything `PathExpr::compile` needs)
-//! and splits the four big arrays into independently checksummed **unit
-//! sections** that materialize on first access:
+//! arena and the counts resident (everything `PathExpr::compile` needs).
+//! The file stores two independently checksummed **unit sections**, in
+//! the row codec of [`mrx_postings::RowReader`]:
 //!
-//! * `labels` — per-node label ids,
-//! * `children` — forward CSR (offsets + targets),
-//! * `parents` — backward CSR,
-//! * `labelext` — the label→nodes CSR.
+//! * `labels` — per-node label ids, one LEB128 word each,
+//! * `parents` — the backward adjacency, one ascending row per node.
+//!
+//! The other two arrays only mirror these, so the file does not store
+//! them; each is derived on first touch:
+//!
+//! * `children` — the forward adjacency, the transpose of `parents`,
+//! * `labelext` — the label→nodes CSR, `labels` grouped by one counting
+//!   pass.
 //!
 //! A top-down query under [`TrustPolicy::Proven`] touches only `labels`
 //! and `parents` (the backward validator); `children` and `labelext`
-//! stay on disk. That asymmetry is most of the paged cold-start win: the
-//! eager v5 loader deserializes and validates every array element
-//! through a byte-hashing reader before the first answer, while the lazy
-//! units load as single bulk reads verified with the word-folded FNV-64
-//! ([`fnv64_words`]) and validated with the same structural checks
-//! [`FrozenGraph::validate`] runs — just per unit, on first touch.
+//! are never built. Each stored unit loads as one bulk read verified with
+//! the word-folded FNV-64 ([`fnv64_words`]) and decoded by the checked
+//! codec, which refuses truncated or overlong varints, rows that overrun
+//! the unit and ids out of range. A derived unit is correct by
+//! construction: the writer refuses a graph whose halves are not exact
+//! mirrors ([`FrozenGraph::validate`]).
 //!
 //! # Failure model
 //!
 //! Accessors are infallible by trait contract, so a unit that fails its
-//! checksum or structural validation **poisons the shared
-//! [`PageCache`]** (for the calling thread) and the accessor answers as if
-//! the unit were empty (no rows, label 0). A failed load is never stored:
-//! the next access loads again and poisons again, so a corrupt unit can
-//! never serve a later query from an empty fallback. It is the same cache
-//! the paged index reads through, so the serving layer's one fault probe
+//! checksum or its decode **poisons the shared [`PageCache`]** (for the
+//! calling thread) and the accessor answers as if the unit were empty (no
+//! rows, label 0); a derived unit fails with the unit it derives from. A
+//! failed load is never stored: the next access loads again and poisons
+//! again, so a corrupt unit can never serve a later query from an empty
+//! fallback. It is the same cache the paged index reads through, so the
+//! serving layer's one fault probe
 //! ([`mrx_index::Servable::fault_cache`]) covers graph units too: the
 //! poison is checked after every query and returned as the typed error
 //! instead of the answer — the same always-caught-before-serving contract
@@ -50,21 +56,24 @@ use std::sync::{Arc, OnceLock};
 
 use mrx_graph::{FrozenGraph, GraphView, LabelId, NodeId};
 use mrx_pagecache::{fnv64_words, PageCache};
+use mrx_postings::{put_rows, put_words, RowOrder, RowReader};
 
 use crate::format::{format_err, StoreError};
 use crate::wire::{HashingReader, HashingWriter};
 
-/// Number of lazily-loaded unit sections.
-pub(crate) const GRAPH_UNITS: usize = 4;
+/// Number of stored unit sections.
+pub(crate) const GRAPH_UNITS: usize = 2;
 
-/// The eagerly-loaded core of a paged graph: counts, root, and the validated
-/// label-name arena. Everything query compilation touches, nothing sized
-/// by the corpus.
+/// The eagerly-loaded core of a paged graph: counts, root, the unit
+/// lengths, and the validated label-name arena. Everything query
+/// compilation touches, nothing sized by the corpus.
 pub(crate) struct GraphCore {
     pub n: usize,
     pub root: NodeId,
     pub nedges: usize,
-    pub npedges: usize,
+    /// Payload byte length of each unit section (the unit frames repeat
+    /// it, and the reader cross-checks).
+    pub unit_len: [u64; GRAPH_UNITS],
     pub name_off: Vec<u32>,
     pub name_bytes: Vec<u8>,
     pub name_order: Vec<u32>,
@@ -74,37 +83,29 @@ impl GraphCore {
     pub fn num_labels(&self) -> usize {
         self.name_order.len()
     }
-
-    /// Payload byte length of unit `i`, derived from the core counts (the
-    /// unit frames repeat it, and the reader cross-checks).
-    pub fn unit_len(&self, i: usize) -> u64 {
-        let (rows, tgts) = match i {
-            0 => return 4 * self.n as u64,
-            1 => (self.n + 1, self.nedges),
-            2 => (self.n + 1, self.npedges),
-            _ => (self.num_labels() + 1, self.n),
-        };
-        4 * (rows as u64 + tgts as u64)
-    }
 }
 
-/// Serializes the eager graph core (standard byte-hashed section payload).
+/// Serializes the eager graph core (standard byte-hashed section payload)
+/// for unit payloads of `unit_len` bytes.
 pub(crate) fn write_graph_core<W: Write>(
     w: &mut HashingWriter<W>,
     g: &FrozenGraph,
+    unit_len: [u64; GRAPH_UNITS],
 ) -> io::Result<()> {
     w.write_u32(g.node_count() as u32)?;
     w.write_u32(g.root().0)?;
     w.write_u32(g.child_tgt.len() as u32)?;
-    w.write_u32(g.parent_tgt.len() as u32)?;
+    for len in unit_len {
+        w.write_u64(len)?;
+    }
     crate::compressed::write_arr(w, g.name_off.iter().copied())?;
     crate::compressed::write_bytes(w, &g.name_bytes)?;
     crate::compressed::write_arr(w, g.name_order.iter().copied())
 }
 
 /// Deserializes and validates the eager core: name arena shape, UTF-8,
-/// sorted `name_order` permutation, root in range. The unit arrays are
-/// *not* read here — only their lengths become computable.
+/// sorted `name_order` permutation, root in range. The unit sections are
+/// *not* read here — only their lengths become known.
 pub(crate) fn read_graph_core(r: &mut HashingReader<&[u8]>) -> Result<GraphCore, StoreError> {
     let n = r.read_u32()? as usize;
     if n == 0 {
@@ -115,7 +116,7 @@ pub(crate) fn read_graph_core(r: &mut HashingReader<&[u8]>) -> Result<GraphCore,
         return Err(format_err(format!("root {} out of range", root.0)));
     }
     let nedges = r.read_u32()? as usize;
-    let npedges = r.read_u32()? as usize;
+    let unit_len = [r.read_u64()?, r.read_u64()?];
     let name_off = crate::compressed::read_arr(r, "name_off", |v| v)?;
     let name_bytes = crate::compressed::read_bytes(r, "name_bytes")?;
     let name_order = crate::compressed::read_arr(r, "name_order", |v| v)?;
@@ -156,49 +157,33 @@ pub(crate) fn read_graph_core(r: &mut HashingReader<&[u8]>) -> Result<GraphCore,
         n,
         root,
         nedges,
-        npedges,
+        unit_len,
         name_off,
         name_bytes,
         name_order,
     })
 }
 
-/// The raw little-endian payloads of the four unit sections, in unit
-/// order. The writer frames each as `u64(len) payload u64(fnv64_words)`.
-pub(crate) fn graph_unit_payloads(g: &FrozenGraph) -> [Vec<u8>; GRAPH_UNITS] {
-    fn push_u32s(out: &mut Vec<u8>, it: impl Iterator<Item = u32>) {
-        for v in it {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    let mut labels = Vec::with_capacity(4 * g.node_count());
-    push_u32s(&mut labels, g.node_labels.iter().map(|l| l.0));
-    let mut children = Vec::with_capacity(4 * (g.child_off.len() + g.child_tgt.len()));
-    push_u32s(&mut children, g.child_off.iter().copied());
-    push_u32s(&mut children, g.child_tgt.iter().map(|v| v.0));
-    let mut parents = Vec::with_capacity(4 * (g.parent_off.len() + g.parent_tgt.len()));
-    push_u32s(&mut parents, g.parent_off.iter().copied());
-    push_u32s(&mut parents, g.parent_tgt.iter().map(|v| v.0));
-    let mut labelext = Vec::with_capacity(4 * (g.label_off.len() + g.label_tgt.len()));
-    push_u32s(&mut labelext, g.label_off.iter().copied());
-    push_u32s(&mut labelext, g.label_tgt.iter().map(|v| v.0));
-    [labels, children, parents, labelext]
+/// The payloads of the two unit sections, in unit order: the labels as
+/// words and the parent rows. The writer frames each as
+/// `u64(len) payload u64(fnv64_words)`. `g` must have passed
+/// [`FrozenGraph::validate`], so the halves the reader derives equal its
+/// own.
+pub(crate) fn graph_unit_payloads(g: &FrozenGraph) -> Result<[Vec<u8>; GRAPH_UNITS], StoreError> {
+    let mut labels = Vec::with_capacity(g.node_count());
+    put_words(&mut labels, g.node_labels.iter().map(|l| l.0));
+    let mut parents = Vec::with_capacity(2 * g.node_count());
+    put_rows(
+        &mut parents,
+        &g.parent_off,
+        &g.parent_tgt,
+        RowOrder::Ascending,
+    )
+    .map_err(|e| format_err(format!("graph parents: {e}")))?;
+    Ok([labels, parents])
 }
 
-/// Little-endian `u32` lanes of `bytes` (sub-word tail ignored; unit
-/// payload lengths are exact multiples of four by construction).
-fn decode_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
-    bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-}
-
-const UNIT_NAMES: [&str; GRAPH_UNITS] = [
-    "graph labels",
-    "graph children",
-    "graph parents",
-    "graph label extents",
-];
+const UNIT_NAMES: [&str; GRAPH_UNITS] = ["graph labels", "graph parents"];
 
 /// One direction of CSR adjacency (or the label→nodes CSR).
 struct Csr {
@@ -235,8 +220,10 @@ pub struct LazyGraph {
     /// Absolute file offset of each unit section frame.
     unit_off: [u64; GRAPH_UNITS],
     labels: OnceLock<Vec<LabelId>>,
-    children: OnceLock<Csr>,
     parents: OnceLock<Csr>,
+    /// Derived from `parents`.
+    children: OnceLock<Csr>,
+    /// Derived from `labels`.
     labelext: OnceLock<Csr>,
     lazy_bytes: AtomicU64,
 }
@@ -252,8 +239,8 @@ impl LazyGraph {
             core,
             unit_off,
             labels: OnceLock::new(),
-            children: OnceLock::new(),
             parents: OnceLock::new(),
+            children: OnceLock::new(),
             labelext: OnceLock::new(),
             lazy_bytes: AtomicU64::new(0),
         }
@@ -262,13 +249,13 @@ impl LazyGraph {
     /// Reads and digest-checks unit `i`'s payload (one bulk positioned
     /// read; no per-element hashing).
     fn unit_bytes(&self, i: usize) -> Result<Vec<u8>, StoreError> {
-        let expect = self.core.unit_len(i);
+        let expect = self.core.unit_len[i];
         let off = self.unit_off[i];
         let mut word = [0u8; 8];
         self.cache.read_unpaged(off, &mut word)?;
         if u64::from_le_bytes(word) != expect {
             return Err(format_err(format!(
-                "{} frame declares {} bytes, core counts say {expect}",
+                "{} frame declares {} bytes, the graph core says {expect}",
                 UNIT_NAMES[i],
                 u64::from_le_bytes(word)
             )));
@@ -287,63 +274,51 @@ impl LazyGraph {
 
     fn load_labels(&self) -> Result<Vec<LabelId>, StoreError> {
         let buf = self.unit_bytes(0)?;
-        let nl = self.core.num_labels() as u32;
-        // Bulk-convert, then range-check in a separate pass: both loops
-        // vectorize, where a fused check-as-you-push loop does not — this
-        // load is on the time-to-first-answer critical path.
-        let out: Vec<LabelId> = decode_u32s(&buf).map(LabelId).collect();
-        if let Some(bad) = out.iter().map(|l| l.0).max().filter(|&m| m >= nl) {
-            return Err(format_err(format!("node label {bad} out of range")));
-        }
-        Ok(out)
+        let err = |e| format_err(format!("{}: {e}", UNIT_NAMES[0]));
+        let mut r = RowReader::new(&buf);
+        let labels = r
+            .words(self.core.n, self.core.num_labels() as u64, LabelId)
+            .map_err(err)?;
+        r.finish().map_err(err)?;
+        Ok(labels)
     }
 
-    /// Loads one CSR unit and runs the same structural checks the eager
-    /// loader's `FrozenGraph::validate` applies: offset shape/monotonicity
-    /// and target ids in range.
-    fn load_csr(&self, i: usize, rows: usize, id_bound: u32) -> Result<Csr, StoreError> {
-        let buf = self.unit_bytes(i)?;
-        let err = |m: String| format_err(format!("{}: {m}", UNIT_NAMES[i]));
-        // Same split as `load_labels`: bulk conversion first, then whole-
-        // array validation scans that run at memory bandwidth.
-        let (off_bytes, tgt_bytes) = buf.split_at(4 * (rows + 1));
-        let off: Vec<u32> = decode_u32s(off_bytes).collect();
-        let tgt: Vec<NodeId> = decode_u32s(tgt_bytes).map(NodeId).collect();
-        if off[0] != 0 || off[rows] as usize != tgt.len() {
-            return Err(err("offsets do not span the target array".into()));
-        }
-        if off.windows(2).any(|w| w[0] > w[1]) {
-            return Err(err("offsets not monotone".into()));
-        }
-        if let Some(bad) = tgt.iter().map(|v| v.0).max().filter(|&m| m >= id_bound) {
-            return Err(err(format!("target id {bad} out of range")));
+    fn load_parents(&self) -> Result<Csr, StoreError> {
+        let buf = self.unit_bytes(1)?;
+        let err = |e| format_err(format!("{}: {e}", UNIT_NAMES[1]));
+        let n = self.core.n;
+        let mut r = RowReader::new(&buf);
+        let (off, tgt) = r.rows(n, n as u32, RowOrder::Ascending).map_err(err)?;
+        r.finish().map_err(err)?;
+        if tgt.len() != self.core.nedges {
+            return Err(format_err(format!(
+                "{}: {} edges, the graph core says {}",
+                UNIT_NAMES[1],
+                tgt.len(),
+                self.core.nedges
+            )));
         }
         Ok(Csr { off, tgt })
     }
 
-    /// Loads the label→nodes CSR with its cross-checks against the label
-    /// array (which this may itself fault in).
-    fn load_labelext(&self) -> Result<Csr, StoreError> {
-        let nl = self.core.num_labels();
-        let csr = self.load_csr(3, nl, self.core.n as u32)?;
-        if csr.tgt.len() != self.core.n {
-            return Err(format_err("label CSR does not cover every node"));
-        }
+    /// The child rows: the transpose of the parent rows, which this may
+    /// itself fault in.
+    fn derive_children(&self) -> Result<Csr, StoreError> {
+        let parents = unit(&self.parents, || self.load_parents())?;
+        let (off, tgt) = mrx_postings::transpose(&parents.off, &parents.tgt, self.core.n);
+        Ok(Csr { off, tgt })
+    }
+
+    /// The label→nodes CSR: the node labels grouped by one counting pass
+    /// (which may itself fault the labels in).
+    fn derive_labelext(&self) -> Result<Csr, StoreError> {
         let labels = unit(&self.labels, || self.load_labels())?;
-        for l in 0..nl {
-            let nodes = csr.row(l);
-            if nodes.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format_err(format!(
-                    "label {l} extent not strictly ascending"
-                )));
-            }
-            if nodes.iter().any(|&v| labels[v.index()].index() != l) {
-                return Err(format_err(format!(
-                    "label {l} extent disagrees with node labels"
-                )));
-            }
-        }
-        Ok(csr)
+        let (off, ids) =
+            mrx_postings::group_by_key(labels.len(), self.core.num_labels(), |i| labels[i].0);
+        Ok(Csr {
+            off,
+            tgt: ids.into_iter().map(NodeId).collect(),
+        })
     }
 
     /// A unit for an infallible accessor: a load failure poisons the
@@ -387,7 +362,7 @@ impl LazyGraph {
         self.lazy_bytes.load(Ordering::Relaxed)
     }
 
-    /// Digest-checks all four unit sections straight from the source
+    /// Digest-checks both unit sections straight from the source
     /// without materializing or caching them — the offline integrity pass
     /// behind [`crate::PagedFile::verify`]. Serving instead verifies each
     /// unit lazily on first touch.
@@ -407,12 +382,11 @@ impl LazyGraph {
 
     #[allow(clippy::type_complexity)]
     fn frozen_parts(&self) -> Result<(&[LabelId], &Csr, &Csr, &Csr), StoreError> {
-        let n = self.core.n;
         Ok((
             unit(&self.labels, || self.load_labels())?,
-            unit(&self.children, || self.load_csr(1, n, n as u32))?,
-            unit(&self.parents, || self.load_csr(2, n, n as u32))?,
-            unit(&self.labelext, || self.load_labelext())?,
+            unit(&self.children, || self.derive_children())?,
+            unit(&self.parents, || self.load_parents())?,
+            unit(&self.labelext, || self.derive_labelext())?,
         ))
     }
 
@@ -455,19 +429,17 @@ impl GraphView for LazyGraph {
     }
 
     fn children(&self, v: NodeId) -> &[NodeId] {
-        let n = self.core.n;
-        self.served(&self.children, || self.load_csr(1, n, n as u32))
+        self.served(&self.children, || self.derive_children())
             .map_or(&[], |c| c.row(v.index()))
     }
 
     fn parents(&self, v: NodeId) -> &[NodeId] {
-        let n = self.core.n;
-        self.served(&self.parents, || self.load_csr(2, n, n as u32))
+        self.served(&self.parents, || self.load_parents())
             .map_or(&[], |c| c.row(v.index()))
     }
 
     fn label_nodes(&self, l: LabelId) -> &[NodeId] {
-        self.served(&self.labelext, || self.load_labelext())
+        self.served(&self.labelext, || self.derive_labelext())
             .map_or(&[], |c| c.row(l.index()))
     }
 

@@ -12,18 +12,20 @@
 //!   load lazily — a top-down query of length `j` touches only `I0..Ij` —
 //!   into the resident `CompressedIndex` form, which serves straight from
 //!   the compressed extents. See [`compressed`] for the byte layout.
-//! * **demand-paged (v8)** ([`save_paged`], [`PagedFile`]): only the graph
+//! * **demand-paged (v9)** ([`save_paged`], [`PagedFile`]): only the graph
 //!   core and small per-component meta sections (which carry the subnode
 //!   links between components) load eagerly, while extents are served
 //!   through a budgeted page cache with per-page checksums — cold start is
 //!   near-zero and the resident set is capped, at the price of page faults
 //!   on first touch. Each distinct extent is stored once: a sole subnode
-//!   reads its supernode's list.
+//!   reads its supernode's list. The graph and the metas are stored in a
+//!   compact row codec, one adjacency direction each; the mirror halves
+//!   are derived on load.
 //!   See [`paged`] for the layout and the (degradation-free) failure model.
 //!
 //! [`snapshot_version`] peeks a file's layout so callers can dispatch, and
 //! [`open_validated`] loads and fully validates either one for serving.
-//! Files in the retired layouts (versions 1–4, 6 and 7) are refused with
+//! Files in the retired layouts (versions 1–4 and 6–8) are refused with
 //! [`StoreError::Retired`].
 //!
 //! Neither file answers queries itself. Each loads the prefix a query
@@ -62,5 +64,5 @@ pub use compressed::{
 };
 pub use format::{StoreError, VERSION_COMPRESSED, VERSION_PAGED};
 pub use lazy_graph::LazyGraph;
-pub use paged::{paged_image, save_paged, save_paged_with, PagedFile};
+pub use paged::{paged_image, save_paged, save_paged_with, PagedFile, PagedSections};
 pub use validate::{open_validated, SnapshotPayload, ValidatedSnapshot};

@@ -1,30 +1,30 @@
-//! The demand-paged (v8) `.mrx` snapshot layout.
+//! The demand-paged (v9) `.mrx` snapshot layout.
 //!
 //! The compressed v5 layout serves fast but pays its whole cost up front: every component
 //! section is read, checksummed, and validated before the first answer.
-//! The v8 layout splits a snapshot into a small **eagerly loaded** part
+//! The v9 layout splits a snapshot into a small **eagerly loaded** part
 //! and a large **paged region** that is only ever touched through a
 //! fixed-page [`PageCache`], so cold start reads a few kilobytes and the
 //! resident set is bounded by the cache budget, not the corpus size:
 //!
 //! ```text
-//! paged file   := "MRXSTAR1" u32(version=8) u32(ncomponents) ext
-//!                 section(graph-core) gunit* dir section(meta)*
+//! paged file   := "MRXSTAR1" u32(version=9) u32(ncomponents) ext
+//!                 section(graph-core) gunit gunit dir section(meta)*
 //!                 region section(pagetab)
 //! ext          := u64(paged_off) u64(paged_len) u64(pagetab_off)
 //!                 u32(page_size) u32(npages) u64(star_epoch) u64(data_len)
 //!                 u64(fnv64 of the preceding 48 ext bytes)
-//! graph-core   := u32(n) u32(root) u32(nedges) u32(npedges)
+//! graph-core   := u32(n) u32(root) u32(nedges)
+//!                 u64(len of labels) u64(len of parents)
 //!                 arr(name_off) bytes(name_bytes) arr(name_order)
-//! gunit        := u64(len) raw-LE-u32s u64(fnv64_words) — four of them:
-//!                 labels [n], children [n+1 off | nedges tgt],
-//!                 parents [n+1 off | npedges tgt],
-//!                 labelext [nlabels+1 off | n tgt]
+//! gunit        := u64(len) codec u64(fnv64_words) — two of them:
+//!                 labels = words[n], parents = ascending rows[n]
 //! dir          := u64(absolute offset of each meta section)*
 //! meta         := u32(n) u32(lemma2) u64(epoch) u32(root)
-//!                 arr(labels) arr(k) arr(genuine) arr(extent_len)
-//!                 arr(child_off) arr(child_tgt) arr(parent_off) arr(parent_tgt)
-//!                 arr(sub_off) arr(sub_tgt)
+//!                 words(labels)[n] words(k)[n] words(genuine)[n]
+//!                 ascending rows(children)[n]
+//!                 stored-order rows(links)[coarse n; none for I0]
+//!                 words(extent_len)[nodes that store a list]
 //! region       := extent payload [data_len bytes],
 //!                 [u32; nblocks] block_first, [u32; nblocks+1] block_off
 //!                 (nblocks = (paged_len − data_len − 4) / 8)
@@ -32,9 +32,19 @@
 //! section(p)   := u64(len(p)) p u64(fnv64(p))
 //! ```
 //!
-//! `root` is the component's node holding the data root, and
-//! `sub_off`/`sub_tgt` are its subnode links (one row per node of the
-//! previous component, empty for `I0`; see [`mrx_index::SubnodeLinks`]).
+//! `words` and `rows` are the row codec of [`mrx_postings::RowReader`]:
+//! LEB128 words, and rows whose ids are deltas from the row's own node.
+//! `root` is the component's node holding the data root, and the links
+//! are its subnode links (one row per node of the previous component, in
+//! first-occurrence order; see [`mrx_index::SubnodeLinks`]).
+//!
+//! **Only what cannot be derived is stored.** The graph's child rows are
+//! the transpose of its parent rows and its label→nodes CSR the grouping
+//! of its labels ([`LazyGraph`] derives both on first touch); a
+//! component's parent rows are the transpose of its child rows, derived
+//! when the component activates. The writer refuses an input whose halves
+//! do not mirror each other, so every array the reader derives equals the
+//! one that was saved.
 //!
 //! **Each distinct extent is stored once** (paper §4). A node of `Ii`
 //! (`i ≥ 1`) whose supernode's link row has one entry is a sole subnode:
@@ -50,10 +60,10 @@
 //! **What loads eagerly** (at [`PagedFile::open`]): the 64-byte header,
 //! the graph core (counts, root, label names — all query compilation
 //! needs), the meta directory, and the page table — a few kilobytes
-//! regardless of corpus size. **What loads on first touch**: the four
+//! regardless of corpus size. **What loads on first touch**: the two
 //! graph unit sections, each one bulk read digest-checked with the
-//! word-folded FNV-64 and structurally validated as it materializes into
-//! [`LazyGraph`] (a top-down Proven query touches only `labels` and
+//! word-folded FNV-64 and decoded by the checked codec as it materializes
+//! into [`LazyGraph`] (a top-down Proven query touches only `labels` and
 //! `parents`; see `lazy_graph`), and the per-component meta sections (a
 //! prefix `I0..Ij` exactly like [`crate::CompressedFile`]), whose links
 //! are validated at activation to form a tree that splits every coarse
@@ -99,9 +109,9 @@ use mrx_pagecache::{
     MAX_PAGE_SIZE, MIN_PAGE_SIZE,
 };
 use mrx_path::PathExpr;
-use mrx_postings::PostingArena;
+use mrx_postings::{put_rows, put_words, CodecError, PostingArena, RowOrder, RowReader};
 
-use crate::compressed::{read_arr, read_prelude, write_arr};
+use crate::compressed::read_prelude;
 use crate::format::{
     format_err, read_section_bounded, to_payload, write_section, StoreError, STAR_MAGIC,
     VERSION_PAGED,
@@ -109,22 +119,24 @@ use crate::format::{
 use crate::lazy_graph::{
     graph_unit_payloads, read_graph_core, write_graph_core, LazyGraph, GRAPH_UNITS,
 };
-use crate::wire::{le_u64, HashingReader};
+use crate::wire::le_u64;
 
 /// Fixed byte length of the paged header: the 16-byte shared
 /// prelude plus the 56-byte paged extension.
-const HEADER_LEN_PAGED: u64 = 72;
+pub(crate) const HEADER_LEN_PAGED: u64 = 72;
 
 // ---------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------
 
-/// Serializes a paged (v8) snapshot into an in-memory image. Exposed so
+/// Serializes a paged (v9) snapshot into an in-memory image. Exposed so
 /// tests can corrupt or open images without a file; [`save_paged`] is the
-/// file-writing entry point. The links must form a tree, and a sole
-/// subnode's extent must equal its supernode's, because only the
-/// supernode's is written: an index whose links or extents break this is
-/// refused with a format error.
+/// file-writing entry point. Only one half of each mirrored pair is
+/// written, so the graph must pass [`FrozenGraph::validate`] and each
+/// component's parent rows must be the transpose of its child rows. The
+/// links must form a tree, and a sole subnode's extent must equal its
+/// supernode's, because only the supernode's is written. An input that
+/// breaks any of this is refused with a format error.
 pub fn paged_image(
     g: &FrozenGraph,
     idx: &CompressedMStar,
@@ -147,9 +159,12 @@ pub fn paged_image(
     if g.node_count() == 0 || g.num_labels() == 0 {
         return Err(format_err("paged graph has no nodes or no labels"));
     }
+    g.validate()
+        .map_err(|e| format_err(format!("graph: {e}")))?;
     let ncomp = idx.components.len();
-    let gcore_payload = to_payload(|w| write_graph_core(w, g))?;
-    let gunits = graph_unit_payloads(g);
+    let gunits = graph_unit_payloads(g)?;
+    let gcore_payload =
+        to_payload(|w| write_graph_core(w, g, gunits.each_ref().map(|u| u.len() as u64)))?;
 
     // One arena for the whole region holds every distinct extent list
     // once, component by component. A sole subnode's extent is its
@@ -167,9 +182,18 @@ pub fn paged_image(
             )));
         }
         let coarse = i.checked_sub(1).map(|j| &idx.components[j]);
+        let refuse = |e: String| format_err(format!("component {i}: {e}"));
         c.links
             .check(coarse.map(|c| c.node_count()), n, true)
-            .map_err(|e| format_err(format!("component {i}: {e}")))?;
+            .map_err(refuse)?;
+        if c.child_off.len() != n + 1
+            || c.parent_off.len() != n + 1
+            || !mrx_postings::is_transpose(&c.child_off, &c.child_tgt, &c.parent_off, &c.parent_tgt)
+        {
+            return Err(refuse(
+                "parent rows are not the transpose of the child rows".into(),
+            ));
+        }
         let mut stored = Vec::new();
         for (v, sole) in c.links.sole_supernodes(n).into_iter().enumerate() {
             ext.clear();
@@ -192,22 +216,19 @@ pub fn paged_image(
                 }
             }
         }
-        let meta = to_payload(|w| {
-            w.write_u32(n as u32)?;
-            w.write_u32(u32::from(c.lemma2))?;
-            w.write_u64(c.epoch)?;
-            w.write_u32(c.root.0)?;
-            write_arr(w, c.labels.iter().map(|l| l.0))?;
-            write_arr(w, c.k.iter().copied())?;
-            write_arr(w, c.genuine.iter().copied())?;
-            write_arr(w, stored.iter().copied())?;
-            write_arr(w, c.child_off.iter().copied())?;
-            write_arr(w, c.child_tgt.iter().map(|v| v.0))?;
-            write_arr(w, c.parent_off.iter().copied())?;
-            write_arr(w, c.parent_tgt.iter().map(|v| v.0))?;
-            write_arr(w, c.links.off.iter().copied())?;
-            write_arr(w, c.links.tgt.iter().map(|v| v.0))
-        })?;
+        let mut meta = Vec::new();
+        meta.extend_from_slice(&(n as u32).to_le_bytes());
+        meta.extend_from_slice(&u32::from(c.lemma2).to_le_bytes());
+        meta.extend_from_slice(&c.epoch.to_le_bytes());
+        meta.extend_from_slice(&c.root.0.to_le_bytes());
+        put_words(&mut meta, c.labels.iter().map(|l| l.0));
+        put_words(&mut meta, c.k.iter().copied());
+        put_words(&mut meta, c.genuine.iter().copied());
+        put_rows(&mut meta, &c.child_off, &c.child_tgt, RowOrder::Ascending)
+            .map_err(|e| refuse(e.to_string()))?;
+        put_rows(&mut meta, &c.links.off, &c.links.tgt, RowOrder::Stored)
+            .map_err(|e| refuse(e.to_string()))?;
+        put_words(&mut meta, stored.iter().copied());
         metas.push(meta);
     }
     let (data, bf, bo, _) = arena.parts();
@@ -271,7 +292,7 @@ pub fn paged_image(
     Ok(out)
 }
 
-/// Saves a paged (v8) snapshot with the default 64 KiB page size.
+/// Saves a paged (v9) snapshot with the default 64 KiB page size.
 pub fn save_paged(
     path: impl AsRef<Path>,
     g: &FrozenGraph,
@@ -302,58 +323,57 @@ pub fn save_paged_with(
 trait ReadSeek: Read + Seek {}
 impl<T: Read + Seek> ReadSeek for T {}
 
-/// Decodes a meta section into an unassembled [`PagedIndex`] below
-/// `coarse`, whose extents read through `cache` over a universe of
-/// `universe` data nodes. The subnode links are checked first, because
-/// they decide which lists the component stores: a node that is its
-/// supernode's only subnode shares the supernode's list, and every other
-/// node takes the next stored list, in a run that starts where `coarse`'s
-/// ends. [`PagedArena::run`] and
-/// [`PagedIndex::assemble`](mrx_index::SnapshotIndex::assemble) check the
-/// rest.
+/// Decodes a meta section payload into an unassembled [`PagedIndex`]
+/// below `coarse`, whose extents read through `cache` over a universe of
+/// `universe` data nodes labelled below `num_labels`. The subnode links
+/// are checked first, because they decide which lists the component
+/// stores: a node that is its supernode's only subnode shares the
+/// supernode's list, and every other node takes the next stored list, in a
+/// run that starts where `coarse`'s ends. The parent rows are left for
+/// [`PagedIndex::assemble`](mrx_index::SnapshotIndex::assemble) to derive;
+/// it and [`PagedArena::run`] check the rest.
 fn read_paged_meta(
-    r: &mut HashingReader<&[u8]>,
+    bytes: &[u8],
     cache: &Arc<PageCache>,
     layout: ArenaLayout,
     coarse: Option<&PagedIndex>,
     universe: u32,
+    num_labels: usize,
 ) -> Result<PagedIndex, StoreError> {
-    let n = r.read_u32()? as usize;
+    let (fixed, codec) = bytes
+        .split_at_checked(20)
+        .ok_or_else(|| format_err("paged component meta truncated"))?;
+    let word =
+        |at: usize| u32::from_le_bytes([fixed[at], fixed[at + 1], fixed[at + 2], fixed[at + 3]]);
+    let n = word(0) as usize;
     if n == 0 {
         return Err(format_err("paged component has no nodes"));
     }
-    let lemma2 = r.read_u32()? != 0;
-    let epoch = r.read_u64()?;
-    let root = IdxId(r.read_u32()?);
-    let labels = read_arr(r, "labels", LabelId)?;
-    let k = read_arr(r, "k", |v| v)?;
-    let genuine = read_arr(r, "genuine", |v| v)?;
-    let extent_len = read_arr(r, "extent_len", |v| v)?;
-    let child_off = read_arr(r, "child_off", |v| v)?;
-    let child_tgt = read_arr(r, "child_tgt", IdxId)?;
-    let parent_off = read_arr(r, "parent_off", |v| v)?;
-    let parent_tgt = read_arr(r, "parent_tgt", IdxId)?;
-    let links = SubnodeLinks {
-        off: read_arr(r, "sub_off", |v| v)?,
-        tgt: read_arr(r, "sub_tgt", IdxId)?,
+    let lemma2 = word(4) != 0;
+    let epoch = le_u64(&fixed[8..16]);
+    let root = IdxId(word(16));
+    let bad = |e: CodecError| format_err(e.to_string());
+    let mut r = RowReader::new(codec);
+    let labels = r.words(n, num_labels as u64, LabelId).map_err(bad)?;
+    let k = r.words(n, 1 << 32, |v| v).map_err(bad)?;
+    let genuine = r.words(n, 1 << 32, |v| v).map_err(bad)?;
+    let (child_off, child_tgt) = r.rows(n, n as u32, RowOrder::Ascending).map_err(bad)?;
+    let links = match coarse {
+        Some(c) => {
+            let (off, tgt) = r
+                .rows(c.node_count(), n as u32, RowOrder::Stored)
+                .map_err(bad)?;
+            SubnodeLinks { off, tgt }
+        }
+        None => SubnodeLinks::default(),
     };
-    if labels.len() != n {
-        return Err(format_err(format!(
-            "paged component declares {n} nodes but carries {}",
-            labels.len()
-        )));
-    }
     links
         .check(coarse.map(PagedIndex::node_count), n, true)
         .map_err(format_err)?;
     let sole = links.sole_supernodes(n);
     let own = sole.iter().filter(|s| s.is_none()).count();
-    if extent_len.len() != own {
-        return Err(format_err(format!(
-            "paged component stores {} extent lists for {own} nodes",
-            extent_len.len()
-        )));
-    }
+    let extent_len = r.words(own, 1 << 32, |v| v).map_err(bad)?;
+    r.finish().map_err(bad)?;
     let mut stored = extent_len.into_iter();
     let lists: Vec<RunList> = sole
         .into_iter()
@@ -370,8 +390,9 @@ fn read_paged_meta(
         extents: PagedArena::run(cache.clone(), layout, first_block, &lists, universe)?,
         child_off,
         child_tgt,
-        parent_off,
-        parent_tgt,
+        // Not stored: `assemble` derives them from the child rows.
+        parent_off: Vec::new(),
+        parent_tgt: Vec::new(),
         root,
         links,
         by_label_off: Vec::new(),
@@ -382,7 +403,37 @@ fn read_paged_meta(
     })
 }
 
-/// An open paged (v8) snapshot: eager graph core, lazily-materialized
+/// Where the bytes of a paged file go, section by section. The parts of
+/// a file the writer produced sum to its length ([`PagedSections::total`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PagedSections {
+    /// The fixed header: prelude and paged extension.
+    pub header: u64,
+    /// The eager graph core section.
+    pub graph_core: u64,
+    /// The two graph unit sections, frames included.
+    pub graph_units: u64,
+    /// The meta directory and every component's meta section.
+    pub metas: u64,
+    /// The paged region: extent payload and skip directories.
+    pub region: u64,
+    /// The page checksum table section.
+    pub page_table: u64,
+}
+
+impl PagedSections {
+    /// The sum of the parts.
+    pub fn total(&self) -> u64 {
+        self.header
+            + self.graph_core
+            + self.graph_units
+            + self.metas
+            + self.region
+            + self.page_table
+    }
+}
+
+/// An open paged (v9) snapshot: eager graph core, lazily-materialized
 /// graph units, lazy component meta prefix, and extents served through a
 /// budgeted [`PageCache`].
 ///
@@ -394,6 +445,7 @@ fn read_paged_meta(
 pub struct PagedFile {
     reader: Box<dyn ReadSeek>,
     graph: LazyGraph,
+    sections: PagedSections,
     /// Absolute offsets of the per-component meta sections.
     offsets: Vec<u64>,
     /// Always a prefix `I0..I(len-1)` of the file's components, stamped
@@ -501,15 +553,16 @@ impl PagedFile {
             Some(paged_off - HEADER_LEN_PAGED),
             read_graph_core,
         )?;
-        // Unit sections sit back to back after the core; their lengths are
-        // derived from the core counts, so only offsets need computing.
+        // Unit sections sit back to back after the core, which records
+        // their lengths, so only offsets need computing.
         let mut unit_off = [0u64; GRAPH_UNITS];
         let mut at = HEADER_LEN_PAGED + glen;
-        for (i, slot) in unit_off.iter_mut().enumerate() {
+        for (slot, len) in unit_off.iter_mut().zip(core.unit_len) {
             *slot = at;
-            at += 16 + core.unit_len(i);
+            at = at.saturating_add(16).saturating_add(len);
         }
-        if at + 8 * ncomp as u64 > paged_off {
+        let graph_units = at - unit_off[0];
+        if at.saturating_add(8 * ncomp as u64) > paged_off {
             return Err(format_err(format!(
                 "graph units [{}, {at}) leave no room for the directory",
                 unit_off[0]
@@ -554,9 +607,18 @@ impl PagedFile {
         let cache = PageCache::new(source, paged_off, paged_len, page_size, sums, cache_bytes)?;
         let graph = LazyGraph::new(core, unit_off, cache.clone());
         let bytes_read = HEADER_LEN_PAGED + glen + 8 * ncomp as u64 + tlen;
+        let sections = PagedSections {
+            header: HEADER_LEN_PAGED,
+            graph_core: glen,
+            graph_units,
+            metas: paged_off - at,
+            region: paged_len,
+            page_table: tlen,
+        };
         Ok(PagedFile {
             reader,
             graph,
+            sections,
             offsets,
             star: PagedMStar {
                 components: Vec::new(),
@@ -574,6 +636,11 @@ impl PagedFile {
     /// the label/CSR arrays materialize on first touch (see [`LazyGraph`]).
     pub fn graph(&self) -> &LazyGraph {
         &self.graph
+    }
+
+    /// Bytes per section of the file.
+    pub fn sections(&self) -> PagedSections {
+        self.sections
     }
 
     /// Total number of components in the file.
@@ -624,7 +691,7 @@ impl PagedFile {
 
     /// Verifies every page of the paged region against the page table in
     /// one sequential pass (bypassing the cache), then digest-checks the
-    /// four graph unit sections — the offline integrity check; serving
+    /// two graph unit sections — the offline integrity check; serving
     /// verifies lazily per faulted page / per touched unit.
     pub fn verify(&self) -> Result<(), StoreError> {
         self.cache.verify_all()?;
@@ -669,12 +736,22 @@ impl PagedFile {
         self.reader.seek(SeekFrom::Start(self.offsets[i]))?;
         let budget = self.paged_off.saturating_sub(self.offsets[i]);
         let (cache, universe) = (&self.cache, self.graph.node_count() as u32);
+        let num_labels = self.graph.num_labels();
         let coarse = self.star.components.last();
         let (c, len) = read_section_bounded(
             &mut self.reader,
             &format!("component {i}"),
             Some(budget),
-            |r| read_paged_meta(r, cache, self.layout, coarse, universe),
+            |r| {
+                read_paged_meta(
+                    r.take_rest(),
+                    cache,
+                    self.layout,
+                    coarse,
+                    universe,
+                    num_labels,
+                )
+            },
         )?;
         self.bytes_read += len;
         c.assemble(
@@ -1111,25 +1188,19 @@ mod tests {
     /// component activates: typed, and before anything serves through it.
     #[test]
     fn hostile_link_id_is_refused_at_activation() {
-        let (_g, _cz, _fg, mut img) = image(64);
-        let mut dir_at = HEADER_LEN_PAGED as usize;
-        for _ in 0..(1 + GRAPH_UNITS) {
-            dir_at += 16 + le_u64(&img[dir_at..dir_at + 8]) as usize;
-        }
-        let meta1 = le_u64(&img[dir_at + 8..dir_at + 16]) as usize;
-        let len = le_u64(&img[meta1..meta1 + 8]) as usize;
-        let payload = meta1 + 8;
-        let word = |img: &[u8], at: usize| u32::from_le_bytes(img[at..at + 4].try_into().unwrap());
-        let n = word(&img, payload);
-        // Skip n, lemma2, epoch, root and the nine arrays before sub_tgt.
-        let mut at = payload + 20;
-        for _ in 0..9 {
-            at += 4 + 4 * word(&img, at) as usize;
-        }
-        assert!(word(&img, at) > 0, "component 1 has links");
-        img[at + 4..at + 8].copy_from_slice(&n.to_le_bytes());
-        let sum = fnv64(&img[payload..payload + len]);
-        img[payload + len..payload + len + 8].copy_from_slice(&sum.to_le_bytes());
+        use crate::fault::{paged_links, paged_payload, reseal_paged, PagedPart};
+        let (_g, cz, _fg, img) = image(64);
+        let (n, m) = (cz.components[1].node_count(), cz.components[0].node_count());
+        let at = paged_links(&img, 1).unwrap();
+        let mut r = RowReader::new(&img[at.clone()]);
+        let (off, mut tgt) = r.rows::<u32>(m, u32::MAX, RowOrder::Stored).unwrap();
+        assert!(!tgt.is_empty(), "component 1 has links");
+        tgt[0] = n as u32;
+        let mut links = Vec::new();
+        put_rows(&mut links, &off, &tgt, RowOrder::Stored).unwrap();
+        let meta = paged_payload(&img, PagedPart::Meta(1)).unwrap();
+        let payload = [&img[meta.start..at.start], &links, &img[at.end..meta.end]].concat();
+        let img = reseal_paged(&img, PagedPart::Meta(1), &payload).unwrap();
 
         let mut f = PagedFile::open_bytes(img, DEFAULT_CACHE_BYTES).unwrap();
         f.ensure_loaded(0).unwrap();
@@ -1143,6 +1214,87 @@ mod tests {
             serve(&mut f, &q, TrustPolicy::Proven),
             Err(MrxError::Store(StoreError::Format(_)))
         ));
+    }
+
+    /// Resealing a part with its own payload reproduces the image, and a
+    /// resealed meta that grows still opens and serves: the directory and
+    /// region offsets move with it.
+    #[test]
+    fn resealed_parts_keep_the_image_consistent() {
+        use crate::fault::{paged_payload, reseal_paged, PagedPart};
+        let (g, _cz, _fg, img) = image(64);
+        for part in [
+            PagedPart::GraphUnit(0),
+            PagedPart::GraphUnit(1),
+            PagedPart::Meta(1),
+        ] {
+            let at = paged_payload(&img, part).unwrap();
+            assert_eq!(reseal_paged(&img, part, &img[at]).unwrap(), img, "{part:?}");
+        }
+        // An overlong but valid varint (0 as two bytes) in I0's first
+        // label grows the meta by one byte.
+        let meta = paged_payload(&img, PagedPart::Meta(0)).unwrap();
+        let first = img[meta.start + 20];
+        assert!(first < 0x80);
+        let payload = [
+            &img[meta.start..meta.start + 20],
+            &[first | 0x80, 0][..],
+            &img[meta.start + 21..meta.end],
+        ]
+        .concat();
+        let grown = reseal_paged(&img, PagedPart::Meta(0), &payload).unwrap();
+        assert_eq!(grown.len(), img.len() + 1);
+        let mut f = PagedFile::open_bytes(grown, DEFAULT_CACHE_BYTES).unwrap();
+        f.verify().unwrap();
+        let q = PathExpr::parse("//source/journal").unwrap();
+        let got = serve(&mut f, &q, TrustPolicy::Proven).unwrap();
+        assert_eq!(got.nodes, eval_data(&g, &q.compile(&g)));
+    }
+
+    /// Child and parent rows that each look well formed but are not each
+    /// other's transpose: `I0`'s parent rows drop the root, so a backward
+    /// check from `people` never reaches it and `/people` would answer
+    /// nothing. v5 stores both directions, so its loader refuses the
+    /// component (strict) or rebuilds it (lenient); v9 stores the child
+    /// rows alone, so the writer refuses to write the hierarchy at all.
+    #[test]
+    fn parent_rows_that_drop_the_root_are_refused_on_v5_and_unwritable_on_v9() {
+        let g = mrx_graph::xml::parse("<site><people><person/></people><regions/></site>").unwrap();
+        let q = PathExpr::parse("/people").unwrap();
+        assert_eq!(eval_data(&g, &q.compile(&g)), [mrx_graph::NodeId(1)]);
+        let fg = FrozenGraph::freeze(&g);
+        let mut cz = MStarIndex::new(&g).freeze_compressed();
+        let c = &mut cz.components[0];
+        let at = c.parent_tgt.iter().position(|&p| p == c.root).unwrap();
+        c.parent_tgt.remove(at);
+        for o in c.parent_off.iter_mut().filter(|o| **o as usize > at) {
+            *o -= 1;
+        }
+        let transpose = "parent rows are not the transpose of the child rows";
+
+        let mut v5 = Vec::new();
+        crate::save_compressed_to(&mut v5, &fg, &cz).unwrap();
+        match crate::load_compressed_from(&v5[..]) {
+            Err(StoreError::Format(m)) => assert!(m.contains(transpose), "{m}"),
+            other => panic!("v5 loaded a hierarchy without its root edge: {other:?}"),
+        }
+        let path = std::env::temp_dir().join(format!("mrx-people-{}.mrx", std::process::id()));
+        std::fs::write(&path, &v5).unwrap();
+        assert!(crate::open_validated(&path, true, None).is_err());
+        let lenient = crate::open_validated(&path, false, None).unwrap();
+        assert_eq!(lenient.degraded, vec![0]);
+        if let crate::SnapshotPayload::Compressed(graph, star) = &lenient.payload {
+            let got = QuerySession::new(TrustPolicy::Proven)
+                .serve(star, graph, &q)
+                .clone();
+            assert_eq!(got.nodes, [mrx_graph::NodeId(1)]);
+        }
+        std::fs::remove_file(&path).ok();
+
+        match paged_image(&fg, &cz, 64) {
+            Err(StoreError::Format(m)) => assert!(m.contains(transpose), "{m}"),
+            other => panic!("v9 wrote it: {:?}", other.map(|_| ())),
+        }
     }
 
     /// The writer stores a sole subnode's extent only as its supernode's,

@@ -22,7 +22,7 @@
 //!   file outright (a replacement snapshot should be *pristine*), while
 //!   lenient mode accepts it and reports which components were rebuilt.
 //!
-//! A retired layout (versions 1–4, 6 and 7) is refused with
+//! A retired layout (versions 1–4 and 6–8) is refused with
 //! [`StoreError::Retired`] before anything else is read.
 
 use std::path::Path;
@@ -56,7 +56,7 @@ pub struct ValidatedSnapshot {
 pub enum SnapshotPayload {
     /// Compressed posting arenas (v5), served without decompression.
     Compressed(FrozenGraph, CompressedMStar),
-    /// Demand-paged file (v8): every page and graph unit has been
+    /// Demand-paged file (v9): every page and graph unit has been
     /// faulted and verified, then released back to the cache budget — the
     /// handle serves through its own page cache.
     Paged(Box<PagedFile>),

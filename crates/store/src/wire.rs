@@ -104,11 +104,19 @@ impl<R: Read> HashingReader<R> {
     }
 }
 
-impl HashingReader<&[u8]> {
+impl<'a> HashingReader<&'a [u8]> {
     /// Bytes left in the underlying payload slice. Lets decoders reject a
     /// declared element count that overflows the section before allocating.
     pub fn remaining(&self) -> u64 {
         self.inner.len() as u64
+    }
+
+    /// Consumes and returns the rest of the payload, for decoders that
+    /// parse bytes in place.
+    pub fn take_rest(&mut self) -> &'a [u8] {
+        let rest = std::mem::take(&mut self.inner);
+        self.read += rest.len() as u64;
+        rest
     }
 }
 

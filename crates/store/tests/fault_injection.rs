@@ -1,37 +1,44 @@
 //! Seeded fault injection against both snapshot layouts, compressed (v5)
-//! and demand-paged (v8), on the tiny XMark-like corpus (2,767 nodes) with
+//! and demand-paged (v9), on the tiny XMark-like corpus (2,767 nodes) with
 //! its M*(k) adapted to a 60-query workload (seed 7, max length 4).
 //!
-//! One test runs three phases in sequence:
+//! One test runs its phases in sequence:
 //!
 //! * **corruption sweep** — 500 seeded [`FaultPlan`]s per layout, each
 //!   applied to a fresh copy of the image. A load either returns exactly
-//!   the clean snapshot (v5) or the clean answers (v8), or fails with a
+//!   the clean snapshot (v5) or the clean answers (v9), or fails with a
 //!   typed [`StoreError`]. It never panics, and rejecting an image never
 //!   allocates more than a clean load plus twice the image plus 2 MiB, so a
 //!   lying length prefix cannot balloon the loader. v5 reads through each
 //!   plan's faulting reader and takes every kind: short reads are legal
 //!   `Read` behaviour and must load, injected I/O errors must surface as
-//!   `StoreError::Io`. The v8 open reads an in-memory image, where a reader
+//!   `StoreError::Io`. The v9 open reads an in-memory image, where a reader
 //!   fault cannot fire, so its plans are drawn from the image-level kinds
-//!   only. A v8 "load" is open, every component, four queries and the full
+//!   only. A v9 "load" is open, every component, four queries and the full
 //!   page-checksum walk, since the paged region is never read eagerly;
 //! * **payload bit flips** — every 97th bit (coprime to 8, so every bit
 //!   position within a byte is hit) of every checksummed v5 section
 //!   payload, tagged posting blocks and their tag bytes included. Each
 //!   flipped image must fail with `StoreError::Checksum`, so no block
 //!   decoder ever sees a flipped bit;
-//! * **paged-region bit flips** — every 31st bit of a v8 paged region cut
+//! * **paged-region bit flips** — every 31st bit of a v9 paged region cut
 //!   into 256-byte pages. The open must succeed (the region is lazy), the
 //!   page walk must name a corrupt page, and each query must return the
 //!   clean answer (its pages were never touched) or fail with a typed
 //!   checksum error at first touch;
-//! * **resealed link rows** — in every v8 component below `I0`, a row of
+//! * **resealed link rows** — in every v9 component below `I0`, a row of
 //!   the subnode links with two subnodes is made to look sole, and a sole
-//!   row made to look split, by moving one row boundary in `sub_off` and
-//!   resealing the meta checksum. The sole rows decide which nodes share
-//!   their supernode's stored extent, so each case must end in a typed
-//!   error or the clean answers, never a panic;
+//!   row made to look split, by moving one row boundary, re-encoding the
+//!   rows and resealing the meta checksum and the offsets behind it. The
+//!   sole rows decide which nodes share their supernode's stored extent,
+//!   so each case must end in a typed error or the clean answers, never a
+//!   panic; all 471 are refused;
+//! * **codec corruptions** — both graph units and every meta, resealed
+//!   with a truncated varint, an overlong one (six bytes), a length that
+//!   overruns its bytes (a row claiming 2^32 − 1 ids, or a labels unit cut
+//!   in half) and an id out of range. Each must be refused with a typed
+//!   error, without a panic, and within the same allocation cap as the
+//!   sweep: no buffer is sized from a count the bytes cannot hold;
 //! * **components that do not nest** — a hand-made v5 image whose `I2` is
 //!   the A(2)-index, under which the adapted `I3` does not nest. v5 stores
 //!   no links: the loader derives them from the extents it reads, so some
@@ -45,6 +52,7 @@
 //! phases read no counter and spread their flips over a few threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -54,9 +62,9 @@ use mrx_graph::{DataGraph, FrozenGraph, NodeId};
 use mrx_index::{
     k_bisim, CompressedIndex, CompressedMStar, IndexGraph, MStarIndex, QuerySession, TrustPolicy,
 };
-use mrx_pagecache::fnv64;
 use mrx_path::{eval_data, PathExpr};
-use mrx_store::fault::{FaultKind, FaultPlan};
+use mrx_postings::{put_rows, put_words, RowOrder, RowReader};
+use mrx_store::fault::{paged_links, paged_payload, reseal_paged, FaultKind, FaultPlan, PagedPart};
 use mrx_store::{load_compressed_from, paged_image, save_compressed_to, PagedFile, StoreError};
 use mrx_workload::{Workload, WorkloadConfig};
 
@@ -103,11 +111,11 @@ fn bytes_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
 const SEEDS: usize = 500;
 /// Every `STRIDE`-th bit is flipped in the v5 payload phase.
 const STRIDE: u64 = 97;
-/// Every `REGION_STRIDE`-th bit is flipped in the v8 region phase; the
+/// Every `REGION_STRIDE`-th bit is flipped in the v9 region phase; the
 /// region stores each distinct extent once, so it is denser than the v5
 /// sections.
 const REGION_STRIDE: u64 = 31;
-/// Cache budget for every v8 open: larger than any image here.
+/// Cache budget for every v9 open: larger than any image here.
 const CACHE: u64 = 1 << 22;
 
 /// Whether `plan` corrupts the image rather than the reader.
@@ -220,7 +228,7 @@ fn payload_flips(image: &[u8]) -> usize {
     bits.len()
 }
 
-/// Flips every [`REGION_STRIDE`]-th bit of a v8 image's paged region. The open
+/// Flips every [`REGION_STRIDE`]-th bit of a v9 image's paged region. The open
 /// must succeed, [`PagedFile::verify`] must name a corrupt page, and each
 /// query must return its clean answer or fail with a checksum error: the
 /// checksum runs on page fault, before any block decode sees the page.
@@ -232,20 +240,20 @@ fn region_flips(image: &[u8], queries: &[PathExpr], clean: &[Vec<NodeId>]) -> (u
     let mid_query = AtomicU64::new(0);
     for_each_flip(image, &bits, |bit, img| {
         let mut f = PagedFile::open_bytes(img, CACHE)
-            .unwrap_or_else(|e| panic!("v8: the open read the lazy region (bit {bit}): {e}"));
+            .unwrap_or_else(|e| panic!("v9: the open read the lazy region (bit {bit}): {e}"));
         match f.verify() {
             Err(StoreError::Checksum { ref section }) if section.starts_with("page ") => {}
-            other => panic!("v8: flip of region bit {bit} escaped the page walk: {other:?}"),
+            other => panic!("v9: flip of region bit {bit} escaped the page walk: {other:?}"),
         }
         for (q, want) in queries.iter().zip(clean) {
             match serve(&mut f, q) {
-                Ok(nodes) => assert_eq!(&nodes, want, "v8: wrong answer on {q} (bit {bit})"),
+                Ok(nodes) => assert_eq!(&nodes, want, "v9: wrong answer on {q} (bit {bit})"),
                 Err(StoreError::Checksum { .. }) => {
                     mid_query.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
                 Err(e) => {
-                    panic!("v8: region bit {bit} surfaced as a non-checksum error on {q}: {e}")
+                    panic!("v9: region bit {bit} surfaced as a non-checksum error on {q}: {e}")
                 }
             }
         }
@@ -264,9 +272,9 @@ fn serve(f: &mut PagedFile, q: &PathExpr) -> Result<Vec<NodeId>, StoreError> {
     }
 }
 
-/// Answers `queries` top-down from a v8 image after activating every
+/// Answers `queries` top-down from a v9 image after activating every
 /// component, then walks every page checksum.
-fn serve_v8(img: &[u8], queries: &[PathExpr]) -> Result<Vec<Vec<NodeId>>, StoreError> {
+fn serve_v9(img: &[u8], queries: &[PathExpr]) -> Result<Vec<Vec<NodeId>>, StoreError> {
     let mut f = PagedFile::open_bytes(img.to_vec(), CACHE)?;
     f.ensure_loaded(usize::MAX)?;
     let answers = queries
@@ -277,67 +285,62 @@ fn serve_v8(img: &[u8], queries: &[PathExpr]) -> Result<Vec<Vec<NodeId>>, StoreE
     Ok(answers)
 }
 
-/// Absolute offsets of every component's meta section in a v8 image. The
-/// meta directory follows the 72-byte header, the graph core section and
-/// the four graph unit frames, each of which leads with its u64 payload
-/// length and ends with a u64 digest.
-fn meta_sections(image: &[u8]) -> Vec<usize> {
-    let word = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
-    let ncomp = u32::from_le_bytes(image[12..16].try_into().unwrap()) as usize;
-    let mut dir = 72;
-    for _ in 0..5 {
-        dir += 16 + word(dir);
-    }
-    (0..ncomp).map(|i| word(dir + 8 * i)).collect()
+/// The subnode link rows of component `i` of a v9 image as a CSR, and the
+/// byte range they occupy in its meta payload.
+fn links_of(image: &[u8], i: usize, coarse: usize) -> (Range<usize>, Vec<u32>, Vec<u32>) {
+    let at = paged_links(image, i).expect("the image holds the links");
+    let (off, tgt) = RowReader::new(&image[at.clone()])
+        .rows(coarse, u32::MAX, RowOrder::Stored)
+        .unwrap();
+    let meta = paged_payload(image, PagedPart::Meta(i)).unwrap().start;
+    (at.start - meta..at.end - meta, off, tgt)
 }
 
-/// Byte offset of the first `sub_off` entry in the meta section at `meta`,
-/// and the entry count: the payload starts 8 bytes in with n, lemma2,
-/// epoch and root (20 bytes), then eight `u32`-counted arrays come first.
-fn sub_off_array(image: &[u8], meta: usize) -> (usize, usize) {
-    let word = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize;
-    let mut at = meta + 8 + 20;
-    for _ in 0..8 {
-        at += 4 + 4 * word(at);
-    }
-    (at + 4, word(at))
-}
-
-/// Recomputes the digest of the section at `at` after its payload changed.
-fn reseal(image: &mut [u8], at: usize) {
-    let len = u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
-    let sum = fnv64(&image[at + 8..at + 8 + len]);
-    image[at + 8 + len..at + 16 + len].copy_from_slice(&sum.to_le_bytes());
+/// `image` with the bytes at `at` of `part`'s payload replaced by `with`,
+/// and everything that covers them resealed.
+fn spliced(image: &[u8], part: PagedPart, at: Range<usize>, with: &[u8]) -> Vec<u8> {
+    let payload = &image[paged_payload(image, part).expect("the image holds the part")];
+    let payload = [&payload[..at.start], with, &payload[at.end..]].concat();
+    reseal_paged(image, part, &payload).expect("reseal")
 }
 
 /// Moves the boundary between link rows `u` and `u + 1` of every
 /// component below `I0` wherever row `u` has two subnodes (it loses its
 /// second, so it looks sole) or one (it gains the next row's first, so it
-/// looks split), reseals the meta checksum, and serves `queries` from each
-/// resealed image. Each must end in a typed error or the clean answers.
-/// Returns (rows made sole, rows made split, cases rejected).
-fn resealed_rows(image: &[u8], queries: &[PathExpr], clean: &[Vec<NodeId>]) -> (u64, u64, u64) {
+/// looks split), re-encodes the rows, reseals the meta checksum and the
+/// offsets behind it, and serves `queries` from each resealed image. Each
+/// must end in a typed error or the clean answers. Returns (rows made
+/// sole, rows made split, cases rejected).
+fn resealed_rows(
+    image: &[u8],
+    cz: &CompressedMStar,
+    queries: &[PathExpr],
+    clean: &[Vec<NodeId>],
+) -> (u64, u64, u64) {
     let (mut sole, mut split, mut rejected) = (0, 0, 0);
-    for (i, &meta) in meta_sections(image).iter().enumerate().skip(1) {
-        let (at, count) = sub_off_array(image, meta);
-        let off =
-            |u: usize| u32::from_le_bytes(image[at + 4 * u..at + 4 * u + 4].try_into().unwrap());
-        for u in 0..count.saturating_sub(2) {
-            let moved = match off(u + 1) - off(u) {
-                2 => off(u + 1) - 1,
-                1 => off(u + 1) + 1,
+    for i in 1..cz.components.len() {
+        let (at, off, tgt) = links_of(image, i, cz.components[i - 1].node_count());
+        for u in 0..off.len().saturating_sub(2) {
+            let mut moved = off.clone();
+            moved[u + 1] = match off[u + 1] - off[u] {
+                2 => off[u + 1] - 1,
+                1 => off[u + 1] + 1,
                 _ => continue,
             };
-            let mut img = image.to_vec();
-            img[at + 4 * (u + 1)..at + 4 * (u + 2)].copy_from_slice(&moved.to_le_bytes());
-            reseal(&mut img, meta);
-            let kind = if moved < off(u + 1) { "sole" } else { "split" };
-            let r = catch_unwind(AssertUnwindSafe(|| serve_v8(&img, queries)))
-                .unwrap_or_else(|_| panic!("v8: I{i} row {u} made {kind} panicked"));
+            let mut rows = Vec::new();
+            put_rows(&mut rows, &moved, &tgt, RowOrder::Stored).unwrap();
+            let img = spliced(image, PagedPart::Meta(i), at.clone(), &rows);
+            let kind = if moved[u + 1] < off[u + 1] {
+                "sole"
+            } else {
+                "split"
+            };
+            let r = catch_unwind(AssertUnwindSafe(|| serve_v9(&img, queries)))
+                .unwrap_or_else(|_| panic!("v9: I{i} row {u} made {kind} panicked"));
             match r {
                 Ok(answers) => assert!(
                     answers == clean,
-                    "v8: I{i} row {u} made {kind} answered wrong"
+                    "v9: I{i} row {u} made {kind} answered wrong"
                 ),
                 Err(_) => rejected += 1,
             }
@@ -349,6 +352,124 @@ fn resealed_rows(image: &[u8], queries: &[PathExpr], clean: &[Vec<NodeId>]) -> (
         }
     }
     (sole, split, rejected)
+}
+
+/// Byte ranges, inside a v9 meta payload, of its first varint and of its
+/// child rows. The codec starts 20 bytes in, after n, lemma2, epoch and
+/// root, with three word arrays of n entries each.
+fn meta_fields(payload: &[u8]) -> (Range<usize>, Range<usize>) {
+    let n = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
+    let mut r = RowReader::new(&payload[20..]);
+    r.words(1, 1 << 32, |_| ()).unwrap();
+    let first = 20..20 + r.position();
+    r.words(3 * n - 1, 1 << 32, |_| ()).unwrap();
+    let start = 20 + r.position();
+    r.rows::<u32>(n, u32::MAX, RowOrder::Ascending).unwrap();
+    (first, start..20 + r.position())
+}
+
+/// The codec corruptions of one part whose payload is `payload`, as
+/// (name, byte range, replacement): `first` is the range of its first
+/// varint and `rows` the range of its first adjacency rows with their
+/// row count, which is also their id bound. A part without rows (the
+/// labels) gets a first word of `out_of_range` instead.
+fn codec_cases(
+    payload: &[u8],
+    first: Range<usize>,
+    rows: Option<(Range<usize>, usize)>,
+    out_of_range: u32,
+) -> Vec<(&'static str, Range<usize>, Vec<u8>)> {
+    let last = payload.len() - 1;
+    let mut cases = vec![
+        // The final varint claims a continuation byte that is not there.
+        (
+            "truncated varint",
+            last..last + 1,
+            vec![payload[last] | 0x80],
+        ),
+        // Six bytes for a value that fits in one.
+        (
+            "overlong varint",
+            first.clone(),
+            vec![0x80, 0x80, 0x80, 0x80, 0x80, 0],
+        ),
+    ];
+    let mut word = Vec::new();
+    put_words(&mut word, [out_of_range]);
+    match rows {
+        Some((at, n)) => {
+            // The first row claims 2^32 − 1 ids.
+            let len = at.start..at.start + 1;
+            assert!(payload[at.start] < 0x80, "a one-byte row length");
+            cases.push(("length overrun", len, vec![0xff, 0xff, 0xff, 0xff, 0x0f]));
+            let (off, mut tgt) = RowReader::new(&payload[at.clone()])
+                .rows::<u32>(n, u32::MAX, RowOrder::Ascending)
+                .unwrap();
+            // The last id of the last row, so the row stays ascending.
+            *tgt.last_mut().unwrap() = n as u32;
+            let mut bad = Vec::new();
+            put_rows(&mut bad, &off, &tgt, RowOrder::Ascending).unwrap();
+            cases.push(("id out of range", at, bad));
+        }
+        None => {
+            // The node count overruns the words half the unit holds.
+            cases.push((
+                "length overrun",
+                payload.len() / 2..payload.len(),
+                Vec::new(),
+            ));
+            cases.push(("id out of range", first, word));
+        }
+    }
+    cases
+}
+
+/// Resealed codec corruptions of both graph units and every component's
+/// meta: each must be refused with a typed error, without a panic, and
+/// without allocating more than a clean load plus twice the image plus
+/// 2 MiB. Returns the number of cases.
+fn codec_refusals(image: &[u8], fg: &FrozenGraph, ncomp: usize, queries: &[PathExpr]) -> usize {
+    let load = |img: &[u8]| -> Result<(), StoreError> {
+        let mut f = PagedFile::open_bytes(img.to_vec(), CACHE)?;
+        f.ensure_loaded(usize::MAX)?;
+        f.graph().ensure_all()?;
+        serve_v9(img, queries).map(|_| ())
+    };
+    let (clean_bytes, clean) = bytes_during(|| load(image));
+    assert!(clean.is_ok(), "v9 codec: the intact image must load");
+    let alloc_cap = clean_bytes + 2 * image.len() as u64 + (1 << 21);
+    let mut parts = vec![PagedPart::GraphUnit(0), PagedPart::GraphUnit(1)];
+    parts.extend((0..ncomp).map(PagedPart::Meta));
+    let mut count = 0;
+    for part in parts {
+        let at = paged_payload(image, part).unwrap();
+        let payload = &image[at];
+        let (first, rows) = match part {
+            // The labels: words only, the first one byte.
+            PagedPart::GraphUnit(0) => (0..1, None),
+            PagedPart::GraphUnit(_) => (0..1, Some((0..payload.len(), fg.node_count()))),
+            PagedPart::Meta(_) => {
+                let (first, children) = meta_fields(payload);
+                let n = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
+                (first, Some((children, n)))
+            }
+        };
+        for (what, range, with) in codec_cases(payload, first, rows, fg.num_labels() as u32) {
+            let img = spliced(image, part, range, &with);
+            let (bytes, r) = bytes_during(|| catch_unwind(AssertUnwindSafe(|| load(&img))));
+            let r = r.unwrap_or_else(|_| panic!("v9 codec: {part:?} {what} panicked"));
+            match r {
+                Err(StoreError::Format(_)) => {}
+                other => panic!("v9 codec: {part:?} {what} ended in {other:?}"),
+            }
+            assert!(
+                bytes <= alloc_cap,
+                "v9 codec: {part:?} {what} allocated {bytes} bytes (cap {alloc_cap})"
+            );
+            count += 1;
+        }
+    }
+    count
 }
 
 /// Loads `cz` with its `I2` swapped for the A(2)-index of `g` from a v5
@@ -448,23 +569,23 @@ fn corrupt_snapshots_never_panic_and_never_answer_wrong() {
         "v5: the sweep must draw both reader kinds"
     );
 
-    // --- Corruption sweep, v8: image-level plans only, 4 KiB pages.
-    let v8 = paged_image(&fg, &cz, 4096).unwrap();
-    let clean_v8 = serve_v8(&v8, queries).unwrap();
+    // --- Corruption sweep, v9: image-level plans only, 4 KiB pages.
+    let v9 = paged_image(&fg, &cz, 4096).unwrap();
+    let clean_v9 = serve_v9(&v9, queries).unwrap();
     let plans = (0u64..)
         .map(|s| (s, FaultPlan::from_seed(s)))
         .filter(|(_, p)| image_level(p))
         .take(SEEDS);
     let mut v8_rejected = 0u64;
     sweep(
-        "v8",
-        &v8,
+        "v9",
+        &v9,
         plans,
-        |_, img| serve_v8(img, queries),
+        |_, img| serve_v9(img, queries),
         |seed, plan, r| match r {
             Ok(answers) => assert!(
-                answers == clean_v8,
-                "v8: seed {seed} ({:?}) served a wrong answer",
+                answers == clean_v9,
+                "v9: seed {seed} ({:?}) served a wrong answer",
                 plan.kind()
             ),
             Err(_) => v8_rejected += 1,
@@ -476,18 +597,23 @@ fn corrupt_snapshots_never_panic_and_never_answer_wrong() {
     let flips = payload_flips(&v5_image(&fg, &small));
     assert!(flips >= 7_708, "v5: only {flips} payload bits flipped");
 
-    let small_v8 = paged_image(&fg, &small, 256).unwrap();
-    let clean = serve_v8(&small_v8, queries).unwrap();
-    let (region, mid_query) = region_flips(&small_v8, queries, &clean);
-    assert!(region >= 735, "v8: only {region} region bits flipped");
-    assert!(mid_query > 0, "v8: no region flip surfaced mid-query");
+    let small_v9 = paged_image(&fg, &small, 256).unwrap();
+    let clean = serve_v9(&small_v9, queries).unwrap();
+    let (region, mid_query) = region_flips(&small_v9, queries, &clean);
+    assert!(region >= 735, "v9: only {region} region bits flipped");
+    assert!(mid_query > 0, "v9: no region flip surfaced mid-query");
 
     // --- Link rows resealed behind a valid meta checksum.
-    let (made_sole, made_split, resealed_rejected) = resealed_rows(&v8, queries, &clean_v8);
-    assert!(
-        made_sole > 0 && made_split > 0,
-        "v8: the resealed rows must include both kinds ({made_sole} sole, {made_split} split)"
+    let (made_sole, made_split, resealed_rejected) = resealed_rows(&v9, &cz, queries, &clean_v9);
+    assert_eq!(
+        (made_sole, made_split, resealed_rejected),
+        (20, 451, 471),
+        "v9: every resealed link row, both kinds, must be refused"
     );
+
+    // --- Codec corruptions of resealed graph units and metas.
+    let codec = codec_refusals(&v9, &fg, cz.components.len(), queries);
+    assert_eq!(codec, 4 * (2 + cz.components.len()), "four cases per part");
 
     // --- Components that do not nest, hand-made and saved as v5.
     let loose = knotted_v5(&g, &fg, &cz, &w.queries);
@@ -495,10 +621,11 @@ fn corrupt_snapshots_never_panic_and_never_answer_wrong() {
 
     println!(
         "v5 sweep: {v5_rejected} image faults rejected, {io_errors} I/O errors surfaced, \
-         {short_reads} short reads loaded; v8 sweep: {v8_rejected} of {SEEDS} rejected; \
+         {short_reads} short reads loaded; v9 sweep: {v8_rejected} of {SEEDS} rejected; \
          {flips} payload flips caught; {region} region flips caught ({mid_query} mid-query); \
          {resealed_rejected} of {} resealed link rows rejected ({made_sole} made sole, \
-         {made_split} made split); {loose} component(s) that do not nest loaded uncertified",
+         {made_split} made split); {codec} codec corruptions refused; {loose} component(s) \
+         that do not nest loaded uncertified",
         made_sole + made_split
     );
 }

@@ -1,4 +1,4 @@
-//! Pins the v5 and v8 wire formats: the byte length and FNV-64 digest of
+//! Pins the v5 and v9 wire formats: the byte length and FNV-64 digest of
 //! both images for a small seeded XMark corpus. A change to either writer
 //! that moves a single byte fails here, so `snapshot_mb` in the benchmark
 //! and every snapshot already on disk stay what they were. The index is
@@ -33,15 +33,15 @@ fn v5_and_v8_images_are_pinned() {
     let (fg, cz) = corpus();
     let mut v5 = Vec::new();
     save_compressed_to(&mut v5, &fg, &cz).unwrap();
-    let v8 = paged_image(&fg, &cz, 4096).unwrap();
+    let v9 = paged_image(&fg, &cz, 4096).unwrap();
     assert_eq!(
         (v5.len(), fnv64(&v5)),
         (104_215, 0xf038_084c_81ea_2aa8),
         "v5 image moved"
     );
     assert_eq!(
-        (v8.len(), fnv64(&v8)),
-        (96_152, 0x8de8_391c_af5e_33ce),
-        "v8 image moved"
+        (v9.len(), fnv64(&v9)),
+        (18_333, 0xb078_5c5e_9454_8d4e),
+        "v9 image moved"
     );
 }

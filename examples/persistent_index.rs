@@ -2,7 +2,7 @@
 //! action: "a disk-resident structure that can be loaded into memory
 //! selectively and incrementally during query processing".
 //!
-//! The demand-paged (v8) snapshot loads selectively twice over: a query of
+//! The demand-paged (v9) snapshot loads selectively twice over: a query of
 //! length `j` activates only components `I0..Ij`, and within them only the
 //! extent pages the evaluation touches fault in from disk. The activated
 //! prefix is served through a `QuerySession`, the one serving path.

@@ -52,8 +52,8 @@ fi
 echo "    varint decode is confined to the posting arena"
 
 echo "==> paging gate: no whole-buffer reads inside the page cache"
-# The v7 premise is that paged-region bytes enter memory one page at a
-# time through positioned I/O. A read_exact/read_to_end call inside the
+# The paged layout's premise is that paged-region bytes enter memory one
+# page at a time through positioned I/O. A read_exact/read_to_end call inside the
 # pagecache crate means someone slurped a stream instead of faulting
 # pages (read_exact_at, the positioned form, does not match).
 slurps=$(grep -rn --include='*.rs' -E '\bread_exact\(|\bread_to_end\(' \

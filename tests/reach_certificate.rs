@@ -4,12 +4,14 @@
 //! * a counterexample where trusting a target's proven similarity alone
 //!   returns a false positive, the certificate refuses that target, and
 //!   every serving form answers exactly;
-//! * the live certificate equals a fresh derivation after every public
-//!   mutator of [`MStarIndex`], and both snapshot layouts reopen with the
-//!   certificate `freeze_compressed` derives;
+//! * the live certificate, which reads each node's supernode through
+//!   `node_of`, equals the generic derivation, which walks every coarse
+//!   extent and checks the nesting, after every public mutator of
+//!   [`MStarIndex`], and both snapshot layouts reopen with the certificate
+//!   `freeze_compressed` derives;
 //! * the public pair servebench's traced evaluator replays
 //!   ([`top_down_targets_budgeted`], then [`finish_answer_view_budgeted`])
-//!   answers v5 and v8 files with the answers and `Cost` of
+//!   answers v5 and v9 files with the answers and `Cost` of
 //!   [`QuerySession::try_serve`].
 
 use std::path::PathBuf;
@@ -169,7 +171,10 @@ fn the_certificate_is_never_stale_and_survives_both_layouts() {
         assert_fresh(&refined, &format!("refine_for #{n} {q}"));
     }
     refined.answer_and_refine(&g, &PathExpr::parse("//item/description/text").unwrap());
-    let before = assert_fresh(&refined, "answer_and_refine");
+    assert_fresh(&refined, "answer_and_refine");
+    let fup = PathExpr::parse("//person/watches/watch").unwrap();
+    refined.refine(&g, &fup, &eval_data(&g, &fup.compile(&g)));
+    let before = assert_fresh(&refined, "refine");
     refined.certify_exact(&k_bisim_all(&g, refined.max_k() as u32));
     let after = assert_fresh(&refined, "certify_exact");
     assert!(after > before, "certify_exact certified nothing more");
@@ -196,15 +201,15 @@ fn the_certificate_is_never_stale_and_survives_both_layouts() {
     save_compressed(&v5, &fg, &cz).unwrap();
     let (_, star) = load_compressed(&v5).unwrap();
     assert_eq!(certificates(&star), frozen, "v5 reopen");
-    let v8 = snapshot_path("v8");
-    save_paged_with(&v8, &fg, &cz, 256).unwrap();
-    let (_, star, _) = PagedFile::open_with(&v8, 1 << 20)
+    let v9 = snapshot_path("v9");
+    save_paged_with(&v9, &fg, &cz, 256).unwrap();
+    let (_, star, _) = PagedFile::open_with(&v9, 1 << 20)
         .unwrap()
         .into_parts()
         .unwrap();
-    assert_eq!(certificates(&star), frozen, "v8 reopen");
+    assert_eq!(certificates(&star), frozen, "v9 reopen");
     std::fs::remove_file(v5).ok();
-    std::fs::remove_file(v8).ok();
+    std::fs::remove_file(v9).ok();
 }
 
 /// Replays `queries` the way servebench's traced evaluator does and
@@ -267,15 +272,15 @@ fn the_benchmark_replay_pair_serves_like_a_session() {
     let trusted = replay_pair_matches_try_serve("v5", &star, &sg, &g, &queries);
     assert!(trusted > 0, "v5: no multi-step query skipped validation");
 
-    let v8 = snapshot_path("pair-v8");
-    save_paged_with(&v8, &fg, &cz, 256).unwrap();
-    let (sg, star, cache) = PagedFile::open_with(&v8, 4 * 256)
+    let v9 = snapshot_path("pair-v9");
+    save_paged_with(&v9, &fg, &cz, 256).unwrap();
+    let (sg, star, cache) = PagedFile::open_with(&v9, 4 * 256)
         .unwrap()
         .into_parts()
         .unwrap();
-    let again = replay_pair_matches_try_serve("v8", &star, &sg, &g, &queries);
-    assert_eq!(again, trusted, "v8 trusted a different set");
+    let again = replay_pair_matches_try_serve("v9", &star, &sg, &g, &queries);
+    assert_eq!(again, trusted, "v9 trusted a different set");
     assert!(cache.take_poison().is_none());
     std::fs::remove_file(v5).ok();
-    std::fs::remove_file(v8).ok();
+    std::fs::remove_file(v9).ok();
 }

@@ -1,7 +1,7 @@
 //! Asserts the headline property of both snapshot load paths: the number of
 //! heap allocations is a function of the *schema* (array count per section,
 //! component count), not of the node count. Loading a 25× larger v5
-//! snapshot, or opening and activating a 25× larger v8 one, must perform
+//! snapshot, or opening and activating a 25× larger v9 one, must perform
 //! the same number of allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -41,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The v5 and v8 images of one adapted snapshot.
+/// The v5 and v9 images of one adapted snapshot.
 fn snapshot_images(g: &DataGraph) -> (Vec<u8>, Vec<u8>) {
     let mut idx = MStarIndex::new(g);
     for expr in ["//dataset/reference/source", "//dataset/history/ingest"] {
@@ -51,8 +51,8 @@ fn snapshot_images(g: &DataGraph) -> (Vec<u8>, Vec<u8>) {
     let cz = idx.freeze_compressed();
     let mut v5 = Vec::new();
     save_compressed_to(&mut v5, &fg, &cz).unwrap();
-    let v8 = paged_image(&fg, &cz, 4096).unwrap();
-    (v5, v8)
+    let v9 = paged_image(&fg, &cz, 4096).unwrap();
+    (v5, v9)
 }
 
 /// Allocations of one v5 load, and the node count it loaded.
@@ -64,9 +64,9 @@ fn allocs_during_v5_load(bytes: &[u8]) -> (u64, usize) {
     (after - before, nodes)
 }
 
-/// Allocations of one v8 open plus full component activation. The image
+/// Allocations of one v9 open plus full component activation. The image
 /// copy the in-memory source keeps is made before counting starts.
-fn allocs_during_v8_open(bytes: &[u8]) -> u64 {
+fn allocs_during_v9_open(bytes: &[u8]) -> u64 {
     let image = bytes.to_vec();
     let before = ALLOCS.load(Ordering::Relaxed);
     let mut f = PagedFile::open_bytes(image, 1 << 20).unwrap();
@@ -89,7 +89,7 @@ fn v5_and_v8_load_allocation_count_is_independent_of_node_count() {
 
     // Warm up once (lazy statics, allocator metadata).
     let _ = allocs_during_v5_load(&small5);
-    let _ = allocs_during_v8_open(&small8);
+    let _ = allocs_during_v9_open(&small8);
 
     let (a_small, n_small) = allocs_during_v5_load(&small5);
     let (a_large, n_large) = allocs_during_v5_load(&large5);
@@ -109,14 +109,14 @@ fn v5_and_v8_load_allocation_count_is_independent_of_node_count() {
         "v5 load performed {a_large} allocations for {n_large} nodes"
     );
 
-    let p_small = allocs_during_v8_open(&small8);
-    let p_large = allocs_during_v8_open(&large8);
+    let p_small = allocs_during_v9_open(&small8);
+    let p_large = allocs_during_v9_open(&large8);
     assert!(
         p_large <= p_small + 8,
-        "v8 open allocates per node: {p_small} allocations small vs {p_large} large"
+        "v9 open allocates per node: {p_small} allocations small vs {p_large} large"
     );
     assert!(
         (p_large as usize) < n_large / 50,
-        "v8 open performed {p_large} allocations for {n_large} nodes"
+        "v9 open performed {p_large} allocations for {n_large} nodes"
     );
 }

@@ -1,12 +1,12 @@
 //! One differential suite for the serving forms: the live index families
 //! through a [`QuerySession`], and the two snapshot layouts the server
-//! runs, compressed (v5) and demand-paged (v8).
+//! runs, compressed (v5) and demand-paged (v9).
 //!
 //! The session cases serve every family cold, warm (cache hit), after
 //! refinement invalidated the cache, and replayed at 1/2/8 threads; every
 //! answer and [`Cost`] must equal the per-query entry points. Every
 //! snapshot case writes a real `.mrx` file and reopens it the way serving
-//! does — v5 through the validated loader, v8 through a [`PagedFile`] with
+//! does — v5 through the validated loader, v9 through a [`PagedFile`] with
 //! tiny pages and a budget far below the paged region, so queries cross
 //! page seams and churn the clock mid-evaluation. The table is datasets ×
 //! layouts × trust policies × cold/warm/budgeted sessions (a budget so
@@ -45,7 +45,7 @@ use mrx_postings::BLOCK_LEN;
 
 const POLICIES: [TrustPolicy; 2] = [TrustPolicy::Proven, TrustPolicy::Claimed];
 
-/// v8 page size and cache budget: 64-byte pages, 16 evictable pages.
+/// v9 page size and cache budget: 64-byte pages, 16 evictable pages.
 const PAGE: u32 = 64;
 const CACHE: u64 = 16 * PAGE as u64;
 
@@ -216,7 +216,7 @@ fn parity_case(ds: &str, g: &DataGraph, queries: &[PathExpr]) -> (u64, u64, usiz
             }
             Layout::Paged => {
                 save_paged_with(&path, &fg, &cz, PAGE).unwrap();
-                assert_eq!(snapshot_version(&path).unwrap(), 8, "{ctx}");
+                assert_eq!(snapshot_version(&path).unwrap(), 9, "{ctx}");
                 let file = PagedFile::open_with(&path, CACHE).unwrap();
                 let (sg, star, cache) = file.into_parts().unwrap();
                 check(&ctx, &star, &sg, &idx, g, queries);
@@ -392,7 +392,7 @@ fn lazy_prefix_loading_matches_the_full_hierarchy() {
     let idx = adapted(&g, &w.queries);
     let fg = FrozenGraph::freeze(&g);
     let cz = idx.freeze_compressed();
-    let (p5, p8) = (snapshot_path("prefix-v5"), snapshot_path("prefix-v8"));
+    let (p5, p8) = (snapshot_path("prefix-v5"), snapshot_path("prefix-v9"));
     save_compressed(&p5, &fg, &cz).unwrap();
     save_paged_with(&p8, &fg, &cz, PAGE).unwrap();
     for q in &w.queries {
@@ -407,14 +407,14 @@ fn lazy_prefix_loading_matches_the_full_hierarchy() {
             .unwrap()
             .clone();
         assert_eq!(v5.loaded_components(), prefix, "v5 prefix on {q}");
-        let mut v8 = PagedFile::open_with(&p8, CACHE).unwrap();
-        let (g8, star8) = v8.activate(q).unwrap();
+        let mut v9 = PagedFile::open_with(&p8, CACHE).unwrap();
+        let (g8, star8) = v9.activate(q).unwrap();
         let a8 = QuerySession::new(TrustPolicy::Proven)
             .try_serve(star8, g8, q)
             .unwrap()
             .clone();
-        assert_eq!(v8.loaded_components(), prefix, "v8 prefix on {q}");
-        for (layout, a) in [("v5", &a5), ("v8", &a8)] {
+        assert_eq!(v9.loaded_components(), prefix, "v9 prefix on {q}");
+        for (layout, a) in [("v5", &a5), ("v9", &a8)] {
             assert_eq!(a.nodes, want.nodes, "{layout} on {q}");
             assert_eq!(a.cost, want.cost, "{layout} on {q}");
         }

@@ -1,12 +1,12 @@
 //! Property-based tests for the disk-resident store: round-trips of both
-//! snapshot layouts (compressed v5, demand-paged v8) over random graphs and
+//! snapshot layouts (compressed v5, demand-paged v9) over random graphs and
 //! refined indexes, plus robustness against corruption. Randomness comes
 //! from the in-repo seeded PRNG, so every failure reproduces from its case
 //! number.
 
-use mrx::datagen::{random_graph, Prng, RandomGraphConfig};
+use mrx::datagen::{nasa_like, random_graph, xmark_like, Prng, RandomGraphConfig, XmarkConfig};
 use mrx::graph::{DataGraph, FrozenGraph};
-use mrx::index::{MStarIndex, QuerySession, TrustPolicy};
+use mrx::index::{AdaptEngine, MStarIndex, QuerySession, TrustPolicy};
 use mrx::path::{eval_data, PathExpr};
 use mrx::store::{load_compressed_from, paged_image, save_compressed_to, PagedFile, StoreError};
 use mrx::workload::{Workload, WorkloadConfig};
@@ -19,14 +19,14 @@ fn v5_image(g: &DataGraph, idx: &MStarIndex) -> Vec<u8> {
     buf
 }
 
-/// The v8 image of `idx` over `g`, with small pages so images span many.
-fn v8_image(g: &DataGraph, idx: &MStarIndex) -> Vec<u8> {
+/// The v9 image of `idx` over `g`, with small pages so images span many.
+fn v9_image(g: &DataGraph, idx: &MStarIndex) -> Vec<u8> {
     paged_image(&FrozenGraph::freeze(g), &idx.freeze_compressed(), 256).unwrap()
 }
 
-/// Opens a v8 image and touches everything it holds: every component, a
+/// Opens a v9 image and touches everything it holds: every component, a
 /// query, and the full page-checksum walk.
-fn open_v8(image: &[u8], q: &PathExpr) -> Result<(), StoreError> {
+fn open_v9(image: &[u8], q: &PathExpr) -> Result<(), StoreError> {
     let mut f = PagedFile::open_bytes(image.to_vec(), 1 << 20)?;
     f.ensure_loaded(usize::MAX)?;
     let (graph, star) = f.activate(q)?;
@@ -70,8 +70,8 @@ fn graph_roundtrip_is_exact() {
         let fg = FrozenGraph::freeze(&g);
         let (g5, _) = load_compressed_from(&v5_image(&g, &idx)[..]).unwrap();
         assert_eq!(g5, fg, "case {case}: v5 graph");
-        let f7 = PagedFile::open_bytes(v8_image(&g, &idx), 1 << 20).unwrap();
-        assert_eq!(f7.graph().to_frozen().unwrap(), fg, "case {case}: v8 graph");
+        let f7 = PagedFile::open_bytes(v9_image(&g, &idx), 1 << 20).unwrap();
+        assert_eq!(f7.graph().to_frozen().unwrap(), fg, "case {case}: v9 graph");
         for v in g.nodes() {
             assert_eq!(g.label_str(g.label(v)), g5.label_str(g5.label(v)));
             assert_eq!(g.children(v), g5.children(v));
@@ -109,7 +109,7 @@ fn mstar_roundtrip_preserves_everything() {
         let cz = idx.freeze_compressed();
         let (g5, cz5) = load_compressed_from(&v5_image(&g, &idx)[..]).unwrap();
         assert_eq!(cz5, cz, "case {case}: v5 index");
-        let mut f7 = PagedFile::open_bytes(v8_image(&g, &idx), 1 << 20).unwrap();
+        let mut f7 = PagedFile::open_bytes(v9_image(&g, &idx), 1 << 20).unwrap();
         f7.ensure_loaded(usize::MAX).unwrap();
         assert_eq!(f7.component_count(), idx.max_k() + 1);
         assert_eq!(f7.mutation_epoch(), idx.mutation_epoch());
@@ -127,8 +127,102 @@ fn mstar_roundtrip_preserves_everything() {
             assert_eq!(
                 session.try_serve(star8, g8, q).unwrap().nodes,
                 truth,
-                "case {case}: v8 {q}"
+                "case {case}: v9 {q}"
             );
+        }
+    }
+}
+
+/// The v9 layout stores one half of each mirrored pair and derives the
+/// other. On XMark, NASA and a random cyclic graph, the reopened graph
+/// equals the saved one field by field, and every component's arrays,
+/// derived ones included, equal the in-memory snapshot's.
+#[test]
+fn v9_reopen_reproduces_every_saved_array() {
+    let cyclic = random_graph(
+        &RandomGraphConfig {
+            nodes: 400,
+            labels: 6,
+            extra_edge_ratio: 0.5,
+            allow_cycles: true,
+        },
+        0xC1C1,
+    );
+    for (name, g) in [
+        (
+            "xmark",
+            xmark_like(&XmarkConfig::with_target_nodes(3_000), 0x5EED),
+        ),
+        ("nasa", nasa_like(2_000, 4)),
+        ("cyclic", cyclic),
+    ] {
+        let w = Workload::generate(
+            &g,
+            &WorkloadConfig {
+                max_path_len: 4,
+                num_queries: 30,
+                seed: 3,
+                max_enumerated_paths: 50_000,
+            },
+        );
+        let mut idx = MStarIndex::new(&g);
+        AdaptEngine::with_threads(1).adapt_mstar(&g, &mut idx, &w.queries);
+        let fg = FrozenGraph::freeze(&g);
+        let cz = idx.freeze_compressed();
+        let f = PagedFile::open_bytes(v9_image(&g, &idx), 1 << 20).unwrap();
+        let lg = f.graph().to_frozen().unwrap();
+        assert_eq!(lg.node_labels, fg.node_labels, "{name}: labels");
+        assert_eq!(
+            (&lg.child_off, &lg.child_tgt),
+            (&fg.child_off, &fg.child_tgt),
+            "{name}"
+        );
+        assert_eq!(
+            (&lg.parent_off, &lg.parent_tgt),
+            (&fg.parent_off, &fg.parent_tgt),
+            "{name}"
+        );
+        assert_eq!(
+            (&lg.label_off, &lg.label_tgt),
+            (&fg.label_off, &fg.label_tgt),
+            "{name}"
+        );
+        assert_eq!(lg, fg, "{name}: graph");
+        let (_, star, _) = f.into_parts().unwrap();
+        assert_eq!(star.components.len(), cz.components.len(), "{name}");
+        for (i, (p, c)) in star.components.iter().zip(&cz.components).enumerate() {
+            let ctx = format!("{name}: I{i}");
+            assert_eq!(
+                (&p.labels, &p.k, &p.genuine),
+                (&c.labels, &c.k, &c.genuine),
+                "{ctx}"
+            );
+            assert_eq!(
+                (&p.child_off, &p.child_tgt),
+                (&c.child_off, &c.child_tgt),
+                "{ctx}"
+            );
+            assert_eq!(
+                (&p.parent_off, &p.parent_tgt),
+                (&c.parent_off, &c.parent_tgt),
+                "{ctx}"
+            );
+            assert_eq!((p.root, &p.links), (c.root, &c.links), "{ctx}");
+            assert_eq!(
+                (&p.by_label_off, &p.by_label_ids),
+                (&c.by_label_off, &c.by_label_ids)
+            );
+            assert_eq!(
+                (&p.reach, p.lemma2, p.epoch),
+                (&c.reach, c.lemma2, c.epoch),
+                "{ctx}"
+            );
+            for v in 0..c.node_count() {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                p.extents.for_each(v, |o| a.push(o));
+                c.extents.for_each(v, |o| b.push(o));
+                assert_eq!(a, b, "{ctx}: extent of {v}");
+            }
         }
     }
 }
@@ -173,7 +267,7 @@ fn single_byte_corruption_never_panics_and_rarely_passes() {
     }
 }
 
-/// Builds a small refined snapshot pair (v5 compressed bytes, v8
+/// Builds a small refined snapshot pair (v5 compressed bytes, v9
 /// demand-paged bytes) from one seeded random graph.
 fn snapshot_pair(seed: u64) -> (Vec<u8>, Vec<u8>) {
     let mut rng = Prng::seed_from_u64(seed);
@@ -189,7 +283,7 @@ fn snapshot_pair(seed: u64) -> (Vec<u8>, Vec<u8>) {
     let mut idx = MStarIndex::new(&g);
     idx.refine_for(&g, &PathExpr::parse("//l0/l1").unwrap());
     idx.refine_for(&g, &PathExpr::parse("//l2").unwrap());
-    (v5_image(&g, &idx), v8_image(&g, &idx))
+    (v5_image(&g, &idx), v9_image(&g, &idx))
 }
 
 /// Applies `count` seeded byte mutations (xor, overwrite, or splice-out)
@@ -215,7 +309,7 @@ fn mutate_bytes(buf: &mut Vec<u8>, rng: &mut Prng, count: usize) {
 
 /// Seeded multi-byte mutation over both snapshot layouts: every mutated
 /// image must either load (the mutation hit dead bytes such as directory
-/// padding) or fail with a typed `StoreError` — never panic. On v8 the
+/// padding) or fail with a typed `StoreError` — never panic. On v9 the
 /// "load" is open + full activation + a query + the page-checksum walk. Exercises
 /// 1..=8 mutations per image so shifted lengths, spliced sections, and
 /// compound corruptions are all covered, not just single flips.
@@ -223,16 +317,16 @@ fn mutate_bytes(buf: &mut Vec<u8>, rng: &mut Prng, count: usize) {
 fn seeded_multibyte_mutation_parses_or_errors_typed() {
     for case in 0..96u64 {
         let mut rng = Prng::seed_from_u64(0xFA17 ^ case);
-        let (v5, v8) = snapshot_pair(rng.next_u64());
+        let (v5, v9) = snapshot_pair(rng.next_u64());
         let q = PathExpr::parse("//l0/l1").unwrap();
         let mut buf = v5.clone();
         let n = rng.gen_range(1..9usize);
         mutate_bytes(&mut buf, &mut rng, n);
         assert_typed(load_compressed_from(&buf[..]).map(|_| ()));
-        let mut buf = v8.clone();
+        let mut buf = v9.clone();
         let n = rng.gen_range(1..9usize);
         mutate_bytes(&mut buf, &mut rng, n);
-        assert_typed(open_v8(&buf, &q));
+        assert_typed(open_v9(&buf, &q));
     }
 }
 
@@ -255,13 +349,13 @@ fn mutation_regression_seeds_stay_typed() {
     ];
     for &(seed, n) in CASES {
         let mut rng = Prng::seed_from_u64(seed);
-        let (v5, v8) = snapshot_pair(rng.next_u64());
+        let (v5, v9) = snapshot_pair(rng.next_u64());
         let q = PathExpr::parse("//l2").unwrap();
-        for image in [&v5, &v8] {
+        for image in [&v5, &v9] {
             let mut buf = image.clone();
             mutate_bytes(&mut buf, &mut rng, n);
             assert_typed(load_compressed_from(&buf[..]).map(|_| ()));
-            assert_typed(open_v8(&buf, &q));
+            assert_typed(open_v9(&buf, &q));
         }
     }
 }
@@ -287,10 +381,10 @@ fn truncation_is_an_io_or_format_error() {
             load_compressed_from(&v5[..n]),
             Err(StoreError::Io(_) | StoreError::Format(_))
         ));
-        let v8 = v8_image(&g, &idx);
-        let n = rng.gen_range(0..v8.len().saturating_sub(1).max(1));
+        let v9 = v9_image(&g, &idx);
+        let n = rng.gen_range(0..v9.len().saturating_sub(1).max(1));
         assert!(matches!(
-            open_v8(&v8[..n], &q),
+            open_v9(&v9[..n], &q),
             Err(StoreError::Io(_) | StoreError::Format(_))
         ));
     }
