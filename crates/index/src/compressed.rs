@@ -62,9 +62,9 @@ impl CompressedIndex {
     /// and the label→nodes map is rebuilt dense, so refinement churn in the
     /// live `by_label` lists does not survive freezing. The links are the
     /// live inverse extent map taken through the renumbering, in a
-    /// data-sized scratch that lives only for this call; the reach
-    /// certificate is derived over them as [`SnapshotIndex::assemble`]
-    /// derives it.
+    /// data-sized scratch that lives only for this call. Rows derived
+    /// from extents nest exactly when they form a tree, which they do
+    /// below the live hierarchy's own next-coarser component (Property 3).
     pub fn freeze(ig: &IndexGraph, coarse: Option<&CompressedIndex>) -> CompressedIndex {
         let mut map = vec![IdxId(u32::MAX); ig.slot_bound()];
         for (i, v) in ig.iter().enumerate() {
@@ -84,7 +84,7 @@ impl CompressedIndex {
             links: SubnodeLinks::default(),
             by_label_off: Vec::new(),
             by_label_ids: Vec::new(),
-            reach: Vec::new(),
+            nests: false,
             lemma2: ig.lemma2_safe(),
             epoch: ig.mutation_epoch(),
         };
@@ -109,7 +109,10 @@ impl CompressedIndex {
                 .collect();
             c.links = SubnodeLinks::derive(coarse, &node_of, n);
         }
-        c.derive_reach(coarse);
+        c.nests = c
+            .links
+            .check(coarse.map(|c| c.node_count()), n, true)
+            .is_ok();
         c
     }
 

@@ -18,14 +18,20 @@ use mrx_postings::SliceSeeker;
 
 use crate::Partition;
 
-/// Reusable buffers for [`IndexGraph::eval_in`]: the per-step
-/// duplicate-suppression set plus the two frontier vectors swapped between
-/// steps. Grows to the index size on first use, then allocation-free.
+/// Reusable buffers for [`IndexGraph::eval_in`] and the M\*(k) descents:
+/// the per-step duplicate-suppression set, the two frontier vectors
+/// swapped between steps, the certified members of each (the Lemma 2 bit
+/// of DESIGN.md §5, read only by the component hierarchy), and the
+/// children a child step reached from a certified node. Grows to the
+/// index size on first use, then allocation-free.
 #[derive(Debug, Default, Clone)]
 pub struct IndexEvalScratch {
     pub(crate) seen: EpochSet,
     pub(crate) frontier: Vec<IdxId>,
     pub(crate) next: Vec<IdxId>,
+    pub(crate) trusted: EpochSet,
+    pub(crate) trusted_next: EpochSet,
+    pub(crate) reached: EpochSet,
 }
 
 impl IndexEvalScratch {
@@ -115,10 +121,6 @@ pub struct IndexGraph {
     /// invalidating — conservative, but refinement only ever runs between
     /// queries, so over-eviction is cheap and staleness is impossible.
     epoch: u64,
-    /// Reach certificate per slot, re-derived by the owning M\*(k)
-    /// hierarchy after each of its mutations ([`crate::view::derive_reach`]);
-    /// empty, so all zero, elsewhere.
-    reach: Vec<u32>,
 }
 
 impl IndexGraph {
@@ -148,7 +150,6 @@ impl IndexGraph {
             live_edges: 0,
             genuine_p3: true,
             epoch: 0,
-            reach: Vec::new(),
         };
         for (b, extent) in extents.into_iter().enumerate() {
             assert!(!extent.is_empty(), "partition block {b} is empty");
@@ -381,20 +382,6 @@ impl IndexGraph {
                 return;
             }
         }
-    }
-
-    /// The reach certificate of `v`: the expression length up to which a
-    /// top-down target `v` with that proven similarity is answered without
-    /// validation (see [`crate::view::derive_reach`]). Zero outside an
-    /// M\*(k) hierarchy.
-    #[inline]
-    pub fn reach(&self, v: IdxId) -> u32 {
-        self.reach.get(v.index()).copied().unwrap_or(0)
-    }
-
-    /// Installs a reach certificate derived over this graph's slots.
-    pub(crate) fn set_reach(&mut self, reach: Vec<u32>) {
-        self.reach = reach;
     }
 
     /// The sorted extent of `v`.

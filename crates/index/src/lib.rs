@@ -75,6 +75,6 @@ pub use snapshot::{
 };
 pub use ud_k_l::UdIndex;
 pub use view::{
-    derive_reach, eval_view, finish_answer_view, finish_answer_view_budgeted, top_down_targets,
-    top_down_targets_budgeted, IndexView,
+    eval_view, finish_answer_view, finish_answer_view_budgeted, top_down_targets,
+    top_down_targets_budgeted, IndexView, Targets,
 };

@@ -23,7 +23,10 @@ use mrx_path::{never_fails, CompiledPath, Cost, PathExpr, Ungoverned};
 
 use crate::graph::{difference_sorted, intersect_sorted, pred_extent, succ_extent};
 use crate::snapshot::top_down_governed;
-use crate::{query, Answer, IdxId, IndexGraph, IndexView, Partition, QueryScratch, TrustPolicy};
+use crate::view;
+use crate::{
+    query, Answer, IdxId, IndexEvalScratch, IndexGraph, Partition, QueryScratch, TrustPolicy,
+};
 
 /// Evaluation strategy for path expressions on an M*(k)-index (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,23 +117,6 @@ impl MStarIndex {
         let parts = &parts[..parts.len().min(self.max_k() + 1)];
         for comp in &mut self.components {
             comp.certify_exact(parts);
-        }
-        self.derive_reach();
-    }
-
-    /// Re-derives every component's reach certificate, coarse to fine
-    /// ([`crate::view::derive_reach`]). Every mutator of the hierarchy
-    /// ends here, so top-down answers never read a stale certificate.
-    /// Components nest (REFINE* only splits), so a node's supernode is the
-    /// coarse node holding its least member: one `node_of` lookup per node
-    /// instead of a walk over every coarse extent.
-    fn derive_reach(&mut self) {
-        for i in 1..self.components.len() {
-            let (fine, coarse) = (&self.components[i], &self.components[i - 1]);
-            let reach = crate::view::reach_under(fine, coarse, |v| {
-                coarse.node_of(IndexView::extent_first(fine, v))
-            });
-            self.components[i].set_reach(reach);
         }
     }
 
@@ -336,7 +322,9 @@ impl MStarIndex {
     /// Subpath pre-filtering (§4.1): evaluate `steps[start..end]` top-down
     /// first, push the survivors down to the finest needed component,
     /// confirm the prefix `steps[..=start]` upwards from them, then extend
-    /// with the suffix `steps[end..]`.
+    /// with the suffix `steps[end..]`. The upward check proves that a
+    /// matching index path exists, not which one, so the suffix walk starts
+    /// uncertified and proven targets take the one-representative check.
     fn query_subpath(
         &self,
         g: &DataGraph,
@@ -349,121 +337,74 @@ impl MStarIndex {
             start < end && end <= cp.steps.len(),
             "invalid subpath range"
         );
-        let j = cp.length();
-        let m = j.min(self.max_k());
+        let m = cp.length().min(self.max_k());
         let sub = CompiledPath {
             anchored: false,
             steps: cp.steps[start..end].to_vec(),
         };
+        let s = &mut IndexEvalScratch::new();
         // Phase 1: the subpath, top-down (cheap, coarse components).
-        let (mut candidates, sub_level, mut cost) =
-            crate::view::top_down_targets(&self.components, &sub);
+        let (level, mut cost) = never_fails(
+            view::top_down_walk(&self.components, &sub, s, &mut Ungoverned)
+                .map_err(|(never, _)| never),
+        );
         // Phase 2: descend to component I_m.
-        let mut level = sub_level;
-        while level < m {
-            let mut next: Vec<IdxId> = Vec::new();
-            let mut seen = vec![false; self.components[level + 1].slot_bound()];
-            for &u in &candidates {
-                for s in self.subnodes(level, u) {
-                    if !seen[s.index()] {
-                        seen[s.index()] = true;
-                        next.push(s);
-                        cost.index_nodes += 1;
-                    }
-                }
-            }
-            candidates = next;
-            level += 1;
-        }
+        self.descend_to(level, m, s, &mut cost);
         // Phase 3: confirm the prefix upwards in I_m (memoized DFS over
         // (node, step) states; each first visit counts once).
         let comp = &self.components[m];
-        let confirmed: Vec<IdxId> = {
-            let mut memo: Vec<u8> = vec![0; comp.slot_bound() * end];
-            candidates
-                .iter()
-                .copied()
-                .filter(|&v| check_upwards(comp, cp, v, end - 1, &mut memo, &mut cost))
-                .collect()
-        };
+        let mut memo: Vec<u8> = vec![0; comp.slot_bound() * end];
+        s.frontier
+            .retain(|&v| check_upwards(comp, cp, v, end - 1, &mut memo, &mut cost));
+        s.certify_frontier(comp, false);
         // Phase 4: extend with the suffix within I_m.
-        let mut q = confirmed;
-        let mut seen = vec![false; comp.slot_bound()];
-        for step in &cp.steps[end..] {
-            let mut next: Vec<IdxId> = Vec::new();
-            let mut touched: Vec<IdxId> = Vec::new();
-            for &u in &q {
-                for &c in comp.children(u) {
-                    if !seen[c.index()] {
-                        seen[c.index()] = true;
-                        touched.push(c);
-                        cost.index_nodes += 1;
-                        if step.matches(comp.label(c)) {
-                            next.push(c);
-                        }
-                    }
-                }
-            }
-            for t in touched {
-                seen[t.index()] = false;
-            }
-            q = next;
-        }
-        self.finish_answer(g, cp, m, q, cost, policy)
+        self.walk_children(m, cp, end, s, &mut cost);
+        self.finish_answer(g, cp, m, s, cost, policy)
     }
 
     /// Bottom-up evaluation (§4.1): grow the suffix one label at a time,
     /// moving to a finer component per step and re-checking downward that
     /// the suffix still exists from each candidate (subnodes may have fewer
-    /// outgoing paths than their supernodes).
+    /// outgoing paths than their supernodes). The survivors start whole
+    /// instances, so the forward walk starts certified at depth 0.
     fn query_bottom_up(&self, g: &DataGraph, cp: &CompiledPath, policy: TrustPolicy) -> Answer {
         let mut cost = Cost::ZERO;
         let m = cp.length();
         let mut level = 0usize;
+        let s = &mut IndexEvalScratch::new();
         // Suffix of length 0: nodes labeled like the last step, in I0.
-        let mut f: Vec<IdxId> = match cp.steps[m] {
-            mrx_path::CompiledStep::Label(l) => self.components[0].nodes_with_label(l).collect(),
-            mrx_path::CompiledStep::NoSuchLabel => Vec::new(),
-            mrx_path::CompiledStep::Wildcard => self.components[0].iter().collect(),
-        };
-        cost.index_nodes += f.len() as u64;
+        never_fails(view::seed(
+            &self.components[0],
+            cp.steps[m],
+            false,
+            s,
+            &mut cost,
+            &mut Ungoverned,
+        ));
         for j in 1..=m {
-            if f.is_empty() {
+            if s.frontier.is_empty() {
                 break;
             }
             let next_level = j.min(self.max_k());
-            if next_level > level {
-                let mut s: Vec<IdxId> = Vec::new();
-                let mut seen = vec![false; self.components[next_level].slot_bound()];
-                for &u in &f {
-                    for sub in self.subnodes(level, u) {
-                        if !seen[sub.index()] {
-                            seen[sub.index()] = true;
-                            s.push(sub);
-                            cost.index_nodes += 1;
-                        }
-                    }
-                }
-                f = s;
-                level = next_level;
-            }
+            self.descend_to(level, next_level, s, &mut cost);
+            level = next_level;
             let comp = &self.components[level];
             // Candidates: parents of the suffix starts, matching the next
             // label leftwards.
             let step = cp.steps[m - j];
-            let mut cands: Vec<IdxId> = Vec::new();
-            let mut seen = vec![false; comp.slot_bound()];
-            for &u in &f {
+            s.next.clear();
+            s.seen.reset(comp.slot_bound());
+            for &u in &s.frontier {
                 for &p in comp.parents(u) {
-                    if !seen[p.index()] {
-                        seen[p.index()] = true;
+                    if s.seen.insert(p.index()) {
                         cost.index_nodes += 1;
                         if step.matches(comp.label(p)) {
-                            cands.push(p);
+                            s.next.push(p);
                         }
                     }
                 }
             }
+            std::mem::swap(&mut s.frontier, &mut s.next);
             // Downward re-check: the whole grown suffix must still exist
             // from each candidate *in this component*.
             let suffix = CompiledPath {
@@ -471,41 +412,20 @@ impl MStarIndex {
                 steps: cp.steps[m - j..].to_vec(),
             };
             let mut memo = vec![0u8; comp.slot_bound() * suffix.steps.len()];
-            f = cands
-                .into_iter()
-                .filter(|&v| comp.starts_outgoing(v, 0, &suffix, &mut memo, &mut cost))
-                .collect();
+            s.frontier
+                .retain(|&v| comp.starts_outgoing(v, 0, &suffix, &mut memo, &mut cost));
         }
-        // f now starts full instances; walk forward to collect the targets.
-        let comp = &self.components[level];
-        let mut frontier = f;
-        let mut seen = vec![false; comp.slot_bound()];
-        for step in &cp.steps[1..] {
-            let mut next: Vec<IdxId> = Vec::new();
-            let mut touched: Vec<IdxId> = Vec::new();
-            for &u in &frontier {
-                for &c in comp.children(u) {
-                    if !seen[c.index()] {
-                        seen[c.index()] = true;
-                        touched.push(c);
-                        cost.index_nodes += 1;
-                        if step.matches(comp.label(c)) {
-                            next.push(c);
-                        }
-                    }
-                }
-            }
-            for t in touched {
-                seen[t.index()] = false;
-            }
-            frontier = next;
-        }
-        self.finish_answer(g, cp, level, frontier, cost, policy)
+        // The frontier now starts full instances; walk forward to collect
+        // the targets.
+        s.certify_frontier(&self.components[level], true);
+        self.walk_children(level, cp, 1, s, &mut cost);
+        self.finish_answer(g, cp, level, s, cost, policy)
     }
 
     /// Hybrid evaluation (§4.1): top-down prefix to `split`, descend to the
     /// finest needed component, keep candidates whose suffix exists below
-    /// (downward check), then collect the suffix targets from them.
+    /// (downward check), then collect the suffix targets from them. The
+    /// meet points keep the bits of their top-down prefix.
     fn query_hybrid(
         &self,
         g: &DataGraph,
@@ -522,71 +442,74 @@ impl MStarIndex {
             anchored: cp.anchored,
             steps: cp.steps[..=split].to_vec(),
         };
-        let (mut candidates, mut level, mut cost) =
-            crate::view::top_down_targets(&self.components, &prefix);
+        let s = &mut IndexEvalScratch::new();
+        let (level, mut cost) = never_fails(
+            view::top_down_walk(&self.components, &prefix, s, &mut Ungoverned)
+                .map_err(|(never, _)| never),
+        );
         let target_level = m.min(self.max_k());
-        while level < target_level {
-            let mut next: Vec<IdxId> = Vec::new();
-            let mut seen = vec![false; self.components[level + 1].slot_bound()];
-            for &u in &candidates {
-                for s in self.subnodes(level, u) {
-                    if !seen[s.index()] {
-                        seen[s.index()] = true;
-                        next.push(s);
-                        cost.index_nodes += 1;
-                    }
-                }
-            }
-            candidates = next;
-            level += 1;
-        }
+        self.descend_to(level, target_level, s, &mut cost);
+        let level = target_level;
         let comp = &self.components[level];
         let suffix = CompiledPath {
             anchored: false,
             steps: cp.steps[split..].to_vec(),
         };
         let mut memo = vec![0u8; comp.slot_bound() * suffix.steps.len()];
-        let confirmed: Vec<IdxId> = candidates
-            .into_iter()
-            .filter(|&v| comp.starts_outgoing(v, 0, &suffix, &mut memo, &mut cost))
-            .collect();
+        s.frontier
+            .retain(|&v| comp.starts_outgoing(v, 0, &suffix, &mut memo, &mut cost));
         // Collect the suffix targets from the confirmed meet points.
-        let mut frontier = confirmed;
-        let mut seen = vec![false; comp.slot_bound()];
-        for step in &cp.steps[split + 1..] {
-            let mut next: Vec<IdxId> = Vec::new();
-            let mut touched: Vec<IdxId> = Vec::new();
-            for &u in &frontier {
-                for &c in comp.children(u) {
-                    if !seen[c.index()] {
-                        seen[c.index()] = true;
-                        touched.push(c);
-                        cost.index_nodes += 1;
-                        if step.matches(comp.label(c)) {
-                            next.push(c);
-                        }
-                    }
-                }
-            }
-            for t in touched {
-                seen[t.index()] = false;
-            }
-            frontier = next;
-        }
-        self.finish_answer(g, cp, level, frontier, cost, policy)
+        self.walk_children(level, cp, split + 1, s, &mut cost);
+        self.finish_answer(g, cp, level, s, cost, policy)
     }
 
-    /// Turns an index-level target set into a validated answer.
+    /// Moves the frontier in `scratch` from component `from` down to `to`,
+    /// one component per step ([`view::descend`]).
+    fn descend_to(&self, from: usize, to: usize, s: &mut IndexEvalScratch, cost: &mut Cost) {
+        for level in from..to {
+            never_fails(view::descend(
+                &self.components[level],
+                &self.components[level + 1],
+                s,
+                cost,
+                &mut Ungoverned,
+            ));
+        }
+    }
+
+    /// Extends the frontier in component `level` through the steps of `cp`
+    /// from position `from` on ([`view::child_step`]).
+    fn walk_children(
+        &self,
+        level: usize,
+        cp: &CompiledPath,
+        from: usize,
+        s: &mut IndexEvalScratch,
+        cost: &mut Cost,
+    ) {
+        for (i, &step) in cp.steps.iter().enumerate().skip(from) {
+            never_fails(view::child_step(
+                &self.components[level],
+                step,
+                i,
+                s,
+                cost,
+                &mut Ungoverned,
+            ));
+        }
+    }
+
+    /// Turns the frontier in component `level` into a validated answer.
     fn finish_answer(
         &self,
         g: &DataGraph,
         cp: &CompiledPath,
         level: usize,
-        targets: Vec<IdxId>,
+        s: &IndexEvalScratch,
         cost: Cost,
         policy: TrustPolicy,
     ) -> Answer {
-        crate::view::finish_answer_view(&self.components[level], g, cp, targets, cost, policy)
+        view::finish_answer_view(&self.components[level], g, cp, s.targets(), cost, policy)
     }
 
     // ------------------------------------------------------------------
@@ -645,7 +568,6 @@ impl MStarIndex {
             let relevant = self.components[len].extent(v).to_vec();
             self.refine_node(g, len, v, &relevant, Some(&cp));
         }
-        self.derive_reach();
     }
 
     /// REFINENODE*(v ∈ I_k, k, relevantData) — and, with `exit` set,
@@ -949,9 +871,8 @@ fn check_upwards(
         true
     } else {
         comp.parents(v)
-            .to_vec()
-            .into_iter()
-            .any(|u| check_upwards(comp, cp, u, step - 1, memo, cost))
+            .iter()
+            .any(|&u| check_upwards(comp, cp, u, step - 1, memo, cost))
     };
     memo[slot] = if ok { YES } else { NO };
     ok

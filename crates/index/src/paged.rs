@@ -138,7 +138,7 @@ mod tests {
             links: cz.links.clone(),
             by_label_off: Vec::new(),
             by_label_ids: Vec::new(),
-            reach: Vec::new(),
+            nests: cz.nests,
             lemma2: cz.lemma2,
             epoch: cz.epoch,
         };

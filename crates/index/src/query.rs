@@ -30,8 +30,8 @@
 //!   instance real; the caller's premise does. A single graph has it when
 //!   proven similarities satisfy Property 3 everywhere
 //!   ([`IndexView::lemma2_safe`]); in an M\*(k) hierarchy a target has it
-//!   when its reach certificate covers the expression
-//!   ([`crate::view::derive_reach`]), and its extent is then returned
+//!   when the strategy reached it along a certified path, a bit computed
+//!   per query ([`crate::view::Targets`]), and its extent is then returned
 //!   without touching data. Nodes without the proven cover validate every
 //!   member.
 //! * [`TrustPolicy::Claimed`]: the paper's behaviour, used by the experiment
@@ -163,19 +163,19 @@ pub(crate) fn answer_governed<I: IndexView, G: GraphView, B: Governor>(
 /// node's extent member by member.
 ///
 /// Under [`TrustPolicy::Proven`] a covered node is `≈len`-homogeneous, so
-/// its extent is all answers or none. `certified(t)` is the caller's
-/// premise that target `t`'s extent is exact as it stands; without it one
-/// representative decides the whole node.
+/// its extent is all answers or none. `certified(i)` is the caller's
+/// premise that the extent of `targets[i]` is exact as it stands; without
+/// it one representative decides the whole node.
 /// - A single index graph answers [`IndexView::lemma2_safe`] for every
 ///   target: proven similarities then satisfy Property 3 everywhere, so
 ///   Lemma 2 makes the index-level instance real.
-/// - A component hierarchy answers `reach(t) ≥ len` with the reach
-///   certificate of [`crate::view::derive_reach`]. Its strategies reach
-///   targets through coarser components, so a component's own
-///   `lemma2_safe` gives no premise; the certificate carries Lemma 2's
-///   premise across the links instead (the proof is in DESIGN.md §5).
-///   `I0` is certified at depth 0, so a label-only query is always
-///   trusted: every extent member carries the node's label.
+/// - A component hierarchy answers each target's Lemma 2 bit
+///   ([`crate::view::Targets`]). Its strategies reach targets through
+///   coarser components, so a component's own `lemma2_safe` gives no
+///   premise; the bit is computed along the path the strategy took
+///   instead (the proof is in DESIGN.md §5). `I0`'s matches start
+///   certified, so a label-only top-down query is always trusted: every
+///   extent member carries the node's label.
 ///
 /// Root-anchored expressions always validate every member:
 /// k-bisimilarity speaks about incoming label paths from anywhere, not
@@ -188,7 +188,7 @@ pub(crate) fn answer_targets<I: IndexView, G: GraphView, B: Governor>(
     targets: Vec<IdxId>,
     mut cost: Cost,
     policy: TrustPolicy,
-    certified: impl Fn(IdxId) -> bool,
+    certified: impl Fn(usize) -> bool,
     memo: &mut EpochMemo,
     budget: &mut B,
 ) -> Result<Answer, (B::Err, Cost)> {
@@ -196,7 +196,7 @@ pub(crate) fn answer_targets<I: IndexView, G: GraphView, B: Governor>(
     let mut nodes = Vec::new();
     let mut validated = false;
     let mut validator = ValidatorRef::new(g, cp, memo);
-    for &t in &targets {
+    for (i, &t) in targets.iter().enumerate() {
         // Validation walks data nodes; charge the delta each arm adds.
         let before = cost.data_nodes;
         match policy {
@@ -204,7 +204,7 @@ pub(crate) fn answer_targets<I: IndexView, G: GraphView, B: Governor>(
                 ig.push_extent(t, &mut nodes);
             }
             TrustPolicy::Proven if ig.genuine(t) >= len && !cp.anchored => {
-                if certified(t) {
+                if certified(i) {
                     ig.push_extent(t, &mut nodes);
                 } else {
                     validated = true;

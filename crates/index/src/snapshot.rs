@@ -96,9 +96,10 @@ pub struct SnapshotIndex<E> {
     pub by_label_off: Vec<u32>,
     /// Nodes grouped by label, ascending ids within each row.
     pub by_label_ids: Vec<IdxId>,
-    /// Each node's reach certificate ([`view::derive_reach`]); like the
-    /// label buckets, no layout stores it.
-    pub reach: Vec<u32>,
+    /// Whether the links nest ([`IndexView::nests`]): set by
+    /// [`assemble`](Self::assemble) and by a freeze of the live index;
+    /// like the label buckets, no layout stores it.
+    pub nests: bool,
     /// The live graph's [`crate::IndexGraph::lemma2_safe`] at freeze time.
     pub lemma2: bool,
     /// The live graph's [`crate::IndexGraph::mutation_epoch`] at freeze
@@ -138,9 +139,9 @@ impl<E> SnapshotIndex<E> {
 impl<E: ExtentStore> SnapshotIndex<E> {
     /// The one check a component read from outside passes before it
     /// serves, whichever layout it came from, and the step that derives
-    /// its label buckets and reach certificate (no layout stores them, so
-    /// they are correct by construction) and, when both parent arrays are
-    /// left empty, its parent rows as the transpose of its child rows.
+    /// its label buckets and nesting flag (no layout stores them, so they
+    /// are correct by construction) and, when both parent arrays are left
+    /// empty, its parent rows as the transpose of its child rows.
     /// `data_nodes` is the data graph's node count, `num_labels` its
     /// alphabet size, and `coarse` the next-coarser component, already
     /// assembled (`None` for `I0`).
@@ -152,10 +153,14 @@ impl<E: ExtentStore> SnapshotIndex<E> {
     /// label and root range, and the subnode links — forming a tree when
     /// `tree` is set. A tree must also nest: each coarse node's
     /// extent has as many members as its subnodes' together, and the same
-    /// least member. Extent members are not decoded: the v5 loader proves
-    /// the partition by inverting its extents (`link_component` in the
-    /// store), and the paged layout leaves members to its per-page
-    /// checksums and decode-time bounds.
+    /// least member. Without `tree` the links need not form one, and the
+    /// component [nests](IndexView::nests) only if they do: the v5 loader
+    /// derives its rows from the extents it reads, so a node in one row
+    /// has its extent inside that row's supernode, but a lenient A(i)
+    /// rebuild or a hand-made file need not nest. Extent members are not
+    /// decoded: the v5 loader proves the partition by inverting its
+    /// extents (`link_component` in the store), and the paged layout
+    /// leaves members to its per-page checksums and decode-time bounds.
     pub fn assemble(
         mut self,
         data_nodes: usize,
@@ -205,13 +210,13 @@ impl<E: ExtentStore> SnapshotIndex<E> {
         if self.root.index() >= n {
             return Err("root node out of range".into());
         }
-        self.links
-            .check(coarse.map(SnapshotIndex::node_count), n, tree)?;
+        let coarse_n = coarse.map(SnapshotIndex::node_count);
+        self.links.check(coarse_n, n, tree)?;
         if let (Some(coarse), true) = (coarse, tree) {
             self.check_nesting(coarse)?;
         }
+        self.nests = tree || self.links.check(coarse_n, n, true).is_ok();
         self.derive_by_label(num_labels);
-        self.derive_reach(coarse);
         Ok(self)
     }
 
@@ -232,17 +237,6 @@ impl<E: ExtentStore> SnapshotIndex<E> {
             }
         }
         Ok(())
-    }
-
-    /// Derives the reach certificate below `coarse`, the next-coarser
-    /// component with its certificate already derived; without one (`I0`,
-    /// or a component frozen on its own) every node is certified at depth
-    /// 0 only.
-    pub(crate) fn derive_reach(&mut self, coarse: Option<&Self>) {
-        self.reach = match coarse {
-            Some(coarse) => view::derive_reach(&*self, coarse),
-            None => vec![0; self.node_count()],
-        };
     }
 
     /// Rebuilds the label buckets from `labels` (every label below
@@ -346,8 +340,8 @@ impl<E: ExtentStore> IndexView for SnapshotIndex<E> {
         self.lemma2
     }
 
-    fn reach(&self, v: IdxId) -> u32 {
-        self.reach.get(v.index()).copied().unwrap_or(0)
+    fn nests(&self) -> bool {
+        self.nests
     }
 
     fn mutation_epoch(&self) -> u64 {
@@ -498,13 +492,12 @@ pub(crate) fn top_down_governed<I: IndexView, G: GraphView, B: Governor>(
         let level = cp.length().min(components.len() - 1);
         return query::answer_governed(&components[level], g, cp, policy, scratch, budget);
     }
-    let (targets, level, cost) =
-        view::top_down_targets_governed(components, cp, &mut scratch.eval, budget)?;
+    let (level, cost) = view::top_down_walk(components, cp, &mut scratch.eval, budget)?;
     view::finish_answer_view_governed(
         &components[level],
         g,
         cp,
-        targets,
+        scratch.eval.targets(),
         cost,
         policy,
         &mut scratch.memo,

@@ -13,6 +13,22 @@
 //! answering rule in [`crate::query`], so live and snapshot serving cannot
 //! drift apart.
 //!
+//! ## Lemma 2 per query
+//!
+//! Every M\*(k) strategy walks through the same three steps, over the
+//! epoch sets of [`IndexEvalScratch`]: a seed, one step down to the next
+//! component, and one child step inside a component. Each frontier node
+//! carries one bit, set when every member of its extent is proven to
+//! answer the prefix walked so far (DESIGN.md §5):
+//! - `I0`'s matches start certified;
+//! - a child step at position `i` certifies a matching child `c` when
+//!   `genuine(c) ≥ i` and a certified frontier node leads to it;
+//! - a step down passes a node's bit to its subnodes only when the finer
+//!   component [nests](IndexView::nests).
+//!
+//! The bits leave with the targets ([`Targets`]), and the answering rule
+//! trusts a proven target exactly when its bit is set.
+//!
 //! ## Why answers and costs are bit-identical across views
 //!
 //! Freezing renumbers live slots in ascending order (a monotone map), so
@@ -83,11 +99,12 @@ pub trait IndexView {
     /// Whether Lemma 2 applies with proven similarities (see
     /// [`IndexGraph::lemma2_safe`]).
     fn lemma2_safe(&self) -> bool;
-    /// The reach certificate of `v` ([`derive_reach`]): a target that an
-    /// M\*(k) strategy reaches for a length-`len` expression, with
-    /// `genuine ≥ len` and `reach ≥ len`, has an extent of answers only.
-    /// Zero outside a component hierarchy.
-    fn reach(&self, v: IdxId) -> u32;
+    /// Whether every node of this component lies under exactly one node
+    /// of the next-coarser one, with its extent inside that node's: the
+    /// nesting (N) a descent needs before a subnode may inherit its
+    /// supernode's Lemma 2 bit (DESIGN.md §5). Always true for the live
+    /// index (Property 3).
+    fn nests(&self) -> bool;
     /// Mutation generation for answer-cache invalidation. Snapshot views are
     /// immutable and report the epoch captured at freeze time.
     fn mutation_epoch(&self) -> u64;
@@ -162,8 +179,8 @@ impl IndexView for IndexGraph {
         IndexGraph::lemma2_safe(self)
     }
 
-    fn reach(&self, v: IdxId) -> u32 {
-        IndexGraph::reach(self, v)
+    fn nests(&self) -> bool {
+        true
     }
 
     fn mutation_epoch(&self) -> u64 {
@@ -177,62 +194,6 @@ impl IndexView for IndexGraph {
     fn push_all_nodes(&self, out: &mut Vec<IdxId>) {
         out.extend(self.iter());
     }
-}
-
-/// Derives the reach certificate of component `fine` = `Ij` below
-/// `coarse` = `I(j−1)`, indexed by node id (DESIGN.md §5, "Lemma 2 for
-/// the component hierarchy"). With `sup(u)` the supernode of `u`:
-///
-/// `reach(v) = min(genuine(v), 1 + reach(sup(u)))` over the parents `u` of
-/// `v` in `Ij`, or over `u = v` when `v` has none.
-///
-/// `I0`'s certificate is all zero, so by induction `reach(v) ≤ j`, and
-/// `reach(v) = j` exactly when `genuine(v) ≥ j` and every such `sup(u)`
-/// is certified at `j − 1`. The supernodes come from the
-/// subnode links ([`IndexView::for_each_subnode`]), which are trusted
-/// only where they nest: if a node of `fine` lies under two coarse nodes
-/// or under none, the whole component is left at zero.
-pub fn derive_reach<I: IndexView>(fine: &I, coarse: &I) -> Vec<u32> {
-    const NONE: u32 = u32::MAX;
-    let mut sup = vec![NONE; fine.slot_bound()];
-    let mut nodes = Vec::new();
-    coarse.push_all_nodes(&mut nodes);
-    let mut nested = true;
-    for &u in &nodes {
-        fine.for_each_subnode(coarse, u, |s| match sup[s.index()] {
-            NONE => sup[s.index()] = u.to_u32(),
-            t => nested &= t == u.to_u32(),
-        });
-    }
-    nodes.clear();
-    fine.push_all_nodes(&mut nodes);
-    if !nested || nodes.iter().any(|v| sup[v.index()] == NONE) {
-        return vec![0; fine.slot_bound()];
-    }
-    reach_under(fine, coarse, |u| IdxId(sup[u.index()]))
-}
-
-/// The reach certificate of `fine` given the supernode in `coarse` of
-/// each of its nodes, which must nest ([`derive_reach`] checks that; the
-/// live [`crate::MStarIndex`] keeps it as an invariant and finds a
-/// supernode through `node_of` in O(1)).
-pub(crate) fn reach_under<I: IndexView>(
-    fine: &I,
-    coarse: &I,
-    sup: impl Fn(IdxId) -> IdxId,
-) -> Vec<u32> {
-    let mut reach = vec![0; fine.slot_bound()];
-    let mut nodes = Vec::new();
-    fine.push_all_nodes(&mut nodes);
-    let above = |u: IdxId| coarse.reach(sup(u)).saturating_add(1);
-    for &v in &nodes {
-        let via = match fine.parents(v) {
-            [] => above(v),
-            ps => ps.iter().map(|&u| above(u)).fold(u32::MAX, u32::min),
-        };
-        reach[v.index()] = fine.genuine(v).min(via);
-    }
-    reach
 }
 
 /// Evaluates a compiled path on any index view, returning the target set
@@ -261,11 +222,7 @@ pub(crate) fn eval_view_governed<'s, I: IndexView, B: Governor>(
     scratch: &'s mut IndexEvalScratch,
     budget: &mut B,
 ) -> Result<&'s [IdxId], B::Err> {
-    let IndexEvalScratch {
-        seen,
-        frontier,
-        next,
-    } = scratch;
+    let frontier = &mut scratch.frontier;
     frontier.clear();
     match path.steps[0] {
         CompiledStep::Label(l) => ig.push_label_nodes(l, frontier),
@@ -279,163 +236,267 @@ pub(crate) fn eval_view_governed<'s, I: IndexView, B: Governor>(
     }
     cost.index_nodes += frontier.len() as u64;
     budget.visit(frontier.len() as u64)?;
-
-    for step in &path.steps[1..] {
-        next.clear();
-        // Per-step clear is one epoch bump; distinct children per step
-        // count one index-node visit each.
-        seen.reset(ig.slot_bound());
-        for &u in frontier.iter() {
-            for &c in ig.children(u) {
-                if seen.insert(c.index()) {
-                    cost.index_nodes += 1;
-                    budget.visit(1)?;
-                    if step.matches(ig.label(c)) {
-                        next.push(c);
-                    }
-                }
-            }
-        }
-        std::mem::swap(frontier, next);
-        if frontier.is_empty() {
+    // A single graph gives no Lemma 2 bit: its premise is `lemma2_safe`.
+    scratch.certify_frontier(ig, false);
+    for (i, &step) in path.steps.iter().enumerate().skip(1) {
+        child_step(ig, step, i, scratch, cost, budget)?;
+        if scratch.frontier.is_empty() {
             break;
         }
     }
-    frontier.sort_unstable();
-    Ok(frontier)
+    scratch.frontier.sort_unstable();
+    Ok(&scratch.frontier)
+}
+
+/// The targets of an M\*(k) strategy, in discovery order, each with its
+/// Lemma 2 bit: the bit holds when the descent proved that every member
+/// of the target's extent answers the expression (DESIGN.md §5, "Lemma 2
+/// for the component hierarchy"), so the answering rule returns that
+/// extent without a check. Only a strategy's walk sets the bits, so no
+/// caller can grant trust the walk did not prove.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Targets {
+    nodes: Vec<IdxId>,
+    certified: Vec<bool>,
+}
+
+impl Targets {
+    /// The target index nodes.
+    pub fn nodes(&self) -> &[IdxId] {
+        &self.nodes
+    }
+
+    /// Each target's bit, by position in [`nodes`](Self::nodes).
+    pub fn certified(&self) -> &[bool] {
+        &self.certified
+    }
+}
+
+impl IndexEvalScratch {
+    /// The frontier as a [`Targets`] set.
+    pub(crate) fn targets(&self) -> Targets {
+        Targets {
+            nodes: self.frontier.clone(),
+            certified: self
+                .frontier
+                .iter()
+                .map(|v| self.trusted.contains(v.index()))
+                .collect(),
+        }
+    }
+
+    /// Sets the bit of every frontier node, in `comp`, to `certified`.
+    pub(crate) fn certify_frontier<I: IndexView>(&mut self, comp: &I, certified: bool) {
+        self.trusted.reset(comp.slot_bound());
+        if certified {
+            for v in &self.frontier {
+                self.trusted.insert(v.index());
+            }
+        }
+    }
+}
+
+/// Starts a frontier at the nodes of `comp` that `step` matches, one visit
+/// each, every bit set to `certified`.
+pub(crate) fn seed<I: IndexView, B: Governor>(
+    comp: &I,
+    step: CompiledStep,
+    certified: bool,
+    s: &mut IndexEvalScratch,
+    cost: &mut Cost,
+    budget: &mut B,
+) -> Result<(), B::Err> {
+    s.frontier.clear();
+    match step {
+        CompiledStep::Label(l) => comp.push_label_nodes(l, &mut s.frontier),
+        CompiledStep::NoSuchLabel => {}
+        CompiledStep::Wildcard => comp.push_all_nodes(&mut s.frontier),
+    }
+    s.certify_frontier(comp, certified);
+    cost.index_nodes += s.frontier.len() as u64;
+    budget.visit(s.frontier.len() as u64)
+}
+
+/// One step down (§4.1): the frontier in `coarse` becomes its nodes'
+/// subnodes in `fine`, the next component, in first-occurrence order with
+/// one visit per distinct subnode — the same set, order and cost as
+/// unioning [`crate::MStarIndex::subnodes`] over the frontier. A subnode
+/// inherits its supernode's bit only when `fine` [nests](IndexView::nests).
+pub(crate) fn descend<I: IndexView, B: Governor>(
+    coarse: &I,
+    fine: &I,
+    s: &mut IndexEvalScratch,
+    cost: &mut Cost,
+    budget: &mut B,
+) -> Result<(), B::Err> {
+    let IndexEvalScratch {
+        seen,
+        frontier,
+        next,
+        trusted,
+        trusted_next,
+        ..
+    } = s;
+    let nests = fine.nests();
+    next.clear();
+    seen.reset(fine.slot_bound());
+    trusted_next.reset(fine.slot_bound());
+    for &u in frontier.iter() {
+        let certified = nests && trusted.contains(u.index());
+        // A trip stops the charging at the exact tripping visit; the rest
+        // of that one row is read but ignored.
+        let mut tripped = None;
+        fine.for_each_subnode(coarse, u, |sub| {
+            if tripped.is_some() {
+                return;
+            }
+            if certified {
+                trusted_next.insert(sub.index());
+            }
+            if seen.insert(sub.index()) {
+                next.push(sub);
+                cost.index_nodes += 1;
+                if let Err(e) = budget.visit(1) {
+                    tripped = Some(e);
+                }
+            }
+        });
+        if let Some(e) = tripped {
+            return Err(e);
+        }
+    }
+    std::mem::swap(frontier, next);
+    std::mem::swap(trusted, trusted_next);
+    Ok(())
+}
+
+/// One child step inside `comp`, for `step` at position `i` of the
+/// expression: the frontier becomes its distinct matching children, one
+/// visit per distinct child examined. A matching child `c` is certified
+/// when `genuine(c) ≥ i` and a certified frontier node leads to it, so a
+/// child reached twice keeps the stronger bit.
+pub(crate) fn child_step<I: IndexView, B: Governor>(
+    comp: &I,
+    step: CompiledStep,
+    i: usize,
+    s: &mut IndexEvalScratch,
+    cost: &mut Cost,
+    budget: &mut B,
+) -> Result<(), B::Err> {
+    let IndexEvalScratch {
+        seen,
+        frontier,
+        next,
+        trusted,
+        trusted_next,
+        reached,
+    } = s;
+    next.clear();
+    seen.reset(comp.slot_bound());
+    reached.reset(comp.slot_bound());
+    for &u in frontier.iter() {
+        let certified = trusted.contains(u.index());
+        for &c in comp.children(u) {
+            if seen.insert(c.index()) {
+                cost.index_nodes += 1;
+                budget.visit(1)?;
+                if step.matches(comp.label(c)) {
+                    next.push(c);
+                }
+            }
+            if certified {
+                reached.insert(c.index());
+            }
+        }
+    }
+    trusted_next.reset(comp.slot_bound());
+    for &c in next.iter() {
+        if reached.contains(c.index()) && comp.genuine(c) as usize >= i {
+            trusted_next.insert(c.index());
+        }
+    }
+    std::mem::swap(frontier, next);
+    std::mem::swap(trusted, trusted_next);
+    Ok(())
 }
 
 /// QUERYTOPDOWN's target phase (§4.1) over any component hierarchy:
 /// evaluate the length-`i` prefix in component `Ii`, descending one
-/// component per step. Returns the raw target set in discovery order, the
-/// component level it lives in, and the cost so far.
-///
-/// Each step down reads the subnode links
-/// ([`IndexView::for_each_subnode`]) against the shared `seen` set, so a
-/// fine node reached from two frontier nodes is visited once: same set,
-/// same first-occurrence order and same cost as unioning
-/// [`crate::MStarIndex::subnodes`] over the frontier.
+/// component per step. Returns the targets in discovery order with their
+/// Lemma 2 bits, the component level they live in, and the cost so far.
+/// `I0`'s matches start certified.
 pub fn top_down_targets<I: IndexView>(
     components: &[I],
     cp: &CompiledPath,
-) -> (Vec<IdxId>, usize, Cost) {
-    let r = top_down_targets_governed(
-        components,
-        cp,
-        &mut IndexEvalScratch::new(),
-        &mut Ungoverned,
-    );
-    never_fails(r.map_err(|(never, _)| never))
+) -> (Targets, usize, Cost) {
+    let s = &mut IndexEvalScratch::new();
+    let (level, cost) =
+        never_fails(top_down_walk(components, cp, s, &mut Ungoverned).map_err(|(never, _)| never));
+    (s.targets(), level, cost)
 }
 
 /// [`top_down_targets`] over caller-owned scratch, under a [`BudgetMeter`].
 /// Dedup goes through the epoch-stamped [`mrx_path::EpochSet`] and the
 /// frontier vectors are reused, so a warmed-up caller descends without
-/// touching the allocator.
+/// touching the allocator beyond the returned set.
 pub fn top_down_targets_budgeted<I: IndexView>(
     components: &[I],
     cp: &CompiledPath,
     scratch: &mut IndexEvalScratch,
     meter: &mut BudgetMeter,
-) -> Result<(Vec<IdxId>, usize, Cost), BudgetError> {
-    top_down_targets_governed(components, cp, scratch, meter)
-        .map_err(|(kind, cost)| BudgetMeter::exhausted(kind, &cost))
+) -> Result<(Targets, usize, Cost), BudgetError> {
+    let (level, cost) = top_down_walk(components, cp, scratch, meter)
+        .map_err(|(kind, cost)| BudgetMeter::exhausted(kind, &cost))?;
+    Ok((scratch.targets(), level, cost))
 }
 
-/// Result of a governed descent: targets, validated count, and cost on
-/// success; the governor's trip error plus the partial cost on exhaustion.
-type GovernedTargets<E> = Result<(Vec<IdxId>, usize, Cost), (E, Cost)>;
-
-/// Governed descent shared by the two wrappers; trip errors carry the
-/// partial cost so the caller can surface it.
-pub(crate) fn top_down_targets_governed<I: IndexView, B: Governor>(
+/// The governed top-down walk behind both wrappers, leaving the targets
+/// and their bits in `s` ([`IndexEvalScratch::targets`] reads them out);
+/// the hybrid strategy continues from there. Returns the targets' level
+/// and the cost; a trip returns the governor's error with the partial
+/// cost.
+pub(crate) fn top_down_walk<I: IndexView, B: Governor>(
     components: &[I],
     cp: &CompiledPath,
-    scratch: &mut IndexEvalScratch,
+    s: &mut IndexEvalScratch,
     budget: &mut B,
-) -> GovernedTargets<B::Err> {
-    let IndexEvalScratch {
-        seen,
-        frontier,
-        next,
-    } = scratch;
+) -> Result<(usize, Cost), (B::Err, Cost)> {
     let max_k = components.len() - 1;
     let mut cost = Cost::ZERO;
-    let j = cp.length();
     let mut level = 0usize;
-    frontier.clear();
-    match cp.steps[0] {
-        CompiledStep::Label(l) => components[0].push_label_nodes(l, frontier),
-        CompiledStep::NoSuchLabel => {}
-        CompiledStep::Wildcard => components[0].push_all_nodes(frontier),
-    }
-    cost.index_nodes += frontier.len() as u64;
-    budget.visit(frontier.len() as u64).map_err(|e| (e, cost))?;
-    for i in 1..=j {
-        if frontier.is_empty() {
+    seed(&components[0], cp.steps[0], true, s, &mut cost, budget).map_err(|e| (e, cost))?;
+    for i in 1..=cp.length() {
+        if s.frontier.is_empty() {
             break;
         }
         let next_level = i.min(max_k);
         if next_level > level {
-            let coarse = &components[level];
-            let fine = &components[next_level];
-            next.clear();
-            seen.reset(fine.slot_bound());
-            for &u in frontier.iter() {
-                // A trip stops the charging at the exact tripping visit;
-                // the rest of that one row is read but ignored.
-                let mut tripped = None;
-                fine.for_each_subnode(coarse, u, |sub| {
-                    if tripped.is_some() {
-                        return;
-                    }
-                    if seen.insert(sub.index()) {
-                        next.push(sub);
-                        cost.index_nodes += 1;
-                        if let Err(e) = budget.visit(1) {
-                            tripped = Some(e);
-                        }
-                    }
-                });
-                if let Some(e) = tripped {
-                    return Err((e, cost));
-                }
-            }
-            std::mem::swap(frontier, next);
+            descend(
+                &components[level],
+                &components[next_level],
+                s,
+                &mut cost,
+                budget,
+            )
+            .map_err(|e| (e, cost))?;
             level = next_level;
         }
-        let comp = &components[level];
-        let step = cp.steps[i];
-        next.clear();
-        seen.reset(comp.slot_bound());
-        for &u in frontier.iter() {
-            for &c in comp.children(u) {
-                if seen.insert(c.index()) {
-                    cost.index_nodes += 1;
-                    budget.visit(1).map_err(|e| (e, cost))?;
-                    if step.matches(comp.label(c)) {
-                        next.push(c);
-                    }
-                }
-            }
-        }
-        std::mem::swap(frontier, next);
+        child_step(&components[level], cp.steps[i], i, s, &mut cost, budget)
+            .map_err(|e| (e, cost))?;
     }
-    Ok((frontier.clone(), level, cost))
+    Ok((level, cost))
 }
 
-/// Turns an index-level target set of a component hierarchy into a
-/// validated [`Answer`]: the paper's answering rule
-/// (`crate::query::answer_targets`) with the hierarchy's premise, under
-/// which a proven target of a length-`len` expression is trusted without
-/// a check when its reach certificate ([`derive_reach`]) is at least
-/// `len`. The targets must live in `I(len)` and be reached as every
-/// M\*(k) strategy reaches them (DESIGN.md §5).
+/// Turns the targets of a component hierarchy into a validated [`Answer`]:
+/// the paper's answering rule (`crate::query::answer_targets`) with the
+/// hierarchy's premise, under which a proven target is trusted without a
+/// check exactly when its Lemma 2 bit is set. The targets must live in
+/// `comp`, the component the strategy ended in.
 pub fn finish_answer_view<I: IndexView, G: GraphView>(
     comp: &I,
     g: &G,
     cp: &CompiledPath,
-    targets: Vec<IdxId>,
+    targets: Targets,
     cost: Cost,
     policy: TrustPolicy,
 ) -> Answer {
@@ -462,7 +523,7 @@ pub fn finish_answer_view_budgeted<I: IndexView, G: GraphView>(
     comp: &I,
     g: &G,
     cp: &CompiledPath,
-    targets: Vec<IdxId>,
+    targets: Targets,
     cost: Cost,
     policy: TrustPolicy,
     memo: &mut EpochMemo,
@@ -478,13 +539,13 @@ pub(crate) fn finish_answer_view_governed<I: IndexView, G: GraphView, B: Governo
     comp: &I,
     g: &G,
     cp: &CompiledPath,
-    targets: Vec<IdxId>,
+    targets: Targets,
     cost: Cost,
     policy: TrustPolicy,
     memo: &mut EpochMemo,
     budget: &mut B,
 ) -> Result<Answer, (B::Err, Cost)> {
-    let len = cp.length() as u32;
-    let certified = |t: IdxId| comp.reach(t) >= len;
-    query::answer_targets(comp, g, cp, targets, cost, policy, certified, memo, budget)
+    let Targets { nodes, certified } = targets;
+    let certified = |i: usize| certified.get(i) == Some(&true);
+    query::answer_targets(comp, g, cp, nodes, cost, policy, certified, memo, budget)
 }

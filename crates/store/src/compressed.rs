@@ -265,7 +265,7 @@ fn read_compressed_component_payload(
         links: SubnodeLinks::default(),
         by_label_off: Vec::new(),
         by_label_ids: Vec::new(),
-        reach: Vec::new(),
+        nests: false,
         lemma2,
         epoch,
     };

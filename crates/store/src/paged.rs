@@ -397,7 +397,7 @@ fn read_paged_meta(
         links,
         by_label_off: Vec::new(),
         by_label_ids: Vec::new(),
-        reach: Vec::new(),
+        nests: false,
         lemma2,
         epoch,
     })

@@ -43,8 +43,9 @@
 //!   the A(2)-index, under which the adapted `I3` does not nest. v5 stores
 //!   no links: the loader derives them from the extents it reads, so some
 //!   `I3` node lies under two `I2` nodes. The load must succeed with every
-//!   component that does not nest left without a reach certificate (all
-//!   zero), and every workload query must answer as naive evaluation does.
+//!   component that does not nest reporting so (a descent then passes no
+//!   Lemma 2 bit into it), and every workload query must answer as naive
+//!   evaluation does.
 //!
 //! The allocation bound needs a process-wide counting allocator, so this
 //! binary holds exactly one `#[test]` and the sweep runs first, on one
@@ -60,7 +61,8 @@ use mrx_datagen::{xmark_like, XmarkConfig};
 use mrx_error::MrxError;
 use mrx_graph::{DataGraph, FrozenGraph, NodeId};
 use mrx_index::{
-    k_bisim, CompressedIndex, CompressedMStar, IndexGraph, MStarIndex, QuerySession, TrustPolicy,
+    k_bisim, top_down_targets, CompressedIndex, CompressedMStar, IndexGraph, MStarIndex,
+    QuerySession, TrustPolicy,
 };
 use mrx_path::{eval_data, PathExpr};
 use mrx_postings::{put_rows, put_words, RowOrder, RowReader};
@@ -473,8 +475,8 @@ fn codec_refusals(image: &[u8], fg: &FrozenGraph, ncomp: usize, queries: &[PathE
 }
 
 /// Loads `cz` with its `I2` swapped for the A(2)-index of `g` from a v5
-/// image, checks that every component whose derived links overlap carries
-/// no reach certificate, and serves `queries` against naive evaluation.
+/// image, checks that every component whose derived links overlap reports
+/// that it does not nest, and serves `queries` against naive evaluation.
 /// Returns how many components do not nest.
 fn knotted_v5(
     g: &DataGraph,
@@ -487,20 +489,29 @@ fn knotted_v5(
     knotted.components[2] = CompressedIndex::freeze(&a2, Some(&knotted.components[1]));
     let (sg, star) = load_compressed_from(&v5_image(fg, &knotted)[..]).unwrap();
     let mut loose = 0;
+    let mut first_loose = usize::MAX;
     for (i, c) in star.components.iter().enumerate().skip(1) {
         let coarse = star.components[i - 1].node_count();
         if c.links.check(Some(coarse), c.node_count(), true).is_err() {
             loose += 1;
-            assert!(
-                c.reach.iter().all(|&r| r == 0),
-                "v5: I{i} does not nest but carries a reach certificate"
-            );
+            first_loose = first_loose.min(i);
+            assert!(!c.nests, "v5: I{i} does not nest but reports that it does");
         }
     }
     let mut session = QuerySession::new(TrustPolicy::Proven);
     for q in queries {
         let a = session.serve(&star, &sg, q);
         assert_eq!(a.nodes, eval_data(g, &q.compile(g)), "v5 knotted: {q}");
+        // A descent into a component that does not nest passes no bit on,
+        // and no later child step can certify without one.
+        let cp = q.compile(&sg);
+        if !cp.anchored && cp.length() >= first_loose {
+            let (targets, _, _) = top_down_targets(&star.components, &cp);
+            assert!(
+                !targets.certified().contains(&true),
+                "v5 knotted: {q} certified through I{first_loose}"
+            );
+        }
     }
     loose
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide check gate: formatting, lints, rustdoc, source-pattern gates, the full
 # test suite (which includes the daemon chaos scenario, the seeded snapshot
-# fault injection and the wire-protocol fuzz) and a servebench build.
+# fault injection and the wire-protocol fuzz) and the servebench tests.
 # Everything runs offline.
 #
 # Usage: scripts/check.sh
@@ -69,10 +69,16 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> servebench build (the end-to-end benchmark compiles against the serving API)"
+echo "==> servebench build and tests (the end-to-end benchmark against the serving API)"
 # servebench is its own package outside the workspace, so nothing above
-# compiles it; it uses SharedAnswerCache, SharedCacheConfig and PageCache
-# directly, and an API break there would only surface when it runs.
+# compiles or tests it; it uses SharedAnswerCache, SharedCacheConfig and
+# PageCache directly, and an API break there would only surface when it
+# runs. Its `counts` test runs all three workloads against a real daemon,
+# and each run's oracle gate compares the daemon's answers and `Cost` with
+# the traced in-process evaluator (`view::top_down_targets_budgeted`, then
+# `view::finish_answer_view_budgeted`): the only check of that pair against
+# the daemon.
 cargo build --release --offline --manifest-path servebench/Cargo.toml
+cargo test --release --offline --manifest-path servebench/Cargo.toml
 
 echo "==> all checks passed"

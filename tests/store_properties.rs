@@ -213,8 +213,8 @@ fn v9_reopen_reproduces_every_saved_array() {
                 (&c.by_label_off, &c.by_label_ids)
             );
             assert_eq!(
-                (&p.reach, p.lemma2, p.epoch),
-                (&c.reach, c.lemma2, c.epoch),
+                (p.nests, p.lemma2, p.epoch),
+                (c.nests, c.lemma2, c.epoch),
                 "{ctx}"
             );
             for v in 0..c.node_count() {
