@@ -1160,4 +1160,61 @@ mod tests {
         assert_eq!(seq.stats.queries, par.stats.queries);
         assert!(par.threads > 1);
     }
+
+    /// One session's validator memo serves alternating 2-step and 10-step
+    /// validating queries: a bit left behind by a longer query would show
+    /// as a lower `Cost` than a fresh session's on the next one.
+    #[test]
+    fn reused_memo_matches_a_fresh_session_across_query_lengths() {
+        // Alternating a/b chains of depth 3..=14, each ending in a `c`.
+        let mut xml = String::from("<r>");
+        for i in 0..40 {
+            let depth = 3 + i % 12;
+            for d in 0..depth {
+                xml.push_str(if d % 2 == 0 { "<a>" } else { "<b>" });
+            }
+            xml.push_str("<c/>");
+            for d in (0..depth).rev() {
+                xml.push_str(if d % 2 == 0 { "</a>" } else { "</b>" });
+            }
+        }
+        xml.push_str("</r>");
+        let g = parse(&xml).unwrap();
+        let ig = IndexGraph::a0(&g);
+        let idx = MStarIndex::new(&g);
+        let queries: Vec<PathExpr> = [
+            "//a/b",
+            "//a/b/a/b/a/b/a/b/a/b",
+            "//b/c",
+            "//b/a/b/a/b/a/b/a/b/c",
+            "//a/c",
+            "//a/b/a/b/a/b/a/b/a/c",
+        ]
+        .iter()
+        .map(|e| PathExpr::parse(e).unwrap())
+        .collect();
+        // A cache that admits nothing, so every query is evaluated.
+        let (mut s, _) = session_with(SharedCacheConfig {
+            max_answer_bytes: 0,
+            ..SharedCacheConfig::SESSION
+        });
+        for p in queries.iter().chain(&queries) {
+            let truth = eval_data(&g, &p.compile(&g));
+            let reused = s.serve(&ig, &g, p).clone();
+            let fresh = QuerySession::new(TrustPolicy::Proven)
+                .serve(&ig, &g, p)
+                .clone();
+            assert!(reused.validated, "{p}");
+            assert_eq!(reused.nodes, truth, "{p}");
+            assert_eq!(reused.cost, fresh.cost, "{p}");
+            let reused = s.serve(&idx, &g, p).clone();
+            let fresh = QuerySession::new(TrustPolicy::Proven)
+                .serve(&idx, &g, p)
+                .clone();
+            assert!(reused.validated, "{p}");
+            assert_eq!(reused.nodes, truth, "{p}");
+            assert_eq!(reused.cost, fresh.cost, "{p}");
+        }
+        assert_eq!(s.stats().hits, 0);
+    }
 }

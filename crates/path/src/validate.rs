@@ -113,7 +113,8 @@ impl<'g, G: GraphView> Validator<'g, G> {
 ///
 /// The memo is reset lazily on the first check, so constructing one costs
 /// nothing for queries that end up not validating; in a warmed-up session
-/// the reset itself is a single epoch bump, never an O(n·steps) zeroing.
+/// the reset zeroes only the words the previous query wrote, never the
+/// whole O(n·steps) table.
 /// Identical memoization (and therefore cost accounting) to [`Validator`].
 pub struct ValidatorRef<'a, G: GraphView = DataGraph> {
     g: &'a G,
@@ -190,8 +191,8 @@ impl<'g, G: GraphView> DownValidator<'g, G> {
     }
 
     fn check(&mut self, v: NodeId, step: usize, cost: &mut Cost) -> bool {
-        let n = self.g.node_count();
-        let slot = step * n + v.index();
+        let g = self.g;
+        let slot = step * g.node_count() + v.index();
         match self.memo.get(slot) {
             YES => return true,
             NO => return false,
@@ -199,13 +200,12 @@ impl<'g, G: GraphView> DownValidator<'g, G> {
         }
         cost.data_nodes += 1;
         self.memo.set(slot, NO);
-        let ok = if !self.path.steps[step].matches(self.g.label(v)) {
+        let ok = if !self.path.steps[step].matches(g.label(v)) {
             false
         } else if step + 1 == self.path.steps.len() {
             true
         } else {
-            let children: Vec<NodeId> = self.g.children(v).to_vec();
-            children.into_iter().any(|c| self.check(c, step + 1, cost))
+            g.children(v).iter().any(|&c| self.check(c, step + 1, cost))
         };
         self.memo.set(slot, if ok { YES } else { NO });
         ok

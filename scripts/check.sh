@@ -9,13 +9,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
+# servebench is its own package outside the workspace, so it is named here.
 cargo fmt --all --check
+cargo fmt --manifest-path servebench/Cargo.toml --check
 
 echo "==> cargo clippy (offline, warnings are errors)"
 # Also the panic-freedom gate: every serving-path module carries
 # `#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used,
 # clippy::panic))]`, so an unwrap/expect/panic! outside its tests fails here.
 cargo clippy --workspace --all-targets --offline -- -D warnings
+cargo clippy --manifest-path servebench/Cargo.toml --all-targets --offline -- -D warnings
 
 echo "==> rustdoc (warnings are errors, so doc links to deleted or private items fail)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
