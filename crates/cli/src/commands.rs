@@ -17,7 +17,7 @@ use mrx_graph::xml;
 use mrx_graph::{DataGraph, FrozenGraph, GraphView};
 use mrx_index::{
     AdaptEngine, AkIndex, DkIndex, MStarIndex, MkIndex, OneIndex, QuerySession, Servable,
-    TrustPolicy, UdIndex,
+    TrustPolicy,
 };
 use mrx_path::{PathExpr, QueryBudget};
 use mrx_workload::{Workload, WorkloadConfig};
@@ -31,8 +31,8 @@ mrx — multiresolution XML indexing (He & Yang, ICDE 2004)
 USAGE:
   mrx gen <xmark|nasa> [--nodes N] [--seed S] [--out FILE]
   mrx stats <file.xml> [--labels N]
-  mrx index <file.xml> --kind <a0|ak|one|ud|dk-construct|dk-promote|mk|mstar>
-            [--k N] [--l N] [--fups FILE] [--stats]
+  mrx index <file.xml> --kind <a0|ak|one|dk-construct|dk-promote|mk|mstar>
+            [--k N] [--fups FILE] [--stats]
   mrx query <file.xml|file.mrx> <expr> [--kind KIND] [--k N] [--fups FILE] [--paper] [--stats]
             [--cache-bytes N] [--max-steps N] [--max-nodes N] [--timeout-ms N]
   mrx freeze <file.xml> --out FILE.mrx [--fups FILE] [--paged [--page-size N]]
@@ -224,13 +224,12 @@ fn build_summary(name: &str, nodes: usize, edges: usize) -> String {
 }
 
 fn cmd_index(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
-    let args = Args::scan(raw, &["kind", "k", "l", "fups"])?;
+    let args = Args::scan(raw, &["kind", "k", "fups"])?;
     args.reject_unknown_flags(&["stats", "strict-refs"])?;
     let path = args.require_positional(0, "file.xml")?;
     let g = load_xml(path, args.flag("strict-refs"), out)?;
     let kind = args.option("kind").unwrap_or("mstar");
     let k: u32 = args.option_parse("k", 2)?;
-    let l: u32 = args.option_parse("l", 2)?;
     let fups = match args.option("fups") {
         Some(f) => load_fups(f)?,
         None => Vec::new(),
@@ -262,19 +261,6 @@ fn cmd_index(raw: Vec<String>, out: &mut impl std::io::Write) -> CmdResult {
             )?;
             if args.flag("stats") {
                 out.write_all(mrx_index::stats::render_refine_stats(&rs).as_bytes())?;
-            }
-        }
-        "ud" => {
-            let (idx, up, down) = UdIndex::build_with_stats(&g, k, l);
-            out.write_all(
-                build_summary(&format!("UD({k},{l})"), idx.node_count(), idx.edge_count())
-                    .as_bytes(),
-            )?;
-            if args.flag("stats") {
-                writeln!(out, "up (≈{k}):")?;
-                out.write_all(mrx_index::stats::render_refine_stats(&up).as_bytes())?;
-                writeln!(out, "down (≈{l}-down):")?;
-                out.write_all(mrx_index::stats::render_refine_stats(&down).as_bytes())?;
             }
         }
         "dk-construct" => {
@@ -809,7 +795,6 @@ mod tests {
             "a0",
             "ak",
             "one",
-            "ud",
             "dk-construct",
             "dk-promote",
             "mk",
@@ -818,7 +803,9 @@ mod tests {
             let s = run_cmd("index", &[f, "--kind", kind]).unwrap();
             assert!(s.contains("index nodes"), "{kind}: {s}");
         }
-        assert!(run_cmd("index", &[f, "--kind", "btree"]).is_err());
+        for kind in ["btree", "ud"] {
+            assert!(run_cmd("index", &[f, "--kind", kind]).is_err(), "{kind}");
+        }
     }
 
     #[test]
@@ -892,9 +879,6 @@ mod tests {
         assert!(s.contains("round  1:"), "{s}");
         let s = run_cmd("index", &[f, "--kind", "one", "--stats"]).unwrap();
         assert!(s.contains("refinement:"), "{s}");
-        let s = run_cmd("index", &[f, "--kind", "ud", "--stats"]).unwrap();
-        assert!(s.contains("up (≈2):"), "{s}");
-        assert!(s.contains("down (≈2-down):"), "{s}");
     }
 
     /// Freezes `DOC` adapted to one FUP into a v5 and a v9 snapshot.
@@ -1025,6 +1009,10 @@ mod tests {
             (
                 "index",
                 vec![doc.to_str().unwrap(), "--kind", "mk", "--batch"],
+            ),
+            (
+                "index",
+                vec![doc.to_str().unwrap(), "--kind", "ak", "--l", "2"],
             ),
         ] {
             let e = run_cmd(cmd, &args).unwrap_err();

@@ -63,7 +63,7 @@ use mrx_graph::{DataGraph, NodeId};
 use mrx_path::{CompiledPath, Cost, EpochSet, EvalScratch, PathExpr};
 
 use crate::graph::IndexEvalScratch;
-use crate::refine::{default_threads, Direction, RefineStats, Refiner};
+use crate::refine::{default_threads, RefineStats, Refiner};
 use crate::{label_partition, DkIndex, IdxId, IndexGraph, MStarIndex, MkIndex, Partition};
 
 /// One planned unit of adaptation work: a distinct FUP of the batch.
@@ -418,7 +418,7 @@ fn extend_partitions(g: &DataGraph, parts: &mut Vec<Partition>, k: usize) {
         parts.clear();
     }
     let start = parts.pop().unwrap_or_else(|| label_partition(g));
-    let mut r = Refiner::from_partition(g, Direction::Up, start.clone(), 1);
+    let mut r = Refiner::from_partition(g, start.clone(), 1);
     parts.push(start);
     while parts.len() <= k {
         r.step();

@@ -18,7 +18,7 @@ use mrx_postings::SliceSeeker;
 
 use crate::Partition;
 
-/// Reusable buffers for [`IndexGraph::eval_in`] and the M\*(k) descents:
+/// Reusable buffers for [`IndexGraph::eval_in_place`] and the M\*(k) descents:
 /// the per-step duplicate-suppression set, the two frontier vectors
 /// swapped between steps, the certified members of each (the Lemma 2 bit
 /// of DESIGN.md §5, read only by the component hierarchy), and the
@@ -707,25 +707,16 @@ impl IndexGraph {
     /// matching node; every subsequent step counts one visit per *distinct*
     /// child examined (whether or not its label matches).
     pub fn eval(&self, g: &DataGraph, path: &CompiledPath, cost: &mut Cost) -> Vec<IdxId> {
-        self.eval_in(g, path, cost, &mut IndexEvalScratch::new())
+        self.eval_in_place(g, path, cost, &mut IndexEvalScratch::new())
+            .to_vec()
     }
 
-    /// [`IndexGraph::eval`] over caller-owned scratch: no per-query `seen`
-    /// bitmap or per-step frontier allocations once the scratch has warmed
-    /// up. Identical answers and cost accounting.
-    pub fn eval_in(
-        &self,
-        g: &DataGraph,
-        path: &CompiledPath,
-        cost: &mut Cost,
-        scratch: &mut IndexEvalScratch,
-    ) -> Vec<IdxId> {
-        self.eval_in_place(g, path, cost, scratch).to_vec()
-    }
-
-    /// [`IndexGraph::eval_in`] returning the scratch-owned result slice
-    /// instead of cloning it. The batched adaptation engine uses this for
-    /// its skip-if-converged probes, where the targets are only inspected.
+    /// [`IndexGraph::eval`] over caller-owned scratch, returning the
+    /// scratch-owned result slice instead of a fresh vector: no per-query
+    /// `seen` bitmap or per-step frontier allocations once the scratch has
+    /// warmed up, and identical answers and cost accounting. The batched
+    /// adaptation engine uses this for its skip-if-converged probes, where
+    /// the targets are only inspected.
     /// Index evaluation reads only the index (the anchored filter uses
     /// [`IndexGraph::root_node`]), so `g` is not consulted.
     pub fn eval_in_place<'s>(
@@ -742,9 +733,8 @@ impl IndexGraph {
     /// index node `v`, walking index edges downward. `memo` must have
     /// `slot_bound() * cp.steps.len()` entries, zero-initialized per query.
     /// Every first visit counts one index node into `cost` (used by the
-    /// UD(k,l)-index and the M*(k) bottom-up/hybrid strategies, which §4.1
-    /// notes must "check downwards to ensure that the suffix path still
-    /// exists").
+    /// M*(k) bottom-up/hybrid strategies, which §4.1 notes must "check
+    /// downwards to ensure that the suffix path still exists").
     pub fn starts_outgoing(
         &self,
         v: IdxId,
@@ -769,9 +759,8 @@ impl IndexGraph {
             true
         } else {
             self.children(v)
-                .to_vec()
-                .into_iter()
-                .any(|c| self.starts_outgoing(c, step + 1, cp, memo, cost))
+                .iter()
+                .any(|&c| self.starts_outgoing(c, step + 1, cp, memo, cost))
         };
         memo[slot] = if ok { YES } else { NO };
         ok

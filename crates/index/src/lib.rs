@@ -47,7 +47,6 @@ pub mod refine;
 pub mod session;
 pub mod snapshot;
 pub mod stats;
-mod ud_k_l;
 pub mod view;
 
 pub use a_k::{ground_truth, AkIndex};
@@ -61,11 +60,11 @@ pub use m_star::{EvalStrategy, MStarIndex};
 pub use one_index::OneIndex;
 pub use paged::PagedIndex;
 pub use partition::{
-    bisim, bisim_stats, intersect_partitions, k_bisim, k_bisim_all, k_bisim_stats, l_bisim_down,
-    l_bisim_down_stats, label_partition, naive, refine_once, refine_once_down, Partition,
+    bisim, bisim_stats, k_bisim, k_bisim_all, k_bisim_stats, label_partition, naive, refine_once,
+    Partition,
 };
 pub use query::{answer, answer_paper, Answer, QueryScratch, TrustPolicy};
-pub use refine::{default_threads, Direction, RefineStats, Refiner, SEQ_THRESHOLD};
+pub use refine::{default_threads, RefineStats, Refiner, SEQ_THRESHOLD};
 pub use session::{
     replay, replay_mstar, QuerySession, ReplayReport, Servable, SessionStats, SharedAnswerCache,
     SharedCacheConfig, SharedCacheStats,
@@ -73,7 +72,6 @@ pub use session::{
 pub use snapshot::{
     CompressedMStar, ExtentStore, MStarSnapshot, PagedMStar, SnapshotIndex, SubnodeLinks,
 };
-pub use ud_k_l::UdIndex;
 pub use view::{
     eval_view, finish_answer_view, finish_answer_view_budgeted, top_down_targets,
     top_down_targets_budgeted, IndexView, Targets,

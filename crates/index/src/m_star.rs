@@ -232,59 +232,6 @@ impl MStarIndex {
         self.query_with_policy(g, path, strategy, TrustPolicy::Claimed)
     }
 
-    /// Chooses an evaluation strategy for `path` — the paper calls this
-    /// "an interesting query optimization problem" and leaves it open
-    /// (§4.1). The heuristic here mirrors its discussion:
-    ///
-    /// * length 0–1 or unrefined indexes: top-down (nothing to optimize);
-    /// * otherwise, estimate each adjacent label pair's selectivity by the
-    ///   product of its labels' *index-node counts in the coarse component*
-    ///   `I1`. If the most selective interior pair is markedly more
-    ///   selective than the expression's first label, pre-filter on it
-    ///   ([`EvalStrategy::Subpath`]); otherwise stay top-down.
-    ///
-    /// Bottom-up and hybrid are never chosen: their downward re-checks make
-    /// them dominated on k-bisimulation components (§4.1; confirmed by the
-    /// `ablations` bench).
-    pub fn choose_strategy(&self, g: &DataGraph, path: &PathExpr) -> EvalStrategy {
-        let cp = path.compile(g);
-        let len = cp.length();
-        if len < 2 || self.max_k() == 0 || cp.anchored {
-            return EvalStrategy::TopDown;
-        }
-        let coarse = &self.components[1.min(self.max_k())];
-        let count = |step: &mrx_path::CompiledStep| -> usize {
-            match *step {
-                mrx_path::CompiledStep::Label(l) => coarse.nodes_with_label(l).count(),
-                mrx_path::CompiledStep::NoSuchLabel => 0,
-                mrx_path::CompiledStep::Wildcard => coarse.node_count(),
-            }
-        };
-        let first = count(&cp.steps[0]).max(1);
-        let mut best: Option<(usize, usize)> = None; // (score, start)
-        for start in 1..len {
-            let score = count(&cp.steps[start]).max(1) * count(&cp.steps[start + 1]).max(1);
-            if best.is_none_or(|(s, _)| score < s) {
-                best = Some((score, start));
-            }
-        }
-        match best {
-            // "markedly more selective": at least 4x fewer candidate nodes
-            // than scanning the first label's nodes.
-            Some((score, start)) if score * 4 <= first => EvalStrategy::Subpath {
-                start,
-                end: start + 2,
-            },
-            _ => EvalStrategy::TopDown,
-        }
-    }
-
-    /// Answers `path` with the strategy picked by
-    /// [`MStarIndex::choose_strategy`], under the sound policy.
-    pub fn query_auto(&self, g: &DataGraph, path: &PathExpr) -> Answer {
-        self.query(g, path, self.choose_strategy(g, path))
-    }
-
     /// Answers `path` with an explicit strategy and trust policy.
     pub fn query_with_policy(
         &self,
@@ -1093,29 +1040,6 @@ mod tests {
         let ans = idx.query(&g, &fup, EvalStrategy::TopDown);
         assert_eq!(ans.nodes, eval_data(&g, &fup.compile(&g)));
         assert!(!idx.query_paper(&g, &fup, EvalStrategy::TopDown).validated);
-    }
-
-    #[test]
-    fn strategy_chooser_is_safe_and_sensible() {
-        let (g, _) = figure7();
-        let mut idx = MStarIndex::new(&g);
-        idx.refine_for(&g, &PathExpr::parse("//b/a/c").unwrap());
-        for expr in ["//c", "//a/c", "//b/a/c", "//r/b/c"] {
-            let p = PathExpr::parse(expr).unwrap();
-            let auto = idx.query_auto(&g, &p);
-            assert_eq!(auto.nodes, eval_data(&g, &p.compile(&g)), "{expr}");
-        }
-        // Short expressions always go top-down.
-        assert_eq!(
-            idx.choose_strategy(&g, &PathExpr::parse("//a/c").unwrap()),
-            EvalStrategy::TopDown
-        );
-        // A fresh index has no coarse/fine distinction to exploit.
-        let fresh = MStarIndex::new(&g);
-        assert_eq!(
-            fresh.choose_strategy(&g, &PathExpr::parse("//b/a/c").unwrap()),
-            EvalStrategy::TopDown
-        );
     }
 
     #[test]

@@ -11,11 +11,9 @@
 //! partitions as an independent oracle for Property 1 ("all data nodes in an
 //! extent are `v.k`-bisimilar").
 
-use std::collections::HashMap;
-
 use mrx_graph::{DataGraph, NodeId};
 
-use crate::refine::{self, Direction, RefineStats, Refiner};
+use crate::refine::{self, RefineStats, Refiner};
 
 /// A partition of a graph's nodes into numbered blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,41 +82,7 @@ pub fn label_partition(g: &DataGraph) -> Partition {
 /// the interning engine in [`crate::refine`] (see [`naive::refine_once`] for
 /// the reference implementation it is tested against).
 pub fn refine_once(g: &DataGraph, prev: &Partition) -> Partition {
-    refine::refine_once_with(g, prev, Direction::Up, refine::default_threads())
-}
-
-/// One *downward* refinement round: like [`refine_once`] but over children,
-/// computing down-bisimilarity (same outgoing label paths; the
-/// UD(k,l)-index's second dimension).
-pub fn refine_once_down(g: &DataGraph, prev: &Partition) -> Partition {
-    refine::refine_once_with(g, prev, Direction::Down, refine::default_threads())
-}
-
-/// The `≈l`-down partition: same outgoing label paths of length up to `l`.
-pub fn l_bisim_down(g: &DataGraph, l: u32) -> Partition {
-    l_bisim_down_stats(g, l).0
-}
-
-/// [`l_bisim_down`] with the engine's per-round statistics.
-pub fn l_bisim_down_stats(g: &DataGraph, l: u32) -> (Partition, RefineStats) {
-    let mut r = Refiner::new(g, Direction::Down);
-    r.run(l);
-    r.finish()
-}
-
-/// The intersection (common refinement) of two partitions.
-pub fn intersect_partitions(a: &Partition, b: &Partition) -> Partition {
-    let mut table: HashMap<(u32, u32), u32> = HashMap::new();
-    let mut block_of = Vec::with_capacity(a.block_of.len());
-    for (&x, &y) in a.block_of.iter().zip(&b.block_of) {
-        let next = table.len() as u32;
-        let id = *table.entry((x, y)).or_insert(next);
-        block_of.push(id);
-    }
-    Partition {
-        num_blocks: table.len(),
-        block_of,
-    }
+    refine::refine_once_with(g, prev, refine::default_threads())
 }
 
 /// The `≈k` partition.
@@ -128,14 +92,14 @@ pub fn k_bisim(g: &DataGraph, k: u32) -> Partition {
 
 /// [`k_bisim`] with the engine's per-round statistics.
 pub fn k_bisim_stats(g: &DataGraph, k: u32) -> (Partition, RefineStats) {
-    let mut r = Refiner::new(g, Direction::Up);
+    let mut r = Refiner::new(g);
     r.run(k);
     r.finish()
 }
 
 /// All partitions `≈0 ..= ≈kmax` (index `i` holds `≈i`).
 pub fn k_bisim_all(g: &DataGraph, kmax: u32) -> Vec<Partition> {
-    let mut r = Refiner::new(g, Direction::Up);
+    let mut r = Refiner::new(g);
     let mut out = Vec::with_capacity(kmax as usize + 1);
     out.push(r.partition().clone());
     for _ in 0..kmax {
@@ -155,7 +119,7 @@ pub fn bisim(g: &DataGraph) -> (Partition, u32) {
 
 /// [`bisim`] with the engine's per-round statistics.
 pub fn bisim_stats(g: &DataGraph) -> (Partition, u32, RefineStats) {
-    let mut r = Refiner::new(g, Direction::Up);
+    let mut r = Refiner::new(g);
     let rounds = r.run_to_fixpoint();
     let (p, stats) = r.finish();
     (p, rounds, stats)
@@ -167,8 +131,9 @@ pub fn bisim_stats(g: &DataGraph) -> (Partition, u32, RefineStats) {
 /// `HashMap<Vec<u32>, u32>`. Slow but transparently correct — property
 /// tests assert the optimized partitions match these block-for-block.
 pub mod naive {
-    use super::{label_partition, HashMap, Partition};
+    use super::{label_partition, Partition};
     use mrx_graph::DataGraph;
+    use std::collections::HashMap;
 
     /// One refinement round over parents (reference implementation).
     pub fn refine_once(g: &DataGraph, prev: &Partition) -> Partition {
@@ -194,43 +159,11 @@ pub mod naive {
         }
     }
 
-    /// One refinement round over children (reference implementation).
-    pub fn refine_once_down(g: &DataGraph, prev: &Partition) -> Partition {
-        let mut child_blocks: Vec<u32> = Vec::new();
-        let mut table: HashMap<Vec<u32>, u32> = HashMap::new();
-        let mut block_of = Vec::with_capacity(g.node_count());
-        for v in g.nodes() {
-            child_blocks.clear();
-            child_blocks.extend(g.children(v).iter().map(|c| prev.block_of[c.index()]));
-            child_blocks.sort_unstable();
-            child_blocks.dedup();
-            let mut sig = Vec::with_capacity(child_blocks.len() + 1);
-            sig.push(prev.block_of[v.index()]);
-            sig.extend_from_slice(&child_blocks);
-            let next = table.len() as u32;
-            let id = *table.entry(sig).or_insert(next);
-            block_of.push(id);
-        }
-        Partition {
-            num_blocks: table.len(),
-            block_of,
-        }
-    }
-
     /// The `≈k` partition by naive rounds (reference implementation).
     pub fn k_bisim(g: &DataGraph, k: u32) -> Partition {
         let mut p = label_partition(g);
         for _ in 0..k {
             p = refine_once(g, &p);
-        }
-        p
-    }
-
-    /// The `≈l`-down partition by naive rounds (reference implementation).
-    pub fn l_bisim_down(g: &DataGraph, l: u32) -> Partition {
-        let mut p = label_partition(g);
-        for _ in 0..l {
-            p = refine_once_down(g, &p);
         }
         p
     }
@@ -357,35 +290,6 @@ mod tests {
         let (p, rounds) = bisim(&g);
         assert_eq!(p.num_blocks, 1);
         assert_eq!(rounds, 0);
-    }
-
-    #[test]
-    fn down_bisim_groups_by_outgoing_structure() {
-        // r -> a1 -> x; r -> a2 -> x; r -> a3 (leaf a)
-        let mut b = GraphBuilder::new();
-        let r = b.add_node("r");
-        let a1 = b.add_child(r, "a");
-        let a2 = b.add_child(r, "a");
-        let a3 = b.add_child(r, "a");
-        b.add_child(a1, "x");
-        b.add_child(a2, "x");
-        let g = b.freeze();
-        let down = l_bisim_down(&g, 1);
-        assert!(down.same_block(a1, a2), "same outgoing structure");
-        assert!(!down.same_block(a1, a3), "a3 has no x child");
-        // upward bisimilarity cannot tell the a's apart
-        assert!(k_bisim(&g, 4).same_block(a1, a3));
-    }
-
-    #[test]
-    fn partition_intersection_refines_both() {
-        let (g, _, _) = figure2();
-        let up = k_bisim(&g, 2);
-        let down = l_bisim_down(&g, 2);
-        let both = intersect_partitions(&up, &down);
-        assert!(both.refines(&up));
-        assert!(both.refines(&down));
-        assert!(both.num_blocks >= up.num_blocks.max(down.num_blocks));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The partition refinement engine: allocation-free signature interning,
 //! with parallel rounds above a size threshold.
 //!
-//! Every index in this crate — 1-index, A(k), D(k), UD(k,l), M(k), M*(k) —
+//! Every index in this crate — 1-index, A(k), D(k), M(k), M*(k) —
 //! reduces to rounds of k-bisimulation refinement, so this loop dominates
 //! construction cost for the whole family. The naive engine (kept as an
 //! oracle in [`crate::naive`]) heap-allocates a `Vec<u32>` signature per node
@@ -37,17 +37,6 @@ use crate::{label_partition, Partition};
 /// Below this node count a round runs sequentially: chunking, hashing into
 /// shards and re-merging cost more than they save on small graphs.
 pub const SEQ_THRESHOLD: usize = 4096;
-
-/// Which adjacency a refinement round reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Refine by *parent* blocks: upward bisimilarity (`≈k`, the A(k)/M(k)
-    /// family and the 1-index).
-    Up,
-    /// Refine by *child* blocks: downward bisimilarity (the UD(k,l)-index's
-    /// second dimension).
-    Down,
-}
 
 /// Observability for one refinement run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -197,7 +186,6 @@ impl Shard {
 #[derive(Debug)]
 pub struct Refiner<'g> {
     g: &'g DataGraph,
-    dir: Direction,
     threads: usize,
     part: Partition,
     // Scratch, allocated lazily on the first round and reused afterwards.
@@ -214,26 +202,20 @@ pub struct Refiner<'g> {
 impl<'g> Refiner<'g> {
     /// Starts a run from the `≈0` (label) partition with
     /// [`default_threads`] workers.
-    pub fn new(g: &'g DataGraph, dir: Direction) -> Self {
-        Self::with_threads(g, dir, default_threads())
+    pub fn new(g: &'g DataGraph) -> Self {
+        Self::with_threads(g, default_threads())
     }
 
     /// Starts a run from the label partition with an explicit thread count.
-    pub fn with_threads(g: &'g DataGraph, dir: Direction, threads: usize) -> Self {
-        Self::from_partition(g, dir, label_partition(g), threads)
+    pub fn with_threads(g: &'g DataGraph, threads: usize) -> Self {
+        Self::from_partition(g, label_partition(g), threads)
     }
 
     /// Starts a run from an arbitrary partition of `g`'s nodes.
-    pub fn from_partition(
-        g: &'g DataGraph,
-        dir: Direction,
-        part: Partition,
-        threads: usize,
-    ) -> Self {
+    pub fn from_partition(g: &'g DataGraph, part: Partition, threads: usize) -> Self {
         let threads = threads.max(1);
         Refiner {
             g,
-            dir,
             threads,
             part,
             hashes: Vec::new(),
@@ -313,10 +295,7 @@ impl<'g> Refiner<'g> {
             self.stats.round_millis.push(0.0);
             return 0;
         }
-        let (offsets, targets) = match self.dir {
-            Direction::Up => self.g.parents_csr(),
-            Direction::Down => self.g.children_csr(),
-        };
+        let (offsets, targets) = self.g.parents_csr();
         let threads = if n < SEQ_THRESHOLD { 1 } else { self.threads };
         if threads == 1 {
             self.step_seq(offsets, targets);
@@ -526,8 +505,8 @@ impl<'g> Refiner<'g> {
     }
 }
 
-/// Sorts and dedups `arena[from..]` in place (the parent/child block list of
-/// one signature), truncating the arena to the deduped length.
+/// Sorts and dedups `arena[from..]` in place (the parent block list of one
+/// signature), truncating the arena to the deduped length.
 #[inline]
 fn normalize_tail(arena: &mut Vec<u32>, from: usize) {
     let tail = &mut arena[from..];
@@ -549,13 +528,8 @@ fn normalize_tail(arena: &mut Vec<u32>, from: usize) {
 
 /// One refinement round of `prev` (over parents), engine-backed. Identical
 /// output to [`crate::naive::refine_once`], including block numbering.
-pub fn refine_once_with(
-    g: &DataGraph,
-    prev: &Partition,
-    dir: Direction,
-    threads: usize,
-) -> Partition {
-    let mut r = Refiner::from_partition(g, dir, prev.clone(), threads);
+pub fn refine_once_with(g: &DataGraph, prev: &Partition, threads: usize) -> Partition {
+    let mut r = Refiner::from_partition(g, prev.clone(), threads);
     r.step();
     r.finish().0
 }
@@ -581,23 +555,15 @@ mod tests {
         let g = diamond();
         let p0 = label_partition(&g);
         for threads in [1, 2, 4] {
-            let engine = refine_once_with(&g, &p0, Direction::Up, threads);
+            let engine = refine_once_with(&g, &p0, threads);
             assert_eq!(engine, naive::refine_once(&g, &p0), "threads={threads}");
         }
     }
 
     #[test]
-    fn down_direction_matches_naive() {
-        let g = diamond();
-        let p0 = label_partition(&g);
-        let engine = refine_once_with(&g, &p0, Direction::Down, 2);
-        assert_eq!(engine, naive::refine_once_down(&g, &p0));
-    }
-
-    #[test]
     fn fixpoint_counts_strict_rounds() {
         let g = diamond();
-        let mut r = Refiner::with_threads(&g, Direction::Up, 1);
+        let mut r = Refiner::with_threads(&g, 1);
         let rounds = r.run_to_fixpoint();
         let (p, stats) = r.finish();
         let (np, nrounds) = naive::bisim(&g);
@@ -611,7 +577,7 @@ mod tests {
     #[test]
     fn stats_record_each_round() {
         let g = diamond();
-        let mut r = Refiner::with_threads(&g, Direction::Up, 3);
+        let mut r = Refiner::with_threads(&g, 3);
         r.run(4);
         assert_eq!(r.stats().rounds, 4);
         assert_eq!(r.stats().threads, 3);

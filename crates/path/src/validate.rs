@@ -151,67 +151,6 @@ impl<'a, G: GraphView> ValidatorRef<'a, G> {
     }
 }
 
-/// Memoized *forward* validator: checks that a data node **starts** an
-/// instance of a label path (all steps, walking children). The counterpart
-/// of [`Validator`] for outgoing paths — used by the UD(k,l)-index's
-/// down-bisimilarity support and by bottom-up evaluation strategies.
-pub struct DownValidator<'g, G: GraphView = DataGraph> {
-    g: &'g G,
-    path: CompiledPath,
-    /// `memo[step * n + node]`: status of "an instance of steps[step..]
-    /// starts at node".
-    memo: EpochMemo,
-}
-
-impl<'g, G: GraphView> DownValidator<'g, G> {
-    /// Creates a forward validator for `path` over `g` (the `anchored` flag
-    /// is ignored: outgoing paths have no root anchor).
-    pub fn new(g: &'g G, path: CompiledPath) -> Self {
-        let mut memo = EpochMemo::new();
-        memo.reset(g.node_count() * path.steps.len());
-        DownValidator { g, path, memo }
-    }
-
-    /// Whether an instance of the whole path starts at `v`, counting
-    /// data-node visits into `cost`.
-    pub fn starts_instance(&mut self, v: NodeId, cost: &mut Cost) -> bool {
-        self.check(v, 0, cost)
-    }
-
-    /// Filters `candidates` down to instance starts (order preserved).
-    pub fn filter(
-        &mut self,
-        candidates: impl IntoIterator<Item = NodeId>,
-        cost: &mut Cost,
-    ) -> Vec<NodeId> {
-        candidates
-            .into_iter()
-            .filter(|&v| self.starts_instance(v, cost))
-            .collect()
-    }
-
-    fn check(&mut self, v: NodeId, step: usize, cost: &mut Cost) -> bool {
-        let g = self.g;
-        let slot = step * g.node_count() + v.index();
-        match self.memo.get(slot) {
-            YES => return true,
-            NO => return false,
-            _ => {}
-        }
-        cost.data_nodes += 1;
-        self.memo.set(slot, NO);
-        let ok = if !self.path.steps[step].matches(g.label(v)) {
-            false
-        } else if step + 1 == self.path.steps.len() {
-            true
-        } else {
-            g.children(v).iter().any(|&c| self.check(c, step + 1, cost))
-        };
-        self.memo.set(slot, if ok { YES } else { NO });
-        ok
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,39 +216,6 @@ mod tests {
         // `people` is a child of `site` (the root), so it *is* an answer of
         // the anchored query /people under our root-children convention.
         assert_eq!(v.filter(candidates, &mut cost), eval_data(&g, &p));
-    }
-
-    #[test]
-    fn down_validator_checks_outgoing_paths() {
-        let g = doc();
-        // //person/name/lastname starts at exactly one person node
-        let p = PathExpr::parse("//person/name/lastname")
-            .unwrap()
-            .compile(&g);
-        let mut v = DownValidator::new(&g, p);
-        let mut cost = Cost::ZERO;
-        let person = g.labels().get("person").unwrap();
-        let starts: Vec<NodeId> = g.nodes_with_label(person).collect();
-        let ok = v.filter(starts, &mut cost);
-        assert_eq!(ok.len(), 1);
-        assert!(cost.data_nodes > 0);
-        // memoized: re-checking is free
-        let before = cost.data_nodes;
-        assert!(v.starts_instance(ok[0], &mut cost));
-        assert_eq!(cost.data_nodes, before);
-    }
-
-    #[test]
-    fn down_validator_rejects_wrong_labels() {
-        let g = doc();
-        let p = PathExpr::parse("//site/person").unwrap().compile(&g);
-        let mut v = DownValidator::new(&g, p);
-        let mut cost = Cost::ZERO;
-        let all: Vec<NodeId> = g.nodes().collect();
-        assert!(
-            v.filter(all, &mut cost).is_empty(),
-            "site has no person child"
-        );
     }
 
     #[test]

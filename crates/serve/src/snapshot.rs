@@ -49,7 +49,7 @@ pub(crate) enum SnapData {
 pub(crate) struct Snapshot {
     /// Serving epoch: 1 for the boot snapshot, +1 per successful RELOAD.
     pub epoch: u64,
-    /// On-disk layout version (5 or 8).
+    /// On-disk layout version (5 or 9).
     pub version: u32,
     /// `"compressed" | "paged"`.
     pub kind: &'static str,

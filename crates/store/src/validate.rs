@@ -37,7 +37,7 @@ use crate::paged::PagedFile;
 /// A snapshot that passed every check in [`open_validated`], ready to
 /// serve.
 pub struct ValidatedSnapshot {
-    /// The on-disk layout version (5 or 8).
+    /// The on-disk layout version (5 or 9).
     pub version: u32,
     /// Components rebuilt as live `A(i)` during a lenient load (always
     /// empty under `strict`, and always empty for the paged layouts,

@@ -48,16 +48,6 @@ impl WorkloadConfig {
             max_enumerated_paths: 400_000,
         }
     }
-
-    /// The paper's secondary setting: 500 queries, max length 4.
-    pub fn paper_short(seed: u64) -> Self {
-        WorkloadConfig {
-            max_path_len: 4,
-            num_queries: 500,
-            seed,
-            max_enumerated_paths: 400_000,
-        }
-    }
 }
 
 /// A generated workload of `//`-prefixed simple path expressions.

@@ -72,6 +72,15 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> ablations and figures at tiny scale"
+# Outside unit tests these two targets are the only callers of the Naive,
+# BottomUp, Hybrid and Subpath strategies and of the per-FUP
+# refine_for/promote_for reference loops; clippy above only compiles them.
+MRX_SCALE=tiny cargo bench --offline -p mrx-bench --bench ablations
+figs_out=$(mktemp -d)
+MRX_SCALE=tiny cargo run --release --offline -p mrx-bench --bin figures -- --all --out "$figs_out"
+rm -rf "$figs_out"
+
 echo "==> servebench build and tests (the end-to-end benchmark against the serving API)"
 # servebench is its own package outside the workspace, so nothing above
 # compiles or tests it; it uses SharedAnswerCache, SharedCacheConfig and

@@ -64,7 +64,7 @@ pub mod prelude {
     pub use mrx_graph::{DataGraph, GraphBuilder, LabelId, NodeId};
     pub use mrx_index::{
         AkIndex, Answer, ApexIndex, DkIndex, EvalStrategy, IdxId, IndexGraph, MStarIndex, MkIndex,
-        OneIndex, QuerySession, TrustPolicy, UdIndex,
+        OneIndex, QuerySession, TrustPolicy,
     };
     pub use mrx_path::{eval_data, Cost, PathExpr};
     pub use mrx_workload::{FupExtractor, Workload, WorkloadConfig};

@@ -4,9 +4,7 @@
 
 use mrx::graph::xml::parse;
 use mrx::graph::{DataGraph, GraphBuilder};
-use mrx::index::{
-    AkIndex, ApexIndex, DkIndex, EvalStrategy, MStarIndex, MkIndex, OneIndex, UdIndex,
-};
+use mrx::index::{AkIndex, ApexIndex, DkIndex, EvalStrategy, MStarIndex, MkIndex, OneIndex};
 use mrx::path::{eval_data, PathExpr};
 
 fn doc() -> DataGraph {
@@ -28,7 +26,6 @@ fn wildcard_expressions_everywhere() {
     let exprs = ["//regions/*/item", "//site/*", "//*/item", "/site/*/africa"];
     let a2 = AkIndex::build(&g, 2);
     let one = OneIndex::build(&g);
-    let ud = UdIndex::build(&g, 2, 1);
     let mut mk = MkIndex::new(&g);
     let mut ms = MStarIndex::new(&g);
     let mut dk = DkIndex::a0(&g);
@@ -46,7 +43,6 @@ fn wildcard_expressions_everywhere() {
         let truth = eval_data(&g, &q.compile(&g));
         assert_eq!(a2.query(&g, &q).nodes, truth, "A(2) {e}");
         assert_eq!(one.query(&g, &q).nodes, truth, "1-index {e}");
-        assert_eq!(ud.query(&g, &q).nodes, truth, "UD {e}");
         assert_eq!(mk.query(&g, &q).nodes, truth, "M(k) {e}");
         assert_eq!(dk.query(&g, &q).nodes, truth, "D(k) {e}");
         for strat in [

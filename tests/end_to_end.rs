@@ -51,7 +51,6 @@ fn all_indexes_agree_on_nasa_workload() {
 
     let a2 = AkIndex::build(&g, 2);
     let one = OneIndex::build(&g);
-    let ud = mrx::index::UdIndex::build(&g, 2, 2);
     let dkc = DkIndex::construct(&g, &w.queries);
     let mut dkp = DkIndex::a0(&g);
     let mut mk = MkIndex::new(&g);
@@ -67,7 +66,6 @@ fn all_indexes_agree_on_nasa_workload() {
         let truth = eval_data(&g, &q.compile(&g));
         assert_eq!(a2.query(&g, q).nodes, truth, "A(2) on {q}");
         assert_eq!(one.query(&g, q).nodes, truth, "1-index on {q}");
-        assert_eq!(ud.query(&g, q).nodes, truth, "UD(2,2) on {q}");
         assert_eq!(dkc.query(&g, q).nodes, truth, "D(k)-construct on {q}");
         assert_eq!(dkp.query(&g, q).nodes, truth, "D(k)-promote on {q}");
         assert_eq!(mk.query(&g, q).nodes, truth, "M(k) on {q}");

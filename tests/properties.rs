@@ -241,28 +241,6 @@ fn mstar_never_larger_than_logical() {
 }
 
 #[test]
-fn ud_index_matches_ground_truth() {
-    use mrx::index::UdIndex;
-    use mrx::path::{Cost, DownValidator};
-    for_cases(16, |g, queries| {
-        for (k, l) in [(0u32, 2u32), (2, 0), (2, 2)] {
-            let ud = UdIndex::build(g, k, l);
-            ud.graph().check_invariants(g);
-            for q in queries {
-                let truth = eval_data(g, &q.compile(g));
-                assert_eq!(ud.query(g, q).nodes, truth, "UD({k},{l}) on {q}");
-                // outgoing query ground truth via the forward validator
-                let mut dv = DownValidator::new(g, q.compile(g));
-                let mut c = Cost::ZERO;
-                let down_truth = dv.filter(g.nodes(), &mut c);
-                let ans = ud.query_outgoing(g, q);
-                assert_eq!(ans.nodes, down_truth, "UD({k},{l}) outgoing {q}");
-            }
-        }
-    });
-}
-
-#[test]
 fn validation_agrees_with_forward_evaluation() {
     use mrx::path::{Cost, Validator};
     for_cases(32, |g, queries| {

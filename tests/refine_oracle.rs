@@ -10,37 +10,29 @@
 
 use mrx::datagen::{nasa_like, random_graph, xmark_like, RandomGraphConfig, XmarkConfig};
 use mrx::graph::DataGraph;
-use mrx::index::{label_partition, naive, Direction, Partition, Refiner, SEQ_THRESHOLD};
+use mrx::index::{label_partition, naive, Partition, Refiner, SEQ_THRESHOLD};
 
 const THREADS: &[usize] = &[1, 2, 8];
 
 /// `≈k` by the engine at an explicit thread count.
-fn engine_k_bisim(g: &DataGraph, k: u32, dir: Direction, threads: usize) -> Partition {
-    let mut r = Refiner::with_threads(g, dir, threads);
+fn engine_k_bisim(g: &DataGraph, k: u32, threads: usize) -> Partition {
+    let mut r = Refiner::with_threads(g, threads);
     r.run(k);
     r.finish().0
 }
 
-/// Asserts engine == naive for `0..=kmax` rounds in both directions at all
-/// thread counts, comparing `block_of` verbatim (the engine renumbers by
-/// first occurrence, so equality is exact, not just up-to-renaming).
+/// Asserts engine == naive for `0..=kmax` rounds at all thread counts,
+/// comparing `block_of` verbatim (the engine renumbers by first occurrence,
+/// so equality is exact, not just up-to-renaming).
 fn assert_matches_naive(g: &DataGraph, kmax: u32, what: &str) {
-    let mut up = label_partition(g);
-    let mut down = label_partition(g);
+    let mut naive_k = label_partition(g);
     for k in 0..=kmax {
         for &t in THREADS {
-            let e_up = engine_k_bisim(g, k, Direction::Up, t);
-            assert_eq!(e_up.num_blocks, up.num_blocks, "{what}: up k={k} t={t}");
-            assert_eq!(e_up.block_of, up.block_of, "{what}: up k={k} t={t}");
-            let e_down = engine_k_bisim(g, k, Direction::Down, t);
-            assert_eq!(
-                e_down.num_blocks, down.num_blocks,
-                "{what}: down k={k} t={t}"
-            );
-            assert_eq!(e_down.block_of, down.block_of, "{what}: down k={k} t={t}");
+            let e = engine_k_bisim(g, k, t);
+            assert_eq!(e.num_blocks, naive_k.num_blocks, "{what}: k={k} t={t}");
+            assert_eq!(e.block_of, naive_k.block_of, "{what}: k={k} t={t}");
         }
-        up = naive::refine_once(g, &up);
-        down = naive::refine_once_down(g, &down);
+        naive_k = naive::refine_once(g, &naive_k);
     }
 }
 
@@ -118,7 +110,7 @@ fn fixpoint_matches_naive_bisim() {
         );
         let (np, nrounds) = naive::bisim(&g);
         for &t in THREADS {
-            let mut r = Refiner::with_threads(&g, Direction::Up, t);
+            let mut r = Refiner::with_threads(&g, t);
             let rounds = r.run_to_fixpoint();
             let (p, _) = r.finish();
             assert_eq!(rounds, nrounds, "seed={seed} t={t}");
