@@ -7,13 +7,11 @@
 //! - [`StoreError`] — `.mrx` loading/saving (re-exported by `mrx-store`)
 //! - [`XmlError`] — XML parsing (re-exported by `mrx-graph`)
 //! - [`ParsePathError`] — path-expression parsing (re-exported by `mrx-path`)
-//! - [`IndexError`] — index assembly/validation failures
 //! - [`BudgetError`] — query resource-budget exhaustion
 //!
-//! [`MrxError`] unifies them with one variant per layer plus [`MrxError::Context`]
-//! for human-readable chaining ([`ResultExt::context`]). Serving code returns the
-//! layer error closest to the failure; API boundaries (CLI, sessions) return
-//! `MrxError` so callers match on the layer, not on strings.
+//! [`MrxError`] unifies them with one variant per layer. Serving code returns
+//! the layer error closest to the failure; API boundaries (CLI, sessions)
+//! return `MrxError` so callers match on the layer, not on strings.
 
 use std::error::Error;
 use std::fmt;
@@ -140,35 +138,6 @@ impl fmt::Display for ParsePathError {
 impl Error for ParsePathError {}
 
 // ---------------------------------------------------------------------
-// Index layer
-// ---------------------------------------------------------------------
-
-/// An index snapshot or assembly failed an internal invariant (CSR bounds,
-/// extent coverage, component ordering, rebuild failure).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexError {
-    /// Description of the violated invariant.
-    pub message: String,
-}
-
-impl IndexError {
-    /// Convenience constructor.
-    pub fn new(message: impl Into<String>) -> Self {
-        IndexError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for IndexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "index invariant violated: {}", self.message)
-    }
-}
-
-impl Error for IndexError {}
-
-// ---------------------------------------------------------------------
 // Budget layer
 // ---------------------------------------------------------------------
 
@@ -224,7 +193,7 @@ impl Error for BudgetError {}
 // Unified error
 // ---------------------------------------------------------------------
 
-/// The workspace-wide error: one variant per layer, plus context chaining.
+/// The workspace-wide error: one variant per layer.
 #[derive(Debug)]
 pub enum MrxError {
     /// Store layer (`.mrx` files).
@@ -233,32 +202,14 @@ pub enum MrxError {
     Xml(XmlError),
     /// Path-expression layer.
     Path(ParsePathError),
-    /// Index assembly/validation layer.
-    Index(IndexError),
     /// Query resource governance.
     Budget(BudgetError),
-    /// A lower-level error wrapped with a human-readable context line.
-    Context {
-        /// What the caller was doing when the error surfaced.
-        context: String,
-        /// The underlying error.
-        source: Box<MrxError>,
-    },
 }
 
 impl MrxError {
-    /// Walks the context chain to the innermost (root-cause) error.
-    pub fn root_cause(&self) -> &MrxError {
-        let mut e = self;
-        while let MrxError::Context { source, .. } = e {
-            e = source;
-        }
-        e
-    }
-
-    /// The budget error at the root of this error, if any.
+    /// The budget error this error carries, if any.
     pub fn as_budget(&self) -> Option<&BudgetError> {
-        match self.root_cause() {
+        match self {
             MrxError::Budget(b) => Some(b),
             _ => None,
         }
@@ -271,9 +222,7 @@ impl fmt::Display for MrxError {
             MrxError::Store(e) => write!(f, "{e}"),
             MrxError::Xml(e) => write!(f, "{e}"),
             MrxError::Path(e) => write!(f, "{e}"),
-            MrxError::Index(e) => write!(f, "{e}"),
             MrxError::Budget(e) => write!(f, "{e}"),
-            MrxError::Context { context, source } => write!(f, "{context}: {source}"),
         }
     }
 }
@@ -284,9 +233,7 @@ impl Error for MrxError {
             MrxError::Store(e) => Some(e),
             MrxError::Xml(e) => Some(e),
             MrxError::Path(e) => Some(e),
-            MrxError::Index(e) => Some(e),
             MrxError::Budget(e) => Some(e),
-            MrxError::Context { source, .. } => Some(source.as_ref()),
         }
     }
 }
@@ -309,12 +256,6 @@ impl From<ParsePathError> for MrxError {
     }
 }
 
-impl From<IndexError> for MrxError {
-    fn from(e: IndexError) -> Self {
-        MrxError::Index(e)
-    }
-}
-
 impl From<BudgetError> for MrxError {
     fn from(e: BudgetError) -> Self {
         MrxError::Budget(e)
@@ -327,45 +268,9 @@ impl From<io::Error> for MrxError {
     }
 }
 
-/// Adds `.context("...")` chaining to any `Result` whose error converts into
-/// [`MrxError`].
-pub trait ResultExt<T> {
-    /// Wraps the error with a context line describing the failed operation.
-    fn context(self, msg: impl Into<String>) -> Result<T, MrxError>;
-}
-
-impl<T, E: Into<MrxError>> ResultExt<T> for Result<T, E> {
-    fn context(self, msg: impl Into<String>) -> Result<T, MrxError> {
-        self.map_err(|e| MrxError::Context {
-            context: msg.into(),
-            source: Box::new(e.into()),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn context_chain_preserves_root_cause() {
-        let inner: Result<(), StoreError> = Err(StoreError::Format("bad magic".into()));
-        let e = inner
-            .context("loading snapshot")
-            .map_err(|e| MrxError::Context {
-                context: "serving query".into(),
-                source: Box::new(e),
-            })
-            .unwrap_err();
-        assert!(matches!(
-            e.root_cause(),
-            MrxError::Store(StoreError::Format(_))
-        ));
-        let rendered = e.to_string();
-        assert!(rendered.contains("serving query"));
-        assert!(rendered.contains("loading snapshot"));
-        assert!(rendered.contains("bad magic"));
-    }
 
     #[test]
     fn budget_error_carries_partial_cost() {

@@ -14,7 +14,6 @@
 
 use mrx_graph::{DataGraph, LabelId, NodeId};
 use mrx_path::{CompiledPath, Cost, EpochSet};
-use mrx_postings::SliceSeeker;
 
 use crate::Partition;
 
@@ -862,25 +861,20 @@ pub fn pred_extent(g: &DataGraph, extent: &[NodeId]) -> Vec<NodeId> {
 
 /// Sorted intersection of two sorted slices.
 ///
-/// Delegates to the galloping [`mrx_postings::intersect_seeking`] merge:
-/// whichever side is behind seeks (exponential probe + binary search) to the
-/// other's current id, so asymmetric inputs cost `O(small · log large)`
-/// while interleaved inputs degrade gracefully to the linear merge.
+/// Delegates to [`mrx_postings::intersect`]: lopsided inputs gallop
+/// (exponential probe + binary search), so they cost
+/// `O(small · log large)`, and comparable ones take the linear merge.
 pub fn intersect_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
-    mrx_postings::intersect_seeking(SliceSeeker::new(a), SliceSeeker::new(b), |v| {
-        out.push(NodeId(v))
-    });
+    mrx_postings::intersect(a, b, |v| out.push(v));
     out
 }
 
 /// Sorted difference `a − b` of two sorted slices, galloping over `b`
-/// (see [`mrx_postings::difference_seeking`]).
+/// (see [`mrx_postings::difference`]).
 pub fn difference_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
     let mut out = Vec::new();
-    mrx_postings::difference_seeking(SliceSeeker::new(a), SliceSeeker::new(b), |v| {
-        out.push(NodeId(v))
-    });
+    mrx_postings::difference(a, b, |v| out.push(v));
     out
 }
 

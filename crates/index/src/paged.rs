@@ -8,7 +8,7 @@
 //! [`mrx_pagecache::PageCache`] region and faults in page by page as
 //! queries touch it. Everything a descent probes on *every* step —
 //! labels, similarities, adjacency CSRs, subnode links, label buckets,
-//! extent skip directories (pinned) — is resident, so the paged hierarchy
+//! extent skip directories — is resident, so the paged hierarchy
 //! answers through the shared evaluators ([`crate::view`],
 //! [`crate::query`]) with the identical traversal, identical answers, and
 //! identical [`mrx_path::Cost`] as the live and compressed forms; only
@@ -56,7 +56,7 @@ impl ExtentStore for PagedArena {
     }
 
     fn first_of(&self, v: usize) -> Option<u32> {
-        // One pinned-directory read.
+        // One resident skip-directory read.
         PagedArena::first_of(self, v)
     }
 

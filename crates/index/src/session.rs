@@ -746,13 +746,6 @@ pub struct ReplayReport {
     pub stats: SessionStats,
 }
 
-impl ReplayReport {
-    /// Mean total node visits per query.
-    pub fn avg_total(&self) -> f64 {
-        self.total.total() as f64 / self.queries.max(1) as f64
-    }
-}
-
 /// Replays `queries` against `target` over per-thread [`QuerySession`]s.
 /// The index and graph are shared read-only; each thread owns its session
 /// (scratch + cache), so no synchronization is needed. `threads == 1` (or

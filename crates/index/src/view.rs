@@ -46,7 +46,6 @@ use mrx_path::{
     never_fails, BudgetError, BudgetMeter, CompiledPath, CompiledStep, Cost, EpochMemo, Governor,
     Ungoverned,
 };
-use mrx_postings::{contains_seeking, PostingId, SliceSeeker};
 
 use crate::graph::IndexEvalScratch;
 use crate::query::{self, Answer, TrustPolicy};
@@ -232,7 +231,7 @@ pub(crate) fn eval_view_governed<'s, I: IndexView, B: Governor>(
     if path.anchored {
         // Only index nodes containing a child of the data root qualify.
         let root_idx = ig.root_node();
-        frontier.retain(|&v| contains_seeking(SliceSeeker::new(ig.parents(v)), root_idx.to_u32()));
+        frontier.retain(|&v| ig.parents(v).binary_search(&root_idx).is_ok());
     }
     cost.index_nodes += frontier.len() as u64;
     budget.visit(frontier.len() as u64)?;

@@ -3,20 +3,21 @@
 //! [`PageCache`].
 //!
 //! The eager arena holds its four arrays on the heap and validates every
-//! byte up front. Here the heavy arrays (tagged block payload, skip
-//! directory, block offsets) stay on disk inside the paged region; only the
-//! tiny per-list tables (`list_len`, `list_block`) are resident.
+//! byte up front. Here the block payload stays on disk inside the paged
+//! region. The two skip-directory arrays (block heads, payload offsets) are
+//! read once through the cache, so their pages verify against the page
+//! table, shape-checked whole, and kept resident as [`SkipDirectories`]:
+//! a walk reads them as plain slices, without the cache's lock.
 //!
 //! One region-wide arena can serve several [`PagedArena`]s: each owns a
 //! contiguous *run* of blocks, activated after the runs before it, and may
 //! also *share* lists that an earlier run stores ([`RunList::Shared`]), so a
-//! list is written once however many arenas read it. Activation pins the
-//! run's slices of the two directory arrays — a seek probes them on every
-//! jump, so they must never fault — and validates their *shape* (monotone
-//! offsets, bounded block spans, ascending block heads). Payload bytes are
-//! validated lazily, block by block, as queries decode them: any violation
-//! poisons the cache instead of panicking, and the serving layer converts
-//! the poison into a typed error before an answer escapes.
+//! list is written once however many arenas read it. Activation checks
+//! only what depends on the run's lists: block heads ascend within each
+//! list it stores. Payload bytes are validated lazily, block by block, as
+//! queries decode them: any violation poisons the cache instead of
+//! panicking, and the serving layer converts the poison into a typed error
+//! before an answer escapes.
 
 #![cfg_attr(
     not(test),
@@ -26,7 +27,7 @@
 use std::sync::Arc;
 
 use mrx_error::StoreError;
-use mrx_postings::{decode_tagged_block, SeekingIterator, BLOCK_LEN, MAX_BLOCK_PAYLOAD};
+use mrx_postings::{decode_tagged_block, BLOCK_LEN, MAX_BLOCK_PAYLOAD};
 
 use crate::cache::PageCache;
 
@@ -74,7 +75,7 @@ pub enum RunList {
     /// sit back to back in the order they are given.
     Own(u32),
     /// A list an earlier run stores ([`PagedArena::span`] of an arena
-    /// activated before this one, over the same layout).
+    /// activated before this one, over the same directories).
     Shared(ListSpan),
 }
 
@@ -91,91 +92,168 @@ fn range_in(region_len: u64, off: u64, len: u64, what: &str) -> Result<(), Store
     }
 }
 
-/// A read-only posting arena whose payload and directories live in a
-/// [`PageCache`] region. Iteration and seek semantics are bit-identical to
-/// [`mrx_postings::PostingArena`]: same block geometry, same skip-directory
-/// jump, same visit order — so serving through it yields the same answers
-/// and the same cost accounting.
-pub struct PagedArena {
+/// A layout's two skip-directory arrays, resident and shape-checked, with
+/// the cache its payload reads through. Cloning shares the arrays: every
+/// [`PagedArena`] over one layout borrows the same two.
+#[derive(Clone)]
+pub struct SkipDirectories {
     cache: Arc<PageCache>,
     data_off: u64,
-    data_len: u64,
-    bf_off: u64,
-    bo_off: u64,
-    /// Blocks in the whole layout.
-    nblocks: u32,
-    /// One past the last block of this arena's own run.
-    run_end: u32,
-    /// First block of each list; a list spans `blocks_of(len)` blocks.
-    list_block: Vec<u32>,
-    list_len: Vec<u32>,
+    /// First id of each block.
+    block_first: Arc<[u32]>,
+    /// Payload byte offsets, `nblocks + 1` of them.
+    block_off: Arc<[u32]>,
     /// Ids must be `< universe`; decode poisons on violation so downstream
     /// random-access structures never index out of range.
     universe: u32,
 }
 
+impl SkipDirectories {
+    /// Reads both directory arrays of `layout` through `cache`, so the
+    /// page checksums verify them, and checks their whole shape: payload
+    /// offsets start at 0, ascend with spans a valid block can occupy,
+    /// and end at the payload length; every block head lies inside the
+    /// id universe.
+    pub fn read(
+        cache: Arc<PageCache>,
+        layout: ArenaLayout,
+        universe: u32,
+    ) -> Result<Self, StoreError> {
+        let fail = |msg: String| Err(StoreError::Format(msg));
+        if layout.data_len > u64::from(u32::MAX) {
+            return fail("paged arena payload exceeds u32 offsets".into());
+        }
+        let region_len = cache.region_len();
+        let nb = u64::from(layout.nblocks);
+        range_in(region_len, layout.data_off, layout.data_len, "payload")?;
+        range_in(region_len, layout.block_first_off, 4 * nb, "skip directory")?;
+        range_in(
+            region_len,
+            layout.block_off_off,
+            4 * (nb + 1),
+            "offset table",
+        )?;
+        let read = |off: u64, words: u64| -> Result<Arc<[u32]>, StoreError> {
+            let mut bytes = vec![0u8; 4 * words as usize];
+            if !cache.read(off, &mut bytes) {
+                return Err(cache.take_poison().unwrap_or_else(|| {
+                    StoreError::Format("paged arena directory read failed".into())
+                }));
+            }
+            Ok(bytes
+                .chunks_exact(4)
+                .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+                .collect())
+        };
+        let block_first = read(layout.block_first_off, nb)?;
+        let block_off = read(layout.block_off_off, nb + 1)?;
+        if block_off.first() != Some(&0) {
+            return fail("paged arena offset table does not start at 0".into());
+        }
+        for (b, w) in block_off.windows(2).enumerate() {
+            if w[1] < w[0] || (w[1] - w[0]) as usize > MAX_BLOCK_PAYLOAD {
+                return fail(format!(
+                    "paged arena block {b} offsets not monotone or payload impossibly large"
+                ));
+            }
+        }
+        if block_off.last().map(|&end| u64::from(end)) != Some(layout.data_len) {
+            return fail("paged arena offset table does not cover the payload".into());
+        }
+        if let Some(b) = block_first.iter().position(|&first| first >= universe) {
+            return fail(format!("paged arena block {b} head outside the universe"));
+        }
+        Ok(SkipDirectories {
+            cache,
+            data_off: layout.data_off,
+            block_first,
+            block_off,
+            universe,
+        })
+    }
+
+    /// Blocks in the layout.
+    pub fn nblocks(&self) -> u32 {
+        self.block_first.len() as u32
+    }
+}
+
+/// A read-only posting arena whose payload lives in a [`PageCache`]
+/// region. Iteration is bit-identical to [`mrx_postings::PostingArena`]:
+/// same block geometry, same visit order — so serving through it yields
+/// the same answers and the same cost accounting.
+pub struct PagedArena {
+    dirs: SkipDirectories,
+    /// One past the last block of this arena's own run.
+    run_end: u32,
+    /// First block of each list; a list spans `blocks_of(len)` blocks.
+    list_block: Vec<u32>,
+    list_len: Vec<u32>,
+}
+
 impl PagedArena {
-    /// Activates an arena that owns every block of `layout`: the lists
-    /// `list_len`, back to back from block 0, must fill it exactly. See
-    /// [`PagedArena::run`] for what activation checks.
+    /// Reads the directories of `layout` and activates an arena that owns
+    /// every block: the lists `list_len`, back to back from block 0, must
+    /// fill it exactly. See [`SkipDirectories::read`] and
+    /// [`PagedArena::run`] for what is checked.
     pub fn new(
         cache: Arc<PageCache>,
         layout: ArenaLayout,
         list_len: Vec<u32>,
         universe: u32,
     ) -> Result<Self, StoreError> {
+        let dirs = SkipDirectories::read(cache, layout, universe)?;
         let lists: Vec<RunList> = list_len.into_iter().map(RunList::Own).collect();
-        let arena = Self::run(cache, layout, 0, &lists, universe)?;
-        if arena.run_end != layout.nblocks {
+        let arena = Self::run(&dirs, 0, &lists)?;
+        if arena.run_end != dirs.nblocks() {
             return Err(StoreError::Format(format!(
                 "paged arena lists need {} blocks, layout declares {}",
-                arena.run_end, layout.nblocks
+                arena.run_end,
+                dirs.nblocks()
             )));
         }
         Ok(arena)
     }
 
-    /// Activates the run of `layout` that starts at block `first_block`:
+    /// Activates the run of `dirs` that starts at block `first_block`:
     /// `lists` are the arena's lists in order, each either stored by this
     /// run ([`RunList::Own`], laid out back to back from `first_block`) or
     /// shared from a run before it ([`RunList::Shared`], which must end at
-    /// or before `first_block`). Pins the run's slices of both directory
-    /// arrays and validates everything that can be checked without
-    /// touching the payload: directory ranges, monotone offsets with
-    /// bounded per-block spans inside the payload, ascending block heads
-    /// within each own list, and heads inside the id universe. Shared
-    /// lists were checked when their run activated; payload bytes are
+    /// or before `first_block`). Checks that the run's own lists fit the
+    /// layout and that block heads ascend within each of them; shared
+    /// lists were checked when their run activated, and payload bytes are
     /// validated lazily at decode time.
     pub fn run(
-        cache: Arc<PageCache>,
-        layout: ArenaLayout,
+        dirs: &SkipDirectories,
         first_block: u32,
         lists: &[RunList],
-        universe: u32,
     ) -> Result<Self, StoreError> {
         let fail = |msg: String| Err(StoreError::Format(msg));
-        if first_block > layout.nblocks {
+        let nblocks = dirs.nblocks();
+        if first_block > nblocks {
             return fail(format!(
-                "paged arena run at block {first_block} past the layout's {}",
-                layout.nblocks
+                "paged arena run at block {first_block} past the layout's {nblocks}"
             ));
         }
         let mut list_block = Vec::with_capacity(lists.len());
         let mut list_len = Vec::with_capacity(lists.len());
         let mut end = u64::from(first_block);
-        for &l in lists {
-            let span = match l {
+        for (l, &list) in lists.iter().enumerate() {
+            let span = match list {
                 RunList::Own(len) => {
                     let span = ListSpan {
                         first_block: end as u32,
                         len,
                     };
                     end = span.end_block();
-                    if end > u64::from(layout.nblocks) {
+                    if end > u64::from(nblocks) {
                         return fail(format!(
-                            "paged arena lists need blocks past the layout's {}",
-                            layout.nblocks
+                            "paged arena lists need blocks past the layout's {nblocks}"
                         ));
+                    }
+                    let heads = &dirs.block_first[span.first_block as usize..end as usize];
+                    if heads.windows(2).any(|w| w[1] <= w[0]) {
+                        return fail(format!("paged arena list {l} block heads not ascending"));
                     }
                     span
                 }
@@ -190,97 +268,18 @@ impl PagedArena {
             list_block.push(span.first_block);
             list_len.push(span.len);
         }
-        if layout.data_len > u64::from(u32::MAX) {
-            return fail("paged arena payload exceeds u32 offsets".into());
-        }
-        let region_len = cache.region_len();
-        let nb = u64::from(layout.nblocks);
-        range_in(region_len, layout.data_off, layout.data_len, "payload")?;
-        range_in(region_len, layout.block_first_off, 4 * nb, "skip directory")?;
-        range_in(
-            region_len,
-            layout.block_off_off,
-            4 * (nb + 1),
-            "offset table",
-        )?;
-
-        // Directories are probed on every seek: fault the run's slices in
-        // now and pin them so the clock can never push a seek into a page
-        // fault. A shared list's slices were pinned by its own run.
-        let (lo, hi) = (u64::from(first_block), end);
-        if !cache.pin(layout.block_first_off + 4 * lo, 4 * (hi - lo))
-            || !cache.pin(layout.block_off_off + 4 * lo, 4 * (hi - lo + 1))
-        {
-            return Err(cache
-                .take_poison()
-                .unwrap_or_else(|| StoreError::Format("paged arena directory pin failed".into())));
-        }
-
-        let arena = PagedArena {
-            cache,
-            data_off: layout.data_off,
-            data_len: layout.data_len,
-            bf_off: layout.block_first_off,
-            bo_off: layout.block_off_off,
-            nblocks: layout.nblocks,
+        Ok(PagedArena {
+            dirs: dirs.clone(),
             run_end: end as u32,
             list_block,
             list_len,
-            universe,
-        };
-        arena.validate_run(first_block)?;
-        Ok(arena)
-    }
-
-    /// Shape checks over the run's pinned directory slices: `block_off`
-    /// starts at 0 in the first run, ascends monotonically with per-block
-    /// spans a valid block can actually occupy and inside the payload, and
-    /// ends exactly at the payload length in the last run; block heads
-    /// ascend strictly within each own list (the lists that start in the
-    /// run) and sit inside the universe.
-    fn validate_run(&self, first_block: u32) -> Result<(), StoreError> {
-        let fail = |msg: String| Err(StoreError::Format(msg));
-        if first_block == 0 && self.bo(0) != 0 {
-            return fail("paged arena offset table does not start at 0".into());
-        }
-        for b in first_block..self.run_end {
-            let (lo, hi) = (self.bo(b), self.bo(b + 1));
-            if hi < lo {
-                return fail(format!("paged arena block {b} offsets not monotone"));
-            }
-            if (hi - lo) as usize > MAX_BLOCK_PAYLOAD || u64::from(hi) > self.data_len {
-                return fail(format!(
-                    "paged arena block {b} payload impossibly large or past the end"
-                ));
-            }
-        }
-        if self.run_end == self.nblocks && u64::from(self.bo(self.nblocks)) != self.data_len {
-            return fail("paged arena offset table does not cover the payload".into());
-        }
-        for (l, &lo) in self.list_block.iter().enumerate() {
-            if lo < first_block {
-                continue;
-            }
-            for b in lo..lo + blocks_of(self.list_len[l]) {
-                let first = self.bf(b);
-                if first >= self.universe {
-                    return fail(format!("paged arena block {b} head outside the universe"));
-                }
-                if b > lo && first <= self.bf(b - 1) {
-                    return fail(format!("paged arena list {l} block heads not ascending"));
-                }
-            }
-        }
-        if let Some(e) = self.cache.take_poison() {
-            return Err(e);
-        }
-        Ok(())
+        })
     }
 
     /// The cache this arena reads through (shared with sibling structures
     /// of the same component).
     pub fn cache(&self) -> &Arc<PageCache> {
-        &self.cache
+        &self.dirs.cache
     }
 
     /// Number of lists.
@@ -290,7 +289,7 @@ impl PagedArena {
 
     /// The exclusive id upper bound enforced at decode time.
     pub fn universe(&self) -> u32 {
-        self.universe
+        self.dirs.universe
     }
 
     /// One past the last block of this arena's own run: where the next
@@ -313,54 +312,33 @@ impl PagedArena {
         self.list_len[i] as usize
     }
 
-    /// First id of list `i` — one pinned-directory read, no payload touch.
+    /// First id of list `i` — one resident directory read, no payload
+    /// touch.
     #[inline]
     pub fn first_of(&self, i: usize) -> Option<u32> {
         if self.list_len[i] == 0 {
             return None;
         }
-        Some(self.bf(self.list_block[i]))
-    }
-
-    /// The blocks `[lo, hi)` of list `i`.
-    #[inline]
-    fn blocks(&self, i: usize) -> (u32, u32) {
-        let lo = self.list_block[i];
-        (lo, lo + blocks_of(self.list_len[i]))
-    }
-
-    /// A seeking cursor over list `i`.
-    #[inline]
-    pub fn cursor(&self, i: usize) -> PagedCursor<'_> {
-        let (blk_lo, blk_hi) = self.blocks(i);
-        PagedCursor {
-            arena: self,
-            blk_lo,
-            blk_hi,
-            len: self.list_len[i],
-            idx: 0,
-            buf_blk: u32::MAX,
-            buf: [0; BLOCK_LEN],
-        }
+        Some(self.dirs.block_first[self.list_block[i] as usize])
     }
 
     /// Calls `f` with every id of list `i` in ascending order — same visit
-    /// order as the eager arena's `for_each`. Stops early (poison already
-    /// set) if a block fails to decode; the owning query observes the
-    /// poison before any answer is served.
+    /// order as the eager arena's `for_each`. Stops at the first block
+    /// that fails to decode (poison already set); the owning query
+    /// observes the poison before any answer is served.
     pub fn for_each(&self, i: usize, mut f: impl FnMut(u32)) {
-        let (blo, bhi) = self.blocks(i);
+        let blo = self.list_block[i] as usize;
+        let bhi = blo + blocks_of(self.list_len[i]) as usize;
         if blo == bhi {
             return;
         }
         // A bulk walk reads the list's payload span front to back: hint
         // the cache so the span's first pages arrive in one positioned
         // read, and the sequential-fault detector batches the rest.
-        let (lo, hi) = (self.bo(blo), self.bo(bhi));
-        if hi > lo {
-            self.cache
-                .readahead(self.data_off + u64::from(lo), u64::from(hi - lo));
-        }
+        let off = &self.dirs.block_off;
+        let (lo, hi) = (off[blo], off[bhi]);
+        self.cache()
+            .readahead(self.dirs.data_off + u64::from(lo), u64::from(hi - lo));
         let mut remaining = self.list_len[i];
         let mut buf = [0u32; BLOCK_LEN];
         for b in blo..bhi {
@@ -375,18 +353,6 @@ impl PagedArena {
         }
     }
 
-    /// First id of block `b`, from the pinned skip directory.
-    #[inline]
-    fn bf(&self, b: u32) -> u32 {
-        self.cache.read_u32(self.bf_off + 4 * u64::from(b))
-    }
-
-    /// Payload byte offset `b` of the pinned offset table.
-    #[inline]
-    fn bo(&self, b: u32) -> u32 {
-        self.cache.read_u32(self.bo_off + 4 * u64::from(b))
-    }
-
     /// Decodes block `b` (holding `in_block` ids) into `out[..in_block]`,
     /// reading the payload through the cache — a block may straddle any
     /// number of page seams. Decoding goes through the same checked
@@ -394,119 +360,35 @@ impl PagedArena {
     /// structural violation (bad tag, truncation,
     /// non-ascending ids, overflow, trailing or nonzero-padding bytes,
     /// out-of-universe ids) poisons the cache and returns `false`, and
-    /// callers then stop iterating.
-    fn decode_block(&self, b: u32, in_block: u32, out: &mut [u32; BLOCK_LEN]) -> bool {
-        if self.cache.poisoned() {
-            return false;
-        }
-        let first = self.bf(b);
-        let (start, end) = (self.bo(b), self.bo(b + 1));
-        let plen = end.saturating_sub(start) as usize;
+    /// callers then stop iterating. The cache refuses reads to a thread
+    /// already poisoned, so its first poison stands.
+    fn decode_block(&self, b: usize, in_block: u32, out: &mut [u32; BLOCK_LEN]) -> bool {
+        let d = &self.dirs;
+        let (start, end) = (d.block_off[b], d.block_off[b + 1]);
+        let plen = (end - start) as usize;
         let mut payload = [0u8; MAX_BLOCK_PAYLOAD];
-        if plen > MAX_BLOCK_PAYLOAD
-            || (plen > 0
-                && !self
-                    .cache
-                    .read(self.data_off + u64::from(start), &mut payload[..plen]))
+        if plen > 0
+            && !d
+                .cache
+                .read(d.data_off + u64::from(start), &mut payload[..plen])
         {
             return false;
         }
-        if let Err(e) = decode_tagged_block(&payload[..plen], first, in_block, out) {
-            self.cache.poison(StoreError::Format(format!(
+        if let Err(e) = decode_tagged_block(&payload[..plen], d.block_first[b], in_block, out) {
+            d.cache.poison(StoreError::Format(format!(
                 "paged arena block {b}: {}",
                 e.0
             )));
             return false;
         }
         // Ids ascend, so checking the block's last covers them all.
-        if out[in_block.saturating_sub(1) as usize] >= self.universe {
-            self.cache.poison(StoreError::Format(format!(
+        if out[in_block.saturating_sub(1) as usize] >= d.universe {
+            d.cache.poison(StoreError::Format(format!(
                 "paged arena block {b} id outside the universe"
             )));
             return false;
         }
         true
-    }
-}
-
-/// [`SeekingIterator`] over one list of a [`PagedArena`] — the paged twin
-/// of [`mrx_postings::PostingCursor`].
-///
-/// Instead of the eager cursor's per-element varint position, this cursor
-/// decodes whole blocks into a stack buffer (`buf`, tagged by `buf_blk`)
-/// and serves from it; crossing into a new block re-decodes. `next_seek`
-/// performs the *same* skip-directory jump as the eager cursor — find the
-/// last block strictly after the current one whose head is `<= target` —
-/// so the two visit identical elements in identical order, which keeps
-/// cost accounting bit-identical across representations.
-pub struct PagedCursor<'a> {
-    arena: &'a PagedArena,
-    blk_lo: u32,
-    blk_hi: u32,
-    len: u32,
-    idx: u32,
-    /// Absolute block index currently in `buf`, or `u32::MAX` for none.
-    buf_blk: u32,
-    buf: [u32; BLOCK_LEN],
-}
-
-impl SeekingIterator for PagedCursor<'_> {
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        if self.idx >= self.len {
-            return None;
-        }
-        let rel = self.idx / BLOCK_LEN32;
-        let blk = self.blk_lo + rel;
-        if blk != self.buf_blk {
-            let in_block = (self.len - rel * BLOCK_LEN32).min(BLOCK_LEN32);
-            if !self.arena.decode_block(blk, in_block, &mut self.buf) {
-                self.idx = self.len; // poisoned: exhaust, never panic
-                return None;
-            }
-            self.buf_blk = blk;
-        }
-        let v = self.buf[(self.idx % BLOCK_LEN32) as usize];
-        self.idx += 1;
-        Some(v)
-    }
-
-    fn next_seek(&mut self, target: u32) -> Option<u32> {
-        if self.idx >= self.len {
-            return None;
-        }
-        // Skip-directory jump, identical to the eager cursor: among blocks
-        // strictly after the current one, the last whose head is <= target
-        // is the only block that can hold the first remaining id >= target.
-        let cur = self.blk_lo + self.idx / BLOCK_LEN32;
-        let (mut lo, mut hi) = (cur + 1, self.blk_hi);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.arena.bf(mid) <= target {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let skip = lo - (cur + 1);
-        if skip > 0 {
-            self.idx = (cur + skip - self.blk_lo) * BLOCK_LEN32;
-        }
-        // Linear tail: at most one block, then the next block's head.
-        // (No run-tag shortcut here: peeking the tag byte would fault the
-        // same payload page the decode needs anyway, so the eager cursor's
-        // O(1) run landing buys nothing on the paged side.)
-        while let Some(v) = self.next() {
-            if v >= target {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    #[inline]
-    fn remaining(&self) -> usize {
-        (self.len - self.idx) as usize
     }
 }
 
@@ -595,68 +477,27 @@ mod tests {
             pa.push_list(l);
         }
         for page_size in [64u32, 256, 4096] {
-            let (cache, paged) = paged_of(&pa, page_size, u64::MAX, u32::MAX);
-            assert_eq!(paged.num_lists(), lists.len());
-            for (i, l) in lists.iter().enumerate() {
-                assert_eq!(paged.len_of(i), l.len());
-                assert_eq!(paged.first_of(i), l.first().copied());
-                let mut bulk = Vec::new();
-                paged.for_each(i, |v| bulk.push(v));
-                assert_eq!(&bulk, l, "for_each list {i} page {page_size}");
-                let mut drained = Vec::new();
-                let mut c = paged.cursor(i);
-                while let Some(v) = c.next() {
-                    drained.push(v);
+            // A budget of two pages forces eviction and re-faulting in the
+            // middle of a walk.
+            for budget in [u64::MAX, 2 * u64::from(page_size)] {
+                let (cache, paged) = paged_of(&pa, page_size, budget, u32::MAX);
+                assert_eq!(paged.num_lists(), lists.len());
+                for (i, l) in lists.iter().enumerate() {
+                    assert_eq!(paged.len_of(i), l.len());
+                    assert_eq!(paged.first_of(i), l.first().copied());
+                    let mut bulk = Vec::new();
+                    paged.for_each(i, |v| bulk.push(v));
+                    assert_eq!(&bulk, l, "list {i} page {page_size} budget {budget}");
                 }
-                assert_eq!(&drained, l, "cursor list {i} page {page_size}");
+                assert!(!cache.poisoned());
             }
-            assert!(!cache.poisoned());
         }
     }
 
+    /// Heavy eviction traffic cannot touch the skip directories: after the
+    /// churn, `first_of` answers without a single cache lookup.
     #[test]
-    fn interleaved_seeks_match_eager_cursor_under_tiny_pages() {
-        let mut rng = SplitMix64(0x5eed_cafe);
-        for round in 0..30 {
-            let nlists = 1 + rng.below(5) as usize;
-            let mut pa = PostingArena::new();
-            let mut lists = Vec::new();
-            for _ in 0..nlists {
-                let l = random_list(&mut rng, 900, 4_000_000);
-                pa.push_list(&l);
-                lists.push(l);
-            }
-            let page_size = [64u32, 128, 256][rng.below(3) as usize];
-            // A budget of a few pages forces constant eviction and
-            // re-faulting mid-iteration.
-            let budget = u64::from(page_size) * (2 + rng.below(4));
-            let (cache, paged) = paged_of(&pa, page_size, budget, 4_000_000);
-            for (i, _) in lists.iter().enumerate() {
-                let mut ours = paged.cursor(i);
-                let mut theirs = pa.cursor(i);
-                for _ in 0..200 {
-                    if rng.below(2) == 0 {
-                        assert_eq!(ours.next(), theirs.next(), "round {round} list {i}");
-                    } else {
-                        let t = rng.below(4_100_000) as u32;
-                        assert_eq!(
-                            ours.next_seek(t),
-                            theirs.next_seek(t),
-                            "round {round} list {i} target {t}"
-                        );
-                    }
-                }
-            }
-            assert!(!cache.poisoned(), "round {round}");
-        }
-    }
-
-    /// Satellite regression, fixed seed: heavy eviction traffic must never
-    /// reclaim the pinned directory pages — a seek after the sweep still
-    /// jumps straight off the resident directory and re-faults only
-    /// payload pages.
-    #[test]
-    fn eviction_then_reread_keeps_directories_pinned() {
+    fn eviction_then_reread_keeps_directories_resident() {
         let mut rng = SplitMix64(0xD1CE_0007);
         let mut pa = PostingArena::new();
         let mut lists = Vec::new();
@@ -666,8 +507,6 @@ mod tests {
             lists.push(l);
         }
         let (cache, paged) = paged_of(&pa, 64, 3 * 64, 1_000_000);
-        let pinned = cache.stats().pinned_pages;
-        assert!(pinned > 0, "directories must span at least one pinned page");
         // Churn: full scans of every list, forcing payload pages through
         // the tiny budget over and over.
         for (i, l) in lists.iter().enumerate() {
@@ -679,21 +518,16 @@ mod tests {
         }
         let stats = cache.stats();
         assert!(stats.evictions > 0, "budget must have forced evictions");
-        assert_eq!(stats.pinned_pages, pinned, "pins must survive the churn");
-        // Directory-only probes after the churn are pure hits.
-        let before = cache.stats().faults;
+        assert!(stats.resident_bytes <= 3 * 64, "{stats:?}");
         for (i, l) in lists.iter().enumerate() {
             assert_eq!(paged.first_of(i), l.first().copied());
         }
-        assert_eq!(cache.stats().faults, before, "first_of must not fault");
-        // And a seek still lands exactly where the eager cursor does.
-        for (i, _) in lists.iter().enumerate() {
-            let mut ours = paged.cursor(i);
-            let mut theirs = pa.cursor(i);
-            for t in [0u32, 17, 40_000, 999_999] {
-                assert_eq!(ours.next_seek(t), theirs.next_seek(t));
-            }
-        }
+        let after = cache.stats();
+        assert_eq!(
+            (after.faults, after.hits),
+            (stats.faults, stats.hits),
+            "first_of must not look up a page"
+        );
         assert!(!cache.poisoned());
     }
 
@@ -749,16 +583,17 @@ mod tests {
         let cache = PageCache::over_bytes(region, 64, u64::MAX).unwrap();
         let (_, _, _, ll) = pa.parts();
         let arena = PagedArena::new(cache.clone(), layout, ll.to_vec(), u32::MAX).unwrap();
-        let mut got = Vec::new();
-        arena.for_each(0, |v| got.push(v));
-        assert!(got.is_empty(), "poisoned block must emit nothing");
+        // A second walk on the poisoned thread stops at once, and the
+        // first poison stands.
+        for _ in 0..2 {
+            let mut got = Vec::new();
+            arena.for_each(0, |v| got.push(v));
+            assert!(got.is_empty(), "poisoned block must emit nothing");
+        }
         assert!(matches!(
             cache.take_poison(),
             Some(StoreError::Format(m)) if m.contains("unknown block tag")
         ));
-        // A cursor over the same list exhausts instead of panicking.
-        let mut c = arena.cursor(0);
-        assert_eq!(c.next(), None);
 
         // And a *semantic* corruption deeper in: re-tag the first block as
         // a varint block. The body no longer parses to 127 deltas, so the
@@ -796,8 +631,17 @@ mod tests {
         assert!(PagedArena::new(cache, bad, ll.to_vec(), u32::MAX).is_err());
 
         // Block head at or past the universe.
-        let cache = PageCache::over_bytes(region, 64, u64::MAX).unwrap();
+        let cache = PageCache::over_bytes(region.clone(), 64, u64::MAX).unwrap();
         assert!(PagedArena::new(cache, layout, ll.to_vec(), 1).is_err());
+
+        // An offset table that does not start at 0, or whose last offset
+        // misses the payload's end.
+        for word in [0, layout.nblocks as usize] {
+            let mut bad = region.clone();
+            bad[layout.block_off_off as usize + 4 * word] ^= 1;
+            let cache = PageCache::over_bytes(bad, 64, u64::MAX).unwrap();
+            assert!(PagedArena::new(cache, layout, ll.to_vec(), u32::MAX).is_err());
+        }
     }
 
     /// Two runs over one region-wide arena: the second stores one list and
@@ -812,17 +656,11 @@ mod tests {
         }
         let (region, layout) = region_of(&pa);
         let cache = PageCache::over_bytes(region, 64, u64::MAX).unwrap();
+        let dirs = SkipDirectories::read(cache.clone(), layout, 1000).unwrap();
         let own = |len: usize| RunList::Own(len as u32);
-        let first = PagedArena::run(cache.clone(), layout, 0, &[own(300), own(2)], 1000).unwrap();
+        let first = PagedArena::run(&dirs, 0, &[own(300), own(2)]).unwrap();
         let shared = RunList::Shared(first.span(0));
-        let second = PagedArena::run(
-            cache.clone(),
-            layout,
-            first.run_end(),
-            &[own(1), shared],
-            1000,
-        )
-        .unwrap();
+        let second = PagedArena::run(&dirs, first.run_end(), &[own(1), shared]).unwrap();
         assert_eq!(second.run_end(), layout.nblocks);
         for (arena, i, want) in [
             (&first, 0, &big[..]),
@@ -832,8 +670,6 @@ mod tests {
             let mut got = Vec::new();
             arena.for_each(i, |v| got.push(v));
             assert_eq!(got, want);
-            let mut c = arena.cursor(i);
-            assert_eq!(c.next_seek(500), want.iter().copied().find(|&v| v >= 500));
         }
         assert!(!cache.poisoned());
         // Sharing a list of this run, or of no run yet activated, fails.
@@ -844,10 +680,12 @@ mod tests {
                 len: 1,
             },
         ] {
-            let r = PagedArena::run(cache.clone(), layout, 3, &[RunList::Shared(span)], 1000);
+            let r = PagedArena::run(&dirs, 3, &[RunList::Shared(span)]);
             assert!(r.is_err(), "{span:?}");
         }
-        // A run past the layout's blocks fails.
-        assert!(PagedArena::run(cache, layout, layout.nblocks + 1, &[], 1000).is_err());
+        // A run past the layout's blocks fails, and so does an own list
+        // whose block heads do not ascend.
+        assert!(PagedArena::run(&dirs, layout.nblocks + 1, &[]).is_err());
+        assert!(PagedArena::run(&dirs, 0, &[own(600)]).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! The fixed-page cache: fault, verify, pin, evict.
+//! The fixed-page cache: fault, verify, evict.
 
 #![cfg_attr(
     not(test),
@@ -48,10 +48,8 @@ pub struct PageStats {
     pub checksum_failures: u64,
     /// Pages currently resident.
     pub resident_pages: u64,
-    /// Bytes currently resident (pinned pages included).
+    /// Bytes currently resident; the budget bounds every page.
     pub resident_bytes: u64,
-    /// Pages pinned (directory/skip-directory pages; never evicted).
-    pub pinned_pages: u64,
     /// Pages brought in speculatively by the readahead window (not counted
     /// in `faults`).
     pub prefetched: u64,
@@ -71,7 +69,6 @@ struct Frame {
     page: u32,
     /// Clock reference bit: set on every hit, cleared by a sweep pass.
     referenced: bool,
-    pinned: bool,
     /// Brought in by readahead and not yet touched by a lookup.
     prefetched: bool,
     data: Box<[u8]>,
@@ -113,8 +110,8 @@ impl Inner {
 /// checksum table captured at write time.
 ///
 /// Offsets in the read API are **region-relative**. Reads copy out (no
-/// borrows escape), so callers can hold many logical cursors over one
-/// cache. One `Mutex` guards residency and counters, so every serving
+/// borrows escape), so callers can walk many lists over one cache at
+/// once. One `Mutex` guards residency and counters, so every serving
 /// thread reads through the same frames under one byte budget; integrity
 /// failures are recorded per thread (see [`PageCache::poison`]).
 pub struct PageCache {
@@ -308,7 +305,7 @@ impl PageCache {
             let in_page = (cur % psz) as usize;
             let page_len = self.page_len(page);
             let n = (page_len - in_page).min(dst.len() - done);
-            match self.frame(&mut inner, page, false) {
+            match self.frame(&mut inner, page) {
                 Some(slot) => {
                     let data = &inner.slots[slot as usize].data;
                     dst[done..done + n].copy_from_slice(&data[in_page..in_page + n]);
@@ -319,43 +316,6 @@ impl PageCache {
                 }
             }
             done += n;
-        }
-        true
-    }
-
-    /// Little-endian `u32` at region-relative `off`; 0 (with poison set)
-    /// on failure.
-    #[inline]
-    pub fn read_u32(&self, off: u64) -> u32 {
-        let mut b = [0u8; 4];
-        self.read(off, &mut b);
-        u32::from_le_bytes(b)
-    }
-
-    /// Faults in and pins every page covering `[off, off + len)` so the
-    /// clock never evicts them — used for skip directories, whose probes
-    /// must stay cheap. Returns `false` (poison set) if any page fails.
-    pub fn pin(&self, off: u64, len: u64) -> bool {
-        if len == 0 {
-            return true;
-        }
-        let end = off.checked_add(len);
-        let mut inner = self.lock();
-        if inner.poisoned() {
-            return false;
-        }
-        let Some(end) = end.filter(|&e| e <= self.region_len) else {
-            inner.set_poison(StoreError::Format(format!(
-                "pin [{off}, +{len}) outside the region ({} bytes)",
-                self.region_len
-            )));
-            return false;
-        };
-        let psz = u64::from(self.page_size);
-        for page in (off / psz)..=((end - 1) / psz) {
-            if self.frame(&mut inner, page as u32, true).is_none() {
-                return false;
-            }
         }
         true
     }
@@ -387,7 +347,7 @@ impl PageCache {
 
     /// Resolves `page` to a resident frame slot, faulting it in (verified)
     /// on miss. `None` means the fault failed and the poison records why.
-    fn frame(&self, inner: &mut Inner, page: u32, pin: bool) -> Option<u32> {
+    fn frame(&self, inner: &mut Inner, page: u32) -> Option<u32> {
         if let Some(&slot) = inner.map.get(&page) {
             let f = &mut inner.slots[slot as usize];
             f.referenced = true;
@@ -395,21 +355,14 @@ impl PageCache {
                 f.prefetched = false;
                 inner.stats.readahead_hits += 1;
             }
-            if pin && !f.pinned {
-                f.pinned = true;
-                inner.stats.pinned_pages += 1;
-            }
             inner.stats.hits += 1;
             return Some(slot);
         }
 
         // A fault on the page right after the previous one means the
         // caller is walking forward — worth opening the readahead window
-        // once this fault lands. Pins are not walks: a directory that
-        // straddles a page seam must not prefetch the payload after it,
-        // so activation reads exactly the pages it pins.
-        let sequential =
-            !pin && inner.last_fault != EMPTY && inner.last_fault.wrapping_add(1) == page;
+        // once this fault lands.
+        let sequential = inner.last_fault != EMPTY && inner.last_fault.wrapping_add(1) == page;
 
         let len = self.page_len(page);
         // Reclaim before inserting so the new page can never evict itself.
@@ -435,21 +388,16 @@ impl PageCache {
             Frame {
                 page,
                 referenced: true,
-                pinned: pin,
                 prefetched: false,
                 data,
             },
         );
         inner.last_fault = page;
         if sequential {
-            // Shield the page just faulted: the prefetch's own eviction
-            // sweep must not reclaim the frame this caller is about to
-            // read from (slot indices are stable; eviction blanks in
-            // place).
-            let was_pinned = inner.slots[slot as usize].pinned;
-            inner.slots[slot as usize].pinned = true;
+            // The frame just faulted, which the caller is about to read,
+            // is safe here: a prefetch only fills the budget's headroom
+            // and never evicts.
             self.prefetch(inner, page + 1, READAHEAD_PAGES);
-            inner.slots[slot as usize].pinned = was_pinned;
         }
         Some(slot)
     }
@@ -458,7 +406,6 @@ impl PageCache {
     fn install(inner: &mut Inner, frame: Frame) -> u32 {
         let page = frame.page;
         let len = frame.data.len() as u64;
-        let pin = frame.pinned;
         let slot = match inner.free.pop() {
             Some(s) => {
                 inner.slots[s as usize] = frame;
@@ -471,9 +418,6 @@ impl PageCache {
         };
         inner.map.insert(page, slot);
         inner.stats.resident_bytes += len;
-        if pin {
-            inner.stats.pinned_pages += 1;
-        }
         slot
     }
 
@@ -534,7 +478,6 @@ impl PageCache {
                 Frame {
                     page,
                     referenced: true,
-                    pinned: false,
                     prefetched: true,
                     data: data.to_vec().into_boxed_slice(),
                 },
@@ -572,10 +515,9 @@ impl PageCache {
     }
 
     /// Clock sweep: reclaim frames until `need` more bytes fit in the
-    /// budget. Referenced frames get one more revolution; pinned frames
-    /// are skipped. Bounded at two revolutions — if everything left is
-    /// pinned or the budget is smaller than the working set, the cache
-    /// runs over budget rather than thrashing or failing.
+    /// budget. Referenced frames get one more revolution. Bounded at two
+    /// revolutions, so a single page larger than the budget leaves the
+    /// cache over budget rather than thrashing or failing.
     fn evict_for(inner: &mut Inner, need: u64) {
         if inner.slots.is_empty() {
             return;
@@ -586,7 +528,7 @@ impl PageCache {
             let slot = inner.hand;
             inner.hand = (inner.hand + 1) % inner.slots.len();
             let f = &mut inner.slots[slot];
-            if f.page == EMPTY || f.pinned {
+            if f.page == EMPTY {
                 continue;
             }
             if f.referenced {
@@ -661,23 +603,6 @@ mod tests {
         // Evicted pages re-fault correctly.
         assert!(cache.read(0, &mut buf));
         assert_eq!(&buf[..], &bytes[..64]);
-    }
-
-    #[test]
-    fn pinned_pages_survive_eviction_pressure() {
-        let bytes = region(64 * 16);
-        let cache = PageCache::over_bytes(bytes.clone(), 64, 3 * 64).unwrap();
-        assert!(cache.pin(0, 64));
-        let mut buf = [0u8; 64];
-        for p in 0..16u64 {
-            assert!(cache.read(p * 64, &mut buf));
-        }
-        let before = cache.stats();
-        assert_eq!(before.pinned_pages, 1);
-        // The pinned page must still be a hit (no new fault).
-        assert!(cache.read(0, &mut buf));
-        assert_eq!(&buf[..], &bytes[..64]);
-        assert_eq!(cache.stats().faults, before.faults);
     }
 
     #[test]
@@ -773,15 +698,6 @@ mod tests {
         assert!(stats.prefetched > stats.faults, "{stats:?}");
         assert!(stats.readahead_hits > 0, "{stats:?}");
         assert_eq!(stats.checksum_failures, 0);
-    }
-
-    #[test]
-    fn pinning_across_a_seam_prefetches_nothing() {
-        let cache = PageCache::over_bytes(region(64 * 16), 64, u64::MAX).unwrap();
-        assert!(cache.pin(32, 3 * 64));
-        let stats = cache.stats();
-        assert_eq!((stats.faults, stats.prefetched), (4, 0), "{stats:?}");
-        assert_eq!(stats.pinned_pages, 4);
     }
 
     #[test]

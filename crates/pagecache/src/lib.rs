@@ -13,17 +13,18 @@
 //!
 //! Two layers live here:
 //!
-//! * [`PageCache`] — the cache itself: fault/hit/eviction accounting,
-//!   pinning for directory pages, checksum-verify-on-fault, and a
+//! * [`PageCache`] — the cache itself: fault/hit/eviction accounting
+//!   under one byte budget, checksum-verify-on-fault, and a
 //!   per-thread *poison* slot that records a query's first integrity
 //!   failure so infallible read surfaces (the `IndexView` contract) can
 //!   return sentinels while the owning query is guaranteed to observe the
 //!   typed error before any answer is served. One cache serves all threads.
-//! * [`PagedArena`] / [`PagedCursor`] — the demand-paged twin of
-//!   [`mrx_postings::PostingArena`]: identical wire form (delta-varint
-//!   blocks of [`mrx_postings::BLOCK_LEN`] ids + skip directory), identical iteration
-//!   and seek semantics, but payload bytes live on disk and decode one
-//!   block at a time through the cache — lists freely straddle page seams.
+//! * [`PagedArena`] — the demand-paged twin of
+//!   [`mrx_postings::PostingArena`]: identical wire form (tagged blocks of
+//!   [`mrx_postings::BLOCK_LEN`] ids + skip directory) and identical
+//!   iteration, but payload bytes live on disk and decode one block at a
+//!   time through the cache — lists freely straddle page seams. The skip
+//!   directories are read once and kept resident ([`SkipDirectories`]).
 //!   One region-wide arena is cut into per-component runs, and an arena
 //!   may share a list an earlier run stores, so each distinct extent is
 //!   on disk once. Extents are the only paged structure: everything a
@@ -44,7 +45,7 @@ mod arena;
 mod cache;
 mod source;
 
-pub use arena::{ArenaLayout, ListSpan, PagedArena, PagedCursor, RunList};
+pub use arena::{ArenaLayout, ListSpan, PagedArena, RunList, SkipDirectories};
 pub use cache::{
     PageCache, PageStats, DEFAULT_CACHE_BYTES, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE,
 };

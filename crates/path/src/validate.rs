@@ -11,7 +11,6 @@
 //! paper's cost metric.
 
 use mrx_graph::{DataGraph, GraphView, NodeId};
-use mrx_postings::{contains_seeking, PostingId, SliceSeeker};
 
 use crate::{CompiledPath, Cost, EpochMemo};
 
@@ -50,7 +49,7 @@ fn check_backward<G: GraphView>(
         false
     } else if step == 0 {
         if path.anchored {
-            contains_seeking(SliceSeeker::new(g.parents(v)), g.root().to_u32())
+            g.parents(v).binary_search(&g.root()).is_ok()
         } else {
             true
         }

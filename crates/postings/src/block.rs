@@ -24,25 +24,20 @@
 //!   branch-free bit-buffer loop with word-sized refills.
 //! * **Run** ([`TAG_RUN`]): the ids are exactly
 //!   `first .. first + in_block` — consecutive, so the tag byte *is* the
-//!   whole payload and membership/seek inside the block is arithmetic.
+//!   whole payload and decoding the block is arithmetic.
 //!
 //! `list_block` is fully determined by `list_len` (`ceil(len/BLOCK_LEN)`
 //! blocks per list), so the store serializes only the other four arrays and
 //! [`PostingArena::from_parts`] re-derives it while validating every block
-//! of every encoding byte-for-byte — a cursor over an arena that passed
+//! of every encoding byte-for-byte — a walk over an arena that passed
 //! `from_parts` never reads out of bounds and never sees a non-ascending
 //! id.
-//!
-//! A [`PostingCursor`] implements [`SeekingIterator`]: `next_seek` binary
-//! searches the skip directory to land on the one block that can contain
-//! the target (`O(log B)`), then decodes at most one block — or, for run
-//! blocks, lands by arithmetic without decoding at all.
 
-use crate::seek::{PostingId, SeekingIterator};
+use crate::seek::PostingId;
 
 /// Ids per block. 128 keeps the per-block directory overhead at 8 bytes
-/// (first id + payload offset) — 0.0625 bytes/id — while bounding a seek's
-/// linear tail to one cache-friendly block decode.
+/// (first id + payload offset) — 0.0625 bytes/id — while bounding a block
+/// decode to one cache-friendly stack buffer.
 pub const BLOCK_LEN: usize = 128;
 const BLOCK_LEN32: u32 = BLOCK_LEN as u32;
 
@@ -454,25 +449,11 @@ impl PostingArena {
         &self.data[self.block_off[b] as usize..self.block_off[b + 1] as usize]
     }
 
-    /// A seeking cursor over list `i`.
-    #[inline]
-    pub fn cursor(&self, i: usize) -> PostingCursor<'_> {
-        PostingCursor {
-            arena: self,
-            blk_lo: self.list_block[i],
-            blk_hi: self.list_block[i + 1],
-            len: self.list_len[i],
-            idx: 0,
-            buf_blk: u32::MAX,
-            buf: [0; BLOCK_LEN],
-        }
-    }
-
     /// Calls `f` with every id of list `i`, in ascending order — the bulk
     /// traversal, with a dedicated tight loop per block encoding: runs emit
     /// by pure arithmetic, bit-packed blocks unpack through the word-refill
     /// bit buffer, varint blocks keep the single-byte-delta fast path.
-    /// Visit order is identical to draining [`cursor`](Self::cursor).
+    /// Visit order is identical to [`decode_into`](Self::decode_into).
     #[inline]
     pub fn for_each(&self, i: usize, mut f: impl FnMut(u32)) {
         let mut buf = [0u32; BLOCK_LEN];
@@ -617,8 +598,8 @@ impl PostingArena {
     /// Rebuilds an arena from untrusted serialized parts, re-deriving
     /// `list_block` and validating every byte: directory shapes, monotone
     /// offsets, and a full checked decode of every block in whichever
-    /// encoding its tag names. After this check, cursor traversal is
-    /// in-bounds by construction.
+    /// encoding its tag names. After this check, every walk is in-bounds
+    /// by construction.
     pub fn from_parts(
         data: Vec<u8>,
         block_first: Vec<u32>,
@@ -667,105 +648,9 @@ impl PostingArena {
     }
 }
 
-/// [`SeekingIterator`] over one list of a [`PostingArena`].
-///
-/// The cursor decodes whole blocks into a stack buffer (`buf`, tagged by
-/// `buf_blk`) and serves from it; crossing into a new block re-decodes.
-/// `next_seek` binary searches the skip directory to reposition `idx`, and
-/// when the landing block is a run it computes the landing *within* the
-/// block arithmetically too — a seek or membership probe inside a run
-/// touches no payload bytes beyond the tag.
-pub struct PostingCursor<'a> {
-    arena: &'a PostingArena,
-    blk_lo: u32,
-    blk_hi: u32,
-    len: u32,
-    idx: u32,
-    /// Absolute block index currently in `buf`, or `u32::MAX` for none.
-    buf_blk: u32,
-    buf: [u32; BLOCK_LEN],
-}
-
-impl SeekingIterator for PostingCursor<'_> {
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        if self.idx >= self.len {
-            return None;
-        }
-        let rel = self.idx / BLOCK_LEN32;
-        let blk = self.blk_lo + rel;
-        if blk != self.buf_blk {
-            let b = blk as usize;
-            let in_block = (self.len - rel * BLOCK_LEN32).min(BLOCK_LEN32);
-            decode_block_trusted(
-                self.arena.payload(b),
-                self.arena.block_first[b],
-                in_block,
-                &mut self.buf,
-            );
-            self.buf_blk = blk;
-        }
-        let v = self.buf[(self.idx % BLOCK_LEN32) as usize];
-        self.idx += 1;
-        Some(v)
-    }
-
-    fn next_seek(&mut self, target: u32) -> Option<u32> {
-        if self.idx >= self.len {
-            return None;
-        }
-        // Skip-directory jump: among the blocks strictly after the current
-        // one, the last whose first id is <= target is the only block that
-        // can hold the first remaining id >= target.
-        let cur = self.blk_lo + self.idx / BLOCK_LEN32;
-        let after = &self.arena.block_first[(cur + 1) as usize..self.blk_hi as usize];
-        let skip = after.partition_point(|&f| f <= target) as u32;
-        if skip > 0 {
-            self.idx = (cur + skip - self.blk_lo) * BLOCK_LEN32;
-        }
-        // O(1) landing inside a run block: its ids are first..first + n,
-        // so the position of the first id >= target is arithmetic and the
-        // value needs no decode at all.
-        let blk = self.blk_lo + self.idx / BLOCK_LEN32;
-        let b = blk as usize;
-        if self.arena.payload(b).first() == Some(&TAG_RUN) {
-            let start = (blk - self.blk_lo) * BLOCK_LEN32;
-            let in_block = (self.len - start).min(BLOCK_LEN32);
-            let first = self.arena.block_first[b];
-            let jump = if target > first {
-                (target - first).min(in_block)
-            } else {
-                0
-            };
-            let land = self.idx.max(start + jump);
-            if land < start + in_block {
-                self.idx = land + 1;
-                return Some(first + (land - start));
-            }
-            // Target is past this run: consume it and let the loop take
-            // the next block's head.
-            self.idx = start + in_block;
-        }
-        // Linear tail: at most one decoded block, then at most the first
-        // id of the following block.
-        while let Some(v) = self.next() {
-            if v >= target {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    #[inline]
-    fn remaining(&self) -> usize {
-        (self.len - self.idx) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seek::SliceSeeker;
 
     /// Local PRNG so tests stay dependency-free and reproducible.
     struct SplitMix64(u64);
@@ -790,9 +675,13 @@ mod tests {
         a
     }
 
+    /// List `i` through `decode_into`, checked against `for_each`.
     fn decode(a: &PostingArena, i: usize) -> Vec<u32> {
         let mut out = Vec::new();
         a.decode_into(i, &mut out);
+        let mut walked = Vec::new();
+        a.for_each(i, |v| walked.push(v));
+        assert_eq!(walked, out, "for_each and decode_into disagree on list {i}");
         out
     }
 
@@ -899,84 +788,22 @@ mod tests {
             };
             let a = arena_of(&[&ids]);
             assert_eq!(decode(&a, 0), ids, "style {style} round {round}");
-            // next_seek against the slice oracle, interleaved with next().
-            let mut c = a.cursor(0);
-            let mut s = SliceSeeker::new(&ids);
-            assert_eq!(c.remaining(), s.remaining());
-            for _ in 0..300 {
-                if rng.below(3) == 0 {
-                    assert_eq!(c.next(), s.next(), "style {style} round {round}");
-                } else {
-                    let hi = ids.last().map_or(100, |&l| u64::from(l) + 1000);
-                    let t = rng.below(hi) as u32;
-                    assert_eq!(
-                        c.next_seek(t),
-                        s.next_seek(t),
-                        "style {style} round {round} target {t}"
-                    );
-                }
-                assert_eq!(c.remaining(), s.remaining());
-            }
-        }
-    }
-
-    #[test]
-    fn run_boundary_and_block_seam_seeks() {
-        // A run spanning several blocks, ending mid-block, then a gap and a
-        // short tail — every boundary a run seek can land on.
-        let mut ids: Vec<u32> = (100..100 + 300).collect();
-        ids.extend([1000, 1003, 1009]);
-        let a = arena_of(&[&ids]);
-        for t in [
-            0, 99, 100, 101, 227, 228, 229, 255, 256, 355, 356, 357, 399, 400, 999, 1000, 1001,
-            1009, 1010,
-        ] {
-            let mut c = a.cursor(0);
-            let mut s = SliceSeeker::new(&ids);
-            assert_eq!(c.next_seek(t), s.next_seek(t), "fresh seek to {t}");
-        }
-        // Monotone seek sweeps across the seams.
-        let mut c = a.cursor(0);
-        let mut s = SliceSeeker::new(&ids);
-        for t in (0..1100).step_by(7) {
-            assert_eq!(c.next_seek(t), s.next_seek(t), "sweep target {t}");
         }
     }
 
     #[test]
     fn empty_singleton_and_all_consecutive_lists() {
         let all: Vec<u32> = (0..BLOCK_LEN as u32 * 3).collect();
-        let a = arena_of(&[&[], &[9], &all]);
+        // A run spanning several blocks and ending mid-block, then a gap
+        // and a short tail: every seam a run block can meet.
+        let mut seams: Vec<u32> = (100..100 + 300).collect();
+        seams.extend([1000, 1003, 1009]);
+        let a = arena_of(&[&[], &[9], &all, &seams]);
         assert_eq!(decode(&a, 0), Vec::<u32>::new());
         assert_eq!(decode(&a, 1), [9]);
         assert_eq!(decode(&a, 2), all);
-        assert_eq!(a.cursor(0).next(), None);
-        assert_eq!(a.cursor(0).next_seek(0), None);
-        assert_eq!(a.cursor(1).next_seek(9), Some(9));
-        assert_eq!(a.cursor(1).next_seek(10), None);
-        // O(1) membership inside the run: every probe lands exactly.
-        for t in [0u32, 1, 127, 128, 129, 200, 383] {
-            let mut c = a.cursor(2);
-            assert_eq!(c.next_seek(t), Some(t), "run membership {t}");
-        }
-        assert_eq!(a.cursor(2).next_seek(384), None);
-    }
-
-    #[test]
-    fn cursor_seek_matches_slice_seek() {
-        let ids: Vec<u32> = (0..700).map(|i| i * i / 4 + i).collect();
-        let a = arena_of(&[&ids]);
-        for targets in [
-            vec![0u32, 1, 5, 1000, 100_000],
-            vec![ids[0], ids[ids.len() - 1], u32::MAX],
-            (0..50).map(|i| i * 977).collect(),
-        ] {
-            let mut c = a.cursor(0);
-            let mut s = SliceSeeker::new(&ids);
-            for &t in &targets {
-                assert_eq!(c.next_seek(t), s.next_seek(t), "target {t}");
-            }
-        }
+        assert_eq!(decode(&a, 3), seams);
+        assert_eq!(a.first_of(3), Some(100));
     }
 
     #[test]

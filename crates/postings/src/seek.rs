@@ -1,14 +1,11 @@
-//! The [`SeekingIterator`] contract, its raw-slice implementation, and the
-//! galloping set algebra written once over the trait.
+//! Set algebra over sorted id slices: intersection and difference, with
+//! galloping where one side can skip far ahead in the other.
 //!
-//! A seeking iterator yields a strictly ascending id sequence and supports
-//! `next_seek(t)`: advance to the first remaining id `>= t` without visiting
-//! every id in between. On slices that is galloping (exponential probe +
-//! binary search) so an intersection of a small list against a large one
-//! costs `O(small · log large)` instead of `O(small + large)`; on compressed
-//! blocks it is a skip-directory jump (see [`crate::PostingCursor`]). The
-//! merge loops below only ever talk to the trait, which is what makes raw
-//! and compressed serving paths bit-identical.
+//! A gallop finds the first remaining id `>= t` without visiting every id
+//! in between: an exponential probe brackets `t`, then a binary search
+//! inside the bracket lands on it. An intersection of a small list against
+//! a large one then costs `O(small · log large)` instead of
+//! `O(small + large)`.
 
 /// Conversion between a caller's id newtype and the `u32` ids this crate
 /// stores. Implemented here for `u32`; index and graph crates implement it
@@ -31,79 +28,26 @@ impl PostingId for u32 {
     }
 }
 
-/// An iterator over a strictly ascending sorted id list that can skip
-/// forward. The two methods are the entire serving contract of a posting
-/// list, whatever its physical representation.
-pub trait SeekingIterator {
-    /// The next id, or `None` when exhausted.
-    fn next(&mut self) -> Option<u32>;
-
-    /// Advances to (and returns) the first remaining id `>= target`,
-    /// consuming everything before it. Ids already returned are never
-    /// revisited: if the iterator has passed `target`, this behaves like
-    /// [`SeekingIterator::next`].
-    fn next_seek(&mut self, target: u32) -> Option<u32>;
-
-    /// Exact number of ids left, in `O(1)`. Every physical representation
-    /// knows its length up front, and [`intersect_seeking`] uses the two
-    /// sides' remainders to choose between galloping and linear stepping.
-    fn remaining(&self) -> usize;
-}
-
-/// [`SeekingIterator`] over a raw sorted slice — the representation used by
-/// live `IndexGraph` extents and frozen CSR arenas.
+/// The first position `>= from` of the strictly ascending `s` whose id is
+/// `>= target`, or `s.len()`.
 ///
-/// `next_seek` first checks the very next element (the dense fast path: on
-/// heavily interleaved lists galloping must not be slower than a linear
-/// merge), then gallops — exponential probe to bracket the target, binary
-/// search inside the bracket.
-pub struct SliceSeeker<'a, T: PostingId> {
-    s: &'a [T],
-    pos: usize,
-}
-
-impl<'a, T: PostingId> SliceSeeker<'a, T> {
-    /// Wraps a sorted, strictly ascending slice.
-    pub fn new(s: &'a [T]) -> Self {
-        SliceSeeker { s, pos: 0 }
+/// Checks `s[from]` first (the dense fast path: on heavily interleaved
+/// lists galloping must not be slower than a linear merge), then gallops.
+fn gallop<T: PostingId>(s: &[T], from: usize, target: u32) -> usize {
+    let n = s.len();
+    if from >= n || s[from].to_u32() >= target {
+        return from;
     }
-}
-
-impl<T: PostingId> SeekingIterator for SliceSeeker<'_, T> {
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        let v = self.s.get(self.pos)?.to_u32();
-        self.pos += 1;
-        Some(v)
+    // After the loop `s[lo] < target` and the first element `>= target`
+    // (if any) lies in `s[lo + 1 .. hi]`.
+    let mut lo = from;
+    let mut step = 1usize;
+    while lo + step < n && s[lo + step].to_u32() < target {
+        lo += step;
+        step <<= 1;
     }
-
-    fn next_seek(&mut self, target: u32) -> Option<u32> {
-        let n = self.s.len();
-        if self.pos >= n {
-            return None;
-        }
-        // Dense fast path: the target is often the very next element.
-        if self.s[self.pos].to_u32() >= target {
-            return self.next();
-        }
-        // Gallop: after the loop `s[lo] < target` and the first element
-        // `>= target` (if any) lies in `s[lo+1 .. hi]`.
-        let mut lo = self.pos;
-        let mut step = 1usize;
-        while lo + step < n && self.s[lo + step].to_u32() < target {
-            lo += step;
-            step <<= 1;
-        }
-        let hi = (lo + step + 1).min(n);
-        let off = self.s[lo + 1..hi].partition_point(|x| x.to_u32() < target);
-        self.pos = lo + 1 + off;
-        self.next()
-    }
-
-    #[inline]
-    fn remaining(&self) -> usize {
-        self.s.len() - self.pos
-    }
+    let hi = (lo + step + 1).min(n);
+    lo + 1 + s[lo + 1..hi].partition_point(|x| x.to_u32() < target)
 }
 
 /// Sides whose lengths are within this factor of each other intersect by
@@ -114,170 +58,107 @@ impl<T: PostingId> SeekingIterator for SliceSeeker<'_, T> {
 /// needs the lists to be lopsided.
 const GALLOP_RATIO: usize = 8;
 
-/// Intersection of two seeking iterators.
+/// Intersection of two strictly ascending slices, emitted in order.
 ///
 /// When one side is much shorter than the other (by `GALLOP_RATIO`), the
-/// shorter side drives and the longer side seeks — runs of misses are
-/// skipped in logarithmic time. When the sides are comparable, seeking
-/// cannot skip anything and the loop degrades to a plain linear merge, so
-/// comparable inputs take a stepping loop that never seeks.
-pub fn intersect_seeking(a: impl SeekingIterator, b: impl SeekingIterator, emit: impl FnMut(u32)) {
-    let (ra, rb) = (a.remaining(), b.remaining());
-    if ra.max(rb) < GALLOP_RATIO * ra.min(rb).max(1) {
+/// side that is behind gallops to the other's current id, so runs of misses
+/// are skipped in logarithmic time. When the sides are comparable,
+/// galloping cannot skip anything, so they take a stepping merge.
+pub fn intersect<T: PostingId>(a: &[T], b: &[T], emit: impl FnMut(T)) {
+    if a.len().max(b.len()) < GALLOP_RATIO * a.len().min(b.len()).max(1) {
         intersect_stepping(a, b, emit);
     } else {
         intersect_galloping(a, b, emit);
     }
 }
 
-fn intersect_galloping(
-    mut a: impl SeekingIterator,
-    mut b: impl SeekingIterator,
-    mut emit: impl FnMut(u32),
-) {
-    let (Some(mut x), Some(mut y)) = (a.next(), b.next()) else {
-        return;
-    };
-    loop {
+fn intersect_galloping<T: PostingId>(a: &[T], b: &[T], mut emit: impl FnMut(T)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i].to_u32(), b[j].to_u32());
         match x.cmp(&y) {
             core::cmp::Ordering::Equal => {
-                emit(x);
-                let (Some(nx), Some(ny)) = (a.next(), b.next()) else {
-                    return;
-                };
-                x = nx;
-                y = ny;
+                emit(a[i]);
+                i += 1;
+                j += 1;
             }
-            core::cmp::Ordering::Less => {
-                let Some(nx) = a.next_seek(y) else { return };
-                x = nx;
-            }
-            core::cmp::Ordering::Greater => {
-                let Some(ny) = b.next_seek(x) else { return };
-                y = ny;
-            }
+            core::cmp::Ordering::Less => i = gallop(a, i + 1, y),
+            core::cmp::Ordering::Greater => j = gallop(b, j + 1, x),
         }
     }
 }
 
-/// Linear-stepping intersection: both sides advance by `next()` only.
-/// Equivalent output to the galloping loop, better constant factor when
-/// neither side can skip far.
-fn intersect_stepping(
-    mut a: impl SeekingIterator,
-    mut b: impl SeekingIterator,
-    mut emit: impl FnMut(u32),
-) {
-    let (Some(mut x), Some(mut y)) = (a.next(), b.next()) else {
-        return;
-    };
-    loop {
-        match x.cmp(&y) {
+/// Linear-stepping intersection: both sides advance one id at a time.
+/// Same output as the galloping loop, better constant factor when neither
+/// side can skip far.
+fn intersect_stepping<T: PostingId>(a: &[T], b: &[T], mut emit: impl FnMut(T)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].to_u32().cmp(&b[j].to_u32()) {
             core::cmp::Ordering::Equal => {
-                emit(x);
-                let (Some(nx), Some(ny)) = (a.next(), b.next()) else {
-                    return;
-                };
-                x = nx;
-                y = ny;
+                emit(a[i]);
+                i += 1;
+                j += 1;
             }
-            core::cmp::Ordering::Less => {
-                let Some(nx) = a.next() else { return };
-                x = nx;
-            }
-            core::cmp::Ordering::Greater => {
-                let Some(ny) = b.next() else { return };
-                y = ny;
-            }
+            core::cmp::Ordering::Less => i += 1,
+            core::cmp::Ordering::Greater => j += 1,
         }
     }
 }
 
-/// Difference `a \ b` over seeking iterators: every id of `a` is emitted
-/// unless `b` (which only ever seeks forward) produces it.
-pub fn difference_seeking(
-    mut a: impl SeekingIterator,
-    mut b: impl SeekingIterator,
-    mut emit: impl FnMut(u32),
-) {
-    let mut y = b.next();
-    while let Some(x) = a.next() {
-        if let Some(cur) = y {
-            if cur < x {
-                y = b.next_seek(x);
-            }
-        }
-        if y != Some(x) {
+/// Difference `a \ b` of two strictly ascending slices: every id of `a` is
+/// emitted, in order, unless `b` holds it. `b` is only ever galloped
+/// forward.
+pub fn difference<T: PostingId>(a: &[T], b: &[T], mut emit: impl FnMut(T)) {
+    let mut j = 0;
+    for &x in a {
+        j = gallop(b, j, x.to_u32());
+        if b.get(j).is_none_or(|y| y.to_u32() != x.to_u32()) {
             emit(x);
         }
     }
-}
-
-/// Union of two seeking iterators — a plain two-way merge (every element of
-/// both inputs is emitted, so seeking cannot skip work here).
-pub fn union_seeking(
-    mut a: impl SeekingIterator,
-    mut b: impl SeekingIterator,
-    mut emit: impl FnMut(u32),
-) {
-    let mut x = a.next();
-    let mut y = b.next();
-    loop {
-        match (x, y) {
-            (Some(u), Some(v)) => match u.cmp(&v) {
-                core::cmp::Ordering::Equal => {
-                    emit(u);
-                    x = a.next();
-                    y = b.next();
-                }
-                core::cmp::Ordering::Less => {
-                    emit(u);
-                    x = a.next();
-                }
-                core::cmp::Ordering::Greater => {
-                    emit(v);
-                    y = b.next();
-                }
-            },
-            (Some(u), None) => {
-                emit(u);
-                x = a.next();
-            }
-            (None, Some(v)) => {
-                emit(v);
-                y = b.next();
-            }
-            (None, None) => return,
-        }
-    }
-}
-
-/// Membership probe: does the iterator's remaining sequence contain
-/// `target`? A single seek — `O(log n)` on slices, one skip-directory jump
-/// plus a block scan on compressed lists.
-#[inline]
-pub fn contains_seeking(mut it: impl SeekingIterator, target: u32) -> bool {
-    it.next_seek(target) == Some(target)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn seek_all(s: &[u32], targets: &[u32]) -> Vec<Option<u32>> {
-        let mut it = SliceSeeker::new(s);
-        targets.iter().map(|&t| it.next_seek(t)).collect()
+    /// Local PRNG so tests stay dependency-free and reproducible.
+    struct SplitMix64(u64);
+    impl SplitMix64 {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n.max(1)
+        }
     }
 
-    #[test]
-    fn slice_next_yields_all() {
-        let s = [1u32, 4, 9, 100];
-        let mut it = SliceSeeker::new(&s);
+    /// Each target's landing when galloped to in turn from the front.
+    fn seek_all(s: &[u32], targets: &[u32]) -> Vec<Option<u32>> {
+        let mut pos = 0;
+        targets
+            .iter()
+            .map(|&t| {
+                pos = gallop(s, pos, t);
+                let hit = s.get(pos).copied();
+                pos = (pos + 1).min(s.len());
+                hit
+            })
+            .collect()
+    }
+
+    fn intersection(a: &[u32], b: &[u32]) -> Vec<u32> {
         let mut out = Vec::new();
-        while let Some(v) = it.next() {
-            out.push(v);
-        }
-        assert_eq!(out, s);
+        intersect(a, b, |v| out.push(v));
+        out
+    }
+
+    fn minus(a: &[u32], b: &[u32]) -> Vec<u32> {
+        let mut out = Vec::new();
+        difference(a, b, |v| out.push(v));
+        out
     }
 
     #[test]
@@ -306,27 +187,17 @@ mod tests {
     fn intersect_matches_naive() {
         let a = [1u32, 3, 5, 7, 9, 11, 500, 501];
         let b = [2u32, 3, 4, 9, 500, 502];
-        let mut out = Vec::new();
-        intersect_seeking(SliceSeeker::new(&a), SliceSeeker::new(&b), |v| out.push(v));
-        assert_eq!(out, [3, 9, 500]);
+        assert_eq!(intersection(&a, &b), [3, 9, 500]);
+        assert_eq!(intersection(&a, &[]), Vec::<u32>::new());
     }
 
     #[test]
     fn difference_matches_naive() {
         let a = [1u32, 3, 5, 7, 9];
         let b = [0u32, 3, 4, 9, 10];
-        let mut out = Vec::new();
-        difference_seeking(SliceSeeker::new(&a), SliceSeeker::new(&b), |v| out.push(v));
-        assert_eq!(out, [1, 5, 7]);
-    }
-
-    #[test]
-    fn union_merges_and_dedups() {
-        let a = [1u32, 3, 5];
-        let b = [2u32, 3, 6];
-        let mut out = Vec::new();
-        union_seeking(SliceSeeker::new(&a), SliceSeeker::new(&b), |v| out.push(v));
-        assert_eq!(out, [1, 2, 3, 5, 6]);
+        assert_eq!(minus(&a, &b), [1, 5, 7]);
+        assert_eq!(minus(&a, &[]), a);
+        assert_eq!(minus(&[], &b), Vec::<u32>::new());
     }
 
     #[test]
@@ -347,44 +218,42 @@ mod tests {
                 .filter(|x| b.binary_search(x).is_ok())
                 .copied()
                 .collect();
-            let mut via_cutoff = Vec::new();
-            intersect_seeking(SliceSeeker::new(a), SliceSeeker::new(b), |v| {
-                via_cutoff.push(v)
-            });
-            assert_eq!(via_cutoff, naive);
+            assert_eq!(intersection(a, b), naive);
             let mut stepped = Vec::new();
-            intersect_stepping(SliceSeeker::new(a), SliceSeeker::new(b), |v| {
-                stepped.push(v)
-            });
+            intersect_stepping(a, b, |v| stepped.push(v));
             let mut galloped = Vec::new();
-            intersect_galloping(SliceSeeker::new(a), SliceSeeker::new(b), |v| {
-                galloped.push(v)
-            });
+            intersect_galloping(a, b, |v| galloped.push(v));
             assert_eq!(stepped, naive);
             assert_eq!(galloped, naive);
         }
     }
 
+    /// Intersection and difference split `a` by membership in `b`, as a
+    /// `binary_search` probe decides it, on skewed pairs (one side far
+    /// sparser: galloping) and interleaved ones (comparable: stepping).
     #[test]
-    fn remaining_tracks_consumption() {
-        let s = [2u32, 3, 5, 8, 13];
-        let mut it = SliceSeeker::new(&s);
-        assert_eq!(it.remaining(), 5);
-        it.next();
-        assert_eq!(it.remaining(), 4);
-        assert_eq!(it.next_seek(6), Some(8));
-        assert_eq!(it.remaining(), 1);
-        assert_eq!(it.next(), Some(13));
-        assert_eq!(it.remaining(), 0);
-        assert_eq!(it.next(), None);
-        assert_eq!(it.remaining(), 0);
-    }
-
-    #[test]
-    fn contains_probes() {
-        let s = [10u32, 20, 30];
-        assert!(contains_seeking(SliceSeeker::new(&s), 20));
-        assert!(!contains_seeking(SliceSeeker::new(&s), 25));
-        assert!(!contains_seeking(SliceSeeker::<u32>::new(&[]), 0));
+    fn set_algebra_splits_by_membership_on_skewed_and_interleaved_inputs() {
+        let mut rng = SplitMix64(0x5e7_a16e);
+        let list = |rng: &mut SplitMix64, len: u64, gap: u64| -> Vec<u32> {
+            let mut cur = rng.below(gap) as u32;
+            (0..len)
+                .map(|_| {
+                    cur += 1 + rng.below(gap) as u32;
+                    cur
+                })
+                .collect()
+        };
+        for round in 0..60 {
+            let (a, b) = match round % 3 {
+                0 => (list(&mut rng, 20, 400), list(&mut rng, 3000, 3)),
+                1 => (list(&mut rng, 3000, 3), list(&mut rng, 20, 400)),
+                _ => (list(&mut rng, 800, 4), list(&mut rng, 700, 5)),
+            };
+            let (inside, outside): (Vec<u32>, Vec<u32>) =
+                a.iter().partition(|x| b.binary_search(x).is_ok());
+            assert_eq!(intersection(&a, &b), inside, "round {round}");
+            assert_eq!(intersection(&b, &a), inside, "round {round}");
+            assert_eq!(minus(&a, &b), outside, "round {round}");
+        }
     }
 }

@@ -719,10 +719,11 @@ fn paged_file_renamed_over_the_boot_path_is_never_served() {
 /// Four workers serve one paged snapshot through one page cache under one
 /// budget: concurrent clients' answers all match the oracle, and the
 /// resident page bytes STATS reports never exceed `paged_cache_bytes`.
-/// The answer cache admits nothing, so every query reads pages.
+/// The answer cache admits nothing, so every query reads pages, and the
+/// budget holds only part of the pages the queries read.
 #[test]
 fn workers_share_one_page_cache_within_its_budget() {
-    const BUDGET: u64 = 12 * 64;
+    const BUDGET: u64 = 6 * 64;
     const QUERIES: &[&str] = &[
         "//person/name",
         "//item/name",

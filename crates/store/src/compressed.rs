@@ -48,7 +48,7 @@ use std::path::Path;
 use mrx_graph::{FrozenGraph, LabelId, NodeId, PackedGraphCsr};
 use mrx_index::{CompressedIndex, CompressedMStar, IdxId, SubnodeLinks};
 use mrx_path::PathExpr;
-use mrx_postings::{PostingArena, SeekingIterator};
+use mrx_postings::PostingArena;
 
 use crate::format::{
     check_version, format_err, read_section_bounded, to_payload, write_section, StoreError,
@@ -134,8 +134,8 @@ fn write_arena<W: Write>(w: &mut HashingWriter<W>, a: &PostingArena) -> io::Resu
 }
 
 /// Reads a posting arena, running the full payload validation of
-/// [`PostingArena::from_parts`] so every later cursor traversal is
-/// in-bounds by construction.
+/// [`PostingArena::from_parts`] so every later walk is in-bounds by
+/// construction.
 fn read_arena(r: &mut HashingReader<&[u8]>, name: &str) -> Result<PostingArena, StoreError> {
     let data = read_bytes(r, name)?;
     let block_first = read_arr(r, name, |v| v)?;
@@ -274,8 +274,8 @@ fn read_compressed_component_payload(
         .map_err(format_err)
 }
 
-/// Inverts `c`'s extents into the scratch map `node_of` through the
-/// cursors — the only full decode pass a load pays for extents — proving
+/// Inverts `c`'s extents into the scratch map `node_of`, decoding each
+/// list once — the only full decode pass a load pays for extents — proving
 /// that every member is a data node of `g` and in exactly one extent and
 /// that the extents cover `g`, then records the node holding `g`'s root
 /// and derives the links below `coarse`. Rows come from the extents
@@ -293,16 +293,22 @@ fn link_component(
     node_of.resize(g.node_count(), IdxId(u32::MAX));
     let mut covered = 0usize;
     for v in 0..lists {
-        let mut cur = c.extents.cursor(v);
-        while let Some(o) = cur.next() {
-            let slot = node_of
-                .get_mut(o as usize)
-                .ok_or_else(|| format_err(format!("extent member {o} out of range")))?;
-            if *slot != IdxId(u32::MAX) {
-                return Err(format_err(format!("data node {o} in two extents")));
-            }
-            *slot = IdxId(v as u32);
-            covered += 1;
+        // The walk cannot stop early, so it keeps the first fault.
+        let mut fault = None;
+        c.extents
+            .for_each(v, |o| match node_of.get_mut(o as usize) {
+                _ if fault.is_some() => {}
+                None => fault = Some(format!("extent member {o} out of range")),
+                Some(slot) if *slot != IdxId(u32::MAX) => {
+                    fault = Some(format!("data node {o} in two extents"))
+                }
+                Some(slot) => {
+                    *slot = IdxId(v as u32);
+                    covered += 1;
+                }
+            });
+        if let Some(msg) = fault {
+            return Err(format_err(msg));
         }
     }
     if covered != g.node_count() {

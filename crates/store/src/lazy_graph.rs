@@ -51,7 +51,6 @@
 )]
 
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use mrx_graph::{FrozenGraph, GraphView, LabelId, NodeId};
@@ -225,7 +224,6 @@ pub struct LazyGraph {
     children: OnceLock<Csr>,
     /// Derived from `labels`.
     labelext: OnceLock<Csr>,
-    lazy_bytes: AtomicU64,
 }
 
 impl LazyGraph {
@@ -242,7 +240,6 @@ impl LazyGraph {
             parents: OnceLock::new(),
             children: OnceLock::new(),
             labelext: OnceLock::new(),
-            lazy_bytes: AtomicU64::new(0),
         }
     }
 
@@ -268,7 +265,6 @@ impl LazyGraph {
                 section: UNIT_NAMES[i].into(),
             });
         }
-        self.lazy_bytes.fetch_add(16 + expect, Ordering::Relaxed);
         Ok(buf)
     }
 
@@ -354,12 +350,6 @@ impl LazyGraph {
     /// The root node (eager).
     pub fn root(&self) -> NodeId {
         self.core.root
-    }
-
-    /// Bytes of unit sections materialized so far (frames included) —
-    /// the lazy complement of the reader's eager `bytes_read`.
-    pub fn lazy_bytes_loaded(&self) -> u64 {
-        self.lazy_bytes.load(Ordering::Relaxed)
     }
 
     /// Digest-checks both unit sections straight from the source

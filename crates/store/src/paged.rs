@@ -59,15 +59,16 @@
 //!
 //! **What loads eagerly** (at [`PagedFile::open`]): the 64-byte header,
 //! the graph core (counts, root, label names — all query compilation
-//! needs), the meta directory, and the page table — a few kilobytes
-//! regardless of corpus size. **What loads on first touch**: the two
-//! graph unit sections, each one bulk read digest-checked with the
-//! word-folded FNV-64 and decoded by the checked codec as it materializes
-//! into [`LazyGraph`] (a top-down Proven query touches only `labels` and
-//! `parents`; see `lazy_graph`), and the per-component meta sections (a
-//! prefix `I0..Ij` exactly like [`crate::CompressedFile`]), whose links
-//! are validated at activation to form a tree that splits every coarse
-//! extent. **What never loads
+//! needs), the meta directory, the page table, and the region's two skip
+//! directories, read through the cache so their pages verify and then
+//! shape-checked whole — eight bytes per 128-id block. **What loads on
+//! first touch**: the two graph unit sections, each one bulk read
+//! digest-checked with the word-folded FNV-64 and decoded by the checked
+//! codec as it materializes into [`LazyGraph`] (a top-down Proven query
+//! touches only `labels` and `parents`; see `lazy_graph`), and the
+//! per-component meta sections (a prefix `I0..Ij` exactly like
+//! [`crate::CompressedFile`]), whose links are validated at activation to
+//! form a tree that splits every coarse extent. **What never loads
 //! whole**: the extent payload, which dominates the file. It is served
 //! page-by-page through [`PagedArena`], with each 64 KiB page verified
 //! against its checksum the first time it faults in — integrity checking
@@ -105,8 +106,8 @@ use mrx_index::{
 };
 use mrx_pagecache::{
     fnv64, fnv64_words, page_checksums, ArenaLayout, BytesSource, FileSource, PageCache,
-    PageSource, PageStats, PagedArena, RunList, DEFAULT_CACHE_BYTES, DEFAULT_PAGE_SIZE,
-    MAX_PAGE_SIZE, MIN_PAGE_SIZE,
+    PageSource, PageStats, PagedArena, RunList, SkipDirectories, DEFAULT_CACHE_BYTES,
+    DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE,
 };
 use mrx_path::PathExpr;
 use mrx_postings::{put_rows, put_words, CodecError, PostingArena, RowOrder, RowReader};
@@ -324,20 +325,18 @@ trait ReadSeek: Read + Seek {}
 impl<T: Read + Seek> ReadSeek for T {}
 
 /// Decodes a meta section payload into an unassembled [`PagedIndex`]
-/// below `coarse`, whose extents read through `cache` over a universe of
-/// `universe` data nodes labelled below `num_labels`. The subnode links
-/// are checked first, because they decide which lists the component
-/// stores: a node that is its supernode's only subnode shares the
+/// below `coarse`, whose extents run over `dirs`, with nodes labelled
+/// below `num_labels`. The subnode links are checked first, because they
+/// decide which lists the component stores: a node that is its
+/// supernode's only subnode shares the
 /// supernode's list, and every other node takes the next stored list, in a
 /// run that starts where `coarse`'s ends. The parent rows are left for
 /// [`PagedIndex::assemble`](mrx_index::SnapshotIndex::assemble) to derive;
 /// it and [`PagedArena::run`] check the rest.
 fn read_paged_meta(
     bytes: &[u8],
-    cache: &Arc<PageCache>,
-    layout: ArenaLayout,
+    dirs: &SkipDirectories,
     coarse: Option<&PagedIndex>,
-    universe: u32,
     num_labels: usize,
 ) -> Result<PagedIndex, StoreError> {
     let (fixed, codec) = bytes
@@ -387,7 +386,7 @@ fn read_paged_meta(
         labels,
         k,
         genuine,
-        extents: PagedArena::run(cache.clone(), layout, first_block, &lists, universe)?,
+        extents: PagedArena::run(dirs, first_block, &lists)?,
         child_off,
         child_tgt,
         // Not stored: `assemble` derives them from the child rows.
@@ -439,7 +438,7 @@ impl PagedSections {
 ///
 /// Like [`crate::CompressedFile`], a top-down query of length `j` activates
 /// only components `I0..Ij`; unlike it, activation reads just the meta
-/// section (kilobytes) — the extent payload stays on disk until cursors
+/// section (kilobytes) — the extent payload stays on disk until walks
 /// fault its pages in. There is **no degradation path**: see the module
 /// docs for why corruption is a typed error here.
 pub struct PagedFile {
@@ -454,8 +453,8 @@ pub struct PagedFile {
     /// components have loaded.
     star: PagedMStar,
     cache: Arc<PageCache>,
-    /// The region-wide extent arena every component runs over.
-    layout: ArenaLayout,
+    /// The region-wide skip directories every component runs over.
+    dirs: SkipDirectories,
     paged_off: u64,
     bytes_read: u64,
     epoch_checked: bool,
@@ -606,6 +605,7 @@ impl PagedFile {
         )?;
         let cache = PageCache::new(source, paged_off, paged_len, page_size, sums, cache_bytes)?;
         let graph = LazyGraph::new(core, unit_off, cache.clone());
+        let dirs = SkipDirectories::read(cache.clone(), layout, graph.node_count() as u32)?;
         let bytes_read = HEADER_LEN_PAGED + glen + 8 * ncomp as u64 + tlen;
         let sections = PagedSections {
             header: HEADER_LEN_PAGED,
@@ -625,7 +625,7 @@ impl PagedFile {
                 epoch: star_epoch,
             },
             cache,
-            layout,
+            dirs,
             paged_off,
             bytes_read,
             epoch_checked: false,
@@ -678,7 +678,7 @@ impl PagedFile {
     }
 
     /// Cache counters: faults, hits, evictions, checksum failures, and
-    /// the resident/pinned footprint.
+    /// the resident footprint.
     pub fn page_stats(&self) -> PageStats {
         self.cache.stats()
     }
@@ -718,10 +718,10 @@ impl PagedFile {
                 )));
             }
             let end = components.last().map_or(0, |c| c.extents.run_end());
-            if end != self.layout.nblocks {
+            if end != self.dirs.nblocks() {
                 return Err(format_err(format!(
                     "components read {end} of the region's {} extent blocks",
-                    self.layout.nblocks
+                    self.dirs.nblocks()
                 )));
             }
             self.epoch_checked = true;
@@ -729,29 +729,19 @@ impl PagedFile {
         Ok(())
     }
 
-    /// Reads and activates component `Ii`: decode its meta section, pin
+    /// Reads and activates component `Ii`: decode its meta section, check
     /// its run of the skip directories, and validate the resident arrays,
     /// the links to `I(i−1)` included.
     fn read_component(&mut self, i: usize) -> Result<PagedIndex, StoreError> {
         self.reader.seek(SeekFrom::Start(self.offsets[i]))?;
         let budget = self.paged_off.saturating_sub(self.offsets[i]);
-        let (cache, universe) = (&self.cache, self.graph.node_count() as u32);
         let num_labels = self.graph.num_labels();
         let coarse = self.star.components.last();
         let (c, len) = read_section_bounded(
             &mut self.reader,
             &format!("component {i}"),
             Some(budget),
-            |r| {
-                read_paged_meta(
-                    r.take_rest(),
-                    cache,
-                    self.layout,
-                    coarse,
-                    universe,
-                    num_labels,
-                )
-            },
+            |r| read_paged_meta(r.take_rest(), &self.dirs, coarse, num_labels),
         )?;
         self.bytes_read += len;
         c.assemble(
@@ -862,10 +852,7 @@ mod tests {
         }
         let s = f.page_stats();
         assert!(s.evictions > 0, "tiny budget must evict: {s:?}");
-        // Pinned skip-directory pages are exempt from the budget; the
-        // evictable residency must respect it.
-        let evictable = (s.resident_pages - s.pinned_pages) * 64;
-        assert!(evictable <= 4 * 64, "budget overrun: {s:?}");
+        assert!(s.resident_bytes <= 4 * 64, "budget overrun: {s:?}");
     }
 
     #[test]
@@ -936,18 +923,31 @@ mod tests {
             other => panic!("expected page checksum error, got {other:?}"),
         }
         // ...and a query that faults any damaged page gets the typed error
-        // instead of an answer (flip one bit per page so every fault hits).
+        // instead of an answer (flip one bit per payload page, short of the
+        // directories the open reads, so every fault hits).
+        let data_len = le_u64(&img[56..64]) as usize;
         let mut bad = img.clone();
-        for p in (0..paged_len).step_by(64) {
+        for p in (0..data_len / 64 * 64).step_by(64) {
             bad[paged_off + p] ^= 0x40;
         }
         let mut f = PagedFile::open_bytes(bad, DEFAULT_CACHE_BYTES).unwrap();
-        let q = PathExpr::parse("//lastname").unwrap();
+        let q = PathExpr::parse("//author").unwrap();
         match serve(&mut f, &q, TrustPolicy::Proven) {
             Err(MrxError::Store(StoreError::Checksum { section })) => {
                 assert!(section.starts_with("page "), "{section}")
             }
             other => panic!("corrupt page served: {other:?}"),
+        }
+        // A flip in either skip directory is refused when the file opens.
+        for at in [data_len, paged_len - 1] {
+            let mut dir = img.clone();
+            dir[paged_off + at] ^= 0x40;
+            match PagedFile::open_bytes(dir, DEFAULT_CACHE_BYTES).err() {
+                Some(StoreError::Checksum { section }) => {
+                    assert!(section.starts_with("page "), "{section}")
+                }
+                other => panic!("directory flip at region byte {at}: {other:?}"),
+            }
         }
         // The clean image still verifies end to end.
         PagedFile::open_bytes(img, DEFAULT_CACHE_BYTES)
@@ -1120,17 +1120,20 @@ mod tests {
         let (_g, cz, fg, img) = image(64);
         let paged_off = le_u64(&img[16..24]) as usize;
         let paged_len = le_u64(&img[24..32]) as usize;
+        // The open reads the skip directories, so a flip in any 64-byte
+        // page they touch fails there, before anything can serve.
+        let dirs_from = le_u64(&img[56..64]) as usize / 64 * 64;
         let queries: Vec<PathExpr> = EXPRS.iter().map(|e| PathExpr::parse(e).unwrap()).collect();
         let mut faulted = 0;
         for at in (0..paged_len).step_by(61) {
             let mut bad = img.clone();
             bad[paged_off + at] ^= 0x10;
-            // A flip inside a pinned skip directory fails activation instead.
-            let Ok((graph, star, cache)) =
-                PagedFile::open_bytes(bad, DEFAULT_CACHE_BYTES).and_then(PagedFile::into_parts)
-            else {
+            let opened = PagedFile::open_bytes(bad, DEFAULT_CACHE_BYTES);
+            if at >= dirs_from {
+                assert!(opened.is_err(), "flip at region byte {at} passed the open");
                 continue;
-            };
+            }
+            let (graph, star, cache) = opened.and_then(PagedFile::into_parts).unwrap();
             let mut session = QuerySession::new(TrustPolicy::Proven);
             for q in &queries {
                 let ctx = format!("flip at region byte {at}, {q}");

@@ -22,10 +22,12 @@
 //!   flipped image must fail with `StoreError::Checksum`, so no block
 //!   decoder ever sees a flipped bit;
 //! * **paged-region bit flips** — every 31st bit of a v9 paged region cut
-//!   into 256-byte pages. The open must succeed (the region is lazy), the
-//!   page walk must name a corrupt page, and each query must return the
-//!   clean answer (its pages were never touched) or fail with a typed
-//!   checksum error at first touch;
+//!   into 256-byte pages. The open reads the skip directories at the
+//!   region's end, so a flip in a page they touch must fail the open with
+//!   a page checksum error. Elsewhere the open must succeed (the payload
+//!   is lazy), the page walk must name a corrupt page, and each query must
+//!   return the clean answer (its pages were never touched) or fail with a
+//!   typed checksum error at first touch;
 //! * **resealed link rows** — in every v9 component below `I0`, a row of
 //!   the subnode links with two subnodes is made to look sole, and a sole
 //!   row made to look split, by moving one row boundary, re-encoding the
@@ -230,19 +232,33 @@ fn payload_flips(image: &[u8]) -> usize {
     bits.len()
 }
 
-/// Flips every [`REGION_STRIDE`]-th bit of a v9 image's paged region. The open
-/// must succeed, [`PagedFile::verify`] must name a corrupt page, and each
-/// query must return its clean answer or fail with a checksum error: the
-/// checksum runs on page fault, before any block decode sees the page.
+/// Flips every [`REGION_STRIDE`]-th bit of a v9 image's paged region. A
+/// flip in a page the skip directories touch must fail the open with a
+/// page checksum error. Otherwise the open must succeed,
+/// [`PagedFile::verify`] must name a corrupt page, and each query must
+/// return its clean answer or fail with a checksum error: the checksum runs
+/// on page fault, before any block decode sees the page.
 /// Returns (bits flipped, flips caught mid-query).
 fn region_flips(image: &[u8], queries: &[PathExpr], clean: &[Vec<NodeId>]) -> (usize, u64) {
     let le_u64 = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
-    let (paged_off, paged_len) = (le_u64(16), le_u64(24));
+    let (paged_off, paged_len, data_len) = (le_u64(16), le_u64(24), le_u64(56));
+    let page = u32::from_le_bytes(image[40..44].try_into().unwrap()) as usize;
+    // The directories follow the payload; the open reads every page they touch.
+    let dirs_from = (paged_off + data_len / page * page) as u64 * 8;
     let bits = sampled_bits(&[(paged_off, paged_off + paged_len)], REGION_STRIDE);
     let mid_query = AtomicU64::new(0);
     for_each_flip(image, &bits, |bit, img| {
-        let mut f = PagedFile::open_bytes(img, CACHE)
-            .unwrap_or_else(|e| panic!("v9: the open read the lazy region (bit {bit}): {e}"));
+        let opened = PagedFile::open_bytes(img, CACHE);
+        if bit >= dirs_from {
+            match opened {
+                Err(StoreError::Checksum { ref section }) if section.starts_with("page ") => {}
+                Err(e) => panic!("v9: directory bit {bit} refused as a non-checksum error: {e}"),
+                Ok(_) => panic!("v9: the open missed a flip of directory bit {bit}"),
+            }
+            return;
+        }
+        let mut f = opened
+            .unwrap_or_else(|e| panic!("v9: the open read the lazy payload (bit {bit}): {e}"));
         match f.verify() {
             Err(StoreError::Checksum { ref section }) if section.starts_with("page ") => {}
             other => panic!("v9: flip of region bit {bit} escaped the page walk: {other:?}"),

@@ -24,20 +24,20 @@ echo "==> rustdoc (warnings are errors, so doc links to deleted or private items
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> set-algebra gate: no hand-rolled sorted-slice merges outside mrx-postings"
-# Sorted-id intersection/union/difference must go through the seeking-
-# iterator algebra in crates/postings (SliceSeeker / PostingCursor +
-# *_seeking), so raw, compressed, and paged extents share one algorithm.
-# A two-pointer merge loop over two slices is the telltale of a bypass.
-# Allowlisted: the postings crate itself.
+# Sorted-id intersection and difference must go through the slice
+# functions in crates/postings (mrx_postings::intersect, which gallops on
+# lopsided inputs, and mrx_postings::difference), so every caller shares
+# one tested algorithm. A two-pointer merge loop over two slices is the
+# telltale of a bypass. Allowlisted: the postings crate itself.
 merges=$(grep -rn --include='*.rs' -E \
   'while [a-z_]+ < [a-z_]+\.len\(\) && [a-z_]+ < [a-z_]+\.len\(\)' crates \
   | grep -v 'crates/postings/' || true)
 if [ -n "$merges" ]; then
-  echo "direct sorted-slice merge outside mrx-postings (use the seeking-iterator algebra):"
+  echo "direct sorted-slice merge outside mrx-postings (use mrx_postings::{intersect, difference}):"
   echo "$merges"
   exit 1
 fi
-echo "    set algebra goes through the seeking iterators"
+echo "    set algebra goes through mrx_postings"
 
 echo "==> decode gate: raw varint decode stays confined to mrx-postings"
 # Tagged posting blocks are the one wire form for extents; every reader
