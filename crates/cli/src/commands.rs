@@ -462,16 +462,12 @@ fn query_paged(
         let s = file.page_stats();
         writeln!(
             out,
-            "pages: size={} faults={} hits={} evictions={} resident_bytes={} prefetched={} \
-             readahead_hits={} wasted_prefetches={}",
+            "pages: size={} faults={} hits={} evictions={} resident_bytes={}",
             file.page_size(),
             s.faults,
             s.hits,
             s.evictions,
-            s.resident_bytes,
-            s.prefetched,
-            s.readahead_hits,
-            s.wasted_prefetches
+            s.resident_bytes
         )?;
     }
     Ok(())

@@ -133,14 +133,8 @@ impl MStarIndex {
     /// The subnodes in `I(i+1)` of node `v` in `Ii`, in first-occurrence
     /// order.
     pub fn subnodes(&self, i: usize, v: IdxId) -> Vec<IdxId> {
-        let mut seen = vec![false; self.components[i + 1].slot_bound()];
-        self.subnodes_marked(i, v, &mut seen)
-    }
-
-    /// [`subnodes`](Self::subnodes) over a caller's all-false mark of
-    /// `I(i+1)`'s slots, which it leaves all-false again.
-    fn subnodes_marked(&self, i: usize, v: IdxId, seen: &mut [bool]) -> Vec<IdxId> {
         let fine = &self.components[i + 1];
+        let mut seen = vec![false; fine.slot_bound()];
         let mut out: Vec<IdxId> = Vec::new();
         for &o in self.components[i].extent(v) {
             let n = fine.node_of(o);
@@ -148,9 +142,6 @@ impl MStarIndex {
                 seen[n.index()] = true;
                 out.push(n);
             }
-        }
-        for n in &out {
-            seen[n.index()] = false;
         }
         out
     }
@@ -196,14 +187,13 @@ impl MStarIndex {
                     }
                 }
             }
-            // cross links from I(i-1) into Ii
-            let mut seen = vec![false; comp.slot_bound()];
-            for p in self.components[i - 1].iter() {
-                let subs = self.subnodes_marked(i - 1, p, &mut seen);
-                if subs.len() >= 2 {
-                    total += subs.len();
-                }
+            // cross links from I(i-1) into Ii: components nest, so each
+            // node of Ii is one subnode of its supernode.
+            let mut subs = vec![0usize; self.components[i - 1].slot_bound()];
+            for v in comp.iter() {
+                subs[self.supernode(i, v).index()] += 1;
             }
+            total += subs.iter().filter(|&&n| n >= 2).sum::<usize>();
         }
         total
     }

@@ -329,16 +329,8 @@ impl PagedArena {
     pub fn for_each(&self, i: usize, mut f: impl FnMut(u32)) {
         let blo = self.list_block[i] as usize;
         let bhi = blo + blocks_of(self.list_len[i]) as usize;
-        if blo == bhi {
-            return;
-        }
-        // A bulk walk reads the list's payload span front to back: hint
-        // the cache so the span's first pages arrive in one positioned
-        // read, and the sequential-fault detector batches the rest.
-        let off = &self.dirs.block_off;
-        let (lo, hi) = (off[blo], off[bhi]);
-        self.cache()
-            .readahead(self.dirs.data_off + u64::from(lo), u64::from(hi - lo));
+        // Each block is one cache lookup; a page enters memory only when
+        // a block on it is decoded.
         let mut remaining = self.list_len[i];
         let mut buf = [0u32; BLOCK_LEN];
         for b in blo..bhi {

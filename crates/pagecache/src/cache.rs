@@ -29,13 +29,8 @@ pub const MAX_PAGE_SIZE: u32 = 1 << 26;
 /// Sentinel page id marking an unoccupied frame.
 const EMPTY: u32 = u32::MAX;
 
-/// Readahead window: when a fault lands on the page right after the
-/// previous fault (a sequential walk), the next up-to-this-many pages are
-/// fetched with one positioned read instead of one fault each.
-const READAHEAD_PAGES: u32 = 8;
-
-/// Cache traffic counters, surfaced through `query --stats` and the page
-/// bench.
+/// Cache traffic counters, surfaced through `query --stats` and
+/// servebench.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PageStats {
     /// Pages read (and verified) from the source.
@@ -50,18 +45,12 @@ pub struct PageStats {
     pub resident_pages: u64,
     /// Bytes currently resident; the budget bounds every page.
     pub resident_bytes: u64,
-    /// Pages brought in speculatively by the readahead window (not counted
-    /// in `faults`).
-    pub prefetched: u64,
-    /// Page lookups whose frame was resident because readahead fetched it.
+    /// Always 0: a miss reads only the page it asks for, so no lookup is
+    /// served by a speculative read. Kept only while servebench reads it.
     pub readahead_hits: u64,
-    /// Prefetched pages evicted before any lookup touched them.
+    /// Always 0: no page is read speculatively, so none is evicted
+    /// untouched. Kept only while servebench reads it.
     pub wasted_prefetches: u64,
-    /// Cumulative integrity failures recorded via [`PageCache::poison`] on
-    /// any thread. Unlike the poison slots — which `take_poison` consumes
-    /// after every query — this counter survives, so long-running servers
-    /// can report how often a snapshot's pages failed verification.
-    pub poison_events: u64,
 }
 
 struct Frame {
@@ -69,8 +58,6 @@ struct Frame {
     page: u32,
     /// Clock reference bit: set on every hit, cleared by a sweep pass.
     referenced: bool,
-    /// Brought in by readahead and not yet touched by a lookup.
-    prefetched: bool,
     data: Box<[u8]>,
 }
 
@@ -85,10 +72,6 @@ struct Inner {
     budget: u64,
     /// Traffic counters; `resident_pages` is derived from `map` instead.
     stats: PageStats,
-    /// Most recently faulted-or-prefetched page; a demand fault on
-    /// `last_fault + 1` marks the walk as sequential and opens the
-    /// readahead window.
-    last_fault: u32,
     /// First integrity failure per thread (a query never spans threads):
     /// that thread's reads return sentinels, and its query entry point
     /// converts the failure into a typed error before any answer escapes.
@@ -173,7 +156,6 @@ impl PageCache {
                 hand: 0,
                 budget: budget.max(1),
                 stats: PageStats::default(),
-                last_fault: EMPTY,
                 poison: HashMap::new(),
             }),
         }))
@@ -229,21 +211,11 @@ impl PageCache {
         }
     }
 
-    /// Replaces the eviction byte budget, reclaiming immediately if the
-    /// cache is now over it.
-    pub fn set_budget(&self, budget: u64) {
-        let mut inner = self.lock();
-        inner.budget = budget.max(1);
-        Self::evict_for(&mut inner, 0);
-    }
-
     /// Records an integrity failure for the calling thread's query, so no
     /// other thread's query fails on it or takes it. The first poison wins;
     /// later ones are dropped (the first is the root cause).
     pub fn poison(&self, e: StoreError) {
-        let mut inner = self.lock();
-        inner.stats.poison_events += 1;
-        inner.set_poison(e);
+        self.lock().set_poison(e);
     }
 
     /// Whether the calling thread has recorded an integrity failure.
@@ -346,23 +318,14 @@ impl PageCache {
     }
 
     /// Resolves `page` to a resident frame slot, faulting it in (verified)
-    /// on miss. `None` means the fault failed and the poison records why.
+    /// on miss with one positioned read. `None` means the fault failed and
+    /// the poison records why.
     fn frame(&self, inner: &mut Inner, page: u32) -> Option<u32> {
         if let Some(&slot) = inner.map.get(&page) {
-            let f = &mut inner.slots[slot as usize];
-            f.referenced = true;
-            if f.prefetched {
-                f.prefetched = false;
-                inner.stats.readahead_hits += 1;
-            }
+            inner.slots[slot as usize].referenced = true;
             inner.stats.hits += 1;
             return Some(slot);
         }
-
-        // A fault on the page right after the previous one means the
-        // caller is walking forward — worth opening the readahead window
-        // once this fault lands.
-        let sequential = inner.last_fault != EMPTY && inner.last_fault.wrapping_add(1) == page;
 
         let len = self.page_len(page);
         // Reclaim before inserting so the new page can never evict itself.
@@ -383,29 +346,11 @@ impl PageCache {
             return None;
         }
 
-        let slot = Self::install(
-            inner,
-            Frame {
-                page,
-                referenced: true,
-                prefetched: false,
-                data,
-            },
-        );
-        inner.last_fault = page;
-        if sequential {
-            // The frame just faulted, which the caller is about to read,
-            // is safe here: a prefetch only fills the budget's headroom
-            // and never evicts.
-            self.prefetch(inner, page + 1, READAHEAD_PAGES);
-        }
-        Some(slot)
-    }
-
-    /// Inserts a verified frame, reusing a free slot when one exists.
-    fn install(inner: &mut Inner, frame: Frame) -> u32 {
-        let page = frame.page;
-        let len = frame.data.len() as u64;
+        let frame = Frame {
+            page,
+            referenced: true,
+            data,
+        };
         let slot = match inner.free.pop() {
             Some(s) => {
                 inner.slots[s as usize] = frame;
@@ -417,101 +362,8 @@ impl PageCache {
             }
         };
         inner.map.insert(page, slot);
-        inner.stats.resident_bytes += len;
-        slot
-    }
-
-    /// Speculatively fetches up to `want` contiguous non-resident pages
-    /// starting at `start` with **one** positioned read. Speculative work
-    /// never degrades the demand path: the window shrinks to the budget
-    /// headroom (a prefetch cannot evict its way over budget the way a
-    /// demand fault may), an I/O error aborts silently, and a page failing
-    /// its checksum is skipped (batch stops) without poisoning — if the
-    /// walk really reaches that page, the demand fault re-reads it and
-    /// poisons exactly as an unprefetched fault would.
-    fn prefetch(&self, inner: &mut Inner, start: u32, want: u32) {
-        let mut count = 0u32;
-        while count < want {
-            let p = start + count;
-            if p >= self.num_pages() || inner.map.contains_key(&p) {
-                break;
-            }
-            count += 1;
-        }
-        if count == 0 {
-            return;
-        }
-        // No eviction here, by design: speculative pages fill whatever
-        // headroom the budget has left and never reclaim a demand frame.
-        // Under cache pressure (budget ≈ working set) the window collapses
-        // to nothing and readahead turns itself off instead of thrashing
-        // the clock with pages the walk may never reach.
-        let headroom = inner.budget.saturating_sub(inner.stats.resident_bytes);
-        let mut take = 0u32;
-        let mut take_bytes = 0usize;
-        while take < count {
-            let len = self.page_len(start + take);
-            if (take_bytes + len) as u64 > headroom {
-                break;
-            }
-            take_bytes += len;
-            take += 1;
-        }
-        if take == 0 {
-            return;
-        }
-        let mut buf = vec![0u8; take_bytes];
-        let off = self.base + u64::from(start) * u64::from(self.page_size);
-        if self.source.read_at(off, &mut buf).is_err() {
-            return;
-        }
-        let mut pos = 0usize;
-        for page in start..start + take {
-            let len = self.page_len(page);
-            let data = &buf[pos..pos + len];
-            pos += len;
-            if fnv64_words(data) != self.checksums[page as usize] {
-                break;
-            }
-            Self::install(
-                inner,
-                Frame {
-                    page,
-                    referenced: true,
-                    prefetched: true,
-                    data: data.to_vec().into_boxed_slice(),
-                },
-            );
-            inner.stats.prefetched += 1;
-            // Chain the window: prefetched pages satisfy lookups without
-            // faulting, so the *next* demand fault lands right past the
-            // window and must still read as sequential.
-            inner.last_fault = page;
-        }
-    }
-
-    /// Readahead hint for a caller about to walk `[off, off + len)`
-    /// sequentially: batch-fetches the window's first non-resident pages
-    /// (bounded by the readahead window size) before the per-page lookups
-    /// begin. Out-of-range hints are clamped; a poisoned thread's are
-    /// ignored. Purely an optimization — identical results with or without.
-    pub fn readahead(&self, off: u64, len: u64) {
-        let mut inner = self.lock();
-        if inner.poisoned() || len == 0 || off >= self.region_len {
-            return;
-        }
-        let end = off.saturating_add(len).min(self.region_len);
-        let psz = u64::from(self.page_size);
-        let first = (off / psz) as u32;
-        let last = ((end - 1) / psz) as u32;
-        let mut p = first;
-        while p <= last && inner.map.contains_key(&p) {
-            p += 1;
-        }
-        if p > last {
-            return;
-        }
-        self.prefetch(&mut inner, p, (last - p + 1).min(READAHEAD_PAGES));
+        inner.stats.resident_bytes += len as u64;
+        Some(slot)
     }
 
     /// Clock sweep: reclaim frames until `need` more bytes fit in the
@@ -537,9 +389,6 @@ impl PageCache {
             }
             let page = f.page;
             f.page = EMPTY;
-            if f.prefetched {
-                inner.stats.wasted_prefetches += 1;
-            }
             inner.stats.resident_bytes -= f.data.len() as u64;
             f.data = Box::new([]);
             inner.map.remove(&page);
@@ -684,102 +533,16 @@ mod tests {
     }
 
     #[test]
-    fn sequential_walk_triggers_readahead() {
-        let bytes = region(64 * 32);
-        let cache = PageCache::over_bytes(bytes.clone(), 64, u64::MAX).unwrap();
-        let mut buf = [0u8; 64];
-        for p in 0..32u64 {
-            assert!(cache.read(p * 64, &mut buf));
-            assert_eq!(&buf[..], &bytes[(p * 64) as usize..][..64]);
-        }
-        let stats = cache.stats();
-        // Every page entered memory exactly once, most of them batched.
-        assert_eq!(stats.faults + stats.prefetched, 32, "{stats:?}");
-        assert!(stats.prefetched > stats.faults, "{stats:?}");
-        assert!(stats.readahead_hits > 0, "{stats:?}");
-        assert_eq!(stats.checksum_failures, 0);
-    }
-
-    #[test]
-    fn readahead_hint_prefetches_window() {
+    fn residency_is_exactly_what_was_read() {
         let bytes = region(64 * 16);
         let cache = PageCache::over_bytes(bytes.clone(), 64, u64::MAX).unwrap();
-        cache.readahead(0, 5 * 64);
-        let stats = cache.stats();
-        assert_eq!(stats.prefetched, 5, "{stats:?}");
-        assert_eq!(stats.faults, 0);
         let mut buf = [0u8; 64];
-        for p in 0..5u64 {
+        for p in 0..4u64 {
             assert!(cache.read(p * 64, &mut buf));
             assert_eq!(&buf[..], &bytes[(p * 64) as usize..][..64]);
         }
         let stats = cache.stats();
-        assert_eq!(stats.faults, 0, "{stats:?}");
-        assert_eq!(stats.readahead_hits, 5, "{stats:?}");
-        // Out-of-range and empty hints are harmless no-ops.
-        cache.readahead(64 * 160, 64);
-        cache.readahead(0, 0);
-    }
-
-    #[test]
-    fn unused_prefetches_count_as_wasted_on_eviction() {
-        let cache = PageCache::over_bytes(region(64 * 16), 64, u64::MAX).unwrap();
-        cache.readahead(0, 8 * 64);
-        assert_eq!(cache.stats().prefetched, 8);
-        cache.set_budget(2 * 64);
-        let stats = cache.stats();
-        assert!(stats.wasted_prefetches >= 6, "{stats:?}");
-    }
-
-    #[test]
-    fn prefetch_respects_budget_headroom() {
-        // Budget of three pages: a hint may only fill what fits.
-        let cache = PageCache::over_bytes(region(64 * 16), 64, 3 * 64).unwrap();
-        cache.readahead(0, 16 * 64);
-        let stats = cache.stats();
-        assert!(stats.resident_bytes <= 3 * 64, "{stats:?}");
-        assert!(stats.prefetched <= 3, "{stats:?}");
-    }
-
-    #[test]
-    fn speculative_checksum_failure_never_poisons() {
-        let bytes = region(64 * 8);
-        let mut sums = page_checksums(&bytes, 64);
-        sums[3] ^= 1; // lie about page 3
-        let cache = PageCache::new(
-            Box::new(crate::BytesSource(bytes)),
-            0,
-            64 * 8,
-            64,
-            sums,
-            u64::MAX,
-        )
-        .unwrap();
-        let mut buf = [0u8; 64];
-        assert!(cache.read(0, &mut buf));
-        // Sequential second fault opens the window over pages 2..; the
-        // corrupt page 3 stops the batch silently.
-        assert!(cache.read(64, &mut buf));
-        assert!(!cache.poisoned());
-        assert_eq!(cache.stats().checksum_failures, 0);
-        assert!(cache.read(2 * 64, &mut buf)); // prefetched fine
-        assert!(!cache.read(3 * 64, &mut buf)); // demand fault catches it
-        match cache.take_poison() {
-            Some(StoreError::Checksum { section }) => assert_eq!(section, "page 3"),
-            other => panic!("expected page checksum failure, got {other:?}"),
-        }
-        assert_eq!(cache.stats().checksum_failures, 1);
-    }
-
-    #[test]
-    fn shrinking_budget_reclaims_immediately() {
-        let cache = PageCache::over_bytes(region(64 * 8), 64, u64::MAX).unwrap();
-        let mut buf = [0u8; 64];
-        for p in 0..8u64 {
-            cache.read(p * 64, &mut buf);
-        }
-        assert_eq!(cache.stats().resident_pages, 8);
-        cache.set_budget(2 * 64);
-        assert!(cache.stats().resident_bytes <= 2 * 64);
+        assert_eq!(stats.faults, 4, "{stats:?}");
+        assert_eq!(stats.resident_pages, 4, "{stats:?}");
     }
 }

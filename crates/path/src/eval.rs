@@ -6,7 +6,6 @@
 
 use mrx_graph::{GraphView, NodeId};
 
-use crate::budget::{never_fails, BudgetError, BudgetMeter, Governor, Ungoverned};
 use crate::{CompiledPath, CompiledStep, Cost, EvalScratch};
 
 /// Evaluates `path` on the data graph, returning the target set sorted by
@@ -89,33 +88,6 @@ pub fn eval_data_in<G: GraphView>(
     cost: &mut Cost,
     scratch: &mut EvalScratch,
 ) -> Vec<NodeId> {
-    never_fails(eval_data_governed(g, path, cost, scratch, &mut Ungoverned))
-}
-
-/// [`eval_data_in`] under a [`BudgetMeter`]: stops with a typed
-/// [`BudgetError`] (partial cost attached in `cost`) when the query exhausts
-/// its step budget, deadline, or is cooperatively cancelled.
-pub fn eval_data_budgeted<G: GraphView>(
-    g: &G,
-    path: &CompiledPath,
-    cost: &mut Cost,
-    scratch: &mut EvalScratch,
-    meter: &mut BudgetMeter,
-) -> Result<Vec<NodeId>, BudgetError> {
-    eval_data_governed(g, path, cost, scratch, meter)
-        .map_err(|kind| BudgetMeter::exhausted(kind, cost))
-}
-
-/// The one traversal both of the above monomorphize: [`Ungoverned`] erases
-/// every budget check (`Err = Infallible`), so the ungoverned build of this
-/// loop is identical to the pre-budget evaluator.
-fn eval_data_governed<G: GraphView, B: Governor>(
-    g: &G,
-    path: &CompiledPath,
-    cost: &mut Cost,
-    scratch: &mut EvalScratch,
-    budget: &mut B,
-) -> Result<Vec<NodeId>, B::Err> {
     let EvalScratch {
         mark,
         frontier,
@@ -125,10 +97,8 @@ fn eval_data_governed<G: GraphView, B: Governor>(
     let first = path.steps[0];
     if path.anchored {
         cost.data_nodes += 1; // the root
-        budget.visit(1)?;
         for &c in g.children(g.root()) {
             cost.data_nodes += 1;
-            budget.visit(1)?;
             if first.matches(g.label(c)) {
                 frontier.push(c);
             }
@@ -137,13 +107,11 @@ fn eval_data_governed<G: GraphView, B: Governor>(
         for i in 0..g.node_count() {
             let v = NodeId(i as u32);
             cost.data_nodes += 1;
-            budget.visit(1)?;
             if first.matches(g.label(v)) {
                 frontier.push(v);
             }
         }
     }
-    budget.results(frontier.len())?;
 
     for step in &path.steps[1..] {
         next.clear();
@@ -153,13 +121,11 @@ fn eval_data_governed<G: GraphView, B: Governor>(
         for &v in frontier.iter() {
             for &c in g.children(v) {
                 cost.data_nodes += 1;
-                budget.visit(1)?;
                 if step.matches(g.label(c)) && mark.insert(c.index()) {
                     next.push(c);
                 }
             }
         }
-        budget.results(next.len())?;
         std::mem::swap(frontier, next);
         if frontier.is_empty() {
             break;
@@ -170,7 +136,7 @@ fn eval_data_governed<G: GraphView, B: Governor>(
     if path.steps.len() > 1 {
         frontier.sort_unstable();
     }
-    Ok(frontier.clone())
+    frontier.clone()
 }
 
 #[cfg(test)]

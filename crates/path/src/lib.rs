@@ -38,7 +38,7 @@ pub use budget::{
     Ungoverned, POLL_INTERVAL,
 };
 pub use cost::Cost;
-pub use eval::{eval_data, eval_data_budgeted, eval_data_counting, eval_data_in, eval_data_with};
+pub use eval::{eval_data, eval_data_counting, eval_data_in, eval_data_with};
 pub use expr::{CompiledPath, CompiledStep, ParsePathError, PathExpr, Step};
 pub use scratch::{EpochMemo, EpochSet, EvalScratch};
 pub use validate::{Validator, ValidatorRef};

@@ -17,6 +17,9 @@ echo "==> cargo clippy (offline, warnings are errors)"
 # Also the panic-freedom gate: every serving-path module carries
 # `#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used,
 # clippy::panic))]`, so an unwrap/expect/panic! outside its tests fails here.
+# And the paging gate: crates/pagecache/clippy.toml disallows the stream
+# reads `read_exact` and `read_to_end` there, so paged-region bytes enter
+# memory only through positioned page faults.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo clippy --manifest-path servebench/Cargo.toml --all-targets --offline -- -D warnings
 
@@ -53,20 +56,6 @@ if [ -n "$varints" ]; then
   exit 1
 fi
 echo "    varint decode is confined to the posting arena"
-
-echo "==> paging gate: no whole-buffer reads inside the page cache"
-# The paged layout's premise is that paged-region bytes enter memory one
-# page at a time through positioned I/O. A read_exact/read_to_end call inside the
-# pagecache crate means someone slurped a stream instead of faulting
-# pages (read_exact_at, the positioned form, does not match).
-slurps=$(grep -rn --include='*.rs' -E '\bread_exact\(|\bread_to_end\(' \
-  crates/pagecache/src || true)
-if [ -n "$slurps" ]; then
-  echo "whole-buffer stream read inside crates/pagecache (use positioned page faults):"
-  echo "$slurps"
-  exit 1
-fi
-echo "    page cache reads are positioned and page-sized"
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
