@@ -18,8 +18,8 @@ use mrx_bench::{Dataset, Scale};
 use mrx_datagen::nasa_like_with_density;
 use mrx_graph::DataGraph;
 use mrx_index::{
-    default_threads, replay, replay_mstar, AdaptEngine, AkIndex, DkIndex, EvalStrategy, MStarIndex,
-    MkIndex, TrustPolicy,
+    default_threads, replay, AdaptEngine, AkIndex, DkIndex, EvalStrategy, MStarIndex, MkIndex,
+    TrustPolicy,
 };
 use mrx_path::PathExpr;
 use mrx_workload::{FupExtractor, Workload, WorkloadConfig};
@@ -122,15 +122,16 @@ fn soundness_ablation(scale: Scale) {
         // read-only here); totals are thread-count-independent.
         let n = w.queries.len() as f64;
         let threads = default_threads();
-        let strat = EvalStrategy::TopDown;
         let avg = |total: u64| total as f64 / n;
         let mk_run = |policy| {
             replay(mk.graph(), &g, &w.queries, policy, threads)
+                .expect("an in-memory replay cannot fault")
                 .total
                 .total()
         };
         let ms_run = |idx: &MStarIndex, policy| {
-            replay_mstar(idx, &g, &w.queries, strat, policy, threads)
+            replay(idx, &g, &w.queries, policy, threads)
+                .expect("an in-memory replay cannot fault")
                 .total
                 .total()
         };

@@ -10,8 +10,8 @@
 
 use mrx_graph::DataGraph;
 use mrx_index::{
-    default_threads, replay, replay_mstar, AdaptEngine, AkIndex, DkIndex, EvalStrategy, MStarIndex,
-    MkIndex, ReplayReport, TrustPolicy,
+    default_threads, replay, AdaptEngine, AkIndex, DkIndex, MStarIndex, MkIndex, ReplayReport,
+    Servable, TrustPolicy,
 };
 use mrx_workload::Workload;
 
@@ -114,6 +114,14 @@ pub struct CostSizeExperiment {
     pub adaptive: Vec<AdaptiveRun>,
 }
 
+/// Reruns the workload on a refined index under the paper's claimed-k
+/// policy, through the parallel session replay (M*(k) top-down). The index
+/// is in memory and cannot fault, so an error here is a bug.
+fn rerun<T: Servable + Sync>(idx: &T, g: &DataGraph, w: &Workload) -> ReplayReport {
+    replay(idx, g, &w.queries, TrustPolicy::Claimed, default_threads())
+        .expect("an in-memory replay cannot fault")
+}
+
 /// Per-query cost averages from a workload replay. The replayed total is a
 /// sum over queries, so the averages are thread-count-independent.
 fn average_cost(report: &ReplayReport) -> (f64, f64, f64) {
@@ -139,13 +147,7 @@ fn sized(nodes: usize, edges: usize, costs: (f64, f64, f64)) -> SizedCost {
 /// included — the A(k) family cannot adapt).
 pub fn run_ak(g: &DataGraph, w: &Workload, k: u32) -> AkPoint {
     let idx = AkIndex::build(g, k);
-    let report = replay(
-        idx.graph(),
-        g,
-        &w.queries,
-        TrustPolicy::Claimed,
-        default_threads(),
-    );
+    let report = rerun(idx.graph(), g, w);
     AkPoint {
         k,
         cost: sized(idx.node_count(), idx.edge_count(), average_cost(&report)),
@@ -155,13 +157,7 @@ pub fn run_ak(g: &DataGraph, w: &Workload, k: u32) -> AkPoint {
 /// Builds D(k)-construct from the full FUP set and measures the workload.
 pub fn run_dk_construct(g: &DataGraph, w: &Workload) -> SizedCost {
     let idx = DkIndex::construct(g, &w.queries);
-    let report = replay(
-        idx.graph(),
-        g,
-        &w.queries,
-        TrustPolicy::Claimed,
-        default_threads(),
-    );
+    let report = rerun(idx.graph(), g, w);
     sized(idx.node_count(), idx.edge_count(), average_cost(&report))
 }
 
@@ -227,18 +223,10 @@ pub fn run_adaptive(
     // the refined indexes without validation, so these numbers reproduce
     // its protocol exactly (see `mrx_index::TrustPolicy`). The rerun goes
     // through the parallel session replay — the index is read-only here.
-    let threads = default_threads();
     let report = match &idx {
-        Idx::Dk(d) => replay(d.graph(), g, &w.queries, TrustPolicy::Claimed, threads),
-        Idx::Mk(m) => replay(m.graph(), g, &w.queries, TrustPolicy::Claimed, threads),
-        Idx::MStar(m) => replay_mstar(
-            m,
-            g,
-            &w.queries,
-            EvalStrategy::TopDown,
-            TrustPolicy::Claimed,
-            threads,
-        ),
+        Idx::Dk(d) => rerun(d.graph(), g, w),
+        Idx::Mk(m) => rerun(m.graph(), g, w),
+        Idx::MStar(m) => rerun(m, g, w),
     };
     let costs = average_cost(&report);
     let (n, e) = size(&idx);

@@ -484,7 +484,7 @@ fn serve_query<T: Servable, G: GraphView>(
     g: &G,
     q: &PathExpr,
 ) -> CmdResult {
-    let served = session.try_serve(target, g, q).cloned();
+    let served = session.serve(target, g, q).cloned();
     match served {
         Ok(ans) => {
             writeln!(
@@ -1230,10 +1230,11 @@ mod tests {
         for q in &w.queries {
             let want = QuerySession::new(TrustPolicy::Proven)
                 .serve(&cz, &fg, q)
+                .unwrap()
                 .clone();
             let (graph, star) = file.activate(q).unwrap();
             let mut session = QuerySession::new(TrustPolicy::Proven);
-            let got = session.try_serve(star, graph, q).unwrap();
+            let got = session.serve(star, graph, q).unwrap();
             assert_eq!(got.nodes, want.nodes, "{q}");
             assert_eq!(got.cost, want.cost, "{q}");
             from_cli += got.cost;
@@ -1249,7 +1250,7 @@ mod tests {
         let mut session = QuerySession::new(TrustPolicy::Proven);
         let mut plain_total = Cost::ZERO;
         for q in &w.queries {
-            plain_total += session.serve(&plain, &fg, q).cost;
+            plain_total += session.serve(&plain, &fg, q).unwrap().cost;
         }
         assert_eq!(from_cli, in_process);
         assert!(

@@ -66,13 +66,13 @@ pub use partition::{
 pub use query::{answer, answer_paper, Answer, QueryScratch, TrustPolicy};
 pub use refine::{default_threads, RefineStats, Refiner, SEQ_THRESHOLD};
 pub use session::{
-    replay, replay_mstar, QuerySession, ReplayReport, Servable, SessionStats, SharedAnswerCache,
+    replay, QuerySession, ReplayReport, Servable, SessionStats, SharedAnswerCache,
     SharedCacheConfig, SharedCacheStats,
 };
 pub use snapshot::{
     CompressedMStar, ExtentStore, MStarSnapshot, PagedMStar, SnapshotIndex, SubnodeLinks,
 };
 pub use view::{
-    eval_view, finish_answer_view, finish_answer_view_budgeted, top_down_targets,
-    top_down_targets_budgeted, IndexView, Targets,
+    eval_view, finish_answer_view, finish_answer_view_budgeted, top_down_targets_budgeted,
+    IndexView, Targets,
 };

@@ -20,10 +20,10 @@
 //! `Result`s. Instead every integrity failure — page checksum mismatch,
 //! I/O error, structurally invalid block, out-of-range id — *poisons* the
 //! shared cache and the read surfaces return safe sentinels (`None`-like
-//! exhaustion, node 0). Every fallible serving path checks the one fault
-//! probe, [`crate::Servable::fault_cache`], after evaluating and returns
-//! the typed error instead of the answer, so corruption is always caught
-//! before any answer is served or cached. The resident arrays are checked
+//! exhaustion, node 0). The serving call, [`crate::QuerySession::serve`],
+//! checks the one fault probe, [`crate::Servable::fault_cache`], after
+//! evaluating and returns the typed error instead of the answer, so
+//! corruption is always caught before any answer is served or cached. The resident arrays are checked
 //! whole at activation by [`SnapshotIndex::assemble`], the check the
 //! compressed form shares, with the subnode links required to form a
 //! tree that splits every coarse extent: the paged form never degrades, so
@@ -208,8 +208,14 @@ mod tests {
         ] {
             let p = PathExpr::parse(expr).unwrap();
             for policy in [TrustPolicy::Proven, TrustPolicy::Claimed] {
-                let a = QuerySession::new(policy).serve(&cz, &g, &p).clone();
-                let b = QuerySession::new(policy).serve(&paged, &g, &p).clone();
+                let a = QuerySession::new(policy)
+                    .serve(&cz, &g, &p)
+                    .unwrap()
+                    .clone();
+                let b = QuerySession::new(policy)
+                    .serve(&paged, &g, &p)
+                    .unwrap()
+                    .clone();
                 assert_eq!(a.nodes, b.nodes, "{expr}");
                 assert_eq!(a.cost, b.cost, "{expr}");
                 assert_eq!(a.validated, b.validated, "{expr}");

@@ -33,8 +33,8 @@
 //! Demand-paged targets report integrity faults through one probe,
 //! [`Servable::fault_cache`]. The session checks it after every
 //! evaluation and before admission, so an answer computed over a bad page
-//! is never cached: [`QuerySession::try_serve`] takes the fault and returns
-//! it as [`MrxError::Store`].
+//! is never cached: [`QuerySession::serve`] takes the fault and returns it
+//! as [`MrxError::Store`], and [`replay`] stops at the first such error.
 
 #![cfg_attr(
     not(test),
@@ -45,18 +45,17 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use mrx_error::{MrxError, StoreError};
-use mrx_graph::{DataGraph, GraphView};
+use mrx_error::MrxError;
+use mrx_graph::GraphView;
 use mrx_pagecache::PageCache;
 use mrx_path::{
-    never_fails, BudgetKind, BudgetMeter, CompiledPath, Cost, Governor, PathExpr, QueryBudget,
-    Ungoverned,
+    BudgetKind, BudgetMeter, CompiledPath, Cost, Governor, PathExpr, QueryBudget, Ungoverned,
 };
 
 use crate::query::{self, Answer, QueryScratch, TrustPolicy};
 use crate::snapshot::{top_down_governed, MStarSnapshot};
 use crate::view::IndexView;
-use crate::{EvalStrategy, MStarIndex};
+use crate::MStarIndex;
 
 /// Approximate heap footprint of one cache entry: the answer's node ids
 /// plus a fixed allowance for the key, the compiled path, and map overhead.
@@ -184,7 +183,7 @@ struct SharedEntry {
     /// Index mutation epoch at evaluation time; the entry is valid only
     /// while the index still reports it.
     epoch: u64,
-    compiled: CompiledPath,
+    compiled: Arc<CompiledPath>,
     answer: Arc<Answer>,
     bytes: usize,
     /// Logical clock of the last hit or insert; updated with a relaxed
@@ -251,20 +250,21 @@ impl SharedAnswerCache {
     }
 
     /// Probes for an answer evaluated at exactly `(generation, epoch)`.
-    /// Read-lock only; a hit refreshes the entry's LRU clock.
+    /// Read-lock only; a hit refreshes the entry's LRU clock and returns two
+    /// `Arc` clones, so it allocates nothing.
     pub fn get(
         &self,
         path: &PathExpr,
         generation: u64,
         epoch: u64,
-    ) -> Option<(CompiledPath, Arc<Answer>)> {
+    ) -> Option<(Arc<CompiledPath>, Arc<Answer>)> {
         let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
         match inner.map.get(path) {
             Some(e) if e.generation == generation && e.epoch == epoch => {
                 let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
                 e.touched.store(now, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((e.compiled.clone(), e.answer.clone()))
+                Some((Arc::clone(&e.compiled), Arc::clone(&e.answer)))
             }
             _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -361,7 +361,7 @@ impl SharedAnswerCache {
             SharedEntry {
                 generation,
                 epoch,
-                compiled: compiled.clone(),
+                compiled: Arc::new(compiled.clone()),
                 answer,
                 bytes,
                 touched: AtomicU64::new(now),
@@ -431,12 +431,6 @@ pub trait Servable {
     fn fault_cache(&self) -> Option<&PageCache> {
         None
     }
-
-    /// Takes the fault recorded since the last take, if any — the check
-    /// every fallible paged serving path runs after evaluating.
-    fn take_fault(&self) -> Option<StoreError> {
-        self.fault_cache()?.take_poison()
-    }
 }
 
 impl<I: IndexView> Servable for I {
@@ -483,8 +477,8 @@ impl<I: IndexView> Servable for MStarSnapshot<I> {
     }
 }
 
-/// A live M*(k)-index serves top-down, the paper's serving strategy; use
-/// [`QuerySession::serve_mstar`] for the other §4.1 strategies.
+/// A live M*(k)-index serves top-down, the paper's serving strategy; the
+/// other §4.1 strategies are reached through [`MStarIndex::query_with_policy`].
 impl Servable for MStarIndex {
     fn cache_epoch(&self) -> u64 {
         self.mutation_epoch()
@@ -549,21 +543,10 @@ impl QuerySession {
         self.generation = generation;
     }
 
-    /// The trust policy this session serves under.
-    pub fn policy(&self) -> TrustPolicy {
-        self.policy
-    }
-
     /// Sets the per-query resource budget enforced by
-    /// [`QuerySession::try_serve`]. The infallible `serve*` entry points
-    /// ignore it.
+    /// [`QuerySession::serve`].
     pub fn set_budget(&mut self, budget: QueryBudget) {
         self.budget = budget;
-    }
-
-    /// The session's per-query budget.
-    pub fn budget(&self) -> &QueryBudget {
-        &self.budget
     }
 
     /// Counters accumulated so far.
@@ -571,8 +554,10 @@ impl QuerySession {
         &self.stats
     }
 
-    /// Serves `path` through `target` — a warm hit is one cache probe with
-    /// no evaluation and no validation.
+    /// Serves `path` through `target`: probe the cache, compile on a miss,
+    /// evaluate under the session's [`QueryBudget`], take the target's
+    /// fault, admit. A warm hit is one cache probe with no evaluation and
+    /// no validation.
     ///
     /// Generic over [`Servable`] × [`GraphView`]: one index graph (live or
     /// snapshot) answers by the §3.1 algorithm, an M*(k) hierarchy (live
@@ -581,60 +566,6 @@ impl QuerySession {
     /// the epoch captured at freeze time, so a session warmed against the
     /// live index stays warm against a snapshot frozen from the same
     /// generation (and vice versa).
-    ///
-    /// This entry point cannot fail, so it cannot report a paged target's
-    /// integrity fault: an answer evaluated over a fault is returned but
-    /// never cached, and the fault stays on the page cache for its owner to
-    /// take. Use [`QuerySession::try_serve`] to get the fault as an error.
-    pub fn serve<'s, T: Servable, G: GraphView>(
-        &'s mut self,
-        target: &T,
-        g: &G,
-        path: &PathExpr,
-    ) -> &'s Answer {
-        let epoch = target.cache_epoch();
-        if !self.probe(path, epoch) {
-            let compiled = path.compile(g);
-            let answer = never_fails(
-                target
-                    .eval(
-                        g,
-                        &compiled,
-                        self.policy,
-                        &mut self.scratch,
-                        &mut Ungoverned,
-                    )
-                    .map_err(|(never, _)| never),
-            );
-            let faulted = target.fault_cache().is_some_and(PageCache::poisoned);
-            self.finish(path, epoch, &compiled, answer, !faulted);
-        }
-        &self.last
-    }
-
-    /// [`QuerySession::serve`] against a live M*(k)-index with an explicit
-    /// §4.1 evaluation strategy. Invalidation keys on the hierarchy's
-    /// combined [`MStarIndex::mutation_epoch`].
-    pub fn serve_mstar<'s>(
-        &'s mut self,
-        idx: &MStarIndex,
-        g: &DataGraph,
-        path: &PathExpr,
-        strategy: EvalStrategy,
-    ) -> &'s Answer {
-        if strategy == EvalStrategy::TopDown {
-            return self.serve(idx, g, path);
-        }
-        let epoch = idx.mutation_epoch();
-        if !self.probe(path, epoch) {
-            let answer = idx.query_with_policy(g, path, strategy, self.policy);
-            self.finish(path, epoch, &path.compile(g), answer, true);
-        }
-        &self.last
-    }
-
-    /// The fallible serving call: probe, compile on a miss, evaluate under
-    /// the session's [`QueryBudget`], check the target's fault probe, admit.
     ///
     /// A query that exhausts its step budget, result cap, or deadline (or is
     /// cooperatively cancelled) returns [`MrxError::Budget`] with the
@@ -646,89 +577,62 @@ impl QuerySession {
     /// have nothing to bound there, but the result cap still applies: a
     /// hit larger than `max_result_nodes` returns the same
     /// [`BudgetKind::ResultNodes`] error a miss would, with zero cost.
-    pub fn try_serve<'s, T: Servable, G: GraphView>(
+    pub fn serve<'s, T: Servable, G: GraphView>(
         &'s mut self,
         target: &T,
         g: &G,
         path: &PathExpr,
     ) -> Result<&'s Answer, MrxError> {
         let epoch = target.cache_epoch();
-        if !self.probe(path, epoch) {
-            let compiled = path.compile(g);
-            let evaluated = if self.budget.is_unlimited() {
-                target
-                    .eval(
-                        g,
-                        &compiled,
-                        self.policy,
-                        &mut self.scratch,
-                        &mut Ungoverned,
-                    )
-                    .map_err(|(never, _)| match never {})
-            } else {
-                let mut meter = self.budget.meter();
-                target
-                    .eval(g, &compiled, self.policy, &mut self.scratch, &mut meter)
-                    .map_err(|(kind, cost)| BudgetMeter::exhausted(kind, &cost))
-            };
-            if let Some(fault) = target.take_fault() {
-                return Err(MrxError::Store(fault));
-            }
-            let answer = evaluated.map_err(|e| {
-                self.stats.budget_trips += 1;
-                MrxError::Budget(e)
-            })?;
-            self.finish(path, epoch, &compiled, answer, true);
-        } else if self
-            .budget
-            .max_result_nodes
-            .is_some_and(|cap| self.last.nodes.len() as u64 > cap)
-        {
-            self.stats.budget_trips += 1;
-            let e = BudgetMeter::exhausted(BudgetKind::ResultNodes, &Cost::ZERO);
-            return Err(MrxError::Budget(e));
-        }
-        Ok(&self.last)
-    }
-
-    /// The one cache probe every serving call makes: counts the query and,
-    /// on a hit, makes the cached answer the current one.
-    fn probe(&mut self, path: &PathExpr, epoch: u64) -> bool {
         self.stats.queries += 1;
-        match self.cache.get(path, self.generation, epoch) {
-            Some((_, answer)) => {
-                self.stats.hits += 1;
-                self.last = answer;
-                true
+        if let Some((_, answer)) = self.cache.get(path, self.generation, epoch) {
+            self.stats.hits += 1;
+            self.last = answer;
+            if self
+                .budget
+                .max_result_nodes
+                .is_some_and(|cap| self.last.nodes.len() as u64 > cap)
+            {
+                self.stats.budget_trips += 1;
+                let e = BudgetMeter::exhausted(BudgetKind::ResultNodes, &Cost::ZERO);
+                return Err(MrxError::Budget(e));
             }
-            None => {
-                self.stats.misses += 1;
-                false
-            }
+            return Ok(&self.last);
         }
-    }
-
-    /// Makes a freshly evaluated answer the current one and, if it is
-    /// `cacheable`, offers it to the cache.
-    fn finish(
-        &mut self,
-        path: &PathExpr,
-        epoch: u64,
-        compiled: &CompiledPath,
-        answer: Answer,
-        cacheable: bool,
-    ) {
+        self.stats.misses += 1;
+        let compiled = path.compile(g);
+        let evaluated = if self.budget.is_unlimited() {
+            target
+                .eval(
+                    g,
+                    &compiled,
+                    self.policy,
+                    &mut self.scratch,
+                    &mut Ungoverned,
+                )
+                .map_err(|(never, _)| match never {})
+        } else {
+            let mut meter = self.budget.meter();
+            target
+                .eval(g, &compiled, self.policy, &mut self.scratch, &mut meter)
+                .map_err(|(kind, cost)| BudgetMeter::exhausted(kind, &cost))
+        };
+        if let Some(fault) = target.fault_cache().and_then(PageCache::take_poison) {
+            return Err(MrxError::Store(fault));
+        }
+        let answer = evaluated.map_err(|e| {
+            self.stats.budget_trips += 1;
+            MrxError::Budget(e)
+        })?;
         self.last = Arc::new(answer);
-        if !cacheable {
-            return;
-        }
-        if let Some(d) = self
-            .cache
-            .admit_shared(path, self.generation, epoch, compiled, &self.last)
+        if let Some(d) =
+            self.cache
+                .admit_shared(path, self.generation, epoch, &compiled, &self.last)
         {
             self.stats.evictions += u64::from(d.replaced) + d.lru;
             self.stats.cap_evictions += d.lru;
         }
+        Ok(&self.last)
     }
 }
 
@@ -752,91 +656,61 @@ pub struct ReplayReport {
 /// a single-query workload) degrades to a plain sequential loop.
 ///
 /// Generic over [`Servable`] × [`GraphView`] like [`QuerySession::serve`].
+/// A thread stops at its first error; the report is then that error (the
+/// first thread's, in workload order), never a total summed over the
+/// queries that happened to succeed.
 pub fn replay<T: Servable + Sync, G: GraphView + Sync>(
     target: &T,
     g: &G,
     queries: &[PathExpr],
     policy: TrustPolicy,
     threads: usize,
-) -> ReplayReport {
-    replay_impl(queries, threads, policy, |session, q| {
-        session.serve(target, g, q).cost
-    })
-}
-
-/// [`replay`] against a live M*(k)-index with a fixed evaluation strategy.
-pub fn replay_mstar(
-    idx: &MStarIndex,
-    g: &DataGraph,
-    queries: &[PathExpr],
-    strategy: EvalStrategy,
-    policy: TrustPolicy,
-    threads: usize,
-) -> ReplayReport {
-    replay_impl(queries, threads, policy, |session, q| {
-        session.serve_mstar(idx, g, q, strategy).cost
-    })
-}
-
-fn replay_impl<F>(
-    queries: &[PathExpr],
-    threads: usize,
-    policy: TrustPolicy,
-    serve_one: F,
-) -> ReplayReport
-where
-    F: Fn(&mut QuerySession, &PathExpr) -> Cost + Sync,
-{
+) -> Result<ReplayReport, MrxError> {
     let run_part = |part: &[PathExpr]| {
         let mut session = QuerySession::new(policy);
         let mut total = Cost::ZERO;
         for q in part {
-            total += serve_one(&mut session, q);
+            total += session.serve(target, g, q)?.cost;
         }
-        (total, session.stats)
+        Ok((total, session.stats))
     };
 
     let threads = threads.clamp(1, queries.len().max(1));
-    if threads == 1 {
-        let (total, stats) = run_part(queries);
-        return ReplayReport {
-            total,
-            queries: queries.len(),
-            threads: 1,
-            stats,
-        };
-    }
+    let partials: Vec<Result<(Cost, SessionStats), MrxError>> = if threads == 1 {
+        vec![run_part(queries)]
+    } else {
+        let chunk = queries.len().div_ceil(threads);
+        let run_part = &run_part;
+        std::thread::scope(|s| {
+            let handles: Vec<_> = queries
+                .chunks(chunk)
+                .map(|part| s.spawn(move || run_part(part)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(r) => r,
+                    // Serving is panic-free by construction; if a worker
+                    // somehow panicked anyway, propagate rather than
+                    // fabricate numbers.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        })
+    };
 
-    let chunk = queries.len().div_ceil(threads);
-    let run_part = &run_part;
-    let partials: Vec<(Cost, SessionStats)> = std::thread::scope(|s| {
-        let handles: Vec<_> = queries
-            .chunks(chunk)
-            .map(|part| s.spawn(move || run_part(part)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                // Serving is panic-free by construction; if a worker somehow
-                // panicked anyway, propagate rather than fabricate numbers.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-
-    let mut total = Cost::ZERO;
-    let mut stats = SessionStats::default();
-    for (c, st) in &partials {
-        total += *c;
-        stats.merge(st);
-    }
-    ReplayReport {
-        total,
+    let mut report = ReplayReport {
+        total: Cost::ZERO,
         queries: queries.len(),
         threads: partials.len(),
-        stats,
+        stats: SessionStats::default(),
+    };
+    for partial in partials {
+        let (c, st) = partial?;
+        report.total += c;
+        report.stats.merge(&st);
     }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -844,6 +718,7 @@ mod tests {
     use super::*;
     use crate::IndexGraph;
     use mrx_graph::xml::parse;
+    use mrx_graph::DataGraph;
     use mrx_path::eval_data;
 
     fn doc() -> DataGraph {
@@ -871,8 +746,8 @@ mod tests {
         let ig = IndexGraph::a0(&g);
         let p = PathExpr::parse("//person/name/last").unwrap();
         let (mut s, cache) = session_with(SharedCacheConfig::SESSION);
-        let cold = s.serve(&ig, &g, &p).clone();
-        let warm = s.serve(&ig, &g, &p).clone();
+        let cold = s.serve(&ig, &g, &p).unwrap().clone();
+        let warm = s.serve(&ig, &g, &p).unwrap().clone();
         assert_eq!(cold.nodes, warm.nodes);
         assert_eq!(cold.cost, warm.cost);
         assert_eq!(s.stats().queries, 2);
@@ -891,16 +766,16 @@ mod tests {
         let fg = mrx_graph::FrozenGraph::freeze(&g);
         let cz = idx.freeze_compressed();
         let mut s = QuerySession::new(TrustPolicy::Proven);
-        let cold = s.serve_mstar(&idx, &g, &p, EvalStrategy::TopDown).clone();
+        let cold = s.serve(&idx, &g, &p).unwrap().clone();
         // Same epoch, same answers: the packed snapshot is a cache hit.
-        let warm = s.serve(&cz, &fg, &p).clone();
+        let warm = s.serve(&cz, &fg, &p).unwrap().clone();
         assert_eq!(warm.nodes, cold.nodes);
         assert_eq!(warm.cost, cold.cost);
         assert_eq!(s.stats().hits, 1);
         assert_eq!(s.stats().misses, 1);
         // A cold compressed session agrees bit for bit.
         let mut s2 = QuerySession::new(TrustPolicy::Proven);
-        let packed = s2.serve(&cz, &fg, &p).clone();
+        let packed = s2.serve(&cz, &fg, &p).unwrap().clone();
         assert_eq!(packed.nodes, cold.nodes);
         assert_eq!(packed.cost, cold.cost);
     }
@@ -911,7 +786,7 @@ mod tests {
         let mut ig = IndexGraph::a0(&g);
         let p = PathExpr::parse("//name/last").unwrap();
         let mut s = QuerySession::new(TrustPolicy::Proven);
-        s.serve(&ig, &g, &p);
+        s.serve(&ig, &g, &p).unwrap();
         let before = ig.mutation_epoch();
         // Split the `last` node into singletons — any refinement works.
         let t = ig.node_of(eval_data(&g, &p.compile(&g))[0]);
@@ -919,7 +794,7 @@ mod tests {
         ig.replace_node(&g, t, parts);
         assert!(ig.mutation_epoch() > before);
         let fresh = crate::query::answer(&ig, &g, &p);
-        let served = s.serve(&ig, &g, &p).clone();
+        let served = s.serve(&ig, &g, &p).unwrap().clone();
         assert_eq!(served.nodes, fresh.nodes);
         assert_eq!(served.cost, fresh.cost);
         assert_eq!(s.stats().hits, 0);
@@ -937,13 +812,13 @@ mod tests {
             ..SharedCacheConfig::SESSION
         });
         for expr in ["//name", "//last", "//person", "//poster"] {
-            s.serve(&ig, &g, &PathExpr::parse(expr).unwrap());
+            s.serve(&ig, &g, &PathExpr::parse(expr).unwrap()).unwrap();
         }
         assert!(s.stats().evictions >= 2, "full cache must evict");
         assert!(cache.stats().entries <= 2);
         // Re-serving an evicted query still answers correctly.
         let p = PathExpr::parse("//name").unwrap();
-        let a = s.serve(&ig, &g, &p).clone();
+        let a = s.serve(&ig, &g, &p).unwrap().clone();
         assert_eq!(a.nodes, eval_data(&g, &p.compile(&g)));
     }
 
@@ -956,16 +831,16 @@ mod tests {
             ..SharedCacheConfig::SESSION
         });
         let hot = PathExpr::parse("//name").unwrap();
-        s.serve(&ig, &g, &hot);
+        s.serve(&ig, &g, &hot).unwrap();
         // Each cold insert evicts the LRU entry; touching `hot` between
         // inserts keeps it resident throughout.
         for expr in ["//last", "//person", "//poster"] {
-            s.serve(&ig, &g, &hot);
-            s.serve(&ig, &g, &PathExpr::parse(expr).unwrap());
+            s.serve(&ig, &g, &hot).unwrap();
+            s.serve(&ig, &g, &PathExpr::parse(expr).unwrap()).unwrap();
         }
         assert_eq!(cache.stats().entries, 2);
         let before_hits = s.stats().hits;
-        s.serve(&ig, &g, &hot);
+        s.serve(&ig, &g, &hot).unwrap();
         assert_eq!(s.stats().hits, before_hits + 1, "hot query was evicted");
         assert_eq!(s.stats().cap_evictions, 2);
         assert_eq!(s.stats().evictions, 2);
@@ -984,7 +859,7 @@ mod tests {
         });
         for expr in ["//name", "//last", "//person"] {
             let p = PathExpr::parse(expr).unwrap();
-            let a = s.serve(&ig, &g, &p).clone();
+            let a = s.serve(&ig, &g, &p).unwrap().clone();
             assert_eq!(a.nodes, eval_data(&g, &p.compile(&g)), "{expr}");
         }
         let cs = cache.stats();
@@ -1006,18 +881,18 @@ mod tests {
         }));
         let mut s1 = QuerySession::new(TrustPolicy::Proven);
         s1.attach_shared(shared.clone(), 7);
-        let cold = s1.serve(&ig, &g, &p).clone();
+        let cold = s1.serve(&ig, &g, &p).unwrap().clone();
         assert_eq!(s1.stats().misses, 1);
         // A different session sharing the cache gets the answer without
         // evaluating, every time.
         let mut s2 = QuerySession::new(TrustPolicy::Proven);
         s2.attach_shared(shared.clone(), 7);
-        let warm = s2.serve(&ig, &g, &p).clone();
+        let warm = s2.serve(&ig, &g, &p).unwrap().clone();
         assert_eq!(warm.nodes, cold.nodes);
         assert_eq!(warm.cost, cold.cost);
         assert_eq!(s2.stats().misses, 0);
         assert_eq!(s2.stats().hits, 1);
-        s2.serve(&ig, &g, &p);
+        s2.serve(&ig, &g, &p).unwrap();
         assert_eq!(s2.stats().hits, 2);
         let cs = shared.stats();
         assert_eq!(cs.insertions, 1);
@@ -1048,10 +923,10 @@ mod tests {
             Err(MrxError::Budget(e)) => assert_eq!(e.kind, BudgetKind::ResultNodes),
             other => panic!("expected a result-cap trip, got {other:?}"),
         };
-        trip(capped.try_serve(&ig, &g, &p));
-        assert_eq!(open.try_serve(&ig, &g, &p).unwrap().nodes.len(), 1);
+        trip(capped.serve(&ig, &g, &p));
+        assert_eq!(open.serve(&ig, &g, &p).unwrap().nodes.len(), 1);
         assert_eq!(shared.stats().entries, 1);
-        trip(capped.try_serve(&ig, &g, &p));
+        trip(capped.serve(&ig, &g, &p));
         assert_eq!(capped.stats().hits, 1);
         assert_eq!(capped.stats().budget_trips, 2);
         // A cap the answer fits under serves the hit.
@@ -1059,7 +934,7 @@ mod tests {
             max_result_nodes: Some(1),
             ..QueryBudget::unlimited()
         });
-        assert_eq!(capped.try_serve(&ig, &g, &p).unwrap().nodes.len(), 1);
+        assert_eq!(capped.serve(&ig, &g, &p).unwrap().nodes.len(), 1);
     }
 
     #[test]
@@ -1073,14 +948,14 @@ mod tests {
         }));
         let mut s1 = QuerySession::new(TrustPolicy::Proven);
         s1.attach_shared(shared.clone(), 1);
-        s1.serve(&ig, &g, &p);
+        s1.serve(&ig, &g, &p).unwrap();
         let q = PathExpr::parse("//poster").unwrap();
-        s1.serve(&ig, &g, &q);
+        s1.serve(&ig, &g, &q).unwrap();
         // Same expression, same epoch, different generation: must miss
         // (and the admit replaces the dead generation's entry in place).
         let mut s2 = QuerySession::new(TrustPolicy::Proven);
         s2.attach_shared(shared.clone(), 2);
-        s2.serve(&ig, &g, &p);
+        s2.serve(&ig, &g, &p).unwrap();
         assert_eq!(s2.stats().hits, 0);
         assert_eq!(s2.stats().misses, 1);
         assert!(shared.get(&p, 2, ig.mutation_epoch()).is_some());
@@ -1104,7 +979,7 @@ mod tests {
             min_cost: 0,
             ..SharedCacheConfig::default()
         });
-        s.serve(&ig, &g, &p);
+        s.serve(&ig, &g, &p).unwrap();
         let cs = cache.stats();
         assert_eq!(cs.bypass_large, 1);
         assert_eq!(cs.insertions, 0);
@@ -1114,7 +989,7 @@ mod tests {
             min_cost: u64::MAX,
             ..SharedCacheConfig::default()
         });
-        s.serve(&ig, &g, &p);
+        s.serve(&ig, &g, &p).unwrap();
         let cs = cache.stats();
         assert_eq!(cs.bypass_cheap, 1);
         assert_eq!(cs.insertions, 0);
@@ -1130,7 +1005,7 @@ mod tests {
             ..SharedCacheConfig::default()
         });
         for expr in ["//name", "//last", "//person", "//poster"] {
-            s.serve(&ig, &g, &PathExpr::parse(expr).unwrap());
+            s.serve(&ig, &g, &PathExpr::parse(expr).unwrap()).unwrap();
         }
         let cs = shared.stats();
         assert_eq!(cs.entries, 2);
@@ -1146,8 +1021,8 @@ mod tests {
             .iter()
             .map(|e| PathExpr::parse(e).unwrap())
             .collect();
-        let seq = replay(&ig, &g, &queries, TrustPolicy::Proven, 1);
-        let par = replay(&ig, &g, &queries, TrustPolicy::Proven, 3);
+        let seq = replay(&ig, &g, &queries, TrustPolicy::Proven, 1).unwrap();
+        let par = replay(&ig, &g, &queries, TrustPolicy::Proven, 3).unwrap();
         assert_eq!(seq.total, par.total);
         assert_eq!(seq.queries, par.queries);
         assert_eq!(seq.stats.queries, par.stats.queries);
@@ -1193,16 +1068,18 @@ mod tests {
         });
         for p in queries.iter().chain(&queries) {
             let truth = eval_data(&g, &p.compile(&g));
-            let reused = s.serve(&ig, &g, p).clone();
+            let reused = s.serve(&ig, &g, p).unwrap().clone();
             let fresh = QuerySession::new(TrustPolicy::Proven)
                 .serve(&ig, &g, p)
+                .unwrap()
                 .clone();
             assert!(reused.validated, "{p}");
             assert_eq!(reused.nodes, truth, "{p}");
             assert_eq!(reused.cost, fresh.cost, "{p}");
-            let reused = s.serve(&idx, &g, p).clone();
+            let reused = s.serve(&idx, &g, p).unwrap().clone();
             let fresh = QuerySession::new(TrustPolicy::Proven)
                 .serve(&idx, &g, p)
+                .unwrap()
                 .clone();
             assert!(reused.validated, "{p}");
             assert_eq!(reused.nodes, truth, "{p}");

@@ -601,7 +601,10 @@ mod tests {
             let p = PathExpr::parse(expr).unwrap();
             for policy in [TrustPolicy::Proven, TrustPolicy::Claimed] {
                 let live = idx.query_with_policy(&g, &p, EvalStrategy::TopDown, policy);
-                let comp = QuerySession::new(policy).serve(&cz, &g, &p).clone();
+                let comp = QuerySession::new(policy)
+                    .serve(&cz, &g, &p)
+                    .unwrap()
+                    .clone();
                 assert_eq!(live.nodes, comp.nodes, "{expr}");
                 assert_eq!(live.cost, comp.cost, "{expr}");
                 assert_eq!(live.validated, comp.validated, "{expr}");
@@ -666,6 +669,7 @@ mod tests {
             let p = PathExpr::parse(expr).unwrap();
             let full = QuerySession::new(TrustPolicy::Proven)
                 .serve(&cz, &g, &p)
+                .unwrap()
                 .clone();
             let total = full.cost.total();
             let mut last_partial = 0;
@@ -675,7 +679,7 @@ mod tests {
                     max_steps: Some(max_steps),
                     ..QueryBudget::unlimited()
                 });
-                match session.try_serve(&cz, &g, &p) {
+                match session.serve(&cz, &g, &p) {
                     Ok(a) => {
                         assert_eq!(max_steps, total, "{expr}: finished under budget");
                         assert_eq!((&a.nodes, a.cost), (&full.nodes, full.cost));

@@ -7,7 +7,7 @@
 //! [`crate::IndexGraph`]
 //! implements it by filtering its slot arena; the compressed and paged
 //! snapshot components implement it over flat arenas and posting blocks.
-//! The free functions here — [`eval_view`], [`top_down_targets`],
+//! The free functions here — [`eval_view`], [`top_down_targets_budgeted`],
 //! [`finish_answer_view`] — are the *single* implementation of index
 //! evaluation and target descent, and the hierarchy's way into the one
 //! answering rule in [`crate::query`], so live and snapshot serving cannot
@@ -421,23 +421,13 @@ pub(crate) fn child_step<I: IndexView, B: Governor>(
 
 /// QUERYTOPDOWN's target phase (§4.1) over any component hierarchy:
 /// evaluate the length-`i` prefix in component `Ii`, descending one
-/// component per step. Returns the targets in discovery order with their
+/// component per step, over caller-owned scratch and under a
+/// [`BudgetMeter`]. Returns the targets in discovery order with their
 /// Lemma 2 bits, the component level they live in, and the cost so far.
-/// `I0`'s matches start certified.
-pub fn top_down_targets<I: IndexView>(
-    components: &[I],
-    cp: &CompiledPath,
-) -> (Targets, usize, Cost) {
-    let s = &mut IndexEvalScratch::new();
-    let (level, cost) =
-        never_fails(top_down_walk(components, cp, s, &mut Ungoverned).map_err(|(never, _)| never));
-    (s.targets(), level, cost)
-}
-
-/// [`top_down_targets`] over caller-owned scratch, under a [`BudgetMeter`].
-/// Dedup goes through the epoch-stamped [`mrx_path::EpochSet`] and the
-/// frontier vectors are reused, so a warmed-up caller descends without
-/// touching the allocator beyond the returned set.
+/// `I0`'s matches start certified. Dedup goes through the epoch-stamped
+/// [`mrx_path::EpochSet`] and the frontier vectors are reused, so a
+/// warmed-up caller descends without touching the allocator beyond the
+/// returned set.
 pub fn top_down_targets_budgeted<I: IndexView>(
     components: &[I],
     cp: &CompiledPath,
@@ -449,11 +439,11 @@ pub fn top_down_targets_budgeted<I: IndexView>(
     Ok((scratch.targets(), level, cost))
 }
 
-/// The governed top-down walk behind both wrappers, leaving the targets
-/// and their bits in `s` ([`IndexEvalScratch::targets`] reads them out);
-/// the hybrid strategy continues from there. Returns the targets' level
-/// and the cost; a trip returns the governor's error with the partial
-/// cost.
+/// The governed top-down walk behind [`top_down_targets_budgeted`],
+/// leaving the targets and their bits in `s` ([`IndexEvalScratch::targets`]
+/// reads them out); the hybrid strategy continues from there. Returns the
+/// targets' level and the cost; a trip returns the governor's error with
+/// the partial cost.
 pub(crate) fn top_down_walk<I: IndexView, B: Governor>(
     components: &[I],
     cp: &CompiledPath,

@@ -517,7 +517,7 @@ enum ConnRead {
     Broken,
 }
 
-fn read_conn_frame(stream: &mut TcpStream, sh: &Shared) -> ConnRead {
+fn read_conn_frame(mut stream: &TcpStream, sh: &Shared) -> ConnRead {
     let start = Instant::now();
     let mut got_any = false;
     let mut head = [0u8; 4];
@@ -580,21 +580,23 @@ fn read_conn_frame(stream: &mut TcpStream, sh: &Shared) -> ConnRead {
     ConnRead::Frame(payload)
 }
 
-fn send(stream: &mut TcpStream, req_id: u32, resp: &Response) -> io::Result<()> {
+fn send(mut stream: &TcpStream, req_id: u32, resp: &Response) -> io::Result<()> {
     let payload = encode_response(req_id, resp);
-    write_frame(stream, &payload)
+    write_frame(&mut stream, &payload)
 }
 
-fn conn_loop(sh: Arc<Shared>, mut stream: TcpStream) {
+/// Serves one connection; each query's disconnect probe shares its socket.
+fn conn_loop(sh: Arc<Shared>, stream: TcpStream) {
+    let stream = Arc::new(stream);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(sh.cfg.tick));
     let _ = stream.set_write_timeout(Some(sh.cfg.write_timeout));
     loop {
-        match read_conn_frame(&mut stream, &sh) {
+        match read_conn_frame(&stream, &sh) {
             ConnRead::Frame(payload) => match decode_request(&payload) {
                 Ok((req_id, req)) => {
                     inc(&sh.stats.requests);
-                    if !handle_request(&sh, &mut stream, req_id, req) {
+                    if !handle_request(&sh, &stream, req_id, req) {
                         break;
                     }
                 }
@@ -602,7 +604,7 @@ fn conn_loop(sh: Arc<Shared>, mut stream: TcpStream) {
                     // The framing may be out of sync with the peer; answer
                     // typed, then close rather than misparse what follows.
                     inc(&sh.stats.protocol_errors);
-                    let _ = send(&mut stream, req_id, &Response::Error(e));
+                    let _ = send(&stream, req_id, &Response::Error(e));
                     break;
                 }
             },
@@ -615,7 +617,7 @@ fn conn_loop(sh: Arc<Shared>, mut stream: TcpStream) {
                 inc(&sh.stats.slow_frames);
                 inc(&sh.stats.protocol_errors);
                 let _ = send(
-                    &mut stream,
+                    &stream,
                     0,
                     &Response::Error(ServeError::Protocol(
                         "partial frame stalled past the frame deadline".into(),
@@ -626,7 +628,7 @@ fn conn_loop(sh: Arc<Shared>, mut stream: TcpStream) {
             ConnRead::TooLarge(n) => {
                 inc(&sh.stats.protocol_errors);
                 let _ = send(
-                    &mut stream,
+                    &stream,
                     0,
                     &Response::Error(ServeError::Protocol(format!(
                         "frame of {n} bytes exceeds the {MAX_REQUEST_FRAME}-byte request cap"
@@ -640,7 +642,7 @@ fn conn_loop(sh: Arc<Shared>, mut stream: TcpStream) {
 }
 
 /// Handles one decoded request; returns whether to keep the connection.
-fn handle_request(sh: &Arc<Shared>, stream: &mut TcpStream, req_id: u32, req: Request) -> bool {
+fn handle_request(sh: &Arc<Shared>, stream: &Arc<TcpStream>, req_id: u32, req: Request) -> bool {
     match req {
         Request::Ping => send(stream, req_id, &Response::Text("pong".into())).is_ok(),
         Request::Stats => send(stream, req_id, &Response::Text(sh.stats_json())).is_ok(),
@@ -668,7 +670,7 @@ fn handle_request(sh: &Arc<Shared>, stream: &mut TcpStream, req_id: u32, req: Re
 /// Returns the response plus whether the connection is still coherent.
 fn admit_query(
     sh: &Arc<Shared>,
-    stream: &TcpStream,
+    stream: &Arc<TcpStream>,
     tenant: String,
     expr: String,
 ) -> (Response, bool) {
@@ -685,10 +687,7 @@ fn admit_query(
         }
     }
     inc(&sh.stats.queries);
-    let probe = match stream.try_clone() {
-        Ok(s) => disconnect_probe(s),
-        Err(_) => CancelProbe::new(|| true),
-    };
+    let probe = disconnect_probe(Arc::clone(stream));
     let (reply, rx) = mpsc::sync_channel(1);
     let job = Job {
         tenant: tenant.clone(),
@@ -726,11 +725,12 @@ fn admit_query(
     }
 }
 
-/// Detects a vanished client from the worker side. Safe because each
-/// connection has at most one outstanding request: while the worker
-/// evaluates, the connection thread is parked on the reply channel and
-/// nobody else touches the socket.
-fn disconnect_probe(stream: TcpStream) -> CancelProbe {
+/// Detects a vanished client from the worker side, over the connection's
+/// own socket. Safe because each connection has at most one outstanding
+/// request: while the worker evaluates, the connection thread is parked on
+/// the reply channel and nobody else touches the socket, so briefly making
+/// it non-blocking for a peek cannot disturb a read.
+fn disconnect_probe(stream: Arc<TcpStream>) -> CancelProbe {
     CancelProbe::new(move || {
         if stream.set_nonblocking(true).is_err() {
             return true;
@@ -843,11 +843,11 @@ fn eval_job(sh: &Arc<Shared>, session: &mut QuerySession, job: &Job) -> Response
     let served = match &snap.data {
         SnapData::Compressed(resident) => {
             let (g, star) = &**resident;
-            session.try_serve(star, g, &expr)
+            session.serve(star, g, &expr)
         }
         SnapData::Paged(paged) => {
             let (g, star) = &**paged;
-            session.try_serve(star, g, &expr)
+            session.serve(star, g, &expr)
         }
     };
     match served {
@@ -872,5 +872,42 @@ fn eval_job(sh: &Arc<Shared>, session: &mut QuerySession, job: &Job) -> Response
             Response::Error(ServeError::Store(format!("page integrity failure: {e}")))
         }
         Err(e) => Response::Error(ServeError::Server(e.to_string())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+
+    /// A loopback connection: (client end, server end).
+    fn pair() -> (TcpStream, Arc<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, Arc::new(server))
+    }
+
+    #[test]
+    fn disconnect_probe_tells_a_live_peer_from_a_closed_one() {
+        let (mut client, server) = pair();
+        server
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let probe = disconnect_probe(Arc::clone(&server));
+        assert!(!probe.is_cancelled(), "idle live peer");
+        client.write_all(b"x").unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(server.peek(&mut byte).unwrap(), 1, "pipelined byte");
+        assert!(!probe.is_cancelled(), "live peer with pipelined bytes");
+        // The probe only peeks: the byte is still there to read.
+        (&*server).read_exact(&mut byte).unwrap();
+        assert_eq!(&byte, b"x");
+        drop(client);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !probe.is_cancelled() {
+            assert!(Instant::now() < deadline, "closed peer never seen");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 }

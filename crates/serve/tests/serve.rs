@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mrx_datagen::{nasa_like, xmark_like, Prng, XmarkConfig};
+use mrx_error::MrxError;
 use mrx_graph::{DataGraph, FrozenGraph};
 use mrx_index::{MStarIndex, QuerySession, TrustPolicy};
 use mrx_path::PathExpr;
@@ -64,7 +65,7 @@ fn oracle<S: AsRef<str>>(g: &DataGraph, exprs: &[S]) -> HashMap<String, Vec<u32>
         .map(|e| {
             let e = e.as_ref();
             let pe = PathExpr::parse(e).unwrap();
-            let a = session.try_serve(&star, &fg, &pe).unwrap();
+            let a = session.serve(&star, &fg, &pe).unwrap();
             (e.to_string(), a.nodes.iter().map(|n| n.0).collect())
         })
         .collect()
@@ -588,16 +589,18 @@ fn corrupt_page_after_boot_is_a_typed_error_and_never_cached() {
     let reached = |at: usize| -> Option<(Vec<&str>, Vec<&str>)> {
         let mut bad = image.clone();
         bad[paged_off + at] ^= 0x10;
-        let (lg, star, cache) = PagedFile::open_bytes(bad, 1 << 20)
+        let (lg, star, _cache) = PagedFile::open_bytes(bad, 1 << 20)
             .and_then(PagedFile::into_parts)
             .ok()?;
         let (mut hit, mut clean) = (Vec::new(), Vec::new());
         for e in PAGED_EXPRS {
             let q = PathExpr::parse(e).unwrap();
-            QuerySession::new(TrustPolicy::Proven).serve(&star, &lg, &q);
-            match cache.take_poison() {
-                Some(_) => hit.push(*e),
-                None => clean.push(*e),
+            match QuerySession::new(TrustPolicy::Proven).serve(&star, &lg, &q) {
+                Err(MrxError::Store(_)) => hit.push(*e),
+                r => {
+                    r.unwrap();
+                    clean.push(*e)
+                }
             }
         }
         (!hit.is_empty() && !clean.is_empty()).then_some((hit, clean))
@@ -634,6 +637,7 @@ fn corrupt_page_after_boot_is_a_typed_error_and_never_cached() {
         let q = PathExpr::parse(e).unwrap();
         let want: Vec<u32> = QuerySession::new(TrustPolicy::Proven)
             .serve(&cz, &fg, &q)
+            .unwrap()
             .nodes
             .iter()
             .map(|n| n.0)
@@ -744,7 +748,7 @@ fn workers_share_one_page_cache_within_its_budget() {
             .map(|e| {
                 let q = PathExpr::parse(e).unwrap();
                 let mut session = QuerySession::new(TrustPolicy::Proven);
-                let a = session.serve(&cz, &fg, &q);
+                let a = session.serve(&cz, &fg, &q).unwrap();
                 (*e, a.nodes.iter().map(|n| n.0).collect())
             })
             .collect(),

@@ -81,6 +81,7 @@ fn malformed_frames_get_typed_errors_and_the_daemon_stays_healthy() {
     let probe = &w.queries[0];
     let want: Vec<u32> = QuerySession::new(TrustPolicy::Proven)
         .serve(&cz, &fg, probe)
+        .unwrap()
         .nodes
         .iter()
         .map(|n| n.0)

@@ -703,7 +703,7 @@ mod tests {
     fn serve(f: &mut CompressedFile, q: &PathExpr) -> Answer {
         let (g, star) = f.activate(q).unwrap();
         QuerySession::new(TrustPolicy::Proven)
-            .try_serve(star, g, q)
+            .serve(star, g, q)
             .unwrap()
             .clone()
     }

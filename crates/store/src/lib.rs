@@ -44,7 +44,7 @@
 //! let q = mrx_path::PathExpr::parse("//a").unwrap();
 //! let (graph, star) = file.activate(&q)?;       // activates only I0
 //! let mut session = QuerySession::new(TrustPolicy::Proven);
-//! let ans = session.try_serve(star, graph, &q)?;
+//! let ans = session.serve(star, graph, &q)?;
 //! println!("{} answers", ans.nodes.len());
 //! assert_eq!(file.loaded_components(), vec![0]);
 //! # Ok::<(), mrx_error::MrxError>(())

@@ -82,7 +82,7 @@
 //! after the evaluator has partially consumed the structure, so rebuilding
 //! is no longer a sound drop-in. The paged reader therefore fails hard: any
 //! page-checksum mismatch or payload-validation failure poisons the cache,
-//! and the one serving path, [`mrx_index::QuerySession::try_serve`] (over
+//! and the one serving path, [`mrx_index::QuerySession::serve`] (over
 //! [`PagedFile::activate`] or [`PagedFile::into_parts`]), checks the
 //! hierarchy's fault probe ([`mrx_index::Servable::fault_cache`]) after
 //! evaluation and returns the typed error *instead of* the answer.
@@ -101,9 +101,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use mrx_graph::{FrozenGraph, LabelId};
-use mrx_index::{
-    CompressedMStar, IdxId, IndexView, PagedIndex, PagedMStar, Servable, SubnodeLinks,
-};
+use mrx_index::{CompressedMStar, IdxId, IndexView, PagedIndex, PagedMStar, SubnodeLinks};
 use mrx_pagecache::{
     fnv64, fnv64_words, page_checksums, ArenaLayout, BytesSource, FileSource, PageCache,
     PageSource, PageStats, PagedArena, RunList, SkipDirectories, DEFAULT_CACHE_BYTES,
@@ -749,7 +747,7 @@ impl PagedFile {
 
     /// Activates the prefix `I0..I(length)` that `path` needs and returns
     /// the graph and the activated hierarchy, for
-    /// [`mrx_index::QuerySession::try_serve`] to serve. The session checks
+    /// [`mrx_index::QuerySession::serve`] to serve. The session checks
     /// the hierarchy's fault probe after evaluating, so a page that fails
     /// its checksum mid-query surfaces as the typed error, not an answer.
     pub fn activate(&mut self, path: &PathExpr) -> Result<(&LazyGraph, &PagedMStar), StoreError> {
@@ -764,7 +762,7 @@ impl PagedFile {
     #[allow(clippy::type_complexity)]
     pub fn into_parts(mut self) -> Result<(LazyGraph, PagedMStar, Arc<PageCache>), StoreError> {
         self.ensure_loaded(self.offsets.len().saturating_sub(1))?;
-        if let Some(e) = self.star.take_fault() {
+        if let Some(e) = self.cache.take_poison() {
             return Err(e);
         }
         Ok((self.graph, self.star, self.cache))
@@ -776,20 +774,20 @@ mod tests {
     use super::*;
     use mrx_error::MrxError;
     use mrx_graph::DataGraph;
-    use mrx_index::{Answer, MStarIndex, QuerySession, TrustPolicy};
+    use mrx_index::{replay, Answer, MStarIndex, QuerySession, TrustPolicy};
     use mrx_path::eval_data;
 
     /// Serves `q` from `f` through a fresh session over the prefix `q`
     /// needs.
     fn serve(f: &mut PagedFile, q: &PathExpr, policy: TrustPolicy) -> Result<Answer, MrxError> {
         let (graph, star) = f.activate(q)?;
-        QuerySession::new(policy).try_serve(star, graph, q).cloned()
+        QuerySession::new(policy).serve(star, graph, q).cloned()
     }
 
     /// The in-memory snapshot's top-down answer: the reference every paged
     /// answer must equal.
     fn want(cz: &CompressedMStar, fg: &FrozenGraph, q: &PathExpr, policy: TrustPolicy) -> Answer {
-        QuerySession::new(policy).serve(cz, fg, q).clone()
+        QuerySession::new(policy).serve(cz, fg, q).unwrap().clone()
     }
 
     fn setup() -> (DataGraph, MStarIndex) {
@@ -1021,10 +1019,11 @@ mod tests {
 
     /// Two threads share one view of an image with one corrupt region
     /// page, under a four-page budget. Each round forces the interleaving
-    /// a cache-wide poison slot gets wrong: thread A faults the page and
-    /// holds its fault while thread B serves clean queries, then both serve
-    /// at once. B's answers must match the oracle, and A's fault must still
-    /// be A's to take — else A's query would answer over sentinels.
+    /// a cache-wide poison slot gets wrong: thread A faults the page with a
+    /// direct read and holds its fault while thread B serves clean queries,
+    /// then both serve at once. B's answers must match the oracle, and A's
+    /// fault must still be A's to take — else A's query would answer over
+    /// sentinels.
     #[test]
     fn threads_sharing_a_view_see_only_their_own_faults() {
         let (g, _cz, _fg, img) = image(64);
@@ -1043,8 +1042,8 @@ mod tests {
                 let (graph, star, _cache) = open(at).ok()?;
                 let (hit, clean): (Vec<&PathExpr>, Vec<&PathExpr>) =
                     queries.iter().partition(|q| {
-                        QuerySession::new(TrustPolicy::Proven).serve(&star, &graph, q);
-                        star.take_fault().is_some()
+                        let mut session = QuerySession::new(TrustPolicy::Proven);
+                        matches!(session.serve(&star, &graph, q), Err(MrxError::Store(_)))
                     });
                 (!hit.is_empty() && !clean.is_empty()).then_some((at, hit, clean))
             })
@@ -1057,14 +1056,16 @@ mod tests {
             let a = s.spawn(|| {
                 let (mut session, mut wrong) = (QuerySession::new(TrustPolicy::Proven), Vec::new());
                 for round in 0..200 {
-                    QuerySession::new(TrustPolicy::Proven).serve(&star, &graph, hit[0]);
+                    if cache.read(at as u64, &mut [0u8; 1]) {
+                        wrong.push(format!("round {round}: the flipped page read clean"));
+                    }
                     barrier.wait(); // B serves while A holds its fault
                     barrier.wait();
-                    if star.take_fault().is_none() {
+                    if cache.take_poison().is_none() {
                         wrong.push(format!("round {round}: A's fault was taken"));
                     }
                     for q in &hit {
-                        let r = session.try_serve(&star, &graph, q);
+                        let r = session.serve(&star, &graph, q);
                         if !matches!(r, Err(MrxError::Store(_))) {
                             wrong.push(format!("round {round}, {q}: corrupt page served: {r:?}"));
                         }
@@ -1081,7 +1082,7 @@ mod tests {
                         let mut session = QuerySession::new(TrustPolicy::Proven);
                         for q in &clean {
                             let want = eval_data(&g, &q.compile(&g));
-                            match session.try_serve(&star, &graph, q) {
+                            match session.serve(&star, &graph, q) {
                                 Ok(a) if a.nodes == want => {}
                                 r => wrong.push(format!("round {round}, {phase}, {q}: {r:?}")),
                             }
@@ -1104,11 +1105,12 @@ mod tests {
         );
     }
 
-    /// A session serving a corrupt image never caches an answer evaluated
-    /// over a bad page: `try_serve` returns every faulted evaluation as a
-    /// typed store error, a repeat faults again instead of hitting the
-    /// cache, and `serve` returns the answer uncached with the fault left
-    /// for the page cache's owner.
+    /// Serving a corrupt image never returns or caches an answer evaluated
+    /// over a bad page. For every flip, a replay of the workload returns a
+    /// typed store error or the clean image's totals, and one session
+    /// serving every query in order returns each query's exact answer or a
+    /// typed store error, with the fault taken. A repeat of a faulted query
+    /// faults again instead of hitting the cache.
     #[test]
     fn session_never_caches_an_answer_evaluated_over_a_bad_page() {
         let (_g, cz, fg, img) = image(64);
@@ -1118,6 +1120,9 @@ mod tests {
         // page they touch fails there, before anything can serve.
         let dirs_from = le_u64(&img[56..64]) as usize / 64 * 64;
         let queries: Vec<PathExpr> = EXPRS.iter().map(|e| PathExpr::parse(e).unwrap()).collect();
+        let clean = replay(&cz, &fg, &queries, TrustPolicy::Proven, 1)
+            .unwrap()
+            .total;
         let mut faulted = 0;
         for at in (0..paged_len).step_by(61) {
             let mut bad = img.clone();
@@ -1128,28 +1133,30 @@ mod tests {
                 continue;
             }
             let (graph, star, cache) = opened.and_then(PagedFile::into_parts).unwrap();
+            match replay(&star, &graph, &queries, TrustPolicy::Proven, 2) {
+                Ok(r) => assert_eq!(r.total, clean, "flip at region byte {at}: replay"),
+                Err(MrxError::Store(_)) => {}
+                Err(e) => panic!("flip at region byte {at}: replay returned {e:?}"),
+            }
             let mut session = QuerySession::new(TrustPolicy::Proven);
             for q in &queries {
                 let ctx = format!("flip at region byte {at}, {q}");
-                QuerySession::new(TrustPolicy::Proven).serve(&star, &graph, q);
-                if cache.take_poison().is_none() {
-                    let want = want(&cz, &fg, q, TrustPolicy::Proven);
-                    let got = session.try_serve(&star, &graph, q).unwrap();
-                    assert_eq!(got.nodes, want.nodes, "{ctx}");
-                    continue;
+                let misses = session.stats().misses;
+                match session.serve(&star, &graph, q) {
+                    Ok(got) => {
+                        let want = want(&cz, &fg, q, TrustPolicy::Proven);
+                        assert_eq!(got.nodes, want.nodes, "{ctx}");
+                        assert_eq!(got.cost, want.cost, "{ctx}");
+                        continue;
+                    }
+                    Err(MrxError::Store(_)) => {}
+                    Err(e) => panic!("{ctx}: serving returned {e:?}"),
                 }
                 faulted += 1;
-                for round in ["first", "repeat"] {
-                    match session.try_serve(&star, &graph, q) {
-                        Err(MrxError::Store(_)) => {}
-                        other => panic!("{ctx}: {round} serving returned {other:?}"),
-                    }
-                }
-                assert!(!cache.poisoned(), "{ctx}: try_serve must take the fault");
-                let misses = session.stats().misses;
-                for _ in 0..2 {
-                    session.serve(&star, &graph, q);
-                    assert!(cache.take_poison().is_some(), "{ctx}: serve took the fault");
+                assert!(!cache.poisoned(), "{ctx}: serve must take the fault");
+                match session.serve(&star, &graph, q) {
+                    Err(MrxError::Store(_)) => {}
+                    other => panic!("{ctx}: repeat serving returned {other:?}"),
                 }
                 assert_eq!(session.stats().misses, misses + 2, "{ctx}: cached");
             }
@@ -1283,6 +1290,7 @@ mod tests {
         if let crate::SnapshotPayload::Compressed(graph, star) = &lenient.payload {
             let got = QuerySession::new(TrustPolicy::Proven)
                 .serve(star, graph, &q)
+                .unwrap()
                 .clone();
             assert_eq!(got.nodes, [mrx_graph::NodeId(1)]);
         }

@@ -63,10 +63,10 @@ use mrx_datagen::{xmark_like, XmarkConfig};
 use mrx_error::MrxError;
 use mrx_graph::{DataGraph, FrozenGraph, NodeId};
 use mrx_index::{
-    k_bisim, top_down_targets, CompressedIndex, CompressedMStar, IndexGraph, MStarIndex,
-    QuerySession, TrustPolicy,
+    k_bisim, top_down_targets_budgeted, CompressedIndex, CompressedMStar, IndexEvalScratch,
+    IndexGraph, MStarIndex, QuerySession, TrustPolicy,
 };
-use mrx_path::{eval_data, PathExpr};
+use mrx_path::{eval_data, PathExpr, QueryBudget};
 use mrx_postings::{put_rows, put_words, RowOrder, RowReader};
 use mrx_store::fault::{paged_links, paged_payload, reseal_paged, FaultKind, FaultPlan, PagedPart};
 use mrx_store::{load_compressed_from, paged_image, save_compressed_to, PagedFile, StoreError};
@@ -283,7 +283,7 @@ fn region_flips(image: &[u8], queries: &[PathExpr], clean: &[Vec<NodeId>]) -> (u
 /// An unbudgeted session can fail only in the store.
 fn serve(f: &mut PagedFile, q: &PathExpr) -> Result<Vec<NodeId>, StoreError> {
     let (graph, star) = f.activate(q)?;
-    match QuerySession::new(TrustPolicy::Proven).try_serve(star, graph, q) {
+    match QuerySession::new(TrustPolicy::Proven).serve(star, graph, q) {
         Ok(a) => Ok(a.nodes.clone()),
         Err(MrxError::Store(e)) => Err(e),
         Err(e) => panic!("unbudgeted serving failed outside the store: {e}"),
@@ -516,13 +516,19 @@ fn knotted_v5(
     }
     let mut session = QuerySession::new(TrustPolicy::Proven);
     for q in queries {
-        let a = session.serve(&star, &sg, q);
+        let a = session.serve(&star, &sg, q).unwrap();
         assert_eq!(a.nodes, eval_data(g, &q.compile(g)), "v5 knotted: {q}");
         // A descent into a component that does not nest passes no bit on,
         // and no later child step can certify without one.
         let cp = q.compile(&sg);
         if !cp.anchored && cp.length() >= first_loose {
-            let (targets, _, _) = top_down_targets(&star.components, &cp);
+            let (targets, _, _) = top_down_targets_budgeted(
+                &star.components,
+                &cp,
+                &mut IndexEvalScratch::new(),
+                &mut QueryBudget::unlimited().meter(),
+            )
+            .unwrap();
             assert!(
                 !targets.certified().contains(&true),
                 "v5 knotted: {q} certified through I{first_loose}"

@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let q = PathExpr::parse(expr)?;
         let (graph, star) = file.activate(&q)?;
-        let ans = session.try_serve(star, graph, &q)?;
+        let ans = session.serve(star, graph, &q)?;
         let pages = file.page_stats();
         println!(
             "{expr:<45} {:>5} answers | components loaded: {:?} | {:>6} eager bytes \
@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The in-memory index and the file agree, answers and costs alike.
     let q = PathExpr::parse("//closed_auction/buyer/person")?;
     let (graph, star) = file.activate(&q)?;
-    let from_file = session.try_serve(star, graph, &q)?;
+    let from_file = session.serve(star, graph, &q)?;
     let in_memory = idx.query(&g, &q, EvalStrategy::TopDown);
     assert_eq!(from_file.nodes, in_memory.nodes);
     assert_eq!(from_file.cost, in_memory.cost);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo-wide check gate: formatting, lints, rustdoc, source-pattern gates, the full
 # test suite (which includes the daemon chaos scenario, the seeded snapshot
-# fault injection and the wire-protocol fuzz) and the servebench tests.
+# fault injection and the wire-protocol fuzz), the five examples and the
+# servebench tests.
 # Everything runs offline.
 #
 # Usage: scripts/check.sh
@@ -60,6 +61,13 @@ echo "    varint decode is confined to the posting arena"
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "==> examples: run all five (cargo test above built them in debug)"
+# Each example asserts its answers against eval_data ground truth, so a
+# clean exit is the check; persistent_index writes only under the temp dir.
+for ex in quickstart auction_site nasa_archive workload_tuning persistent_index; do
+  cargo run --offline -q --example "$ex" > /dev/null
+done
 
 echo "==> ablations and figures at tiny scale"
 # Outside unit tests these two targets are the only callers of the Naive,

@@ -11,7 +11,7 @@
 
 use mrx::datagen::Prng;
 use mrx::index::{
-    k_bisim_all, AdaptEngine, DkIndex, EvalStrategy, MStarIndex, MkIndex, QuerySession, TrustPolicy,
+    k_bisim_all, AdaptEngine, DkIndex, MStarIndex, MkIndex, QuerySession, TrustPolicy,
 };
 use mrx::path::PathExpr;
 use mrx::prelude::{nasa_like, xmark_like, DataGraph, XmarkConfig};
@@ -347,8 +347,8 @@ fn session_cache_invalidates_once_per_batch() {
     let mut mk = MkIndex::new(&g);
     let mut session = QuerySession::new(TrustPolicy::Proven);
     for q in &queries {
-        session.serve(mk.graph(), &g, q); // prime the cache
-        session.serve(mk.graph(), &g, q);
+        session.serve(mk.graph(), &g, q).unwrap(); // prime the cache
+        session.serve(mk.graph(), &g, q).unwrap();
     }
     let before = session.stats().clone();
 
@@ -357,7 +357,7 @@ fn session_cache_invalidates_once_per_batch() {
 
     for round in 0..2 {
         for q in &queries {
-            session.serve(mk.graph(), &g, q);
+            session.serve(mk.graph(), &g, q).unwrap();
         }
         let now = session.stats();
         let distinct = queries
@@ -384,7 +384,7 @@ fn session_cache_invalidates_once_per_batch() {
     let before = session.stats().clone();
     mk.refine_batch(&g, &fups, &mut engine);
     for q in &queries {
-        session.serve(mk.graph(), &g, q);
+        session.serve(mk.graph(), &g, q).unwrap();
     }
     assert_eq!(
         session.stats().misses,
@@ -396,15 +396,15 @@ fn session_cache_invalidates_once_per_batch() {
     let mut mstar = MStarIndex::new(&g);
     let mut session = QuerySession::new(TrustPolicy::Proven);
     for q in &queries {
-        session.serve_mstar(&mstar, &g, q, EvalStrategy::TopDown);
-        session.serve_mstar(&mstar, &g, q, EvalStrategy::TopDown);
+        session.serve(&mstar, &g, q).unwrap();
+        session.serve(&mstar, &g, q).unwrap();
     }
     let mut engine = AdaptEngine::with_threads(1);
     mstar.refine_batch(&g, &fups, &mut engine);
     let before = session.stats().clone();
     for round in 0..2 {
         for q in &queries {
-            session.serve_mstar(&mstar, &g, q, EvalStrategy::TopDown);
+            session.serve(&mstar, &g, q).unwrap();
         }
         let distinct = queries
             .iter()
@@ -420,7 +420,7 @@ fn session_cache_invalidates_once_per_batch() {
     let before = session.stats().clone();
     mstar.refine_batch(&g, &fups, &mut engine);
     for q in &queries {
-        session.serve_mstar(&mstar, &g, q, EvalStrategy::TopDown);
+        session.serve(&mstar, &g, q).unwrap();
     }
     assert_eq!(session.stats().misses, before.misses);
 }

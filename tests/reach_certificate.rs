@@ -13,15 +13,14 @@
 //! * the public pair servebench's traced evaluator replays
 //!   ([`top_down_targets_budgeted`], then [`finish_answer_view_budgeted`])
 //!   answers v5 and v9 files with the answers and `Cost` of
-//!   [`QuerySession::try_serve`].
+//!   [`QuerySession::serve`].
 
 use std::path::PathBuf;
 
 use mrx::graph::{FrozenGraph, GraphView};
 use mrx::index::{
-    finish_answer_view_budgeted, top_down_targets, top_down_targets_budgeted, AdaptEngine,
-    CompressedMStar, EvalStrategy, IndexEvalScratch, IndexGraph, IndexView, MStarSnapshot,
-    QuerySession,
+    finish_answer_view_budgeted, top_down_targets_budgeted, AdaptEngine, CompressedMStar,
+    EvalStrategy, IndexEvalScratch, IndexGraph, IndexView, MStarSnapshot, QuerySession,
 };
 use mrx::path::{eval_data, Cost, EpochMemo, PathExpr, QueryBudget};
 use mrx::prelude::{xmark_like, DataGraph, GraphBuilder, MStarIndex, TrustPolicy, XmarkConfig};
@@ -65,7 +64,13 @@ fn proven_similarity_alone_admits_a_false_positive_the_certificate_refuses() {
     let cp = q.compile(&g);
     let len = cp.length() as u32;
     let truth = eval_data(&g, &cp);
-    let (targets, level, _) = top_down_targets(&components(&idx), &cp);
+    let (targets, level, _) = top_down_targets_budgeted(
+        &components(&idx),
+        &cp,
+        &mut IndexEvalScratch::new(),
+        &mut QueryBudget::unlimited().meter(),
+    )
+    .unwrap();
     assert_eq!(level, 2);
     let comp = idx.component(level);
     let wrong: Vec<_> = targets
@@ -102,6 +107,7 @@ fn proven_similarity_alone_admits_a_false_positive_the_certificate_refuses() {
     assert!(live.validated);
     let served = QuerySession::new(TrustPolicy::Proven)
         .serve(&cz, &g, &q)
+        .unwrap()
         .clone();
     assert_eq!((&served.nodes, served.cost), (&truth, live.cost));
 
@@ -110,6 +116,7 @@ fn proven_similarity_alone_admits_a_false_positive_the_certificate_refuses() {
     let short = PathExpr::parse("//person/watches").unwrap();
     let a = QuerySession::new(TrustPolicy::Proven)
         .serve(&cz, &g, &short)
+        .unwrap()
         .clone();
     assert_eq!(a.nodes, eval_data(&g, &short.compile(&g)));
     assert_eq!((a.validated, a.cost.data_nodes), (false, 0));
@@ -167,7 +174,13 @@ fn a_target_reached_through_its_certified_parent_is_trusted() {
     let fup = PathExpr::parse("//site/x/a").unwrap();
     AdaptEngine::with_threads(1).adapt_mstar(&g, &mut idx, &[fup]);
     let cp = q.compile(&g);
-    let (targets, level, _) = top_down_targets(&components(&idx), &cp);
+    let (targets, level, _) = top_down_targets_budgeted(
+        &components(&idx),
+        &cp,
+        &mut IndexEvalScratch::new(),
+        &mut QueryBudget::unlimited().meter(),
+    )
+    .unwrap();
     assert_eq!(level, 2);
     let (i1, i2) = (idx.component(1), idx.component(2));
     assert_eq!(targets.nodes().len(), 1);
@@ -187,6 +200,7 @@ fn a_target_reached_through_its_certified_parent_is_trusted() {
     assert_eq!((&live.nodes, live.validated), (&truth, false));
     let served = QuerySession::new(TrustPolicy::Proven)
         .serve(&idx.freeze_compressed(), &g, &q)
+        .unwrap()
         .clone();
     assert_eq!((&served.nodes, served.cost), (&truth, live.cost));
     assert!(!served.validated);
@@ -215,7 +229,7 @@ fn total_served<I: IndexView, G: GraphView>(
     let mut session = QuerySession::new(TrustPolicy::Proven);
     let mut total = Cost::ZERO;
     for q in queries {
-        total += session.try_serve(star, sg, q).unwrap().cost;
+        total += session.serve(star, sg, q).unwrap().cost;
     }
     total
 }
@@ -288,7 +302,7 @@ fn replay_pair_matches_try_serve<I: IndexView, G: GraphView>(
         .unwrap();
         let mut session = QuerySession::new(TrustPolicy::Proven);
         session.set_budget(budget.clone());
-        let served = session.try_serve(star, sg, q).unwrap();
+        let served = session.serve(star, sg, q).unwrap();
         assert_eq!(replayed.nodes, served.nodes, "{ctx} on {q}: answer");
         assert_eq!(replayed.cost, served.cost, "{ctx} on {q}: cost");
         assert_eq!(replayed.validated, served.validated, "{ctx} on {q}");

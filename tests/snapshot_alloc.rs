@@ -3,13 +3,18 @@
 //! component count), not of the node count. Loading a 25× larger v5
 //! snapshot, or opening and activating a 25× larger v9 one, must perform
 //! the same number of allocations.
+//!
+//! It also asserts that a warm answer-cache hit allocates nothing: serving
+//! a query whose answer is cached is one read-locked probe and two `Arc`
+//! clones.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mrx::datagen::nasa_like;
+use mrx::index::QuerySession;
 use mrx::path::PathExpr;
-use mrx::prelude::{DataGraph, MStarIndex};
+use mrx::prelude::{DataGraph, MStarIndex, TrustPolicy};
 use mrx::store::{load_compressed_from, paged_image, save_compressed_to, PagedFile};
 use mrx_graph::FrozenGraph;
 
@@ -119,4 +124,29 @@ fn v5_and_v8_load_allocation_count_is_independent_of_node_count() {
         (p_large as usize) < n_large / 50,
         "v9 open performed {p_large} allocations for {n_large} nodes"
     );
+
+    // A warm hit allocates nothing: three queries answered once, then
+    // served from the session's cache 100 times each.
+    let (fg, cz) = load_compressed_from(small5.as_slice()).unwrap();
+    let queries: Vec<PathExpr> = [
+        "//dataset/reference/source",
+        "//dataset/history/ingest",
+        "//source/journal",
+    ]
+    .iter()
+    .map(|e| PathExpr::parse(e).unwrap())
+    .collect();
+    let mut session = QuerySession::new(TrustPolicy::Proven);
+    for q in &queries {
+        session.serve(&cz, &fg, q).unwrap();
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..100 {
+        for q in &queries {
+            session.serve(&cz, &fg, q).unwrap();
+        }
+    }
+    let hits = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(session.stats().hits, 300);
+    assert_eq!(hits, 0, "300 warm hits performed {hits} allocations");
 }

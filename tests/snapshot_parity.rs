@@ -32,8 +32,8 @@ use mrx::datagen::{random_graph, RandomGraphConfig};
 use mrx::graph::{FrozenGraph, GraphView};
 use mrx::index::query::answer_compiled;
 use mrx::index::{
-    naive, replay, replay_mstar, AdaptEngine, AkIndex, CompressedMStar, DkIndex, EvalStrategy,
-    IndexGraph, IndexView, MStarSnapshot, MkIndex, OneIndex, PagedMStar, Partition, QuerySession,
+    naive, replay, AdaptEngine, AkIndex, CompressedMStar, DkIndex, EvalStrategy, IndexGraph,
+    IndexView, MStarSnapshot, MkIndex, OneIndex, PagedMStar, Partition, QuerySession,
 };
 use mrx::path::{eval_data, PathExpr, QueryBudget};
 use mrx::prelude::{nasa_like, xmark_like, Cost, DataGraph, MStarIndex, TrustPolicy, XmarkConfig};
@@ -144,17 +144,20 @@ fn check<I: IndexView, G: GraphView>(
                 if policy == TrustPolicy::Proven {
                     assert_eq!(live.nodes, eval_data(g, &q.compile(g)), "{ctx}: oracle");
                 }
-                let cold = QuerySession::new(policy).serve(star, sg, q).clone();
+                let cold = QuerySession::new(policy)
+                    .serve(star, sg, q)
+                    .unwrap()
+                    .clone();
                 assert_eq!(cold.nodes, live.nodes, "{ctx}: cold answer");
                 assert_eq!(cold.cost, live.cost, "{ctx}: cold cost");
                 assert_eq!(cold.validated, live.validated, "{ctx}: cold validation");
-                let warm = session.serve(star, sg, q);
+                let warm = session.serve(star, sg, q).unwrap();
                 assert_eq!(warm.nodes, live.nodes, "{ctx}: session answer");
                 assert_eq!(warm.cost, live.cost, "{ctx}: session cost");
-                let governed = metered.try_serve(star, sg, q).unwrap();
+                let governed = metered.serve(star, sg, q).unwrap();
                 assert_eq!(governed.nodes, warm.nodes, "{ctx}: budgeted answer");
                 assert_eq!(governed.cost, warm.cost, "{ctx}: budgeted cost");
-                live_session.serve_mstar(idx, g, q, EvalStrategy::TopDown);
+                live_session.serve(idx, g, q).unwrap();
             }
         }
         assert_eq!(
@@ -266,6 +269,7 @@ fn sole_target_parity<G: GraphView>(
         let sole = c.links.sole_supernodes(c.node_count());
         let paged = QuerySession::new(TrustPolicy::Proven)
             .serve(star, sg, q)
+            .unwrap()
             .clone();
         if !paged
             .target_index_nodes
@@ -277,6 +281,7 @@ fn sole_target_parity<G: GraphView>(
         let ctx = format!("{ctx} on {q}");
         let compressed = QuerySession::new(TrustPolicy::Proven)
             .serve(cz, &FrozenGraph::freeze(g), q)
+            .unwrap()
             .clone();
         let live = idx.query(g, q, EvalStrategy::TopDown);
         let got = (&paged.nodes, paged.cost);
@@ -398,19 +403,20 @@ fn lazy_prefix_loading_matches_the_full_hierarchy() {
     for q in &w.queries {
         let want = QuerySession::new(TrustPolicy::Proven)
             .serve(&cz, &fg, q)
+            .unwrap()
             .clone();
         let prefix: Vec<usize> = (0..=q.steps().len().saturating_sub(1).min(cz.max_k())).collect();
         let mut v5 = mrx::store::CompressedFile::open(&p5).unwrap();
         let (g5, star5) = v5.activate(q).unwrap();
         let a5 = QuerySession::new(TrustPolicy::Proven)
-            .try_serve(star5, g5, q)
+            .serve(star5, g5, q)
             .unwrap()
             .clone();
         assert_eq!(v5.loaded_components(), prefix, "v5 prefix on {q}");
         let mut v9 = PagedFile::open_with(&p8, CACHE).unwrap();
         let (g8, star8) = v9.activate(q).unwrap();
         let a8 = QuerySession::new(TrustPolicy::Proven)
-            .try_serve(star8, g8, q)
+            .serve(star8, g8, q)
             .unwrap()
             .clone();
         assert_eq!(v9.loaded_components(), prefix, "v9 prefix on {q}");
@@ -430,7 +436,7 @@ fn assert_session_parity(tag: &str, ig: &IndexGraph, g: &DataGraph, queries: &[P
         let mut session = QuerySession::new(policy);
         for round in ["cold", "warm"] {
             for q in queries {
-                let served = session.serve(ig, g, q);
+                let served = session.serve(ig, g, q).unwrap();
                 let legacy = answer_compiled(ig, g, &q.compile(g), policy);
                 let ctx = format!("{tag}/{policy:?}/{round} on {q}");
                 assert_eq!(served.nodes, legacy.nodes, "{ctx}: answer");
@@ -479,7 +485,7 @@ fn sessions_match_legacy_answers_on_mstar() {
             let mut session = QuerySession::new(policy);
             for round in ["cold", "warm"] {
                 for q in &w.queries {
-                    let served = session.serve_mstar(&mstar, &g, q, EvalStrategy::TopDown);
+                    let served = session.serve(&mstar, &g, q).unwrap();
                     let legacy = mstar.query_with_policy(&g, q, EvalStrategy::TopDown, policy);
                     let ctx = format!("{ds}/mstar/{policy:?}/{round} on {q}");
                     assert_eq!(served.nodes, legacy.nodes, "{ctx}: answer");
@@ -503,13 +509,13 @@ fn post_refinement_servings_match_fresh_evaluation() {
             let mut mk = MkIndex::new(&g);
             let mut session = QuerySession::new(policy);
             for q in early {
-                session.serve(mk.graph(), &g, q);
+                session.serve(mk.graph(), &g, q).unwrap();
             }
             for q in late {
                 mk.refine_for(&g, q); // bumps the mutation epoch
             }
             for q in &w.queries {
-                let served = session.serve(mk.graph(), &g, q).clone();
+                let served = session.serve(mk.graph(), &g, q).unwrap().clone();
                 let fresh = answer_compiled(mk.graph(), &g, &q.compile(&g), policy);
                 assert_eq!(
                     served.nodes, fresh.nodes,
@@ -531,7 +537,7 @@ fn mk_fup_splitting_a_target_node_evicts_the_cached_answer() {
     let fup = PathExpr::parse("//open_auction/bidder/personref/person").unwrap();
     let mut mk = MkIndex::new(&g);
     let mut session = QuerySession::new(TrustPolicy::Claimed);
-    let before = session.serve(mk.graph(), &g, &served_q).clone();
+    let before = session.serve(mk.graph(), &g, &served_q).unwrap().clone();
     assert_eq!(before.nodes, eval_data(&g, &served_q.compile(&g)));
     let epoch_before = mk.graph().mutation_epoch();
     mk.refine_for(&g, &fup);
@@ -546,7 +552,7 @@ fn mk_fup_splitting_a_target_node_evicts_the_cached_answer() {
             .any(|&t| !mk.graph().is_alive(t)),
         "test premise: the FUP splits a target node of the served query"
     );
-    let after = session.serve(mk.graph(), &g, &served_q).clone();
+    let after = session.serve(mk.graph(), &g, &served_q).unwrap().clone();
     let fresh = mk.query_paper(&g, &served_q);
     assert_eq!(
         (&after.nodes, after.cost),
@@ -570,13 +576,13 @@ fn replay_totals_are_thread_count_invariant() {
             let strategy = EvalStrategy::TopDown;
             let legacy_ms = sum(&|q| mstar.query_with_policy(&g, q, strategy, policy).cost);
             for threads in [1usize, 2, 8] {
-                let r = replay(ak.graph(), &g, &w.queries, policy, threads);
+                let r = replay(ak.graph(), &g, &w.queries, policy, threads).unwrap();
                 assert_eq!(r.total, legacy, "{ds}/ak/{policy:?}/{threads}t");
                 assert_eq!(
                     (r.queries, r.stats.queries),
                     (w.queries.len(), r.queries as u64)
                 );
-                let r = replay_mstar(&mstar, &g, &w.queries, strategy, policy, threads);
+                let r = replay(&mstar, &g, &w.queries, policy, threads).unwrap();
                 assert_eq!(r.total, legacy_ms, "{ds}/mstar/{policy:?}/{threads}t");
             }
         }

@@ -30,7 +30,7 @@ fn open_v9(image: &[u8], q: &PathExpr) -> Result<(), StoreError> {
     let mut f = PagedFile::open_bytes(image.to_vec(), 1 << 20)?;
     f.ensure_loaded(usize::MAX)?;
     let (graph, star) = f.activate(q)?;
-    match QuerySession::new(TrustPolicy::Proven).try_serve(star, graph, q) {
+    match QuerySession::new(TrustPolicy::Proven).serve(star, graph, q) {
         Ok(_) => {}
         Err(MrxError::Store(e)) => return Err(e),
         Err(e) => panic!("unbudgeted serving failed outside the store: {e}"),
@@ -118,14 +118,14 @@ fn mstar_roundtrip_preserves_everything() {
             let truth = eval_data(&g, &q.compile(&g));
             let mut session = QuerySession::new(TrustPolicy::Proven);
             assert_eq!(
-                session.serve(&cz5, &g5, q).nodes,
+                session.serve(&cz5, &g5, q).unwrap().nodes,
                 truth,
                 "case {case}: v5 {q}"
             );
             let (g8, star8) = f7.activate(q).unwrap();
             let mut session = QuerySession::new(TrustPolicy::Proven);
             assert_eq!(
-                session.try_serve(star8, g8, q).unwrap().nodes,
+                session.serve(star8, g8, q).unwrap().nodes,
                 truth,
                 "case {case}: v9 {q}"
             );
