@@ -14,6 +14,8 @@
 //!
 //! Scale via `MRX_SCALE` / `MRX_QUERIES` (default: small).
 
+#![forbid(unsafe_code)]
+
 use mrx_bench::{Dataset, Scale};
 use mrx_datagen::nasa_like_with_density;
 use mrx_graph::DataGraph;

@@ -8,6 +8,8 @@
 //! With `--out`, each figure is also written as `figN.csv` into `DIR`.
 //! Without arguments, `--all` at the `MRX_SCALE` (default `small`) scale.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use mrx_bench::figures::Suite;

@@ -15,6 +15,8 @@
 //! (~120k-node XMark, ~90k-node NASA, 500 queries) takes a while under five
 //! index families; the *shapes* the paper reports emerge at every scale.
 
+#![forbid(unsafe_code)]
+
 pub mod datasets;
 pub mod experiment;
 pub mod figures;

@@ -8,6 +8,8 @@
 //! mrx workload auctions.xml --max-len 4 --count 50
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 mod args;

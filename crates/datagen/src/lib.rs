@@ -21,6 +21,8 @@
 //! All generators are deterministic in their seed, driven by the in-repo
 //! seeded generator in [`prng`] (no external dependencies).
 
+#![forbid(unsafe_code)]
+
 pub mod dtd;
 pub mod nasa;
 pub mod prng;

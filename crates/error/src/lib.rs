@@ -13,6 +13,8 @@
 //! the layer error closest to the failure; API boundaries (CLI, sessions)
 //! return `MrxError` so callers match on the layer, not on strings.
 
+#![forbid(unsafe_code)]
+
 use std::error::Error;
 use std::fmt;
 use std::io;

@@ -31,6 +31,8 @@
 //! assert_eq!(g.parents(person).len(), 2); // people + auction
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod builder;
 mod frozen;
 mod graph;

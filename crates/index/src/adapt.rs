@@ -42,8 +42,8 @@
 //! bit-parity, so the M*(k) core keeps the legacy *growth schedule* (clone
 //! on demand, inside the job) while still replacing the set algebra of
 //! REFINENODE* and SPLITNODE* with marks and arenas like the other cores.
-//! Truth sets are shared across duplicates and computed in parallel with
-//! `std::thread::scope` when more than one effective thread is configured.
+//! Truth sets are shared across duplicates and computed once per distinct
+//! FUP on the calling thread.
 //!
 //! **Exact similarity.** After each M*(k) batch the engine raises every
 //! node of every component to its exact similarity, the largest `j ≤ K`
@@ -63,7 +63,7 @@ use mrx_graph::{DataGraph, NodeId};
 use mrx_path::{CompiledPath, Cost, EpochSet, EvalScratch, PathExpr};
 
 use crate::graph::IndexEvalScratch;
-use crate::refine::{default_threads, RefineStats, Refiner};
+use crate::refine::{RefineStats, Refiner};
 use crate::{label_partition, DkIndex, IdxId, IndexGraph, MStarIndex, MkIndex, Partition};
 
 /// One planned unit of adaptation work: a distinct FUP of the batch.
@@ -173,7 +173,6 @@ impl AdaptScratch {
 
 /// The batched adaptation engine. See the module docs for the design.
 pub struct AdaptEngine {
-    threads: usize,
     stats: RefineStats,
     plan: Option<Plan>,
     scratch: AdaptScratch,
@@ -189,36 +188,19 @@ impl Default for AdaptEngine {
 }
 
 impl AdaptEngine {
-    /// An engine with [`default_threads`] worker threads.
+    /// A fresh engine with no plan, scratch or partitions yet.
     pub fn new() -> Self {
-        Self::with_threads(default_threads())
-    }
-
-    /// An engine with an explicit thread count (used by truth evaluation
-    /// for the M*(k) flavour; the mutation phase is always sequential to
-    /// preserve bit-parity with the recursive oracle).
-    pub fn with_threads(threads: usize) -> Self {
         AdaptEngine {
-            threads: threads.max(1),
-            stats: RefineStats {
-                threads: threads.max(1),
-                ..RefineStats::default()
-            },
+            stats: RefineStats::default(),
             plan: None,
             scratch: AdaptScratch::default(),
             similarity: Vec::new(),
         }
     }
 
-    /// Scratch/plan reuse counters (`scratch_allocs`, `scratch_reuses`)
-    /// and the configured thread count.
+    /// Scratch/plan reuse counters (`scratch_allocs`, `scratch_reuses`).
     pub fn stats(&self) -> &RefineStats {
         &self.stats
-    }
-
-    /// The configured worker thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Batched M(k) adaptation: equivalent to `refine_for` on every batch
@@ -358,49 +340,24 @@ impl AdaptEngine {
             if jobs.iter().any(|j| &j.fup == f) {
                 continue;
             }
+            let cp = f.compile(g);
+            let len = f.length() as u32;
+            let truth = if with_truth && len > 0 {
+                mrx_path::eval_data_with(g, &cp, &mut self.scratch.truth_scratch)
+            } else {
+                Vec::new()
+            };
             jobs.push(Job {
                 fup: f.clone(),
-                cp: f.compile(g),
-                truth: Vec::new(),
-                len: f.length() as u32,
+                cp,
+                truth,
+                len,
             });
-        }
-        if with_truth {
-            self.compute_truths(g, &mut jobs);
         }
         self.plan = Some(Plan {
             key: batch.to_vec(),
             with_truth,
             jobs,
-        });
-    }
-
-    /// Evaluates every job's ground truth, in parallel across jobs when
-    /// more than one effective thread is configured. Truths depend only on
-    /// the immutable data graph, so the result is independent of the
-    /// thread count and of evaluation order.
-    fn compute_truths(&mut self, g: &DataGraph, jobs: &mut [Job]) {
-        let threads = self.threads.min(jobs.len().max(1));
-        if threads <= 1 {
-            for j in jobs.iter_mut() {
-                if j.len > 0 {
-                    j.truth = mrx_path::eval_data_with(g, &j.cp, &mut self.scratch.truth_scratch);
-                }
-            }
-            return;
-        }
-        let chunk = jobs.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            for slice in jobs.chunks_mut(chunk) {
-                s.spawn(move || {
-                    let mut scratch = EvalScratch::new();
-                    for j in slice {
-                        if j.len > 0 {
-                            j.truth = mrx_path::eval_data_with(g, &j.cp, &mut scratch);
-                        }
-                    }
-                });
-            }
         });
     }
 }
@@ -410,7 +367,7 @@ fn covers(parts: &[Partition], g: &DataGraph, k: usize) -> bool {
     parts.len() > k && parts[0].block_of.len() == g.node_count()
 }
 
-/// Extends `parts` to `≈0 ..= ≈k` of `g` with a one-thread [`Refiner`],
+/// Extends `parts` to `≈0 ..= ≈k` of `g` with a [`Refiner`],
 /// continuing from the finest partition already held (a set built over
 /// another graph is dropped first).
 fn extend_partitions(g: &DataGraph, parts: &mut Vec<Partition>, k: usize) {
@@ -418,7 +375,7 @@ fn extend_partitions(g: &DataGraph, parts: &mut Vec<Partition>, k: usize) {
         parts.clear();
     }
     let start = parts.pop().unwrap_or_else(|| label_partition(g));
-    let mut r = Refiner::from_partition(g, start.clone(), 1);
+    let mut r = Refiner::from_partition(g, start.clone());
     parts.push(start);
     while parts.len() <= k {
         r.step();

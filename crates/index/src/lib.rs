@@ -31,6 +31,8 @@
 //! assert!(!second.validated);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod a_k;
 pub mod adapt;
 mod apex;
@@ -64,9 +66,9 @@ pub use partition::{
     Partition,
 };
 pub use query::{answer, answer_paper, Answer, QueryScratch, TrustPolicy};
-pub use refine::{default_threads, RefineStats, Refiner, SEQ_THRESHOLD};
+pub use refine::{RefineStats, Refiner};
 pub use session::{
-    replay, QuerySession, ReplayReport, Servable, SessionStats, SharedAnswerCache,
+    default_threads, replay, QuerySession, ReplayReport, Servable, SessionStats, SharedAnswerCache,
     SharedCacheConfig, SharedCacheStats,
 };
 pub use snapshot::{

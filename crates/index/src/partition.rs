@@ -13,7 +13,7 @@
 
 use mrx_graph::{DataGraph, NodeId};
 
-use crate::refine::{self, RefineStats, Refiner};
+use crate::refine::{RefineStats, Refiner};
 
 /// A partition of a graph's nodes into numbered blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,7 +82,9 @@ pub fn label_partition(g: &DataGraph) -> Partition {
 /// the interning engine in [`crate::refine`] (see [`naive::refine_once`] for
 /// the reference implementation it is tested against).
 pub fn refine_once(g: &DataGraph, prev: &Partition) -> Partition {
-    refine::refine_once_with(g, prev, refine::default_threads())
+    let mut r = Refiner::from_partition(g, prev.clone());
+    r.step();
+    r.finish().0
 }
 
 /// The `≈k` partition.

@@ -650,6 +650,14 @@ pub struct ReplayReport {
     pub stats: SessionStats,
 }
 
+/// A thread count for [`replay`]: `std::thread::available_parallelism`,
+/// else 1.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// Replays `queries` against `target` over per-thread [`QuerySession`]s.
 /// The index and graph are shared read-only; each thread owns its session
 /// (scratch + cache), so no synchronization is needed. `threads == 1` (or
@@ -720,6 +728,11 @@ mod tests {
     use mrx_graph::xml::parse;
     use mrx_graph::DataGraph;
     use mrx_path::eval_data;
+
+    #[test]
+    fn default_threads_is_at_least_one() {
+        assert!(default_threads() >= 1);
+    }
 
     fn doc() -> DataGraph {
         parse(

@@ -134,9 +134,8 @@ pub fn render_refine_stats(stats: &RefineStats) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "  refinement: {} round(s), {} thread(s), {:.2} ms total, {} KiB scratch",
+        "  refinement: {} round(s), {:.2} ms total, {} KiB scratch",
         stats.rounds,
-        stats.threads,
         stats.total_millis(),
         stats.scratch_bytes / 1024
     );

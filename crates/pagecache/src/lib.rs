@@ -41,6 +41,8 @@
 //! returns the error in place of the answer — corruption is always caught before any answer is
 //! served, which the store's fault-injection test proves seed by seed.
 
+#![forbid(unsafe_code)]
+
 mod arena;
 mod cache;
 mod source;

@@ -26,6 +26,8 @@
 //! assert_eq!(eval_data(&g, &p.compile(&g)).len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod budget;
 mod cost;
 mod eval;

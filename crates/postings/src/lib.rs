@@ -26,6 +26,8 @@
 //! The crate is dependency-free and knows nothing about graphs or indexes;
 //! callers adapt their id newtypes via [`PostingId`].
 
+#![forbid(unsafe_code)]
+
 mod block;
 mod csr;
 mod rows;

@@ -35,6 +35,7 @@
 //! binary framing with caps checked before allocation; [`client::Client`]
 //! speaks it for the CLI, tests, and benches.
 
+#![deny(unsafe_code)]
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)

@@ -40,7 +40,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -90,8 +90,6 @@ pub struct ServeConfig {
     pub tenant_backlog: usize,
     /// DRR quantum: consecutive requests one tenant may serve.
     pub quantum: u32,
-    /// Extent trust policy for evaluation.
-    pub policy: TrustPolicy,
     /// Token-bucket limit applied to tenants without an override
     /// (`None` disables rate limiting for them).
     pub default_rate: Option<TenantRate>,
@@ -137,7 +135,6 @@ impl ServeConfig {
             queue_cap: 256,
             tenant_backlog: 32,
             quantum: 4,
-            policy: TrustPolicy::Proven,
             default_rate: None,
             tenant_rates: HashMap::new(),
             default_budget: TenantBudget::default(),
@@ -586,6 +583,9 @@ fn send(mut stream: &TcpStream, req_id: u32, resp: &Response) -> io::Result<()> 
 }
 
 /// Serves one connection; each query's disconnect probe shares its socket.
+/// On exit the socket is shut down rather than left to the last `Arc`: a
+/// query that outlived its reply window may still hold a probe, and the
+/// shutdown is what lets the client see the close and that probe see EOF.
 fn conn_loop(sh: Arc<Shared>, stream: TcpStream) {
     let stream = Arc::new(stream);
     let _ = stream.set_nodelay(true);
@@ -638,6 +638,7 @@ fn conn_loop(sh: Arc<Shared>, stream: TcpStream) {
             }
         }
     }
+    let _ = stream.shutdown(Shutdown::Both);
     sh.conns.fetch_sub(1, Ordering::SeqCst);
 }
 
@@ -699,9 +700,10 @@ fn admit_query(
         Ok(()) => match rx.recv_timeout(sh.cfg.reply_timeout) {
             Ok(resp) => (resp, true),
             Err(_) => {
-                // The worker still holds the reply sender; closing the
-                // connection (keep = false) makes its disconnect probe
-                // cancel the stuck query.
+                // The worker still holds the reply sender. keep = false
+                // ends `conn_loop`, which shuts the socket down: the
+                // client sees a close, and the job's disconnect probe
+                // reads EOF and cancels it at its next budget poll.
                 inc(&sh.stats.reply_timeouts);
                 (
                     Response::Error(ServeError::Server(
@@ -794,12 +796,16 @@ fn do_reload(sh: &Arc<Shared>, path: &str) -> Response {
 }
 
 fn worker_loop(sh: Arc<Shared>) {
-    let mut session = QuerySession::new(sh.cfg.policy);
+    let mut session = QuerySession::new(TrustPolicy::Proven);
     loop {
         match sh.queue.pop(sh.cfg.tick) {
             Popped::Item(job) => {
                 sh.in_flight.fetch_add(1, Ordering::SeqCst);
                 let resp = eval_job(&sh, &mut session, &job);
+                // The budget holds the job's disconnect probe, which owns
+                // a share of the connection's socket: release it now, not
+                // at this worker's next job.
+                session.set_budget(QueryBudget::unlimited());
                 if matches!(resp, Response::Answer { .. }) {
                     inc(&sh.stats.answers);
                 }

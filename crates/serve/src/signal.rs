@@ -49,6 +49,7 @@ mod platform {
     }
 
     /// Installs the flag-setting handler for SIGINT and SIGTERM.
+    #[allow(unsafe_code)]
     pub fn install() {
         unsafe {
             signal(SIGINT, on_signal as *const () as usize);

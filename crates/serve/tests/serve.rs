@@ -488,6 +488,49 @@ fn protocol_abuse_gets_typed_errors_and_close() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A query that misses its reply window closes its connection at once:
+/// the next request on it sees the close well inside the client's read
+/// timeout, instead of waiting on a socket the worker still holds open.
+#[test]
+fn reply_timeout_closes_the_connection() {
+    let dir = tmp_dir("reply-timeout");
+    let (pa, _) = save_pair(&dir);
+    let mut cfg = base_config(&pa);
+    cfg.reply_timeout = Duration::ZERO;
+    let server = Server::start(cfg).unwrap();
+    let mut timed_out = None;
+    for _ in 0..100 {
+        let mut c = Client::connect_with(server.addr(), Duration::from_secs(3)).unwrap();
+        match c.query("t", "//person/name") {
+            Err(ClientError::Server(ServeError::Server(m))) if m.contains("reply window") => {
+                timed_out = Some(c);
+                break;
+            }
+            Ok(_) => {}
+            Err(e) => panic!("expected an answer or a reply-window error, got {e}"),
+        }
+    }
+    let mut c = timed_out.expect("no query missed a zero reply window");
+    let start = Instant::now();
+    match c.ping() {
+        Err(ClientError::Io(e)) => assert!(
+            !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "the ping timed out instead of seeing the close: {e}"
+        ),
+        other => panic!("expected the connection closed, got {other:?}"),
+    }
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "the close took {:?}",
+        start.elapsed()
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn shutdown_drains_and_refuses_new_queries() {
     let dir = tmp_dir("shutdown");

@@ -50,6 +50,8 @@
 //! # Ok::<(), mrx_error::MrxError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod compressed;
 pub mod fault;
 mod format;

@@ -15,6 +15,8 @@
 //! real workloads (the distributions of Figures 8 and 9 fall out of this
 //! process; [`Workload::length_histogram`] regenerates them).
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashSet;
 
 use mrx_datagen::Prng;

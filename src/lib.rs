@@ -51,6 +51,8 @@
 //! | [`workload`] | `mrx-workload` | §5 workload generator and FUP extraction |
 //! | [`store`] | `mrx-store` | disk-resident persistence, lazy component loading (§6) |
 
+#![forbid(unsafe_code)]
+
 pub use mrx_datagen as datagen;
 pub use mrx_graph as graph;
 pub use mrx_index as index;

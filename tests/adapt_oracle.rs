@@ -2,8 +2,8 @@
 //! every index family in a *bit-identical* state to the legacy per-FUP
 //! recursive operators (`MkIndex::refine_for`, `DkIndex::promote_for`,
 //! `MStarIndex::refine_for`) applied sequentially — extents, `k` values and
-//! false-instance counts — over shuffled duplicated workloads, at one and
-//! two threads. M*(k) oracles get the engine's exact-similarity pass
+//! false-instance counts — over shuffled duplicated workloads. M*(k)
+//! oracles get the engine's exact-similarity pass
 //! (`MStarIndex::certify_exact`) after each batch, so `genuine` matches
 //! too. Plus the steady-state guarantees: zero scratch allocations when
 //! re-adapting a converged batch, no extra scratch work for repeated FUPs,
@@ -57,22 +57,20 @@ fn batched_mk_matches_sequential_refine_for() {
             for f in &fups {
                 oracle.refine_for(&g, f);
             }
-            for threads in [1usize, 2] {
-                let mut idx = MkIndex::new(&g);
-                let mut engine = AdaptEngine::with_threads(threads);
-                idx.refine_batch(&g, &fups, &mut engine);
-                idx.graph().check_invariants(&g);
-                assert_eq!(
-                    idx.graph().export_extents(),
-                    oracle.graph().export_extents(),
-                    "{tag}/seed{shuffle_seed}/t{threads}: extent mismatch"
-                );
-                assert_eq!(
-                    idx.false_instance_breaks(),
-                    oracle.false_instance_breaks(),
-                    "{tag}/seed{shuffle_seed}/t{threads}: break count mismatch"
-                );
-            }
+            let mut idx = MkIndex::new(&g);
+            let mut engine = AdaptEngine::new();
+            idx.refine_batch(&g, &fups, &mut engine);
+            idx.graph().check_invariants(&g);
+            assert_eq!(
+                idx.graph().export_extents(),
+                oracle.graph().export_extents(),
+                "{tag}/seed{shuffle_seed}: extent mismatch"
+            );
+            assert_eq!(
+                idx.false_instance_breaks(),
+                oracle.false_instance_breaks(),
+                "{tag}/seed{shuffle_seed}: break count mismatch"
+            );
         }
     }
 }
@@ -86,17 +84,15 @@ fn batched_dk_promote_matches_sequential_promote_for() {
             for f in &fups {
                 oracle.promote_for(&g, f);
             }
-            for threads in [1usize, 2] {
-                let mut idx = DkIndex::a0(&g);
-                let mut engine = AdaptEngine::with_threads(threads);
-                idx.promote_batch(&g, &fups, &mut engine);
-                idx.graph().check_invariants(&g);
-                assert_eq!(
-                    idx.graph().export_extents(),
-                    oracle.graph().export_extents(),
-                    "{tag}/seed{shuffle_seed}/t{threads}: extent mismatch"
-                );
-            }
+            let mut idx = DkIndex::a0(&g);
+            let mut engine = AdaptEngine::new();
+            idx.promote_batch(&g, &fups, &mut engine);
+            idx.graph().check_invariants(&g);
+            assert_eq!(
+                idx.graph().export_extents(),
+                oracle.graph().export_extents(),
+                "{tag}/seed{shuffle_seed}: extent mismatch"
+            );
         }
     }
 }
@@ -111,29 +107,27 @@ fn batched_mstar_matches_sequential_refine_for() {
                 oracle.refine_for(&g, f);
             }
             certify(&g, &mut oracle);
-            for threads in [1usize, 2] {
-                let mut idx = MStarIndex::new(&g);
-                let mut engine = AdaptEngine::with_threads(threads);
-                idx.refine_batch(&g, &fups, &mut engine);
-                idx.check_invariants(&g);
+            let mut idx = MStarIndex::new(&g);
+            let mut engine = AdaptEngine::new();
+            idx.refine_batch(&g, &fups, &mut engine);
+            idx.check_invariants(&g);
+            assert_eq!(
+                idx.max_k(),
+                oracle.max_k(),
+                "{tag}/seed{shuffle_seed}: hierarchy height mismatch"
+            );
+            for i in 0..=idx.max_k() {
                 assert_eq!(
-                    idx.max_k(),
-                    oracle.max_k(),
-                    "{tag}/seed{shuffle_seed}/t{threads}: hierarchy height mismatch"
-                );
-                for i in 0..=idx.max_k() {
-                    assert_eq!(
-                        idx.component(i).export_extents(),
-                        oracle.component(i).export_extents(),
-                        "{tag}/seed{shuffle_seed}/t{threads}: component {i} mismatch"
-                    );
-                }
-                assert_eq!(
-                    idx.false_instance_breaks(),
-                    oracle.false_instance_breaks(),
-                    "{tag}/seed{shuffle_seed}/t{threads}: break count mismatch"
+                    idx.component(i).export_extents(),
+                    oracle.component(i).export_extents(),
+                    "{tag}/seed{shuffle_seed}: component {i} mismatch"
                 );
             }
+            assert_eq!(
+                idx.false_instance_breaks(),
+                oracle.false_instance_breaks(),
+                "{tag}/seed{shuffle_seed}: break count mismatch"
+            );
         }
     }
 }
@@ -160,7 +154,7 @@ fn engine_survives_changing_batches() {
     }
 
     let mut idx = MkIndex::new(&g);
-    let mut engine = AdaptEngine::with_threads(1);
+    let mut engine = AdaptEngine::new();
     idx.refine_batch(&g, first, &mut engine);
     idx.refine_batch(&g, second, &mut engine);
     assert_eq!(
@@ -171,7 +165,7 @@ fn engine_survives_changing_batches() {
 
     let mut oracle = MStarIndex::new(&g);
     let mut idx = MStarIndex::new(&g);
-    let mut engine = AdaptEngine::with_threads(1);
+    let mut engine = AdaptEngine::new();
     for (half, batch) in [("first", first), ("second", second)] {
         for f in batch {
             oracle.refine_for(&g, f);
@@ -200,7 +194,7 @@ fn steady_state_adaptation_is_allocation_free() {
     let fups = shuffled_fups(&g, 1);
 
     let mut mk = MkIndex::new(&g);
-    let mut engine = AdaptEngine::with_threads(1);
+    let mut engine = AdaptEngine::new();
     mk.refine_batch(&g, &fups, &mut engine);
     let warm_allocs = engine.stats().scratch_allocs;
     let warm_reuses = engine.stats().scratch_reuses;
@@ -216,7 +210,7 @@ fn steady_state_adaptation_is_allocation_free() {
     );
 
     let mut dk = DkIndex::a0(&g);
-    let mut engine = AdaptEngine::with_threads(1);
+    let mut engine = AdaptEngine::new();
     dk.promote_batch(&g, &fups, &mut engine);
     let warm_allocs = engine.stats().scratch_allocs;
     dk.promote_batch(&g, &fups, &mut engine);
@@ -227,7 +221,7 @@ fn steady_state_adaptation_is_allocation_free() {
     );
 
     let mut mstar = MStarIndex::new(&g);
-    let mut engine = AdaptEngine::with_threads(1);
+    let mut engine = AdaptEngine::new();
     mstar.refine_batch(&g, &fups, &mut engine);
     let warm_allocs = engine.stats().scratch_allocs;
     mstar.refine_batch(&g, &fups, &mut engine);
@@ -249,18 +243,18 @@ fn repeated_fups_cost_nothing_beyond_the_distinct_batch() {
     let counters = |e: &AdaptEngine| (e.stats().scratch_allocs, e.stats().scratch_reuses);
 
     assert_repeats_are_free("M(k)", &fups, |batch| {
-        let (mut idx, mut engine) = (MkIndex::new(&g), AdaptEngine::with_threads(1));
+        let (mut idx, mut engine) = (MkIndex::new(&g), AdaptEngine::new());
         idx.refine_batch(&g, batch, &mut engine);
         let out = (idx.graph().export_extents(), idx.false_instance_breaks());
         (out, counters(&engine))
     });
     assert_repeats_are_free("D(k)-promote", &fups, |batch| {
-        let (mut idx, mut engine) = (DkIndex::a0(&g), AdaptEngine::with_threads(1));
+        let (mut idx, mut engine) = (DkIndex::a0(&g), AdaptEngine::new());
         idx.promote_batch(&g, batch, &mut engine);
         (idx.graph().export_extents(), counters(&engine))
     });
     assert_repeats_are_free("M*(k)", &fups, |batch| {
-        let (mut idx, mut engine) = (MStarIndex::new(&g), AdaptEngine::with_threads(1));
+        let (mut idx, mut engine) = (MStarIndex::new(&g), AdaptEngine::new());
         idx.refine_batch(&g, batch, &mut engine);
         let extents: Vec<_> = (0..=idx.max_k())
             .map(|i| idx.component(i).export_extents())
@@ -298,7 +292,7 @@ fn batch_bumps_mutation_epoch_once() {
     let fups = shuffled_fups(&g, 1);
 
     let mut mk = MkIndex::new(&g);
-    let mut engine = AdaptEngine::with_threads(1);
+    let mut engine = AdaptEngine::new();
     let e0 = mk.graph().mutation_epoch();
     mk.refine_batch(&g, &fups, &mut engine);
     assert_eq!(
@@ -315,7 +309,7 @@ fn batch_bumps_mutation_epoch_once() {
     );
 
     let mut dk = DkIndex::a0(&g);
-    let mut engine = AdaptEngine::with_threads(1);
+    let mut engine = AdaptEngine::new();
     let e0 = dk.graph().mutation_epoch();
     dk.promote_batch(&g, &fups, &mut engine);
     assert_eq!(dk.graph().mutation_epoch(), e0 + 1);
@@ -326,7 +320,7 @@ fn batch_bumps_mutation_epoch_once() {
     // M*(k) sums per-component epochs; a converged batch must leave the
     // combined generation untouched.
     let mut mstar = MStarIndex::new(&g);
-    let mut engine = AdaptEngine::with_threads(1);
+    let mut engine = AdaptEngine::new();
     let e0 = mstar.mutation_epoch();
     mstar.refine_batch(&g, &fups, &mut engine);
     assert!(mstar.mutation_epoch() > e0);
@@ -352,7 +346,7 @@ fn session_cache_invalidates_once_per_batch() {
     }
     let before = session.stats().clone();
 
-    let mut engine = AdaptEngine::with_threads(1);
+    let mut engine = AdaptEngine::new();
     mk.refine_batch(&g, &fups, &mut engine);
 
     for round in 0..2 {
@@ -399,7 +393,7 @@ fn session_cache_invalidates_once_per_batch() {
         session.serve(&mstar, &g, q).unwrap();
         session.serve(&mstar, &g, q).unwrap();
     }
-    let mut engine = AdaptEngine::with_threads(1);
+    let mut engine = AdaptEngine::new();
     mstar.refine_batch(&g, &fups, &mut engine);
     let before = session.stats().clone();
     for round in 0..2 {

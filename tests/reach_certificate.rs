@@ -60,7 +60,7 @@ fn proven_similarity_alone_admits_a_false_positive_the_certificate_refuses() {
     let g = shrunk();
     let q = PathExpr::parse("//seller/person/watches").unwrap();
     let mut idx = MStarIndex::new(&g);
-    AdaptEngine::with_threads(1).adapt_mstar(&g, &mut idx, std::slice::from_ref(&q));
+    AdaptEngine::new().adapt_mstar(&g, &mut idx, std::slice::from_ref(&q));
     let cp = q.compile(&g);
     let len = cp.length() as u32;
     let truth = eval_data(&g, &cp);
@@ -172,7 +172,7 @@ fn a_target_reached_through_its_certified_parent_is_trusted() {
     let q = PathExpr::parse("//x/a/c").unwrap();
     let mut idx = MStarIndex::new(&g);
     let fup = PathExpr::parse("//site/x/a").unwrap();
-    AdaptEngine::with_threads(1).adapt_mstar(&g, &mut idx, &[fup]);
+    AdaptEngine::new().adapt_mstar(&g, &mut idx, &[fup]);
     let cp = q.compile(&g);
     let (targets, level, _) = top_down_targets_budgeted(
         &components(&idx),
@@ -238,7 +238,7 @@ fn total_served<I: IndexView, G: GraphView>(
 fn top_down_proven_cost_stays_within_its_pin_on_every_layout() {
     let (g, queries) = corpus();
     let mut idx = MStarIndex::new(&g);
-    AdaptEngine::with_threads(1).adapt_mstar(&g, &mut idx, &queries);
+    AdaptEngine::new().adapt_mstar(&g, &mut idx, &queries);
     let mut live = Cost::ZERO;
     for q in &queries {
         live += idx.query(&g, q, EvalStrategy::TopDown).cost;
@@ -316,7 +316,7 @@ fn replay_pair_matches_try_serve<I: IndexView, G: GraphView>(
 fn the_benchmark_replay_pair_serves_like_a_session() {
     let (g, queries) = corpus();
     let mut idx = MStarIndex::new(&g);
-    AdaptEngine::with_threads(1).adapt_mstar(&g, &mut idx, &queries);
+    AdaptEngine::new().adapt_mstar(&g, &mut idx, &queries);
     let cz: CompressedMStar = idx.freeze_compressed();
     let fg = FrozenGraph::freeze(&g);
 

@@ -94,7 +94,7 @@ fn workload(g: &DataGraph) -> Workload {
 /// M\*(k) adapted to `queries` through the engine, certified.
 fn adapted(g: &DataGraph, queries: &[PathExpr]) -> MStarIndex {
     let mut idx = MStarIndex::new(g);
-    AdaptEngine::with_threads(1).adapt_mstar(g, &mut idx, queries);
+    AdaptEngine::new().adapt_mstar(g, &mut idx, queries);
     idx
 }
 

@@ -166,7 +166,7 @@ fn v9_reopen_reproduces_every_saved_array() {
             },
         );
         let mut idx = MStarIndex::new(&g);
-        AdaptEngine::with_threads(1).adapt_mstar(&g, &mut idx, &w.queries);
+        AdaptEngine::new().adapt_mstar(&g, &mut idx, &w.queries);
         let fg = FrozenGraph::freeze(&g);
         let cz = idx.freeze_compressed();
         let f = PagedFile::open_bytes(v9_image(&g, &idx), 1 << 20).unwrap();
