@@ -1070,25 +1070,32 @@ impl MStarCore<'_> {
     }
 
     /// SPLITNODE*(p ∈ I_i, i, relevantData) — mirrors
-    /// `MStarIndex::split_node` through the ping-pong arena.
+    /// `MStarIndex::split_node` through the ping-pong arena. The qualifying
+    /// coarse parents are found by marking the coarse nodes that hold the
+    /// relevant data's parents, not by scanning each coarse extent.
     fn split_node(&mut self, i: usize, p: IdxId, relevant: &[NodeId]) {
         debug_assert!(i >= 1);
         let kold = self.components[i].k(p);
         let mut old_extent = self.scratch.take_nodes(self.stats);
         old_extent.extend_from_slice(self.components[i].extent(p));
-        let mut pred = self.scratch.take_set(self.stats);
-        mark_parents(self.g, relevant, &mut pred);
         let sp = self.supernode(i, p);
         let coarse = &self.components[i - 1];
+        let mut held = self.scratch.take_set(self.stats);
+        held.reset(coarse.slot_bound());
+        for &o in relevant {
+            for &x in self.g.parents(o) {
+                held.insert(coarse.node_of(x).index());
+            }
+        }
         let mut qualifying = self.scratch.take_idx(self.stats);
         qualifying.extend(
             coarse
                 .parents(sp)
                 .iter()
                 .copied()
-                .filter(|&u| coarse.extent(u).iter().any(|o| pred.contains(o.index()))),
+                .filter(|&u| held.contains(u.index())),
         );
-        self.scratch.put_set(pred);
+        self.scratch.put_set(held);
 
         let mut flat_a = self.scratch.take_nodes(self.stats);
         let mut bounds_a = self.scratch.take_bounds(self.stats);
@@ -1248,5 +1255,90 @@ impl MStarIndex {
     /// with one observable epoch bump per pre-existing component.
     pub fn refine_batch(&mut self, g: &DataGraph, batch: &[PathExpr], engine: &mut AdaptEngine) {
         engine.adapt_mstar(g, self, batch);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::k_bisim_all;
+    use mrx_graph::xml::parse;
+
+    /// `<r>` holding `<b>` and `<c>`, each over `wide` distinctly labelled
+    /// `<aN>` with a `<t>` child, plus `<t>`s under a `<z>`: the `t` node's
+    /// coarse parents are the `aN`, and `//b/*/t` makes every one of them
+    /// qualify in SPLITNODE*.
+    fn wide_doc(wide: usize) -> DataGraph {
+        let mut xml = String::from("<r>");
+        for top in ["b", "c"] {
+            xml.push_str(&format!("<{top}>"));
+            for n in 0..wide {
+                xml.push_str(&format!("<a{n}><t/><t/></a{n}>"));
+            }
+            xml.push_str(&format!("</{top}>"));
+        }
+        xml.push_str("<z><t/><t/></z></r>");
+        parse(&xml).unwrap()
+    }
+
+    /// Adapts `g` to `fups` through the engine and through per-FUP
+    /// `refine_for`, and checks that both leave the same parts in the same
+    /// order: identical ids, not only an identical structure. Returns the
+    /// engine's index.
+    fn assert_matches_refine_for(g: &DataGraph, fups: &[&str], ctx: &str) -> MStarIndex {
+        let fups: Vec<PathExpr> = fups.iter().map(|e| PathExpr::parse(e).unwrap()).collect();
+        let mut oracle = MStarIndex::new(g);
+        for f in &fups {
+            oracle.refine_for(g, f);
+        }
+        oracle.certify_exact(&k_bisim_all(g, oracle.max_k() as u32));
+        let mut idx = MStarIndex::new(g);
+        idx.refine_batch(g, &fups, &mut AdaptEngine::new());
+        idx.check_invariants(g);
+        assert_eq!(idx.max_k(), oracle.max_k(), "{ctx}");
+        let by_id = |c: &IndexGraph| -> Vec<(IdxId, Vec<NodeId>, u32, u32)> {
+            c.iter()
+                .map(|v| (v, c.extent(v).to_vec(), c.k(v), c.genuine(v)))
+                .collect()
+        };
+        for i in 0..=idx.max_k() {
+            assert_eq!(
+                by_id(idx.component(i)),
+                by_id(oracle.component(i)),
+                "{ctx}: component {i}"
+            );
+        }
+        idx
+    }
+
+    /// The engine's successive splits by many qualifying parents (10 and
+    /// 70) leave the per-FUP oracle's parts in the oracle's order.
+    #[test]
+    fn split_node_matches_refine_for_with_many_qualifying_parents() {
+        for wide in [10, 70] {
+            let idx = assert_matches_refine_for(
+                &wide_doc(wide),
+                &["//b/*/t", "//c/a3/t", "//z/t"],
+                &format!("wide {wide}"),
+            );
+            // The `t` extent really was split by every `aN`.
+            let t_nodes = idx.component(1).export_extents().len();
+            assert!(t_nodes > 2 * wide, "wide {wide}: {t_nodes} nodes");
+        }
+    }
+
+    /// Here REFINENODE*'s recursion re-splits the coarse level while its
+    /// loop still looks for coarse parents to refine; the engine must leave
+    /// the oracle's ids all the same.
+    #[test]
+    fn refine_node_matches_refine_for_when_its_recursion_resplits_the_coarse_level() {
+        assert_matches_refine_for(
+            &mrx_datagen::nasa_like(405, 165),
+            &[
+                "//relatedDataset/dataset",
+                "//datasets/dataset/relatedDataset/dataset/author/reference",
+            ],
+            "nasa 405/165",
+        );
     }
 }

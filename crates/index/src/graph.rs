@@ -561,20 +561,19 @@ impl IndexGraph {
         }
 
         // 3. Rebuild each piece's induced edges and patch non-piece neighbours.
-        let mut is_piece = vec![false; self.slots.len()];
-        for &id in &piece_ids {
-            is_piece[id.index()] = true;
-        }
+        // The pieces are the newest slots, allocated back to back.
+        let first_piece = piece_ids[0].index();
         for &id in &piece_ids {
             let (ps, cs) = self.induced_edges(g, &self.slots[id.index()].extent);
             self.live_edges += cs.len();
             for &u in &ps {
-                if !is_piece[u.index()] && insert_sorted(&mut self.slots[u.index()].children, id) {
+                if u.index() < first_piece && insert_sorted(&mut self.slots[u.index()].children, id)
+                {
                     self.live_edges += 1;
                 }
             }
             for &w in &cs {
-                if !is_piece[w.index()] {
+                if w.index() < first_piece {
                     insert_sorted(&mut self.slots[w.index()].parents, id);
                 }
             }

@@ -41,15 +41,19 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use mrx_error::MrxError;
 use mrx_graph::GraphView;
 use mrx_pagecache::PageCache;
 use mrx_path::{
-    BudgetKind, BudgetMeter, CompiledPath, Cost, Governor, PathExpr, QueryBudget, Ungoverned,
+    BudgetKind, BudgetMeter, CompiledPath, CompiledStep, Cost, Governor, PathExpr, QueryBudget,
+    Ungoverned,
 };
 
 use crate::query::{self, Answer, QueryScratch, TrustPolicy};
@@ -58,9 +62,20 @@ use crate::view::IndexView;
 use crate::MStarIndex;
 
 /// Approximate heap footprint of one cache entry: the answer's node ids
-/// plus a fixed allowance for the key, the compiled path, and map overhead.
-fn entry_bytes(key: &PathExpr, answer: &Answer) -> usize {
-    128 + key.steps().len() * 16 + answer.nodes.len() * 4
+/// and target index nodes, the stored compiled path's steps, and a fixed
+/// allowance for the key and map overhead.
+fn entry_bytes(key: &PathExpr, compiled: &CompiledPath, answer: &Answer) -> usize {
+    128 + key.steps().len() * 16
+        + compiled.steps.len() * size_of::<CompiledStep>()
+        + (answer.nodes.len() + answer.target_index_nodes.len()) * 4
+}
+
+/// The doorkeeper's 64-bit key for an expression: a collision can only
+/// admit an answer one miss early, never serve a wrong one.
+fn fingerprint(path: &PathExpr) -> u64 {
+    let mut h = DefaultHasher::new();
+    path.hash(&mut h);
+    h.finish()
 }
 
 /// Hit/miss/eviction counters for one session (or a merged replay).
@@ -82,6 +97,9 @@ pub struct SessionStats {
     /// victims), as opposed to staleness. A high count means the cache is
     /// undersized for the workload's distinct-query set.
     pub cap_evictions: u64,
+    /// Answers the cache's doorkeeper refused on their expression's first
+    /// miss (see [`SharedCacheConfig::doorkeeper`]).
+    pub bypass_once: u64,
 }
 
 impl SessionStats {
@@ -94,26 +112,29 @@ impl SessionStats {
         self.evictions += other.evictions;
         self.budget_trips += other.budget_trips;
         self.cap_evictions += other.cap_evictions;
+        self.bypass_once += other.bypass_once;
     }
 
     /// One-line human-readable rendering (the CLI's `--stats` output).
     pub fn render(&self) -> String {
         format!(
-            "queries={} hits={} misses={} evictions={} cap_evictions={} budget_trips={}",
+            "queries={} hits={} misses={} evictions={} cap_evictions={} budget_trips={} \
+             bypass_once={}",
             self.queries,
             self.hits,
             self.misses,
             self.evictions,
             self.cap_evictions,
             self.budget_trips,
+            self.bypass_once,
         )
     }
 }
 
 /// Tuning knobs for a [`SharedAnswerCache`]. `Default` suits a serving
 /// daemon: plenty of entries, a bounded footprint, and an admission policy
-/// that refuses answers too large to be worth the space or too cheap to be
-/// worth a probe.
+/// that refuses answers too large to be worth the space, too cheap to be
+/// worth a probe, or to expressions not yet seen to recur.
 #[derive(Debug, Clone)]
 pub struct SharedCacheConfig {
     /// Maximum number of cached answers.
@@ -128,6 +149,10 @@ pub struct SharedCacheConfig {
     /// this are not cached — re-evaluating them is about as cheap as the
     /// cache probe itself.
     pub min_cost: u64,
+    /// Admission: when set, an answer is cached only on its expression's
+    /// second probe miss under the same generation, so a query asked once
+    /// per generation never occupies the cache; when clear, on the first.
+    pub doorkeeper: bool,
 }
 
 impl SharedCacheConfig {
@@ -135,12 +160,14 @@ impl SharedCacheConfig {
     /// than any paper workload has queries (500), so frequent-query
     /// workloads never thrash, and a byte cap because answers are node-id
     /// lists and a handful of `//everything` queries can dwarf thousands of
-    /// ordinary ones. Every answer that fits the byte cap is admitted.
+    /// ordinary ones. Every answer that fits the byte cap is admitted, on
+    /// its first miss.
     pub(crate) const SESSION: SharedCacheConfig = SharedCacheConfig {
         capacity: 4096,
         byte_cap: 32 * 1024 * 1024,
         max_answer_bytes: 32 * 1024 * 1024,
         min_cost: 0,
+        doorkeeper: false,
     };
 }
 
@@ -151,6 +178,7 @@ impl Default for SharedCacheConfig {
             byte_cap: 64 * 1024 * 1024,
             max_answer_bytes: 256 * 1024,
             min_cost: 2,
+            doorkeeper: true,
         }
     }
 }
@@ -168,6 +196,9 @@ pub struct SharedCacheStats {
     pub bypass_large: u64,
     /// Answers refused because their cost was below `min_cost`.
     pub bypass_cheap: u64,
+    /// Answers refused by the doorkeeper: their expression had not missed
+    /// before under the generation.
+    pub bypass_once: u64,
     /// Entries evicted by cap pressure (LRU victims).
     pub evictions: u64,
     /// Entries currently resident.
@@ -196,6 +227,58 @@ struct SharedInner {
     bytes: usize,
 }
 
+/// Why the admission policy refused an answer.
+enum Refusal {
+    /// Over `max_answer_bytes` or under `min_cost`.
+    Unfit,
+    /// The doorkeeper's: the expression's first miss under the generation.
+    Once,
+}
+
+/// The doorkeeper's sightings, all of one generation: the fingerprint of
+/// each expression that missed under it, and whether it missed again.
+#[derive(Default)]
+struct Sightings {
+    generation: u64,
+    again: HashMap<u64, bool>,
+}
+
+impl Sightings {
+    /// Drops every sighting unless they already belong to `generation`.
+    fn start(&mut self, generation: u64) {
+        if self.generation != generation {
+            self.again.clear();
+            self.generation = generation;
+        }
+    }
+
+    /// Records a miss of `path` under `generation`; whether it was sighted
+    /// before. A miss under an older generation than the newest seen (a
+    /// query finishing on a snapshot just swapped out) is not recorded.
+    /// At most `cfg.capacity` sightings are kept; a full table is cleared.
+    fn sight(&mut self, path: &PathExpr, generation: u64, cfg: &SharedCacheConfig) -> bool {
+        if generation < self.generation {
+            return false;
+        }
+        self.start(generation);
+        let fp = fingerprint(path);
+        if let Some(again) = self.again.get_mut(&fp) {
+            *again = true;
+            return true;
+        }
+        if self.again.len() >= cfg.capacity {
+            self.again.clear();
+        }
+        self.again.insert(fp, false);
+        false
+    }
+
+    /// Whether `path` missed more than once under `generation`.
+    fn sighted_again(&self, path: &PathExpr, generation: u64) -> bool {
+        self.generation == generation && self.again.get(&fingerprint(path)) == Some(&true)
+    }
+}
+
 /// What one admission displaced.
 struct Displaced {
     /// An entry for the same expression (stale: a fresh one would have hit).
@@ -214,15 +297,23 @@ struct Displaced {
 /// every outcome counted in [`SharedCacheStats`]. Under cap pressure the
 /// least-recently-used entries are evicted one at a time until the new
 /// entry fits both the entry and the byte cap.
+///
+/// With [`SharedCacheConfig::doorkeeper`] set, each probe miss marks the
+/// expression's 64-bit fingerprint as sighted under the generation, and an
+/// answer is admitted only if its expression was already sighted under
+/// that generation. The sightings sit beside the map under their own lock,
+/// so a hit never touches them.
 pub struct SharedAnswerCache {
     cfg: SharedCacheConfig,
     inner: RwLock<SharedInner>,
+    sightings: Mutex<Sightings>,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
     bypass_large: AtomicU64,
     bypass_cheap: AtomicU64,
+    bypass_once: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -239,43 +330,63 @@ impl SharedAnswerCache {
                 map: HashMap::new(),
                 bytes: 0,
             }),
+            sightings: Mutex::new(Sightings::default()),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             bypass_large: AtomicU64::new(0),
             bypass_cheap: AtomicU64::new(0),
+            bypass_once: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
     /// Probes for an answer evaluated at exactly `(generation, epoch)`.
     /// Read-lock only; a hit refreshes the entry's LRU clock and returns two
-    /// `Arc` clones, so it allocates nothing.
+    /// `Arc` clones, so it allocates nothing. A miss is a doorkeeper
+    /// sighting of `path` under `generation`.
     pub fn get(
         &self,
         path: &PathExpr,
         generation: u64,
         epoch: u64,
     ) -> Option<(Arc<CompiledPath>, Arc<Answer>)> {
-        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
-        match inner.map.get(path) {
-            Some(e) if e.generation == generation && e.epoch == epoch => {
-                let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-                e.touched.store(now, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((Arc::clone(&e.compiled), Arc::clone(&e.answer)))
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
+        self.probe(path, generation, epoch).ok()
+    }
+
+    /// [`SharedAnswerCache::get`], reporting on a miss whether the
+    /// doorkeeper lets the answer in.
+    fn probe(
+        &self,
+        path: &PathExpr,
+        generation: u64,
+        epoch: u64,
+    ) -> Result<(Arc<CompiledPath>, Arc<Answer>), bool> {
+        {
+            let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
+            if let Some(e) = inner.map.get(path) {
+                if e.generation == generation && e.epoch == epoch {
+                    let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+                    e.touched.store(now, Ordering::Relaxed);
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok((Arc::clone(&e.compiled), Arc::clone(&e.answer)));
+                }
             }
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        Err(!self.cfg.doorkeeper || self.lock_sightings().sight(path, generation, &self.cfg))
+    }
+
+    fn lock_sightings(&self) -> MutexGuard<'_, Sightings> {
+        self.sightings.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Offers an answer; the admission policy may refuse it (returning
     /// `false` and counting the bypass). Admission replaces any stale entry
-    /// under the same expression and LRU-evicts under cap pressure.
+    /// under the same expression and LRU-evicts under cap pressure. With
+    /// the doorkeeper on, `get` must have seen `path` miss twice under
+    /// `generation`.
     pub fn admit(
         &self,
         path: &PathExpr,
@@ -284,7 +395,8 @@ impl SharedAnswerCache {
         compiled: &CompiledPath,
         answer: &Answer,
     ) -> bool {
-        let Some(bytes) = self.admissible(path, answer) else {
+        let sighted = !self.cfg.doorkeeper || self.lock_sightings().sighted_again(path, generation);
+        let Ok(bytes) = self.admissible(path, compiled, answer, sighted) else {
             return false;
         };
         let answer = Arc::new(answer.clone());
@@ -293,7 +405,8 @@ impl SharedAnswerCache {
     }
 
     /// [`SharedAnswerCache::admit`] for an answer the caller already holds
-    /// in an `Arc`, reporting what the admission displaced (`None`: refused).
+    /// in an `Arc`, with the doorkeeper's verdict from its probe, reporting
+    /// what the admission displaced or why it was refused.
     fn admit_shared(
         &self,
         path: &PathExpr,
@@ -301,24 +414,37 @@ impl SharedAnswerCache {
         epoch: u64,
         compiled: &CompiledPath,
         answer: &Arc<Answer>,
-    ) -> Option<Displaced> {
-        let bytes = self.admissible(path, answer)?;
-        Some(self.insert(path, generation, epoch, compiled, Arc::clone(answer), bytes))
+        sighted: bool,
+    ) -> Result<Displaced, Refusal> {
+        let bytes = self.admissible(path, compiled, answer, sighted)?;
+        Ok(self.insert(path, generation, epoch, compiled, Arc::clone(answer), bytes))
     }
 
     /// The admission policy: the entry's footprint if `answer` may be
-    /// cached, `None` (with the bypass counted) if not.
-    fn admissible(&self, path: &PathExpr, answer: &Answer) -> Option<usize> {
-        let bytes = entry_bytes(path, answer);
+    /// cached, the refusal (counted) if not. Size and cost are checked
+    /// before the doorkeeper's verdict `sighted`, so an answer that could
+    /// never be cached is counted as such however often it recurs.
+    fn admissible(
+        &self,
+        path: &PathExpr,
+        compiled: &CompiledPath,
+        answer: &Answer,
+        sighted: bool,
+    ) -> Result<usize, Refusal> {
+        let bytes = entry_bytes(path, compiled, answer);
         if bytes > self.cfg.max_answer_bytes {
             self.bypass_large.fetch_add(1, Ordering::Relaxed);
-            return None;
+            return Err(Refusal::Unfit);
         }
         if answer.cost.total() < self.cfg.min_cost {
             self.bypass_cheap.fetch_add(1, Ordering::Relaxed);
-            return None;
+            return Err(Refusal::Unfit);
         }
-        Some(bytes)
+        if !sighted {
+            self.bypass_once.fetch_add(1, Ordering::Relaxed);
+            return Err(Refusal::Once);
+        }
+        Ok(bytes)
     }
 
     fn insert(
@@ -372,10 +498,12 @@ impl SharedAnswerCache {
         Displaced { replaced, lru }
     }
 
-    /// Drops every entry not stamped with `generation` — a server calls
-    /// this after a snapshot swap so dead generations stop occupying the
-    /// byte budget (they could never be served again anyway).
+    /// Drops every entry and doorkeeper sighting not stamped with
+    /// `generation` — a server calls this after a snapshot swap so dead
+    /// generations stop occupying the byte budget (they could never be
+    /// served again anyway). Returns the number of entries dropped.
     pub fn purge_other_generations(&self, generation: u64) -> usize {
+        self.lock_sightings().start(generation);
         let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
         let before = inner.map.len();
         inner.map.retain(|_, e| e.generation == generation);
@@ -398,6 +526,7 @@ impl SharedAnswerCache {
             insertions: self.insertions.load(Ordering::Relaxed),
             bypass_large: self.bypass_large.load(Ordering::Relaxed),
             bypass_cheap: self.bypass_cheap.load(Ordering::Relaxed),
+            bypass_once: self.bypass_once.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries,
             bytes,
@@ -585,20 +714,23 @@ impl QuerySession {
     ) -> Result<&'s Answer, MrxError> {
         let epoch = target.cache_epoch();
         self.stats.queries += 1;
-        if let Some((_, answer)) = self.cache.get(path, self.generation, epoch) {
-            self.stats.hits += 1;
-            self.last = answer;
-            if self
-                .budget
-                .max_result_nodes
-                .is_some_and(|cap| self.last.nodes.len() as u64 > cap)
-            {
-                self.stats.budget_trips += 1;
-                let e = BudgetMeter::exhausted(BudgetKind::ResultNodes, &Cost::ZERO);
-                return Err(MrxError::Budget(e));
+        let sighted = match self.cache.probe(path, self.generation, epoch) {
+            Err(sighted) => sighted,
+            Ok((_, answer)) => {
+                self.stats.hits += 1;
+                self.last = answer;
+                if self
+                    .budget
+                    .max_result_nodes
+                    .is_some_and(|cap| self.last.nodes.len() as u64 > cap)
+                {
+                    self.stats.budget_trips += 1;
+                    let e = BudgetMeter::exhausted(BudgetKind::ResultNodes, &Cost::ZERO);
+                    return Err(MrxError::Budget(e));
+                }
+                return Ok(&self.last);
             }
-            return Ok(&self.last);
-        }
+        };
         self.stats.misses += 1;
         let compiled = path.compile(g);
         let evaluated = if self.budget.is_unlimited() {
@@ -625,12 +757,16 @@ impl QuerySession {
             MrxError::Budget(e)
         })?;
         self.last = Arc::new(answer);
-        if let Some(d) =
-            self.cache
-                .admit_shared(path, self.generation, epoch, &compiled, &self.last)
+        match self
+            .cache
+            .admit_shared(path, self.generation, epoch, &compiled, &self.last, sighted)
         {
-            self.stats.evictions += u64::from(d.replaced) + d.lru;
-            self.stats.cap_evictions += d.lru;
+            Ok(d) => {
+                self.stats.evictions += u64::from(d.replaced) + d.lru;
+                self.stats.cap_evictions += d.lru;
+            }
+            Err(Refusal::Once) => self.stats.bypass_once += 1,
+            Err(Refusal::Unfit) => {}
         }
         Ok(&self.last)
     }
@@ -768,6 +904,9 @@ mod tests {
         assert_eq!(s.stats().misses, 1);
         assert_eq!(s.stats().evictions, 0);
         assert_eq!(cache.stats().entries, 1);
+        // A session's own cache admits on the first miss: no doorkeeper.
+        assert_eq!((s.stats().bypass_once, cache.stats().bypass_once), (0, 0));
+        assert_eq!(sightings(&cache), 0);
     }
 
     #[test]
@@ -864,7 +1003,7 @@ mod tests {
     fn byte_cap_bounds_the_cache_and_counts_cap_evictions() {
         let g = doc();
         let ig = IndexGraph::a0(&g);
-        // Every entry here is 148–152 bytes: one fits the cap, two do not.
+        // Every entry here is 160–164 bytes: one fits the cap, two do not.
         let (mut s, cache) = session_with(SharedCacheConfig {
             byte_cap: 200,
             max_answer_bytes: 200,
@@ -890,6 +1029,7 @@ mod tests {
         let p = PathExpr::parse("//person/name/last").unwrap();
         let shared = Arc::new(SharedAnswerCache::new(SharedCacheConfig {
             min_cost: 0,
+            doorkeeper: false,
             ..SharedCacheConfig::default()
         }));
         let mut s1 = QuerySession::new(TrustPolicy::Proven);
@@ -957,6 +1097,7 @@ mod tests {
         let p = PathExpr::parse("//name/last").unwrap();
         let shared = Arc::new(SharedAnswerCache::new(SharedCacheConfig {
             min_cost: 0,
+            doorkeeper: false,
             ..SharedCacheConfig::default()
         }));
         let mut s1 = QuerySession::new(TrustPolicy::Proven);
@@ -980,6 +1121,8 @@ mod tests {
         assert!(shared.get(&q, 1, ig.mutation_epoch()).is_none());
     }
 
+    /// Size and cost refusals are decided before the doorkeeper, so an
+    /// answer that can never be cached is never counted as `bypass_once`.
     #[test]
     fn shared_cache_admission_bypasses_large_and_cheap() {
         let g = doc();
@@ -997,6 +1140,9 @@ mod tests {
         assert_eq!(cs.bypass_large, 1);
         assert_eq!(cs.insertions, 0);
         assert_eq!(cs.entries, 0);
+        s.serve(&ig, &g, &p).unwrap();
+        let cs = cache.stats();
+        assert_eq!((cs.bypass_large, cs.bypass_once, cs.insertions), (2, 0, 0));
         // min_cost above any tiny-doc evaluation: everything is "too cheap".
         let (mut s, cache) = session_with(SharedCacheConfig {
             min_cost: u64::MAX,
@@ -1006,6 +1152,10 @@ mod tests {
         let cs = cache.stats();
         assert_eq!(cs.bypass_cheap, 1);
         assert_eq!(cs.insertions, 0);
+        s.serve(&ig, &g, &p).unwrap();
+        let cs = cache.stats();
+        assert_eq!((cs.bypass_cheap, cs.bypass_once, cs.insertions), (2, 0, 0));
+        assert_eq!(s.stats().bypass_once, 0);
     }
 
     #[test]
@@ -1015,6 +1165,7 @@ mod tests {
         let (mut s, shared) = session_with(SharedCacheConfig {
             capacity: 2,
             min_cost: 0,
+            doorkeeper: false,
             ..SharedCacheConfig::default()
         });
         for expr in ["//name", "//last", "//person", "//poster"] {
@@ -1024,6 +1175,121 @@ mod tests {
         assert_eq!(cs.entries, 2);
         assert_eq!(cs.evictions, 2);
         assert_eq!(cs.insertions, 4);
+    }
+
+    /// The daemon's configuration with every answer cheap enough to cache,
+    /// so only the doorkeeper refuses.
+    fn doorkeeper_cfg() -> SharedCacheConfig {
+        SharedCacheConfig {
+            min_cost: 0,
+            ..SharedCacheConfig::default()
+        }
+    }
+
+    fn sightings(cache: &SharedAnswerCache) -> usize {
+        cache.sightings.lock().unwrap().again.len()
+    }
+
+    #[test]
+    fn doorkeeper_refuses_the_first_miss_and_admits_the_second() {
+        let g = doc();
+        let ig = IndexGraph::a0(&g);
+        let p = PathExpr::parse("//person/name/last").unwrap();
+        let (mut s, cache) = session_with(doorkeeper_cfg());
+        let first = s.serve(&ig, &g, &p).unwrap().clone();
+        let cs = cache.stats();
+        assert_eq!((cs.misses, cs.bypass_once), (1, 1));
+        assert_eq!((cs.insertions, cs.entries), (0, 0));
+        assert_eq!(s.stats().bypass_once, 1);
+        assert!(s.stats().render().contains("bypass_once=1"));
+        // The second miss is admitted; the third request hits.
+        let second = s.serve(&ig, &g, &p).unwrap().clone();
+        assert_eq!(cache.stats().insertions, 1);
+        let third = s.serve(&ig, &g, &p).unwrap().clone();
+        assert_eq!(first.nodes, second.nodes);
+        assert_eq!(first.nodes, third.nodes);
+        let cs = cache.stats();
+        assert_eq!((cs.hits, cs.misses, cs.bypass_once), (1, 2, 1));
+        assert_eq!(
+            (s.stats().hits, s.stats().misses, s.stats().bypass_once),
+            (1, 2, 1)
+        );
+    }
+
+    #[test]
+    fn doorkeeper_sightings_belong_to_one_generation() {
+        let g = doc();
+        let ig = IndexGraph::a0(&g);
+        let p = PathExpr::parse("//name/last").unwrap();
+        let cache = Arc::new(SharedAnswerCache::new(doorkeeper_cfg()));
+        let mut s1 = QuerySession::new(TrustPolicy::Proven);
+        s1.attach_shared(cache.clone(), 1);
+        s1.serve(&ig, &g, &p).unwrap();
+        // A miss under a newer generation starts the sightings over.
+        let mut s2 = QuerySession::new(TrustPolicy::Proven);
+        s2.attach_shared(cache.clone(), 2);
+        s2.serve(&ig, &g, &p).unwrap();
+        assert_eq!(cache.stats().bypass_once, 2);
+        // A query still finishing under the older generation neither
+        // records a sighting nor is admitted, however often it misses.
+        s1.serve(&ig, &g, &p).unwrap();
+        s1.serve(&ig, &g, &p).unwrap();
+        assert_eq!(
+            (cache.stats().bypass_once, cache.stats().insertions),
+            (4, 0)
+        );
+        assert_eq!(sightings(&cache), 1);
+        // Purging drops the other generations' sightings with their
+        // entries, so generation 3 needs two misses again.
+        s2.serve(&ig, &g, &PathExpr::parse("//poster").unwrap())
+            .unwrap();
+        assert_eq!(sightings(&cache), 2);
+        cache.purge_other_generations(3);
+        assert_eq!(sightings(&cache), 0);
+        let mut s3 = QuerySession::new(TrustPolicy::Proven);
+        s3.attach_shared(cache.clone(), 3);
+        s3.serve(&ig, &g, &p).unwrap();
+        assert_eq!(cache.stats().insertions, 0);
+        s3.serve(&ig, &g, &p).unwrap();
+        assert_eq!(cache.stats().insertions, 1);
+        assert_eq!(s3.stats().bypass_once, 1);
+    }
+
+    /// The public probe-then-offer pair follows the same rule as a session.
+    #[test]
+    fn doorkeeper_gates_get_then_admit() {
+        let g = doc();
+        let ig = IndexGraph::a0(&g);
+        let p = PathExpr::parse("//person/name/last").unwrap();
+        let cp = p.compile(&g);
+        let mut own = QuerySession::new(TrustPolicy::Proven);
+        let a = own.serve(&ig, &g, &p).unwrap().clone();
+        let cache = SharedAnswerCache::new(doorkeeper_cfg());
+        assert!(cache.get(&p, 1, 0).is_none());
+        assert!(!cache.admit(&p, 1, 0, &cp, &a));
+        assert!(cache.get(&p, 1, 0).is_none());
+        assert!(cache.admit(&p, 1, 0, &cp, &a));
+        assert!(cache.get(&p, 1, 0).is_some());
+        let cs = cache.stats();
+        assert_eq!(
+            (cs.hits, cs.misses, cs.bypass_once, cs.insertions),
+            (1, 2, 1, 1)
+        );
+    }
+
+    #[test]
+    fn doorkeeper_sightings_stay_within_capacity() {
+        let g = doc();
+        let ig = IndexGraph::a0(&g);
+        let (mut s, cache) = session_with(SharedCacheConfig {
+            capacity: 2,
+            ..doorkeeper_cfg()
+        });
+        for expr in ["//name", "//last", "//person", "//poster", "//people"] {
+            s.serve(&ig, &g, &PathExpr::parse(expr).unwrap()).unwrap();
+            assert!(sightings(&cache) <= 2, "{expr}");
+        }
+        assert_eq!(cache.stats().bypass_once, 5);
     }
 
     #[test]

@@ -312,7 +312,8 @@ impl Shared {
             "{{\"epoch\":{},\"kind\":\"{}\",\"version\":{},\"degraded_components\":[{}],\
              \"healthy\":{},\"conns\":{},\"queue\":{},\"counters\":{{{}}},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"insertions\":{},\"bypass_large\":{},\
-             \"bypass_cheap\":{},\"evictions\":{},\"entries\":{},\"bytes\":{}}},\
+             \"bypass_cheap\":{},\"bypass_once\":{},\"evictions\":{},\"entries\":{},\
+             \"bytes\":{}}},\
              \"pages\":{{\"resident_bytes\":{},\"faults\":{},\"hits\":{}}}}}",
             snap.epoch,
             snap.kind,
@@ -327,6 +328,7 @@ impl Shared {
             c.insertions,
             c.bypass_large,
             c.bypass_cheap,
+            c.bypass_once,
             c.evictions,
             c.entries,
             c.bytes,

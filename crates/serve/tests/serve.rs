@@ -123,7 +123,11 @@ fn base_config(snapshot: &PathBuf) -> ServeConfig {
 fn ping_query_stats_shutdown() {
     let dir = tmp_dir("basic");
     let (pa, _) = save_pair(&dir);
-    let server = Server::start(base_config(&pa)).unwrap();
+    let mut cfg = base_config(&pa);
+    // Admit answers however cheap: most of these cost less than the
+    // default's `min_cost` on this tiny document.
+    cfg.cache.min_cost = 0;
+    let server = Server::start(cfg).unwrap();
     let want = oracle(&graph_a(), EXPRS);
     let mut c = Client::connect(server.addr()).unwrap();
     c.ping().unwrap();
@@ -132,12 +136,19 @@ fn ping_query_stats_shutdown() {
         assert_eq!(r.epoch, 1);
         assert_eq!(&r.nodes, &want[*e], "answer mismatch for {e}");
     }
-    // Repeat: second round should come from the shared answer cache with
-    // identical nodes.
-    for e in EXPRS {
-        assert_eq!(&c.query("t1", e).unwrap().nodes, &want[*e]);
+    // Repeat: the second miss of each expression admits its answer, and
+    // the third round comes from the shared answer cache with identical
+    // nodes.
+    for tenant in ["t1", "t2"] {
+        for e in EXPRS {
+            assert_eq!(&c.query(tenant, e).unwrap().nodes, &want[*e]);
+        }
     }
     let stats = c.stats().unwrap();
+    let n = EXPRS.len() as u64;
+    assert_eq!(stat_after(&stats, "\"cache\"", "hits"), n, "{stats}");
+    assert_eq!(stat_after(&stats, "\"cache\"", "bypass_once"), n, "{stats}");
+    assert_eq!(stat_after(&stats, "\"cache\"", "insertions"), n, "{stats}");
     assert!(stats.contains("\"epoch\":1"), "{stats}");
     assert!(stats.contains("\"healthy\":true"), "{stats}");
     assert!(stats.contains("\"answers\":"), "{stats}");
@@ -214,6 +225,40 @@ fn reload_hammer_matches_oracle_per_epoch() {
         assert!(stats.contains("\"reloads_ok\":12"), "{stats}");
         server.stop();
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The answer cache admits an answer on its expression's second miss
+/// within one serving epoch: a miss before a RELOAD does not count after
+/// it, so an expression asked once per epoch is never cached.
+#[test]
+fn reload_resets_the_answer_cache_sightings() {
+    let dir = tmp_dir("sightings");
+    let (pa, pb) = save_pair(&dir);
+    let mut cfg = base_config(&pa);
+    cfg.cache.min_cost = 0;
+    let server = Server::start(cfg).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let n = EXPRS.len() as u64;
+    let cache = |c: &mut Client, key: &str| stat_after(&c.stats().unwrap(), "\"cache\"", key);
+    let round = |c: &mut Client, epoch: u64| {
+        for e in EXPRS {
+            assert_eq!(c.query("t", e).unwrap().epoch, epoch, "{e}");
+        }
+    };
+    round(&mut c, 1);
+    assert_eq!(cache(&mut c, "bypass_once"), n);
+    c.reload(pb.to_str().unwrap()).unwrap();
+    // One earlier miss each, but under epoch 1: refused again.
+    round(&mut c, 2);
+    assert_eq!(cache(&mut c, "bypass_once"), 2 * n);
+    assert_eq!(cache(&mut c, "insertions"), 0);
+    round(&mut c, 2);
+    assert_eq!(cache(&mut c, "insertions"), n);
+    round(&mut c, 2);
+    assert_eq!(cache(&mut c, "hits"), n);
+    assert_eq!(cache(&mut c, "bypass_once"), 2 * n);
+    server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -6,13 +6,14 @@
 //!
 //! It also asserts that a warm answer-cache hit allocates nothing: serving
 //! a query whose answer is cached is one read-locked probe and two `Arc`
-//! clones.
+//! clones, with or without the daemon's admission doorkeeper.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use mrx::datagen::nasa_like;
-use mrx::index::QuerySession;
+use mrx::index::{QuerySession, SharedAnswerCache, SharedCacheConfig};
 use mrx::path::PathExpr;
 use mrx::prelude::{DataGraph, MStarIndex, TrustPolicy};
 use mrx::store::{load_compressed_from, paged_image, save_compressed_to, PagedFile};
@@ -149,4 +150,33 @@ fn v5_and_v8_load_allocation_count_is_independent_of_node_count() {
     let hits = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(session.stats().hits, 300);
     assert_eq!(hits, 0, "300 warm hits performed {hits} allocations");
+
+    // The same through a daemon-configured cache, whose doorkeeper admits
+    // an answer on its second miss: the sightings are off the hit path.
+    // (`min_cost` 0: one of the three costs less than the default admits.)
+    let cache = Arc::new(SharedAnswerCache::new(SharedCacheConfig {
+        min_cost: 0,
+        ..SharedCacheConfig::default()
+    }));
+    let mut session = QuerySession::new(TrustPolicy::Proven);
+    session.attach_shared(Arc::clone(&cache), 1);
+    for _ in 0..2 {
+        for q in &queries {
+            session.serve(&cz, &fg, q).unwrap();
+        }
+    }
+    assert_eq!(cache.stats().insertions, 3, "{:?}", cache.stats());
+    assert_eq!(session.stats().bypass_once, 3);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..100 {
+        for q in &queries {
+            session.serve(&cz, &fg, q).unwrap();
+        }
+    }
+    let hits = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(session.stats().hits, 300);
+    assert_eq!(
+        hits, 0,
+        "300 doorkept warm hits performed {hits} allocations"
+    );
 }
